@@ -6,7 +6,9 @@ Subcommands:
     compare  -- both sides of the main equality, as a JSON report
     verify   -- run named identity suites
 
-Exit code is 0 iff every check requested by the invocation passed.
+Exit code is 0 iff every check requested by the invocation passed; a
+knot or expansion-data file that cannot be read or parsed prints one
+JSON line ``{"error": ...}`` to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 from .pipeline import (
     ComparisonReport,
+    InputFileError,
     SurgeryInput,
     compare,
     lmo_via_definition,
@@ -74,7 +77,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", default=None)
 
     args = ap.parse_args(argv)
+    try:
+        return _run(args)
+    except InputFileError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
         results = verify_suite(args.suite, args.order)
         ok = all(r.passed for r in results)

@@ -8,12 +8,22 @@ been erased.
 
 Canonicalization extracts the orientation sign: reversing the cyclic
 order at a vertex costs -1, and a diagram carrying an orientation-odd
-automorphism is the zero element.
+automorphism is the zero element.  Each connected component is keyed by
+the smallest row serial over a set of candidate labelings.  Colour
+refinement (1-WL) of the underlying multigraph, started from the leg
+count of each vertex, picks the smallest colour class; a candidate starts
+at one vertex of that class, refines again with that vertex singled out,
+and labels the rest in breadth-first order.  A newly reached vertex puts
+its entry port in slot 0 and orders its other slots by leg, then port of
+a labeled neighbour, then colour of an unlabeled one; only ties branch.
+Every rule is invariant, so an automorphism maps candidates to
+candidates.  Hence two candidates reaching the minimal serial differ by
+an automorphism, and the component is zero exactly when those candidates
+carry both signs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -24,8 +34,9 @@ Edge = tuple[Port, Port]
 #: Sentinel used for anonymous leg endpoints inside canonical serials.
 LEG = 10 ** 9
 
-#: Hard cap on total vertex count; canonical search is exhaustive and
-#: tuned for this desk scale.
+#: Hard cap on total vertex count.  Canonical search branches only on
+#: colour ties, but an unlucky highly symmetric component still costs up
+#: to |class| * 6 * 2**(t - 1) candidate labelings.
 MAX_VERTICES = 24
 
 #: Slot relabelings of a trivalent vertex: rotations preserve the cyclic
@@ -34,6 +45,10 @@ SLOT_PERMS: tuple[tuple[tuple[int, int, int], int], ...] = (
     ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
     ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
 )
+
+#: Old slots of a vertex listed in the new slot order a permutation gives.
+_SLOTS_IN_ORDER = {p: tuple(p.index(j) for j in (0, 1, 2))
+                   for p, _ in SLOT_PERMS}
 
 _STRUT_SERIAL = (0, 2, ((LEG, LEG),))
 
@@ -206,10 +221,31 @@ def _components(d: JacobiDiagram) -> list[tuple[list[int], int, list[Edge]]]:
     return [(tv, len(lg), es) for tv, lg, es in buckets.values()]
 
 
+def _refine(colour: dict[int, int],
+            nbrs: dict[int, list[int]]) -> dict[int, int]:
+    """Colour refinement (1-WL) of a multigraph to its stable partition.
+
+    A new colour is the rank of (old colour, sorted neighbour colours), so
+    colours depend on the graph and the initial colouring alone, never on
+    the vertex numbering.
+    """
+    n_classes = len(set(colour.values()))
+    while True:
+        sig = {v: (c, tuple(sorted(colour[w] for w in nbrs[v])))
+               for v, c in colour.items()}
+        rank = {g: i for i, g in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[g] for v, g in sig.items()}
+        if len(rank) == n_classes:
+            return colour
+        n_classes = len(rank)
+
+
 def _canon_component(trivalent: list[int], edges: list[Edge],
                      t_bound: int) -> tuple[tuple | None, int]:
     """Minimal serialization of one connected component, with its sign.
 
+    Candidate labelings start at a vertex of the smallest colour class and
+    visit the rest in breadth-first order; see the module docstring.
     Returns (serial, sign); sign 0 encodes the zero diagram.
     """
     n_legs = sum(1 for e in edges for (v, _) in e if v >= t_bound)
@@ -232,65 +268,83 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
         else:
             adj[qv][qs] = ("L",)
 
+    nbrs = {v: [nb[0] for nb in adj[v] if nb != ("L",)] for v in trivalent}
+    colour = _refine({v: adj[v].count(("L",)) for v in trivalent}, nbrs)
+    classes: dict[int, list[int]] = {}
+    for v in trivalent:
+        classes.setdefault(colour[v], []).append(v)
+    starts = min(classes.values(), key=lambda vs: (len(vs), colour[vs[0]]))
+
     T = len(trivalent)
     best: list = [None]        # best complete serial
     best_signs: set[int] = set()
 
-    def search(placed: list[int], label: dict[int, int],
+    def search(u: int, entry: int | None, head: int, col: dict[int, int],
+               order: list[int], label: dict[int, int],
                perm: dict[int, tuple[int, int, int]],
                rows: list, sign: int) -> None:
-        k = len(placed)
-        if k == T:
-            serial = tuple(rows)
-            if best[0] is None:
-                best[0] = serial
-                best_signs.clear()
-                best_signs.add(sign)
-            else:  # comparisons en route guarantee serial == best[0]
-                best_signs.add(sign)
-            return
-        if k == 0:
-            candidates = trivalent
-        else:
-            candidates = sorted({u for v in placed
-                                 for slot in adj[v] if slot != ("L",)
-                                 for u in (slot[0],) if u not in label})
-        for u in candidates:
-            for p, psign in SLOT_PERMS:
-                row = []
-                for s in (0, 1, 2):
-                    nb = adj[u][s]
-                    if nb == ("L",):
-                        row.append((LEG, 3 * k + p[s]))
+        """Give ``u`` label k = len(order), entered through slot ``entry``
+        (None for the start), under each admissible slot permutation."""
+        k = len(order)
+        # slot keys: leg < port of a labeled neighbour < colour of another
+        keys = []
+        for nb in adj[u]:
+            if nb == ("L",):
+                keys.append((0, LEG))
+            elif nb[0] in label:
+                keys.append((1, 3 * label[nb[0]] + perm[nb[0]][nb[1]]))
+            else:
+                keys.append((2, col[nb[0]]))
+        for p, psign in SLOT_PERMS:
+            if entry is not None and p[entry] != 0:
+                continue
+            by_slot = [keys[s] for s in _SLOTS_IN_ORDER[p]]
+            if by_slot[1] > by_slot[2] or (entry is None
+                                           and by_slot[0] > by_slot[1]):
+                continue
+            row = tuple(sorted((key[1], 3 * k + p[s])
+                               for s, key in enumerate(keys) if key[0] < 2))
+            if best[0] is not None:
+                ref = best[0][k]
+                if row > ref:
+                    continue
+                if row < ref:
+                    best[0] = None  # strictly better prefix found
+                    best_signs.clear()
+            label[u] = k
+            perm[u] = p
+            order.append(u)
+            rows.append(row)
+            if k + 1 == T:
+                if best[0] is None:
+                    best[0] = tuple(rows)
+                # otherwise comparisons en route guarantee equality
+                best_signs.add(sign * psign)
+            else:
+                # next vertex: first unlabeled neighbour of the labeled
+                # vertices in label order, their slots in new slot order
+                nxt, h = None, head
+                while nxt is None:
+                    x = order[h]
+                    for s in _SLOTS_IN_ORDER[perm[x]]:
+                        nb = adj[x][s]
+                        if nb != ("L",) and nb[0] not in label:
+                            nxt = nb
+                            break
                     else:
-                        w, ws = nb
-                        if w == u:
-                            continue  # unreachable: loops handled above
-                        if w in label:
-                            row.append((3 * label[w] + perm[w][ws],
-                                        3 * k + p[s]))
-                row = tuple(sorted(row))
-                if best[0] is not None:
-                    ref = best[0][k]
-                    if row > ref:
-                        continue
-                    if row < ref:
-                        best[0] = None  # strictly better prefix found
-                        best_signs.clear()
-                label[u] = k
-                perm[u] = p
-                placed.append(u)
-                rows.append(row)
-                search(placed, label, perm, rows, sign * psign)
-                rows.pop()
-                placed.pop()
-                del label[u], perm[u]
+                        h += 1
+                search(nxt[0], nxt[1], h, col, order, label, perm,
+                       rows, sign * psign)
+            rows.pop()
+            order.pop()
+            del label[u], perm[u]
 
-    search([], {}, {}, [], 1)
-    serial = best[0]
+    for v in starts:
+        col = _refine({**colour, v: -1}, nbrs)
+        search(v, None, 0, col, [], {}, {}, [], 1)
     if best_signs == {1, -1}:
         return None, 0
-    return (T, n_legs, serial), next(iter(best_signs))
+    return (T, n_legs, best[0]), next(iter(best_signs))
 
 
 _CANON_CACHE: dict[tuple, CanonicalDiagram] = {}

@@ -63,11 +63,27 @@ class SurgeryInput:
         return 1 if self.framing > 0 else -1
 
 
+class InputFileError(ValueError):
+    """A knot or expansion-data file that is missing or malformed."""
+
+
+def _read_json_file(path: str, what: str, parse):
+    """``parse`` applied to the JSON content of ``path``; any way the file
+    can be unreadable or malformed surfaces as one InputFileError."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise InputFileError(f"{what} {path}: {exc}") from exc
+
+
 def load_knot_series(path: str, imax: int) -> DiagramSeries:
-    obj = json.loads(Path(path).read_text())
-    s = DiagramSeries.from_json(obj, imax)
-    balg._assert_strut_free(s, "knot input file")
-    return s
+    def parse(obj) -> DiagramSeries:
+        s = DiagramSeries.from_json(obj, imax)
+        balg._assert_strut_free(s, "knot input file")
+        return s
+
+    return _read_json_file(path, "knot file", parse)
 
 
 def is_wheel_like(s: DiagramSeries) -> bool:
@@ -164,8 +180,8 @@ def taupg_route(inp: SurgeryInput, label: str, order: int,
                 qdata_path: str | None = None) -> HSeries:
     rs, _ = lie_pair(label)
     if qdata_path is not None:
-        E = rootsys.ExponentialWeightSum.from_json(
-            json.loads(Path(qdata_path).read_text()))
+        E = _read_json_file(qdata_path, "expansion-data file",
+                            rootsys.ExponentialWeightSum.from_json)
     elif inp.is_builtin:
         E = unknot_qdata(label, order)
     else:

@@ -1,0 +1,122 @@
+"""Reference canonicalization: the exhaustive search over every labeling.
+
+It tries every start vertex, then every frontier vertex at each step, each
+with all six slot permutations, and keeps the minimal row serial.  It is
+slow but plainly correct, so the property tests compare
+``diagrams.canonicalize`` against it.  Its serials are not those of
+``diagrams.canonicalize``: only zero-ness, the partition into classes and
+relative signs are comparable.
+"""
+
+from __future__ import annotations
+
+from lmo_kernel.diagrams import (
+    LEG,
+    SLOT_PERMS,
+    _STRUT_SERIAL,
+    CanonicalDiagram,
+    CanonicalForm,
+    Edge,
+    JacobiDiagram,
+    _components,
+)
+
+
+def _canon_component(trivalent: list[int], edges: list[Edge],
+                     t_bound: int) -> tuple[tuple | None, int]:
+    """Minimal serialization of one connected component, with its sign.
+
+    Returns (serial, sign); sign 0 encodes the zero diagram.
+    """
+    n_legs = sum(1 for e in edges for (v, _) in e if v >= t_bound)
+    if not trivalent:
+        # Only struts have no trivalent vertex (circles are unrepresentable).
+        return _STRUT_SERIAL, 1
+
+    # adjacency by slot: ('L',) for a leg, else (neighbor, neighbor slot)
+    adj: dict[int, list] = {v: [None, None, None] for v in trivalent}
+    for (pv, ps), (qv, qs) in edges:
+        if pv == qv:
+            # A loop edge occupies two slots of one cyclic triple; swapping
+            # them is an orientation-odd automorphism, so the diagram is 0.
+            return None, 0
+        if pv < t_bound and qv < t_bound:
+            adj[pv][ps] = (qv, qs)
+            adj[qv][qs] = (pv, ps)
+        elif pv < t_bound:
+            adj[pv][ps] = ("L",)
+        else:
+            adj[qv][qs] = ("L",)
+
+    T = len(trivalent)
+    best: list = [None]        # best complete serial
+    best_signs: set[int] = set()
+
+    def search(placed: list[int], label: dict[int, int],
+               perm: dict[int, tuple[int, int, int]],
+               rows: list, sign: int) -> None:
+        k = len(placed)
+        if k == T:
+            serial = tuple(rows)
+            if best[0] is None:
+                best[0] = serial
+                best_signs.clear()
+                best_signs.add(sign)
+            else:  # comparisons en route guarantee serial == best[0]
+                best_signs.add(sign)
+            return
+        if k == 0:
+            candidates = trivalent
+        else:
+            candidates = sorted({u for v in placed
+                                 for slot in adj[v] if slot != ("L",)
+                                 for u in (slot[0],) if u not in label})
+        for u in candidates:
+            for p, psign in SLOT_PERMS:
+                row = []
+                for s in (0, 1, 2):
+                    nb = adj[u][s]
+                    if nb == ("L",):
+                        row.append((LEG, 3 * k + p[s]))
+                    else:
+                        w, ws = nb
+                        if w == u:
+                            continue  # unreachable: loops handled above
+                        if w in label:
+                            row.append((3 * label[w] + perm[w][ws],
+                                        3 * k + p[s]))
+                row = tuple(sorted(row))
+                if best[0] is not None:
+                    ref = best[0][k]
+                    if row > ref:
+                        continue
+                    if row < ref:
+                        best[0] = None  # strictly better prefix found
+                        best_signs.clear()
+                label[u] = k
+                perm[u] = p
+                placed.append(u)
+                rows.append(row)
+                search(placed, label, perm, rows, sign * psign)
+                rows.pop()
+                placed.pop()
+                del label[u], perm[u]
+
+    search([], {}, {}, [], 1)
+    serial = best[0]
+    if best_signs == {1, -1}:
+        return None, 0
+    return (T, n_legs, serial), next(iter(best_signs))
+
+
+def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
+    """Uncached exhaustive counterpart of ``diagrams.canonicalize``."""
+    comps = []
+    sign = 1
+    for tv, _, es in _components(d):
+        serial, s = _canon_component(sorted(tv), es, d.t)
+        if s == 0:
+            return CanonicalDiagram(None, 0)
+        sign *= s
+        comps.append(serial)
+    return CanonicalDiagram(CanonicalForm(tuple(sorted(comps))), sign)

@@ -64,6 +64,27 @@ def test_zero_framing_fails_cleanly(capsys):
         main(["compute", "--framing", "0", "--lie", "A1", "--order", "1"])
 
 
+@pytest.mark.parametrize("option, content", [
+    ("--knot", None),                      # missing file
+    ("--knot", "{not json"),
+    ("--knot", '[{"coeff": "1/1", "diagram": '
+               '{"t": 0, "m": 2, "edges": [[[0, 0], [1, 0]]]}}]'),  # strut
+    ("--qdata", None),
+    ("--qdata", "[1, 2"),
+])
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    args = ["compare", "--framing", "2", "--lie", "A1", "--order", "1",
+            option, str(path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert str(path) in json.loads(line)["error"]
+
+
 def test_bad_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])

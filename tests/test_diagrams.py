@@ -4,17 +4,21 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmo_kernel.balg import strut, theta, wheel
+import canon_oracle
+from lmo_kernel.balg import fg_integral, strut, theta, wheel
 from lmo_kernel.diagrams import (
     DiagramSeries,
     EMPTY_FORM,
+    SLOT_PERMS,
     JacobiDiagram,
     StructuralError,
     canonicalize,
     glue_legs,
     series_of,
 )
+from lmo_kernel.pipeline import SurgeryInput, reduced_input
 from lmo_kernel.qseries import modified_bernoulli
 
 
@@ -37,6 +41,20 @@ def relabel(d: JacobiDiagram, perm_t, rots) -> JacobiDiagram:
         return p
 
     return JacobiDiagram(d.t, d.m, tuple((mp(p), mp(q)) for p, q in d.edges))
+
+
+@st.composite
+def port_matchings(draw, t=None, m=None):
+    """A random perfect matching of the ports of t trivalent
+    vertices and m legs: loops, multi-edges, vertices with 2-3 legs,
+    struts and several components all occur."""
+    if t is None:
+        t = draw(st.integers(0, 8))
+        m = draw(st.sampled_from([m for m in range(7) if (t + m) % 2 == 0]))
+    ports = [(v, s) for v in range(t) for s in (0, 1, 2)]
+    ports += [(v, 0) for v in range(t, t + m)]
+    ports = draw(st.permutations(ports))
+    return JacobiDiagram(t, m, tuple(zip(ports[::2], ports[1::2])))
 
 
 def odd_wheel(n: int) -> JacobiDiagram:
@@ -95,10 +113,13 @@ class TestCanonicalization:
         assert canonicalize(flip_vertex(flip_vertex(wheel(1), 0), 0)) == base
 
     def test_idempotent_on_representative(self):
-        for d in (wheel(1), wheel(2), wheel(3), theta(), strut()):
-            cd = canonicalize(d)
-            again = canonicalize(cd.form.diagram())
-            assert again.form == cd.form and again.sign == 1
+        # closed multi-edge forms as the Gaussian integral produces them
+        closed = fg_integral(reduced_input(SurgeryInput("unknot", 1), 6))
+        forms = [canonicalize(d).form
+                 for d in (wheel(1), wheel(2), wheel(3), theta(), strut())]
+        for form in forms + list(closed.terms):
+            again = canonicalize(form.diagram())
+            assert again.form == form and again.sign == 1
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_wheels_vanish(self, n):
@@ -111,6 +132,42 @@ class TestCanonicalization:
 
     def test_theta_does_not_vanish(self):
         assert not canonicalize(theta()).is_zero
+
+
+class TestCanonicalAgainstOracle:
+    """The refinement-guided search against the exhaustive one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(port_matchings(), st.data())
+    def test_zero_rule_relabeling_and_flip(self, d, data):
+        cd = canonicalize(d)
+        assert cd.is_zero == canon_oracle.canonicalize(d).is_zero
+        pt = data.draw(st.permutations(range(d.t)))
+        rots = [data.draw(st.sampled_from([p for p, sg in SLOT_PERMS
+                                           if sg == 1]))
+                for _ in range(d.t)]
+        assert canonicalize(relabel(d, pt, rots)) == cd
+        if d.t and not cd.is_zero:
+            v = data.draw(st.integers(0, d.t - 1))
+            flipped = canonicalize(flip_vertex(d, v))
+            assert flipped.form == cd.form and flipped.sign == -cd.sign
+
+    @settings(max_examples=150, deadline=None)
+    @given(port_matchings(), st.data())
+    def test_classes_and_sign_ratios_match_oracle(self, d1, data):
+        if data.draw(st.booleans()):
+            d2 = data.draw(port_matchings(d1.t, d1.m))
+        else:
+            pt = data.draw(st.permutations(range(d1.t)))
+            perms = [data.draw(st.sampled_from([p for p, _ in SLOT_PERMS]))
+                     for _ in range(d1.t)]
+            d2 = relabel(d1, pt, perms)
+        n1, n2 = canonicalize(d1), canonicalize(d2)
+        o1, o2 = canon_oracle.canonicalize(d1), canon_oracle.canonicalize(d2)
+        assert (n1.is_zero, n2.is_zero) == (o1.is_zero, o2.is_zero)
+        assert (n1.form == n2.form) == (o1.form == o2.form)
+        if n1.form == n2.form:
+            assert n1.sign * n2.sign == o1.sign * o2.sign
 
 
 class TestSeries:
