@@ -7,8 +7,9 @@ Subcommands:
     verify   -- run named identity suites
 
 Exit code is 0 iff every check requested by the invocation passed; a
-knot or expansion-data file that cannot be read or parsed prints one
-JSON line ``{"error": ...}`` to stderr and exits 2.
+knot or expansion-data file that cannot be read or parsed, or an input
+the kernel rejects (structural, series, Lie-data or root-system error),
+prints one JSON line ``{"error": ...}`` to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+from .diagrams import StructuralError
+from .liews import LieDataError
 from .pipeline import (
     ComparisonReport,
     InputFileError,
@@ -25,9 +28,12 @@ from .pipeline import (
     compare,
     lmo_via_definition,
     lmo_via_lemma,
+    load_qdata,
     taupg_route,
     verify_suite,
 )
+from .qseries import SeriesError
+from .rootsys import RootSystemError
 
 _SUITE_CHOICES = ("all", "omega", "theta", "circle", "bridge", "weyl",
                   "bernoulli", "gauss")
@@ -79,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args)
-    except InputFileError as exc:
+    except (InputFileError, StructuralError, SeriesError, LieDataError,
+            RootSystemError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 
@@ -114,7 +121,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     if args.command == "taupg":
-        series = taupg_route(inp, args.lie, args.order, args.qdata)
+        qdata = None if args.qdata is None else load_qdata(args.qdata)
+        series = taupg_route(inp, args.lie, args.order, qdata)
         _write({"knot": inp.knot, "framing": inp.framing, "lie": args.lie,
                 "order": args.order, "taupg": series.to_json()}, args.out)
         return 0

@@ -30,21 +30,6 @@ class LieDataError(ValueError):
     pass
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(n)) for i in range(n))
-
-
-def _trace(a: Matrix) -> Fraction:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def _mat_inv(a: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(a)
@@ -93,37 +78,84 @@ class LieAlgebraData:
                    if u[a] and v[b])
 
 
+def _sp_mul(x: dict, y: dict) -> dict:
+    """Product of two sparse matrices {(row, col): entry}."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, k), v in x.items():
+        for (l, j), w in y.items():
+            if k == l:
+                out[(i, j)] = out.get((i, j), 0) + v * w
+    return out
+
+
+def _sp_bracket(x: dict, y: dict) -> dict:
+    out = _sp_mul(x, y)
+    for key, v in _sp_mul(y, x).items():
+        out[key] = out.get(key, 0) - v
+    return out
+
+
+def _sp_trace_mul(x: dict, y: dict) -> Fraction:
+    """tr(xy) of two sparse matrices."""
+    return sum((v * y.get((k, i), 0) for (i, k), v in x.items()), Fraction(0))
+
+
+def _check_jacobi(dim: int, gram_inv: Matrix, f_low: dict) -> None:
+    """Raise LieDataError unless, for every (a, b, c, d),
+    sum_{e,e'} f(a,b,e) ginv(e,e') f(e',c,d) summed cyclically over
+    (a, b, c) is 0: that is b([[x_a,x_b],x_c] + cyclic, x_d).
+    The form is nondegenerate, so lowering with x_d is injective; the
+    brackets are trace-free, so they stay in the span of the basis."""
+    by_pair: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (a, b, c), v in f_low.items():
+        by_pair.setdefault((a, b), {})[c] = v
+    # raised bracket [x_a, x_b] = sum_e br[a, b][e] x_e
+    br: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for ab, row in by_pair.items():
+        vec: dict[int, Fraction] = {}
+        for c, v in row.items():
+            for e in range(dim):
+                if gram_inv[c][e]:
+                    vec[e] = vec.get(e, 0) + v * gram_inv[c][e]
+        br[ab] = vec
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                total: dict[int, Fraction] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for e, w in br.get((x, y), {}).items():
+                        for d, v in by_pair.get((e, z), {}).items():
+                            total[d] = total.get(d, 0) + w * v
+                if any(total.values()):
+                    raise LieDataError("Jacobi identity fails")
+
+
 @lru_cache(maxsize=None)
 def build_sl(n: int) -> LieAlgebraData:
-    """sl_n with the defining-representation trace form, 2 <= n <= 4."""
+    """sl_n with the defining-representation trace form, 2 <= n <= 4.
+
+    Basis elements are sparse matrices {(row, col): entry}."""
     if not 2 <= n <= 4:
         raise LieDataError("only sl_2..sl_4 are built in at desk scale")
 
-    def unit(i, j):
-        return tuple(tuple(Fraction(int(r == i and c == j)) for c in range(n))
-                     for r in range(n))
-
-    basis: list[Matrix] = []
+    basis: list[dict] = []
     for k in range(n - 1):
-        basis.append(_mat_sub(unit(k, k), unit(k + 1, k + 1)))   # H_k
+        basis.append({(k, k): Fraction(1), (k + 1, k + 1): Fraction(-1)})
     offs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    basis.extend(unit(i, j) for i, j in offs)
+    basis.extend({(i, j): Fraction(1)} for i, j in offs)
     dim = len(basis)
 
-    gram = tuple(tuple(_trace(_mat_mul(x, y)) for y in basis) for x in basis)
+    gram = tuple(tuple(_sp_trace_mul(x, y) for y in basis) for x in basis)
     gram_inv = _mat_inv(gram)
-
-    def bracket(x, y):
-        return _mat_sub(_mat_mul(x, y), _mat_mul(y, x))
 
     f_low: dict[tuple[int, int, int], Fraction] = {}
     for a in range(dim):
         for b in range(dim):
             if a == b:
                 continue
-            br = bracket(basis[a], basis[b])
+            br = _sp_bracket(basis[a], basis[b])
             for c in range(dim):
-                v = _trace(_mat_mul(br, basis[c]))
+                v = _sp_trace_mul(br, basis[c])
                 if v != 0:
                     f_low[(a, b, c)] = v
 
@@ -133,15 +165,8 @@ def build_sl(n: int) -> LieAlgebraData:
         if f_low.get((b, a, c), Fraction(0)) != -v \
                 or f_low.get((a, c, b), Fraction(0)) != -v:
             raise LieDataError("structure tensor is not totally antisymmetric")
-    # ... and the Jacobi identity, checked at the matrix level.
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                jac = bracket(bracket(basis[a], basis[b]), basis[c])
-                jac = _mat_sub(jac, bracket(basis[a], bracket(basis[b], basis[c])))
-                jac = _mat_sub(jac, bracket(bracket(basis[a], basis[c]), basis[b]))
-                if any(x != 0 for row in jac for x in row):
-                    raise LieDataError("Jacobi identity fails")
+    # ... and the Jacobi identity, checked on the structure tensor.
+    _check_jacobi(dim, gram_inv, f_low)
 
     return LieAlgebraData(
         label=f"sl{n}", dim=dim, rank=n - 1, gram=gram, gram_inv=gram_inv,

@@ -176,12 +176,18 @@ def unknot_qdata(label: str, cap: int) -> rootsys.ExponentialWeightSum:
     return rootsys.quantum_dim_sq_shifted(rs, cap)
 
 
+def load_qdata(path: str) -> rootsys.ExponentialWeightSum:
+    return _read_json_file(path, "expansion-data file",
+                           rootsys.ExponentialWeightSum.from_json)
+
+
 def taupg_route(inp: SurgeryInput, label: str, order: int,
-                qdata_path: str | None = None) -> HSeries:
+                qdata: rootsys.ExponentialWeightSum | None = None) -> HSeries:
+    """tau^PG from the knot's parsed expansion data; the built-in unknot
+    needs none."""
     rs, _ = lie_pair(label)
-    if qdata_path is not None:
-        E = _read_json_file(qdata_path, "expansion-data file",
-                            rootsys.ExponentialWeightSum.from_json)
+    if qdata is not None:
+        E = qdata
     elif inp.is_builtin:
         E = unknot_qdata(label, order)
     else:
@@ -233,8 +239,10 @@ def compare(inp: SurgeryInput, label: str, order: int,
     """Both sides of the main equality at the requested order.
 
     Reported series are truncated to the certified order; coefficients
-    the truncation bookkeeping cannot vouch for are never printed.
+    the truncation bookkeeping cannot vouch for are never printed.  The
+    expansion-data file is read first, before any diagram work.
     """
+    qdata = None if qdata_path is None else load_qdata(qdata_path)
     rs, g = lie_pair(label)
     certified = order
     wheel_like = True
@@ -254,7 +262,7 @@ def compare(inp: SurgeryInput, label: str, order: int,
     difference = None
     equal = None
     if not lmo_only:
-        taupg = taupg_route(inp, label, order, qdata_path).truncate(certified)
+        taupg = taupg_route(inp, label, order, qdata).truncate(certified)
         difference = d - taupg.scale(h1_power)
         equal = difference.is_zero()
     return ComparisonReport(

@@ -1,0 +1,77 @@
+"""Reference sl_n data: the dense matrix construction.
+
+Every basis element is a full n x n matrix of Fractions; the Gram matrix
+and the structure tensor come from dense products and traces, and the
+Jacobi identity is checked on the matrices themselves.  It is slow
+(``dense_jacobi`` on sl_4 alone takes seconds) but plainly correct, so
+the tests compare ``liews.build_sl`` against it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(tuple(a[i][j] - b[i][j] for j in range(n)) for i in range(n))
+
+
+def _trace(a: Matrix) -> Fraction:
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def bracket(x: Matrix, y: Matrix) -> Matrix:
+    return _mat_sub(_mat_mul(x, y), _mat_mul(y, x))
+
+
+def dense_sl(n: int) -> tuple[list[Matrix], Matrix, dict]:
+    """Basis, Gram matrix and lowered structure tensor of sl_n, in the
+    basis order of ``liews.build_sl``: H_k, then E_ij (i != j)."""
+
+    def unit(i, j):
+        return tuple(tuple(Fraction(int(r == i and c == j)) for c in range(n))
+                     for r in range(n))
+
+    basis: list[Matrix] = []
+    for k in range(n - 1):
+        basis.append(_mat_sub(unit(k, k), unit(k + 1, k + 1)))   # H_k
+    offs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis.extend(unit(i, j) for i, j in offs)
+    dim = len(basis)
+
+    gram = tuple(tuple(_trace(_mat_mul(x, y)) for y in basis) for x in basis)
+
+    f_low: dict[tuple[int, int, int], Fraction] = {}
+    for a in range(dim):
+        for b in range(dim):
+            if a == b:
+                continue
+            br = bracket(basis[a], basis[b])
+            for c in range(dim):
+                v = _trace(_mat_mul(br, basis[c]))
+                if v != 0:
+                    f_low[(a, b, c)] = v
+    return basis, gram, f_low
+
+
+def dense_jacobi(basis: list[Matrix]) -> bool:
+    """The Jacobi identity, checked at the matrix level on every triple."""
+    dim = len(basis)
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                jac = bracket(bracket(basis[a], basis[b]), basis[c])
+                jac = _mat_sub(jac, bracket(basis[a], bracket(basis[b], basis[c])))
+                jac = _mat_sub(jac, bracket(bracket(basis[a], basis[c]), basis[b]))
+                if any(x != 0 for row in jac for x in row):
+                    return False
+    return True

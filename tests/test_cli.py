@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from lmo_kernel import pipeline
+from lmo_kernel.balg import omega, wheel
 from lmo_kernel.cli import main
+from lmo_kernel.diagrams import series_of
 
 
 def run(capsys, *args):
@@ -83,6 +86,41 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     assert captured.out == ""
     line, = captured.err.splitlines()
     assert str(path) in json.loads(line)["error"]
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert "error" in json.loads(line)
+
+
+def test_kernel_rejection_of_file_knot_is_one_error_line(tmp_path, capsys):
+    # loads fine, but its strut content is not exponential
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(series_of(wheel(1), 8).to_json()))
+    assert main(["compare", "--knot", str(path), "--framing", "2",
+                 "--lie", "A1", "--order", "4"]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_order_zero_is_one_error_line(capsys):
+    assert main(["compare", "--framing", "2", "--lie", "A1",
+                 "--order", "0"]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_qdata_read_before_diagram_work(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("diagram work ran before the qdata file was read")
+
+    monkeypatch.setattr(pipeline, "lmo_via_definition", fail)
+    knot = tmp_path / "knot.json"
+    knot.write_text(json.dumps(omega(8).to_json()))
+    assert main(["compare", "--knot", str(knot), "--framing", "2",
+                 "--lie", "A1", "--order", "4",
+                 "--qdata", str(tmp_path / "missing.json")]) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_bad_suite_rejected(capsys):

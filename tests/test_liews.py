@@ -1,15 +1,20 @@
 """Weight systems: structure data, tensor contraction, the Gaussian
 operator, and the gluing/contraction bridge."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lie_oracle
 from lmo_kernel.balg import fg_integral, partial, strut, theta, wheel
 from lmo_kernel.diagrams import JacobiDiagram, series_of
 from lmo_kernel.liews import (
     LieDataError,
+    _check_jacobi,
+    _mat_inv,
     brute_force_contract,
     build_sl,
     contract_diagram,
@@ -52,6 +57,91 @@ class TestBuild:
                     hj = g.cartan_vector([int(k == j) for k in range(g.rank)])
                     expected = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
                     assert g.pair_vectors(hi, hj) == expected
+
+
+def _dense_jacobi_sum_vanishes(dim, gram_inv, f_low) -> bool:
+    """Whether sum_{e,e'} f(a,b,e) ginv(e,e') f(e',c,d), summed
+    cyclically over (a, b, c), is 0 for every (a, b, c, d), evaluated
+    on dense arrays."""
+    f = [[[f_low.get((a, b, c), 0) for c in range(dim)] for b in range(dim)]
+         for a in range(dim)]
+    raised = [[[sum(f[a][b][e] * gram_inv[e][e2] for e in range(dim))
+                for e2 in range(dim)] for b in range(dim)] for a in range(dim)]
+
+    def lowered(a, b, c, d):
+        return sum(raised[a][b][e2] * f[e2][c][d] for e2 in range(dim))
+
+    return all(lowered(a, b, c, d) + lowered(b, c, a, d)
+               + lowered(c, a, b, d) == 0
+               for a, b, c, d in itertools.product(range(dim), repeat=4))
+
+
+def _scale_orbit(f_low: dict, key: tuple, r: Q) -> dict:
+    """``f_low`` with the six entries of the orbit of ``key`` under
+    index permutations scaled by ``r``; total antisymmetry survives."""
+    out = dict(f_low)
+    for perm in itertools.permutations(key):
+        out[perm] = out[perm] * r
+        if not out[perm]:
+            del out[perm]
+    return out
+
+
+class TestBuildAgainstOracle:
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_data_equals_dense_construction(self, n):
+        g = build_sl(n)
+        _, gram, f_low = lie_oracle.dense_sl(n)
+        assert g.gram == gram
+        assert g.gram_inv == _mat_inv(gram)
+        assert g.f_low == f_low and list(g.f_low) == list(f_low)
+        values = [v for row in g.gram + g.gram_inv for v in row]
+        assert all(type(v) is Q for v in values + list(g.f_low.values()))
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_dense_jacobi_holds(self, n):
+        assert lie_oracle.dense_jacobi(lie_oracle.dense_sl(n)[0])
+
+    def test_true_tensor_passes_both(self):
+        _check_jacobi(sl3.dim, sl3.gram_inv, sl3.f_low)
+        assert _dense_jacobi_sum_vanishes(sl3.dim, sl3.gram_inv, sl3.f_low)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_scaled_orbit_rejected(self, n):
+        g = build_sl(n)
+        _check_jacobi(g.dim, g.gram_inv, g.f_low)
+        key = next(iter(g.f_low))
+        with pytest.raises(LieDataError):
+            _check_jacobi(g.dim, g.gram_inv, _scale_orbit(g.f_low, key, Q(2)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(sl3.f_low)),
+           st.fractions(max_denominator=7).filter(lambda r: r != 1))
+    def test_tensor_check_matches_dense_sum(self, key, r):
+        # sl_3, not sl_2: sl_2 has one orbit, and scaling it keeps Jacobi
+        mutated = _scale_orbit(sl3.f_low, key, r)
+        try:
+            _check_jacobi(sl3.dim, sl3.gram_inv, mutated)
+            rejected = False
+        except LieDataError:
+            rejected = True
+        assert rejected == (not _dense_jacobi_sum_vanishes(
+            sl3.dim, sl3.gram_inv, mutated))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                           st.integers(-2, 2).filter(bool), max_size=4),
+           st.lists(st.lists(st.integers(-1, 1), min_size=4, max_size=4),
+                    min_size=4, max_size=4))
+    def test_tensor_check_matches_dense_sum_on_any_tensor(self, f_low, ginv):
+        # small arbitrary tensors: failures can sit at a single d
+        f_low = {k: Q(v) for k, v in f_low.items()}
+        try:
+            _check_jacobi(4, ginv, f_low)
+            rejected = False
+        except LieDataError:
+            rejected = True
+        assert rejected == (not _dense_jacobi_sum_vanishes(4, ginv, f_low))
 
 
 class TestContraction:

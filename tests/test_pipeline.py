@@ -16,6 +16,7 @@ from lmo_kernel.pipeline import (
     lie_pair,
     lmo_via_definition,
     lmo_via_lemma,
+    load_qdata,
     reduced_input,
     taupg_route,
     unknot_qdata,
@@ -101,7 +102,8 @@ class TestTauRoute:
         E = unknot_qdata("A1", 3)
         p = tmp_path / "q.json"
         p.write_text(json.dumps(E.to_json()))
-        a = taupg_route(SurgeryInput("unknot", 2), "A1", 3, qdata_path=str(p))
+        a = taupg_route(SurgeryInput("unknot", 2), "A1", 3,
+                        load_qdata(str(p)))
         b = taupg_route(SurgeryInput("unknot", 2), "A1", 3)
         assert a == b
 
@@ -151,6 +153,11 @@ class TestCompare:
         rep = compare(SurgeryInput(str(p), 2, declared_valid_degree=2),
                       "A1", 2, qdata_path=str(q))
         assert rep.equal and not rep.lmo_only
+
+    @pytest.mark.parametrize("f", (-1, 2))
+    def test_main_equality_a3(self, f):
+        rep = compare(SurgeryInput("unknot", f), "A3", 3)
+        assert rep.routes_equal and rep.equal
 
     def test_declared_degree_bounds_certificate(self):
         rep = compare(SurgeryInput("unknot", 2), "A1", 2)
