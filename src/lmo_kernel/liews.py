@@ -88,13 +88,6 @@ def _sp_mul(x: dict, y: dict) -> dict:
     return out
 
 
-def _sp_bracket(x: dict, y: dict) -> dict:
-    out = _sp_mul(x, y)
-    for key, v in _sp_mul(y, x).items():
-        out[key] = out.get(key, 0) - v
-    return out
-
-
 def _sp_trace_mul(x: dict, y: dict) -> Fraction:
     """tr(xy) of two sparse matrices."""
     return sum((v * y.get((k, i), 0) for (i, k), v in x.items()), Fraction(0))
@@ -110,24 +103,17 @@ def _check_jacobi(dim: int, gram_inv: Matrix, f_low: dict) -> None:
     for (a, b, c), v in f_low.items():
         by_pair.setdefault((a, b), {})[c] = v
     # raised bracket [x_a, x_b] = sum_e br[a, b][e] x_e
-    br: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ab, row in by_pair.items():
-        vec: dict[int, Fraction] = {}
-        for c, v in row.items():
-            for e in range(dim):
-                if gram_inv[c][e]:
-                    vec[e] = vec.get(e, 0) + v * gram_inv[c][e]
-        br[ab] = vec
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                total: dict[int, Fraction] = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for e, w in br.get((x, y), {}).items():
-                        for d, v in by_pair.get((e, z), {}).items():
-                            total[d] = total.get(d, 0) + w * v
-                if any(total.values()):
-                    raise LieDataError("Jacobi identity fails")
+    br = {ab: {e: s for e in range(dim)
+               if (s := sum(v * gram_inv[c][e] for c, v in row.items()))}
+          for ab, row in by_pair.items()}
+    for a, b, c in itertools.product(range(dim), repeat=3):
+        total: dict[int, Fraction] = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for e, w in br.get((x, y), {}).items():
+                for d, v in by_pair.get((e, z), {}).items():
+                    total[d] = total.get(d, 0) + w * v
+        if any(total.values()):
+            raise LieDataError("Jacobi identity fails")
 
 
 @lru_cache(maxsize=None)
@@ -153,9 +139,10 @@ def build_sl(n: int) -> LieAlgebraData:
         for b in range(dim):
             if a == b:
                 continue
-            br = _sp_bracket(basis[a], basis[b])
+            xy = _sp_mul(basis[a], basis[b])
+            yx = _sp_mul(basis[b], basis[a])
             for c in range(dim):
-                v = _sp_trace_mul(br, basis[c])
+                v = _sp_trace_mul(xy, basis[c]) - _sp_trace_mul(yx, basis[c])
                 if v != 0:
                     f_low[(a, b, c)] = v
 
