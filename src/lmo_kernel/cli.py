@@ -7,8 +7,9 @@ Subcommands:
     verify   -- run named identity suites
 
 Exit code is 0 iff every check requested by the invocation passed; a
-knot or expansion-data file that cannot be read or parsed, or an input
-the kernel rejects (structural, series, Lie-data or root-system error),
+knot or expansion-data file that cannot be read or parsed, framing 0, a
+file knot without ``--qdata`` for the perturbative side, or an input the
+kernel rejects (structural, series, Lie-data or root-system error),
 prints one JSON line ``{"error": ...}`` to stderr and exits 2.
 """
 
@@ -23,7 +24,7 @@ from .diagrams import StructuralError
 from .liews import LieDataError
 from .pipeline import (
     ComparisonReport,
-    InputFileError,
+    InputError,
     SurgeryInput,
     compare,
     lmo_via_definition,
@@ -85,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args)
-    except (InputFileError, StructuralError, SeriesError, LieDataError,
+    except (InputError, StructuralError, SeriesError, LieDataError,
             RootSystemError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -36,6 +36,11 @@ def lie_pair(label: str) -> tuple[rootsys.RootSystem, liews.LieAlgebraData]:
     return rs, g
 
 
+class InputError(ValueError):
+    """User input the kernel cannot run on (framing 0, a missing file or
+    option)."""
+
+
 @dataclass(frozen=True)
 class SurgeryInput:
     """A framed knot: the builtin unknot or a diagram-series file with
@@ -47,7 +52,7 @@ class SurgeryInput:
 
     def __post_init__(self):
         if self.framing == 0:
-            raise ValueError("framing 0 does not give a rational homology "
+            raise InputError("framing 0 does not give a rational homology "
                              "sphere")
 
     @property
@@ -63,7 +68,7 @@ class SurgeryInput:
         return 1 if self.framing > 0 else -1
 
 
-class InputFileError(ValueError):
+class InputFileError(InputError):
     """A knot or expansion-data file that is missing or malformed."""
 
 
@@ -191,7 +196,7 @@ def taupg_route(inp: SurgeryInput, label: str, order: int,
     elif inp.is_builtin:
         E = unknot_qdata(label, order)
     else:
-        raise ValueError("file knots need companion expansion data "
+        raise InputError("file knots need companion expansion data "
                          "(--qdata) for the perturbative side")
     return rootsys.tau_pg(rs, E, inp.framing, order)
 

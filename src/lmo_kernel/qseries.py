@@ -167,14 +167,6 @@ class HSeries:
         return HSeries({k: v for k, v in self.coeffs.items() if k <= cap},
                        cap, min_exp=self.min_exp)
 
-    def pow(self, n: int) -> "HSeries":
-        if n < 0:
-            return self.inverse().pow(-n)
-        out = HSeries.one(self.cap)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def exp(self) -> "HSeries":
         """exp of a series with no constant or polar part."""
         v = self.valuation()
@@ -182,69 +174,41 @@ class HSeries:
             return HSeries.one(self.cap)
         if v < 1:
             raise SeriesError("exp requires valuation >= 1")
-        out = HSeries.one(self.cap)
-        term = HSeries.one(self.cap)
-        k = 0
-        while True:
-            k += 1
-            if k * v > self.cap:
-                break
-            term = (term * self).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        # e = exp(a) solves e' = a' e:  n e_n = sum_k k a_k e_(n-k)
+        a = sorted(self.coeffs.items())
+        e = [Fraction(1)]
+        for n in range(1, self.cap + 1):
+            e.append(sum((k * c * e[n - k] for k, c in a if k <= n),
+                         Fraction(0)) / n)
+        return HSeries(dict(enumerate(e)), self.cap, min_exp=-POLE_CAP)
 
     def inverse(self) -> "HSeries":
         """Multiplicative inverse; needs a nonzero leading coefficient."""
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("inverse of the zero series")
+        # self = h^v (a_0 + a_1 h + ...) with a_0 != 0; its inverse is
+        # h^-v (b_0 + b_1 h + ...) with b_n = -(1/a_0) sum_i a_i b_(n-i)
         lead = self.coeffs[v]
-        # u = self / (lead * h^v) - 1 has valuation >= 1
-        u = HSeries({k - v: c / lead for k, c in self.coeffs.items()},
-                    self.cap - v, min_exp=0) - HSeries.one(self.cap - v)
-        geo = HSeries.one(self.cap - v)
-        term = HSeries.one(self.cap - v)
-        uv = u.valuation()
-        if uv is not None:
-            k = 0
-            while (k + 1) * uv <= self.cap - v:
-                k += 1
-                term = term * (-u)
-                if term.is_zero():
-                    break
-                geo = geo + term
-        out = geo.scale(1 / lead).shift(-v)
+        rest = sorted((k - v, c) for k, c in self.coeffs.items() if k > v)
+        b = [1 / lead]
+        for n in range(1, self.cap - v + 1):
+            b.append(-sum((c * b[n - i] for i, c in rest if i <= n),
+                          Fraction(0)) / lead)
         # knowledge range of the inverse: [-v, cap - 2v]
-        return HSeries(out.coeffs, self.cap - 2 * v, min_exp=-v)
+        return HSeries({n - v: c for n, c in enumerate(b)},
+                       self.cap - 2 * v, min_exp=-v)
 
     # -- comparison / io ----------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HSeries):
             return NotImplemented
-        if self.cap != other.cap:
-            return False
-        lo = max(self.min_exp, other.min_exp)
-        for k in set(self.coeffs) | set(other.coeffs):
-            if k < lo:
-                continue
-            if self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
-                return False
-        return True
+        # ``coeffs`` holds exactly the nonzero coefficients
+        return self.cap == other.cap and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.cap, tuple(sorted(self.coeffs.items()))))
-
-    def agrees_with(self, other: "HSeries", upto: int) -> bool:
-        """Exact coefficient equality on every exponent <= upto."""
-        if upto > self.cap or upto > other.cap:
-            raise SeriesError("comparison order exceeds a cap")
-        for k in set(self.coeffs) | set(other.coeffs):
-            if k <= upto and self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
-                return False
-        return True
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -286,14 +250,10 @@ def sinh_ratio(c, cap: int) -> HSeries:
     return HSeries(out, cap, min_exp=0)
 
 
-def _sinh_ratio_x(cap: int) -> HSeries:
-    # sinh(x/2)/(x/2) with the series variable read as x instead of h.
-    return sinh_ratio(1, cap)
-
-
 @lru_cache(maxsize=None)
 def _half_log_sinh_ratio(cap: int) -> HSeries:
-    s = _sinh_ratio_x(cap)
+    # sinh(x/2)/(x/2), with the series variable read as x instead of h
+    s = sinh_ratio(1, cap)
     w = s - HSeries.one(cap)
     out = HSeries.zero(cap)
     term = HSeries.one(cap)

@@ -48,8 +48,10 @@ class RootSystem:
     weyl: tuple[tuple[tuple[Vec, ...], int], ...]   # (matrix rows, det)
 
     def inner(self, x, y) -> Fraction:
-        return sum(self.gram[i][j] * Fraction(x[i]) * Fraction(y[j])
-                   for i in range(self.rank) for j in range(self.rank))
+        xs = [(i, Fraction(a)) for i, a in enumerate(x) if a]
+        ys = [(j, Fraction(b)) for j, b in enumerate(y) if b]
+        return sum((self.gram[i][j] * a * b for i, a in xs for j, b in ys
+                    if self.gram[i][j]), Fraction(0))
 
     def norm_sq(self, x) -> Fraction:
         return self.inner(x, x)
@@ -288,12 +290,17 @@ def c_coeff(E: ExponentialWeightSum, beta, j: int, n: int) -> Fraction:
 def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
                              f, cap: int) -> HSeries:
     """Closed form of the Gaussian contraction on lattice exponentials:
-    q^(beta, .) integrates to exp(-h |beta|^2 / (2f))."""
+    q^(beta, .) integrates to exp(-h |beta|^2 / (2f)), so the g_beta of
+    one norm class are summed first and integrated together."""
     f = Fraction(f)
     P = rs.num_pos
-    out = HSeries.zero(cap)
+    classes: dict[Fraction, HSeries] = {}
     for beta, g in E.terms.items():
-        gauss = q_power(-rs.norm_sq(beta) / (2 * f), cap + 2 * P)
+        bsq = rs.norm_sq(beta)
+        classes[bsq] = g + classes[bsq] if bsq in classes else g
+    out = HSeries.zero(cap)
+    for bsq, g in classes.items():
+        gauss = q_power(-bsq / (2 * f), cap + 2 * P)
         out = out + (g * gauss).truncate(cap)
     return out
 
@@ -301,24 +308,25 @@ def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
 def _gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
                         f, cap: int) -> HSeries:
     """Independent route through the extracted c-coefficients:
-    sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j)."""
+    sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j), with the
+    [h^k] g_beta of one norm class summed before the j loop."""
     import math
     f = Fraction(f)
+    classes: dict[Fraction, dict[int, Fraction]] = {}
+    for beta, g in E.terms.items():
+        base = classes.setdefault(rs.norm_sq(beta), {})
+        for k, c in g.coeffs.items():
+            base[k] = base.get(k, Fraction(0)) + c
     coeffs: dict[int, Fraction] = {}
     min_seen = 0
-    for beta, g in E.terms.items():
-        bsq = rs.norm_sq(beta)
-        lo = g.valuation()
-        if lo is None:
-            continue
-        for k in range(lo, g.cap + 1):
-            base = g.coeff(k)
-            if base == 0:
+    for bsq, base in classes.items():
+        for k, b in base.items():
+            if b == 0:
                 continue
             j = 0
             while k + j <= cap:
                 n = k + 2 * j
-                c = base / math.factorial(2 * j)   # c_{beta,2j,n}
+                c = b / math.factorial(2 * j)   # class sum of c_{beta,2j,n}
                 term = c * double_factorial(2 * j - 1) * (-bsq / f) ** j
                 if term:
                     e = n - j

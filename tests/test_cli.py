@@ -63,8 +63,18 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_zero_framing_fails_cleanly(capsys):
-    with pytest.raises(ValueError):
-        main(["compute", "--framing", "0", "--lie", "A1", "--order", "1"])
+    for command in ("compute", "taupg", "compare"):
+        assert main([command, "--framing", "0", "--lie", "A1",
+                     "--order", "1"]) == 2
+        _assert_one_error_line(capsys)
+
+
+def test_file_knot_without_qdata_is_one_error_line(tmp_path, capsys):
+    knot = tmp_path / "knot.json"
+    knot.write_text("[]")
+    assert main(["taupg", "--knot", str(knot), "--framing", "2",
+                 "--lie", "A1", "--order", "2"]) == 2
+    _assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("option, content", [

@@ -3,8 +3,9 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import series_oracle
 from lmo_kernel.qseries import (
     HSeries,
     PoleError,
@@ -127,6 +128,13 @@ def test_q_power_multiplies_exponents():
     assert q_power(Q(1, 2), 6) * q_power(Q(3, 2), 6) == q_power(2, 6)
 
 
+def test_equality_sees_exponents_below_either_min_exp():
+    # h^-3 is known to be zero in the right-hand series only
+    assert H({-3: 1, 0: 1}, 4) != H({0: 1}, 4, min_exp=0)
+    assert H({0: 1}, 4, min_exp=0) != H({-3: 1, 0: 1}, 4)
+    assert H({0: 1}, 4, min_exp=-3) == H({0: 1}, 4, min_exp=0)
+
+
 def test_json_round_trip():
     s = H({-2: Q(3, 7), 0: 1, 4: Q(-1, 5)}, 5, min_exp=-2)
     assert HSeries.from_json(s.to_json()) == s
@@ -149,7 +157,7 @@ def test_ring_axioms_randomized(data):
     # caps are conservative bookkeeping and may differ across routes when
     # intermediate sums cancel; values must agree on the common range
     def same(x, y):
-        return x.agrees_with(y, min(x.cap, y.cap))
+        return series_oracle.agrees_with(x, y, min(x.cap, y.cap))
 
     a = _series(data.draw)
     b = _series(data.draw)
@@ -164,3 +172,45 @@ def test_ring_axioms_randomized(data):
 def test_inverse_round_trip_randomized(data):
     a = _series(data.draw, invertible=True)
     assert a * a.inverse() == HSeries.one(5)
+
+
+@st.composite
+def _any_series(draw):
+    """A series with cap 0..14, valuation -5..4 (or zero) and a min_exp
+    drawn from {None, 0, -3, -64}; draws the constructor rejects are
+    discarded."""
+    cap = draw(st.integers(0, 14))
+    min_exp = draw(st.sampled_from([None, 0, -3, -64]))
+    coeffs = {}
+    if draw(st.integers(0, 9)):
+        v = draw(st.integers(-5, 4))
+        n = max(cap - v, 0)
+        nums = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        den = draw(st.integers(1, 6))
+        coeffs = {k: Q(c, den) for k, c in enumerate(nums, start=v + 1)}
+        coeffs[v] = Q(draw(st.integers(-6, 6).filter(bool)), den)
+    try:
+        return HSeries(coeffs, cap, min_exp=min_exp)
+    except SeriesError:
+        assume(False)
+
+
+def _outcome(op, s):
+    try:
+        out = op(s)
+    except (ArithmeticError, SeriesError) as exc:
+        return type(exc)
+    return out.coeffs, out.cap, out.min_exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_series())
+def test_exp_matches_power_loop_oracle(s):
+    assert _outcome(HSeries.exp, s) == _outcome(series_oracle.exp, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_series())
+def test_inverse_matches_geometric_series_oracle(s):
+    assert _outcome(HSeries.inverse, s) == \
+        _outcome(series_oracle.inverse, s)

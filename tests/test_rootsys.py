@@ -5,8 +5,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmo_kernel.qseries import HSeries, q_power
+import series_oracle
+from lmo_kernel.qseries import HSeries, SeriesError, q_power
 from lmo_kernel.rootsys import (
     ExponentialWeightSum,
     RootSystemError,
@@ -166,7 +168,7 @@ class TestTau:
 
     def test_sum_route_equals_exponential_route(self):
         rng = random.Random(5)
-        for rs in (A1, A2):
+        for rs in (A1, A2, A3):
             E = ExponentialWeightSum()
             for beta, _ in list(quantum_dim_sq_shifted(rs, 4).items())[:4]:
                 coeffs = {k: Q(rng.randint(-5, 5), rng.randint(1, 4))
@@ -175,6 +177,19 @@ class TestTau:
             for f in (3, -2):
                 assert _gaussian_sum_route(rs, E, f, 4) == \
                     gaussian_on_exponentials(rs, E, f, 4)
+
+    def test_pole_cancelling_inside_a_norm_class(self):
+        # beta and -beta share |beta|^2: a pole deeper than 2P that
+        # cancels between them no longer reaches the per-class product
+        g = HSeries({-4: 1, 0: Q(1, 3)}, 6, min_exp=-4)
+        E = ExponentialWeightSum()
+        E.add((Q(1),), g)
+        E.add((Q(-1),), -g + HSeries.one(6))
+        with pytest.raises(SeriesError):
+            series_oracle.gaussian_on_exponentials(A1, E, 2, 4)
+        want = q_power(Q(-1, 2), 4)
+        assert gaussian_on_exponentials(A1, E, 2, 4) == want
+        assert _gaussian_sum_route(A1, E, 2, 4) == want
 
     def test_outputs_are_power_series(self):
         for rs, fs in ((A1, (2, -2, 3, 5)), (A2, (2, 3, -3))):
@@ -188,6 +203,69 @@ class TestTau:
         E = quantum_dim_sq_shifted(A1, 4)
         with pytest.raises(RootSystemError):
             tau_pg(A1, E, 0, 2)
+
+
+_small = st.integers(-6, 6)
+_nonzero = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _classed_sums(draw):
+    """(rs, E, f, cap): an expansion-data sum over a few norm classes, each
+    the images of one lattice vector under random Weyl elements, so that
+    several beta share a norm; some classes carry series that cancel
+    between their members, polar parts included."""
+    rs = draw(st.sampled_from([A1, A2, A3]))
+    cap = draw(st.integers(0, 4))
+    f = draw(st.sampled_from([1, -1, 2, -2, 3, 5]))
+    P = rs.num_pos
+
+    def series():
+        # top = cap - 1 makes the exponential route raise, old and new alike
+        top = cap + draw(st.integers(-1, 2))
+        v = draw(st.integers(-2 * P, max(top, -2 * P)))
+        nums = draw(st.lists(_small, min_size=top - v, max_size=top - v))
+        den = draw(st.integers(1, 6))
+        coeffs = {k: Q(c, den) for k, c in enumerate(nums, start=v + 1)}
+        coeffs[v] = Q(draw(_nonzero), den)
+        return HSeries(coeffs, top, min_exp=min(v, 0))
+
+    E = ExponentialWeightSum()
+    for _ in range(draw(st.integers(1, 3))):
+        base = tuple(Q(x) for x in
+                     draw(st.lists(st.integers(-2, 2), min_size=rs.rank,
+                                   max_size=rs.rank)))
+        ws = draw(st.lists(st.sampled_from(rs.weyl), min_size=1,
+                           max_size=4))
+        betas = [rs.apply(w, base) for w, _ in ws]
+        for beta in betas:
+            E.add(beta, series())
+        if len(betas) > 1 and draw(st.booleans()):
+            g = series()
+            E.add(betas[0], g)
+            E.add(betas[-1], -g)
+    return rs, E, f, cap
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except SeriesError as exc:
+        return type(exc)
+
+
+class TestGroupedRoutesAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(_classed_sums())
+    def test_exponential_route(self, case):
+        assert _outcome(gaussian_on_exponentials, *case) == \
+            _outcome(series_oracle.gaussian_on_exponentials, *case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_classed_sums())
+    def test_sum_route(self, case):
+        assert _outcome(_gaussian_sum_route, *case) == \
+            _outcome(series_oracle.gaussian_sum_route, *case)
 
 
 class TestGaussClosedForm:
