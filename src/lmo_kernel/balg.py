@@ -20,7 +20,6 @@ from .diagrams import (
     canonicalize,
     glue_legs,
     relabel_union,
-    series_of,
 )
 from .qseries import modified_bernoulli
 
@@ -58,12 +57,11 @@ def wheel(k: int) -> JacobiDiagram:
     return JacobiDiagram(n, n, tuple(edges))
 
 
-def omega(imax: int, lmax: int | None = None) -> DiagramSeries:
+def omega(imax: int) -> DiagramSeries:
     """exp of the modified-Bernoulli-weighted wheel sum, truncated."""
-    lmax_eff = 2 * imax if lmax is None else lmax
-    arg = DiagramSeries(imax, lmax)
+    arg = DiagramSeries(imax)
     m = 1
-    while 2 * m <= imax and 2 * m <= lmax_eff:
+    while 2 * m <= imax:
         arg.add_diagram(wheel(m), modified_bernoulli(m))
         m += 1
     return arg.exp_union()
@@ -88,14 +86,12 @@ def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
     """
     d._check_policy(y)
     _assert_strut_free(y, "pairing target")
-    out = DiagramSeries(d.imax, d.lmax)
-    out.truncated = d.truncated or y.truncated
+    out = DiagramSeries(d.imax)
     for f1, c1 in d.terms.items():
         for f2, c2 in y.terms.items():
             if f1.m != f2.m:
                 continue
             if f1.t + f2.t > d.imax:
-                out.truncated = True
                 continue
             g1, g2 = f1.diagram(), f2.diagram()
             combined, legs1, legs2 = relabel_union(g1, g2)
@@ -111,14 +107,12 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
     of legs of each ``target`` term (injections)."""
     d._check_policy(target)
     _assert_strut_free(d, "gluing operator argument")
-    out = DiagramSeries(d.imax, d.lmax)
-    out.truncated = d.truncated or target.truncated
+    out = DiagramSeries(d.imax)
     for f1, c1 in d.terms.items():
         for f2, c2 in target.terms.items():
             if f1.m > f2.m:
                 continue
             if f1.t + f2.t > d.imax:
-                out.truncated = True
                 continue
             g1, g2 = f1.diagram(), f2.diagram()
             combined, legs1, legs2 = relabel_union(g1, g2)
@@ -157,14 +151,13 @@ def strut_split(s: DiagramSeries) -> StrutSplit:
     strut_form = canonicalize(strut()).form
     c = s.coeff(strut_form)
     # divide by exp(c * strut): multiply with exp(-c * strut)
-    inv = DiagramSeries(s.imax, s.lmax)
+    inv = DiagramSeries(s.imax)
     inv.add_diagram(strut(), -c)
     y = s.union(inv.exp_union())
     for form in y.terms:
         if _strut_count(form) > 0:
             raise StructuralError(
                 "strut content of the input is not exponential")
-    y.truncated = s.truncated
     return StrutSplit(2 * c, y)
 
 
@@ -188,8 +181,7 @@ def fg_integral(s: DiagramSeries,
     if f == 0:
         raise StructuralError(
             "framing 0 is not a rational homology sphere surgery")
-    out = DiagramSeries(y.imax, y.lmax)
-    out.truncated = y.truncated
+    out = DiagramSeries(y.imax)
     for form, coeff in y.terms.items():
         if form.m % 2 == 1:
             continue  # no perfect matching by struts
@@ -201,48 +193,21 @@ def fg_integral(s: DiagramSeries,
     return out
 
 
-def fg_integral_bijections(y: DiagramSeries, f) -> DiagramSeries:
-    """Literal bijection-route Gaussian integral of a strut-free series,
-    used as the independent oracle for ``fg_integral``."""
-    f = Fraction(f)
-    _assert_strut_free(y, "Gaussian integrand")
-    out = DiagramSeries(y.imax, y.lmax)
-    out.truncated = y.truncated
-    max_k = y.lmax // 2
-    struts = DiagramSeries(y.imax, y.lmax)
-    struts.add_diagram(strut(), Fraction(-1, 2) / f)
-    exp_struts = struts.exp_union()
-    for form, coeff in exp_struts.terms.items():
-        k = _strut_count(form)
-        if k != len(form.components):
-            raise AssertionError("strut exponential is impure")
-        for yform, ycoeff in y.terms.items():
-            if yform.m != 2 * k:
-                continue
-            combined, legs1, legs2 = relabel_union(form.diagram(),
-                                                   yform.diagram())
-            for perm in itertools.permutations(legs2):
-                out.add_diagram(glue_legs(combined, list(zip(legs1, perm))),
-                                coeff * ycoeff)
-    return out
-
-
 def wheeling(s: DiagramSeries) -> DiagramSeries:
     """The wheeling map: partial gluing by the wheels exponential."""
-    return partial(omega(s.imax, s.lmax), s)
+    return partial(omega(s.imax), s)
 
 
 def wheeling_inverse(s: DiagramSeries) -> DiagramSeries:
     """Inverse of the wheeling map, solved through the internal-vertex
     grading: the map is the identity plus grading-raising terms, so the
     Neumann series terminates under the truncation policy."""
-    om = omega(s.imax, s.lmax)
+    om = omega(s.imax)
     acc = s.copy()
     cur = s
     while True:
         nxt = cur + partial(om, cur).scale(-1)  # (id - wheeling)(cur)
         if nxt.is_zero():
-            acc.truncated = acc.truncated or nxt.truncated
             break
         acc = acc + nxt
         cur = nxt

@@ -23,6 +23,8 @@ from pathlib import Path
 from .diagrams import StructuralError
 from .liews import LieDataError
 from .pipeline import (
+    _SUITES,
+    LIE_LABELS,
     ComparisonReport,
     InputError,
     SurgeryInput,
@@ -36,8 +38,7 @@ from .pipeline import (
 from .qseries import SeriesError
 from .rootsys import RootSystemError
 
-_SUITE_CHOICES = ("all", "omega", "theta", "circle", "bridge", "weyl",
-                  "bernoulli", "gauss")
+_SUITE_CHOICES = ("all", *_SUITES)
 
 
 def _write(obj: dict, out: str | None) -> None:
@@ -52,7 +53,7 @@ def _surgery_args(p: argparse.ArgumentParser, qdata: bool = False) -> None:
     p.add_argument("--knot", default="unknot",
                    help="'unknot' or path to a diagram-series JSON file")
     p.add_argument("--framing", type=int, required=True)
-    p.add_argument("--lie", choices=("A1", "A2", "A3"), required=True)
+    p.add_argument("--lie", choices=LIE_LABELS, required=True)
     p.add_argument("--order", type=int, required=True,
                    help="h-order (series are run at imax = 2*order)")
     p.add_argument("--valid-degree", type=int, default=None,

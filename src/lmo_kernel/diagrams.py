@@ -129,9 +129,6 @@ class JacobiDiagram:
         return cls(t, m, tuple(edges))
 
 
-EMPTY_DIAGRAM = JacobiDiagram(0, 0, ())
-
-
 # ---------------------------------------------------------------------------
 # canonicalization
 # ---------------------------------------------------------------------------
@@ -379,38 +376,28 @@ class DiagramSeries:
     """Rational linear combination of canonical diagrams.
 
     Truncation policy: terms with more than ``imax`` trivalent vertices
-    or more than ``lmax`` legs are dropped, and the drop is recorded in
-    the ``truncated`` flag.
+    or more than ``2 * imax`` legs are dropped.
     """
 
-    __slots__ = ("terms", "imax", "lmax", "truncated")
+    __slots__ = ("terms", "imax")
 
-    def __init__(self, imax: int, lmax: int | None = None):
+    def __init__(self, imax: int):
         self.terms: dict[CanonicalForm, Fraction] = {}
         self.imax = imax
-        self.lmax = 2 * imax if lmax is None else lmax
-        self.truncated = False
 
     @classmethod
-    def unit(cls, imax: int, lmax: int | None = None) -> "DiagramSeries":
-        s = cls(imax, lmax)
+    def unit(cls, imax: int) -> "DiagramSeries":
+        s = cls(imax)
         s.terms[EMPTY_FORM] = Fraction(1)
         return s
 
     def copy(self) -> "DiagramSeries":
-        s = DiagramSeries(self.imax, self.lmax)
+        s = DiagramSeries(self.imax)
         s.terms = dict(self.terms)
-        s.truncated = self.truncated
         return s
 
-    def _fits(self, form: CanonicalForm) -> bool:
-        return form.t <= self.imax and form.m <= self.lmax
-
     def add_form(self, form: CanonicalForm, coeff: Fraction) -> None:
-        if coeff == 0:
-            return
-        if not self._fits(form):
-            self.truncated = True
+        if coeff == 0 or form.t > self.imax or form.m > 2 * self.imax:
             return
         c = self.terms.get(form, Fraction(0)) + coeff
         if c == 0:
@@ -442,21 +429,19 @@ class DiagramSeries:
         return not self.terms
 
     def _check_policy(self, other: "DiagramSeries") -> None:
-        if (self.imax, self.lmax) != (other.imax, other.lmax):
+        if self.imax != other.imax:
             raise StructuralError("incompatible truncation policies")
 
     def __add__(self, other: "DiagramSeries") -> "DiagramSeries":
         self._check_policy(other)
         out = self.copy()
-        out.truncated = self.truncated or other.truncated
         for f, c in other.terms.items():
             out.add_form(f, c)
         return out
 
     def scale(self, c) -> "DiagramSeries":
         c = Fraction(c)
-        out = DiagramSeries(self.imax, self.lmax)
-        out.truncated = self.truncated
+        out = DiagramSeries(self.imax)
         if c != 0:
             out.terms = {f: c * v for f, v in self.terms.items()}
         return out
@@ -464,8 +449,7 @@ class DiagramSeries:
     def union(self, other: "DiagramSeries") -> "DiagramSeries":
         """Disjoint-union product, extended bilinearly."""
         self._check_policy(other)
-        out = DiagramSeries(self.imax, self.lmax)
-        out.truncated = self.truncated or other.truncated
+        out = DiagramSeries(self.imax)
         for f1, c1 in self.terms.items():
             for f2, c2 in other.terms.items():
                 out.add_form(f1.union(f2), c1 * c2)
@@ -475,14 +459,13 @@ class DiagramSeries:
         """exp under disjoint union; the argument may have no degree-0 part."""
         if EMPTY_FORM in self.terms:
             raise StructuralError("exp_union argument has a degree-0 part")
-        out = DiagramSeries.unit(self.imax, self.lmax)
-        power = DiagramSeries.unit(self.imax, self.lmax)
+        out = DiagramSeries.unit(self.imax)
+        power = DiagramSeries.unit(self.imax)
         k = 0
         while True:
             k += 1
             power = power.union(self).scale(Fraction(1, k))
             if power.is_zero():
-                out.truncated = out.truncated or power.truncated
                 break
             out = out + power
         return out
@@ -490,13 +473,10 @@ class DiagramSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiagramSeries):
             return NotImplemented
-        return (self.terms == other.terms
-                and (self.imax, self.lmax) == (other.imax, other.lmax))
+        return self.terms == other.terms and self.imax == other.imax
 
     def __repr__(self) -> str:
-        n = len(self.terms)
-        flag = ", truncated" if self.truncated else ""
-        return f"DiagramSeries({n} terms, imax={self.imax}{flag})"
+        return f"DiagramSeries({len(self.terms)} terms, imax={self.imax})"
 
     def to_json(self) -> list:
         return [{"coeff": f"{c.numerator}/{c.denominator}",
@@ -504,18 +484,17 @@ class DiagramSeries:
                 for f, c in self.items()]
 
     @classmethod
-    def from_json(cls, obj: list, imax: int,
-                  lmax: int | None = None) -> "DiagramSeries":
-        s = cls(imax, lmax)
+    def from_json(cls, obj: list, imax: int) -> "DiagramSeries":
+        s = cls(imax)
         for entry in obj:
             s.add_diagram(JacobiDiagram.from_json(entry["diagram"]),
                           Fraction(entry["coeff"]))
         return s
 
 
-def series_of(d: JacobiDiagram, imax: int, lmax: int | None = None,
+def series_of(d: JacobiDiagram, imax: int, *,
               coeff: Fraction | int = 1) -> DiagramSeries:
-    s = DiagramSeries(imax, lmax)
+    s = DiagramSeries(imax)
     s.add_diagram(d, coeff)
     return s
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from .diagrams import CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize
-from .qseries import HSeries, Rational
+from .qseries import HSeries
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -340,10 +340,6 @@ class WeightTensor:
         else:
             self.terms[key] = acc
 
-    def merge(self, other: "WeightTensor") -> None:
-        for k, s in other.terms.items():
-            self.add(k, s)
-
     def scalar(self) -> HSeries:
         return self.terms.get((), HSeries.zero(self.cap))
 
@@ -503,21 +499,3 @@ def exp_tensor(g: LieAlgebraData, vec, jmax: int, cap: int) -> WeightTensor:
                 coeff *= Fraction(vec[a]) ** k / factorial(k)
             out.add(combo, HSeries.const(coeff, cap))
     return out
-
-
-def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def pure_power_wick_check(j: int, beta_sq, f, cap: int) -> HSeries:
-    """Closed form (2j-1)!! (-h |beta|^2 / f)^j for cross-checking the
-    Gaussian contraction of a 2j-th tensor power."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    beta_sq, f = Fraction(beta_sq), Fraction(f)
-    return HSeries.monomial(
-        double_factorial(2 * j - 1) * (-beta_sq / f) ** j, j, cap)

@@ -109,17 +109,21 @@ def _framing_series(f: Fraction, imax: int,
     return arg.exp_union()
 
 
-def reduced_input(inp: SurgeryInput, imax: int) -> DiagramSeries:
-    """Fully wheeled, framed series ready for the Gaussian integral:
-    wheeled knot part, wheeled unknot correction, and the framing
-    exponential exp((f/2)(strut - theta/24))."""
+def _wheeled_base(inp: SurgeryInput, imax: int) -> DiagramSeries:
+    """Wheeled knot part times the wheeled unknot correction."""
     if inp.is_builtin:
         base = _wheeled_omega(imax)
     else:
         base = balg.wheeling_inverse(load_knot_series(inp.knot, imax))
-    out = base.union(_wheeled_omega(imax))
-    return out.union(_framing_series(Fraction(inp.framing), imax,
-                                     with_theta=True))
+    return base.union(_wheeled_omega(imax))
+
+
+def reduced_input(inp: SurgeryInput, imax: int) -> DiagramSeries:
+    """Fully wheeled, framed series ready for the Gaussian integral:
+    wheeled knot part, wheeled unknot correction, and the framing
+    exponential exp((f/2)(strut - theta/24))."""
+    return _wheeled_base(inp, imax).union(
+        _framing_series(Fraction(inp.framing), imax, with_theta=True))
 
 
 def hat_scalar(s: DiagramSeries, g: liews.LieAlgebraData,
@@ -162,13 +166,8 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     strut exponential."""
     imax = 2 * order
     _, g = lie_pair(label)
-    if inp.is_builtin:
-        base = _wheeled_omega(imax)
-    else:
-        base = balg.wheeling_inverse(load_knot_series(inp.knot, imax))
-    y = base.union(_wheeled_omega(imax))
-    y = y.union(_framing_series(Fraction(inp.framing), imax,
-                                with_theta=False))
+    y = _wheeled_base(inp, imax).union(
+        _framing_series(Fraction(inp.framing), imax, with_theta=False))
     fgv = hat_scalar(balg.fg_integral(y), g, order)
     theta_h = _theta_weight(label, order)
     factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()

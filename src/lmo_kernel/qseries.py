@@ -20,7 +20,7 @@ Rational = Fraction
 #: Deepest pole any series may carry.  Intermediate data in the
 #: perturbative-invariant computation is polar of depth 2 * (number of
 #: positive roots) before prefactor multiplication; 64 leaves ample room
-#: at desk scale.  Reassign the module attribute to reconfigure.
+#: at desk scale.
 POLE_CAP = 64
 
 
@@ -37,8 +37,6 @@ def _as_rational(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -52,7 +50,7 @@ class HSeries:
 
     __slots__ = ("coeffs", "cap", "min_exp")
 
-    def __init__(self, coeffs: Mapping[int, Fraction | int | str], cap: int,
+    def __init__(self, coeffs: Mapping[int, Fraction | int], cap: int,
                  min_exp: int | None = None):
         clean: dict[int, Fraction] = {}
         for k, v in coeffs.items():
@@ -105,9 +103,6 @@ class HSeries:
     def valuation(self) -> int | None:
         """Lowest exponent with nonzero coefficient, or None for zero."""
         return min(self.coeffs) if self.coeffs else None
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

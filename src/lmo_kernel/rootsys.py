@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qseries import HSeries, PoleError, q_power, sinh_ratio
-from .liews import double_factorial
 
 Vec = tuple[Fraction, ...]
 
@@ -45,7 +44,7 @@ class RootSystem:
     gram: tuple[Vec, ...]          # (alpha_i, alpha_j)
     pos_roots: tuple[Vec, ...]     # in simple-root coordinates
     rho: Vec
-    weyl: tuple[tuple[tuple[Vec, ...], int], ...]   # (matrix rows, det)
+    weyl: tuple[tuple[tuple[Vec, ...], int], ...]   # (matrix rows, sign)
 
     def inner(self, x, y) -> Fraction:
         xs = [(i, Fraction(a)) for i, a in enumerate(x) if a]
@@ -69,22 +68,11 @@ class RootSystem:
         return len(self.pos_roots)
 
 
-def _det(m: tuple[Vec, ...]) -> Fraction:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = Fraction(0)
-    for j in range(n):
-        minor = tuple(tuple(row[k] for k in range(n) if k != j)
-                      for row in m[1:])
-        out += (-1) ** j * m[0][j] * _det(minor)
-    return out
-
-
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
     """Type A_1, A_2 or A_3, with the Weyl group enumerated by closing
-    the set of simple reflections under composition."""
+    the set of simple reflections under composition; each element gets
+    its sign from the reflection count, sign(s w) = -sign(w)."""
     if label not in ("A1", "A2", "A3"):
         raise RootSystemError(f"unsupported root system {label!r}")
     r = int(label[1])
@@ -94,10 +82,8 @@ def build_root_system(label: str) -> RootSystem:
     for i in range(r):
         for j in range(i, r):
             pos.append(_vec([1 if i <= k <= j else 0 for k in range(r)]))
-    # rho solves (rho, alpha_i) = 1 for every simple root
-    from .liews import _mat_inv
-    ginv = _mat_inv(gram)
-    rho = tuple(sum(ginv[i][j] for j in range(r)) for i in range(r))
+    # rho is half the sum of the positive roots
+    rho = _scale_vec(Fraction(1, 2), tuple(map(sum, zip(*pos))))
 
     def refl_matrix(i: int) -> tuple[Vec, ...]:
         # s_i(e_j) = e_j - (alpha_j, alpha_i) e_i
@@ -112,7 +98,7 @@ def build_root_system(label: str) -> RootSystem:
         return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r))
                            for j in range(r)) for i in range(r))
 
-    seen = {iden}
+    seen = {iden: 1}
     frontier = [iden]
     while frontier:
         nxt = []
@@ -120,10 +106,10 @@ def build_root_system(label: str) -> RootSystem:
             for s in gens:
                 ws = mul(s, w)
                 if ws not in seen:
-                    seen.add(ws)
+                    seen[ws] = -seen[w]
                     nxt.append(ws)
         frontier = nxt
-    weyl = tuple(sorted((w, int(_det(w))) for w in seen))
+    weyl = tuple(sorted(seen.items()))
 
     rs = RootSystem(label=label, rank=r, gram=gram, pos_roots=tuple(pos),
                     rho=rho, weyl=weyl)
@@ -302,6 +288,14 @@ def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
     for bsq, g in classes.items():
         gauss = q_power(-bsq / (2 * f), cap + 2 * P)
         out = out + (g * gauss).truncate(cap)
+    return out
+
+
+def double_factorial(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
     return out
 
 

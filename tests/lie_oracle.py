@@ -5,11 +5,19 @@ and the structure tensor come from dense products and traces, and the
 Jacobi identity is checked on the matrices themselves.  It is slow
 (``dense_jacobi`` on sl_4 alone takes seconds) but plainly correct, so
 the tests compare ``liews.build_sl`` against it.
+
+``pure_power_wick_check`` is the closed form of the Gaussian contraction
+of a 2j-th tensor power, and ``merge`` adds one weight tensor into
+another; both serve the Wick and evaluation tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from lmo_kernel.liews import WeightTensor
+from lmo_kernel.qseries import HSeries
+from lmo_kernel.rootsys import double_factorial
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -75,3 +83,19 @@ def dense_jacobi(basis: list[Matrix]) -> bool:
                 if any(x != 0 for row in jac for x in row):
                     return False
     return True
+
+
+def pure_power_wick_check(j: int, beta_sq, f, cap: int) -> HSeries:
+    """Closed form (2j-1)!! (-h |beta|^2 / f)^j for cross-checking the
+    Gaussian contraction of a 2j-th tensor power."""
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    beta_sq, f = Fraction(beta_sq), Fraction(f)
+    return HSeries.monomial(
+        double_factorial(2 * j - 1) * (-beta_sq / f) ** j, j, cap)
+
+
+def merge(T: WeightTensor, other: WeightTensor) -> None:
+    """Add every term of ``other`` into ``T`` in place."""
+    for k, s in other.terms.items():
+        T.add(k, s)

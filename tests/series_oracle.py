@@ -10,9 +10,12 @@ integrate every lattice vector beta on its own, with no grouping by
 
 from fractions import Fraction
 
-from lmo_kernel.liews import double_factorial
 from lmo_kernel.qseries import HSeries, SeriesError, q_power
-from lmo_kernel.rootsys import ExponentialWeightSum, RootSystem
+from lmo_kernel.rootsys import (
+    ExponentialWeightSum,
+    RootSystem,
+    double_factorial,
+)
 
 
 def exp(self: HSeries) -> HSeries:

