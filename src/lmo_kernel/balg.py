@@ -2,9 +2,11 @@
 leg gluing (pairing and partial gluing), strut splitting, the formal
 Gaussian integral, and the inverse of the wheeling map.
 
-Gluing sums run over concrete port matchings (bijections, injections,
-or perfect matchings of legs); isomorphic results are folded by
-canonicalization, never by dividing through automorphism counts.
+Gluing sums run over concrete leg matchings (injections, bijections, or
+perfect matchings of legs).  Automorphisms of a term permute its
+matchings without changing the glued diagram or its sign, so each
+automorphism orbit is glued once and weighted by its size; the folded
+result of a term, or of a term pair, is memoized as a gluing table.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .diagrams import (
+    CanonicalForm,
     DiagramSeries,
     JacobiDiagram,
     StructuralError,
     canonicalize,
     glue_legs,
+    leg_automorphisms,
     relabel_union,
 )
 from .qseries import modified_bernoulli
@@ -78,6 +83,70 @@ def _pairings(items: list):
             yield [(first, rest[i])] + tail
 
 
+def _fold_orbits(g: JacobiDiagram, gens, gluings
+                 ) -> tuple[tuple[CanonicalForm, int], ...]:
+    """Sum of the glued diagrams over ``gluings``, folded by canonical form.
+
+    A gluing is a partner tuple over the legs of ``g`` (leg ``g.t + i``
+    is glued to ``g.t + p[i]``; ``p[i] == i`` leaves it free).  The leg
+    generators ``gens`` act by p -> s p s^-1; one member per orbit is
+    glued, weighted by the orbit size.
+    """
+    seen: set[tuple[int, ...]] = set()
+    acc: dict[CanonicalForm, int] = {}
+    for p in gluings:
+        if p in seen:
+            continue
+        seen.add(p)
+        stack, size = [p], 0
+        while stack:
+            q = stack.pop()
+            size += 1
+            for s in gens:
+                r = [0] * len(q)
+                for i, j in enumerate(q):
+                    r[s[i]] = s[j]
+                r = tuple(r)
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        cd = canonicalize(glue_legs(g, [(g.t + i, g.t + j)
+                                        for i, j in enumerate(p) if i < j]))
+        if not cd.is_zero:
+            acc[cd.form] = acc.get(cd.form, 0) + cd.sign * size
+    return tuple((form, n) for form, n in acc.items() if n)
+
+
+@lru_cache(maxsize=None)
+def _gluing_table(f1: CanonicalForm, f2: CanonicalForm | None = None
+                  ) -> tuple[tuple[CanonicalForm, int], ...]:
+    """Glued forms with signed multiplicities: all perfect matchings of
+    the legs of ``f1`` alone, or all injections of the legs of ``f1``
+    into the legs of ``f2`` (bijections when the counts agree)."""
+    g1 = f1.diagram()
+    if f2 is None:
+        gluings = []
+        for matching in _pairings(list(range(g1.m))):
+            p = [0] * g1.m
+            for i, j in matching:
+                p[i], p[j] = j, i
+            gluings.append(tuple(p))
+        return _fold_orbits(g1, leg_automorphisms(g1), gluings)
+    g2 = f2.diagram()
+    m1, m2 = g1.m, g2.m
+    combined, _, _ = relabel_union(g1, g2)
+    gens = [s + tuple(range(m1, m1 + m2)) for s in leg_automorphisms(g1)]
+    gens += [tuple(range(m1)) + tuple(m1 + i for i in s)
+             for s in leg_automorphisms(g2)]
+    gluings = []
+    for sel in itertools.permutations(range(m1, m1 + m2), m1):
+        p = list(range(m1 + m2))
+        for i, j in enumerate(sel):
+            p[i], p[j] = j, i
+        gluings.append(tuple(p))
+    return _fold_orbits(combined, gens, gluings)
+
+
 def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
     """Bracket pairing: sum over all bijections between the legs of each
     term pair; zero on leg-count mismatch.
@@ -93,12 +162,9 @@ def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
                 continue
             if f1.t + f2.t > d.imax:
                 continue
-            g1, g2 = f1.diagram(), f2.diagram()
-            combined, legs1, legs2 = relabel_union(g1, g2)
             coeff = c1 * c2
-            for perm in itertools.permutations(legs2):
-                glued = glue_legs(combined, list(zip(legs1, perm)))
-                out.add_diagram(glued, coeff)
+            for form, n in _gluing_table(f1, f2):
+                out.add_form(form, coeff * n)
     return out
 
 
@@ -114,12 +180,9 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
                 continue
             if f1.t + f2.t > d.imax:
                 continue
-            g1, g2 = f1.diagram(), f2.diagram()
-            combined, legs1, legs2 = relabel_union(g1, g2)
             coeff = c1 * c2
-            for sel in itertools.permutations(legs2, len(legs1)):
-                glued = glue_legs(combined, list(zip(legs1, sel)))
-                out.add_diagram(glued, coeff)
+            for form, n in _gluing_table(f1, f2):
+                out.add_form(form, coeff * n)
     return out
 
 
@@ -168,8 +231,9 @@ def fg_integral(s: DiagramSeries,
 
     Gluing k struts into a 2k-legged term, summed over all (2k)!
     bijections, equals 2^k k! times the sum over perfect matchings of
-    the term's legs; the matching form is used here and cross-checked
-    against the bijection route in the test suite.
+    the term's legs.  That sum comes from the term's gluing table: one
+    matching per automorphism orbit, weighted by the orbit size.  The
+    bijection and full-matching sums are the test suite's oracles.
     """
     if f_override is not None:
         f = Fraction(f_override)
@@ -185,11 +249,9 @@ def fg_integral(s: DiagramSeries,
     for form, coeff in y.terms.items():
         if form.m % 2 == 1:
             continue  # no perfect matching by struts
-        k = form.m // 2
-        weight = coeff * (Fraction(-1) / f) ** k
-        g = form.diagram()
-        for matching in _pairings(list(g.legs())):
-            out.add_diagram(glue_legs(g, matching), weight)
+        weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
+        for glued, n in _gluing_table(form):
+            out.add_form(glued, weight * n)
     return out
 
 

@@ -8,9 +8,10 @@ Subcommands:
 
 Exit code is 0 iff every check requested by the invocation passed; a
 knot or expansion-data file that cannot be read or parsed, framing 0, a
-file knot without ``--qdata`` for the perturbative side, or an input the
-kernel rejects (structural, series, Lie-data or root-system error),
-prints one JSON line ``{"error": ...}`` to stderr and exits 2.
+file knot without ``--qdata`` for the perturbative side, a ``verify``
+order below 1, or an input the kernel rejects (structural, series,
+Lie-data or root-system error), prints one JSON line ``{"error": ...}``
+to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
+        if args.order < 1:
+            raise InputError(f"verify needs --order >= 1, got {args.order}")
         results = verify_suite(args.suite, args.order)
         ok = all(r.passed for r in results)
         _write({"suite": args.suite, "order": args.order,

@@ -19,12 +19,14 @@ a labeled neighbour, then colour of an unlabeled one; only ties branch.
 Every rule is invariant, so an automorphism maps candidates to
 candidates.  Hence two candidates reaching the minimal serial differ by
 an automorphism, and the component is zero exactly when those candidates
-carry both signs.
+carry both signs.  Conversely, the tied candidates measured against the
+first one are all the component's automorphisms; ``leg_automorphisms``
+keeps them to give the leg permutations the gluing tables fold by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -135,17 +137,21 @@ class JacobiDiagram:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Isomorphism-class key: the sorted multiset of component serials."""
+    """Isomorphism-class key: the sorted multiset of component serials.
+
+    ``t`` and ``m`` are totals over the components, stored once; equality
+    and hashing use ``components`` alone.
+    """
 
     components: tuple
+    t: int = field(init=False, compare=False, repr=False)
+    m: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def t(self) -> int:
-        return sum(c[0] for c in self.components)
-
-    @property
-    def m(self) -> int:
-        return sum(c[1] for c in self.components)
+    def __post_init__(self):
+        # Every union builds a form, so the totals are stored straight
+        # into the instance dict, the cheapest store a frozen class has.
+        self.__dict__["t"] = sum([c[0] for c in self.components])
+        self.__dict__["m"] = sum([c[1] for c in self.components])
 
     @property
     def degree(self) -> Fraction:
@@ -238,12 +244,15 @@ def _refine(colour: dict[int, int],
 
 
 def _canon_component(trivalent: list[int], edges: list[Edge],
-                     t_bound: int) -> tuple[tuple | None, int]:
+                     t_bound: int, ties: list | None = None
+                     ) -> tuple[tuple | None, int]:
     """Minimal serialization of one connected component, with its sign.
 
     Candidate labelings start at a vertex of the smallest colour class and
     visit the rest in breadth-first order; see the module docstring.
-    Returns (serial, sign); sign 0 encodes the zero diagram.
+    Returns (serial, sign); sign 0 encodes the zero diagram.  A ``ties``
+    list receives every labeling that reaches the minimal serial, as
+    (vertex -> label, vertex -> slot permutation) pairs.
     """
     n_legs = sum(1 for e in edges for (v, _) in e if v >= t_bound)
     if not trivalent:
@@ -308,6 +317,8 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                 if row < ref:
                     best[0] = None  # strictly better prefix found
                     best_signs.clear()
+                    if ties is not None:
+                        ties.clear()
             label[u] = k
             perm[u] = p
             order.append(u)
@@ -317,6 +328,8 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                     best[0] = tuple(rows)
                 # otherwise comparisons en route guarantee equality
                 best_signs.add(sign * psign)
+                if ties is not None:
+                    ties.append((dict(label), dict(perm)))
             else:
                 # next vertex: first unlabeled neighbour of the labeled
                 # vertices in label order, their slots in new slot order
@@ -366,6 +379,63 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     out = CanonicalDiagram(CanonicalForm(tuple(sorted(comps))), sign)
     _CANON_CACHE[key] = out
     return out
+
+
+def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
+    """Generators of the leg permutations that automorphisms of a nonzero
+    diagram induce: generator g sends leg ``d.t + i`` to ``d.t + g[i]``.
+
+    Each component contributes its tied labelings against the first one;
+    components with equal serials are swapped through their first tied
+    labelings; each strut flips, and neighbouring struts swap.  Every
+    automorphism of a nonzero diagram preserves the orientation.
+    """
+    leg_at: dict[Port, int] = {}
+    for p, q in d.edges:
+        if p[0] < d.t <= q[0]:
+            leg_at[p] = q[0] - d.t
+
+    def leg_map(a, b) -> dict[int, int]:
+        """Legs of the component labeled by ``a`` onto those labeled by
+        ``b``: both labelings give the same serial."""
+        (label_a, perm_a), (label_b, perm_b) = a, b
+        vertex_b = {k: v for v, k in label_b.items()}
+        out = {}
+        for u, k in label_a.items():
+            v = vertex_b[k]
+            for s in range(3):
+                if (u, s) in leg_at:
+                    slot = perm_b[v].index(perm_a[u][s])
+                    out[leg_at[(u, s)]] = leg_at[(v, slot)]
+        return out
+
+    maps: list[dict[int, int]] = []
+    by_serial: dict[tuple, list] = {}
+    struts = []
+    for tv, n_legs, es in _components(d):
+        if not tv:
+            (a, _), (b, _) = es[0]
+            struts.append((a - d.t, b - d.t))
+            continue
+        if n_legs == 0:
+            continue  # closed: moves no leg
+        ties: list = []
+        serial, s = _canon_component(sorted(tv), es, d.t, ties)
+        if s == 0:
+            raise StructuralError("the zero diagram has no leg group")
+        maps.extend(leg_map(ties[0], t) for t in ties[1:])
+        by_serial.setdefault(serial, []).append(ties[0])
+    for same in by_serial.values():
+        for a, b in zip(same, same[1:]):
+            maps.append({**leg_map(a, b), **leg_map(b, a)})
+    for a, b in struts:
+        maps.append({a: b, b: a})
+    for (a, b), (c, e) in zip(struts, struts[1:]):
+        maps.append({a: c, c: a, b: e, e: b})
+    ident = range(d.m)
+    gens = {tuple(g.get(i, i) for i in ident) for g in maps}
+    gens.discard(tuple(ident))
+    return tuple(sorted(gens))
 
 
 # ---------------------------------------------------------------------------

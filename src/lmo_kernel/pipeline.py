@@ -175,7 +175,10 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     return out.truncate(min(order, out.cap))
 
 
+@lru_cache(maxsize=None)
 def unknot_qdata(label: str, cap: int) -> rootsys.ExponentialWeightSum:
+    """Shifted squared quantum dimension of the unknot; callers share the
+    cached value and only read it."""
     rs, _ = lie_pair(label)
     return rootsys.quantum_dim_sq_shifted(rs, cap)
 

@@ -120,6 +120,12 @@ def test_order_zero_is_one_error_line(capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("order", ("0", "-5"))
+def test_verify_order_below_one_is_one_error_line(capsys, order):
+    assert main(["verify", "--suite", "bernoulli", "--order", order]) == 2
+    _assert_one_error_line(capsys)
+
+
 def test_qdata_read_before_diagram_work(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("diagram work ran before the qdata file was read")

@@ -159,6 +159,11 @@ class TestCompare:
         rep = compare(SurgeryInput("unknot", f), "A3", 3)
         assert rep.routes_equal and rep.equal
 
+    @pytest.mark.parametrize("f", (-1, 2))
+    def test_main_equality_a1_order_five(self, f):
+        rep = compare(SurgeryInput("unknot", f), "A1", 5)
+        assert rep.routes_equal and rep.equal
+
     def test_declared_degree_bounds_certificate(self):
         rep = compare(SurgeryInput("unknot", 2), "A1", 2)
         assert rep.certified_order == 2
