@@ -13,7 +13,6 @@ from .balg import (
     pair,
     partial,
     strut,
-    strut_split,
     theta,
     wheel,
     wheeling,
@@ -23,16 +22,13 @@ from .liews import (
     LieAlgebraData,
     WeightTensor,
     build_sl,
-    evaluate_at,
     hat_weight,
-    weight_tensor,
     wick,
 )
 from .rootsys import (
     ExponentialWeightSum,
     RootSystem,
     build_root_system,
-    c_coeff,
     quantum_dim_sq_shifted,
     tau_pg,
     weyl_denominator,
@@ -50,11 +46,10 @@ from .pipeline import (
 __all__ = [
     "HSeries", "Rational", "modified_bernoulli", "q_power", "sinh_ratio",
     "CanonicalForm", "DiagramSeries", "JacobiDiagram", "canonicalize",
-    "fg_integral", "omega", "pair", "partial", "strut", "strut_split",
-    "theta", "wheel", "wheeling", "wheeling_inverse",
-    "LieAlgebraData", "WeightTensor", "build_sl", "evaluate_at",
-    "hat_weight", "weight_tensor", "wick",
-    "ExponentialWeightSum", "RootSystem", "build_root_system", "c_coeff",
+    "fg_integral", "omega", "pair", "partial", "strut", "theta", "wheel",
+    "wheeling", "wheeling_inverse",
+    "LieAlgebraData", "WeightTensor", "build_sl", "hat_weight", "wick",
+    "ExponentialWeightSum", "RootSystem", "build_root_system",
     "quantum_dim_sq_shifted", "tau_pg", "weyl_denominator",
     "ComparisonReport", "SurgeryInput", "compare", "lmo_via_definition",
     "lmo_via_lemma", "taupg_route", "verify_suite",

@@ -1,6 +1,6 @@
 """Operational calculus on diagram series: wheels, the wheels exponential,
-leg gluing (pairing and partial gluing), strut splitting, the formal
-Gaussian integral, and the inverse of the wheeling map.
+leg gluing (pairing and partial gluing), the formal Gaussian integral,
+and the inverse of the wheeling map.
 
 Gluing sums run over concrete leg matchings (injections, bijections, or
 perfect matchings of legs).  Automorphisms of a term permute its
@@ -12,7 +12,6 @@ result of a term, or of a term pair, is memoized as a gluing table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -186,14 +185,6 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
     return out
 
 
-@dataclass(frozen=True)
-class StrutSplit:
-    """Framing coefficient f and the strut-free remainder."""
-
-    f: Fraction
-    reduced: DiagramSeries
-
-
 def _strut_count(form) -> int:
     from .diagrams import _STRUT_SERIAL
     return sum(1 for c in form.components if c == _STRUT_SERIAL)
@@ -205,29 +196,10 @@ def _assert_strut_free(s: DiagramSeries, what: str) -> None:
             raise StructuralError(f"{what} contains a strut component")
 
 
-def strut_split(s: DiagramSeries) -> StrutSplit:
-    """Factor ``s`` as exp((f/2) strut) ⊔ Y with strut-free Y.
-
-    The strut content must be exactly exponential; anything else is a
-    malformed surgery input.
-    """
-    strut_form = canonicalize(strut()).form
-    c = s.coeff(strut_form)
-    # divide by exp(c * strut): multiply with exp(-c * strut)
-    inv = DiagramSeries(s.imax)
-    inv.add_diagram(strut(), -c)
-    y = s.union(inv.exp_union())
-    for form in y.terms:
-        if _strut_count(form) > 0:
-            raise StructuralError(
-                "strut content of the input is not exponential")
-    return StrutSplit(2 * c, y)
-
-
-def fg_integral(s: DiagramSeries,
-                f_override: Fraction | int | None = None) -> DiagramSeries:
-    """Formal Gaussian integral: split off exp((f/2) strut) and pair the
-    remainder against exp(-strut/(2f)).
+def fg_integral(y: DiagramSeries, f_override: Fraction | int) -> DiagramSeries:
+    """Formal Gaussian integral of exp((f/2) strut) ⊔ y, with the framing
+    f given as data and ``y`` strut-free: pair ``y`` against
+    exp(-strut/(2f)).
 
     Gluing k struts into a 2k-legged term, summed over all (2k)!
     bijections, equals 2^k k! times the sum over perfect matchings of
@@ -235,13 +207,8 @@ def fg_integral(s: DiagramSeries,
     matching per automorphism orbit, weighted by the orbit size.  The
     bijection and full-matching sums are the test suite's oracles.
     """
-    if f_override is not None:
-        f = Fraction(f_override)
-        _assert_strut_free(s, "pre-split Gaussian integrand")
-        y = s
-    else:
-        split = strut_split(s)
-        f, y = split.f, split.reduced
+    f = Fraction(f_override)
+    _assert_strut_free(y, "Gaussian integrand")
     if f == 0:
         raise StructuralError(
             "framing 0 is not a rational homology sphere surgery")

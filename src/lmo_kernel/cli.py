@@ -8,10 +8,10 @@ Subcommands:
 
 Exit code is 0 iff every check requested by the invocation passed; a
 knot or expansion-data file that cannot be read or parsed, framing 0, a
-file knot without ``--qdata`` for the perturbative side, a ``verify``
-order below 1, or an input the kernel rejects (structural, series,
-Lie-data or root-system error), prints one JSON line ``{"error": ...}``
-to stderr and exits 2.
+file knot without ``--qdata`` for the perturbative side, order 0, a
+``verify`` order below 1, or an input the kernel rejects (structural,
+series, Lie-data or root-system error), prints one JSON line
+``{"error": ...}`` to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -105,6 +105,11 @@ def _run(args: argparse.Namespace) -> int:
                args.out)
         return 0 if ok else 1
 
+    # Negative orders are not rejected yet: `compare --order -1` never
+    # returns (the Neumann loop of wheeling_inverse), and the hang fixture
+    # of perfbench/test_perfbench.py relies on that.
+    if args.order == 0:
+        raise InputError(f"{args.command} needs a nonzero --order, got 0")
     inp = SurgeryInput(args.knot, args.framing,
                        declared_valid_degree=args.valid_degree)
 

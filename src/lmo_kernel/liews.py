@@ -20,7 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .diagrams import CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize
+# ``canonicalize`` is not called here; it stays bound because
+# perfbench/test_perfbench.py checks that the tracer wraps this binding
+from .diagrams import (  # noqa: F401
+    CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize)
 from .qseries import HSeries
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -71,11 +74,6 @@ class LieAlgebraData:
         for k, c in enumerate(root_coords):
             vec[self.cartan_idx[k]] = Fraction(c)
         return tuple(vec)
-
-    def pair_vectors(self, u, v) -> Fraction:
-        return sum(self.gram[a][b] * u[a] * v[b]
-                   for a in range(self.dim) for b in range(self.dim)
-                   if u[a] and v[b])
 
 
 def _sp_mul(x: dict, y: dict) -> dict:
@@ -346,23 +344,6 @@ class WeightTensor:
     def is_scalar(self) -> bool:
         return all(k == () for k in self.terms)
 
-    def to_json(self) -> list:
-        return [{"indices": list(k), "series": s.to_json()}
-                for k, s in sorted(self.terms.items())]
-
-
-def weight_tensor(d: JacobiDiagram, g: LieAlgebraData,
-                  cap: int = 0) -> WeightTensor:
-    """Plain weight tensor of one diagram (no h-grading), with the
-    canonical orientation sign applied."""
-    cd = canonicalize(d)
-    out = WeightTensor.zero(cap)
-    if cd.is_zero:
-        return out
-    for key, val in _cached_contract(cd.form, g).items():
-        out.add(key, HSeries.const(val * cd.sign, cap))
-    return out
-
 
 def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> WeightTensor:
     """Graded weight: each term is weighted by h raised to its degree."""
@@ -375,51 +356,6 @@ def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> WeightTensor:
         for key, val in _cached_contract(form, g).items():
             out.add(key, mono.scale(val))
     return out
-
-
-def evaluate_at(T: WeightTensor, g: LieAlgebraData, weight,
-                coords: str) -> HSeries:
-    """Evaluate every leg slot at the element representing ``weight``.
-
-    ``coords`` must be "root" (simple-root coordinates) or
-    "fundamental"; there is no default on purpose.
-    """
-    if coords == "root":
-        rc = [Fraction(c) for c in weight]
-    elif coords == "fundamental":
-        # fundamental-weight coordinates u relate to root coordinates c
-        # through the root-space Gram matrix: G c = u
-        G = _root_gram(g)
-        rc = _solve(G, [Fraction(c) for c in weight])
-    else:
-        raise LieDataError("coordinate flag must be 'root' or 'fundamental'")
-    tau = g.cartan_vector(rc)
-    # covector of the evaluation: slot index a picks up b(t_weight, x_a)
-    u = [sum(g.gram[c][a] * tau[c] for c in range(g.dim) if tau[c])
-         for a in range(g.dim)]
-    out = HSeries.zero(T.cap)
-    for key, series in T.terms.items():
-        scale = Fraction(1)
-        for a in key:
-            scale *= u[a]
-            if scale == 0:
-                break
-        if scale != 0:
-            out = out + series.scale(scale)
-    return out
-
-
-def _root_gram(g: LieAlgebraData) -> list[list[Fraction]]:
-    H = [g.cartan_vector([Fraction(int(i == k)) for i in range(g.rank)])
-         for k in range(g.rank)]
-    return [[g.pair_vectors(H[i], H[j]) for j in range(g.rank)]
-            for i in range(g.rank)]
-
-
-def _solve(G, rhs):
-    n = len(rhs)
-    inv = _mat_inv(tuple(tuple(row) for row in G))
-    return [sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n)]
 
 
 def wick(T: WeightTensor, g: LieAlgebraData, f) -> HSeries:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import balg, liews, rootsys
-from .diagrams import DiagramSeries, StructuralError, series_of
+from .diagrams import EMPTY_FORM, DiagramSeries, StructuralError, series_of
 from .qseries import HSeries, modified_bernoulli, sinh_ratio
 
 LIE_LABELS = ("A1", "A2", "A3")
@@ -83,9 +83,14 @@ def _read_json_file(path: str, what: str, parse):
 
 
 def load_knot_series(path: str, imax: int) -> DiagramSeries:
+    """The knot file's series: strut-free, with degree-0 coefficient 1
+    (the wheeled invariant of a knot is group-like)."""
     def parse(obj) -> DiagramSeries:
         s = DiagramSeries.from_json(obj, imax)
         balg._assert_strut_free(s, "knot input file")
+        if s.coeff(EMPTY_FORM) != 1:
+            raise ValueError("the coefficient of the empty diagram is "
+                             f"{s.coeff(EMPTY_FORM)}, not 1")
         return s
 
     return _read_json_file(path, "knot file", parse)
@@ -100,15 +105,6 @@ def _wheeled_omega(imax: int) -> DiagramSeries:
     return balg.wheeling_inverse(balg.omega(imax))
 
 
-def _framing_series(f: Fraction, imax: int,
-                    with_theta: bool) -> DiagramSeries:
-    arg = DiagramSeries(imax)
-    arg.add_diagram(balg.strut(), Fraction(f, 2))
-    if with_theta:
-        arg.add_diagram(balg.theta(), -Fraction(f, 48))
-    return arg.exp_union()
-
-
 def _wheeled_base(inp: SurgeryInput, imax: int) -> DiagramSeries:
     """Wheeled knot part times the wheeled unknot correction."""
     if inp.is_builtin:
@@ -119,11 +115,14 @@ def _wheeled_base(inp: SurgeryInput, imax: int) -> DiagramSeries:
 
 
 def reduced_input(inp: SurgeryInput, imax: int) -> DiagramSeries:
-    """Fully wheeled, framed series ready for the Gaussian integral:
-    wheeled knot part, wheeled unknot correction, and the framing
-    exponential exp((f/2)(strut - theta/24))."""
-    return _wheeled_base(inp, imax).union(
-        _framing_series(Fraction(inp.framing), imax, with_theta=True))
+    """Strut-free Gaussian integrand of the definition route: wheeled
+    knot part, wheeled unknot correction, and the theta part
+    exp(-(f/48) theta) of the framing exponential exp((f/2)(strut -
+    theta/24)).  The strut part is the quadratic form of the Gaussian
+    integral; the framing f is passed to ``balg.fg_integral`` as data."""
+    arg = DiagramSeries(imax)
+    arg.add_diagram(balg.theta(), -Fraction(inp.framing, 48))
+    return _wheeled_base(inp, imax).union(arg.exp_union())
 
 
 def hat_scalar(s: DiagramSeries, g: liews.LieAlgebraData,
@@ -152,9 +151,11 @@ def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     denominator being the matching-sign unknot surgery."""
     imax = 2 * order
     _, g = lie_pair(label)
-    num = hat_scalar(balg.fg_integral(reduced_input(inp, imax)), g, order)
+    num = hat_scalar(balg.fg_integral(reduced_input(inp, imax), inp.framing),
+                     g, order)
     ref = SurgeryInput("unknot", inp.sign)
-    den = hat_scalar(balg.fg_integral(reduced_input(ref, imax)), g, order)
+    den = hat_scalar(balg.fg_integral(reduced_input(ref, imax), ref.framing),
+                     g, order)
     out = num * den.inverse()
     return out.truncate(min(order, out.cap))
 
@@ -162,13 +163,11 @@ def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
 def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant in closed form: the wheels pairing, a theta
     exponential with exponent (3 sign(f) - f)/48, and the Gaussian
-    integral of the wheeled zero-framed input times the bare framing
-    strut exponential."""
+    integral, at framing f, of the wheeled zero-framed input."""
     imax = 2 * order
     _, g = lie_pair(label)
-    y = _wheeled_base(inp, imax).union(
-        _framing_series(Fraction(inp.framing), imax, with_theta=False))
-    fgv = hat_scalar(balg.fg_integral(y), g, order)
+    fgv = hat_scalar(balg.fg_integral(_wheeled_base(inp, imax), inp.framing),
+                     g, order)
     theta_h = _theta_weight(label, order)
     factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()
     out = _omega_pair_scalar(label, order) * factor * fgv
@@ -360,8 +359,8 @@ def _check_circle(order: int) -> list[CheckResult]:
         theta_h = _theta_weight(label, n)
         for s in (1, -1):
             ref = SurgeryInput("unknot", s)
-            lhs = hat_scalar(balg.fg_integral(reduced_input(ref, 2 * n)),
-                             g, n)
+            lhs = hat_scalar(
+                balg.fg_integral(reduced_input(ref, 2 * n), ref.framing), g, n)
             rhs = oo_inv * theta_h.scale(Fraction(-s, 16)).exp()
             out.append(CheckResult(f"circle.reference_surgery.{label}.f={s}",
                                    lhs == rhs, f"to h^{n}"))
@@ -390,7 +389,7 @@ def _check_bridge(order: int) -> list[CheckResult]:
         for name, y in fam.items():
             ok = True
             for f in (1, -1, 2, -2, 3):
-                lhs = hat_scalar(balg.fg_integral(y, f_override=f), g, cap)
+                lhs = hat_scalar(balg.fg_integral(y, f), g, cap)
                 rhs = liews.gaussian_eval(y, g, f, cap)
                 ok = ok and lhs == rhs
             out.append(CheckResult(f"bridge.{label}.{name}", ok,

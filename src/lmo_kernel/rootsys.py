@@ -259,20 +259,6 @@ def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> ExponentialWeightSum:
     return out
 
 
-def c_coeff(E: ExponentialWeightSum, beta, j: int, n: int) -> Fraction:
-    """Coefficient of (beta, .)^j h^n: expand q^(beta, .) into powers of
-    the pairing, so the coefficient is [h^(n-j)] g_beta / j!."""
-    beta = _vec(beta)
-    g = E.terms.get(beta)
-    if g is None:
-        return Fraction(0)
-    if n - j > g.cap or n - j < g.min_exp:
-        raise RootSystemError("requested coefficient is outside the "
-                              "certified range")
-    import math
-    return g.coeff(n - j) / math.factorial(j)
-
-
 def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
                              f, cap: int) -> HSeries:
     """Closed form of the Gaussian contraction on lattice exponentials:

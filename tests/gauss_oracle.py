@@ -8,6 +8,11 @@ glue every perfect matching, bijection or injection of each term (or
 term pair) and fold the results by canonicalization alone.  They are
 slow but follow the definitions word for word, so the tests compare the
 orbit-summed gluing tables of ``balg`` against them.
+
+``fg_integral`` integrates a framed series exp((f/2) strut) ⊔ Y
+literally: ``strut_split`` reads f off the strut coefficient and divides
+the strut exponential back out, where ``balg.fg_integral`` takes f as
+data and Y alone.
 """
 
 from __future__ import annotations
@@ -15,16 +20,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from lmo_kernel.balg import (
-    _assert_strut_free,
-    _pairings,
-    _strut_count,
-    strut,
-    strut_split,
-)
+from lmo_kernel.balg import _assert_strut_free, _pairings, _strut_count, strut
 from lmo_kernel.diagrams import (
     DiagramSeries,
     StructuralError,
+    canonicalize,
     glue_legs,
     relabel_union,
 )
@@ -98,23 +98,23 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
     return out
 
 
-def fg_integral(s: DiagramSeries,
-                f_override: Fraction | int | None = None) -> DiagramSeries:
-    """Formal Gaussian integral: split off exp((f/2) strut) and pair the
-    remainder against exp(-strut/(2f)).
+def strut_split(s: DiagramSeries) -> tuple[Fraction, DiagramSeries]:
+    """Factor ``s`` as exp((f/2) strut) ⊔ Y with strut-free Y; returns
+    (f, Y).  The strut content must be exactly exponential."""
+    c = s.coeff(canonicalize(strut()).form)
+    inv = DiagramSeries(s.imax)
+    inv.add_diagram(strut(), -c)
+    y = s.union(inv.exp_union())
+    if any(_strut_count(form) > 0 for form in y.terms):
+        raise StructuralError("strut content of the input is not exponential")
+    return 2 * c, y
 
-    Gluing k struts into a 2k-legged term, summed over all (2k)!
-    bijections, equals 2^k k! times the sum over perfect matchings of
-    the term's legs; the matching form is used here and cross-checked
-    against the bijection route in the test suite.
-    """
-    if f_override is not None:
-        f = Fraction(f_override)
-        _assert_strut_free(s, "pre-split Gaussian integrand")
-        y = s
-    else:
-        split = strut_split(s)
-        f, y = split.f, split.reduced
+
+def fg_integral(s: DiagramSeries) -> DiagramSeries:
+    """Formal Gaussian integral of a framed series: split off
+    exp((f/2) strut) and pair the remainder against exp(-strut/(2f)),
+    summing over every perfect matching of each term's legs."""
+    f, y = strut_split(s)
     if f == 0:
         raise StructuralError(
             "framing 0 is not a rational homology sphere surgery")
@@ -122,8 +122,7 @@ def fg_integral(s: DiagramSeries,
     for form, coeff in y.terms.items():
         if form.m % 2 == 1:
             continue  # no perfect matching by struts
-        k = form.m // 2
-        weight = coeff * (Fraction(-1) / f) ** k
+        weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
         g = form.diagram()
         for matching in _pairings(list(g.legs())):
             out.add_diagram(glue_legs(g, matching), weight)

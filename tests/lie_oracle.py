@@ -7,15 +7,13 @@ Jacobi identity is checked on the matrices themselves.  It is slow
 the tests compare ``liews.build_sl`` against it.
 
 ``pure_power_wick_check`` is the closed form of the Gaussian contraction
-of a 2j-th tensor power, and ``merge`` adds one weight tensor into
-another; both serve the Wick and evaluation tests.
+of a 2j-th tensor power; it serves the Wick tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lmo_kernel.liews import WeightTensor
 from lmo_kernel.qseries import HSeries
 from lmo_kernel.rootsys import double_factorial
 
@@ -94,8 +92,3 @@ def pure_power_wick_check(j: int, beta_sq, f, cap: int) -> HSeries:
     return HSeries.monomial(
         double_factorial(2 * j - 1) * (-beta_sq / f) ** j, j, cap)
 
-
-def merge(T: WeightTensor, other: WeightTensor) -> None:
-    """Add every term of ``other`` into ``T`` in place."""
-    for k, s in other.terms.items():
-        T.add(k, s)

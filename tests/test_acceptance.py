@@ -93,7 +93,7 @@ def test_criterion_05_bridge():
         _, g = lie_pair(label)
         for name, y in family.items():
             for f in (1, -1, 2, -2, 3):
-                lhs = hat_scalar(fg_integral(y, f_override=f), g, imax // 2)
+                lhs = hat_scalar(fg_integral(y, f), g, imax // 2)
                 rhs = gaussian_eval(y, g, f, imax // 2)
                 assert lhs == rhs, (label, name, f)
     _report(5, "gluing-vs-Wick bridge on the wheel family", t0, 300)
@@ -119,7 +119,7 @@ def test_criterion_07_reference_surgery_value():
     theta_h = pipeline._theta_weight(label, 4)
     for s in (1, -1):
         lhs = hat_scalar(fg_integral(
-            reduced_input(SurgeryInput("unknot", s), 8)), g, 4)
+            reduced_input(SurgeryInput("unknot", s), 8), s), g, 4)
         rhs = oo_inv * theta_h.scale(Q(-s, 16)).exp()
         assert lhs == rhs, s
     _report(7, "reference unknot surgery = <Omega,Omega>^-1 exp(-+theta/16)"

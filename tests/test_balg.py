@@ -1,5 +1,5 @@
-"""Gluing calculus: pairing, partial gluing, strut splitting, the formal
-Gaussian integral, and the wheeling inverse."""
+"""Gluing calculus: pairing, partial gluing, the formal Gaussian
+integral, and the wheeling inverse."""
 
 import itertools
 from fractions import Fraction as Q
@@ -15,7 +15,6 @@ from lmo_kernel.balg import (
     pair,
     partial,
     strut,
-    strut_split,
     theta,
     wheel,
     wheeling,
@@ -32,7 +31,7 @@ from lmo_kernel.diagrams import (
     relabel_union,
     series_of,
 )
-from lmo_kernel.pipeline import SurgeryInput, reduced_input
+from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, reduced_input
 
 
 class TestWheelBuilders:
@@ -122,17 +121,17 @@ class TestPartial:
 
 
 class TestStrutSplit:
+    """The test oracle's split, which lets ``gauss_oracle.fg_integral``
+    integrate a framed series exp((f/2) strut) ⊔ Y literally."""
+
     def test_defining_case(self):
         fr = DiagramSeries(6)
         fr.add_diagram(strut(), Q(3, 2))
         y = DiagramSeries.unit(6) + series_of(wheel(1), 6, coeff=Q(1, 48))
-        split = strut_split(fr.exp_union().union(y))
-        assert split.f == 3
-        assert split.reduced == y
+        assert gauss_oracle.strut_split(fr.exp_union().union(y)) == (3, y)
 
     def test_omega_has_no_struts(self):
-        split = strut_split(omega(4))
-        assert split.f == 0 and split.reduced == omega(4)
+        assert gauss_oracle.strut_split(omega(4)) == (0, omega(4))
 
     def test_non_exponential_rejected(self):
         s = series_of(strut(), 6)
@@ -140,7 +139,7 @@ class TestStrutSplit:
         s = s + DiagramSeries.unit(6)
         # strut coefficient 1 but no strut^2/2 term
         with pytest.raises(StructuralError):
-            strut_split(s)
+            gauss_oracle.strut_split(s)
 
 
 class TestGaussianIntegral:
@@ -172,15 +171,13 @@ class TestGaussianIntegral:
 
     def test_zero_framing_rejected(self):
         with pytest.raises(StructuralError):
-            fg_integral(omega(4))
+            fg_integral(omega(4), 0)
 
-    def test_framed_input_uses_split(self):
-        fr = DiagramSeries(6)
-        fr.add_diagram(strut(), Q(2, 2))
-        y = DiagramSeries.unit(6) + series_of(wheel(1), 6)
-        got = fg_integral(fr.exp_union().union(y))
-        assert got == DiagramSeries.unit(6) + \
-            series_of(theta(), 6, coeff=Q(-1, 2))
+    def test_strutful_integrand_rejected(self):
+        # the strut part is the framing, passed as data, never a term
+        y = DiagramSeries.unit(6) + series_of(strut(), 6)
+        with pytest.raises(StructuralError):
+            fg_integral(y, 1)
 
     def test_matching_route_equals_bijection_route(self):
         w2 = series_of(wheel(1), 8)
@@ -212,6 +209,14 @@ class TestWheeling:
         assert inv.coeff_of(wheel(1)) == Q(1, 48)
         closed4 = [f for f in inv.terms if f.m == 0 and f.t == 4]
         assert closed4, "expected a closed gluing correction at t = 4"
+
+
+def _framed(f, theta_coeff, y: DiagramSeries) -> DiagramSeries:
+    """exp((f/2) strut + theta_coeff theta) ⊔ y."""
+    arg = DiagramSeries(y.imax)
+    arg.add_diagram(strut(), Q(f, 2))
+    arg.add_diagram(theta(), theta_coeff)
+    return arg.exp_union().union(y)
 
 
 @st.composite
@@ -336,9 +341,13 @@ class TestGluingTablesAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(gluing_series(struts=False, max_legs=8),
            st.sampled_from([1, -2, 3, Q(5, 2)]))
-    def test_fg_integral(self, y, f):
-        assert fg_integral(y, f_override=f) == \
-            gauss_oracle.fg_integral(y, f_override=f)
+    def test_fg_integral(self, s, f):
+        # framing as data equals the literal integral of the framed series
+        # exp((f/2) strut) ⊔ y, whose strut content is exponential when
+        # y is group-like (degree-0 coefficient 1)
+        y = DiagramSeries.unit(s.imax) + s
+        assert fg_integral(y, f) == \
+            gauss_oracle.fg_integral(_framed(f, Q(0), y))
 
     @settings(max_examples=60, deadline=None)
     @given(gluing_series(struts=True, max_legs=5),
@@ -355,8 +364,12 @@ class TestGluingTablesAgainstOracle:
 
     @pytest.mark.parametrize("f", [1, -1, 2])
     def test_pipeline_series(self, f):
-        y = reduced_input(SurgeryInput("unknot", f), 6)
-        assert fg_integral(y) == gauss_oracle.fg_integral(y)
+        # the framed definition-route integrand, built from its parts:
+        # wheeled base ⊔ exp((f/2)(strut - theta/24))
+        inp = SurgeryInput("unknot", f)
+        framed = _framed(f, Q(-f, 48), _wheeled_base(inp, 6))
+        assert fg_integral(reduced_input(inp, 6), f) == \
+            gauss_oracle.fg_integral(framed)
 
     def test_wheels_pairing_and_wheeling(self):
         om = omega(6)

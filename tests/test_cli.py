@@ -82,6 +82,8 @@ def test_file_knot_without_qdata_is_one_error_line(tmp_path, capsys):
     ("--knot", "{not json"),
     ("--knot", '[{"coeff": "1/1", "diagram": '
                '{"t": 0, "m": 2, "edges": [[[0, 0], [1, 0]]]}}]'),  # strut
+    ("--knot", '[{"coeff": "2/1", "diagram": '
+               '{"t": 0, "m": 0, "edges": []}}]'),  # degree-0 coefficient 2
     ("--qdata", None),
     ("--qdata", "[1, 2"),
 ])
@@ -106,7 +108,8 @@ def _assert_one_error_line(capsys):
 
 
 def test_kernel_rejection_of_file_knot_is_one_error_line(tmp_path, capsys):
-    # loads fine, but its strut content is not exponential
+    # parses as a diagram series, but has no degree-0 term: the wheeled
+    # invariant of a knot has degree-0 coefficient 1
     path = tmp_path / "knot.json"
     path.write_text(json.dumps(series_of(wheel(1), 8).to_json()))
     assert main(["compare", "--knot", str(path), "--framing", "2",
@@ -115,9 +118,13 @@ def test_kernel_rejection_of_file_knot_is_one_error_line(tmp_path, capsys):
 
 
 def test_order_zero_is_one_error_line(capsys):
-    assert main(["compare", "--framing", "2", "--lie", "A1",
-                 "--order", "0"]) == 2
-    _assert_one_error_line(capsys)
+    for command in ("compute", "taupg", "compare"):
+        assert main([command, "--framing", "2", "--lie", "A1",
+                     "--order", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        assert "--order" in json.loads(line)["error"]
 
 
 @pytest.mark.parametrize("order", ("0", "-5"))

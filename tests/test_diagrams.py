@@ -1,5 +1,6 @@
 """Diagram canonicalization, orientation signs, series algebra."""
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -114,7 +115,7 @@ class TestCanonicalization:
 
     def test_idempotent_on_representative(self):
         # closed multi-edge forms as the Gaussian integral produces them
-        closed = fg_integral(reduced_input(SurgeryInput("unknot", 1), 6))
+        closed = fg_integral(reduced_input(SurgeryInput("unknot", 1), 6), 1)
         forms = [canonicalize(d).form
                  for d in (wheel(1), wheel(2), wheel(3), theta(), strut())]
         for form in forms + list(closed.terms):
@@ -279,3 +280,16 @@ class TestJson:
         obj["cyclic"]["0"] = [1, 2, 0]
         assert canonicalize(JacobiDiagram.from_json(obj)) == \
             canonicalize(wheel(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.lists(
+    st.tuples(port_matchings(),
+              st.fractions(min_value=-9, max_value=9, max_denominator=7)),
+    max_size=4))
+def test_series_json_round_trip(imax, terms):
+    s = DiagramSeries(imax)
+    for d, c in terms:
+        s.add_diagram(d, c)
+    back = DiagramSeries.from_json(json.loads(json.dumps(s.to_json())), imax)
+    assert back == s

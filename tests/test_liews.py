@@ -13,16 +13,15 @@ from lmo_kernel.balg import fg_integral, partial, strut, theta, wheel
 from lmo_kernel.diagrams import JacobiDiagram, series_of
 from lmo_kernel.liews import (
     LieDataError,
+    WeightTensor,
     _check_jacobi,
     _mat_inv,
     brute_force_contract,
     build_sl,
     contract_diagram,
-    evaluate_at,
     exp_tensor,
     gaussian_eval,
     hat_weight,
-    weight_tensor,
     wick,
 )
 from lmo_kernel.pipeline import hat_scalar
@@ -50,12 +49,10 @@ class TestBuild:
     def test_cartan_pairing_matches_root_form(self):
         # (t_a, t_b) = symmetrized Cartan matrix entries
         for g in (sl2, sl3):
-            for i in range(g.rank):
-                for j in range(g.rank):
-                    hi = g.cartan_vector([int(k == i) for k in range(g.rank)])
-                    hj = g.cartan_vector([int(k == j) for k in range(g.rank)])
+            for i, a in enumerate(g.cartan_idx):
+                for j, b in enumerate(g.cartan_idx):
                     expected = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                    assert g.pair_vectors(hi, hj) == expected
+                    assert g.gram[a][b] == expected
 
 
 def _dense_jacobi_sum_vanishes(dim, gram_inv, f_low) -> bool:
@@ -213,10 +210,10 @@ class TestHatWeight:
 
     def test_wheel_grading(self):
         T = hat_weight(series_of(wheel(1), 4, coeff=Q(1, 48)), sl2, 4)
-        plain = weight_tensor(wheel(1), sl2, cap=2)
-        assert set(T.terms) == set(plain.terms)
+        plain = contract_diagram(wheel(1), sl2)
+        assert set(T.terms) == {k for k, v in plain.items() if v}
         for key, series in T.terms.items():
-            assert series == plain.terms[key].shift(2).scale(Q(1, 48))
+            assert series == HSeries.monomial(plain[key] / 48, 2, 4)
 
     def test_unit(self):
         from lmo_kernel.diagrams import DiagramSeries
@@ -224,58 +221,64 @@ class TestHatWeight:
             HSeries.one(4)
 
 
+def _plain_tensor(d: JacobiDiagram, g, cap: int) -> WeightTensor:
+    """Weight tensor of one diagram with constant series coefficients."""
+    return WeightTensor({k: HSeries.const(v, cap)
+                         for k, v in contract_diagram(d, g).items() if v}, cap)
+
+
+def _at_weight(T: WeightTensor, g, root_coords) -> HSeries:
+    """Every leg slot of ``T`` evaluated at the Cartan element of a weight
+    in simple-root coordinates: slot a picks up b(t, x_a)."""
+    t = g.cartan_vector(root_coords)
+    u = [sum(g.gram[c][a] * t[c] for c in range(g.dim)) for a in range(g.dim)]
+    out = HSeries.zero(T.cap)
+    for key, series in T.terms.items():
+        scale = Q(1)
+        for a in key:
+            scale *= u[a]
+        out = out + series.scale(scale)
+    return out
+
+
 class TestEvaluate:
+    """Weight tensors at the Cartan element of a weight: the strut weight
+    is the Casimir, so it gives the root-form norm of the weight."""
+
     def test_casimir_gives_norm(self):
-        T = weight_tensor(strut(), sl2, cap=2)
+        T = _plain_tensor(strut(), sl2, 2)
         rng = random.Random(11)
         for _ in range(20):
             lam = [Q(rng.randint(-9, 9), rng.randint(1, 7))]
-            got = evaluate_at(T, sl2, lam, coords="root")
+            got = _at_weight(T, sl2, lam)
             assert got == HSeries.const(2 * lam[0] ** 2, 2)
-        T3 = weight_tensor(strut(), sl3, cap=2)
+        T3 = _plain_tensor(strut(), sl3, 2)
         rs_gram = [[2, -1], [-1, 2]]
         for _ in range(20):
             lam = [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2)]
             norm = sum(rs_gram[i][j] * lam[i] * lam[j]
                        for i in range(2) for j in range(2))
-            assert evaluate_at(T3, sl3, lam, coords="root") == \
-                HSeries.const(norm, 2)
+            assert _at_weight(T3, sl3, lam) == HSeries.const(norm, 2)
 
     def test_rho_on_sl2(self):
-        T = weight_tensor(strut(), sl2, cap=2)
-        assert evaluate_at(T, sl2, [Q(1, 2)], coords="root") == \
-            HSeries.const(Q(1, 2), 2)
+        T = _plain_tensor(strut(), sl2, 2)
+        assert _at_weight(T, sl2, [Q(1, 2)]) == HSeries.const(Q(1, 2), 2)
 
     def test_zero_weight_keeps_scalar_part(self):
-        T = hat_weight(series_of(theta(), 4), sl2, 4)
-        lie_oracle.merge(T, weight_tensor(strut(), sl2, cap=4))
-        got = evaluate_at(T, sl2, [0], coords="root")
-        assert got == HSeries.monomial(12, 1, 4)
-
-    def test_fundamental_coordinates(self):
-        T = weight_tensor(strut(), sl2, cap=2)
-        # fundamental weight of sl2 is rho: coordinates (1) fundamental
-        # equal (1/2) in the simple-root basis
-        a = evaluate_at(T, sl2, [1], coords="fundamental")
-        b = evaluate_at(T, sl2, [Q(1, 2)], coords="root")
-        assert a == b
-
-    def test_flag_required(self):
-        T = weight_tensor(strut(), sl2, cap=2)
-        with pytest.raises(TypeError):
-            evaluate_at(T, sl2, [1])
-        with pytest.raises(LieDataError):
-            evaluate_at(T, sl2, [1], coords="spherical")
+        s = series_of(theta(), 4) + series_of(strut(), 4)
+        T = hat_weight(s, sl2, 4)
+        assert not T.is_scalar()
+        assert _at_weight(T, sl2, [0]) == T.scalar() == \
+            HSeries.monomial(12, 1, 4)
 
 
 class TestWick:
     def test_casimir(self):
-        T = weight_tensor(strut(), sl2, cap=4)
+        T = _plain_tensor(strut(), sl2, 4)
         for f in (1, 2, Q(-3, 2)):
             assert wick(T, sl2, f) == HSeries.monomial(Q(-3) / f, 1, 4)
 
     def test_odd_terms_vanish(self):
-        from lmo_kernel.liews import WeightTensor
         T = WeightTensor({(0,): HSeries.one(4), (0, 1, 2): HSeries.one(4)}, 4)
         assert wick(T, sl2, 1).is_zero()
 
@@ -283,7 +286,8 @@ class TestWick:
         from math import factorial
         beta = [1]                      # the positive root of sl2
         vec = sl2.cartan_vector(beta)
-        bsq = sl2.pair_vectors(vec, vec)
+        bsq = sum(sl2.gram[a][b] * vec[a] * vec[b]
+                  for a in range(sl2.dim) for b in range(sl2.dim))
         assert bsq == 2
         for j in (0, 1, 2, 3):
             T = exp_tensor(sl2, vec, jmax=j, cap=j)
@@ -309,7 +313,7 @@ class TestWick:
 
     def test_zero_framing_rejected(self):
         with pytest.raises(LieDataError):
-            wick(weight_tensor(strut(), sl2, cap=2), sl2, 0)
+            wick(_plain_tensor(strut(), sl2, 2), sl2, 0)
 
 
 class TestBridge:
@@ -324,14 +328,14 @@ class TestBridge:
         for g in (sl2, sl3):
             for y in family.values():
                 for f in (1, -1, 2, -2, 3):
-                    lhs = hat_scalar(fg_integral(y, f_override=f), g, 4)
+                    lhs = hat_scalar(fg_integral(y, f), g, 4)
                     assert lhs == gaussian_eval(y, g, f, 4)
 
     def test_wheeling_invariance_of_integral(self):
-        # the Gaussian integral of a framed group-like input is unchanged
-        # by the inverse wheeling map; the identity holds in the weight
-        # image, and the wheeled object keeps its strut exponential, so
-        # its strut-free part can be read off directly
+        # the Gaussian integral, at framing f, of a group-like input
+        # equals that of the strut-free part of the inverse wheeling
+        # image of exp((f/2) strut) ⊔ input; the identity holds in the
+        # weight image
         from lmo_kernel.balg import _strut_count, omega, strut, \
             wheeling_inverse
         from lmo_kernel.diagrams import DiagramSeries
@@ -342,13 +346,11 @@ class TestBridge:
             for base in (omega(imax),
                          DiagramSeries.unit(imax)
                          + series_of(wheel(1), imax, coeff=Q(1, 7))):
-                framed = fr.exp_union().union(base)
-                wheeled = wheeling_inverse(framed)
+                wheeled = wheeling_inverse(fr.exp_union().union(base))
                 strut_free = DiagramSeries(imax)
                 for form, c in wheeled.terms.items():
                     if _strut_count(form) == 0:
                         strut_free.add_form(form, c)
-                a = hat_scalar(fg_integral(framed), sl2, imax // 2)
-                b = hat_scalar(fg_integral(strut_free, f_override=f),
-                               sl2, imax // 2)
+                a = hat_scalar(fg_integral(base, f), sl2, imax // 2)
+                b = hat_scalar(fg_integral(strut_free, f), sl2, imax // 2)
                 assert a == b

@@ -10,7 +10,7 @@ from lmo_kernel.balg import omega, strut, theta, wheeling_inverse
 from lmo_kernel.diagrams import DiagramSeries, series_of
 from lmo_kernel.pipeline import (
     SurgeryInput,
-    _framing_series,
+    _wheeled_base,
     compare,
     hat_scalar,
     lie_pair,
@@ -26,6 +26,13 @@ from lmo_kernel.qseries import HSeries
 from lmo_kernel import balg
 
 
+def test_public_names_resolve():
+    import lmo_kernel
+    missing = [n for n in lmo_kernel.__all__ if not hasattr(lmo_kernel, n)]
+    assert missing == [] and len(set(lmo_kernel.__all__)) == \
+        len(lmo_kernel.__all__)
+
+
 class TestSurgeryInput:
     def test_zero_framing_rejected(self):
         with pytest.raises(ValueError):
@@ -38,22 +45,27 @@ class TestSurgeryInput:
 
 class TestReducedInput:
     def test_unknot_unframed_part(self):
-        # with framing part removed, the series is the squared wheeled Omega
+        # the squared wheeled Omega times the theta part exp(-theta/48) of
+        # the framing exponential; the strut part is never built
         got = reduced_input(SurgeryInput("unknot", 1), 4)
         w = wheeling_inverse(omega(4))
-        expected = w.union(w).union(_framing_series(Q(1), 4, with_theta=True))
-        assert got == expected
+        th = DiagramSeries(4)
+        th.add_diagram(theta(), Q(-1, 48))
+        assert got == w.union(w).union(th.exp_union())
 
     def test_reference_object_is_same_construction(self):
         assert reduced_input(SurgeryInput("unknot", 1), 4) == \
             reduced_input(SurgeryInput("unknot", 1), 4)
 
     def test_framing_theta_correction(self):
-        # exp((f/2)(strut - theta/24)) carries a -f/48 theta coefficient
-        fs = _framing_series(Q(3), 6, with_theta=True)
-        from lmo_kernel.diagrams import canonicalize
-        th = canonicalize(theta())
-        assert fs.coeff(th.form) * th.sign == Q(-3, 48)
+        # exp((f/2)(strut - theta/24)) carries a -f/48 theta coefficient;
+        # theta is connected and the base has degree-0 coefficient 1, so
+        # the framing shifts the theta coefficient of the base by -f/48
+        for f in (3, -1):
+            inp = SurgeryInput("unknot", f)
+            shift = reduced_input(inp, 6).coeff_of(theta()) - \
+                _wheeled_base(inp, 6).coeff_of(theta())
+            assert shift == Q(-f, 48)
 
     def test_strutful_file_rejected(self, tmp_path):
         s = series_of(strut(), 4)
@@ -78,7 +90,7 @@ class TestRoutes:
         _, g = lie_pair("A1")
         for f in (1, -1, 2, 3):
             got = hat_scalar(balg.fg_integral(
-                reduced_input(SurgeryInput("unknot", f), 2)), g, 1)
+                reduced_input(SurgeryInput("unknot", f), 2), f), g, 1)
             assert got == HSeries({0: 1, 1: Q(-(2 + f * f), 4 * f)}, 1)
 
     def test_route_equality_low_order(self):

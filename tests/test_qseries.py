@@ -1,5 +1,6 @@
 """Series arithmetic, modified Bernoulli numbers, sinh ratio."""
 
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -214,3 +215,9 @@ def test_exp_matches_power_loop_oracle(s):
 def test_inverse_matches_geometric_series_oracle(s):
     assert _outcome(HSeries.inverse, s) == \
         _outcome(series_oracle.inverse, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_series())
+def test_json_round_trip_randomized(s):
+    assert HSeries.from_json(json.loads(json.dumps(s.to_json()))) == s
