@@ -12,6 +12,7 @@ result of a term, or of a term pair, is memoized as a gluing table.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -146,43 +147,36 @@ def _gluing_table(f1: CanonicalForm, f2: CanonicalForm | None = None
     return _fold_orbits(combined, gens, gluings)
 
 
+def _glue_terms(d: DiagramSeries, y: DiagramSeries, fits) -> DiagramSeries:
+    """Sum of the gluing tables of every term pair whose leg counts
+    satisfy ``fits(m1, m2)`` and whose glued diagram fits in ``imax``."""
+    d._check_policy(y)
+    out = DiagramSeries(d.imax)
+    for f1, c1 in d.terms.items():
+        for f2, c2 in y.terms.items():
+            if not fits(f1.m, f2.m) or f1.t + f2.t > d.imax:
+                continue
+            coeff = c1 * c2
+            for form, n in _gluing_table(f1, f2):
+                out.add_form(form, coeff * n)
+    return out
+
+
 def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
     """Bracket pairing: sum over all bijections between the legs of each
     term pair; zero on leg-count mismatch.
 
     ``y`` must be strut-free so no gluing can close a circle.
     """
-    d._check_policy(y)
     _assert_strut_free(y, "pairing target")
-    out = DiagramSeries(d.imax)
-    for f1, c1 in d.terms.items():
-        for f2, c2 in y.terms.items():
-            if f1.m != f2.m:
-                continue
-            if f1.t + f2.t > d.imax:
-                continue
-            coeff = c1 * c2
-            for form, n in _gluing_table(f1, f2):
-                out.add_form(form, coeff * n)
-    return out
+    return _glue_terms(d, y, operator.eq)
 
 
 def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
     """Gluing operator: all legs of each ``d`` term glued to some subset
     of legs of each ``target`` term (injections)."""
-    d._check_policy(target)
     _assert_strut_free(d, "gluing operator argument")
-    out = DiagramSeries(d.imax)
-    for f1, c1 in d.terms.items():
-        for f2, c2 in target.terms.items():
-            if f1.m > f2.m:
-                continue
-            if f1.t + f2.t > d.imax:
-                continue
-            coeff = c1 * c2
-            for form, n in _gluing_table(f1, f2):
-                out.add_form(form, coeff * n)
-    return out
+    return _glue_terms(d, target, operator.le)
 
 
 def _strut_count(form) -> int:

@@ -7,7 +7,8 @@ Subcommands:
     verify   -- run named identity suites
 
 Exit code is 0 iff every check requested by the invocation passed; a
-knot or expansion-data file that cannot be read or parsed, framing 0, a
+knot or expansion-data file that cannot be read or parsed (including a
+lattice vector without rank-many integer coordinates), framing 0, a
 file knot without ``--qdata`` for the perturbative side, order 0, a
 ``verify`` order below 1, or an input the kernel rejects (structural,
 series, Lie-data or root-system error), prints one JSON line
@@ -30,6 +31,7 @@ from .pipeline import (
     InputError,
     SurgeryInput,
     compare,
+    lie_pair,
     lmo_via_definition,
     lmo_via_lemma,
     load_qdata,
@@ -131,7 +133,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     if args.command == "taupg":
-        qdata = None if args.qdata is None else load_qdata(args.qdata)
+        rank = lie_pair(args.lie)[0].rank
+        qdata = None if args.qdata is None else load_qdata(args.qdata, rank)
         series = taupg_route(inp, args.lie, args.order, qdata)
         _write({"knot": inp.knot, "framing": inp.framing, "lie": args.lie,
                 "order": args.order, "taupg": series.to_json()}, args.out)

@@ -7,6 +7,10 @@ internal ports.  No orthonormal basis is ever constructed; every pair
 contraction goes through the inverse Gram matrix, so all values stay
 rational.
 
+One routine, ``_contract_pair``, does every contraction: the greedy
+schedule of a diagram, the product of its disconnected parts (no shared
+port), and the Jacobi check of the structure data (f·ginv·f).
+
 The Gaussian (Wick) operator pairs free slots with the lowered form,
 weighting each matched pair by -h/f.
 """
@@ -91,26 +95,19 @@ def _sp_trace_mul(x: dict, y: dict) -> Fraction:
     return sum((v * y.get((k, i), 0) for (i, k), v in x.items()), Fraction(0))
 
 
-def _check_jacobi(dim: int, gram_inv: Matrix, f_low: dict) -> None:
+def _check_jacobi(gram_inv: Matrix, f_low: dict) -> None:
     """Raise LieDataError unless, for every (a, b, c, d),
-    sum_{e,e'} f(a,b,e) ginv(e,e') f(e',c,d) summed cyclically over
-    (a, b, c) is 0: that is b([[x_a,x_b],x_c] + cyclic, x_d).
-    The form is nondegenerate, so lowering with x_d is injective; the
-    brackets are trace-free, so they stay in the span of the basis."""
-    by_pair: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b, c), v in f_low.items():
-        by_pair.setdefault((a, b), {})[c] = v
-    # raised bracket [x_a, x_b] = sum_e br[a, b][e] x_e
-    br = {ab: {e: s for e in range(dim)
-               if (s := sum(v * gram_inv[c][e] for c, v in row.items()))}
-          for ab, row in by_pair.items()}
-    for a, b, c in itertools.product(range(dim), repeat=3):
-        total: dict[int, Fraction] = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for e, w in br.get((x, y), {}).items():
-                for d, v in by_pair.get((e, z), {}).items():
-                    total[d] = total.get(d, 0) + w * v
-        if any(total.values()):
+    ff(a,b,c,d) = sum_{e,e'} f(a,b,e) ginv(e,e') f(e',c,d) summed
+    cyclically over (a, b, c) is 0: that is b([[x_a,x_b],x_c] + cyclic,
+    x_d).  The form is nondegenerate, so lowering with x_d is injective;
+    the brackets are trace-free, so they stay in the span of the basis.
+    A nonzero cyclic sum has a nonzero term, so the keys of ff are the
+    only places to look."""
+    fg = _contract_pair((("a", "b", "e"), f_low),
+                        (("e", "e'"), _form_tensor(gram_inv)))
+    _, ff = _contract_pair(fg, (("e'", "c", "d"), f_low))
+    for a, b, c, d in ff:
+        if ff[a, b, c, d] + ff.get((b, c, a, d), 0) + ff.get((c, a, b, d), 0):
             raise LieDataError("Jacobi identity fails")
 
 
@@ -151,7 +148,7 @@ def build_sl(n: int) -> LieAlgebraData:
                 or f_low.get((a, c, b), Fraction(0)) != -v:
             raise LieDataError("structure tensor is not totally antisymmetric")
     # ... and the Jacobi identity, checked on the structure tensor.
-    _check_jacobi(dim, gram_inv, f_low)
+    _check_jacobi(gram_inv, f_low)
 
     return LieAlgebraData(
         label=f"sl{n}", dim=dim, rank=n - 1, gram=gram, gram_inv=gram_inv,
@@ -162,26 +159,30 @@ def build_sl(n: int) -> LieAlgebraData:
 # tensor-network contraction
 # ---------------------------------------------------------------------------
 
-class _Tensor:
-    __slots__ = ("ports", "data")
-
-    def __init__(self, ports: tuple, data: dict):
-        self.ports = ports
-        self.data = data
+def _form_tensor(gram_inv) -> dict[tuple[int, int], Fraction]:
+    """The inverse Gram matrix as a sparse two-index tensor."""
+    return {(a, b): v for a, row in enumerate(gram_inv)
+            for b, v in enumerate(row) if v}
 
 
-def _contract_pair(t1: _Tensor, t2: _Tensor) -> _Tensor:
-    shared = tuple(p for p in t1.ports if p in t2.ports)
-    keep1 = tuple(i for i, p in enumerate(t1.ports) if p not in shared)
-    keep2 = tuple(i for i, p in enumerate(t2.ports) if p not in shared)
-    pos1 = tuple(t1.ports.index(p) for p in shared)
-    pos2 = tuple(t2.ports.index(p) for p in shared)
+def _contract_pair(t1: tuple, t2: tuple) -> tuple:
+    """Sum two tensors over the ports they share (the tensor product if
+    none).  A tensor is a pair (ports, data), ``data`` mapping index
+    tuples, one index per port, to nonzero rationals; kept ports are
+    those of ``t1``, then those of ``t2``."""
+    ports1, data1 = t1
+    ports2, data2 = t2
+    shared = [p for p in ports1 if p in ports2]
+    keep1 = [i for i, p in enumerate(ports1) if p not in shared]
+    keep2 = [i for i, p in enumerate(ports2) if p not in shared]
+    pos1 = [ports1.index(p) for p in shared]
+    pos2 = [ports2.index(p) for p in shared]
     grouped: dict[tuple, list] = {}
-    for k2, v2 in t2.data.items():
+    for k2, v2 in data2.items():
         grouped.setdefault(tuple(k2[i] for i in pos2), []).append(
             (tuple(k2[i] for i in keep2), v2))
     out: dict[tuple, Fraction] = {}
-    for k1, v1 in t1.data.items():
+    for k1, v1 in data1.items():
         sub = grouped.get(tuple(k1[i] for i in pos1))
         if not sub:
             continue
@@ -193,8 +194,8 @@ def _contract_pair(t1: _Tensor, t2: _Tensor) -> _Tensor:
                 out[key] = acc
             else:
                 del out[key]
-    ports = tuple(t1.ports[i] for i in keep1) + tuple(t2.ports[i] for i in keep2)
-    return _Tensor(ports, out)
+    ports = tuple(ports1[i] for i in keep1) + tuple(ports2[i] for i in keep2)
+    return ports, out
 
 
 def contract_diagram(d: JacobiDiagram, g: LieAlgebraData,
@@ -204,58 +205,40 @@ def contract_diagram(d: JacobiDiagram, g: LieAlgebraData,
 
     Returns the symmetric tensor over the legs as a map from sorted
     basis-index tuples to rational coefficients (the empty tuple holds
-    the scalar value of a closed diagram).  The contraction schedule is
-    greedy smallest-product-first unless ``rng`` injects a random one;
-    exact arithmetic makes the result schedule-independent.
+    the scalar value of a closed diagram).  Each step contracts the
+    pair sharing a port with the smallest product of entry counts (the
+    first in index order on ties), or one drawn by ``rng``; once no port
+    is shared, the first two tensors (disconnected parts) are multiplied.
+    Exact arithmetic makes the result schedule-independent.
     """
-    tensors: list[_Tensor] = []
-    for v in range(d.t):
-        tensors.append(_Tensor(((v, 0), (v, 1), (v, 2)), dict(g.f_low)))
-    leg_ports = []
-    for p, q in d.edges:
-        data = {(a, b): g.gram_inv[a][b] for a in range(g.dim)
-                for b in range(g.dim) if g.gram_inv[a][b] != 0}
-        tensors.append(_Tensor((p, q), data))
-        for v, s in (p, q):
-            if v >= d.t:
-                leg_ports.append((v, s))
-
-    def contractible() -> list[tuple[int, int]]:
-        pairs = []
-        for i in range(len(tensors)):
-            for j in range(i + 1, len(tensors)):
-                if any(p in tensors[j].ports for p in tensors[i].ports):
-                    pairs.append((i, j))
-        return pairs
-
-    while True:
-        pairs = contractible()
+    ginv = _form_tensor(g.gram_inv)
+    tensors = [(((v, 0), (v, 1), (v, 2)), g.f_low) for v in range(d.t)]
+    tensors += [((p, q), ginv) for p, q in d.edges]
+    while len(tensors) > 1:
+        # a port is held by at most two tensors: one scan finds the pairs
+        holder: dict = {}
+        linked = set()
+        for j, (ports, _) in enumerate(tensors):
+            for p in ports:
+                i = holder.setdefault(p, j)
+                if i != j:
+                    linked.add((i, j))
+        pairs = sorted(linked)
         if not pairs:
-            break
-        if rng is None:
-            i, j = min(pairs, key=lambda ij: len(tensors[ij[0]].data)
-                       * len(tensors[ij[1]].data))
+            i, j = 0, 1
+        elif rng is None:
+            i, j = min(pairs, key=lambda ij: len(tensors[ij[0]][1])
+                       * len(tensors[ij[1]][1]))
         else:
             i, j = rng.choice(pairs)
-        t = _contract_pair(tensors[i], tensors[j])
-        tensors[j], tensors[-1] = tensors[-1], tensors[j]
+        tensors[i] = _contract_pair(tensors[i], tensors[j])
+        tensors[j] = tensors[-1]
         tensors.pop()
-        tensors[i] = t
 
-    # tensor-product the disconnected remainders, then erase leg identity
-    result: dict[tuple, Fraction] = {(): Fraction(1)}
-    ports: tuple = ()
-    for t in tensors:
-        nxt: dict[tuple, Fraction] = {}
-        for k1, v1 in result.items():
-            for k2, v2 in t.data.items():
-                nxt[k1 + k2] = v1 * v2
-        result = nxt
-        ports = ports + t.ports
-        if not result:
-            break
+    data = tensors[0][1] if tensors else {(): Fraction(1)}
+    # erase leg identity
     out: dict[tuple[int, ...], Fraction] = {}
-    for key, val in result.items():
+    for key, val in data.items():
         skey = tuple(sorted(key))
         acc = out.get(skey, Fraction(0)) + val
         if acc:

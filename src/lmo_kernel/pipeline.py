@@ -14,7 +14,7 @@ term) keep that certificate through the Gaussian integral.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -182,9 +182,18 @@ def unknot_qdata(label: str, cap: int) -> rootsys.ExponentialWeightSum:
     return rootsys.quantum_dim_sq_shifted(rs, cap)
 
 
-def load_qdata(path: str) -> rootsys.ExponentialWeightSum:
-    return _read_json_file(path, "expansion-data file",
-                           rootsys.ExponentialWeightSum.from_json)
+def load_qdata(path: str, rank: int) -> rootsys.ExponentialWeightSum:
+    """The expansion-data file's lattice sum; every ``beta`` must be a
+    list of ``rank`` JSON integers."""
+    def parse(obj) -> rootsys.ExponentialWeightSum:
+        for entry in obj:
+            beta = entry["beta"]
+            if len(beta) != rank or any(type(x) is not int for x in beta):
+                raise ValueError(f"beta {beta} needs {rank} integer "
+                                 "coordinates")
+        return rootsys.ExponentialWeightSum.from_json(obj)
+
+    return _read_json_file(path, "expansion-data file", parse)
 
 
 def taupg_route(inp: SurgeryInput, label: str, order: int,
@@ -218,7 +227,6 @@ class ComparisonReport:
     equal: bool | None
     lmo_only: bool
     wheel_like_input: bool
-    checks: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -236,7 +244,6 @@ class ComparisonReport:
             else self.difference.to_json(),
             "equal": self.equal,
             "lmo_only": self.lmo_only,
-            "checks": self.checks,
         }
 
 
@@ -246,10 +253,11 @@ def compare(inp: SurgeryInput, label: str, order: int,
 
     Reported series are truncated to the certified order; coefficients
     the truncation bookkeeping cannot vouch for are never printed.  The
-    expansion-data file is read first, before any diagram work.
+    expansion-data file is read and checked against the rank before any
+    diagram work.
     """
-    qdata = None if qdata_path is None else load_qdata(qdata_path)
-    rs, g = lie_pair(label)
+    rs, _ = lie_pair(label)
+    qdata = None if qdata_path is None else load_qdata(qdata_path, rs.rank)
     certified = order
     wheel_like = True
     if not inp.is_builtin:

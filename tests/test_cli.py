@@ -8,6 +8,7 @@ from lmo_kernel import pipeline
 from lmo_kernel.balg import omega, wheel
 from lmo_kernel.cli import main
 from lmo_kernel.diagrams import series_of
+from lmo_kernel.qseries import HSeries
 
 
 def run(capsys, *args):
@@ -77,6 +78,10 @@ def test_file_knot_without_qdata_is_one_error_line(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+def _qdata_with_beta(beta) -> str:
+    return json.dumps([{"beta": beta, "series": HSeries.one(1).to_json()}])
+
+
 @pytest.mark.parametrize("option, content", [
     ("--knot", None),                      # missing file
     ("--knot", "{not json"),
@@ -86,6 +91,9 @@ def test_file_knot_without_qdata_is_one_error_line(tmp_path, capsys):
                '{"t": 0, "m": 0, "edges": []}}]'),  # degree-0 coefficient 2
     ("--qdata", None),
     ("--qdata", "[1, 2"),
+    ("--qdata", _qdata_with_beta([0, 1])),   # A1 has rank 1
+    ("--qdata", _qdata_with_beta([])),
+    ("--qdata", _qdata_with_beta([1.5])),    # not a lattice vector
 ])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     path = tmp_path / "input.json"

@@ -72,9 +72,9 @@ def _dense_jacobi_sum_vanishes(dim, gram_inv, f_low) -> bool:
                for a, b, c, d in itertools.product(range(dim), repeat=4))
 
 
-def _rejected(dim, gram_inv, f_low) -> bool:
+def _rejected(gram_inv, f_low) -> bool:
     try:
-        _check_jacobi(dim, gram_inv, f_low)
+        _check_jacobi(gram_inv, f_low)
     except LieDataError:
         return True
     return False
@@ -107,14 +107,14 @@ class TestBuildAgainstOracle:
         assert lie_oracle.dense_jacobi(lie_oracle.dense_sl(n)[0])
 
     def test_true_tensor_passes_both(self):
-        assert not _rejected(sl3.dim, sl3.gram_inv, sl3.f_low)
+        assert not _rejected(sl3.gram_inv, sl3.f_low)
         assert _dense_jacobi_sum_vanishes(sl3.dim, sl3.gram_inv, sl3.f_low)
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_scaled_orbit_rejected(self, n):
         g = build_sl(n)
         key = next(iter(g.f_low))
-        assert _rejected(g.dim, g.gram_inv, _scale_orbit(g.f_low, key, Q(2)))
+        assert _rejected(g.gram_inv, _scale_orbit(g.f_low, key, Q(2)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(sl3.f_low)),
@@ -122,7 +122,7 @@ class TestBuildAgainstOracle:
     def test_tensor_check_matches_dense_sum(self, key, r):
         # sl_3, not sl_2: sl_2 has one orbit, and scaling it keeps Jacobi
         mutated = _scale_orbit(sl3.f_low, key, r)
-        assert _rejected(sl3.dim, sl3.gram_inv, mutated) == \
+        assert _rejected(sl3.gram_inv, mutated) == \
             (not _dense_jacobi_sum_vanishes(sl3.dim, sl3.gram_inv, mutated))
 
     @settings(max_examples=100, deadline=None)
@@ -133,7 +133,7 @@ class TestBuildAgainstOracle:
     def test_tensor_check_matches_dense_sum_on_any_tensor(self, f_low, ginv):
         # small arbitrary tensors: failures can sit at a single d
         f_low = {k: Q(v) for k, v in f_low.items()}
-        assert _rejected(4, ginv, f_low) == \
+        assert _rejected(ginv, f_low) == \
             (not _dense_jacobi_sum_vanishes(4, ginv, f_low))
 
 
@@ -172,6 +172,22 @@ class TestContraction:
                 contract_diagram(wheel(2), sl2)
             assert contract_diagram(theta(), sl3, rng) == \
                 contract_diagram(theta(), sl3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_diagram_matches_brute_force(self, data):
+        # any perfect matching of the ports, so disconnected diagrams,
+        # struts, loops at one vertex and closed parts beside open ones
+        t = data.draw(st.integers(0, 4), label="t")
+        m = data.draw(st.sampled_from(range(t % 2, 7 - t, 2)), label="m")
+        ports = [(v, s) for v in range(t) for s in range(3)]
+        ports += [(v, 0) for v in range(t, t + m)]
+        ports = data.draw(st.permutations(ports), label="ports")
+        d = JacobiDiagram(t, m, tuple(zip(ports[::2], ports[1::2])))
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        brute = brute_force_contract(d, sl2)
+        assert contract_diagram(d, sl2) == brute
+        assert contract_diagram(d, sl2, random.Random(seed)) == brute
 
 
 class TestIHX:

@@ -115,7 +115,7 @@ class TestTauRoute:
         p = tmp_path / "q.json"
         p.write_text(json.dumps(E.to_json()))
         a = taupg_route(SurgeryInput("unknot", 2), "A1", 3,
-                        load_qdata(str(p)))
+                        load_qdata(str(p), 1))
         b = taupg_route(SurgeryInput("unknot", 2), "A1", 3)
         assert a == b
 
