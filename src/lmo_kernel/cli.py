@@ -10,9 +10,10 @@ Exit code is 0 iff every check requested by the invocation passed; a
 knot or expansion-data file that cannot be read or parsed (including a
 lattice vector without rank-many integer coordinates), framing 0, a
 file knot without ``--qdata`` for the perturbative side, order 0, a
-``verify`` order below 1, or an input the kernel rejects (structural,
-series, Lie-data or root-system error), prints one JSON line
-``{"error": ...}`` to stderr and exits 2.
+``verify`` order below 1, a negative ``compare --valid-degree``, or an
+input the kernel rejects (structural, series, pole, Lie-data or
+root-system error), prints one JSON line ``{"error": ...}`` to stderr
+and exits 2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .pipeline import (
     taupg_route,
     verify_suite,
 )
-from .qseries import SeriesError
+from .qseries import PoleError, SeriesError
 from .rootsys import RootSystemError
 
 _SUITE_CHOICES = ("all", *_SUITES)
@@ -59,8 +60,6 @@ def _surgery_args(p: argparse.ArgumentParser, qdata: bool = False) -> None:
     p.add_argument("--lie", choices=LIE_LABELS, required=True)
     p.add_argument("--order", type=int, required=True,
                    help="h-order (series are run at imax = 2*order)")
-    p.add_argument("--valid-degree", type=int, default=None,
-                   help="certified h-order of a file input")
     if qdata:
         p.add_argument("--qdata", default=None,
                        help="expansion-data JSON for a file knot")
@@ -81,6 +80,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("compare", help="main-equality comparison report")
     _surgery_args(p, qdata=True)
+    p.add_argument("--valid-degree", type=int, default=None,
+                   help="certified h-order of a file input (>= 0)")
 
     p = sub.add_parser("verify", help="identity suites")
     p.add_argument("--suite", choices=_SUITE_CHOICES, default="all")
@@ -90,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args)
-    except (InputError, StructuralError, SeriesError, LieDataError,
-            RootSystemError) as exc:
+    except (InputError, StructuralError, SeriesError, PoleError,
+            LieDataError, RootSystemError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 
@@ -112,8 +113,9 @@ def _run(args: argparse.Namespace) -> int:
     # of perfbench/test_perfbench.py relies on that.
     if args.order == 0:
         raise InputError(f"{args.command} needs a nonzero --order, got 0")
+    # only compare takes --valid-degree
     inp = SurgeryInput(args.knot, args.framing,
-                       declared_valid_degree=args.valid_degree)
+                       getattr(args, "valid_degree", None))
 
     if args.command == "compute":
         routes: dict[str, object] = {}

@@ -7,9 +7,11 @@ internal ports.  No orthonormal basis is ever constructed; every pair
 contraction goes through the inverse Gram matrix, so all values stay
 rational.
 
-One routine, ``_contract_pair``, does every contraction: the greedy
-schedule of a diagram, the product of its disconnected parts (no shared
-port), and the Jacobi check of the structure data (f·ginv·f).
+One routine, ``_contract_pair``, does every contraction: the trace form
+and the structure tensor of sl_n (traces of products of basis
+matrices), the greedy schedule of a diagram, the product of its
+disconnected parts (no shared port), and the Jacobi check of the
+structure data (f·ginv·f).
 
 The Gaussian (Wick) operator pairs free slots with the lowered form,
 weighting each matched pair by -h/f.
@@ -80,21 +82,6 @@ class LieAlgebraData:
         return tuple(vec)
 
 
-def _sp_mul(x: dict, y: dict) -> dict:
-    """Product of two sparse matrices {(row, col): entry}."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, k), v in x.items():
-        for (l, j), w in y.items():
-            if k == l:
-                out[(i, j)] = out.get((i, j), 0) + v * w
-    return out
-
-
-def _sp_trace_mul(x: dict, y: dict) -> Fraction:
-    """tr(xy) of two sparse matrices."""
-    return sum((v * y.get((k, i), 0) for (i, k), v in x.items()), Fraction(0))
-
-
 def _check_jacobi(gram_inv: Matrix, f_low: dict) -> None:
     """Raise LieDataError unless, for every (a, b, c, d),
     ff(a,b,c,d) = sum_{e,e'} f(a,b,e) ginv(e,e') f(e',c,d) summed
@@ -115,7 +102,9 @@ def _check_jacobi(gram_inv: Matrix, f_low: dict) -> None:
 def build_sl(n: int) -> LieAlgebraData:
     """sl_n with the defining-representation trace form, 2 <= n <= 4.
 
-    Basis elements are sparse matrices {(row, col): entry}."""
+    Only the basis is listed, as sparse matrices {(row, col): entry};
+    the Gram matrix and the structure tensor are traces of products,
+    contracted by ``_contract_pair``."""
     if not 2 <= n <= 4:
         raise LieDataError("only sl_2..sl_4 are built in at desk scale")
 
@@ -126,20 +115,21 @@ def build_sl(n: int) -> LieAlgebraData:
     basis.extend({(i, j): Fraction(1)} for i, j in offs)
     dim = len(basis)
 
-    gram = tuple(tuple(_sp_trace_mul(x, y) for y in basis) for x in basis)
+    # B(a, i, j) = (x_a)_ij; traces of products are contractions of B
+    B = {(a, i, j): v for a, x in enumerate(basis) for (i, j), v in x.items()}
+    _, tr2 = _contract_pair((("a", "i", "j"), B), (("b", "j", "i"), B))
+    gram = tuple(tuple(tr2.get((a, b), Fraction(0)) for b in range(dim))
+                 for a in range(dim))
     gram_inv = _mat_inv(gram)
 
+    # f_low(a, b, c) = tr(x_a x_b x_c) - tr(x_b x_a x_c)
+    ab = _contract_pair((("a", "i", "j"), B), (("b", "j", "k"), B))
+    _, tr3 = _contract_pair(ab, (("c", "k", "i"), B))
     f_low: dict[tuple[int, int, int], Fraction] = {}
-    for a in range(dim):
-        for b in range(dim):
-            if a == b:
-                continue
-            xy = _sp_mul(basis[a], basis[b])
-            yx = _sp_mul(basis[b], basis[a])
-            for c in range(dim):
-                v = _sp_trace_mul(xy, basis[c]) - _sp_trace_mul(yx, basis[c])
-                if v != 0:
-                    f_low[(a, b, c)] = v
+    for a, b, c in sorted(tr3.keys() | {(b, a, c) for a, b, c in tr3}):
+        v = tr3.get((a, b, c), 0) - tr3.get((b, a, c), 0)
+        if v:
+            f_low[(a, b, c)] = v
 
     # structure-tensor sanity: total antisymmetry (which, given the
     # antisymmetry of the bracket, encodes invariance of the form) ...

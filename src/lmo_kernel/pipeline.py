@@ -54,6 +54,9 @@ class SurgeryInput:
         if self.framing == 0:
             raise InputError("framing 0 does not give a rational homology "
                              "sphere")
+        if (self.declared_valid_degree or 0) < 0:
+            raise InputError("the declared valid degree must be >= 0, got "
+                             f"{self.declared_valid_degree}")
 
     @property
     def is_builtin(self) -> bool:
@@ -78,7 +81,7 @@ def _read_json_file(path: str, what: str, parse):
     try:
         return parse(json.loads(Path(path).read_text()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ZeroDivisionError) as exc:
+            ArithmeticError) as exc:
         raise InputFileError(f"{what} {path}: {exc}") from exc
 
 
@@ -414,11 +417,9 @@ def _check_gauss(order: int) -> list[CheckResult]:
         rs, g = lie_pair(label)
         for f in (2, 3, -2):
             total = HSeries.zero(cap)
-            for w, sw in rs.weyl:
-                for w2, sw2 in rs.weyl:
-                    beta = rootsys._add(rs.apply(w, rs.rho),
-                                        rs.apply(w2, rs.rho))
-                    vec = g.cartan_vector(beta)
+            for beta, sw in rs.weyl:
+                for beta2, sw2 in rs.weyl:
+                    vec = g.cartan_vector(rootsys._add(beta, beta2))
                     tensor = liews.exp_tensor(g, vec, jmax=cap, cap=cap)
                     total = total + liews.wick(tensor, g, f).scale(sw * sw2)
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)

@@ -3,10 +3,16 @@ sums, and the surgery formula for the perturbative invariant.
 
 Weights live in simple-root coordinates throughout; the bilinear form
 is the symmetrized Cartan matrix in the normalization where every root
-has squared length 2.  Lattice exponentials q^(beta, lambda) stay
-symbolic (a finite map beta -> Laurent series) until coefficient
-extraction, since the monomials (beta, lambda)^j are linearly dependent
-across beta while the exponential presentation is canonical.
+has squared length 2.  Everything else comes from that matrix by one
+reflection closure: the roots are the closure of the simple roots under
+the simple reflections, and the Weyl group is kept as the orbit of rho
+with the sign of each element (rho is regular, so w -> w(rho) is one to
+one and W is never enumerated as matrices).
+
+Lattice exponentials q^(beta, lambda) stay symbolic (a finite map
+beta -> Laurent series) until coefficient extraction, since the
+monomials (beta, lambda)^j are linearly dependent across beta while the
+exponential presentation is canonical.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .qseries import HSeries, PoleError, q_power, sinh_ratio
 
@@ -44,7 +51,7 @@ class RootSystem:
     gram: tuple[Vec, ...]          # (alpha_i, alpha_j)
     pos_roots: tuple[Vec, ...]     # in simple-root coordinates
     rho: Vec
-    weyl: tuple[tuple[tuple[Vec, ...], int], ...]   # (matrix rows, sign)
+    weyl: tuple[tuple[Vec, int], ...]   # sorted (w(rho), sign w)
 
     def inner(self, x, y) -> Fraction:
         xs = [(i, Fraction(a)) for i, a in enumerate(x) if a]
@@ -55,10 +62,6 @@ class RootSystem:
     def norm_sq(self, x) -> Fraction:
         return self.inner(x, x)
 
-    def apply(self, w: tuple[Vec, ...], x) -> Vec:
-        return tuple(sum(w[i][j] * Fraction(x[j]) for j in range(self.rank))
-                     for i in range(self.rank))
-
     @property
     def order(self) -> int:
         return len(self.weyl)
@@ -68,48 +71,39 @@ class RootSystem:
         return len(self.pos_roots)
 
 
+def _reflection_closure(gram, seeds) -> dict[Vec, int]:
+    """Close ``seeds`` (sign 1) under the simple reflections; a newly
+    reached point s_i(x) gets the sign -sign(x)."""
+    signs = dict.fromkeys(seeds, 1)
+    todo = list(signs)
+    while todo:
+        x = todo.pop()
+        for i, row in enumerate(gram):
+            # s_i(x) = x - (x, alpha_i) alpha_i, as every root has length^2 2
+            y = x[:i] + (x[i] - sum(map(mul, row, x)),) + x[i + 1:]
+            if y not in signs:
+                signs[y] = -signs[x]
+                todo.append(y)
+    return signs
+
+
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
-    """Type A_1, A_2 or A_3, with the Weyl group enumerated by closing
-    the set of simple reflections under composition; each element gets
-    its sign from the reflection count, sign(s w) = -sign(w)."""
+    """Type A_1, A_2 or A_3 from its Cartan matrix: the roots are the
+    reflection closure of the simple roots, the positive ones those with
+    nonnegative coordinates, and W is the signed reflection closure of
+    rho."""
     if label not in ("A1", "A2", "A3"):
         raise RootSystemError(f"unsupported root system {label!r}")
     r = int(label[1])
     gram = tuple(tuple(Fraction(2 if i == j else (-1 if abs(i - j) == 1 else 0))
                        for j in range(r)) for i in range(r))
-    pos = []
-    for i in range(r):
-        for j in range(i, r):
-            pos.append(_vec([1 if i <= k <= j else 0 for k in range(r)]))
+    simple = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    roots = _reflection_closure(gram, simple)
+    pos = sorted(a for a in roots if min(a) >= 0)
     # rho is half the sum of the positive roots
     rho = _scale_vec(Fraction(1, 2), tuple(map(sum, zip(*pos))))
-
-    def refl_matrix(i: int) -> tuple[Vec, ...]:
-        # s_i(e_j) = e_j - (alpha_j, alpha_i) e_i
-        return tuple(tuple(Fraction(int(k == j)) - (gram[i][j] if k == i else 0)
-                           for j in range(r)) for k in range(r))
-
-    gens = [refl_matrix(i) for i in range(r)]
-    iden = tuple(tuple(Fraction(int(i == j)) for j in range(r))
-                 for i in range(r))
-
-    def mul(a, b):
-        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r))
-                           for j in range(r)) for i in range(r))
-
-    seen = {iden: 1}
-    frontier = [iden]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = mul(s, w)
-                if ws not in seen:
-                    seen[ws] = -seen[w]
-                    nxt.append(ws)
-        frontier = nxt
-    weyl = tuple(sorted(seen.items()))
+    weyl = tuple(sorted(_reflection_closure(gram, [rho]).items()))
 
     rs = RootSystem(label=label, rank=r, gram=gram, pos_roots=tuple(pos),
                     rho=rho, weyl=weyl)
@@ -131,8 +125,8 @@ class ExponentialWeightSum:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Vec, HSeries] | None = None):
-        self.terms: dict[Vec, HSeries] = dict(terms or {})
+    def __init__(self):
+        self.terms: dict[Vec, HSeries] = {}
 
     def add(self, beta: Vec, series: HSeries) -> None:
         cur = self.terms.get(beta)
@@ -148,17 +142,8 @@ class ExponentialWeightSum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentialWeightSum):
             return NotImplemented
-        for k in set(self.terms) | set(other.terms):
-            a = self.terms.get(k)
-            b = other.terms.get(k)
-            if a is None or b is None:
-                present = a if a is not None else b
-                if present is not None and not present.is_zero():
-                    return False
-                continue
-            if a != b:
-                return False
-        return True
+        # ``add`` drops zero sums, so ``terms`` holds no zero series
+        return self.terms == other.terms
 
     def to_json(self) -> list:
         out = []
@@ -175,14 +160,6 @@ class ExponentialWeightSum:
         for entry in obj:
             e.add(_vec(entry["beta"]), HSeries.from_json(entry["series"]))
         return e
-
-
-def _alternating_weyl_sum(rs: RootSystem) -> dict[Vec, int]:
-    out: dict[Vec, int] = {}
-    for w, sign in rs.weyl:
-        beta = rs.apply(w, rs.rho)
-        out[beta] = out.get(beta, 0) + sign
-    return {k: v for k, v in out.items() if v}
 
 
 def _product_side(rs: RootSystem) -> dict[Vec, int]:
@@ -228,7 +205,7 @@ def weyl_denominator(rs: RootSystem) -> WeylDenominatorReport:
     """Expand both sides of the denominator identity (and its square) as
     lattice-exponential sums and compare exactly."""
     prod = _product_side(rs)
-    alt = _alternating_weyl_sum(rs)
+    alt = dict(rs.weyl)
     prod2 = _square_sum(prod)
     alt2 = _square_sum(alt)
     as_t = lambda d: tuple(sorted(d.items()))
@@ -254,7 +231,7 @@ def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> ExponentialWeightSum:
         den = den * factor * factor
     den_inv = den.inverse()   # cap = work - 4P = cap, min_exp = -2P
     out = ExponentialWeightSum()
-    for beta, count in _square_sum(_alternating_weyl_sum(rs)).items():
+    for beta, count in _square_sum(dict(rs.weyl)).items():
         out.add(beta, den_inv.scale(count))
     return out
 

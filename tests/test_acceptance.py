@@ -148,10 +148,9 @@ def test_criterion_09_gauss_display():
         rs, g = lie_pair(label)
         for f in (2, 3, -2):
             total = HSeries.zero(cap)
-            for w, sw in rs.weyl:
-                for w2, sw2 in rs.weyl:
-                    beta = tuple(a + b for a, b in
-                                 zip(rs.apply(w, rs.rho), rs.apply(w2, rs.rho)))
+            for x, sw in rs.weyl:
+                for x2, sw2 in rs.weyl:
+                    beta = tuple(a + b for a, b in zip(x, x2))
                     tensor = liews.exp_tensor(g, g.cartan_vector(beta),
                                               jmax=cap, cap=cap)
                     total = total + liews.wick(tensor, g, f).scale(sw * sw2)

@@ -94,6 +94,8 @@ def _qdata_with_beta(beta) -> str:
     ("--qdata", _qdata_with_beta([0, 1])),   # A1 has rank 1
     ("--qdata", _qdata_with_beta([])),
     ("--qdata", _qdata_with_beta([1.5])),    # not a lattice vector
+    ("--qdata", json.dumps([{"beta": [0], "series": {
+        "min_exp": -100, "coeffs": {"-100": "1/1"}, "cap": 2}}])),  # pole
 ])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     path = tmp_path / "input.json"
@@ -123,6 +125,34 @@ def test_kernel_rejection_of_file_knot_is_one_error_line(tmp_path, capsys):
     assert main(["compare", "--knot", str(path), "--framing", "2",
                  "--lie", "A1", "--order", "4"]) == 2
     _assert_one_error_line(capsys)
+    # a readable qdata file whose perturbative invariant comes out polar
+    qdata = tmp_path / "qdata.json"
+    qdata.write_text(json.dumps([{"beta": [0], "series": {
+        "min_exp": -2, "coeffs": {"-2": "1/1"}, "cap": 8}}]))
+    for command in ("taupg", "compare"):
+        assert main([command, "--framing", "2", "--lie", "A1", "--order",
+                     "2", "--qdata", str(qdata)]) == 2
+        _assert_one_error_line(capsys)
+
+
+def test_negative_valid_degree_is_one_error_line(tmp_path, capsys):
+    knot = tmp_path / "knot.json"
+    knot.write_text(json.dumps(omega(4).to_json()))
+    assert main(["compare", "--knot", str(knot), "--framing", "2",
+                 "--lie", "A1", "--order", "2", "--valid-degree", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert "valid degree" in json.loads(line)["error"]
+
+
+@pytest.mark.parametrize("command", ("compute", "taupg"))
+def test_valid_degree_is_a_compare_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--framing", "2", "--lie", "A1", "--order", "1",
+              "--valid-degree", "1"])
+    assert exc.value.code == 2
+    assert "--valid-degree" in capsys.readouterr().err
 
 
 def test_order_zero_is_one_error_line(capsys):

@@ -1,6 +1,7 @@
 """Series arithmetic, modified Bernoulli numbers, sinh ratio."""
 
 import json
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -123,6 +124,26 @@ class TestSinhRatio:
     def test_odd_coefficients_vanish(self):
         s = sinh_ratio(Q(5, 3), 7)
         assert all(s.coeff(k) == 0 for k in (1, 3, 5, 7))
+
+    def test_modified_bernoulli_from_bernoulli_numbers(self):
+        # b_m = B_2m / (4m (2m)!), B_n from sum_k C(n+1, k) B_k = 0
+        B = [Q(1)]
+        for n in range(1, 13):
+            B.append(-sum(math.comb(n + 1, k) * B[k] for k in range(n))
+                     / (n + 1))
+        for m in range(1, 7):
+            assert modified_bernoulli(m) == \
+                B[2 * m] / (4 * m * math.factorial(2 * m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.just(Q(0)), st.fractions(-5, 5, max_denominator=9)),
+           st.integers(0, 12))
+    def test_exp_of_modified_bernoulli_sum(self, c, cap):
+        # log sinh(ch/2)/(ch/2) = sum_m 2 b_m (ch)^(2m)
+        log = H({2 * m: 2 * modified_bernoulli(m) * c ** (2 * m)
+                 for m in range(1, cap // 2 + 1)}, cap)
+        assert log.exp() == sinh_ratio(c, cap)
+        assert sinh_ratio(-c, cap) == sinh_ratio(c, cap)
 
 
 def test_q_power_multiplies_exponents():

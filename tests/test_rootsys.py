@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import series_oracle
+import weyl_oracle
 from lmo_kernel.qseries import HSeries, SeriesError, q_power
 from lmo_kernel.rootsys import (
     ExponentialWeightSum,
@@ -25,19 +26,6 @@ from lmo_kernel.rootsys import (
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 A3 = build_root_system("A3")
-
-
-def _det(m) -> Q:
-    """Cofactor expansion along the first row."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = Q(0)
-    for j in range(n):
-        minor = tuple(tuple(row[k] for k in range(n) if k != j)
-                      for row in m[1:])
-        out += (-1) ** j * m[0][j] * _det(minor)
-    return out
 
 
 class TestBuild:
@@ -59,7 +47,10 @@ class TestBuild:
 
     def test_weyl_sign_is_the_determinant(self):
         for rs in (A1, A2, A3):
-            assert all(sign == _det(w) for w, sign in rs.weyl)
+            mats = weyl_oracle.weyl_matrices(rs)
+            assert len(mats) == rs.order
+            assert dict(rs.weyl) == {weyl_oracle.apply(w, rs.rho):
+                                     weyl_oracle.det(w) for w in mats}
 
     def test_roots_have_length_two(self):
         for rs in (A1, A2, A3):
@@ -69,20 +60,24 @@ class TestBuild:
         for rs in (A1, A2, A3):
             roots = {a for a in rs.pos_roots}
             roots |= {tuple(-x for x in a) for a in rs.pos_roots}
-            for w, _ in rs.weyl:
-                assert {rs.apply(w, a) for a in roots} == roots
+            for w in weyl_oracle.weyl_matrices(rs):
+                assert {weyl_oracle.apply(w, a) for a in roots} == roots
+            # ... and they are the orbit of the simple roots (columns of w)
+            assert roots == {tuple(row[i] for row in w)
+                             for w in weyl_oracle.weyl_matrices(rs)
+                             for i in range(rs.rank)}
 
     def test_sign_is_a_homomorphism(self):
-        import itertools
-        rs = A2
-        by_mat = dict(rs.weyl)
-
-        def mul(a, b):
-            return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(rs.rank))
-                               for j in range(rs.rank))
-                         for i in range(rs.rank))
-        for (w1, s1), (w2, s2) in itertools.product(rs.weyl, rs.weyl):
-            assert by_mat[mul(w1, w2)] == s1 * s2
+        # sign(s_i x) = -sign(x) on the orbit of rho, s_i the reflection
+        # in the simple root alpha_i
+        for rs in (A1, A2, A3):
+            sign = dict(rs.weyl)
+            for x, s in rs.weyl:
+                for i in range(rs.rank):
+                    alpha = tuple(Q(int(j == i)) for j in range(rs.rank))
+                    y = tuple(a - rs.inner(x, alpha) * b
+                              for a, b in zip(x, alpha))
+                    assert sign[y] == -s
 
     def test_unsupported_label(self):
         with pytest.raises(RootSystemError):
@@ -254,9 +249,9 @@ def _classed_sums(draw):
         base = tuple(Q(x) for x in
                      draw(st.lists(st.integers(-2, 2), min_size=rs.rank,
                                    max_size=rs.rank)))
-        ws = draw(st.lists(st.sampled_from(rs.weyl), min_size=1,
-                           max_size=4))
-        betas = [rs.apply(w, base) for w, _ in ws]
+        ws = draw(st.lists(st.sampled_from(weyl_oracle.weyl_matrices(rs)),
+                           min_size=1, max_size=4))
+        betas = [weyl_oracle.apply(w, base) for w in ws]
         for beta in betas:
             E.add(beta, series())
         if len(betas) > 1 and draw(st.booleans()):
@@ -294,11 +289,9 @@ class TestGaussClosedForm:
             for f in (2, -3):
                 total = HSeries.zero(6)
                 sq = {}
-                for w, sw in rs.weyl:
-                    for w2, sw2 in rs.weyl:
-                        beta = tuple(a + b for a, b in
-                                     zip(rs.apply(w, rs.rho),
-                                         rs.apply(w2, rs.rho)))
+                for x, sw in rs.weyl:
+                    for x2, sw2 in rs.weyl:
+                        beta = tuple(a + b for a, b in zip(x, x2))
                         sq[beta] = sq.get(beta, 0) + sw * sw2
                 for beta, cnt in sq.items():
                     total = total + q_power(-rs.norm_sq(beta) / (2 * Q(f)), 6) \
