@@ -5,7 +5,7 @@ integration, Lie-algebra weight systems) and the Lie-theoretic route
 with order-by-order comparison of the two.
 """
 
-from .qseries import HSeries, Rational, modified_bernoulli, q_power, sinh_ratio
+from .qseries import HSeries, modified_bernoulli, q_power, sinh_ratio
 from .diagrams import CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize
 from .balg import (
     fg_integral,
@@ -44,7 +44,7 @@ from .pipeline import (
 )
 
 __all__ = [
-    "HSeries", "Rational", "modified_bernoulli", "q_power", "sinh_ratio",
+    "HSeries", "modified_bernoulli", "q_power", "sinh_ratio",
     "CanonicalForm", "DiagramSeries", "JacobiDiagram", "canonicalize",
     "fg_integral", "omega", "pair", "partial", "strut", "theta", "wheel",
     "wheeling", "wheeling_inverse",

@@ -134,15 +134,16 @@ def _run(args: argparse.Namespace) -> int:
         _write(obj, args.out)
         return 0 if ok else 1
 
+    # read and checked against the rank before any diagram work
+    rank = lie_pair(args.lie)[0].rank
+    qdata = None if args.qdata is None else load_qdata(args.qdata, rank)
     if args.command == "taupg":
-        rank = lie_pair(args.lie)[0].rank
-        qdata = None if args.qdata is None else load_qdata(args.qdata, rank)
         series = taupg_route(inp, args.lie, args.order, qdata)
         _write({"knot": inp.knot, "framing": inp.framing, "lie": args.lie,
                 "order": args.order, "taupg": series.to_json()}, args.out)
         return 0
 
-    report: ComparisonReport = compare(inp, args.lie, args.order, args.qdata)
+    report: ComparisonReport = compare(inp, args.lie, args.order, qdata)
     _write(report.to_json(), args.out)
     if report.lmo_only:
         return 0 if report.routes_equal else 1

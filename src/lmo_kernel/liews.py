@@ -325,7 +325,7 @@ def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> WeightTensor:
         deg = form.degree
         if deg.denominator != 1:
             raise LieDataError("half-integer degree cannot occur")
-        mono = HSeries.monomial(coeff, int(deg), cap)
+        mono = HSeries({int(deg): coeff}, cap)
         for key, val in _cached_contract(form, g).items():
             out.add(key, mono.scale(val))
     return out
@@ -406,5 +406,5 @@ def exp_tensor(g: LieAlgebraData, vec, jmax: int, cap: int) -> WeightTensor:
             for a in set(combo):
                 k = combo.count(a)
                 coeff *= Fraction(vec[a]) ** k / factorial(k)
-            out.add(combo, HSeries.const(coeff, cap))
+            out.add(combo, HSeries({0: coeff}, cap))
     return out

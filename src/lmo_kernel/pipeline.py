@@ -251,30 +251,29 @@ class ComparisonReport:
 
 
 def compare(inp: SurgeryInput, label: str, order: int,
-            qdata_path: str | None = None) -> ComparisonReport:
-    """Both sides of the main equality at the requested order.
+            qdata: rootsys.ExponentialWeightSum | None = None
+            ) -> ComparisonReport:
+    """Both sides of the main equality at the requested order, with the
+    knot's parsed expansion data (the built-in unknot needs none).
 
     Reported series are truncated to the certified order; coefficients
-    the truncation bookkeeping cannot vouch for are never printed.  The
-    expansion-data file is read and checked against the rank before any
-    diagram work.
+    the truncation bookkeeping cannot vouch for are never printed.
     """
     rs, _ = lie_pair(label)
-    qdata = None if qdata_path is None else load_qdata(qdata_path, rs.rank)
     certified = order
+    if inp.declared_valid_degree is not None:
+        certified = min(certified, inp.declared_valid_degree)
     wheel_like = True
     if not inp.is_builtin:
         s = load_knot_series(inp.knot, 2 * order)
         wheel_like = is_wheel_like(s)
-        if inp.declared_valid_degree is not None:
-            certified = min(certified, inp.declared_valid_degree)
         if not wheel_like:
             certified = 0  # no internal-vertex certificate for such inputs
     d = lmo_via_definition(inp, label, order).truncate(certified)
     l = lmo_via_lemma(inp, label, order).truncate(certified)
     routes_equal = d == l
     h1_power = Fraction(inp.h1_order) ** rs.num_pos
-    lmo_only = not inp.is_builtin and qdata_path is None
+    lmo_only = not inp.is_builtin and qdata is None
     taupg = None
     difference = None
     equal = None
@@ -314,7 +313,7 @@ def _check_bernoulli(order: int) -> list[CheckResult]:
     cap = 12
     acc = HSeries.zero(cap)
     for m in range(1, cap // 2 + 1):
-        acc = acc + HSeries.monomial(2 * modified_bernoulli(m), 2 * m, cap)
+        acc = acc + HSeries({2 * m: 2 * modified_bernoulli(m)}, cap)
     round_trip = acc.exp() * sinh_ratio(1, cap).inverse()
     out.append(CheckResult("bernoulli.round_trip_x12",
                            round_trip == HSeries.one(cap)))

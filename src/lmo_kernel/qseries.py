@@ -1,11 +1,11 @@
 """Exact truncated Laurent series in the formal variable h, with q = e^h.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``);
-no floating point exists anywhere in this package.  Every series carries
-its own truncation cap, so arithmetic between series of different
-precision degrades explicitly instead of silently: the result's cap is
-the largest order at which the result is still fully determined by the
-inputs.
+A series is its nonzero coefficients, arbitrary-precision rationals
+(``fractions.Fraction``; no floating point exists anywhere in this
+package), and its truncation cap.  Arithmetic between series of
+different precision degrades explicitly instead of silently: the
+result's cap is the largest order at which the result is still fully
+determined by the inputs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
-
-Rational = Fraction
 
 #: Deepest pole any series may carry.  Intermediate data in the
 #: perturbative-invariant computation is polar of depth 2 * (number of
@@ -41,17 +39,15 @@ def _as_rational(x) -> Fraction:
 
 
 class HSeries:
-    """A Laurent series in h, known exactly on exponents [min_exp, cap].
+    """A Laurent series in h, known exactly up to h^cap.
 
-    ``coeffs`` holds the nonzero coefficients; exponents below ``min_exp``
-    are known to be zero, exponents above ``cap`` are unknown (never
-    silently zero).
+    ``coeffs`` holds the nonzero coefficients, none below h^-POLE_CAP;
+    exponents above ``cap`` are unknown (never silently zero).
     """
 
-    __slots__ = ("coeffs", "cap", "min_exp")
+    __slots__ = ("coeffs", "cap")
 
-    def __init__(self, coeffs: Mapping[int, Fraction | int], cap: int,
-                 min_exp: int | None = None):
+    def __init__(self, coeffs: Mapping[int, Fraction | int], cap: int):
         clean: dict[int, Fraction] = {}
         for k, v in coeffs.items():
             v = _as_rational(v)
@@ -59,35 +55,20 @@ class HSeries:
                 clean[int(k)] = v
         if any(k > cap for k in clean):
             raise SeriesError("coefficient beyond declared cap")
-        if min_exp is None:
-            min_exp = min(min(clean, default=0), 0)
-        if any(k < min_exp for k in clean):
-            raise SeriesError("coefficient below declared min_exp")
         if clean and min(clean) < -POLE_CAP:
             raise PoleError(f"pole deeper than {POLE_CAP}")
         self.coeffs = clean
         self.cap = int(cap)
-        self.min_exp = max(int(min_exp), -POLE_CAP)
-        if self.min_exp > self.cap:
-            self.min_exp = self.cap
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, cap: int) -> "HSeries":
-        return cls({}, cap, min_exp=-POLE_CAP)
+        return cls({}, cap)
 
     @classmethod
     def one(cls, cap: int) -> "HSeries":
-        return cls({0: Fraction(1)}, cap, min_exp=-POLE_CAP)
-
-    @classmethod
-    def const(cls, c, cap: int) -> "HSeries":
-        return cls({0: _as_rational(c)}, cap, min_exp=-POLE_CAP)
-
-    @classmethod
-    def monomial(cls, c, exp: int, cap: int) -> "HSeries":
-        return cls({exp: _as_rational(c)}, cap, min_exp=min(exp, 0))
+        return cls({0: Fraction(1)}, cap)
 
     # -- basic queries ------------------------------------------------
 
@@ -104,23 +85,17 @@ class HSeries:
         """Lowest exponent with nonzero coefficient, or None for zero."""
         return min(self.coeffs) if self.coeffs else None
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "HSeries") -> "HSeries":
         cap = min(self.cap, other.cap)
-        me = min(self.min_exp, other.min_exp)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, Fraction(0)) + v
-        out = {k: v for k, v in out.items() if v != 0 and k <= cap}
-        return HSeries(out, cap, min_exp=me)
+        return HSeries({k: v for k, v in out.items() if k <= cap}, cap)
 
     def __neg__(self) -> "HSeries":
-        return HSeries({k: -v for k, v in self.coeffs.items()}, self.cap,
-                       min_exp=self.min_exp)
+        return HSeries({k: -v for k, v in self.coeffs.items()}, self.cap)
 
     def __sub__(self, other: "HSeries") -> "HSeries":
         return self + (-other)
@@ -133,7 +108,6 @@ class HSeries:
         va = self.cap + 1 if va is None else va
         vb = other.cap + 1 if vb is None else vb
         cap = min(self.cap + vb, other.cap + va)
-        me = self.min_exp + other.min_exp
         out: dict[int, Fraction] = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -141,26 +115,24 @@ class HSeries:
                 if k > cap:
                     continue
                 out[k] = out.get(k, Fraction(0)) + a * b
-        out = {k: v for k, v in out.items() if v != 0}
-        return HSeries(out, cap, min_exp=me)
+        return HSeries(out, cap)
 
     def scale(self, c) -> "HSeries":
         c = _as_rational(c)
         if c == 0:
             return HSeries.zero(self.cap)
-        return HSeries({k: c * v for k, v in self.coeffs.items()}, self.cap,
-                       min_exp=self.min_exp)
+        return HSeries({k: c * v for k, v in self.coeffs.items()}, self.cap)
 
     def shift(self, n: int) -> "HSeries":
         """Exact multiplication by h^n (n may be negative)."""
         return HSeries({k + n: v for k, v in self.coeffs.items()},
-                       self.cap + n, min_exp=self.min_exp + n)
+                       self.cap + n)
 
     def truncate(self, cap: int) -> "HSeries":
         if cap > self.cap:
             raise SeriesError("cannot raise a cap by truncation")
         return HSeries({k: v for k, v in self.coeffs.items() if k <= cap},
-                       cap, min_exp=self.min_exp)
+                       cap)
 
     def exp(self) -> "HSeries":
         """exp of a series with no constant or polar part."""
@@ -175,7 +147,7 @@ class HSeries:
         for n in range(1, self.cap + 1):
             e.append(sum((k * c * e[n - k] for k, c in a if k <= n),
                          Fraction(0)) / n)
-        return HSeries(dict(enumerate(e)), self.cap, min_exp=-POLE_CAP)
+        return HSeries(dict(enumerate(e)), self.cap)
 
     def inverse(self) -> "HSeries":
         """Multiplicative inverse; needs a nonzero leading coefficient."""
@@ -190,9 +162,7 @@ class HSeries:
         for n in range(1, self.cap - v + 1):
             b.append(-sum((c * b[n - i] for i, c in rest if i <= n),
                           Fraction(0)) / lead)
-        # knowledge range of the inverse: [-v, cap - 2v]
-        return HSeries({n - v: c for n, c in enumerate(b)},
-                       self.cap - 2 * v, min_exp=-v)
+        return HSeries({n - v: c for n, c in enumerate(b)}, self.cap - 2 * v)
 
     # -- comparison / io ----------------------------------------------
 
@@ -202,9 +172,6 @@ class HSeries:
         # ``coeffs`` holds exactly the nonzero coefficients
         return self.cap == other.cap and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.cap, tuple(sorted(self.coeffs.items()))))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return f"HSeries(0; cap={self.cap})"
@@ -213,9 +180,8 @@ class HSeries:
         return f"HSeries({' + '.join(parts)}; cap={self.cap})"
 
     def to_json(self) -> dict:
-        tight = min(self.coeffs) if self.coeffs else 0
         return {
-            "min_exp": max(self.min_exp, min(tight, 0)),
+            "min_exp": min(min(self.coeffs, default=0), 0),
             "coeffs": {str(k): f"{v.numerator}/{v.denominator}"
                        for k, v in sorted(self.coeffs.items())},
             "cap": self.cap,
@@ -223,13 +189,19 @@ class HSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HSeries":
-        return cls({int(k): Fraction(v) for k, v in obj["coeffs"].items()},
-                   int(obj["cap"]), min_exp=int(obj["min_exp"]))
+        """Inverse of ``to_json``; a coefficient below the file's
+        ``min_exp`` is malformed input."""
+        coeffs = {int(k): Fraction(v) for k, v in obj["coeffs"].items()}
+        cap, min_exp = int(obj["cap"]), int(obj["min_exp"])
+        out = cls(coeffs, cap)
+        if any(k < min_exp for k in out.coeffs):
+            raise SeriesError("coefficient below declared min_exp")
+        return out
 
 
 def q_power(c, cap: int) -> HSeries:
     """q^c = exp(c*h) as a truncated series, for exact rational c."""
-    return HSeries.monomial(c, 1, cap).exp()
+    return HSeries({1: c}, cap).exp()
 
 
 def sinh_ratio(c, cap: int) -> HSeries:
@@ -242,26 +214,22 @@ def sinh_ratio(c, cap: int) -> HSeries:
     while 2 * k <= cap:
         out[2 * k] = c ** (2 * k) / (4 ** k * math.factorial(2 * k + 1))
         k += 1
-    return HSeries(out, cap, min_exp=0)
+    return HSeries(out, cap)
 
 
 @lru_cache(maxsize=None)
-def _half_log_sinh_ratio(cap: int) -> HSeries:
-    # sinh(x/2)/(x/2), with the series variable read as x instead of h
-    s = sinh_ratio(1, cap)
-    w = s - HSeries.one(cap)
-    out = HSeries.zero(cap)
-    term = HSeries.one(cap)
-    k = 0
-    while (k + 1) * 2 <= cap:  # w has valuation 2
-        k += 1
-        term = term * w
-        out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out.scale(Fraction(1, 2))
+def _bernoulli(n: int) -> Fraction:
+    """Bernoulli number B_n, from sum_{k <= n} C(n+1, k) B_k = 0, B_0 = 1."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(math.comb(n + 1, k) * _bernoulli(k)
+                for k in range(n)) / (n + 1)
 
 
 def modified_bernoulli(m: int) -> Fraction:
-    """Coefficient of x^(2m) in (1/2) log(sinh(x/2)/(x/2)), m >= 1."""
+    """Coefficient of x^(2m) in (1/2) log(sinh(x/2)/(x/2)), m >= 1:
+    b_m = B_2m / (4m (2m)!).  Independent of ``sinh_ratio``, so checks
+    that combine the two can fail."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _half_log_sinh_ratio(2 * m).coeff(2 * m)
+    return _bernoulli(2 * m) / (4 * m * math.factorial(2 * m))

@@ -227,9 +227,9 @@ def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> ExponentialWeightSum:
     den = HSeries.one(work)
     for alpha in rs.pos_roots:
         c = rs.inner(rs.rho, alpha)
-        factor = HSeries.monomial(c, 1, work) * sinh_ratio(c, work)
+        factor = HSeries({1: c}, work) * sinh_ratio(c, work)
         den = den * factor * factor
-    den_inv = den.inverse()   # cap = work - 4P = cap, min_exp = -2P
+    den_inv = den.inverse()   # cap = work - 4P = cap, valuation -2P
     out = ExponentialWeightSum()
     for beta, count in _square_sum(dict(rs.weyl)).items():
         out.add(beta, den_inv.scale(count))
@@ -275,7 +275,6 @@ def _gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
         for k, c in g.coeffs.items():
             base[k] = base.get(k, Fraction(0)) + c
     coeffs: dict[int, Fraction] = {}
-    min_seen = 0
     for bsq, base in classes.items():
         for k, b in base.items():
             if b == 0:
@@ -288,10 +287,8 @@ def _gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
                 if term:
                     e = n - j
                     coeffs[e] = coeffs.get(e, Fraction(0)) + term
-                    min_seen = min(min_seen, e)
                 j += 1
-    coeffs = {k: v for k, v in coeffs.items() if v}
-    return HSeries(coeffs, cap, min_exp=min_seen)
+    return HSeries(coeffs, cap)
 
 
 def tau_pg(rs: RootSystem, E: ExponentialWeightSum, f: int,
@@ -315,7 +312,7 @@ def tau_pg(rs: RootSystem, E: ExponentialWeightSum, f: int,
         raise RootSystemError("Gaussian sum route disagrees with the "
                               "exponential route")
     rho_sq = rs.norm_sq(rs.rho)
-    pre = HSeries.const(Fraction(1, rs.order), work)
+    pre = HSeries({0: Fraction(1, rs.order)}, work)
     pre = pre * q_power(Fraction(s - f, 2) * rho_sq, work)
     for alpha in rs.pos_roots:
         pre = pre * (HSeries.one(work) - q_power(s * rs.inner(rs.rho, alpha),
@@ -324,7 +321,6 @@ def tau_pg(rs: RootSystem, E: ExponentialWeightSum, f: int,
     v = out.valuation()
     if v is not None and v < 0:
         raise PoleError("perturbative invariant came out polar")
-    out = HSeries(out.coeffs, out.cap, min_exp=0)
     return out.truncate(min(cap, out.cap))
 
 
@@ -332,7 +328,7 @@ def gaussian_weyl_closed_form(rs: RootSystem, f, cap: int) -> HSeries:
     """|W| * prod_{a>0} (q^(-(rho,a)/f) - 1): the value of the Gaussian
     contraction on the squared alternating Weyl sum."""
     f = Fraction(f)
-    out = HSeries.const(rs.order, cap)
+    out = HSeries({0: rs.order}, cap)
     for alpha in rs.pos_roots:
         out = out * (q_power(-rs.inner(rs.rho, alpha) / f, cap + 1)
                      - HSeries.one(cap + 1))

@@ -89,6 +89,6 @@ def pure_power_wick_check(j: int, beta_sq, f, cap: int) -> HSeries:
     if j < 0:
         raise ValueError("j must be >= 0")
     beta_sq, f = Fraction(beta_sq), Fraction(f)
-    return HSeries.monomial(
-        double_factorial(2 * j - 1) * (-beta_sq / f) ** j, j, cap)
+    return HSeries({j: double_factorial(2 * j - 1) * (-beta_sq / f) ** j},
+                   cap)
 

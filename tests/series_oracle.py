@@ -47,7 +47,7 @@ def inverse(self: HSeries) -> HSeries:
     lead = self.coeffs[v]
     # u = self / (lead * h^v) - 1 has valuation >= 1
     u = HSeries({k - v: c / lead for k, c in self.coeffs.items()},
-                self.cap - v, min_exp=0) - HSeries.one(self.cap - v)
+                self.cap - v) - HSeries.one(self.cap - v)
     geo = HSeries.one(self.cap - v)
     term = HSeries.one(self.cap - v)
     uv = u.valuation()
@@ -59,9 +59,7 @@ def inverse(self: HSeries) -> HSeries:
             if term.is_zero():
                 break
             geo = geo + term
-    out = geo.scale(1 / lead).shift(-v)
-    # knowledge range of the inverse: [-v, cap - 2v]
-    return HSeries(out.coeffs, self.cap - 2 * v, min_exp=-v)
+    return geo.scale(1 / lead).shift(-v)
 
 
 def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
@@ -84,7 +82,6 @@ def gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
     import math
     f = Fraction(f)
     coeffs: dict[int, Fraction] = {}
-    min_seen = 0
     for beta, g in E.terms.items():
         bsq = rs.norm_sq(beta)
         lo = g.valuation()
@@ -102,10 +99,8 @@ def gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
                 if term:
                     e = n - j
                     coeffs[e] = coeffs.get(e, Fraction(0)) + term
-                    min_seen = min(min_seen, e)
                 j += 1
-    coeffs = {k: v for k, v in coeffs.items() if v}
-    return HSeries(coeffs, cap, min_exp=min_seen)
+    return HSeries(coeffs, cap)
 
 
 def agrees_with(self: HSeries, other: HSeries, upto: int) -> bool:

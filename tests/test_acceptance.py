@@ -39,7 +39,7 @@ def test_criterion_01_bernoulli():
     cap = 12
     acc = HSeries.zero(cap)
     for m in range(1, cap // 2 + 1):
-        acc = acc + HSeries.monomial(2 * modified_bernoulli(m), 2 * m, cap)
+        acc = acc + HSeries({2 * m: 2 * modified_bernoulli(m)}, cap)
     assert acc.exp() * sinh_ratio(1, cap).inverse() == HSeries.one(cap)
     _report(1, "modified Bernoulli numbers and round-trip to x^12", t0, 1)
 
@@ -159,7 +159,7 @@ def test_criterion_09_gauss_display():
             # same value in product form:
             #   |W| q^(-|rho|^2/f) prod (q^(-(rho,a)/2f) - q^((rho,a)/2f))
             from lmo_kernel.qseries import q_power
-            mid = HSeries.const(rs.order, cap + 2 * rs.num_pos)
+            mid = HSeries({0: rs.order}, cap + 2 * rs.num_pos)
             mid = mid * q_power(-rs.norm_sq(rs.rho) / Q(f), cap + 2 * rs.num_pos)
             for alpha in rs.pos_roots:
                 c = rs.inner(rs.rho, alpha) / (2 * Q(f))

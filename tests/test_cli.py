@@ -96,6 +96,8 @@ def _qdata_with_beta(beta) -> str:
     ("--qdata", _qdata_with_beta([1.5])),    # not a lattice vector
     ("--qdata", json.dumps([{"beta": [0], "series": {
         "min_exp": -100, "coeffs": {"-100": "1/1"}, "cap": 2}}])),  # pole
+    ("--qdata", json.dumps([{"beta": [0], "series": {
+        "min_exp": 0, "coeffs": {"-1": "1/1"}, "cap": 2}}])),  # below min_exp
 ])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     path = tmp_path / "input.json"
@@ -144,6 +146,15 @@ def test_negative_valid_degree_is_one_error_line(tmp_path, capsys):
     assert captured.out == ""
     line, = captured.err.splitlines()
     assert "valid degree" in json.loads(line)["error"]
+
+
+def test_valid_degree_bounds_the_builtin_unknot(capsys):
+    assert main(["compare", "--framing", "2", "--lie", "A1", "--order", "3",
+                 "--valid-degree", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["certified_order"] == 1
+    for key in ("lmo_definition", "lmo_lemma", "taupg", "difference"):
+        assert report[key]["cap"] == 1
 
 
 @pytest.mark.parametrize("command", ("compute", "taupg"))

@@ -23,7 +23,7 @@ from lmo_kernel.pipeline import (
     verify_suite,
 )
 from lmo_kernel.qseries import HSeries
-from lmo_kernel import balg
+from lmo_kernel import balg, cli, pipeline, qseries
 
 
 def test_public_names_resolve():
@@ -163,7 +163,7 @@ class TestCompare:
         q = tmp_path / "q.json"
         q.write_text(json.dumps(unknot_qdata("A1", 2).to_json()))
         rep = compare(SurgeryInput(str(p), 2, declared_valid_degree=2),
-                      "A1", 2, qdata_path=str(q))
+                      "A1", 2, load_qdata(str(q), 1))
         assert rep.equal and not rep.lmo_only
 
     @pytest.mark.parametrize("f", (-1, 2))
@@ -188,6 +188,20 @@ class TestVerifySuite:
 
     def test_bernoulli_suite(self):
         assert all(r.passed for r in verify_suite("bernoulli"))
+
+    def test_bernoulli_round_trip_sees_a_wrong_sinh_ratio(self, monkeypatch):
+        # double the h^6 coefficient of sinh(ch/2)/(ch/2) wherever it is read
+        true_sinh_ratio = qseries.sinh_ratio
+
+        def mutant(c, cap):
+            s = true_sinh_ratio(c, cap)
+            return s + HSeries({6: s.coeff(6)}, cap) if cap >= 6 else s
+
+        monkeypatch.setattr(qseries, "sinh_ratio", mutant)
+        monkeypatch.setattr(pipeline, "sinh_ratio", mutant)
+        passed = {r.name: r.passed for r in pipeline._check_bernoulli(4)}
+        assert passed["bernoulli.round_trip_x12"] is False
+        assert cli.main(["verify", "--suite", "bernoulli"]) == 1
 
     def test_weyl_suite(self):
         assert all(r.passed for r in verify_suite("weyl"))

@@ -150,7 +150,7 @@ class TestExpansionData:
             coeffs = {k: Q(data.draw(st.integers(-6, 6)),
                            data.draw(st.integers(1, 6)))
                       for k in range(-2, cap + 1)}
-            E.add(beta, HSeries(coeffs, cap, min_exp=-2))
+            E.add(beta, HSeries(coeffs, cap))
         back = ExponentialWeightSum.from_json(json.loads(json.dumps(
             E.to_json())))
         assert back == E
@@ -187,7 +187,7 @@ class TestTau:
             for beta, _ in list(quantum_dim_sq_shifted(rs, 4).items())[:4]:
                 coeffs = {k: Q(rng.randint(-5, 5), rng.randint(1, 4))
                           for k in range(-2, 5)}
-                E.add(beta, HSeries(coeffs, 4, min_exp=-2))
+                E.add(beta, HSeries(coeffs, 4))
             for f in (3, -2):
                 assert _gaussian_sum_route(rs, E, f, 4) == \
                     gaussian_on_exponentials(rs, E, f, 4)
@@ -195,7 +195,7 @@ class TestTau:
     def test_pole_cancelling_inside_a_norm_class(self):
         # beta and -beta share |beta|^2: a pole deeper than 2P that
         # cancels between them no longer reaches the per-class product
-        g = HSeries({-4: 1, 0: Q(1, 3)}, 6, min_exp=-4)
+        g = HSeries({-4: 1, 0: Q(1, 3)}, 6)
         E = ExponentialWeightSum()
         E.add((Q(1),), g)
         E.add((Q(-1),), -g + HSeries.one(6))
@@ -242,7 +242,7 @@ def _classed_sums(draw):
         den = draw(st.integers(1, 6))
         coeffs = {k: Q(c, den) for k, c in enumerate(nums, start=v + 1)}
         coeffs[v] = Q(draw(_nonzero), den)
-        return HSeries(coeffs, top, min_exp=min(v, 0))
+        return HSeries(coeffs, top)
 
     E = ExponentialWeightSum()
     for _ in range(draw(st.integers(1, 3))):
