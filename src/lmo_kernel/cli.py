@@ -10,7 +10,9 @@ Exit code is 0 iff every check requested by the invocation passed; a
 knot or expansion-data file that cannot be read or parsed (including a
 lattice vector without rank-many integer coordinates), framing 0, a
 file knot without ``--qdata`` for the perturbative side, order 0, a
-``verify`` order below 1, a negative ``compare --valid-degree``, or an
+``compute`` or ``compare`` order above ``pipeline.MAX_ORDER`` (the
+largest the vertex cap admits), a ``verify`` order below 1, a negative
+``compare --valid-degree``, or an
 input the kernel rejects (structural, series, pole, Lie-data or
 root-system error), prints one JSON line ``{"error": ...}`` to stderr
 and exits 2.
@@ -28,6 +30,7 @@ from .liews import LieDataError
 from .pipeline import (
     _SUITES,
     LIE_LABELS,
+    MAX_ORDER,
     ComparisonReport,
     InputError,
     SurgeryInput,
@@ -113,6 +116,9 @@ def _run(args: argparse.Namespace) -> int:
     # of perfbench/test_perfbench.py relies on that.
     if args.order == 0:
         raise InputError(f"{args.command} needs a nonzero --order, got 0")
+    if args.command != "taupg" and args.order > MAX_ORDER:
+        raise InputError(f"{args.command} needs --order <= {MAX_ORDER}, the "
+                         f"largest the vertex cap admits, got {args.order}")
     # only compare takes --valid-degree
     inp = SurgeryInput(args.knot, args.framing,
                        getattr(args, "valid_degree", None))

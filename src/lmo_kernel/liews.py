@@ -1,4 +1,11 @@
-"""Lie-algebra weight systems as exact sparse tensor-network contraction.
+"""Lie-algebra weight systems: exact sparse tensor-network contraction
+for open diagrams, the gl_N state sum for closed ones.
+
+A closed diagram weighs a scalar.  For sl_n it is read off an integer
+polynomial in N, computed once per connected component by the gl_N state
+sum (``gl_polynomial``) and shared by every n; the contraction below
+stays the weight of open diagrams, and the oracle the state sum is
+tested against.
 
 A diagram maps to a symmetric tensor: one copy of the structure tensor
 per trivalent vertex (indices in the cyclic order), one copy of the
@@ -30,6 +37,7 @@ from math import factorial
 # perfbench/test_perfbench.py checks that the tracer wraps this binding
 from .diagrams import (  # noqa: F401
     CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize)
+from .balg import theta
 from .qseries import HSeries
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -70,6 +78,7 @@ class LieAlgebraData:
     gram_inv: Matrix
     f_low: dict                       # (a, b, c) -> b([x_a, x_b], x_c)
     cartan_idx: tuple[int, ...]       # basis positions of H_1..H_rank
+    sl_n: int | None                  # n if the algebra is sl_n, else None
 
     def cartan_vector(self, root_coords) -> tuple[Fraction, ...]:
         """Coordinates in g of the element representing a weight given in
@@ -104,7 +113,8 @@ def build_sl(n: int) -> LieAlgebraData:
 
     Only the basis is listed, as sparse matrices {(row, col): entry};
     the Gram matrix and the structure tensor are traces of products,
-    contracted by ``_contract_pair``."""
+    contracted by ``_contract_pair``.  ``sl_n`` records n, at which
+    closed diagrams weigh their gl_N polynomials."""
     if not 2 <= n <= 4:
         raise LieDataError("only sl_2..sl_4 are built in at desk scale")
 
@@ -140,9 +150,15 @@ def build_sl(n: int) -> LieAlgebraData:
     # ... and the Jacobi identity, checked on the structure tensor.
     _check_jacobi(gram_inv, f_low)
 
-    return LieAlgebraData(
+    g = LieAlgebraData(
         label=f"sl{n}", dim=dim, rank=n - 1, gram=gram, gram_inv=gram_inv,
-        f_low=f_low, cartan_idx=tuple(range(n - 1)))
+        f_low=f_low, cartan_idx=tuple(range(n - 1)), sl_n=n)
+    # closed weights come from the gl_n state sum, open ones from this
+    # data: the two must agree on theta, the normalization of the form
+    if contract_diagram(theta(), g) != {
+            (): Fraction(_evaluate(gl_polynomial(theta()), n))}:
+        raise LieDataError("state sum and structure tensor disagree")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +289,97 @@ def brute_force_contract(d: JacobiDiagram, g: LieAlgebraData
     return out
 
 
+# ---------------------------------------------------------------------------
+# closed diagrams: the gl_N state sum
+# ---------------------------------------------------------------------------
+
+def gl_polynomial(d: JacobiDiagram) -> dict[int, int]:
+    """The gl_N weight of a closed diagram as {exponent of N: coefficient}.
+
+    With the trace form and the dual bases E_ij, E_ji, a vertex with
+    slots (a, b, c) weighs tr(abc) - tr(acb): the ribbon vertex of its
+    cyclic order minus that of the reversed one.  A state s in {+1, -1}^t
+    picks one of the two at every vertex and weighs sign(s) N^c, c the
+    number of boundary cycles of the ribbon surface: the cycles of
+    port -> sigma_s(alpha(port)), alpha the edge involution and sigma_s
+    the slot rotation, forward at + vertices and backward at - ones.
+    Flipping every vertex gives the mirror surface, with the same cycles
+    and, t being even, the same sign; so vertex 0 stays at + and the sum
+    is doubled.  The states are a depth-first search over the vertices:
+    choosing a vertex's state sets the images of the three ports glued to
+    its slots, joining open paths of the permutation or closing cycles.
+    The u(1) part of gl_N is central, so this is the sl_N weight.
+    """
+    if d.m:
+        raise LieDataError("the state sum weighs closed diagrams only")
+    t = d.t
+    if t == 0:
+        return {0: 1}
+    alpha = [0] * (3 * t)
+    for (pv, ps), (qv, qs) in d.edges:
+        alpha[3 * pv + ps], alpha[3 * qv + qs] = 3 * qv + qs, 3 * pv + ps
+    start = list(range(3 * t))  # first port of the open path ending here
+    end = list(range(3 * t))    # last port of the open path starting here
+    coeffs: dict[int, int] = {}
+
+    def visit(v: int, sign: int, cycles: int) -> None:
+        if v == t:
+            coeffs[cycles] = coeffs.get(cycles, 0) + 2 * sign
+            return
+        for turn in ((1, 2) if v else (1,)):
+            undo = []
+            closed = cycles
+            for i in range(3):
+                p, q = alpha[3 * v + i], 3 * v + (i + turn) % 3
+                a, b = start[p], end[q]
+                if a == q:
+                    closed += 1
+                else:
+                    undo.append((a, end[a], b, start[b]))
+                    end[a], start[b] = b, a
+            visit(v + 1, sign if turn == 1 else -sign, closed)
+            for a, ea, b, sb in reversed(undo):
+                end[a], start[b] = ea, sb
+
+    visit(0, 1, 0)
+    return {k: c for k, c in sorted(coeffs.items()) if c}
+
+
+_GL_POLYNOMIALS: dict[tuple, dict[int, int]] = {}
+
+
+def closed_weight(form: CanonicalForm, n: int) -> int:
+    """The sl_n weight of a closed canonical form: the product over its
+    connected components of their gl_N polynomials at N = n, each
+    computed once per component serial, whatever the algebra."""
+    out = 1
+    for comp in form.components:
+        poly = _GL_POLYNOMIALS.get(comp)
+        if poly is None:
+            poly = gl_polynomial(CanonicalForm((comp,)).diagram())
+            _GL_POLYNOMIALS[comp] = poly
+        out *= _evaluate(poly, n)
+    return out
+
+
+def _evaluate(poly: dict[int, int], n: int) -> int:
+    return sum(c * n ** k for k, c in poly.items())
+
+
 _WEIGHT_CACHE: dict[tuple[str, CanonicalForm], dict] = {}
 
 
-def _cached_contract(form: CanonicalForm, g: LieAlgebraData) -> dict:
+def _cached_weight(form: CanonicalForm, g: LieAlgebraData) -> dict:
+    """Weight tensor of a form: for sl_n a closed form weighs its state
+    sum, anything else is contracted."""
     key = (g.label, form)
     hit = _WEIGHT_CACHE.get(key)
     if hit is None:
-        hit = contract_diagram(form.diagram(), g)
+        if form.m == 0 and g.sl_n is not None:
+            w = closed_weight(form, g.sl_n)
+            hit = {(): Fraction(w)} if w else {}
+        else:
+            hit = contract_diagram(form.diagram(), g)
         _WEIGHT_CACHE[key] = hit
     return hit
 
@@ -326,7 +425,7 @@ def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> WeightTensor:
         if deg.denominator != 1:
             raise LieDataError("half-integer degree cannot occur")
         mono = HSeries({int(deg): coeff}, cap)
-        for key, val in _cached_contract(form, g).items():
+        for key, val in _cached_weight(form, g).items():
             out.add(key, mono.scale(val))
     return out
 

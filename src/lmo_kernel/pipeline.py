@@ -20,10 +20,15 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import balg, liews, rootsys
-from .diagrams import EMPTY_FORM, DiagramSeries, StructuralError, series_of
+from .diagrams import (
+    EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
 from .qseries import HSeries, modified_bernoulli, sinh_ratio
 
 LIE_LABELS = ("A1", "A2", "A3")
+
+#: Highest h-order the vertex cap admits: order k runs at imax = 2k, whose
+#: wheels reach the 2k-gon, 4k vertices with its legs.
+MAX_ORDER = MAX_VERTICES // 4
 
 
 @lru_cache(maxsize=None)
@@ -343,6 +348,11 @@ def _check_theta(order: int) -> list[CheckResult]:
         fast = liews.contract_diagram(balg.theta(), g)
         out.append(CheckResult(f"theta.contraction_agrees.{label}",
                                fast == brute))
+        state_sum = liews._evaluate(liews.gl_polynomial(balg.theta()),
+                                    g.sl_n)
+        out.append(CheckResult(
+            f"theta.state_sum_agrees.{label}", state_sum == got == expected,
+            f"P_theta({g.sl_n}) = {state_sum}"))
     return out
 
 

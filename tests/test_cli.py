@@ -176,6 +176,19 @@ def test_order_zero_is_one_error_line(capsys):
         assert "--order" in json.loads(line)["error"]
 
 
+def test_order_above_the_vertex_cap_is_one_error_line(capsys):
+    # the wheels at order 7 have 28 vertices; the cap is 24
+    assert pipeline.MAX_ORDER == 6
+    for command in ("compute", "compare"):
+        assert main([command, "--framing", "2", "--lie", "A1",
+                     "--order", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        error = json.loads(line)["error"]
+        assert "--order" in error and "6" in error
+
+
 @pytest.mark.parametrize("order", ("0", "-5"))
 def test_verify_order_below_one_is_one_error_line(capsys, order):
     assert main(["verify", "--suite", "bernoulli", "--order", order]) == 2

@@ -6,11 +6,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lie_oracle
+from lmo_kernel import liews
 from lmo_kernel.balg import fg_integral, partial, strut, theta, wheel
-from lmo_kernel.diagrams import JacobiDiagram, series_of
+from lmo_kernel.diagrams import JacobiDiagram, canonicalize, series_of
 from lmo_kernel.liews import (
     LieDataError,
     WeightTensor,
@@ -18,17 +19,20 @@ from lmo_kernel.liews import (
     _mat_inv,
     brute_force_contract,
     build_sl,
+    closed_weight,
     contract_diagram,
     exp_tensor,
     gaussian_eval,
+    gl_polynomial,
     hat_weight,
     wick,
 )
-from lmo_kernel.pipeline import hat_scalar
+from lmo_kernel.pipeline import SurgeryInput, hat_scalar, reduced_input
 from lmo_kernel.qseries import HSeries, q_power
 
 sl2 = build_sl(2)
 sl3 = build_sl(3)
+sl4 = build_sl(4)
 
 
 class TestBuild:
@@ -45,6 +49,18 @@ class TestBuild:
     def test_out_of_range(self):
         with pytest.raises(LieDataError):
             build_sl(5)
+
+    def test_records_n(self):
+        assert (sl2.sl_n, sl3.sl_n, sl4.sl_n) == (2, 3, 4)
+
+    def test_state_sum_off_the_structure_data_rejected(self, monkeypatch):
+        # a state sum one power of N too low no longer weighs theta as
+        # the structure tensor does
+        true_poly = liews.gl_polynomial
+        monkeypatch.setattr(liews, "gl_polynomial", lambda d: {
+            k - 1: c for k, c in true_poly(d).items()})
+        with pytest.raises(LieDataError):
+            build_sl.__wrapped__(3)
 
     def test_cartan_pairing_matches_root_form(self):
         # (t_a, t_b) = symmetrized Cartan matrix entries
@@ -188,6 +204,83 @@ class TestContraction:
         brute = brute_force_contract(d, sl2)
         assert contract_diagram(d, sl2) == brute
         assert contract_diagram(d, sl2, random.Random(seed)) == brute
+
+
+def _ports(t: int) -> list:
+    return [(v, s) for v in range(t) for s in range(3)]
+
+
+def _closed(ports: list) -> JacobiDiagram:
+    """The closed diagram gluing consecutive pairs of ``ports``."""
+    return JacobiDiagram(len(ports) // 3, 0,
+                         tuple(zip(ports[::2], ports[1::2])))
+
+
+def _at(poly: dict, n: int) -> int:
+    return sum(c * n ** k for k, c in poly.items())
+
+
+# theta beside theta; a dumbbell (two tadpoles); a connected, loop-free
+# diagram with an orientation-odd automorphism
+_TWO_THETAS = [(0, 0), (1, 0), (0, 1), (1, 2), (0, 2), (1, 1),
+               (2, 0), (3, 0), (2, 1), (3, 2), (2, 2), (3, 1)]
+_DUMBBELL = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+_AS_ZERO = [(0, 2), (5, 0), (1, 1), (3, 0), (2, 0), (1, 2), (3, 1), (1, 0),
+            (3, 2), (2, 2), (4, 0), (2, 1), (4, 1), (0, 0), (4, 2), (5, 1),
+            (5, 2), (0, 1)]
+
+
+class TestStateSum:
+    """Closed sl_n weights from the gl_N state sum against the tensor
+    contraction."""
+
+    def test_theta_polynomial(self):
+        assert gl_polynomial(theta()) == {3: 2, 1: -2}   # 2N^3 - 2N
+
+    def test_examples_are_what_they_claim(self):
+        assert closed_weight(canonicalize(_closed(_TWO_THETAS)).form, 3) \
+            == 48 ** 2
+        assert canonicalize(_closed(_DUMBBELL)).is_zero
+        assert canonicalize(_closed(_AS_ZERO)).is_zero
+        assert all(p[0] != q[0] for p, q in _closed(_AS_ZERO).edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda k: st.permutations(_ports(2 * k))))
+    @example(_TWO_THETAS)
+    @example(_DUMBBELL)
+    @example(_AS_ZERO)
+    def test_random_closed_diagram_matches_contraction(self, ports):
+        # any perfect matching of the ports of t <= 8 vertices: parts
+        # side by side, tadpoles, diagrams equal to their negatives
+        d = _closed(ports)
+        cd = canonicalize(d)
+        for g in (sl2, sl3, sl4) if d.t <= 6 else (sl2, sl3):
+            want = contract_diagram(d, g).get((), 0)
+            assert _at(gl_polynomial(d), g.sl_n) == want
+            got = 0 if cd.is_zero else cd.sign * closed_weight(cd.form,
+                                                                g.sl_n)
+            assert got == want
+
+    def test_every_closed_form_of_the_compare_matrix(self):
+        # the Gaussian integrals of the compare matrix (A1, A2 at orders
+        # 2..4, A3 at 2..3, five framings) depend on framing and order
+        # only; their forms are weighed for sl_2, sl_3 and sl_4 alike
+        forms = set()
+        for f in (1, -1, 2, -2, 3):
+            for order in (2, 3, 4):
+                inp = SurgeryInput("unknot", f)
+                forms |= set(fg_integral(reduced_input(inp, 2 * order),
+                                         f).terms)
+        assert max(form.t for form in forms) == 8
+        for g in (sl2, sl3, sl4):
+            for form in forms:
+                assert form.m == 0
+                assert closed_weight(form, g.sl_n) == \
+                    contract_diagram(form.diagram(), g).get((), 0)
+
+    def test_open_diagram_rejected(self):
+        with pytest.raises(LieDataError):
+            gl_polynomial(wheel(1))
 
 
 class TestIHX:

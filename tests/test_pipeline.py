@@ -23,7 +23,7 @@ from lmo_kernel.pipeline import (
     verify_suite,
 )
 from lmo_kernel.qseries import HSeries
-from lmo_kernel import balg, cli, pipeline, qseries
+from lmo_kernel import balg, cli, liews, pipeline, qseries
 
 
 def test_public_names_resolve():
@@ -172,6 +172,11 @@ class TestCompare:
         assert rep.routes_equal and rep.equal
 
     @pytest.mark.parametrize("f", (-1, 2))
+    def test_main_equality_a3_order_five(self, f):
+        rep = compare(SurgeryInput("unknot", f), "A3", 5)
+        assert rep.routes_equal and rep.equal and rep.certified_order == 5
+
+    @pytest.mark.parametrize("f", (-1, 2))
     def test_main_equality_a1_order_five(self, f):
         rep = compare(SurgeryInput("unknot", f), "A1", 5)
         assert rep.routes_equal and rep.equal
@@ -207,4 +212,16 @@ class TestVerifySuite:
         assert all(r.passed for r in verify_suite("weyl"))
 
     def test_theta_suite(self):
-        assert all(r.passed for r in verify_suite("theta"))
+        results = verify_suite("theta")
+        assert all(r.passed for r in results)
+        assert {"theta.state_sum_agrees.A1", "theta.state_sum_agrees.A2"} \
+            <= {r.name for r in results}
+
+    def test_theta_state_sum_check_sees_a_wrong_state_sum(self, monkeypatch):
+        true_poly = liews.gl_polynomial
+        monkeypatch.setattr(liews, "gl_polynomial", lambda d: {
+            k: 2 * c for k, c in true_poly(d).items()})
+        passed = {r.name: r.passed for r in verify_suite("theta")}
+        assert passed["theta.state_sum_agrees.A1"] is False
+        assert passed["theta.state_sum_agrees.A2"] is False
+        assert passed["theta.contraction_agrees.A1"] is True

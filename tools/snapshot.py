@@ -5,9 +5,12 @@ outputs of two checkouts compare with ``cmp``:
     python3 tools/snapshot.py OUT
 
 The matrix: ``compare`` and ``taupg`` for A1/A2 x framings {1, -1, 2, -2, 3}
-x orders 2..4 and A3 x the same framings x orders 2..3, two ``compute``
-runs, ``verify --suite all --order 4``, and ``compare`` on omega(8) as a
-knot file, with and without ``--qdata``.
+x orders 2..4 and A3 x the same framings x orders 2..3, ``compare`` for
+A2 and A3 at framing 2 and order 5 (closed diagrams with up to 10
+trivalent vertices), two ``compute`` runs, ``compare`` and ``compute`` at
+order 7 (above the largest order the vertex cap admits),
+``verify --suite all --order 4``, and ``compare`` on omega(8) as a knot
+file, with and without ``--qdata``.
 """
 
 import contextlib
@@ -33,10 +36,14 @@ def commands() -> list[list[str]]:
                                 "--order", str(n)])
     knot = ["compare", "--knot", "omega8.json", "--lie", "A1", "--framing",
             "2", "--order", "4"]
+    for lie in ("A2", "A3"):
+        out.append(["compare", "--lie", lie, "--framing", "2", "--order", "5"])
     return out + [
         ["compute", "--route", "both", "--lie", "A1", "--framing", "2",
          "--order", "3"],
         ["compute", "--lie", "A2", "--framing", "-2", "--order", "3"],
+        ["compare", "--lie", "A1", "--framing", "2", "--order", "7"],
+        ["compute", "--lie", "A1", "--framing", "2", "--order", "7"],
         ["verify", "--suite", "all", "--order", "4"],
         knot, knot + ["--qdata", "qdata.json"],
     ]
