@@ -38,7 +38,7 @@ from math import factorial
 from .diagrams import (  # noqa: F401
     CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize)
 from .balg import theta
-from .qseries import HSeries
+from .qseries import ZERO, HSeries, sum_products
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -441,27 +441,26 @@ def wick(T: WeightTensor, g: LieAlgebraData, f) -> HSeries:
 
     def haf(key: tuple) -> Fraction:
         hit = memo.get(key)
-        if hit is not None:
-            return hit
-        a, rest = key[0], key[1:]
-        total = Fraction(0)
-        for i in range(len(rest)):
-            w = g.gram[a][rest[i]]
-            if w:
-                total += w * haf(rest[:i] + rest[i + 1:])
-        memo[key] = total
-        return total
+        if hit is None:
+            row, rest = g.gram[key[0]], key[1:]
+            hit = memo[key] = sum_products(
+                (None, row[b], haf(rest[:i] + rest[i + 1:]))
+                for i, b in enumerate(rest) if row[b]).get(None, ZERO)
+        return hit
 
-    out = HSeries.zero(T.cap)
+    # an even term of 2k slots adds series * haf * (-1/f)^k * h^k
+    parts = []
     for key, series in T.terms.items():
-        k2 = len(key)
-        if k2 % 2 == 1:
-            continue
-        k = k2 // 2
-        weight = haf(key) * (Fraction(-1) / f) ** k
-        if weight:
-            out = out + series.scale(weight).shift(k)
-    return out
+        if len(key) % 2 == 0:
+            k = len(key) // 2
+            weight = haf(key) * (-1 / f) ** k
+            if weight:
+                parts.append((series, k, weight))
+    cap = min([T.cap] + [series.cap + k for series, k, _ in parts])
+    return HSeries(sum_products((e + k, c, weight)
+                                for series, k, weight in parts
+                                for e, c in series.coeffs.items()
+                                if e + k <= cap), cap)
 
 
 def leg_rescaled(T: WeightTensor) -> WeightTensor:

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
-from .qseries import HSeries, modified_bernoulli, sinh_ratio
+from .qseries import HSeries, modified_bernoulli, series_sum, sinh_ratio
 
 LIE_LABELS = ("A1", "A2", "A3")
 
@@ -421,16 +421,21 @@ def _check_gauss(order: int) -> list[CheckResult]:
     """Gaussian contraction of the squared alternating Weyl sum, through
     the tensor machinery, against the closed product form."""
     cap = max(order, 6)
+    framings = (2, 3, -2)
     out = []
     for label in ("A1", "A2"):
         rs, g = lie_pair(label)
-        for f in (2, 3, -2):
-            total = HSeries.zero(cap)
-            for beta, sw in rs.weyl:
-                for beta2, sw2 in rs.weyl:
-                    vec = g.cartan_vector(rootsys._add(beta, beta2))
-                    tensor = liews.exp_tensor(g, vec, jmax=cap, cap=cap)
-                    total = total + liews.wick(tensor, g, f).scale(sw * sw2)
+        # one tensor per Weyl pair, contracted at every framing
+        parts: dict[int, list[HSeries]] = {f: [HSeries.zero(cap)]
+                                           for f in framings}
+        for beta, sw in rs.weyl:
+            for beta2, sw2 in rs.weyl:
+                vec = g.cartan_vector(rootsys._add(beta, beta2))
+                tensor = liews.exp_tensor(g, vec, jmax=cap, cap=cap)
+                for f in framings:
+                    parts[f].append(liews.wick(tensor, g, f).scale(sw * sw2))
+        for f in framings:
+            total = series_sum(parts[f])
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)
             out.append(CheckResult(f"gauss.weyl_square.{label}.f={f}",
                                    total == closed))

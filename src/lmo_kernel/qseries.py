@@ -6,6 +6,14 @@ package), and its truncation cap.  Arithmetic between series of
 different precision degrades explicitly instead of silently: the
 result's cap is the largest order at which the result is still fully
 determined by the inputs.
+
+Sums accumulate on integers: ``sum_products`` adds the numerators of
+products of rationals that share a denominator and reduces each sum to
+one ``Fraction`` only at the end, so no gcd is taken per term.  Every
+stored value (a coefficient, a sum handed back) is a reduced
+``Fraction``.  The series product, ``exp``, ``inverse`` and
+``series_sum`` are built on it, and so are the hot sums of ``rootsys``
+and ``liews``.
 """
 
 from __future__ import annotations
@@ -13,13 +21,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Hashable, Iterable, Mapping
 
 #: Deepest pole any series may carry.  Intermediate data in the
 #: perturbative-invariant computation is polar of depth 2 * (number of
 #: positive roots) before prefactor multiplication; 64 leaves ample room
 #: at desk scale.
 POLE_CAP = 64
+
+
+ZERO = Fraction(0)
 
 
 class PoleError(ArithmeticError):
@@ -108,14 +119,9 @@ class HSeries:
         va = self.cap + 1 if va is None else va
         vb = other.cap + 1 if vb is None else vb
         cap = min(self.cap + vb, other.cap + va)
-        out: dict[int, Fraction] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k > cap:
-                    continue
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return HSeries(out, cap)
+        return HSeries(sum_products(
+            (i + j, a, b) for i, a in self.coeffs.items()
+            for j, b in other.coeffs.items() if i + j <= cap), cap)
 
     def scale(self, c) -> "HSeries":
         c = _as_rational(c)
@@ -142,11 +148,11 @@ class HSeries:
         if v < 1:
             raise SeriesError("exp requires valuation >= 1")
         # e = exp(a) solves e' = a' e:  n e_n = sum_k k a_k e_(n-k)
-        a = sorted(self.coeffs.items())
+        ka = [(k, k * c) for k, c in sorted(self.coeffs.items())]
         e = [Fraction(1)]
         for n in range(1, self.cap + 1):
-            e.append(sum((k * c * e[n - k] for k, c in a if k <= n),
-                         Fraction(0)) / n)
+            e.append(sum_products((None, kc, e[n - k]) for k, kc in ka
+                                  if k <= n).get(None, ZERO) / n)
         return HSeries(dict(enumerate(e)), self.cap)
 
     def inverse(self) -> "HSeries":
@@ -155,13 +161,14 @@ class HSeries:
         if v is None:
             raise ZeroDivisionError("inverse of the zero series")
         # self = h^v (a_0 + a_1 h + ...) with a_0 != 0; its inverse is
-        # h^-v (b_0 + b_1 h + ...) with b_n = -(1/a_0) sum_i a_i b_(n-i)
+        # h^-v (b_0 + b_1 h + ...) with b_n = sum_i (-a_i/a_0) b_(n-i)
         lead = self.coeffs[v]
-        rest = sorted((k - v, c) for k, c in self.coeffs.items() if k > v)
+        rest = sorted((k - v, -c / lead) for k, c in self.coeffs.items()
+                      if k > v)
         b = [1 / lead]
         for n in range(1, self.cap - v + 1):
-            b.append(-sum((c * b[n - i] for i, c in rest if i <= n),
-                          Fraction(0)) / lead)
+            b.append(sum_products((None, c, b[n - i]) for i, c in rest
+                                  if i <= n).get(None, ZERO))
         return HSeries({n - v: c for n, c in enumerate(b)}, self.cap - 2 * v)
 
     # -- comparison / io ----------------------------------------------
@@ -197,6 +204,42 @@ class HSeries:
         if any(k < min_exp for k in out.coeffs):
             raise SeriesError("coefficient below declared min_exp")
         return out
+
+
+def sum_products(terms: Iterable[tuple[Hashable, Fraction | int,
+                                        Fraction | int]]
+                 ) -> dict[Hashable, Fraction]:
+    """Exact sums of products: {key: the sum of x * y over the terms
+    (key, x, y)}, nonzero sums only.  A plain sum passes y = 1.
+
+    No product is reduced on its own.  Its integer numerator is added to
+    those of the same key and the same denominator; each key's sum is
+    reduced to one ``Fraction`` at the end, over the least common
+    multiple of its denominators.
+    """
+    acc: dict[Hashable, dict[int, int]] = {}
+    for key, x, y in terms:
+        den = x.denominator * y.denominator
+        by_den = acc.get(key)
+        if by_den is None:
+            acc[key] = {den: x.numerator * y.numerator}
+        else:
+            by_den[den] = by_den.get(den, 0) + x.numerator * y.numerator
+    out: dict[Hashable, Fraction] = {}
+    for key, by_den in acc.items():
+        lcm = math.lcm(*by_den)
+        num = sum(n * (lcm // d) for d, n in by_den.items())
+        if num:
+            out[key] = Fraction(num, lcm)
+    return out
+
+
+def series_sum(series: list[HSeries]) -> HSeries:
+    """The sum of one or more series, known up to the smallest cap."""
+    cap = min(s.cap for s in series)
+    return HSeries(sum_products((k, c, 1) for s in series
+                                for k, c in s.coeffs.items() if k <= cap),
+                   cap)
 
 
 def q_power(c, cap: int) -> HSeries:

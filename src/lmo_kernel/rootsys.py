@@ -17,12 +17,14 @@ exponential presentation is canonical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .qseries import HSeries, PoleError, q_power, sinh_ratio
+from .qseries import (
+    ZERO, HSeries, PoleError, q_power, series_sum, sinh_ratio, sum_products)
 
 Vec = tuple[Fraction, ...]
 
@@ -54,10 +56,11 @@ class RootSystem:
     weyl: tuple[tuple[Vec, int], ...]   # sorted (w(rho), sign w)
 
     def inner(self, x, y) -> Fraction:
-        xs = [(i, Fraction(a)) for i, a in enumerate(x) if a]
-        ys = [(j, Fraction(b)) for j, b in enumerate(y) if b]
-        return sum((self.gram[i][j] * a * b for i, a in xs for j, b in ys
-                    if self.gram[i][j]), Fraction(0))
+        # x . (G y), with (G y)_i summed first (G is symmetric)
+        gy = sum_products((i, g, b) for j, b in enumerate(y) if b
+                          for i, g in enumerate(self.gram[j]) if g)
+        return sum_products((None, a, gy[i]) for i, a in enumerate(x)
+                            if i in gy).get(None, ZERO)
 
     def norm_sq(self, x) -> Fraction:
         return self.inner(x, x)
@@ -243,15 +246,14 @@ def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
     one norm class are summed first and integrated together."""
     f = Fraction(f)
     P = rs.num_pos
-    classes: dict[Fraction, HSeries] = {}
+    classes: dict[Fraction, list[HSeries]] = {}
     for beta, g in E.terms.items():
-        bsq = rs.norm_sq(beta)
-        classes[bsq] = g + classes[bsq] if bsq in classes else g
-    out = HSeries.zero(cap)
-    for bsq, g in classes.items():
+        classes.setdefault(rs.norm_sq(beta), []).append(g)
+    out = [HSeries.zero(cap)]
+    for bsq, gs in classes.items():
         gauss = q_power(-bsq / (2 * f), cap + 2 * P)
-        out = out + (g * gauss).truncate(cap)
-    return out
+        out.append((series_sum(gs) * gauss).truncate(cap))
+    return series_sum(out)
 
 
 def double_factorial(n: int) -> int:
@@ -266,29 +268,24 @@ def _gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
                         f, cap: int) -> HSeries:
     """Independent route through the extracted c-coefficients:
     sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j), with the
-    [h^k] g_beta of one norm class summed before the j loop."""
-    import math
+    [h^k] g_beta of one norm class summed before the j loop.
+
+    The class sum b_k of [h^k] g_beta gives c_{beta,2j,k+2j} summed over
+    the class as b_k / (2j)!, so [h^k] of the class meets the per-class
+    weight (2j-1)!! (-|beta|^2/f)^j / (2j)! at h^(k+j)."""
     f = Fraction(f)
-    classes: dict[Fraction, dict[int, Fraction]] = {}
+    classes: dict[Fraction, list[HSeries]] = {}
     for beta, g in E.terms.items():
-        base = classes.setdefault(rs.norm_sq(beta), {})
-        for k, c in g.coeffs.items():
-            base[k] = base.get(k, Fraction(0)) + c
-    coeffs: dict[int, Fraction] = {}
-    for bsq, base in classes.items():
-        for k, b in base.items():
-            if b == 0:
-                continue
-            j = 0
-            while k + j <= cap:
-                n = k + 2 * j
-                c = b / math.factorial(2 * j)   # class sum of c_{beta,2j,n}
-                term = c * double_factorial(2 * j - 1) * (-bsq / f) ** j
-                if term:
-                    e = n - j
-                    coeffs[e] = coeffs.get(e, Fraction(0)) + term
-                j += 1
-    return HSeries(coeffs, cap)
+        classes.setdefault(rs.norm_sq(beta), []).append(g)
+    terms = []
+    for bsq, gs in classes.items():
+        bs = sum_products((k, c, 1) for g in gs for k, c in g.coeffs.items())
+        x = -bsq / f
+        weights = [double_factorial(2 * j - 1) * x ** j / math.factorial(2 * j)
+                   for j in range(cap - min(bs, default=cap) + 1)]
+        terms += ((k + j, b, w) for k, b in bs.items() if k <= cap
+                  for j, w in enumerate(weights[:cap - k + 1]))
+    return HSeries(sum_products(terms), cap)
 
 
 def tau_pg(rs: RootSystem, E: ExponentialWeightSum, f: int,

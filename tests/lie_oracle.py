@@ -7,13 +7,16 @@ Jacobi identity is checked on the matrices themselves.  It is slow
 the tests compare ``liews.build_sl`` against it.
 
 ``pure_power_wick_check`` is the closed form of the Gaussian contraction
-of a 2j-th tensor power; it serves the Wick tests.
+of a 2j-th tensor power; it serves the Wick tests.  ``wick`` is the Wick
+operator with its hafnian summed one ``Fraction`` step at a time and its
+terms added as series, the oracle of ``liews.wick``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from lmo_kernel.liews import LieDataError
 from lmo_kernel.qseries import HSeries
 from lmo_kernel.rootsys import double_factorial
 
@@ -92,3 +95,36 @@ def pure_power_wick_check(j: int, beta_sq, f, cap: int) -> HSeries:
     return HSeries({j: double_factorial(2 * j - 1) * (-beta_sq / f) ** j},
                    cap)
 
+
+def wick(T, g, f) -> HSeries:
+    """Gaussian contraction: sum over perfect matchings of the slots of
+    each term, each matched pair weighing -h/f times the lowered-form
+    pairing; odd-slot terms vanish, the scalar part passes through."""
+    f = Fraction(f)
+    if f == 0:
+        raise LieDataError("Gaussian operator needs nonzero framing")
+    memo: dict[tuple, Fraction] = {(): Fraction(1)}
+
+    def haf(key: tuple) -> Fraction:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        a, rest = key[0], key[1:]
+        total = Fraction(0)
+        for i in range(len(rest)):
+            w = g.gram[a][rest[i]]
+            if w:
+                total += w * haf(rest[:i] + rest[i + 1:])
+        memo[key] = total
+        return total
+
+    out = HSeries.zero(T.cap)
+    for key, series in T.terms.items():
+        k2 = len(key)
+        if k2 % 2 == 1:
+            continue
+        k = k2 // 2
+        weight = haf(key) * (Fraction(-1) / f) ** k
+        if weight:
+            out = out + series.scale(weight).shift(k)
+    return out

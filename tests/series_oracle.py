@@ -1,5 +1,8 @@
 """Test-only oracles for the series fast paths.
 
+``sum_products`` and ``mul`` add ``Fraction``s one term at a time, as
+the kernel did before its sums accumulated integer numerators; they are
+the oracles of ``qseries.sum_products`` and ``HSeries.__mul__``.
 ``exp`` and ``inverse`` are the power-loop and geometric-series versions
 of ``HSeries.exp`` / ``HSeries.inverse`` (O(n^3) in the cap), written as
 functions of the series (``self``).  ``gaussian_on_exponentials`` and
@@ -16,6 +19,34 @@ from lmo_kernel.rootsys import (
     RootSystem,
     double_factorial,
 )
+
+
+def sum_products(terms) -> dict:
+    """{key: sum(x * y, Fraction(0)) over the terms (key, x, y)}, nonzero
+    sums only."""
+    products: dict = {}
+    for key, x, y in terms:
+        products.setdefault(key, []).append(Fraction(x) * Fraction(y))
+    sums = {key: sum(xs, Fraction(0)) for key, xs in products.items()}
+    return {key: v for key, v in sums.items() if v}
+
+
+def mul(self: HSeries, other: HSeries) -> HSeries:
+    """Series product, one ``Fraction`` product and sum per pair of
+    coefficients."""
+    va = self.valuation()
+    vb = other.valuation()
+    va = self.cap + 1 if va is None else va
+    vb = other.cap + 1 if vb is None else vb
+    cap = min(self.cap + vb, other.cap + va)
+    out: dict[int, Fraction] = {}
+    for i, a in self.coeffs.items():
+        for j, b in other.coeffs.items():
+            k = i + j
+            if k > cap:
+                continue
+            out[k] = out.get(k, Fraction(0)) + a * b
+    return HSeries(out, cap)
 
 
 def exp(self: HSeries) -> HSeries:

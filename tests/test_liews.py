@@ -425,6 +425,31 @@ class TestWick:
             wick(_plain_tensor(strut(), sl2, 2), sl2, 0)
 
 
+@st.composite
+def _weight_tensors(draw):
+    """(T, g, f): a tensor over sl_2 or sl_3 with a few keys of up to six
+    slots, repeated indices included, each with a series of its own cap
+    and its own denominators."""
+    g = draw(st.sampled_from([sl2, sl3]))
+    cap = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = tuple(sorted(draw(st.lists(st.integers(0, g.dim - 1),
+                                         max_size=6))))
+        top = draw(st.integers(cap - 6, cap))
+        coeffs = {k: Q(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+                  for k in range(top - 3, top + 1)}
+        terms[key] = HSeries(coeffs, top)
+    f = draw(st.sampled_from([1, -1, 2, -2, 3, Q(3, 2), Q(-5, 3)]))
+    return WeightTensor(terms, cap), g, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weight_tensors())
+def test_wick_matches_fraction_hafnian_oracle(case):
+    assert wick(*case) == lie_oracle.wick(*case)
+
+
 class TestBridge:
     def test_gluing_matches_gaussian(self):
         w2 = series_of(wheel(1), 8)

@@ -15,6 +15,7 @@ from lmo_kernel.qseries import (
     modified_bernoulli,
     q_power,
     sinh_ratio,
+    sum_products,
 )
 
 
@@ -232,3 +233,67 @@ def test_inverse_matches_geometric_series_oracle(s):
 def test_json_round_trip_randomized(s):
     assert HSeries.from_json(json.loads(json.dumps(s.to_json()))) == s
     assert s.to_json()["min_exp"] == min(s.valuation() or 0, 0)
+
+
+# negative denominators, pairwise-coprime ones and ones sharing factors
+_den = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 35, -1, -3, -10])
+_q = st.builds(Q, st.integers(-30, 30), _den)
+_factor = st.one_of(_q, st.integers(-5, 5))
+_terms = st.lists(st.tuples(st.integers(0, 3), _factor, _factor),
+                  max_size=24)
+
+
+class TestSumProducts:
+    def test_empty_input(self):
+        assert sum_products([]) == {}
+        assert sum_products(iter(())) == {}
+
+    def test_exact_cancellation_drops_the_key(self):
+        terms = [(0, Q(1, 6), 1), (0, Q(1, 3), 1), (0, Q(-1, 2), 1),
+                 (1, 2, Q(1, 3))]
+        assert sum_products(terms) == {1: Q(2, 3)}
+
+    def test_coprime_denominators(self):
+        terms = [("a", Q(1, 2), 1), ("a", Q(1, 3), 1), ("a", Q(2, 5), Q(1, 2))]
+        assert sum_products(terms) == {"a": Q(31, 30)}
+
+    def test_denominators_sharing_a_factor(self):
+        # 6/12 + 1/4 = 9/12, reduced to 3/4
+        out = sum_products([(None, Q(3, 4), Q(2, 3)), (None, Q(1, 4), 1)])
+        assert out == {None: Q(3, 4)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_terms)
+    def test_matches_fraction_sum_oracle(self, terms):
+        out = sum_products(terms)
+        assert out == series_oracle.sum_products(terms)
+        assert all(type(v) is Q and v for v in out.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_terms)
+    def test_a_sum_with_its_negation_is_empty(self, terms):
+        assert sum_products(terms + [(k, -x, y) for k, x, y in terms]) == {}
+
+
+@st.composite
+def _mixed_series(draw):
+    """A series with cap 0..14 and valuation -5..4 (or zero), each
+    coefficient over its own denominator; draws the constructor rejects
+    are discarded."""
+    cap = draw(st.integers(0, 14))
+    coeffs = {}
+    if draw(st.integers(0, 9)):
+        v = draw(st.integers(-5, 4))
+        coeffs = {k: Q(draw(st.integers(-6, 6)), draw(_den))
+                  for k in range(v + 1, cap + 1)}
+        coeffs[v] = Q(draw(st.integers(-6, 6).filter(bool)), draw(_den))
+    try:
+        return HSeries(coeffs, cap)
+    except SeriesError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_series(), _mixed_series())
+def test_mul_matches_fraction_loop_oracle(a, b):
+    assert a * b == series_oracle.mul(a, b)

@@ -28,6 +28,19 @@ A2 = build_root_system("A2")
 A3 = build_root_system("A3")
 
 
+_half_integer = st.integers(-9, 9).map(lambda n: Q(n, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([A1, A2, A3]), st.data())
+def test_inner_matches_fraction_sum_oracle(rs, data):
+    vec = st.lists(_half_integer, min_size=rs.rank, max_size=rs.rank)
+    x, y = tuple(data.draw(vec)), tuple(data.draw(vec))
+    got = rs.inner(x, y)
+    assert type(got) is Q
+    assert got == weyl_oracle.inner(rs, x, y) == rs.inner(y, x)
+
+
 class TestBuild:
     @pytest.mark.parametrize("rs,order,npos,rho_sq", [
         (A1, 2, 1, Q(1, 2)), (A2, 6, 3, Q(2)), (A3, 24, 6, Q(5))])

@@ -4,6 +4,9 @@ W is the closure of the simple reflection matrices under composition,
 s_i(e_j) = e_j - (alpha_j, alpha_i) e_i in simple-root coordinates.
 ``rootsys`` keeps only the signed orbit of rho; the tests compare that
 orbit, and the roots, against these matrices.
+
+``inner`` is the bilinear form as one ``Fraction`` sum over the Gram
+entries, the oracle of ``RootSystem.inner``.
 """
 
 from __future__ import annotations
@@ -61,3 +64,11 @@ def weyl_matrices(rs: RootSystem) -> tuple[Matrix, ...]:
                     nxt.append(ws)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+def inner(rs: RootSystem, x, y) -> Fraction:
+    """sum over i, j of gram[i][j] x_i y_j, one Fraction step a term."""
+    xs = [(i, Fraction(a)) for i, a in enumerate(x) if a]
+    ys = [(j, Fraction(b)) for j, b in enumerate(y) if b]
+    return sum((rs.gram[i][j] * a * b for i, a in xs for j, b in ys
+                if rs.gram[i][j]), Fraction(0))
