@@ -21,6 +21,7 @@ from .diagrams import (
     DiagramSeries,
     JacobiDiagram,
     StructuralError,
+    _STRUT_SERIAL,
     canonicalize,
     glue_legs,
     leg_automorphisms,
@@ -151,15 +152,15 @@ def _glue_terms(d: DiagramSeries, y: DiagramSeries, fits) -> DiagramSeries:
     """Sum of the gluing tables of every term pair whose leg counts
     satisfy ``fits(m1, m2)`` and whose glued diagram fits in ``imax``."""
     d._check_policy(y)
-    out = DiagramSeries(d.imax)
-    for f1, c1 in d.terms.items():
-        for f2, c2 in y.terms.items():
-            if not fits(f1.m, f2.m) or f1.t + f2.t > d.imax:
-                continue
-            coeff = c1 * c2
-            for form, n in _gluing_table(f1, f2):
-                out.add_form(form, coeff * n)
-    return out
+
+    def terms():
+        for f1, c1 in d.terms.items():
+            for f2, c2 in y.terms.items():
+                if fits(f1.m, f2.m) and f1.t + f2.t <= d.imax:
+                    coeff = c1 * c2
+                    for form, n in _gluing_table(f1, f2):
+                        yield form, coeff, n
+    return DiagramSeries(d.imax, terms())
 
 
 def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
@@ -180,7 +181,6 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
 
 
 def _strut_count(form) -> int:
-    from .diagrams import _STRUT_SERIAL
     return sum(1 for c in form.components if c == _STRUT_SERIAL)
 
 
@@ -206,14 +206,15 @@ def fg_integral(y: DiagramSeries, f_override: Fraction | int) -> DiagramSeries:
     if f == 0:
         raise StructuralError(
             "framing 0 is not a rational homology sphere surgery")
-    out = DiagramSeries(y.imax)
-    for form, coeff in y.terms.items():
-        if form.m % 2 == 1:
-            continue  # no perfect matching by struts
-        weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
-        for glued, n in _gluing_table(form):
-            out.add_form(glued, weight * n)
-    return out
+
+    def terms():
+        for form, coeff in y.terms.items():
+            if form.m % 2 == 1:
+                continue  # no perfect matching by struts
+            weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
+            for glued, n in _gluing_table(form):
+                yield glued, weight, n
+    return DiagramSeries(y.imax, terms())
 
 
 def wheeling(s: DiagramSeries) -> DiagramSeries:

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .qseries import ZERO, sum_products
+
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
 
@@ -445,15 +447,27 @@ def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
 class DiagramSeries:
     """Rational linear combination of canonical diagrams.
 
-    Truncation policy: terms with more than ``imax`` trivalent vertices
-    or more than ``2 * imax`` legs are dropped.
+    Built from terms (form, x, y), each adding x * y to the coefficient
+    of its form; every sum goes through ``qseries.sum_products``.
+    Truncation policy, stated once in ``fits`` and applied by the
+    constructor and ``add_form``: terms with more than ``imax``
+    trivalent vertices or more than ``2 * imax`` legs are dropped.
+    ``+`` and ``scale`` make no new form, so they apply no bound: the
+    unit keeps its empty form even at a negative ``imax``, where
+    ``balg.wheeling_inverse`` then never returns (see ``cli``).
     """
 
     __slots__ = ("terms", "imax")
 
-    def __init__(self, imax: int):
-        self.terms: dict[CanonicalForm, Fraction] = {}
+    def __init__(self, imax: int,
+                 terms: Iterable[tuple[CanonicalForm, Fraction | int,
+                                       Fraction | int]] = ()):
         self.imax = imax
+        self.terms: dict[CanonicalForm, Fraction] = sum_products(
+            (form, x, y) for form, x, y in terms if self.fits(form))
+
+    def fits(self, form: CanonicalForm) -> bool:
+        return form.t <= self.imax and form.m <= 2 * self.imax
 
     @classmethod
     def unit(cls, imax: int) -> "DiagramSeries":
@@ -466,14 +480,10 @@ class DiagramSeries:
         s.terms = dict(self.terms)
         return s
 
-    def add_form(self, form: CanonicalForm, coeff: Fraction) -> None:
-        if coeff == 0 or form.t > self.imax or form.m > 2 * self.imax:
-            return
-        c = self.terms.get(form, Fraction(0)) + coeff
-        if c == 0:
-            self.terms.pop(form, None)
-        else:
-            self.terms[form] = c
+    def add_form(self, form: CanonicalForm, coeff: Fraction | int) -> None:
+        if self.fits(form):
+            self.terms.update(sum_products(
+                ((form, self.terms.pop(form, ZERO), 1), (form, coeff, 1))))
 
     def add_diagram(self, d: JacobiDiagram, coeff: Fraction | int) -> None:
         cd = canonicalize(d)
@@ -504,9 +514,9 @@ class DiagramSeries:
 
     def __add__(self, other: "DiagramSeries") -> "DiagramSeries":
         self._check_policy(other)
-        out = self.copy()
-        for f, c in other.terms.items():
-            out.add_form(f, c)
+        out = DiagramSeries(self.imax)
+        out.terms = sum_products((f, c, 1) for s in (self, other)
+                                 for f, c in s.terms.items())
         return out
 
     def scale(self, c) -> "DiagramSeries":
@@ -519,11 +529,9 @@ class DiagramSeries:
     def union(self, other: "DiagramSeries") -> "DiagramSeries":
         """Disjoint-union product, extended bilinearly."""
         self._check_policy(other)
-        out = DiagramSeries(self.imax)
-        for f1, c1 in self.terms.items():
-            for f2, c2 in other.terms.items():
-                out.add_form(f1.union(f2), c1 * c2)
-        return out
+        return DiagramSeries(self.imax, (
+            (f1.union(f2), c1, c2) for f1, c1 in self.terms.items()
+            for f2, c2 in other.terms.items()))
 
     def exp_union(self) -> "DiagramSeries":
         """exp under disjoint union; the argument may have no degree-0 part."""

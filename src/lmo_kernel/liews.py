@@ -27,7 +27,6 @@ weighting each matched pair by -h/f.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -187,25 +186,17 @@ def _contract_pair(t1: tuple, t2: tuple) -> tuple:
     for k2, v2 in data2.items():
         grouped.setdefault(tuple(k2[i] for i in pos2), []).append(
             (tuple(k2[i] for i in keep2), v2))
-    out: dict[tuple, Fraction] = {}
-    for k1, v1 in data1.items():
-        sub = grouped.get(tuple(k1[i] for i in pos1))
-        if not sub:
-            continue
-        base = tuple(k1[i] for i in keep1)
-        for rest, v2 in sub:
-            key = base + rest
-            acc = out.get(key, Fraction(0)) + v1 * v2
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+
+    def products():
+        for k1, v1 in data1.items():
+            base = tuple(k1[i] for i in keep1)
+            for rest, v2 in grouped.get(tuple(k1[i] for i in pos1), ()):
+                yield base + rest, v1, v2
     ports = tuple(ports1[i] for i in keep1) + tuple(ports2[i] for i in keep2)
-    return ports, out
+    return ports, sum_products(products())
 
 
-def contract_diagram(d: JacobiDiagram, g: LieAlgebraData,
-                     rng: random.Random | None = None
+def contract_diagram(d: JacobiDiagram, g: LieAlgebraData
                      ) -> dict[tuple[int, ...], Fraction]:
     """Contract the tensor network of one diagram.
 
@@ -213,9 +204,9 @@ def contract_diagram(d: JacobiDiagram, g: LieAlgebraData,
     basis-index tuples to rational coefficients (the empty tuple holds
     the scalar value of a closed diagram).  Each step contracts the
     pair sharing a port with the smallest product of entry counts (the
-    first in index order on ties), or one drawn by ``rng``; once no port
-    is shared, the first two tensors (disconnected parts) are multiplied.
-    Exact arithmetic makes the result schedule-independent.
+    first in index order on ties); once no port is shared, the first two
+    tensors (disconnected parts) are multiplied.  Exact arithmetic makes
+    the result schedule-independent.
     """
     ginv = _form_tensor(g.gram_inv)
     tensors = [(((v, 0), (v, 1), (v, 2)), g.f_low) for v in range(d.t)]
@@ -232,26 +223,17 @@ def contract_diagram(d: JacobiDiagram, g: LieAlgebraData,
         pairs = sorted(linked)
         if not pairs:
             i, j = 0, 1
-        elif rng is None:
+        else:
             i, j = min(pairs, key=lambda ij: len(tensors[ij[0]][1])
                        * len(tensors[ij[1]][1]))
-        else:
-            i, j = rng.choice(pairs)
         tensors[i] = _contract_pair(tensors[i], tensors[j])
         tensors[j] = tensors[-1]
         tensors.pop()
 
     data = tensors[0][1] if tensors else {(): Fraction(1)}
     # erase leg identity
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, val in data.items():
-        skey = tuple(sorted(key))
-        acc = out.get(skey, Fraction(0)) + val
-        if acc:
-            out[skey] = acc
-        else:
-            del out[skey]
-    return out
+    return sum_products((tuple(sorted(key)), val, 1)
+                        for key, val in data.items())
 
 
 def brute_force_contract(d: JacobiDiagram, g: LieAlgebraData
@@ -391,24 +373,11 @@ def _cached_weight(form: CanonicalForm, g: LieAlgebraData) -> dict:
 @dataclass
 class WeightTensor:
     """Symmetric tensor with series coefficients, stored on sorted
-    basis-index multisets; the empty key is the scalar part."""
+    basis-index multisets; the empty key is the scalar part.  ``terms``
+    holds nonzero series only."""
 
     terms: dict[tuple[int, ...], HSeries]
     cap: int
-
-    @classmethod
-    def zero(cls, cap: int) -> "WeightTensor":
-        return cls({}, cap)
-
-    def add(self, key: tuple[int, ...], series: HSeries) -> None:
-        if series.is_zero():
-            return
-        cur = self.terms.get(key)
-        acc = series if cur is None else cur + series
-        if acc.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = acc
 
     def scalar(self) -> HSeries:
         return self.terms.get((), HSeries.zero(self.cap))
@@ -419,15 +388,18 @@ class WeightTensor:
 
 def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> WeightTensor:
     """Graded weight: each term is weighted by h raised to its degree."""
-    out = WeightTensor.zero(cap)
-    for form, coeff in s.terms.items():
-        deg = form.degree
-        if deg.denominator != 1:
-            raise LieDataError("half-integer degree cannot occur")
-        mono = HSeries({int(deg): coeff}, cap)
-        for key, val in _cached_weight(form, g).items():
-            out.add(key, mono.scale(val))
-    return out
+    def products():
+        for form, coeff in s.terms.items():
+            deg = form.degree
+            if deg.denominator != 1:
+                raise LieDataError("half-integer degree cannot occur")
+            for key, val in _cached_weight(form, g).items():
+                yield (key, int(deg)), coeff, val
+    by_key: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (key, deg), c in sum_products(products()).items():
+        by_key.setdefault(key, {})[deg] = c
+    return WeightTensor({key: HSeries(coeffs, cap)
+                         for key, coeffs in by_key.items()}, cap)
 
 
 def wick(T: WeightTensor, g: LieAlgebraData, f) -> HSeries:
@@ -471,10 +443,8 @@ def leg_rescaled(T: WeightTensor) -> WeightTensor:
     the balance, so the Gaussian operator on the rescaled graded tensor
     matches the graded weight of the diagram-level Gaussian integral.
     """
-    out = WeightTensor.zero(T.cap)
-    for key, series in T.terms.items():
-        out.add(key, series.shift(-len(key)))
-    return out
+    return WeightTensor({key: series.shift(-len(key))
+                         for key, series in T.terms.items()}, T.cap)
 
 
 def gaussian_eval(s: DiagramSeries, g: LieAlgebraData, f, cap: int) -> HSeries:
@@ -496,13 +466,12 @@ def exp_tensor(g: LieAlgebraData, vec, jmax: int, cap: int) -> WeightTensor:
     (k_1..k_r) is prod(v_i^{k_i}/k_i!).
     """
     support = [a for a, c in enumerate(vec) if c != 0]
-    out = WeightTensor.zero(cap)
-    out.add((), HSeries.one(cap))
+    terms = {(): HSeries.one(cap)}
     for msize in range(1, 2 * jmax + 1):
         for combo in itertools.combinations_with_replacement(support, msize):
             coeff = Fraction(1)
             for a in set(combo):
                 k = combo.count(a)
                 coeff *= Fraction(vec[a]) ** k / factorial(k)
-            out.add(combo, HSeries({0: coeff}, cap))
-    return out
+            terms[combo] = HSeries({0: coeff}, cap)
+    return WeightTensor(terms, cap)

@@ -7,13 +7,18 @@ different precision degrades explicitly instead of silently: the
 result's cap is the largest order at which the result is still fully
 determined by the inputs.
 
-Sums accumulate on integers: ``sum_products`` adds the numerators of
-products of rationals that share a denominator and reduces each sum to
-one ``Fraction`` only at the end, so no gcd is taken per term.  Every
-stored value (a coefficient, a sum handed back) is a reduced
-``Fraction``.  The series product, ``exp``, ``inverse`` and
-``series_sum`` are built on it, and so are the hot sums of ``rootsys``
-and ``liews``.
+Sums accumulate on integers: ``sum_products`` keeps one running
+numerator and denominator per key and reduces each sum to one
+``Fraction`` only at the end, so no gcd is taken per term.  Every stored
+value (a coefficient, a sum handed back) is a reduced ``Fraction``.  It
+is the one place in the package that adds rationals into a sparse map,
+and the one place that drops a zero sum.  Built on it: here, the series
+sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``; in
+``diagrams``, every ``DiagramSeries`` (its constructor, ``+``,
+``union``, ``add_form``), and through it the gluing sums of ``balg``;
+in ``rootsys``, the inner product and the Gaussian norm-class sums; in
+``liews``, the pair contraction, the leg erasure of a contracted
+diagram, ``hat_weight`` and ``wick``.
 """
 
 from __future__ import annotations
@@ -99,11 +104,7 @@ class HSeries:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "HSeries") -> "HSeries":
-        cap = min(self.cap, other.cap)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HSeries({k: v for k, v in out.items() if k <= cap}, cap)
+        return series_sum([self, other])
 
     def __neg__(self) -> "HSeries":
         return HSeries({k: -v for k, v in self.coeffs.items()}, self.cap)
@@ -212,26 +213,27 @@ def sum_products(terms: Iterable[tuple[Hashable, Fraction | int,
     """Exact sums of products: {key: the sum of x * y over the terms
     (key, x, y)}, nonzero sums only.  A plain sum passes y = 1.
 
-    No product is reduced on its own.  Its integer numerator is added to
-    those of the same key and the same denominator; each key's sum is
-    reduced to one ``Fraction`` at the end, over the least common
-    multiple of its denominators.
+    No product is reduced on its own.  Each key keeps one running
+    integer pair [den, num]: a product over ``den`` adds its numerator,
+    any other first moves the pair to the least common multiple of the
+    two denominators.  Each key's sum is reduced to one ``Fraction`` at
+    the end.
     """
-    acc: dict[Hashable, dict[int, int]] = {}
+    acc: dict[Hashable, list[int]] = {}
     for key, x, y in terms:
         den = x.denominator * y.denominator
-        by_den = acc.get(key)
-        if by_den is None:
-            acc[key] = {den: x.numerator * y.numerator}
+        num = x.numerator * y.numerator
+        run = acc.get(key)
+        if run is None:
+            acc[key] = [den, num]
+        elif run[0] == den:
+            run[1] += num
         else:
-            by_den[den] = by_den.get(den, 0) + x.numerator * y.numerator
-    out: dict[Hashable, Fraction] = {}
-    for key, by_den in acc.items():
-        lcm = math.lcm(*by_den)
-        num = sum(n * (lcm // d) for d, n in by_den.items())
-        if num:
-            out[key] = Fraction(num, lcm)
-    return out
+            common = math.lcm(run[0], den)
+            run[1] = run[1] * (common // run[0]) + num * (common // den)
+            run[0] = common
+    return {key: Fraction(num, den) for key, (den, num) in acc.items()
+            if num}
 
 
 def series_sum(series: list[HSeries]) -> HSeries:

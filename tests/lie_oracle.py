@@ -10,12 +10,15 @@ the tests compare ``liews.build_sl`` against it.
 of a 2j-th tensor power; it serves the Wick tests.  ``wick`` is the Wick
 operator with its hafnian summed one ``Fraction`` step at a time and its
 terms added as series, the oracle of ``liews.wick``.
+``relabel_vertices`` presents one diagram under other vertex labels, for
+the schedule-independence checks of ``liews.contract_diagram``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from lmo_kernel.diagrams import JacobiDiagram
 from lmo_kernel.liews import LieDataError
 from lmo_kernel.qseries import HSeries
 from lmo_kernel.rootsys import double_factorial
@@ -128,3 +131,12 @@ def wick(T, g, f) -> HSeries:
         if weight:
             out = out + series.scale(weight).shift(k)
     return out
+
+
+def relabel_vertices(d: JacobiDiagram, perm) -> JacobiDiagram:
+    """``d`` with trivalent vertex v renamed ``perm[v]``.  The greedy
+    schedule of ``contract_diagram`` breaks ties by tensor index, so the
+    copy may contract the same network in another order."""
+    def mp(p):
+        return (perm[p[0]], p[1]) if p[0] < d.t else p
+    return JacobiDiagram(d.t, d.m, tuple((mp(p), mp(q)) for p, q in d.edges))

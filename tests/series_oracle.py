@@ -8,7 +8,10 @@ of ``HSeries.exp`` / ``HSeries.inverse`` (O(n^3) in the cap), written as
 functions of the series (``self``).  ``gaussian_on_exponentials`` and
 ``gaussian_sum_route`` are the two Gaussian routes of ``tau_pg`` that
 integrate every lattice vector beta on its own, with no grouping by
-|beta|^2.  The fast code in ``lmo_kernel`` must agree with them exactly.
+|beta|^2.  ``diagram_sum`` and ``diagram_union`` add the terms of
+``DiagramSeries`` sums and disjoint-union products one ``Fraction`` at a
+time under the truncation bound.  The fast code in ``lmo_kernel`` must
+agree with them exactly.
 """
 
 from fractions import Fraction
@@ -142,3 +145,26 @@ def agrees_with(self: HSeries, other: HSeries, upto: int) -> bool:
         if k <= upto and self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
             return False
     return True
+
+
+def _bounded_terms(imax: int, terms) -> dict:
+    """{form: coefficient} of the terms (form, c) added one at a time;
+    forms with more than imax vertices or 2 * imax legs are dropped, and
+    so are zero sums."""
+    out: dict = {}
+    for form, c in terms:
+        if form.t <= imax and form.m <= 2 * imax:
+            out[form] = out.get(form, Fraction(0)) + c
+    return {form: c for form, c in out.items() if c}
+
+
+def diagram_sum(a, b) -> dict:
+    """The terms of the sum of two diagram series."""
+    return _bounded_terms(a.imax, [*a.terms.items(), *b.terms.items()])
+
+
+def diagram_union(a, b) -> dict:
+    """The terms of the disjoint-union product of two diagram series."""
+    return _bounded_terms(a.imax, [(f1.union(f2), c1 * c2)
+                                   for f1, c1 in a.terms.items()
+                                   for f2, c2 in b.terms.items()])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import canon_oracle
+import series_oracle
 from lmo_kernel.balg import fg_integral, strut, theta, wheel
 from lmo_kernel.diagrams import (
     DiagramSeries,
@@ -293,3 +294,55 @@ def test_series_json_round_trip(imax, terms):
         s.add_diagram(d, c)
     back = DiagramSeries.from_json(json.loads(json.dumps(s.to_json())), imax)
     assert back == s
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series at imax 1..3 whose terms have up to imax + 1 vertices
+    (an even number: random port matchings with an odd one came out
+    zero in every sample) and 2 * imax + 2
+    legs, so drawn terms and their unions fall on both sides of the
+    bound.  The second series repeats terms of the first, often negated,
+    so sums and unions cancel."""
+    imax = draw(st.integers(1, 3))
+
+    def terms(size):
+        out = []
+        for _ in range(size):
+            t = 2 * draw(st.integers(0, (imax + 1) // 2))
+            m = draw(st.sampled_from(range(0, min(2 * imax + 2, 6) + 1, 2)))
+            c = draw(st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=7))
+            out.append((draw(port_matchings(t, m)), c))
+        return out
+
+    a_terms = terms(draw(st.integers(0, 6)))
+    b_terms = terms(draw(st.integers(0, 3)))
+    b_terms += [(d, sign * c) for (d, c), sign in zip(
+        a_terms, draw(st.lists(st.sampled_from([0, 1, -1]),
+                               min_size=len(a_terms),
+                               max_size=len(a_terms))))]
+    a, b = DiagramSeries(imax), DiagramSeries(imax)
+    for s, ts in ((a, a_terms), (b, b_terms)):
+        for d, c in draw(st.permutations(ts)):
+            s.add_diagram(d, c)
+    return a, b
+
+
+class TestSeriesSums:
+    """``+`` and ``union`` against the one-``Fraction``-per-term loops of
+    ``series_oracle``, which apply the truncation bound themselves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs())
+    def test_sum_matches_fraction_loop_oracle(self, ab):
+        a, b = ab
+        assert (a + b).terms == series_oracle.diagram_sum(a, b)
+        assert (b + a).terms == series_oracle.diagram_sum(b, a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs())
+    def test_union_matches_fraction_loop_oracle(self, ab):
+        a, b = ab
+        assert a.union(b).terms == series_oracle.diagram_union(a, b)
+        assert b.union(a).terms == series_oracle.diagram_union(b, a)

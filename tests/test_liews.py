@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 import lie_oracle
 from lmo_kernel import liews
 from lmo_kernel.balg import fg_integral, partial, strut, theta, wheel
-from lmo_kernel.diagrams import JacobiDiagram, canonicalize, series_of
+from lmo_kernel.diagrams import (
+    DiagramSeries, JacobiDiagram, canonicalize, series_of)
 from lmo_kernel.liews import (
     LieDataError,
     WeightTensor,
@@ -182,12 +183,11 @@ class TestContraction:
         assert contract_diagram(flipped, sl2) == {(): Q(-12)}
 
     def test_schedule_independence(self):
-        for seed in range(6):
-            rng = random.Random(seed)
-            assert contract_diagram(wheel(2), sl2, rng) == \
-                contract_diagram(wheel(2), sl2)
-            assert contract_diagram(theta(), sl3, rng) == \
-                contract_diagram(theta(), sl3)
+        for d, g in ((wheel(2), sl2), (theta(), sl3)):
+            expected = contract_diagram(d, g)
+            for perm in itertools.permutations(range(d.t)):
+                copy = lie_oracle.relabel_vertices(d, perm)
+                assert contract_diagram(copy, g) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -200,10 +200,11 @@ class TestContraction:
         ports += [(v, 0) for v in range(t, t + m)]
         ports = data.draw(st.permutations(ports), label="ports")
         d = JacobiDiagram(t, m, tuple(zip(ports[::2], ports[1::2])))
-        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        perm = data.draw(st.permutations(range(t)), label="perm")
         brute = brute_force_contract(d, sl2)
         assert contract_diagram(d, sl2) == brute
-        assert contract_diagram(d, sl2, random.Random(seed)) == brute
+        assert contract_diagram(lie_oracle.relabel_vertices(d, perm),
+                                sl2) == brute
 
 
 def _ports(t: int) -> list:
@@ -324,8 +325,34 @@ class TestHatWeight:
         for key, series in T.terms.items():
             assert series == HSeries({2: plain[key] / 48}, 4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_form_series_sum(self, data):
+        # closed forms (m = 0) and open ones of up to 4 vertices and 4
+        # legs, so degrees stay within the cap 4
+        g = data.draw(st.sampled_from([sl2, sl3]), label="g")
+        s = DiagramSeries(4)
+        for _ in range(data.draw(st.integers(1, 5), label="terms")):
+            t = 2 * data.draw(st.integers(0, 2), label="t/2")
+            m = 2 * data.draw(st.integers(0, 2), label="m/2")
+            ports = _ports(t) + [(v, 0) for v in range(t, t + m)]
+            ports = data.draw(st.permutations(ports), label="ports")
+            s.add_diagram(JacobiDiagram(t, m, tuple(zip(ports[::2],
+                                                        ports[1::2]))),
+                          data.draw(st.fractions(-9, 9, max_denominator=7),
+                                    label="coeff"))
+        expected: dict = {}
+        for form, coeff in s.terms.items():
+            weight = ({(): Q(closed_weight(form, g.sl_n))} if form.m == 0
+                      else contract_diagram(form.diagram(), g))
+            for key, v in weight.items():
+                mono = HSeries({int(form.degree): coeff * v}, 4)
+                expected[key] = expected[key] + mono if key in expected \
+                    else mono
+        assert hat_weight(s, g, 4).terms == \
+            {k: v for k, v in expected.items() if not v.is_zero()}
+
     def test_unit(self):
-        from lmo_kernel.diagrams import DiagramSeries
         assert hat_weight(DiagramSeries.unit(4), sl2, 4).scalar() == \
             HSeries.one(4)
 
@@ -472,7 +499,6 @@ class TestBridge:
         # weight image
         from lmo_kernel.balg import _strut_count, omega, strut, \
             wheeling_inverse
-        from lmo_kernel.diagrams import DiagramSeries
         imax = 4
         for f in (1, 2, -2):
             fr = DiagramSeries(imax)
