@@ -20,7 +20,6 @@ from .balg import (
 )
 from .liews import (
     LieAlgebraData,
-    WeightTensor,
     build_sl,
     hat_weight,
     wick,
@@ -48,7 +47,7 @@ __all__ = [
     "CanonicalForm", "DiagramSeries", "JacobiDiagram", "canonicalize",
     "fg_integral", "omega", "pair", "partial", "strut", "theta", "wheel",
     "wheeling", "wheeling_inverse",
-    "LieAlgebraData", "WeightTensor", "build_sl", "hat_weight", "wick",
+    "LieAlgebraData", "build_sl", "hat_weight", "wick",
     "ExponentialWeightSum", "RootSystem", "build_root_system",
     "quantum_dim_sq_shifted", "tau_pg", "weyl_denominator",
     "ComparisonReport", "SurgeryInput", "compare", "lmo_via_definition",

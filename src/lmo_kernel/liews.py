@@ -20,7 +20,9 @@ matrices), the greedy schedule of a diagram, the product of its
 disconnected parts (no shared port), and the Jacobi check of the
 structure data (f·ginv·f).
 
-The Gaussian (Wick) operator pairs free slots with the lowered form,
+A weight tensor with series coefficients (``hat_weight``,
+``exp_tensor``) is a plain map {sorted basis-index key: HSeries}; the
+Gaussian (Wick) operator pairs its free slots with the lowered form,
 weighting each matched pair by -h/f.
 """
 
@@ -367,26 +369,11 @@ def _cached_weight(form: CanonicalForm, g: LieAlgebraData) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# weight tensors with series coefficients
+# weight tensors with series coefficients: {sorted basis-index key:
+# HSeries}, nonzero series only; the empty key is the scalar part
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightTensor:
-    """Symmetric tensor with series coefficients, stored on sorted
-    basis-index multisets; the empty key is the scalar part.  ``terms``
-    holds nonzero series only."""
-
-    terms: dict[tuple[int, ...], HSeries]
-    cap: int
-
-    def scalar(self) -> HSeries:
-        return self.terms.get((), HSeries.zero(self.cap))
-
-    def is_scalar(self) -> bool:
-        return all(k == () for k in self.terms)
-
-
-def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> WeightTensor:
+def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> dict:
     """Graded weight: each term is weighted by h raised to its degree."""
     def products():
         for form, coeff in s.terms.items():
@@ -398,14 +385,14 @@ def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> WeightTensor:
     by_key: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for (key, deg), c in sum_products(products()).items():
         by_key.setdefault(key, {})[deg] = c
-    return WeightTensor({key: HSeries(coeffs, cap)
-                         for key, coeffs in by_key.items()}, cap)
+    return {key: HSeries(coeffs, cap) for key, coeffs in by_key.items()}
 
 
-def wick(T: WeightTensor, g: LieAlgebraData, f) -> HSeries:
-    """Gaussian contraction: sum over perfect matchings of the slots of
-    each term, each matched pair weighing -h/f times the lowered-form
-    pairing; odd-slot terms vanish, the scalar part passes through."""
+def wick(T: dict, g: LieAlgebraData, f, cap: int) -> HSeries:
+    """Gaussian contraction of a weight tensor known up to h^cap: sum
+    over perfect matchings of the slots of each term, each matched pair
+    weighing -h/f times the lowered-form pairing; odd-slot terms vanish,
+    the scalar part passes through."""
     f = Fraction(f)
     if f == 0:
         raise LieDataError("Gaussian operator needs nonzero framing")
@@ -422,56 +409,50 @@ def wick(T: WeightTensor, g: LieAlgebraData, f) -> HSeries:
 
     # an even term of 2k slots adds series * haf * (-1/f)^k * h^k
     parts = []
-    for key, series in T.terms.items():
+    for key, series in T.items():
         if len(key) % 2 == 0:
             k = len(key) // 2
             weight = haf(key) * (-1 / f) ** k
             if weight:
                 parts.append((series, k, weight))
-    cap = min([T.cap] + [series.cap + k for series, k, _ in parts])
+    cap = min([cap] + [series.cap + k for series, k, _ in parts])
     return HSeries(sum_products((e + k, c, weight)
                                 for series, k, weight in parts
                                 for e, c in series.coeffs.items()
                                 if e + k <= cap), cap)
 
 
-def leg_rescaled(T: WeightTensor) -> WeightTensor:
-    """Divide every m-slot term by h^m.
-
-    Under the graded weight a glued strut carries one power of h while
-    consuming two legs; rescaling the legs of the open tensor restores
-    the balance, so the Gaussian operator on the rescaled graded tensor
-    matches the graded weight of the diagram-level Gaussian integral.
-    """
-    return WeightTensor({key: series.shift(-len(key))
-                         for key, series in T.terms.items()}, T.cap)
-
-
 def gaussian_eval(s: DiagramSeries, g: LieAlgebraData, f, cap: int) -> HSeries:
     """Tensor-route Gaussian integral of a strut-free series: graded
-    weight, leg rescaling, then the Wick operator.
+    weight, every m-slot term divided by h^m, then the Wick operator.
 
-    Tensor coefficients are exact, so the internal cap is padded to
-    absorb the bookkeeping cost of the rescaling shifts.
+    Under the graded weight a glued strut carries one power of h while
+    consuming two legs; dividing out the legs of the open tensor restores
+    the balance, so the Gaussian operator on the rescaled graded tensor
+    matches the graded weight of the diagram-level Gaussian integral.
+    Tensor coefficients are exact, so the graded weight is taken to a
+    cap padded by the most legs, which the shifts then use up.
     """
     mmax = max((form.m for form in s.terms), default=0)
-    inner = wick(leg_rescaled(hat_weight(s, g, cap + mmax)), g, f)
-    return inner.truncate(min(cap, inner.cap))
+    T = hat_weight(s, g, cap + mmax)
+    return wick({key: series.shift(-len(key)) for key, series in T.items()},
+                g, f, cap)
 
 
-def exp_tensor(g: LieAlgebraData, vec, jmax: int, cap: int) -> WeightTensor:
-    """exp of a g-element as a symmetric tensor, truncated at 2*jmax slots.
+def exp_tensor(g: LieAlgebraData, vec, cap: int) -> dict:
+    """exp of a g-element as a symmetric tensor, to 2*cap slots: a term
+    of 2k slots weighs h^k under ``wick``, so larger ones lie beyond cap.
 
     On sorted multisets the coefficient of a key with multiplicities
     (k_1..k_r) is prod(v_i^{k_i}/k_i!).
     """
     support = [a for a, c in enumerate(vec) if c != 0]
     terms = {(): HSeries.one(cap)}
-    for msize in range(1, 2 * jmax + 1):
+    for msize in range(1, 2 * cap + 1):
         for combo in itertools.combinations_with_replacement(support, msize):
             coeff = Fraction(1)
             for a in set(combo):
                 k = combo.count(a)
                 coeff *= Fraction(vec[a]) ** k / factorial(k)
             terms[combo] = HSeries({0: coeff}, cap)
-    return WeightTensor(terms, cap)
+    return terms

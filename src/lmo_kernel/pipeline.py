@@ -136,9 +136,9 @@ def reduced_input(inp: SurgeryInput, imax: int) -> DiagramSeries:
 def hat_scalar(s: DiagramSeries, g: liews.LieAlgebraData,
                cap: int) -> HSeries:
     T = liews.hat_weight(s, g, cap)
-    if not T.is_scalar():
+    if not set(T) <= {()}:
         raise StructuralError("expected a closed (scalar) series")
-    return T.scalar()
+    return T.get((), HSeries.zero(cap))
 
 
 @lru_cache(maxsize=None)
@@ -431,9 +431,10 @@ def _check_gauss(order: int) -> list[CheckResult]:
         for beta, sw in rs.weyl:
             for beta2, sw2 in rs.weyl:
                 vec = g.cartan_vector(rootsys._add(beta, beta2))
-                tensor = liews.exp_tensor(g, vec, jmax=cap, cap=cap)
+                tensor = liews.exp_tensor(g, vec, cap)
                 for f in framings:
-                    parts[f].append(liews.wick(tensor, g, f).scale(sw * sw2))
+                    parts[f].append(
+                        liews.wick(tensor, g, f, cap).scale(sw * sw2))
         for f in framings:
             total = series_sum(parts[f])
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)

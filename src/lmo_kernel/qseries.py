@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 #: Deepest pole any series may carry.  Intermediate data in the
 #: perturbative-invariant computation is polar of depth 2 * (number of
@@ -219,7 +219,7 @@ def sum_products(terms: Iterable[tuple[Hashable, Fraction | int,
     two denominators.  Each key's sum is reduced to one ``Fraction`` at
     the end.
     """
-    acc: dict[Hashable, list[int]] = {}
+    acc: dict[Hashable, Any] = {}
     for key, x, y in terms:
         den = x.denominator * y.denominator
         num = x.numerator * y.numerator
@@ -232,8 +232,12 @@ def sum_products(terms: Iterable[tuple[Hashable, Fraction | int,
             common = math.lcm(run[0], den)
             run[1] = run[1] * (common // run[0]) + num * (common // den)
             run[0] = common
-    return {key: Fraction(num, den) for key, (den, num) in acc.items()
-            if num}
+    # reduced in place, so no second map lives beside the accumulator
+    for key in [key for key, (_, num) in acc.items() if not num]:
+        del acc[key]
+    for key, (den, num) in acc.items():
+        acc[key] = Fraction(num, den)
+    return acc
 
 
 def series_sum(series: list[HSeries]) -> HSeries:

@@ -99,7 +99,7 @@ def pure_power_wick_check(j: int, beta_sq, f, cap: int) -> HSeries:
                    cap)
 
 
-def wick(T, g, f) -> HSeries:
+def wick(T, g, f, cap: int) -> HSeries:
     """Gaussian contraction: sum over perfect matchings of the slots of
     each term, each matched pair weighing -h/f times the lowered-form
     pairing; odd-slot terms vanish, the scalar part passes through."""
@@ -121,8 +121,8 @@ def wick(T, g, f) -> HSeries:
         memo[key] = total
         return total
 
-    out = HSeries.zero(T.cap)
-    for key, series in T.terms.items():
+    out = HSeries.zero(cap)
+    for key, series in T.items():
         k2 = len(key)
         if k2 % 2 == 1:
             continue

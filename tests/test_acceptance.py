@@ -152,9 +152,9 @@ def test_criterion_09_gauss_display():
             for x, sw in rs.weyl:
                 for x2, sw2 in rs.weyl:
                     beta = tuple(a + b for a, b in zip(x, x2))
-                    tensor = liews.exp_tensor(g, g.cartan_vector(beta),
-                                              jmax=cap, cap=cap)
-                    total = total + liews.wick(tensor, g, f).scale(sw * sw2)
+                    tensor = liews.exp_tensor(g, g.cartan_vector(beta), cap)
+                    total = total + \
+                        liews.wick(tensor, g, f, cap).scale(sw * sw2)
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)
             assert total == closed, (label, f)
             # same value in product form:

@@ -3,10 +3,12 @@
 ``perfbench/tracer.py`` wraps every ``(module, path)`` of its
 ``TARGETS`` and reads the canonicalization and weight caches; the
 benchmark's own tests call ``fg_integral`` with ``f_override=`` and
-compare the ``canonicalize`` bindings of ``balg`` and ``liews``.  A
-refactor that renames one of them breaks the benchmark, which these
-tests do not run, so they check the names here.  ``TARGETS`` is read
-from the tracer's source; nothing of ``perfbench`` is imported.
+``pipeline.hat_scalar(s, g, cap)``, and compare the ``canonicalize``
+bindings of ``balg`` and ``liews``; its worker calls
+``pipeline.lie_pair``.  A refactor that renames one of them breaks the
+benchmark, which these tests do not run, so they check the names here.
+``TARGETS`` is read from the tracer's source; nothing of ``perfbench``
+is imported.
 """
 
 import ast
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from lmo_kernel import balg, diagrams, liews
+from lmo_kernel import balg, diagrams, liews, pipeline
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -45,3 +47,9 @@ def test_traced_caches_and_bindings_exist():
     assert isinstance(liews._WEIGHT_CACHE, dict)
     assert balg.canonicalize is liews.canonicalize is diagrams.canonicalize
     assert "f_override" in inspect.signature(balg.fg_integral).parameters
+
+
+def test_called_names_exist():
+    assert list(inspect.signature(pipeline.hat_scalar).parameters) == \
+        ["s", "g", "cap"]
+    assert callable(pipeline.lie_pair)
