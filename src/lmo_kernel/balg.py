@@ -7,6 +7,9 @@ perfect matchings of legs).  Automorphisms of a term permute its
 matchings without changing the glued diagram or its sign, so each
 automorphism orbit is glued once and weighted by its size; the folded
 result of a term, or of a term pair, is memoized as a gluing table.
+Closed components take part in no gluing: a table glues the open
+components alone and joins the closed ones back unchanged, and a
+leg-free first term glues nothing.
 """
 
 from __future__ import annotations
@@ -123,7 +126,21 @@ def _gluing_table(f1: CanonicalForm, f2: CanonicalForm | None = None
                   ) -> tuple[tuple[CanonicalForm, int], ...]:
     """Glued forms with signed multiplicities: all perfect matchings of
     the legs of ``f1`` alone, or all injections of the legs of ``f1``
-    into the legs of ``f2`` (bijections when the counts agree)."""
+    into the legs of ``f2`` (bijections when the counts agree).
+
+    Closed components take part in no gluing: they pass through, joined
+    to the table of the open components.  Their sign does not change,
+    since a component rebuilt from its serial canonicalizes with sign +1.
+    """
+    if f1.m == 0:  # glues nothing
+        return ((f1 if f2 is None else f1.union(f2), 1),)
+    forms = (f1,) if f2 is None else (f1, f2)
+    closed = [c for f in forms for c in f.components if c[1] == 0]
+    if closed:
+        rest = CanonicalForm(tuple(closed))
+        return tuple((form.union(rest), n) for form, n in _gluing_table(
+            *(CanonicalForm(tuple(c for c in f.components if c[1]))
+              for f in forms)))
     g1 = f1.diagram()
     if f2 is None:
         gluings = []

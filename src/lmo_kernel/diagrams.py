@@ -17,11 +17,19 @@ and labels the rest in breadth-first order.  A newly reached vertex puts
 its entry port in slot 0 and orders its other slots by leg, then port of
 a labeled neighbour, then colour of an unlabeled one; only ties branch.
 Every rule is invariant, so an automorphism maps candidates to
-candidates.  Hence two candidates reaching the minimal serial differ by
-an automorphism, and the component is zero exactly when those candidates
-carry both signs.  Conversely, the tied candidates measured against the
-first one are all the component's automorphisms; ``leg_automorphisms``
-keeps them to give the leg permutations the gluing tables fold by.
+candidates.  Hence two candidates reaching the same serial differ by an
+automorphism, and the component is zero exactly when it has an
+orientation-odd one: the search stops as soon as two candidates of one
+serial carry both signs.  The automorphisms found also prune starts
+(the orbit pruning of McKay and Piperno, "Practical graph isomorphism,
+II", 2014): a start in the orbit of an explored start, under the
+automorphisms found so far, has as candidates the images of that
+start's candidates under an orientation-even automorphism, so it is
+skipped.  The tied candidates at the minimal serial, measured against
+the first one, together with the automorphisms that merged start
+orbits, generate the component's automorphism group;
+``leg_automorphisms`` reads them to give the leg permutations the
+gluing tables fold by.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ LEG = 10 ** 9
 
 #: Hard cap on total vertex count.  Canonical search branches only on
 #: colour ties, but an unlucky highly symmetric component still costs up
-#: to |class| * 6 * 2**(t - 1) candidate labelings.
+#: to 6 * 2**(t - 1) candidate labelings per start orbit it explores.
 MAX_VERTICES = 24
 
 #: Slot relabelings of a trivalent vertex: rotations preserve the cyclic
@@ -250,11 +258,16 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                      ) -> tuple[tuple | None, int]:
     """Minimal serialization of one connected component, with its sign.
 
-    Candidate labelings start at a vertex of the smallest colour class and
-    visit the rest in breadth-first order; see the module docstring.
-    Returns (serial, sign); sign 0 encodes the zero diagram.  A ``ties``
-    list receives every labeling that reaches the minimal serial, as
-    (vertex -> label, vertex -> slot permutation) pairs.
+    Candidate labelings start at a vertex of the smallest colour class,
+    one per orbit of the automorphisms found, and visit the rest in
+    breadth-first order; see the module docstring.  Returns (serial,
+    sign); sign 0 encodes the zero diagram.  A ``ties`` list of a
+    nonzero component receives pairs (a, b) of labelings that reach one
+    serial, each labeling a (vertex -> label, vertex -> slot permutation)
+    pair, so each pair is an automorphism: first (t0, t) for every
+    labeling t at the minimal serial, t0 the first of them, then every
+    pair that merged start orbits.  Together they generate the
+    automorphism group.
     """
     n_legs = sum(1 for e in edges for (v, _) in e if v >= t_bound)
     if not trivalent:
@@ -286,6 +299,33 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
     T = len(trivalent)
     best: list = [None]        # best complete serial
     best_signs: set[int] = set()
+    tied: list = []            # labelings at best, the first one first
+    kept: list = []            # labeling pairs that merged start orbits
+    orbit = {v: v for v in starts}  # union-find of starts under those
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    def leaf(label: dict[int, int], perm: dict, order: list[int],
+             sign: int) -> None:
+        """A complete labeling at the best serial: record it with its sign,
+        and merge the start orbits that the automorphism from the first
+        such labeling onto it joins."""
+        best_signs.add(sign)
+        here = (dict(label), dict(perm))
+        if tied:
+            merged = False
+            for v in starts:
+                a, b = find(v), find(order[tied[0][0][v]])
+                if a != b:
+                    orbit[a] = b
+                    merged = True
+            if merged:
+                kept.append((tied[0], here))
+        tied.append(here)
 
     def search(u: int, entry: int | None, head: int, col: dict[int, int],
                order: list[int], label: dict[int, int],
@@ -304,6 +344,8 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
             else:
                 keys.append((2, col[nb[0]]))
         for p, psign in SLOT_PERMS:
+            if len(best_signs) == 2:
+                return  # an orientation-odd automorphism: the zero diagram
             if entry is not None and p[entry] != 0:
                 continue
             by_slot = [keys[s] for s in _SLOTS_IN_ORDER[p]]
@@ -319,8 +361,7 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                 if row < ref:
                     best[0] = None  # strictly better prefix found
                     best_signs.clear()
-                    if ties is not None:
-                        ties.clear()
+                    tied.clear()
             label[u] = k
             perm[u] = p
             order.append(u)
@@ -329,9 +370,7 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                 if best[0] is None:
                     best[0] = tuple(rows)
                 # otherwise comparisons en route guarantee equality
-                best_signs.add(sign * psign)
-                if ties is not None:
-                    ties.append((dict(label), dict(perm)))
+                leaf(label, perm, order, sign * psign)
             else:
                 # next vertex: first unlabeled neighbour of the labeled
                 # vertices in label order, their slots in new slot order
@@ -351,11 +390,18 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
             order.pop()
             del label[u], perm[u]
 
+    explored: list[int] = []
     for v in starts:
+        if any(find(v) == find(u) for u in explored):
+            continue  # an automorphism maps an explored start onto v
+        explored.append(v)
         col = _refine({**colour, v: -1}, nbrs)
         search(v, None, 0, col, [], {}, {}, [], 1)
-    if best_signs == {1, -1}:
-        return None, 0
+        if len(best_signs) == 2:
+            return None, 0
+    if ties is not None:
+        ties.extend((tied[0], t) for t in tied)
+        ties.extend(kept)
     return (T, n_legs, best[0]), next(iter(best_signs))
 
 
@@ -387,9 +433,9 @@ def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
     """Generators of the leg permutations that automorphisms of a nonzero
     diagram induce: generator g sends leg ``d.t + i`` to ``d.t + g[i]``.
 
-    Each component contributes its tied labelings against the first one;
-    components with equal serials are swapped through their first tied
-    labelings; each strut flips, and neighbouring struts swap.  Every
+    Each component contributes the automorphisms its canonical search
+    found; components with equal serials are swapped through their first
+    minimal labelings; each strut flips, and neighbouring struts swap.  Every
     automorphism of a nonzero diagram preserves the orientation.
     """
     leg_at: dict[Port, int] = {}
@@ -425,8 +471,8 @@ def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
         serial, s = _canon_component(sorted(tv), es, d.t, ties)
         if s == 0:
             raise StructuralError("the zero diagram has no leg group")
-        maps.extend(leg_map(ties[0], t) for t in ties[1:])
-        by_serial.setdefault(serial, []).append(ties[0])
+        maps.extend(leg_map(a, b) for a, b in ties)
+        by_serial.setdefault(serial, []).append(ties[0][0])
     for same in by_serial.values():
         for a, b in zip(same, same[1:]):
             maps.append({**leg_map(a, b), **leg_map(b, a)})

@@ -5,7 +5,9 @@ with all six slot permutations, and keeps the minimal row serial.  It is
 slow but plainly correct, so the property tests compare
 ``diagrams.canonicalize`` against it.  Its serials are not those of
 ``diagrams.canonicalize``: only zero-ness, the partition into classes and
-relative signs are comparable.
+relative signs are comparable.  Its minimal labelings are every
+automorphism of a component, so the tests also measure the leg group of
+``diagrams.leg_automorphisms`` against them.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from lmo_kernel.diagrams import (
 
 
 def _canon_component(trivalent: list[int], edges: list[Edge],
-                     t_bound: int) -> tuple[tuple | None, int]:
+                     t_bound: int, ties: list | None = None
+                     ) -> tuple[tuple | None, int]:
     """Minimal serialization of one connected component, with its sign.
 
-    Returns (serial, sign); sign 0 encodes the zero diagram.
+    Returns (serial, sign); sign 0 encodes the zero diagram.  A ``ties``
+    list receives every labeling that reaches the minimal serial, as
+    (vertex -> label, vertex -> slot permutation) pairs.
     """
     n_legs = sum(1 for e in edges for (v, _) in e if v >= t_bound)
     if not trivalent:
@@ -64,6 +69,8 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                 best_signs.add(sign)
             else:  # comparisons en route guarantee serial == best[0]
                 best_signs.add(sign)
+            if ties is not None:
+                ties.append((dict(label), dict(perm)))
             return
         if k == 0:
             candidates = trivalent
@@ -93,6 +100,8 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                     if row < ref:
                         best[0] = None  # strictly better prefix found
                         best_signs.clear()
+                        if ties is not None:
+                            ties.clear()
                 label[u] = k
                 perm[u] = p
                 placed.append(u)

@@ -7,8 +7,10 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import canon_oracle
 import gauss_oracle
 from lmo_kernel.balg import (
+    _gluing_table,
     _strut_count,
     fg_integral,
     omega,
@@ -22,9 +24,11 @@ from lmo_kernel.balg import (
 )
 from lmo_kernel.diagrams import (
     MAX_VERTICES,
+    CanonicalForm,
     DiagramSeries,
     JacobiDiagram,
     StructuralError,
+    _components,
     canonicalize,
     glue_legs,
     leg_automorphisms,
@@ -32,6 +36,7 @@ from lmo_kernel.diagrams import (
     series_of,
 )
 from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, reduced_input
+from test_diagrams import port_matchings
 
 
 class TestWheelBuilders:
@@ -258,8 +263,8 @@ def gluing_series(draw, struts: bool, max_legs: int) -> DiagramSeries:
     return s
 
 
-def leg_group_order(gens, m: int) -> int:
-    """Order of the permutation group on range(m) the generators span."""
+def leg_group(gens, m: int) -> set[tuple[int, ...]]:
+    """The permutation group on range(m) the generators span."""
     ident = tuple(range(m))
     seen, stack = {ident}, [ident]
     while stack:
@@ -269,7 +274,69 @@ def leg_group_order(gens, m: int) -> int:
             if h not in seen:
                 seen.add(h)
                 stack.append(h)
-    return len(seen)
+    return seen
+
+
+def leg_group_order(gens, m: int) -> int:
+    """Order of the permutation group on range(m) the generators span."""
+    return len(leg_group(gens, m))
+
+
+def oracle_leg_maps(d: JacobiDiagram) -> list[tuple[int, ...]]:
+    """Every leg permutation that one automorphism of a component of
+    ``d`` induces (from the exhaustive search's minimal labelings), one
+    swap per pair of isomorphic components, and every flip and swap of
+    struts.  Together they span the leg group of ``d``."""
+    leg_at = {p: q[0] - d.t for p, q in d.edges if p[0] < d.t <= q[0]}
+
+    def leg_map(a, b) -> dict[int, int]:
+        vertex_b = {k: v for v, k in b[0].items()}
+        out = {}
+        for (u, s), leg in leg_at.items():
+            if u in a[0]:
+                v = vertex_b[a[0][u]]
+                out[leg] = leg_at[(v, b[1][v].index(a[1][u][s]))]
+        return out
+
+    maps, labelings, struts = [], [], []
+    for tv, n_legs, es in _components(d):
+        if not tv:
+            (a, _), (b, _) = es[0]
+            struts.append((a - d.t, b - d.t))
+        elif n_legs:
+            ties: list = []
+            serial, _ = canon_oracle._canon_component(sorted(tv), es, d.t,
+                                                      ties)
+            maps += [leg_map(ties[0], t) for t in ties]
+            labelings.append((serial, ties[0]))
+    for (s1, a), (s2, b) in itertools.combinations(labelings, 2):
+        if s1 == s2:
+            maps.append({**leg_map(a, b), **leg_map(b, a)})
+    maps += [{a: b, b: a} for a, b in struts]
+    maps += [{a: c, c: a, b: e, e: b}
+             for (a, b), (c, e) in itertools.combinations(struts, 2)]
+    return [tuple(g.get(i, i) for i in range(d.m)) for g in maps]
+
+
+@st.composite
+def several_components(draw) -> JacobiDiagram:
+    """A nonzero disjoint union of 1-3 pieces, each often a copy of the
+    one before: at most 8 trivalent vertices and 6 legs in all.  A piece
+    is a random port matching with legs and a trivalent vertex, or,
+    where that is zero (most are), one of ``pieces``."""
+    def piece():
+        d = draw(port_matchings())
+        if d.t and d.m and not canonicalize(d).is_zero:
+            return d
+        return draw(pieces(struts=True, max_t=8).filter(
+            lambda d: not canonicalize(d).is_zero))
+
+    d = piece()
+    for _ in range(draw(st.integers(0, 2))):
+        nxt = d if draw(st.booleans()) else piece()
+        if d.t + nxt.t <= 8 and d.m + nxt.m <= 6:
+            d, _, _ = relabel_union(d, nxt)
+    return d
 
 
 def _glued_one_pair(d: JacobiDiagram, i: int, j: int):
@@ -304,6 +371,29 @@ class TestLegAutomorphisms:
     def test_closed_components_move_no_leg(self):
         d, _, _ = relabel_union(theta(), wheel(1))
         assert leg_automorphisms(d) == ((1, 0),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(several_components())
+    def test_generators_span_the_whole_leg_group(self, d):
+        """The pruned canonical search keeps enough automorphisms: the
+        generators span every leg permutation that the exhaustive
+        search's minimal labelings induce."""
+        assert leg_group(leg_automorphisms(d), d.m) == \
+            leg_group(oracle_leg_maps(d), d.m)
+
+    def test_generators_from_an_overtaken_serial_are_kept(self):
+        """Here the search skips starts by automorphisms found at a serial
+        that a later start beats; the tied labelings at the final serial
+        alone span a leg group of order 2, not 4."""
+        d = JacobiDiagram(8, 4, (
+            ((0, 0), (4, 0)), ((0, 1), (4, 1)), ((0, 2), (10, 0)),
+            ((1, 0), (3, 0)), ((1, 1), (2, 0)), ((1, 2), (8, 0)),
+            ((2, 1), (5, 2)), ((2, 2), (7, 1)), ((3, 1), (4, 2)),
+            ((3, 2), (7, 2)), ((5, 0), (6, 2)), ((5, 1), (6, 0)),
+            ((6, 1), (9, 0)), ((7, 0), (11, 0))))
+        assert leg_group(leg_automorphisms(d), 4) == \
+            leg_group(oracle_leg_maps(d), 4)
+        assert leg_group_order(leg_automorphisms(d), 4) == 4
 
     def test_zero_diagram_rejected(self):
         tripod = JacobiDiagram(1, 3, (((0, 0), (1, 0)), ((0, 1), (2, 0)),
@@ -375,3 +465,58 @@ class TestGluingTablesAgainstOracle:
         om = omega(6)
         assert pair(om, om) == gauss_oracle.pair(om, om)
         assert partial(om, om) == gauss_oracle.partial(om, om)
+
+
+def _with_thetas(d: JacobiDiagram, k: int) -> JacobiDiagram:
+    """``d`` ⊔ theta^k."""
+    for _ in range(k):
+        d, _, _ = relabel_union(d, theta())
+    return d
+
+
+class TestClosedComponentsPassThrough:
+    """Closed components glue nothing: a gluing table joins them to the
+    table of the open components, and a leg-free first term glues
+    nothing at all."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_fg_integral(self, k):
+        y = series_of(_with_thetas(wheel(2), k), 8, coeff=Q(3, 2))
+        for f in (1, -2, Q(5, 2)):
+            assert fg_integral(y, f) == \
+                gauss_oracle.fg_integral_bijections(y, f)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_leg_free_first_term(self, k):
+        # the empty form, theta and theta ⊔ theta
+        d = series_of(_with_thetas(JacobiDiagram(0, 0, ()), k), 8,
+                      coeff=Q(-2, 3))
+        y = (DiagramSeries.unit(8) + series_of(theta(), 8, coeff=Q(1, 5))
+             + series_of(_with_thetas(wheel(1), 1), 8)
+             + series_of(wheel(2), 8, coeff=Q(7)))
+        assert pair(d, y) == gauss_oracle.pair(d, y)
+        assert partial(d, y) == gauss_oracle.partial(d, y)
+        assert partial(d, y) == d.union(y)
+
+    def test_closed_only_pair(self):
+        a = series_of(theta(), 8) + series_of(_with_thetas(theta(), 1), 8,
+                                              coeff=Q(-1, 4))
+        assert pair(a, a) == gauss_oracle.pair(a, a) == a.union(a)
+        assert partial(a, a) == gauss_oracle.partial(a, a)
+
+    def test_table_is_the_open_table_with_the_closed_part(self):
+        def split(d):
+            form = canonicalize(d).form
+            return form, tuple(CanonicalForm(tuple(
+                c for c in form.components if bool(c[1]) == is_open))
+                for is_open in (True, False))
+
+        w1w1, _, _ = relabel_union(wheel(1), wheel(1))
+        for d in (_with_thetas(wheel(2), 1), _with_thetas(w1w1, 2)):
+            form, (open_part, closed) = split(d)
+            assert _gluing_table(form) == tuple(
+                (f.union(closed), n) for f, n in _gluing_table(open_part))
+        (f1, (o1, c1)), (f2, (o2, c2)) = (
+            split(_with_thetas(wheel(1), 1)), split(_with_thetas(wheel(2), 2)))
+        assert _gluing_table(f1, f2) == tuple(
+            (f.union(c1).union(c2), n) for f, n in _gluing_table(o1, o2))

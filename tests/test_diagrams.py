@@ -2,7 +2,10 @@
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,3 +349,35 @@ class TestSeriesSums:
         a, b = ab
         assert a.union(b).terms == series_oracle.diagram_union(a, b)
         assert b.union(a).terms == series_oracle.diagram_union(b, a)
+
+
+_COUNT_SEARCHES = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from lmo_kernel import cli, diagrams
+calls = 0
+original = diagrams._canon_component
+def counted(*args, **kwargs):
+    global calls
+    calls += 1
+    return original(*args, **kwargs)
+diagrams._canon_component = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+print(code, calls)
+"""
+
+
+def test_cold_compare_work_count():
+    """A fresh ``compare --lie A1 --framing 2 --order 4`` runs at most 240
+    component searches (it ran 429 when every gluing table canonicalized
+    its closed components again): closed components pass through the
+    gluing tables and leg-free first terms glue nothing."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_SEARCHES, str(src), "compare",
+         "--lie", "A1", "--framing", "2", "--order", "4"],
+        capture_output=True, text=True, timeout=300, check=True)
+    code, calls = map(int, out.stdout.split())
+    assert code == 0
+    assert calls <= 240
