@@ -25,7 +25,6 @@ from .liews import (
     wick,
 )
 from .rootsys import (
-    ExponentialWeightSum,
     RootSystem,
     build_root_system,
     quantum_dim_sq_shifted,
@@ -48,7 +47,7 @@ __all__ = [
     "fg_integral", "omega", "pair", "partial", "strut", "theta", "wheel",
     "wheeling", "wheeling_inverse",
     "LieAlgebraData", "build_sl", "hat_weight", "wick",
-    "ExponentialWeightSum", "RootSystem", "build_root_system",
+    "RootSystem", "build_root_system",
     "quantum_dim_sq_shifted", "tau_pg", "weyl_denominator",
     "ComparisonReport", "SurgeryInput", "compare", "lmo_via_definition",
     "lmo_via_lemma", "taupg_route", "verify_suite",

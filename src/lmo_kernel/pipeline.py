@@ -9,6 +9,12 @@ Certified order bookkeeping: an h-order N statement needs every diagram
 with at most 2N internal vertices, so the series truncation is always
 run at imax = 2N; wheel-like inputs (legs <= internal vertices in every
 term) keep that certificate through the Gaussian integral.
+
+Expansion data (the built-in unknot's or a ``--qdata`` file's) is a
+plain lattice sum {beta: series}, as ``rootsys`` reads and writes it.
+The gauss suite walks the points of the squared Weyl sum from
+``rootsys._square_sum``, one tensor per point weighed by its signed
+count.
 """
 
 from __future__ import annotations
@@ -135,10 +141,11 @@ def reduced_input(inp: SurgeryInput, imax: int) -> DiagramSeries:
 
 def hat_scalar(s: DiagramSeries, g: liews.LieAlgebraData,
                cap: int) -> HSeries:
-    T = liews.hat_weight(s, g, cap)
-    if not set(T) <= {()}:
+    """Graded weight of a closed series; a form with legs is rejected
+    before anything is weighed."""
+    if any(form.m for form in s.terms):
         raise StructuralError("expected a closed (scalar) series")
-    return T.get((), HSeries.zero(cap))
+    return liews.hat_weight(s, g, cap).get((), HSeries.zero(cap))
 
 
 @lru_cache(maxsize=None)
@@ -183,29 +190,29 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
 
 
 @lru_cache(maxsize=None)
-def unknot_qdata(label: str, cap: int) -> rootsys.ExponentialWeightSum:
+def unknot_qdata(label: str, cap: int) -> dict[rootsys.Vec, HSeries]:
     """Shifted squared quantum dimension of the unknot; callers share the
     cached value and only read it."""
     rs, _ = lie_pair(label)
     return rootsys.quantum_dim_sq_shifted(rs, cap)
 
 
-def load_qdata(path: str, rank: int) -> rootsys.ExponentialWeightSum:
+def load_qdata(path: str, rank: int) -> dict[rootsys.Vec, HSeries]:
     """The expansion-data file's lattice sum; every ``beta`` must be a
     list of ``rank`` JSON integers."""
-    def parse(obj) -> rootsys.ExponentialWeightSum:
+    def parse(obj) -> dict[rootsys.Vec, HSeries]:
         for entry in obj:
             beta = entry["beta"]
             if len(beta) != rank or any(type(x) is not int for x in beta):
                 raise ValueError(f"beta {beta} needs {rank} integer "
                                  "coordinates")
-        return rootsys.ExponentialWeightSum.from_json(obj)
+        return rootsys.lattice_sum_from_json(obj)
 
     return _read_json_file(path, "expansion-data file", parse)
 
 
 def taupg_route(inp: SurgeryInput, label: str, order: int,
-                qdata: rootsys.ExponentialWeightSum | None = None) -> HSeries:
+                qdata: dict[rootsys.Vec, HSeries] | None = None) -> HSeries:
     """tau^PG from the knot's parsed expansion data; the built-in unknot
     needs none."""
     rs, _ = lie_pair(label)
@@ -256,7 +263,7 @@ class ComparisonReport:
 
 
 def compare(inp: SurgeryInput, label: str, order: int,
-            qdata: rootsys.ExponentialWeightSum | None = None
+            qdata: dict[rootsys.Vec, HSeries] | None = None
             ) -> ComparisonReport:
     """Both sides of the main equality at the requested order, with the
     knot's parsed expansion data (the built-in unknot needs none).
@@ -425,16 +432,14 @@ def _check_gauss(order: int) -> list[CheckResult]:
     out = []
     for label in ("A1", "A2"):
         rs, g = lie_pair(label)
-        # one tensor per Weyl pair, contracted at every framing
+        # one tensor per point of the squared Weyl sum, contracted at
+        # every framing and weighed by the point's signed count
         parts: dict[int, list[HSeries]] = {f: [HSeries.zero(cap)]
                                            for f in framings}
-        for beta, sw in rs.weyl:
-            for beta2, sw2 in rs.weyl:
-                vec = g.cartan_vector(rootsys._add(beta, beta2))
-                tensor = liews.exp_tensor(g, vec, cap)
-                for f in framings:
-                    parts[f].append(
-                        liews.wick(tensor, g, f, cap).scale(sw * sw2))
+        for beta, count in rootsys._square_sum(dict(rs.weyl)).items():
+            tensor = liews.exp_tensor(g, g.cartan_vector(beta), cap)
+            for f in framings:
+                parts[f].append(liews.wick(tensor, g, f, cap).scale(count))
         for f in framings:
             total = series_sum(parts[f])
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)

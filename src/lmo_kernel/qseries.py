@@ -16,9 +16,10 @@ and the one place that drops a zero sum.  Built on it: here, the series
 sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``; in
 ``diagrams``, every ``DiagramSeries`` (its constructor, ``+``,
 ``union``, ``add_form``), and through it the gluing sums of ``balg``;
-in ``rootsys``, the inner product and the Gaussian norm-class sums; in
-``liews``, the pair contraction, the leg erasure of a contracted
-diagram, ``hat_weight`` and ``wick``.
+in ``rootsys``, the inner product, the Weyl double sums, the root
+products and the Gaussian norm-class sums; in ``liews``, the pair
+contraction, the leg erasure of a contracted diagram, ``hat_weight``
+and ``wick``.
 """
 
 from __future__ import annotations

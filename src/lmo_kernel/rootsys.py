@@ -9,10 +9,14 @@ the simple reflections, and the Weyl group is kept as the orbit of rho
 with the sign of each element (rho is regular, so w -> w(rho) is one to
 one and W is never enumerated as matrices).
 
-Lattice exponentials q^(beta, lambda) stay symbolic (a finite map
-beta -> Laurent series) until coefficient extraction, since the
-monomials (beta, lambda)^j are linearly dependent across beta while the
-exponential presentation is canonical.
+Lattice exponentials q^(beta, lambda) stay symbolic until coefficient
+extraction, since the monomials (beta, lambda)^j are linearly dependent
+across beta while the exponential presentation is canonical.  A lattice
+sum is a plain map {beta: Laurent series}, nonzero series only, read
+from and written to the expansion-data format by
+``lattice_sum_from_json`` / ``lattice_sum_to_json``.  Every Weyl double
+sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .) is built by
+``_square_sum``.
 """
 
 from __future__ import annotations
@@ -123,75 +127,47 @@ def build_root_system(label: str) -> RootSystem:
 # lattice-exponential sums
 # ---------------------------------------------------------------------------
 
-class ExponentialWeightSum:
-    """Finite sum over lattice vectors beta of g_beta(h) * q^(beta, .)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms: dict[Vec, HSeries] = {}
-
-    def add(self, beta: Vec, series: HSeries) -> None:
-        cur = self.terms.get(beta)
-        acc = series if cur is None else cur + series
-        if acc.is_zero():
-            self.terms.pop(beta, None)
+def lattice_sum_from_json(obj: list) -> dict[Vec, HSeries]:
+    """Read expansion data as {beta: g_beta}: entries that share a beta
+    add in file order, and a sum that comes out zero is dropped."""
+    out: dict[Vec, HSeries] = {}
+    for entry in obj:
+        beta = _vec(entry["beta"])
+        series = HSeries.from_json(entry["series"])
+        if beta in out:
+            series = out[beta] + series
+        if series.is_zero():
+            out.pop(beta, None)
         else:
-            self.terms[beta] = acc
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExponentialWeightSum):
-            return NotImplemented
-        # ``add`` drops zero sums, so ``terms`` holds no zero series
-        return self.terms == other.terms
-
-    def to_json(self) -> list:
-        out = []
-        for beta, series in self.items():
-            if any(x.denominator != 1 for x in beta):
-                raise RootSystemError("non-integral lattice vector in dump")
-            out.append({"beta": [int(x) for x in beta],
-                        "series": series.to_json()})
-        return out
-
-    @classmethod
-    def from_json(cls, obj: list) -> "ExponentialWeightSum":
-        e = cls()
-        for entry in obj:
-            e.add(_vec(entry["beta"]), HSeries.from_json(entry["series"]))
-        return e
+            out[beta] = series
+    return out
 
 
-def _product_side(rs: RootSystem) -> dict[Vec, int]:
-    out: dict[Vec, int] = {tuple(Fraction(0) for _ in range(rs.rank)): 1}
+def lattice_sum_to_json(E: dict[Vec, HSeries]) -> list:
+    """Expansion data as a JSON list, one entry per beta in sorted order."""
+    out = []
+    for beta, series in sorted(E.items()):
+        if any(x.denominator != 1 for x in beta):
+            raise RootSystemError("non-integral lattice vector in dump")
+        out.append({"beta": [int(x) for x in beta],
+                    "series": series.to_json()})
+    return out
+
+
+def _root_product(rs: RootSystem, factor) -> dict[Vec, Fraction]:
+    """Expand prod over alpha > 0 of sum c q^(t alpha) over the pairs
+    (t, c) of ``factor``."""
+    out = {tuple(Fraction(0) for _ in range(rs.rank)): Fraction(1)}
     for alpha in rs.pos_roots:
-        half = _scale_vec(Fraction(1, 2), alpha)
-        nxt: dict[Vec, int] = {}
-        for mu, c in out.items():
-            for vec, s in ((_add(mu, half), c), (_add(mu, _scale_vec(-1, half)), -c)):
-                acc = nxt.get(vec, 0) + s
-                if acc:
-                    nxt[vec] = acc
-                else:
-                    nxt.pop(vec, None)
-        out = nxt
+        out = sum_products((_add(mu, _scale_vec(t, alpha)), c, s)
+                           for mu, c in out.items() for t, s in factor)
     return out
 
 
-def _square_sum(a: dict[Vec, int]) -> dict[Vec, int]:
-    out: dict[Vec, int] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in a.items():
-            v = _add(m1, m2)
-            acc = out.get(v, 0) + c1 * c2
-            if acc:
-                out[v] = acc
-            else:
-                out.pop(v, None)
-    return out
+def _square_sum(a: dict[Vec, int]) -> dict[Vec, Fraction]:
+    """The square of a lattice sum with scalar coefficients."""
+    return sum_products((_add(m1, m2), c1, c2)
+                        for m1, c1 in a.items() for m2, c2 in a.items())
 
 
 @dataclass(frozen=True)
@@ -205,11 +181,13 @@ class WeylDenominatorReport:
 
 
 def weyl_denominator(rs: RootSystem) -> WeylDenominatorReport:
-    """Expand both sides of the denominator identity (and its square) as
-    lattice-exponential sums and compare exactly."""
-    prod = _product_side(rs)
+    """Expand both sides of the denominator identity and compare exactly;
+    the squared identity expands prod (q^alpha - 2 + q^-alpha) on its own
+    and meets the square of the alternating sum."""
+    half = Fraction(1, 2)
+    prod = _root_product(rs, ((half, 1), (-half, -1)))
     alt = dict(rs.weyl)
-    prod2 = _square_sum(prod)
+    prod2 = _root_product(rs, ((1, 1), (0, -2), (-1, 1)))
     alt2 = _square_sum(alt)
     as_t = lambda d: tuple(sorted(d.items()))
     return WeylDenominatorReport(
@@ -218,7 +196,7 @@ def weyl_denominator(rs: RootSystem) -> WeylDenominatorReport:
         equal=prod == alt, equal_squared=prod2 == alt2)
 
 
-def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> ExponentialWeightSum:
+def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> dict[Vec, HSeries]:
     """Shifted squared quantum dimension of the unknot:
     [sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .)] divided by the
     lambda-free series prod_{a>0} (q^((rho,a)/2) - q^(-(rho,a)/2))^2.
@@ -233,13 +211,11 @@ def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> ExponentialWeightSum:
         factor = HSeries({1: c}, work) * sinh_ratio(c, work)
         den = den * factor * factor
     den_inv = den.inverse()   # cap = work - 4P = cap, valuation -2P
-    out = ExponentialWeightSum()
-    for beta, count in _square_sum(dict(rs.weyl)).items():
-        out.add(beta, den_inv.scale(count))
-    return out
+    return {beta: den_inv.scale(count)
+            for beta, count in _square_sum(dict(rs.weyl)).items()}
 
 
-def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
+def gaussian_on_exponentials(rs: RootSystem, E: dict[Vec, HSeries],
                              f, cap: int) -> HSeries:
     """Closed form of the Gaussian contraction on lattice exponentials:
     q^(beta, .) integrates to exp(-h |beta|^2 / (2f)), so the g_beta of
@@ -247,7 +223,7 @@ def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
     f = Fraction(f)
     P = rs.num_pos
     classes: dict[Fraction, list[HSeries]] = {}
-    for beta, g in E.terms.items():
+    for beta, g in E.items():
         classes.setdefault(rs.norm_sq(beta), []).append(g)
     out = [HSeries.zero(cap)]
     for bsq, gs in classes.items():
@@ -264,7 +240,7 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def _gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
+def _gaussian_sum_route(rs: RootSystem, E: dict[Vec, HSeries],
                         f, cap: int) -> HSeries:
     """Independent route through the extracted c-coefficients:
     sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j), with the
@@ -275,7 +251,7 @@ def _gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
     weight (2j-1)!! (-|beta|^2/f)^j / (2j)! at h^(k+j)."""
     f = Fraction(f)
     classes: dict[Fraction, list[HSeries]] = {}
-    for beta, g in E.terms.items():
+    for beta, g in E.items():
         classes.setdefault(rs.norm_sq(beta), []).append(g)
     terms = []
     for bsq, gs in classes.items():
@@ -288,7 +264,7 @@ def _gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
     return HSeries(sum_products(terms), cap)
 
 
-def tau_pg(rs: RootSystem, E: ExponentialWeightSum, f: int,
+def tau_pg(rs: RootSystem, E: dict[Vec, HSeries], f: int,
            cap: int) -> HSeries:
     """Perturbative invariant of surgery with framing f, from the shifted
     expansion data E of the zero-framed knot.

@@ -17,11 +17,7 @@ agree with them exactly.
 from fractions import Fraction
 
 from lmo_kernel.qseries import HSeries, SeriesError, q_power
-from lmo_kernel.rootsys import (
-    ExponentialWeightSum,
-    RootSystem,
-    double_factorial,
-)
+from lmo_kernel.rootsys import RootSystem, Vec, double_factorial
 
 
 def sum_products(terms) -> dict:
@@ -96,27 +92,27 @@ def inverse(self: HSeries) -> HSeries:
     return geo.scale(1 / lead).shift(-v)
 
 
-def gaussian_on_exponentials(rs: RootSystem, E: ExponentialWeightSum,
+def gaussian_on_exponentials(rs: RootSystem, E: dict[Vec, HSeries],
                              f, cap: int) -> HSeries:
     """Closed form of the Gaussian contraction on lattice exponentials:
     q^(beta, .) integrates to exp(-h |beta|^2 / (2f))."""
     f = Fraction(f)
     P = rs.num_pos
     out = HSeries.zero(cap)
-    for beta, g in E.terms.items():
+    for beta, g in E.items():
         gauss = q_power(-rs.norm_sq(beta) / (2 * f), cap + 2 * P)
         out = out + (g * gauss).truncate(cap)
     return out
 
 
-def gaussian_sum_route(rs: RootSystem, E: ExponentialWeightSum,
+def gaussian_sum_route(rs: RootSystem, E: dict[Vec, HSeries],
                        f, cap: int) -> HSeries:
     """Independent route through the extracted c-coefficients:
     sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j)."""
     import math
     f = Fraction(f)
     coeffs: dict[int, Fraction] = {}
-    for beta, g in E.terms.items():
+    for beta, g in E.items():
         bsq = rs.norm_sq(beta)
         lo = g.valuation()
         if lo is None:

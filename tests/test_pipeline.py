@@ -6,8 +6,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lmo_kernel.balg import omega, strut, theta, wheeling_inverse
-from lmo_kernel.diagrams import DiagramSeries, series_of
+from lmo_kernel.balg import omega, strut, theta, wheel, wheeling_inverse
+from lmo_kernel.diagrams import DiagramSeries, StructuralError, series_of
 from lmo_kernel.pipeline import (
     SurgeryInput,
     _wheeled_base,
@@ -23,7 +23,7 @@ from lmo_kernel.pipeline import (
     verify_suite,
 )
 from lmo_kernel.qseries import HSeries
-from lmo_kernel import balg, cli, liews, pipeline, qseries
+from lmo_kernel import balg, cli, liews, pipeline, qseries, rootsys
 
 
 def test_public_names_resolve():
@@ -93,6 +93,17 @@ class TestRoutes:
                 reduced_input(SurgeryInput("unknot", f), 2), f), g, 1)
             assert got == HSeries({0: 1, 1: Q(-(2 + f * f), 4 * f)}, 1)
 
+    def test_open_series_rejected_before_weighing(self, monkeypatch):
+        calls = []
+        true_hat_weight = liews.hat_weight
+        monkeypatch.setattr(liews, "hat_weight",
+                            lambda *args: calls.append(args)
+                            or true_hat_weight(*args))
+        _, g = lie_pair("A1")
+        with pytest.raises(StructuralError, match="closed"):
+            hat_scalar(series_of(wheel(1), 4), g, 4)
+        assert calls == []
+
     def test_route_equality_low_order(self):
         for lab in ("A1", "A2"):
             for f in (2, -2, 3):
@@ -113,7 +124,7 @@ class TestTauRoute:
     def test_qdata_file_round_trip(self, tmp_path):
         E = unknot_qdata("A1", 3)
         p = tmp_path / "q.json"
-        p.write_text(json.dumps(E.to_json()))
+        p.write_text(json.dumps(rootsys.lattice_sum_to_json(E)))
         a = taupg_route(SurgeryInput("unknot", 2), "A1", 3,
                         load_qdata(str(p), 1))
         b = taupg_route(SurgeryInput("unknot", 2), "A1", 3)
@@ -161,7 +172,8 @@ class TestCompare:
         p = tmp_path / "unknot.json"
         p.write_text(json.dumps(omega(4).to_json()))
         q = tmp_path / "q.json"
-        q.write_text(json.dumps(unknot_qdata("A1", 2).to_json()))
+        q.write_text(json.dumps(rootsys.lattice_sum_to_json(
+            unknot_qdata("A1", 2))))
         rep = compare(SurgeryInput(str(p), 2, declared_valid_degree=2),
                       "A1", 2, load_qdata(str(q), 1))
         assert rep.equal and not rep.lmo_only
@@ -210,6 +222,23 @@ class TestVerifySuite:
 
     def test_weyl_suite(self):
         assert all(r.passed for r in verify_suite("weyl"))
+
+    def test_squared_denominator_check_sees_a_wrong_square(self,
+                                                          monkeypatch):
+        # a square of the Weyl sum that skips the diagonal pairs w = w'
+        def mutant(a):
+            out = {}
+            for m1, c1 in a.items():
+                for m2, c2 in a.items():
+                    if m1 != m2:
+                        v = tuple(x + y for x, y in zip(m1, m2))
+                        out[v] = out.get(v, 0) + c1 * c2
+            return {v: c for v, c in out.items() if c}
+
+        monkeypatch.setattr(rootsys, "_square_sum", mutant)
+        failed = [r.name for r in verify_suite("weyl") if not r.passed]
+        assert failed == [f"weyl.denominator_squared.{label}"
+                          for label in ("A1", "A2", "A3")]
 
     def test_theta_suite(self):
         results = verify_suite("theta")

@@ -9,8 +9,12 @@ x orders 2..4 and A3 x the same framings x orders 2..3, ``compare`` for
 A2 and A3 at framing 2 and order 5 (closed diagrams with up to 10
 trivalent vertices), two ``compute`` runs, ``compare`` and ``compute`` at
 order 7 (above the largest order the vertex cap admits),
-``verify --suite all --order 4``, and ``compare`` on omega(8) as a knot
-file, with and without ``--qdata``.
+``verify --suite all --order 4``, ``compare`` on omega(8) as a knot
+file, with and without ``--qdata``, and the expansion-data reader end to
+end: ``taupg`` and the ``--qdata`` ``compare`` on the A1 unknot data as
+written (``qdata.json``) and on the same data split into halves under
+repeated betas with one extra beta that cancels (``qdata_split.json``);
+the two files give the same outputs.
 """
 
 import contextlib
@@ -19,11 +23,13 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lmo_kernel import balg, cli, pipeline  # noqa: E402
+from lmo_kernel import balg, cli, pipeline, rootsys  # noqa: E402
+from lmo_kernel.qseries import HSeries  # noqa: E402
 
 
 def commands() -> list[list[str]]:
@@ -36,6 +42,7 @@ def commands() -> list[list[str]]:
                                 "--order", str(n)])
     knot = ["compare", "--knot", "omega8.json", "--lie", "A1", "--framing",
             "2", "--order", "4"]
+    taupg = ["taupg", "--lie", "A1", "--framing", "2", "--order", "4"]
     for lie in ("A2", "A3"):
         out.append(["compare", "--lie", lie, "--framing", "2", "--order", "5"])
     return out + [
@@ -46,7 +53,21 @@ def commands() -> list[list[str]]:
         ["compute", "--lie", "A1", "--framing", "2", "--order", "7"],
         ["verify", "--suite", "all", "--order", "4"],
         knot, knot + ["--qdata", "qdata.json"],
+        taupg + ["--qdata", "qdata.json"],
+        taupg + ["--qdata", "qdata_split.json"],
+        knot + ["--qdata", "qdata_split.json"],
     ]
+
+
+def split(entries: list) -> list:
+    """The same lattice sum in a file the writer never produces: every
+    entry split into two halves under its beta, the second halves after
+    all the first ones, and an extra beta whose two entries cancel."""
+    halves = [{"beta": e["beta"], "series": HSeries.from_json(
+        e["series"]).scale(Fraction(1, 2)).to_json()} for e in entries]
+    extra = HSeries({-2: 1, 1: Fraction(1, 3)}, 4)
+    return ([{"beta": [3], "series": extra.to_json()}] + halves + halves
+            + [{"beta": [3], "series": (-extra).to_json()}])
 
 
 def main(out_path: str) -> None:
@@ -55,8 +76,9 @@ def main(out_path: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         Path("omega8.json").write_text(json.dumps(balg.omega(8).to_json()))
-        Path("qdata.json").write_text(
-            json.dumps(pipeline.unknot_qdata("A1", 4).to_json()))
+        entries = rootsys.lattice_sum_to_json(pipeline.unknot_qdata("A1", 4))
+        Path("qdata.json").write_text(json.dumps(entries))
+        Path("qdata_split.json").write_text(json.dumps(split(entries)))
         for argv in commands():
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
