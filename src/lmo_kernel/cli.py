@@ -8,7 +8,8 @@ Subcommands:
 
 Exit code is 0 iff every check requested by the invocation passed; a
 knot or expansion-data file that cannot be read or parsed (including a
-lattice vector without rank-many integer coordinates), framing 0, a
+lattice vector without rank-many integer coordinates, or a series, zero
+or not, whose cap is below ``--order``), framing 0, a
 file knot without ``--qdata`` for the perturbative side, order 0, a
 ``compute`` or ``compare`` order above ``pipeline.MAX_ORDER`` (the
 largest the vertex cap admits), a ``verify`` order below 1, a negative
@@ -142,7 +143,8 @@ def _run(args: argparse.Namespace) -> int:
 
     # read and checked against the rank before any diagram work
     rank = lie_pair(args.lie)[0].rank
-    qdata = None if args.qdata is None else load_qdata(args.qdata, rank)
+    qdata = None if args.qdata is None else load_qdata(args.qdata, rank,
+                                                       args.order)
     if args.command == "taupg":
         series = taupg_route(inp, args.lie, args.order, qdata)
         _write({"knot": inp.knot, "framing": inp.framing, "lie": args.lie,

@@ -9,33 +9,37 @@ been erased.
 Canonicalization extracts the orientation sign: reversing the cyclic
 order at a vertex costs -1, and a diagram carrying an orientation-odd
 automorphism is the zero element.  Each connected component is keyed by
-the smallest row serial over a set of candidate labelings.  Colour
-refinement (1-WL) of the underlying multigraph, started from the leg
-count of each vertex, picks the smallest colour class; a candidate starts
-at one vertex of that class, refines again with that vertex singled out,
-and labels the rest in breadth-first order.  A newly reached vertex puts
-its entry port in slot 0 and orders its other slots by leg, then port of
-a labeled neighbour, then colour of an unlabeled one; only ties branch.
-Every rule is invariant, so an automorphism maps candidates to
-candidates.  Hence two candidates reaching the same serial differ by an
-automorphism, and the component is zero exactly when it has an
-orientation-odd one: the search stops as soon as two candidates of one
-serial carry both signs.  The automorphisms found also prune starts
-(the orbit pruning of McKay and Piperno, "Practical graph isomorphism,
-II", 2014): a start in the orbit of an explored start, under the
-automorphisms found so far, has as candidates the images of that
-start's candidates under an orientation-even automorphism, so it is
-skipped.  The tied candidates at the minimal serial, measured against
-the first one, together with the automorphisms that merged start
-orbits, generate the component's automorphism group;
-``leg_automorphisms`` reads them to give the leg permutations the
-gluing tables fold by.
+the smallest row serial over a set of candidate labelings.  The vertices
+start coloured by their legs, parallel edges and triangles; a
+splitter-queue refinement (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 60, 2014, §3) splits the colours to
+the coarsest equitable partition.  A candidate starts at one vertex of
+the smallest colour class, refines again with only that vertex's new
+cell as splitter, and labels the rest in breadth-first order.  A newly
+reached vertex puts its entry port in slot 0 and orders its other slots
+by leg, then port of a labeled neighbour, then colour of an unlabeled
+one; only ties branch.  Every rule is invariant, so an automorphism maps
+candidates to candidates.  Hence two candidates reaching the same serial
+differ by an automorphism, and the component is zero exactly when it has
+an orientation-odd one: the search stops as soon as two candidates of
+one serial carry both signs.  The automorphisms found prune twice (the
+same paper, §3).  A candidate that ties the first one at the current
+minimal serial gives an automorphism that fixes their common prefix and
+maps the first one's explored subtree onto the rest of the current one,
+so the search returns straight to their deepest common ancestor, or
+leaves the start when the two starts differ.  A start in the orbit of an
+explored start, under the automorphisms found so far, is skipped.  The
+tied candidates at the minimal serial, measured against the first one,
+together with the automorphisms that merged start orbits, generate the
+component's automorphism group; ``leg_automorphisms`` reads them to give
+the leg permutations the gluing tables fold by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .qseries import ZERO, sum_products
@@ -47,8 +51,9 @@ Edge = tuple[Port, Port]
 LEG = 10 ** 9
 
 #: Hard cap on total vertex count.  Canonical search branches only on
-#: colour ties, but an unlucky highly symmetric component still costs up
-#: to 6 * 2**(t - 1) candidate labelings per start orbit it explores.
+#: colour ties, and an automorphism costs it one leaf, not the subtree it
+#: maps onto an explored one.  Ties that no automorphism explains still
+#: branch, so one start can cost up to 6 * 2**(t - 1) candidate labelings.
 MAX_VERTICES = 24
 
 #: Slot relabelings of a trivalent vertex: rotations preserve the cyclic
@@ -234,23 +239,61 @@ def _components(d: JacobiDiagram) -> list[tuple[list[int], int, list[Edge]]]:
     return [(tv, len(lg), es) for tv, lg, es in buckets.values()]
 
 
-def _refine(colour: dict[int, int],
-            nbrs: dict[int, list[int]]) -> dict[int, int]:
-    """Colour refinement (1-WL) of a multigraph to its stable partition.
+def _refine(cells: dict[int, list[int]], colour: dict[int, int],
+            nbrs: dict[int, list[int]], queue: list[int]) -> None:
+    """Split an ordered partition of a multigraph's vertices, in place, to
+    the coarsest equitable one finer than it: every vertex of a cell then
+    has as many neighbours (edges counted with multiplicity) in each cell.
 
-    A new colour is the rank of (old colour, sorted neighbour colours), so
-    colours depend on the graph and the initial colouring alone, never on
-    the vertex numbering.
+    ``cells`` maps the position of a cell in the ordered partition (the
+    number of vertices before it) to its vertices; ``colour`` maps each
+    vertex to the position of its cell.  ``queue`` lists the positions of
+    the splitter cells.  A splitter splits every cell by the number of
+    neighbours its vertices have in it; the fragments take the cell's
+    place in order of that number, and all but the first largest one join
+    the queue (all, if the cell was queued).  Positions and counts are the
+    only things read, so colours depend on the graph and the initial
+    partition, never on the vertex numbering.
     """
-    n_classes = len(set(colour.values()))
-    while True:
-        sig = {v: (c, tuple(sorted(colour[w] for w in nbrs[v])))
-               for v, c in colour.items()}
-        rank = {g: i for i, g in enumerate(sorted(set(sig.values())))}
-        colour = {v: rank[g] for v, g in sig.items()}
-        if len(rank) == n_classes:
-            return colour
-        n_classes = len(rank)
+    queued = set(queue)
+    for w in queue:
+        queued.discard(w)
+        count: dict[int, int] = {}
+        for x in cells[w]:
+            for y in nbrs[x]:
+                count[y] = count.get(y, 0) + 1
+        for c in sorted({colour[y] for y in count}):
+            split: dict[int, list[int]] = {}
+            for y in cells[c]:
+                split.setdefault(count.get(y, 0), []).append(y)
+            if len(split) == 1:
+                continue
+            frags = [split[n] for n in sorted(split)]
+            largest = max(frags, key=len)
+            requeue = c in queued
+            for frag in frags:
+                cells[c] = frag
+                for y in frag:
+                    colour[y] = c
+                if (requeue or frag is not largest) and c not in queued:
+                    queue.append(c)
+                    queued.add(c)
+                c += len(frag)
+
+
+def _equitable(key: dict[int, tuple], nbrs: dict[int, list[int]]
+               ) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The coarsest equitable partition finer than the one into equal
+    ``key`` values, as ``_refine`` gives it (cells, colour): the cells
+    start in key order, and every cell is a splitter."""
+    cells: dict[int, list[int]] = {}
+    colour: dict[int, int] = {}
+    for k in sorted(set(key.values())):
+        c = len(colour)
+        cells[c] = [v for v in key if key[v] == k]
+        colour.update(dict.fromkeys(cells[c], c))
+    _refine(cells, colour, nbrs, list(cells))
+    return cells, colour
 
 
 def _canon_component(trivalent: list[int], edges: list[Edge],
@@ -259,15 +302,15 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
     """Minimal serialization of one connected component, with its sign.
 
     Candidate labelings start at a vertex of the smallest colour class,
-    one per orbit of the automorphisms found, and visit the rest in
-    breadth-first order; see the module docstring.  Returns (serial,
-    sign); sign 0 encodes the zero diagram.  A ``ties`` list of a
-    nonzero component receives pairs (a, b) of labelings that reach one
-    serial, each labeling a (vertex -> label, vertex -> slot permutation)
-    pair, so each pair is an automorphism: first (t0, t) for every
-    labeling t at the minimal serial, t0 the first of them, then every
-    pair that merged start orbits.  Together they generate the
-    automorphism group.
+    one per orbit of the automorphisms found, visit the rest in
+    breadth-first order and return to the common ancestor of a tie; see
+    the module docstring.  Returns (serial, sign); sign 0 encodes the zero
+    diagram.  A ``ties`` list of a nonzero component receives pairs (a, b)
+    of labelings that reach one serial, each labeling a (vertex -> label,
+    vertex -> slot permutation) pair, so each pair is an automorphism:
+    first (t0, t) for every labeling t at the minimal serial that the
+    search reached, t0 the first of them, then every pair that merged
+    start orbits.  Together they generate the automorphism group.
     """
     n_legs = sum(1 for e in edges for (v, _) in e if v >= t_bound)
     if not trivalent:
@@ -290,11 +333,12 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
             adj[qv][qs] = ("L",)
 
     nbrs = {v: [nb[0] for nb in adj[v] if nb != ("L",)] for v in trivalent}
-    colour = _refine({v: adj[v].count(("L",)) for v in trivalent}, nbrs)
-    classes: dict[int, list[int]] = {}
-    for v in trivalent:
-        classes.setdefault(colour[v], []).append(v)
-    starts = min(classes.values(), key=lambda vs: (len(vs), colour[vs[0]]))
+    # start colour: legs, parallel edges and triangles at each vertex
+    key = {v: (adj[v].count(("L",)), len(nbrs[v]) - len(set(nbrs[v])),
+               sum(b in nbrs[a] for a, b in combinations(set(nbrs[v]), 2)))
+           for v in trivalent}
+    cells, colour = _equitable(key, nbrs)
+    starts = cells[min(cells, key=lambda c: (len(cells[c]), c))]
 
     T = len(trivalent)
     best: list = [None]        # best complete serial
@@ -310,29 +354,38 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
         return v
 
     def leaf(label: dict[int, int], perm: dict, order: list[int],
-             sign: int) -> None:
-        """A complete labeling at the best serial: record it with its sign,
-        and merge the start orbits that the automorphism from the first
-        such labeling onto it joins."""
+             sign: int) -> int:
+        """A complete labeling at the best serial: record it with its
+        sign, merge the start orbits that the automorphism from the first
+        such labeling onto it joins, and return the depth to resume at."""
         best_signs.add(sign)
-        here = (dict(label), dict(perm))
-        if tied:
-            merged = False
-            for v in starts:
-                a, b = find(v), find(order[tied[0][0][v]])
-                if a != b:
-                    orbit[a] = b
-                    merged = True
-            if merged:
-                kept.append((tied[0], here))
-        tied.append(here)
+        tied.append((dict(label), dict(perm)))
+        if len(tied) == 1:
+            return T
+        (label0, perm0), here = tied[0], tied[-1]
+        merged = False
+        for v in starts:
+            a, b = find(v), find(order[label0[v]])
+            if a != b:
+                orbit[a] = b
+                merged = True
+        if merged:
+            kept.append((tied[0], here))
+        if len(best_signs) == 2:
+            return -1  # an orientation-odd automorphism: the zero diagram
+        if label0[order[0]] != 0:
+            return -1  # the whole start is the image of an explored one
+        # the automorphism fixes the common prefix and maps the first
+        # labeling's explored subtree onto the rest of this one
+        return next(k for k, u in enumerate(order) if perm[u] != perm0[u])
 
     def search(u: int, entry: int | None, head: int, col: dict[int, int],
                order: list[int], label: dict[int, int],
                perm: dict[int, tuple[int, int, int]],
-               rows: list, sign: int) -> None:
+               rows: list, sign: int) -> int:
         """Give ``u`` label k = len(order), entered through slot ``entry``
-        (None for the start), under each admissible slot permutation."""
+        (None for the start), under each admissible slot permutation.
+        Returns the depth of the frame to resume at: one above k unwinds."""
         k = len(order)
         # slot keys: leg < port of a labeled neighbour < colour of another
         keys = []
@@ -344,8 +397,6 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
             else:
                 keys.append((2, col[nb[0]]))
         for p, psign in SLOT_PERMS:
-            if len(best_signs) == 2:
-                return  # an orientation-odd automorphism: the zero diagram
             if entry is not None and p[entry] != 0:
                 continue
             by_slot = [keys[s] for s in _SLOTS_IN_ORDER[p]]
@@ -370,7 +421,7 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                 if best[0] is None:
                     best[0] = tuple(rows)
                 # otherwise comparisons en route guarantee equality
-                leaf(label, perm, order, sign * psign)
+                back = leaf(label, perm, order, sign * psign)
             else:
                 # next vertex: first unlabeled neighbour of the labeled
                 # vertices in label order, their slots in new slot order
@@ -384,18 +435,26 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                             break
                     else:
                         h += 1
-                search(nxt[0], nxt[1], h, col, order, label, perm,
-                       rows, sign * psign)
+                back = search(nxt[0], nxt[1], h, col, order, label, perm,
+                              rows, sign * psign)
             rows.pop()
             order.pop()
             del label[u], perm[u]
+            if back < k:
+                return back
+        return k
 
     explored: list[int] = []
     for v in starts:
         if any(find(v) == find(u) for u in explored):
             continue  # an automorphism maps an explored start onto v
         explored.append(v)
-        col = _refine({**colour, v: -1}, nbrs)
+        col, split = dict(colour), dict(cells)
+        c = col[v]
+        if len(split[c]) > 1:  # equitable before, so only {v} splits
+            split[c], split[c + 1] = [v], [w for w in split[c] if w != v]
+            col.update(dict.fromkeys(split[c + 1], c + 1))
+            _refine(split, col, nbrs, [c])
         search(v, None, 0, col, [], {}, {}, [], 1)
         if len(best_signs) == 2:
             return None, 0

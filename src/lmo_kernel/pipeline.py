@@ -197,15 +197,21 @@ def unknot_qdata(label: str, cap: int) -> dict[rootsys.Vec, HSeries]:
     return rootsys.quantum_dim_sq_shifted(rs, cap)
 
 
-def load_qdata(path: str, rank: int) -> dict[rootsys.Vec, HSeries]:
+def load_qdata(path: str, rank: int,
+               order: int) -> dict[rootsys.Vec, HSeries]:
     """The expansion-data file's lattice sum; every ``beta`` must be a
-    list of ``rank`` JSON integers."""
+    list of ``rank`` JSON integers, and every entry's series, zero ones
+    included, must be known through h^order."""
     def parse(obj) -> dict[rootsys.Vec, HSeries]:
         for entry in obj:
             beta = entry["beta"]
             if len(beta) != rank or any(type(x) is not int for x in beta):
                 raise ValueError(f"beta {beta} needs {rank} integer "
                                  "coordinates")
+            cap = HSeries.from_json(entry["series"]).cap
+            if cap < order:
+                raise ValueError(f"beta {beta} has series cap {cap}, "
+                                 f"below --order {order}")
         return rootsys.lattice_sum_from_json(obj)
 
     return _read_json_file(path, "expansion-data file", parse)

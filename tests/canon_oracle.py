@@ -7,10 +7,14 @@ slow but plainly correct, so the property tests compare
 ``diagrams.canonicalize``: only zero-ness, the partition into classes and
 relative signs are comparable.  Its minimal labelings are every
 automorphism of a component, so the tests also measure the leg group of
-``diagrams.leg_automorphisms`` against them.
+``diagrams.leg_automorphisms`` against them (``leg_maps``).  ``refine``,
+whole-graph rounds of colour refinement, is the partition oracle for the
+splitter-queue refinement of ``diagrams._refine``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from lmo_kernel.diagrams import (
     LEG,
@@ -22,6 +26,25 @@ from lmo_kernel.diagrams import (
     JacobiDiagram,
     _components,
 )
+
+
+def refine(colour: dict[int, int],
+           nbrs: dict[int, list[int]]) -> dict[int, int]:
+    """Colour refinement (1-WL) of a multigraph to its stable partition.
+
+    A new colour is the rank of (old colour, sorted neighbour colours), so
+    colours depend on the graph and the initial colouring alone, never on
+    the vertex numbering.
+    """
+    n_classes = len(set(colour.values()))
+    while True:
+        sig = {v: (c, tuple(sorted(colour[w] for w in nbrs[v])))
+               for v, c in colour.items()}
+        rank = {g: i for i, g in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[g] for v, g in sig.items()}
+        if len(rank) == n_classes:
+            return colour
+        n_classes = len(rank)
 
 
 def _canon_component(trivalent: list[int], edges: list[Edge],
@@ -129,3 +152,52 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
         sign *= s
         comps.append(serial)
     return CanonicalDiagram(CanonicalForm(tuple(sorted(comps))), sign)
+
+
+def leg_group(gens, m: int) -> set[tuple[int, ...]]:
+    """The permutation group on range(m) the generators span."""
+    ident = tuple(range(m))
+    seen, stack = {ident}, [ident]
+    while stack:
+        g = stack.pop()
+        for s in gens:
+            h = tuple(s[i] for i in g)
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
+
+
+def leg_maps(d: JacobiDiagram) -> list[tuple[int, ...]]:
+    """Every leg permutation that one automorphism of a component of
+    ``d`` induces (from the exhaustive search's minimal labelings), one
+    swap per pair of isomorphic components, and every flip and swap of
+    struts.  Together they span the leg group of ``d``."""
+    leg_at = {p: q[0] - d.t for p, q in d.edges if p[0] < d.t <= q[0]}
+
+    def leg_map(a, b) -> dict[int, int]:
+        vertex_b = {k: v for v, k in b[0].items()}
+        out = {}
+        for (u, s), leg in leg_at.items():
+            if u in a[0]:
+                v = vertex_b[a[0][u]]
+                out[leg] = leg_at[(v, b[1][v].index(a[1][u][s]))]
+        return out
+
+    maps, labelings, struts = [], [], []
+    for tv, n_legs, es in _components(d):
+        if not tv:
+            (a, _), (b, _) = es[0]
+            struts.append((a - d.t, b - d.t))
+        elif n_legs:
+            ties: list = []
+            serial, _ = _canon_component(sorted(tv), es, d.t, ties)
+            maps += [leg_map(ties[0], t) for t in ties]
+            labelings.append((serial, ties[0]))
+    for (s1, a), (s2, b) in itertools.combinations(labelings, 2):
+        if s1 == s2:
+            maps.append({**leg_map(a, b), **leg_map(b, a)})
+    maps += [{a: b, b: a} for a, b in struts]
+    maps += [{a: c, c: a, b: e, e: b}
+             for (a, b), (c, e) in itertools.combinations(struts, 2)]
+    return [tuple(g.get(i, i) for i in range(d.m)) for g in maps]

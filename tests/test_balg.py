@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import canon_oracle
 import gauss_oracle
+from canon_oracle import leg_group
 from lmo_kernel.balg import (
     _gluing_table,
     _strut_count,
@@ -28,7 +29,6 @@ from lmo_kernel.diagrams import (
     DiagramSeries,
     JacobiDiagram,
     StructuralError,
-    _components,
     canonicalize,
     glue_legs,
     leg_automorphisms,
@@ -263,59 +263,9 @@ def gluing_series(draw, struts: bool, max_legs: int) -> DiagramSeries:
     return s
 
 
-def leg_group(gens, m: int) -> set[tuple[int, ...]]:
-    """The permutation group on range(m) the generators span."""
-    ident = tuple(range(m))
-    seen, stack = {ident}, [ident]
-    while stack:
-        g = stack.pop()
-        for s in gens:
-            h = tuple(s[i] for i in g)
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return seen
-
-
 def leg_group_order(gens, m: int) -> int:
     """Order of the permutation group on range(m) the generators span."""
     return len(leg_group(gens, m))
-
-
-def oracle_leg_maps(d: JacobiDiagram) -> list[tuple[int, ...]]:
-    """Every leg permutation that one automorphism of a component of
-    ``d`` induces (from the exhaustive search's minimal labelings), one
-    swap per pair of isomorphic components, and every flip and swap of
-    struts.  Together they span the leg group of ``d``."""
-    leg_at = {p: q[0] - d.t for p, q in d.edges if p[0] < d.t <= q[0]}
-
-    def leg_map(a, b) -> dict[int, int]:
-        vertex_b = {k: v for v, k in b[0].items()}
-        out = {}
-        for (u, s), leg in leg_at.items():
-            if u in a[0]:
-                v = vertex_b[a[0][u]]
-                out[leg] = leg_at[(v, b[1][v].index(a[1][u][s]))]
-        return out
-
-    maps, labelings, struts = [], [], []
-    for tv, n_legs, es in _components(d):
-        if not tv:
-            (a, _), (b, _) = es[0]
-            struts.append((a - d.t, b - d.t))
-        elif n_legs:
-            ties: list = []
-            serial, _ = canon_oracle._canon_component(sorted(tv), es, d.t,
-                                                      ties)
-            maps += [leg_map(ties[0], t) for t in ties]
-            labelings.append((serial, ties[0]))
-    for (s1, a), (s2, b) in itertools.combinations(labelings, 2):
-        if s1 == s2:
-            maps.append({**leg_map(a, b), **leg_map(b, a)})
-    maps += [{a: b, b: a} for a, b in struts]
-    maps += [{a: c, c: a, b: e, e: b}
-             for (a, b), (c, e) in itertools.combinations(struts, 2)]
-    return [tuple(g.get(i, i) for i in range(d.m)) for g in maps]
 
 
 @st.composite
@@ -379,7 +329,7 @@ class TestLegAutomorphisms:
         generators span every leg permutation that the exhaustive
         search's minimal labelings induce."""
         assert leg_group(leg_automorphisms(d), d.m) == \
-            leg_group(oracle_leg_maps(d), d.m)
+            leg_group(canon_oracle.leg_maps(d), d.m)
 
     def test_generators_from_an_overtaken_serial_are_kept(self):
         """Here the search skips starts by automorphisms found at a serial
@@ -392,7 +342,7 @@ class TestLegAutomorphisms:
             ((3, 2), (7, 2)), ((5, 0), (6, 2)), ((5, 1), (6, 0)),
             ((6, 1), (9, 0)), ((7, 0), (11, 0))))
         assert leg_group(leg_automorphisms(d), 4) == \
-            leg_group(oracle_leg_maps(d), 4)
+            leg_group(canon_oracle.leg_maps(d), 4)
         assert leg_group_order(leg_automorphisms(d), 4) == 4
 
     def test_zero_diagram_rejected(self):

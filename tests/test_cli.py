@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lmo_kernel import pipeline
+from lmo_kernel import pipeline, rootsys
 from lmo_kernel.balg import omega, wheel
 from lmo_kernel.cli import main
 from lmo_kernel.diagrams import series_of
@@ -82,6 +82,13 @@ def _qdata_with_beta(beta) -> str:
     return json.dumps([{"beta": beta, "series": HSeries.one(1).to_json()}])
 
 
+def _unknot_qdata_with_cap_zero_beta(series: HSeries) -> str:
+    """The A1 unknot data at cap 4 plus beta [5] with a cap-0 series."""
+    return json.dumps(rootsys.lattice_sum_to_json(
+        pipeline.unknot_qdata("A1", 4)) + [
+        {"beta": [5], "series": series.to_json()}])
+
+
 @pytest.mark.parametrize("option, content", [
     ("--knot", None),                      # missing file
     ("--knot", "{not json"),
@@ -98,6 +105,8 @@ def _qdata_with_beta(beta) -> str:
         "min_exp": -100, "coeffs": {"-100": "1/1"}, "cap": 2}}])),  # pole
     ("--qdata", json.dumps([{"beta": [0], "series": {
         "min_exp": 0, "coeffs": {"-1": "1/1"}, "cap": 2}}])),  # below min_exp
+    ("--qdata", _unknot_qdata_with_cap_zero_beta(HSeries.zero(0))),
+    ("--qdata", _unknot_qdata_with_cap_zero_beta(HSeries.one(0))),
 ])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     path = tmp_path / "input.json"
@@ -110,6 +119,24 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     assert captured.out == ""
     line, = captured.err.splitlines()
     assert str(path) in json.loads(line)["error"]
+
+
+@pytest.mark.parametrize("series", [HSeries.zero(0), HSeries.one(0)])
+def test_qdata_cap_below_order_is_one_error_line(tmp_path, capsys, series):
+    """An entry known only through h^0, zero or not, cannot vouch for
+    h^4: both commands name its beta, its cap and the order (the zero
+    one used to be dropped, so taupg printed a cap-4 series)."""
+    path = tmp_path / "qdata.json"
+    path.write_text(_unknot_qdata_with_cap_zero_beta(series))
+    for command in ("taupg", "compare"):
+        assert main([command, "--lie", "A1", "--framing", "2", "--order",
+                     "4", "--qdata", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        message = json.loads(line)["error"]
+        assert "[5]" in message and "cap 0" in message
+        assert "--order 4" in message
 
 
 def _assert_one_error_line(capsys):
@@ -211,3 +238,13 @@ def test_qdata_read_before_diagram_work(tmp_path, capsys, monkeypatch):
 def test_bad_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+
+
+def test_order_six_main_equality(capsys):
+    """The main equality at h^6: components reach 12 vertices, where the
+    canonical search returns from most automorphic leaves at once."""
+    code, obj = run(capsys, "compare", "--lie", "A1", "--framing", "2",
+                    "--order", "6")
+    assert code == 0
+    assert obj["equal"] is True and obj["routes_equal"] is True
+    assert obj["certified_order"] == 6

@@ -126,7 +126,7 @@ class TestTauRoute:
         p = tmp_path / "q.json"
         p.write_text(json.dumps(rootsys.lattice_sum_to_json(E)))
         a = taupg_route(SurgeryInput("unknot", 2), "A1", 3,
-                        load_qdata(str(p), 1))
+                        load_qdata(str(p), 1, 3))
         b = taupg_route(SurgeryInput("unknot", 2), "A1", 3)
         assert a == b
 
@@ -175,7 +175,7 @@ class TestCompare:
         q.write_text(json.dumps(rootsys.lattice_sum_to_json(
             unknot_qdata("A1", 2))))
         rep = compare(SurgeryInput(str(p), 2, declared_valid_degree=2),
-                      "A1", 2, load_qdata(str(q), 1))
+                      "A1", 2, load_qdata(str(q), 1, 2))
         assert rep.equal and not rep.lmo_only
 
     @pytest.mark.parametrize("f", (-1, 2))

@@ -4,7 +4,10 @@ Component serials key ``liews._GL_POLYNOMIALS`` and fix the diagrams
 that a series writes to JSON, so a faster canonical search must reach
 the same serial and sign on every diagram.  ``serials.jsonl`` holds, one line per
 diagram, the diagram and the ``(components, sign)`` that ``canonicalize``
-gave for it on commit 6cb9d4d:
+gave for it once the search started from the (legs, parallel edges,
+triangles) colour and refined by splitter queue.  That recording kept
+the partition into classes and the sign ratios within each class of the
+one before it, made on commit 6cb9d4d:
 
 - every perfect-matching gluing of the legs of ``wheel(4)``,
   ``wheel(2) ⊔ wheel(2)`` and ``wheel(3) ⊔ wheel(1)``;
