@@ -557,9 +557,11 @@ class DiagramSeries:
     Truncation policy, stated once in ``fits`` and applied by the
     constructor and ``add_form``: terms with more than ``imax``
     trivalent vertices or more than ``2 * imax`` legs are dropped.
-    ``+`` and ``scale`` make no new form, so they apply no bound: the
-    unit keeps its empty form even at a negative ``imax``, where
-    ``balg.wheeling_inverse`` then never returns (see ``cli``).
+    ``union`` skips the pairs of terms the bound would drop before it
+    builds their form.  ``+`` and ``scale`` make no new form, so they
+    apply no bound: the unit keeps its empty form even at a negative
+    ``imax``, where ``balg.wheeling_inverse`` then never returns (see
+    ``cli``).
     """
 
     __slots__ = ("terms", "imax")
@@ -632,11 +634,14 @@ class DiagramSeries:
         return out
 
     def union(self, other: "DiagramSeries") -> "DiagramSeries":
-        """Disjoint-union product, extended bilinearly."""
+        """Disjoint-union product, extended bilinearly.  A pair whose
+        union the bound would drop is skipped before its form is built."""
         self._check_policy(other)
-        return DiagramSeries(self.imax, (
+        imax = self.imax
+        return DiagramSeries(imax, (
             (f1.union(f2), c1, c2) for f1, c1 in self.terms.items()
-            for f2, c2 in other.terms.items()))
+            for f2, c2 in other.terms.items()
+            if f1.t + f2.t <= imax and f1.m + f2.m <= 2 * imax))
 
     def exp_union(self) -> "DiagramSeries":
         """exp under disjoint union; the argument may have no degree-0 part."""

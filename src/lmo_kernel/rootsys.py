@@ -1,4 +1,4 @@
-"""Root systems of type A (rank <= 3), Weyl groups, lattice-exponential
+"""Root systems of type A (rank <= 5), Weyl groups, lattice-exponential
 sums, and the surgery formula for the perturbative invariant.
 
 Weights live in simple-root coordinates throughout; the bilinear form
@@ -7,7 +7,17 @@ has squared length 2.  Everything else comes from that matrix by one
 reflection closure: the roots are the closure of the simple roots under
 the simple reflections, and the Weyl group is kept as the orbit of rho
 with the sign of each element (rho is regular, so w -> w(rho) is one to
-one and W is never enumerated as matrices).
+one and W is never enumerated as matrices).  ``build_root_system``
+makes A1 to A5; the command line offers A1 to A3 (``pipeline``).
+
+Lattice coordinates are integers: the Gram matrix, the roots and every
+beta of a lattice sum are ``int`` tuples.  Only rho and its Weyl orbit
+are half-integral; they keep ``Fraction`` coordinates.  The sums over
+such points (``_square_sum``, ``_root_product``) scale them by their
+common denominator, 2 in practice, add integer keys and scale each key
+back at the end, to an ``int`` where it is integral.  Equal ``int`` and
+``Fraction`` tuples hash and compare equal, so a map reads the same
+whichever it holds.
 
 Lattice exponentials q^(beta, lambda) stay symbolic until coefficient
 extraction, since the monomials (beta, lambda)^j are linearly dependent
@@ -25,29 +35,37 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .qseries import (
-    ZERO, HSeries, PoleError, q_power, series_sum, sinh_ratio, sum_products)
+    HSeries, PoleError, q_power, series_sum, sinh_ratio, sum_products)
 
-Vec = tuple[Fraction, ...]
+#: A lattice vector in simple-root coordinates.
+Vec = tuple[int, ...]
+#: A weight that may be half-integral, such as rho.
+Weight = tuple[Fraction, ...]
+
+#: The labels ``build_root_system`` accepts.
+TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5")
 
 
 class RootSystemError(ValueError):
     pass
 
 
-def _vec(xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
+def _scaled(x, d: int) -> int:
+    """d * x for a rational x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
 
 
-def _add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
+def _unscaled(n: int, d: int):
+    """n / d: an ``int`` when d divides n, else a ``Fraction``."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
-def _scale_vec(c, x: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
+def _common_denominator(xs) -> int:
+    return math.lcm(*(x.denominator for x in xs))
 
 
 @dataclass(frozen=True)
@@ -56,15 +74,13 @@ class RootSystem:
     rank: int
     gram: tuple[Vec, ...]          # (alpha_i, alpha_j)
     pos_roots: tuple[Vec, ...]     # in simple-root coordinates
-    rho: Vec
-    weyl: tuple[tuple[Vec, int], ...]   # sorted (w(rho), sign w)
+    rho: Weight
+    weyl: tuple[tuple[Weight, int], ...]   # sorted (w(rho), sign w)
 
     def inner(self, x, y) -> Fraction:
-        # x . (G y), with (G y)_i summed first (G is symmetric)
-        gy = sum_products((i, g, b) for j, b in enumerate(y) if b
-                          for i, g in enumerate(self.gram[j]) if g)
-        return sum_products((None, a, gy[i]) for i, a in enumerate(x)
-                            if i in gy).get(None, ZERO)
+        # x . (G y): integer arithmetic on integer coordinates
+        return Fraction(sum(map(mul, x, [sum(map(mul, row, y))
+                                          for row in self.gram])))
 
     def norm_sq(self, x) -> Fraction:
         return self.inner(x, x)
@@ -96,29 +112,29 @@ def _reflection_closure(gram, seeds) -> dict[Vec, int]:
 
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
-    """Type A_1, A_2 or A_3 from its Cartan matrix: the roots are the
+    """Type A_1 to A_5 from its Cartan matrix: the roots are the
     reflection closure of the simple roots, the positive ones those with
     nonnegative coordinates, and W is the signed reflection closure of
-    rho."""
-    if label not in ("A1", "A2", "A3"):
+    rho, taken on 2 rho so that it runs on integers."""
+    if label not in TYPE_A_LABELS:
         raise RootSystemError(f"unsupported root system {label!r}")
-    r = int(label[1])
-    gram = tuple(tuple(Fraction(2 if i == j else (-1 if abs(i - j) == 1 else 0))
+    r = int(label[1:])
+    gram = tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
                        for j in range(r)) for i in range(r))
-    simple = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     roots = _reflection_closure(gram, simple)
     pos = sorted(a for a in roots if min(a) >= 0)
     # rho is half the sum of the positive roots
-    rho = _scale_vec(Fraction(1, 2), tuple(map(sum, zip(*pos))))
-    weyl = tuple(sorted(_reflection_closure(gram, [rho]).items()))
+    rho2 = tuple(map(sum, zip(*pos)))
+    orbit = sorted(_reflection_closure(gram, [rho2]).items())
+    weyl = tuple((tuple(Fraction(v, 2) for v in x), sign) for x, sign in orbit)
 
     rs = RootSystem(label=label, rank=r, gram=gram, pos_roots=tuple(pos),
-                    rho=rho, weyl=weyl)
-    expected = {1: 2, 2: 6, 3: 24}[r]
-    if rs.order != expected or rs.num_pos != r * (r + 1) // 2:
+                    rho=tuple(Fraction(v, 2) for v in rho2), weyl=weyl)
+    if rs.order != math.factorial(r + 1) or rs.num_pos != r * (r + 1) // 2:
         raise RootSystemError("Weyl group enumeration failed")
     for a in pos:
-        if rs.inner(rho, a) <= 0:
+        if rs.inner(rs.rho, a) <= 0:
             raise RootSystemError("rho is not dominant")
     return rs
 
@@ -132,7 +148,7 @@ def lattice_sum_from_json(obj: list) -> dict[Vec, HSeries]:
     add in file order, and a sum that comes out zero is dropped."""
     out: dict[Vec, HSeries] = {}
     for entry in obj:
-        beta = _vec(entry["beta"])
+        beta = tuple(entry["beta"])
         series = HSeries.from_json(entry["series"])
         if beta in out:
             series = out[beta] + series
@@ -154,20 +170,26 @@ def lattice_sum_to_json(E: dict[Vec, HSeries]) -> list:
     return out
 
 
-def _root_product(rs: RootSystem, factor) -> dict[Vec, Fraction]:
+def _root_product(rs: RootSystem, factor) -> dict[tuple, Fraction]:
     """Expand prod over alpha > 0 of sum c q^(t alpha) over the pairs
     (t, c) of ``factor``."""
-    out = {tuple(Fraction(0) for _ in range(rs.rank)): Fraction(1)}
+    d = _common_denominator(t for t, _ in factor)
+    out = {(0,) * rs.rank: 1}
     for alpha in rs.pos_roots:
-        out = sum_products((_add(mu, _scale_vec(t, alpha)), c, s)
-                           for mu, c in out.items() for t, s in factor)
-    return out
+        steps = [(tuple([_scaled(t, d) * a for a in alpha]), c)
+                 for t, c in factor]
+        out = sum_products((tuple(map(add, mu, v)), c, s)
+                           for mu, c in out.items() for v, s in steps)
+    return {tuple([_unscaled(m, d) for m in mu]): c for mu, c in out.items()}
 
 
-def _square_sum(a: dict[Vec, int]) -> dict[Vec, Fraction]:
+def _square_sum(a: dict) -> dict[tuple, Fraction]:
     """The square of a lattice sum with scalar coefficients."""
-    return sum_products((_add(m1, m2), c1, c2)
-                        for m1, c1 in a.items() for m2, c2 in a.items())
+    d = _common_denominator(x for m in a for x in m)
+    pts = [(tuple([_scaled(x, d) for x in m]), c) for m, c in a.items()]
+    out = sum_products((tuple(map(add, m1, m2)), c1, c2)
+                       for m1, c1 in pts for m2, c2 in pts)
+    return {tuple([_unscaled(x, d) for x in m]): c for m, c in out.items()}
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import canon_oracle
 import series_oracle
+from lmo_kernel import pipeline
 from lmo_kernel.balg import fg_integral, strut, theta, wheel
 from lmo_kernel.diagrams import (
+    CanonicalForm,
     DiagramSeries,
     EMPTY_FORM,
     SLOT_PERMS,
@@ -485,6 +487,23 @@ class TestSeriesSums:
         a, b = ab
         assert a.union(b).terms == series_oracle.diagram_union(a, b)
         assert b.union(a).terms == series_oracle.diagram_union(b, a)
+
+    def test_union_builds_only_forms_the_bound_keeps(self, monkeypatch):
+        """The square of the wheeled Omega at imax 8 builds at most 89
+        forms, each pair it skips one the bound drops (900 pairs).  The
+        bound was set from the first measurement; do not raise it."""
+        omega8 = pipeline._wheeled_omega(8)
+        built = []
+        union = CanonicalForm.union
+
+        def counted(f1, f2):
+            built.append((f1, f2))
+            return union(f1, f2)
+
+        monkeypatch.setattr(CanonicalForm, "union", counted)
+        square = omega8.union(omega8)
+        assert len(built) <= 89
+        assert square.terms == series_oracle.diagram_union(omega8, omega8)
 
 
 _COUNT_SEARCHES = """

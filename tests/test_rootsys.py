@@ -2,6 +2,7 @@
 surgery formula."""
 
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -10,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import series_oracle
 import weyl_oracle
+from lmo_kernel import balg, liews
 from lmo_kernel.qseries import HSeries, SeriesError, q_power
 from lmo_kernel.rootsys import (
+    TYPE_A_LABELS,
     RootSystemError,
     _gaussian_sum_route,
+    _root_product,
+    _square_sum,
     build_root_system,
     gaussian_on_exponentials,
     gaussian_weyl_closed_form,
@@ -27,6 +32,7 @@ from lmo_kernel.rootsys import (
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 A3 = build_root_system("A3")
+A4 = build_root_system("A4")
 
 
 _half_integer = st.integers(-9, 9).map(lambda n: Q(n, 2))
@@ -116,11 +122,35 @@ class TestBuild:
     def test_unsupported_label(self):
         with pytest.raises(RootSystemError):
             build_root_system("B2")
+        with pytest.raises(RootSystemError):
+            build_root_system("A6")
+
+    @pytest.mark.parametrize("label", TYPE_A_LABELS)
+    def test_type_a_counts_and_integer_lattice(self, label):
+        rs = build_root_system(label)
+        r = rs.rank
+        assert label == f"A{r}"
+        assert rs.order == math.factorial(r + 1)
+        assert rs.num_pos == r * (r + 1) // 2
+        # 2 rho is an integer vector; the lattice data holds no Fraction
+        assert all(type(x) is Q and (2 * x).denominator == 1
+                   for w, _ in rs.weyl for x in w)
+        assert all(type(x) is int for v in rs.gram + rs.pos_roots for x in v)
+
+
+@pytest.mark.parametrize("label", TYPE_A_LABELS)
+def test_theta_normalization_across_the_two_sides(label):
+    """P_theta(N) = 2N(N^2 - 1) = 24 (rho, rho) for A_(N-1): the diagram
+    side's state sum against the root system, which share no code."""
+    rs = build_root_system(label)
+    n = rs.rank + 1
+    state_sum = liews._evaluate(liews.gl_polynomial(balg.theta()), n)
+    assert state_sum == 2 * n * (n * n - 1) == 24 * rs.norm_sq(rs.rho)
 
 
 class TestWeylDenominator:
     def test_all_types(self):
-        for rs in (A1, A2, A3):
+        for rs in (A1, A2, A3, A4):
             rep = weyl_denominator(rs)
             assert rep.equal and rep.equal_squared
 
@@ -137,6 +167,49 @@ class TestWeylDenominator:
         rep = weyl_denominator(A2)
         assert len(rep.alternating_sum) == 6
         assert all(c in (1, -1) for _, c in rep.alternating_sum)
+
+
+def _is_int_where_integral(key) -> bool:
+    return all(type(x) is int if x.denominator == 1 else type(x) is Q
+               for x in key)
+
+
+@st.composite
+def _lattice_sums(draw):
+    """A signed lattice sum of rank 1 to 4 whose points are integral or
+    half-integral."""
+    rank = draw(st.integers(1, 4))
+    coord = _half_integer if draw(st.booleans()) else st.integers(-4, 4)
+    point = st.lists(coord, min_size=rank, max_size=rank).map(tuple)
+    return draw(st.dictionaries(point, st.integers(-3, 3).filter(bool),
+                                max_size=8))
+
+
+class TestIntegerSumsAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_lattice_sums())
+    def test_square_sum(self, a):
+        got = _square_sum(a)
+        assert got == weyl_oracle.square_sum(a)
+        assert all(type(c) is Q for c in got.values())
+        assert all(_is_int_where_integral(key) for key in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([A1, A2, A3, A4]), st.data())
+    def test_root_product(self, rs, data):
+        pair = st.tuples(st.one_of(_half_integer, st.integers(-2, 2)),
+                         st.integers(-3, 3).filter(bool))
+        factor = data.draw(st.lists(pair, min_size=1,
+                                    max_size=3 if rs.rank < 4 else 2))
+        got = _root_product(rs, factor)
+        assert got == weyl_oracle.root_product(rs, factor)
+        assert all(_is_int_where_integral(key) for key in got)
+
+    def test_weyl_square_lands_on_integer_keys(self):
+        for rs in (A1, A2, A3, A4):
+            got = _square_sum(dict(rs.weyl))
+            assert got == weyl_oracle.square_sum(dict(rs.weyl))
+            assert all(type(x) is int for key in got for x in key)
 
 
 class TestExpansionData:
@@ -275,6 +348,14 @@ class TestTau:
                 out = tau_pg(rs, E, f, 3)
                 v = out.valuation()
                 assert v is None or v >= 0
+
+    def test_same_value_on_int_and_fraction_keys(self):
+        for rs in (A1, A2):
+            E = quantum_dim_sq_shifted(rs, 4 + 2 * rs.num_pos)
+            assert all(type(x) is int for beta in E for x in beta)
+            fractional = {tuple(map(Q, beta)): g for beta, g in E.items()}
+            for f in (2, -3):
+                assert tau_pg(rs, E, f, 3) == tau_pg(rs, fractional, f, 3)
 
     def test_zero_framing_rejected(self):
         E = quantum_dim_sq_shifted(A1, 4)

@@ -6,7 +6,10 @@ s_i(e_j) = e_j - (alpha_j, alpha_i) e_i in simple-root coordinates.
 orbit, and the roots, against these matrices.
 
 ``inner`` is the bilinear form as one ``Fraction`` sum over the Gram
-entries, the oracle of ``RootSystem.inner``.
+entries, the oracle of ``RootSystem.inner``.  ``root_product`` and
+``square_sum`` add ``Fraction``-tuple lattice points, as the kernel did
+before its lattice coordinates became integers; they are the oracles of
+``rootsys._root_product`` and ``rootsys._square_sum``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import series_oracle
 from lmo_kernel.rootsys import RootSystem
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -72,3 +76,31 @@ def inner(rs: RootSystem, x, y) -> Fraction:
     ys = [(j, Fraction(b)) for j, b in enumerate(y) if b]
     return sum((rs.gram[i][j] * a * b for i, a in xs for j, b in ys
                 if rs.gram[i][j]), Fraction(0))
+
+
+def _add(x, y) -> tuple[Fraction, ...]:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _scale_vec(c, x) -> tuple[Fraction, ...]:
+    c = Fraction(c)
+    return tuple(c * a for a in x)
+
+
+def root_product(rs: RootSystem, factor) -> dict:
+    """prod over alpha > 0 of sum c q^(t alpha) over the pairs (t, c) of
+    ``factor``, on ``Fraction``-tuple points."""
+    out = {tuple(Fraction(0) for _ in range(rs.rank)): Fraction(1)}
+    for alpha in rs.pos_roots:
+        out = series_oracle.sum_products(
+            (_add(mu, _scale_vec(t, alpha)), c, s)
+            for mu, c in out.items() for t, s in factor)
+    return out
+
+
+def square_sum(a: dict) -> dict:
+    """The square of a lattice sum with scalar coefficients, on
+    ``Fraction``-tuple points."""
+    return series_oracle.sum_products(
+        (_add(tuple(map(Fraction, m1)), tuple(map(Fraction, m2))), c1, c2)
+        for m1, c1 in a.items() for m2, c2 in a.items())
