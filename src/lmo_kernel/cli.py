@@ -22,6 +22,7 @@ and exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -70,7 +71,10 @@ def _surgery_args(p: argparse.ArgumentParser, qdata: bool = False) -> None:
     p.add_argument("--out", default=None, help="write JSON here")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call: parsing leaves
+    it unchanged, so one process reuses it for every ``main`` call."""
     ap = argparse.ArgumentParser(prog="lmo-kernel")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -91,8 +95,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--suite", choices=_SUITE_CHOICES, default="all")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--out", default=None)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (InputError, StructuralError, SeriesError, PoleError,

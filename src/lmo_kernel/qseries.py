@@ -17,9 +17,14 @@ sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``; in
 ``diagrams``, every ``DiagramSeries`` (its constructor, ``+``,
 ``union``, ``add_form``), and through it the gluing sums of ``balg``;
 in ``rootsys``, the Weyl double sums and the root products (on
-integer lattice keys) and the Gaussian norm-class sums; in ``liews``,
-the pair contraction, the leg erasure of a contracted diagram,
-``hat_weight`` and ``wick``.
+integer lattice keys), the class sums of a lattice sum's norm-class
+map and the terms of the Gaussian sum route; in ``liews``, the pair
+contraction, the leg erasure of a contracted diagram, ``hat_weight``
+and ``wick``.
+
+``q_power`` builds q^c = exp(c h) in closed form, [h^k] = c^k / k!,
+each numerator and denominator from the one before, with no
+``sum_products`` call.
 """
 
 from __future__ import annotations
@@ -250,8 +255,20 @@ def series_sum(series: list[HSeries]) -> HSeries:
 
 
 def q_power(c, cap: int) -> HSeries:
-    """q^c = exp(c*h) as a truncated series, for exact rational c."""
-    return HSeries({1: c}, cap).exp()
+    """q^c = exp(c*h) as a truncated series, for exact rational c, in
+    closed form: [h^k] is c^k / k!, each numerator and denominator from
+    the one before.  Below cap 1 it is ``HSeries({1: c}, cap).exp()``,
+    which raises for c != 0."""
+    c = _as_rational(c)
+    if cap < 1:
+        return HSeries({1: c}, cap).exp()
+    coeffs = {0: Fraction(1)}
+    num = den = 1
+    for k in range(1, cap + 1):
+        num *= c.numerator
+        den *= c.denominator * k
+        coeffs[k] = Fraction(num, den)
+    return HSeries(coeffs, cap)
 
 
 def sinh_ratio(c, cap: int) -> HSeries:

@@ -27,6 +27,12 @@ from and written to the expansion-data format by
 ``lattice_sum_from_json`` / ``lattice_sum_to_json``.  Every Weyl double
 sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .) is built by
 ``_square_sum``.
+
+``tau_pg`` reads its lattice sum E once: ``norm_classes`` makes one
+pass over E into one map {|beta|^2: (class sums of [h^k] g_beta,
+smallest cap)}, and both Gaussian routes read that map, each
+integrating a class in its own way.  The Weyl prefactor is computed only
+to the order the product with the Gaussian sum can show.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from .qseries import (
 Vec = tuple[int, ...]
 #: A weight that may be half-integral, such as rho.
 Weight = tuple[Fraction, ...]
+#: {|beta|^2: (class sums of [h^k] g_beta, smallest cap)}: ``norm_classes``
+NormClasses = dict[Fraction, tuple[dict[int, Fraction], int]]
 
 #: The labels ``build_root_system`` accepts.
 TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5")
@@ -237,20 +245,35 @@ def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> dict[Vec, HSeries]:
             for beta, count in _square_sum(dict(rs.weyl)).items()}
 
 
-def gaussian_on_exponentials(rs: RootSystem, E: dict[Vec, HSeries],
+def norm_classes(rs: RootSystem, E: dict[Vec, HSeries]) -> NormClasses:
+    """The norm classes of a lattice sum, from one pass over E:
+    {|beta|^2: (sums, cap)}, where sums[k] is the sum of [h^k] g_beta
+    over the class (every k, nonzero sums only) and cap the smallest cap
+    among its g_beta.  |beta|^2 is taken in the arithmetic of the keys,
+    ``int`` on integer keys, and made a ``Fraction`` once per class."""
+    members: dict = {}
+    for beta, g in E.items():
+        n = sum(map(mul, beta, [sum(map(mul, row, beta)) for row in rs.gram]))
+        members.setdefault(n, []).append(g)
+    return {Fraction(n): (sum_products((k, c, 1) for g in gs
+                                       for k, c in g.coeffs.items()),
+                          min(g.cap for g in gs))
+            for n, gs in members.items()}
+
+
+def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
                              f, cap: int) -> HSeries:
     """Closed form of the Gaussian contraction on lattice exponentials:
     q^(beta, .) integrates to exp(-h |beta|^2 / (2f)), so the g_beta of
-    one norm class are summed first and integrated together."""
+    one norm class (``norm_classes``) are summed first, at the smallest
+    cap among them, and integrated together."""
     f = Fraction(f)
     P = rs.num_pos
-    classes: dict[Fraction, list[HSeries]] = {}
-    for beta, g in E.items():
-        classes.setdefault(rs.norm_sq(beta), []).append(g)
     out = [HSeries.zero(cap)]
-    for bsq, gs in classes.items():
+    for bsq, (sums, ccap) in classes.items():
         gauss = q_power(-bsq / (2 * f), cap + 2 * P)
-        out.append((series_sum(gs) * gauss).truncate(cap))
+        S = HSeries({k: b for k, b in sums.items() if k <= ccap}, ccap)
+        out.append((S * gauss).truncate(cap))
     return series_sum(out)
 
 
@@ -262,22 +285,18 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def _gaussian_sum_route(rs: RootSystem, E: dict[Vec, HSeries],
-                        f, cap: int) -> HSeries:
+def _gaussian_sum_route(classes: NormClasses, f, cap: int) -> HSeries:
     """Independent route through the extracted c-coefficients:
     sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j), with the
-    [h^k] g_beta of one norm class summed before the j loop.
+    [h^k] g_beta of one norm class (``norm_classes``) summed before the
+    j loop.
 
     The class sum b_k of [h^k] g_beta gives c_{beta,2j,k+2j} summed over
     the class as b_k / (2j)!, so [h^k] of the class meets the per-class
     weight (2j-1)!! (-|beta|^2/f)^j / (2j)! at h^(k+j)."""
     f = Fraction(f)
-    classes: dict[Fraction, list[HSeries]] = {}
-    for beta, g in E.items():
-        classes.setdefault(rs.norm_sq(beta), []).append(g)
     terms = []
-    for bsq, gs in classes.items():
-        bs = sum_products((k, c, 1) for g in gs for k, c in g.coeffs.items())
+    for bsq, (bs, _) in classes.items():
         x = -bsq / f
         weights = [double_factorial(2 * j - 1) * x ** j / math.factorial(2 * j)
                    for j in range(cap - min(bs, default=cap) + 1)]
@@ -294,18 +313,23 @@ def tau_pg(rs: RootSystem, E: dict[Vec, HSeries], f: int,
     Evaluates the surgery formula literally through the extracted
     c-coefficients and, as an internal consistency requirement, through
     the closed Gaussian-on-exponentials form; the two must agree and the
-    result must be pole-free.
+    result must be pole-free.  Both read the one norm-class map of E.
     """
     if f == 0:
         raise RootSystemError("framing 0 is not a rational homology sphere")
     s = 1 if f > 0 else -1
     P = rs.num_pos
-    work = cap + 2 * P
-    S_sum = _gaussian_sum_route(rs, E, f, cap)
-    S_exp = gaussian_on_exponentials(rs, E, f, cap)
+    classes = norm_classes(rs, E)
+    S_sum = _gaussian_sum_route(classes, f, cap)
+    S_exp = gaussian_on_exponentials(rs, classes, f, cap)
     if S_sum != S_exp:
         raise RootSystemError("Gaussian sum route disagrees with the "
                               "exponential route")
+    # out = pre * S is read through h^cap and pre has valuation P: pre is
+    # needed only through h^(cap - v(S)), and at least through h^P, so
+    # that its leading term, which sets the valuation of out, is kept
+    vs = S_sum.valuation()
+    work = cap + 2 * P if vs is None else min(cap + 2 * P, max(cap - vs, P))
     rho_sq = rs.norm_sq(rs.rho)
     pre = HSeries({0: Fraction(1, rs.order)}, work)
     pre = pre * q_power(Fraction(s - f, 2) * rho_sq, work)

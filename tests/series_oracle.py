@@ -5,19 +5,23 @@ the kernel did before its sums accumulated integer numerators; they are
 the oracles of ``qseries.sum_products`` and ``HSeries.__mul__``.
 ``exp`` and ``inverse`` are the power-loop and geometric-series versions
 of ``HSeries.exp`` / ``HSeries.inverse`` (O(n^3) in the cap), written as
-functions of the series (``self``).  ``gaussian_on_exponentials`` and
-``gaussian_sum_route`` are the two Gaussian routes of ``tau_pg`` that
-integrate every lattice vector beta on its own, with no grouping by
-|beta|^2.  ``diagram_sum`` and ``diagram_union`` add the terms of
-``DiagramSeries`` sums and disjoint-union products one ``Fraction`` at a
-time under the truncation bound.  The fast code in ``lmo_kernel`` must
+functions of the series (``self``); ``q_power`` is ``exp`` of c h.
+``gaussian_on_exponentials`` and ``gaussian_sum_route`` are the two
+Gaussian routes of ``tau_pg`` that integrate every lattice vector beta
+on its own, with no grouping by |beta|^2, and ``tau_pg`` is the surgery
+formula on them with the prefactor expanded through h^(cap + 2P),
+whatever part of it the product reads.  ``diagram_sum`` and
+``diagram_union`` add the terms of ``DiagramSeries`` sums and
+disjoint-union products one ``Fraction`` at a time under the truncation
+bound.  The fast code in ``lmo_kernel`` must
 agree with them exactly.
 """
 
 from fractions import Fraction
 
-from lmo_kernel.qseries import HSeries, SeriesError, q_power
-from lmo_kernel.rootsys import RootSystem, Vec, double_factorial
+from lmo_kernel.qseries import HSeries, PoleError, SeriesError
+from lmo_kernel.rootsys import (
+    RootSystem, RootSystemError, Vec, double_factorial)
 
 
 def sum_products(terms) -> dict:
@@ -92,6 +96,11 @@ def inverse(self: HSeries) -> HSeries:
     return geo.scale(1 / lead).shift(-v)
 
 
+def q_power(c, cap: int) -> HSeries:
+    """q^c = exp(c*h) through the power loop of ``exp``."""
+    return exp(HSeries({1: c}, cap))
+
+
 def gaussian_on_exponentials(rs: RootSystem, E: dict[Vec, HSeries],
                              f, cap: int) -> HSeries:
     """Closed form of the Gaussian contraction on lattice exponentials:
@@ -131,6 +140,33 @@ def gaussian_sum_route(rs: RootSystem, E: dict[Vec, HSeries],
                     coeffs[e] = coeffs.get(e, Fraction(0)) + term
                 j += 1
     return HSeries(coeffs, cap)
+
+
+def tau_pg(rs: RootSystem, E: dict[Vec, HSeries], f: int,
+           cap: int) -> HSeries:
+    """Perturbative invariant of surgery with framing f: both per-beta
+    routes must agree, and the prefactor is expanded through
+    h^(cap + 2P)."""
+    if f == 0:
+        raise RootSystemError("framing 0 is not a rational homology sphere")
+    s = 1 if f > 0 else -1
+    P = rs.num_pos
+    work = cap + 2 * P
+    S_sum = gaussian_sum_route(rs, E, f, cap)
+    S_exp = gaussian_on_exponentials(rs, E, f, cap)
+    if S_sum != S_exp:
+        raise RootSystemError("Gaussian sum route disagrees with the "
+                              "exponential route")
+    pre = HSeries({0: Fraction(1, rs.order)}, work)
+    pre = pre * q_power(Fraction(s - f, 2) * rs.norm_sq(rs.rho), work)
+    for alpha in rs.pos_roots:
+        pre = pre * (HSeries.one(work) - q_power(s * rs.inner(rs.rho, alpha),
+                                                 work))
+    out = pre * S_sum
+    v = out.valuation()
+    if v is not None and v < 0:
+        raise PoleError("perturbative invariant came out polar")
+    return out.truncate(min(cap, out.cap))
 
 
 def agrees_with(self: HSeries, other: HSeries, upto: int) -> bool:

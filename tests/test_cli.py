@@ -1,6 +1,10 @@
 """CLI surface: subcommands, JSON output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,44 @@ def test_qdata_read_before_diagram_work(tmp_path, capsys, monkeypatch):
 def test_bad_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+
+
+# Runs each command of argv[1] (a JSON list) through one process's
+# ``cli.main`` and prints [exit code, stdout, stderr] per command.
+_RUN_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from lmo_kernel import cli
+outcomes = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \\
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    outcomes.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(outcomes))
+"""
+
+
+def _in_one_process(*commands) -> list:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                             else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_IN_ONE_PROCESS, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_an_argparse_error_leaves_the_next_command_unchanged():
+    bad = ["compare", "--lie", "B2", "--framing", "2", "--order", "2"]
+    good = ["taupg", "--lie", "A1", "--framing", "2", "--order", "2"]
+    together = _in_one_process(bad, good)
+    assert [code for code, _, _ in together] == [2, 0]
+    assert together == _in_one_process(bad) + _in_one_process(good)
 
 
 def test_order_six_main_equality(capsys):

@@ -143,6 +143,20 @@ def test_q_power_multiplies_exponents():
     assert q_power(Q(1, 2), 6) * q_power(Q(3, 2), 6) == q_power(2, 6)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(Q(0)), st.fractions(-5, 5, max_denominator=9)),
+       st.integers(-2, 20))
+def test_q_power_matches_the_exp_recurrence(c, cap):
+    # the closed form c^k / k! against exp of c h, error cases included
+    try:
+        want = HSeries({1: c}, cap).exp()
+    except SeriesError as exc:
+        with pytest.raises(type(exc)):
+            q_power(c, cap)
+        return
+    assert q_power(c, cap) == want == series_oracle.exp(H({1: c}, cap))
+
+
 def test_equality_sees_every_exponent():
     assert H({-3: 1, 0: 1}, 4) != H({0: 1}, 4)
     assert H({0: 1}, 4) != H({-3: 1, 0: 1}, 4)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import series_oracle
 import weyl_oracle
 from lmo_kernel import balg, liews
-from lmo_kernel.qseries import HSeries, SeriesError, q_power
+from lmo_kernel.qseries import HSeries, PoleError, SeriesError, q_power
 from lmo_kernel.rootsys import (
     TYPE_A_LABELS,
     RootSystemError,
@@ -24,6 +24,7 @@ from lmo_kernel.rootsys import (
     gaussian_weyl_closed_form,
     lattice_sum_from_json,
     lattice_sum_to_json,
+    norm_classes,
     quantum_dim_sq_shifted,
     tau_pg,
     weyl_denominator,
@@ -36,6 +37,14 @@ A4 = build_root_system("A4")
 
 
 _half_integer = st.integers(-9, 9).map(lambda n: Q(n, 2))
+
+
+def _exponential_route(rs, E, f, cap):
+    return gaussian_on_exponentials(rs, norm_classes(rs, E), f, cap)
+
+
+def _sum_route(rs, E, f, cap):
+    return _gaussian_sum_route(norm_classes(rs, E), f, cap)
 
 
 def _fold(entries) -> dict:
@@ -327,8 +336,8 @@ class TestTau:
                           for k in range(-2, 5)}
                 E[beta] = HSeries(coeffs, 4)
             for f in (3, -2):
-                assert _gaussian_sum_route(rs, E, f, 4) == \
-                    gaussian_on_exponentials(rs, E, f, 4)
+                assert _sum_route(rs, E, f, 4) == \
+                    _exponential_route(rs, E, f, 4)
 
     def test_pole_cancelling_inside_a_norm_class(self):
         # beta and -beta share |beta|^2: a pole deeper than 2P that
@@ -338,8 +347,8 @@ class TestTau:
         with pytest.raises(SeriesError):
             series_oracle.gaussian_on_exponentials(A1, E, 2, 4)
         want = q_power(Q(-1, 2), 4)
-        assert gaussian_on_exponentials(A1, E, 2, 4) == want
-        assert _gaussian_sum_route(A1, E, 2, 4) == want
+        assert _exponential_route(A1, E, 2, 4) == want
+        assert _sum_route(A1, E, 2, 4) == want
 
     def test_outputs_are_power_series(self):
         for rs, fs in ((A1, (2, -2, 3, 5)), (A2, (2, 3, -3))):
@@ -361,6 +370,32 @@ class TestTau:
         E = quantum_dim_sq_shifted(A1, 4)
         with pytest.raises(RootSystemError):
             tau_pg(A1, E, 0, 2)
+
+    def test_one_pass_over_the_lattice_sum(self):
+        class Passes(dict):
+            """A lattice sum that counts the passes made over it."""
+            count = 0
+
+            def _pass(self, view):
+                self.count += 1
+                return view
+
+            def items(self):
+                return self._pass(super().items())
+
+            def keys(self):
+                return self._pass(super().keys())
+
+            def values(self):
+                return self._pass(super().values())
+
+            def __iter__(self):
+                return self._pass(super().__iter__())
+
+        plain = quantum_dim_sq_shifted(A3, 3)
+        E = Passes(plain)
+        assert tau_pg(A3, E, 2, 3) == tau_pg(A3, plain, 2, 3)
+        assert E.count == 1
 
 
 _small = st.integers(-6, 6)
@@ -406,7 +441,7 @@ def _classed_sums(draw):
 def _outcome(route, *args):
     try:
         return route(*args)
-    except SeriesError as exc:
+    except (SeriesError, PoleError, RootSystemError) as exc:
         return type(exc)
 
 
@@ -414,14 +449,20 @@ class TestGroupedRoutesAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(_classed_sums())
     def test_exponential_route(self, case):
-        assert _outcome(gaussian_on_exponentials, *case) == \
+        assert _outcome(_exponential_route, *case) == \
             _outcome(series_oracle.gaussian_on_exponentials, *case)
 
     @settings(max_examples=100, deadline=None)
     @given(_classed_sums())
     def test_sum_route(self, case):
-        assert _outcome(_gaussian_sum_route, *case) == \
+        assert _outcome(_sum_route, *case) == \
             _outcome(series_oracle.gaussian_sum_route, *case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_classed_sums())
+    def test_tau_pg(self, case):
+        assert _outcome(tau_pg, *case) == \
+            _outcome(series_oracle.tau_pg, *case)
 
 
 class TestGaussClosedForm:
