@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 # ``canonicalize`` is not called here; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps this binding
@@ -243,27 +243,23 @@ def brute_force_contract(d: JacobiDiagram, g: LieAlgebraData
     """Independent oracle: sum a structure-tensor entry per trivalent
     vertex and an inverse-Gram factor per edge over every assignment of
     basis indices to ports.  Vertex indices run over the support of the
-    structure tensor (terms off it vanish identically); still
-    exponential, so only for small diagrams."""
+    structure tensor (terms off it vanish identically); an assignment
+    with a zero edge factor is skipped before any product is taken.
+    Still exponential, so only for small diagrams."""
     f_support = sorted(g.f_low.items())
     leg_ports = [(v, 0) for v in d.legs()]
     out: dict[tuple[int, ...], Fraction] = {}
+    idx: dict[tuple[int, int], int] = {}
     for choice in itertools.product(f_support, repeat=d.t):
-        idx: dict[tuple[int, int], int] = {}
-        base = Fraction(1)
-        for v, ((a, b, c), val) in enumerate(choice):
+        for v, ((a, b, c), _) in enumerate(choice):
             idx[(v, 0)], idx[(v, 1)], idx[(v, 2)] = a, b, c
-            base *= val
         for legs in itertools.product(range(g.dim), repeat=d.m):
             for port, a in zip(leg_ports, legs):
                 idx[port] = a
-            val = base
-            for p, q in d.edges:
-                val *= g.gram_inv[idx[p]][idx[q]]
-                if val == 0:
-                    break
-            if val == 0:
+            edge = [g.gram_inv[idx[p]][idx[q]] for p, q in d.edges]
+            if not all(edge):
                 continue
+            val = prod(x for _, x in choice) * prod(edge)
             key = tuple(sorted(idx[p] for p in leg_ports))
             acc = out.get(key, Fraction(0)) + val
             if acc:

@@ -20,7 +20,8 @@ in ``rootsys``, the Weyl double sums and the root products (on
 integer lattice keys), the class sums of a lattice sum's norm-class
 map and the terms of the Gaussian sum route; in ``liews``, the pair
 contraction, the leg erasure of a contracted diagram, ``hat_weight``
-and ``wick``.
+and ``wick``; in ``pipeline``, the gauss check's sum of the weighed
+exponential tensors of a squared Weyl sum.
 
 ``q_power`` builds q^c = exp(c h) in closed form, [h^k] = c^k / k!,
 each numerator and denominator from the one before, with no

@@ -28,7 +28,7 @@ from lmo_kernel.liews import (
     wick,
 )
 from lmo_kernel.pipeline import SurgeryInput, hat_scalar, reduced_input
-from lmo_kernel.qseries import HSeries, q_power
+from lmo_kernel.qseries import HSeries, q_power, series_sum
 
 sl2 = build_sl(2)
 sl3 = build_sl(3)
@@ -157,6 +157,7 @@ class TestContraction:
     def test_theta_values(self):
         assert contract_diagram(theta(), sl2) == {(): Q(12)}
         assert contract_diagram(theta(), sl3) == {(): Q(48)}
+        assert brute_force_contract(theta(), sl3) == {(): Q(48)}
 
     def test_brute_force_agreement(self):
         for d in (theta(), wheel(1), strut()):
@@ -191,19 +192,32 @@ class TestContraction:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_diagram_matches_brute_force(self, data):
-        # any perfect matching of the ports, so disconnected diagrams,
-        # struts, loops at one vertex and closed parts beside open ones
-        t = data.draw(st.integers(0, 4), label="t")
-        m = data.draw(st.sampled_from(range(t % 2, 7 - t, 2)), label="m")
-        ports = [(v, s) for v in range(t) for s in range(3)]
-        ports += [(v, 0) for v in range(t, t + m)]
-        ports = data.draw(st.permutations(ports), label="ports")
-        d = JacobiDiagram(t, m, tuple(zip(ports[::2], ports[1::2])))
-        perm = data.draw(st.permutations(range(t)), label="perm")
-        brute = brute_force_contract(d, sl2)
-        assert contract_diagram(d, sl2) == brute
-        assert contract_diagram(lie_oracle.relabel_vertices(d, perm),
-                                sl2) == brute
+        _check_random_diagram(data, sl2, tmax=4, size=6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_diagram_matches_brute_force_on_sl3(self, data):
+        # sl_3 has 10 nonzero inverse-Gram entries of 64 (sl_2: 3 of 9);
+        # t <= 2 and t + m <= 4 keep the brute force to 48^t 8^m <= 147 456
+        # assignments
+        _check_random_diagram(data, sl3, tmax=2, size=4)
+
+
+def _check_random_diagram(data, g, tmax: int, size: int) -> None:
+    """Contraction against the brute force, before and after a vertex
+    relabeling, on a random diagram with t <= tmax and t + m <= size:
+    any perfect matching of the ports, so disconnected diagrams, struts,
+    loops at one vertex and closed parts beside open ones."""
+    t = data.draw(st.integers(0, tmax), label="t")
+    m = data.draw(st.sampled_from(range(t % 2, size + 1 - t, 2)), label="m")
+    ports = [(v, s) for v in range(t) for s in range(3)]
+    ports += [(v, 0) for v in range(t, t + m)]
+    ports = data.draw(st.permutations(ports), label="ports")
+    d = JacobiDiagram(t, m, tuple(zip(ports[::2], ports[1::2])))
+    perm = data.draw(st.permutations(range(t)), label="perm")
+    brute = brute_force_contract(d, g)
+    assert contract_diagram(d, g) == brute
+    assert contract_diagram(lie_oracle.relabel_vertices(d, perm), g) == brute
 
 
 def _ports(t: int) -> list:
@@ -456,11 +470,12 @@ class TestWick:
 
 
 @st.composite
-def _weight_tensors(draw):
+def _weight_tensors(draw, g=None, f=None):
     """(T, g, f, cap): a tensor over sl_2 or sl_3 with a few keys of up
     to six slots, repeated indices included, each with a series of its
-    own cap and its own denominators."""
-    g = draw(st.sampled_from([sl2, sl3]))
+    own cap and its own denominators; g and f are drawn unless given."""
+    if g is None:
+        g = draw(st.sampled_from([sl2, sl3]))
     cap = draw(st.integers(0, 6))
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
@@ -470,7 +485,8 @@ def _weight_tensors(draw):
         coeffs = {k: Q(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
                   for k in range(top - 3, top + 1)}
         terms[key] = HSeries(coeffs, top)
-    f = draw(st.sampled_from([1, -1, 2, -2, 3, Q(3, 2), Q(-5, 3)]))
+    if f is None:
+        f = draw(st.sampled_from([1, -1, 2, -2, 3, Q(3, 2), Q(-5, 3)]))
     return terms, g, f, cap
 
 
@@ -478,6 +494,30 @@ def _weight_tensors(draw):
 @given(_weight_tensors())
 def test_wick_matches_fraction_hafnian_oracle(case):
     assert wick(*case) == lie_oracle.wick(*case)
+
+
+_ratios = st.builds(Q, st.integers(-4, 4), st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wick_is_linear(data):
+    # wick(a T1 + b T2) = a wick(T1) + b wick(T2), the fact that lets the
+    # gauss check contract one summed tensor instead of one per point
+    T1, g, f, cap1 = data.draw(_weight_tensors(), label="T1")
+    T2, _, _, cap2 = data.draw(_weight_tensors(g, f), label="T2")
+    a, b = data.draw(_ratios, label="a"), data.draw(_ratios, label="b")
+    cap = min(cap1, cap2)
+    combined = {}
+    for key in T1.keys() | T2.keys():
+        parts = [T[key].scale(c) for T, c in ((T1, a), (T2, b)) if key in T]
+        total = series_sum(parts)
+        if not total.is_zero():
+            combined[key] = total
+    lhs = wick(combined, g, f, cap)
+    rhs = wick(T1, g, f, cap).scale(a) + wick(T2, g, f, cap).scale(b)
+    low = min(lhs.cap, rhs.cap)
+    assert lhs.truncate(low) == rhs.truncate(low)
 
 
 class TestBridge:

@@ -254,3 +254,47 @@ class TestVerifySuite:
         assert passed["theta.state_sum_agrees.A1"] is False
         assert passed["theta.state_sum_agrees.A2"] is False
         assert passed["theta.contraction_agrees.A1"] is True
+
+    @pytest.mark.parametrize("mutant", ["plus_h_over_f", "no_2p_slot_terms",
+                                        "scaled_2p_key"])
+    def test_gauss_check_sees_a_wrong_contraction(self, monkeypatch,
+                                                  mutant):
+        # the summed tensor cancels every key below 2P slots (P positive
+        # roots): a fault in what survives must still fail a gauss check
+        true_wick, true_exp = liews.wick, liews.exp_tensor
+
+        def two_p(g):
+            return g.dim - g.rank    # 2P slots: one per root
+
+        if mutant == "plus_h_over_f":
+            monkeypatch.setattr(liews, "wick", lambda T, g, f, cap:
+                                true_wick(T, g, -f, cap))
+        elif mutant == "no_2p_slot_terms":
+            monkeypatch.setattr(liews, "wick", lambda T, g, f, cap: true_wick(
+                {k: s for k, s in T.items() if len(k) != two_p(g)},
+                g, f, cap))
+        else:
+            def scaled(g, vec, cap):
+                # the first key of 2P slots, if any (the zero point has none)
+                T = true_exp(g, vec, cap)
+                for key in T:
+                    if len(key) == two_p(g):
+                        T[key] = T[key].scale(2)
+                        break
+                return T
+            monkeypatch.setattr(liews, "exp_tensor", scaled)
+        results = pipeline._check_gauss(4)
+        assert all(r.name.startswith("gauss.") for r in results)
+        assert not all(r.passed for r in results)
+
+    def test_gauss_check_contracts_once_per_framing(self, monkeypatch):
+        # 3 + 19 points of the squared Weyl sums of A1 and A2, one Wick
+        # contraction per algebra and framing
+        calls = {"wick": 0, "exp_tensor": 0}
+        for name in calls:
+            def counted(*args, _name=name, _true=getattr(liews, name)):
+                calls[_name] += 1
+                return _true(*args)
+            monkeypatch.setattr(liews, name, counted)
+        assert all(r.passed for r in pipeline._check_gauss(4))
+        assert calls == {"wick": 6, "exp_tensor": 22}
