@@ -27,8 +27,10 @@ from .liews import (
 from .rootsys import (
     RootSystem,
     build_root_system,
+    norm_classes,
     quantum_dim_sq_shifted,
     tau_pg,
+    unknot_classes,
     weyl_denominator,
 )
 from .pipeline import (
@@ -47,8 +49,8 @@ __all__ = [
     "fg_integral", "omega", "pair", "partial", "strut", "theta", "wheel",
     "wheeling", "wheeling_inverse",
     "LieAlgebraData", "build_sl", "hat_weight", "wick",
-    "RootSystem", "build_root_system",
-    "quantum_dim_sq_shifted", "tau_pg", "weyl_denominator",
+    "RootSystem", "build_root_system", "norm_classes",
+    "quantum_dim_sq_shifted", "tau_pg", "unknot_classes", "weyl_denominator",
     "ComparisonReport", "SurgeryInput", "compare", "lmo_via_definition",
     "lmo_via_lemma", "taupg_route", "verify_suite",
 ]

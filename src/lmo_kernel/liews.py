@@ -440,15 +440,17 @@ def exp_tensor(g: LieAlgebraData, vec, cap: int) -> dict:
     of 2k slots weighs h^k under ``wick``, so larger ones lie beyond cap.
 
     On sorted multisets the coefficient of a key with multiplicities
-    (k_1..k_r) is prod(v_i^{k_i}/k_i!).
+    (k_1..k_r) is prod(v_i^{k_i}/k_i!); each factor v_i^k/k! is built
+    once per support index and k, and looked up for every key.
     """
     support = [a for a, c in enumerate(vec) if c != 0]
+    powers = {a: [Fraction(vec[a]) ** k / factorial(k)
+                  for k in range(2 * cap + 1)] for a in support}
     terms = {(): HSeries.one(cap)}
     for msize in range(1, 2 * cap + 1):
         for combo in itertools.combinations_with_replacement(support, msize):
             coeff = Fraction(1)
             for a in set(combo):
-                k = combo.count(a)
-                coeff *= Fraction(vec[a]) ** k / factorial(k)
+                coeff *= powers[a][combo.count(a)]
             terms[combo] = HSeries({0: coeff}, cap)
     return terms

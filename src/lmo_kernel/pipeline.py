@@ -10,8 +10,16 @@ with at most 2N internal vertices, so the series truncation is always
 run at imax = 2N; wheel-like inputs (legs <= internal vertices in every
 term) keep that certificate through the Gaussian integral.
 
-Expansion data (the built-in unknot's or a ``--qdata`` file's) is a
-plain lattice sum {beta: series}, as ``rootsys`` reads and writes it.
+Both sides need the unknot, and both build it once per label and
+order.  The Lie side reads the built-in unknot's norm classes from
+``rootsys.unknot_classes``, the Weyl fold, cached per (label, order);
+a ``--qdata`` file's lattice sum {beta: series} goes through
+``rootsys.norm_classes``.  The diagram side's definition route divides
+by the reference surgery on the unknot at framing sign(f), cached per
+(label, sign, order) and shared with the circle check; its keys stay
+within ``LIE_LABELS`` x {1, -1} x orders up to ``MAX_ORDER``, as a
+higher order exceeds the vertex cap before anything is cached.
+
 The gauss suite sums the exponential tensors of the points of the
 squared Weyl sum from ``rootsys._square_sum``, each weighed by its
 signed count, into one tensor that the Wick operator contracts once per
@@ -162,17 +170,23 @@ def _theta_weight(label: str, order: int) -> HSeries:
     return hat_scalar(series_of(balg.theta(), 2 * order), g, order)
 
 
+@lru_cache(maxsize=None)
+def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
+    """Graded weight of the Gaussian integral of the unknot at framing
+    ``sign`` (1 or -1): the denominator of the definition route."""
+    _, g = lie_pair(label)
+    return hat_scalar(balg.fg_integral(
+        reduced_input(SurgeryInput("unknot", sign), 2 * order), sign),
+        g, order)
+
+
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant as the ratio of two Gaussian integrals, the
     denominator being the matching-sign unknot surgery."""
-    imax = 2 * order
     _, g = lie_pair(label)
-    num = hat_scalar(balg.fg_integral(reduced_input(inp, imax), inp.framing),
-                     g, order)
-    ref = SurgeryInput("unknot", inp.sign)
-    den = hat_scalar(balg.fg_integral(reduced_input(ref, imax), ref.framing),
-                     g, order)
-    out = num * den.inverse()
+    num = hat_scalar(balg.fg_integral(reduced_input(inp, 2 * order),
+                                      inp.framing), g, order)
+    out = num * _reference_surgery(label, inp.sign, order).inverse()
     return out.truncate(min(order, out.cap))
 
 
@@ -190,12 +204,20 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     return out.truncate(min(order, out.cap))
 
 
-@lru_cache(maxsize=None)
 def unknot_qdata(label: str, cap: int) -> dict[rootsys.Vec, HSeries]:
-    """Shifted squared quantum dimension of the unknot; callers share the
-    cached value and only read it."""
+    """Shifted squared quantum dimension of the unknot, as the lattice
+    sum that expansion-data files hold."""
     rs, _ = lie_pair(label)
     return rootsys.quantum_dim_sq_shifted(rs, cap)
+
+
+@lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
+def _unknot_classes(label: str, cap: int) -> rootsys.NormClasses:
+    """The built-in unknot's norm classes; callers share the cached value
+    and only read it.  ``taupg`` takes any order, so the cache holds at
+    most the keys that ``compare`` can reach."""
+    rs, _ = lie_pair(label)
+    return rootsys.unknot_classes(rs, cap)
 
 
 def load_qdata(path: str, rank: int,
@@ -224,13 +246,13 @@ def taupg_route(inp: SurgeryInput, label: str, order: int,
     needs none."""
     rs, _ = lie_pair(label)
     if qdata is not None:
-        E = qdata
+        classes = rootsys.norm_classes(rs, qdata)
     elif inp.is_builtin:
-        E = unknot_qdata(label, order)
+        classes = _unknot_classes(label, order)
     else:
         raise InputError("file knots need companion expansion data "
                          "(--qdata) for the perturbative side")
-    return rootsys.tau_pg(rs, E, inp.framing, order)
+    return rootsys.tau_pg(rs, classes, inp.framing, order)
 
 
 @dataclass
@@ -388,13 +410,10 @@ def _check_circle(order: int) -> list[CheckResult]:
     n = max(order, 4)
     out = []
     for label in ("A1",):
-        _, g = lie_pair(label)
         oo_inv = _omega_pair_scalar(label, n).inverse()
         theta_h = _theta_weight(label, n)
         for s in (1, -1):
-            ref = SurgeryInput("unknot", s)
-            lhs = hat_scalar(
-                balg.fg_integral(reduced_input(ref, 2 * n), ref.framing), g, n)
+            lhs = _reference_surgery(label, s, n)
             rhs = oo_inv * theta_h.scale(Fraction(-s, 16)).exp()
             out.append(CheckResult(f"circle.reference_surgery.{label}.f={s}",
                                    lhs == rhs, f"to h^{n}"))

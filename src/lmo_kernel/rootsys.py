@@ -1,4 +1,4 @@
-"""Root systems of type A (rank <= 5), Weyl groups, lattice-exponential
+"""Root systems of type A (rank <= 7), Weyl groups, lattice-exponential
 sums, and the surgery formula for the perturbative invariant.
 
 Weights live in simple-root coordinates throughout; the bilinear form
@@ -8,7 +8,7 @@ reflection closure: the roots are the closure of the simple roots under
 the simple reflections, and the Weyl group is kept as the orbit of rho
 with the sign of each element (rho is regular, so w -> w(rho) is one to
 one and W is never enumerated as matrices).  ``build_root_system``
-makes A1 to A5; the command line offers A1 to A3 (``pipeline``).
+makes A1 to A7; the command line offers A1 to A3 (``pipeline``).
 
 Lattice coordinates are integers: the Gram matrix, the roots and every
 beta of a lattice sum are ``int`` tuples.  Only rho and its Weyl orbit
@@ -28,11 +28,16 @@ from and written to the expansion-data format by
 sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .) is built by
 ``_square_sum``.
 
-``tau_pg`` reads its lattice sum E once: ``norm_classes`` makes one
-pass over E into one map {|beta|^2: (class sums of [h^k] g_beta,
-smallest cap)}, and both Gaussian routes read that map, each
-integrating a class in its own way.  The Weyl prefactor is computed only
-to the order the product with the Gaussian sum can show.
+``tau_pg`` reads a norm-class map {|beta|^2: (class sums of [h^k]
+g_beta, smallest cap)}, and both Gaussian routes read that map, each
+integrating a class in its own way.  ``norm_classes`` makes it from an
+expansion-data file's lattice sum in one pass.  The built-in unknot's
+map comes from ``unknot_classes`` without any lattice sum: |beta|^2 is
+W-invariant, so the Weyl fold beta = w(rho + u(rho)) counts each class
+from the |W| points rho + u(rho), and every g_beta is its count times
+one series.  ``quantum_dim_sq_shifted`` still builds the unfolded
+|W|^2-point sum, to write it as expansion data.  The Weyl prefactor is
+computed only to the order the product with the Gaussian sum can show.
 """
 
 from __future__ import annotations
@@ -50,11 +55,12 @@ from .qseries import (
 Vec = tuple[int, ...]
 #: A weight that may be half-integral, such as rho.
 Weight = tuple[Fraction, ...]
-#: {|beta|^2: (class sums of [h^k] g_beta, smallest cap)}: ``norm_classes``
+#: {|beta|^2: (class sums of [h^k] g_beta, smallest cap)}: ``norm_classes``,
+#: ``unknot_classes``
 NormClasses = dict[Fraction, tuple[dict[int, Fraction], int]]
 
 #: The labels ``build_root_system`` accepts.
-TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5")
+TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
 
 
 class RootSystemError(ValueError):
@@ -120,7 +126,7 @@ def _reflection_closure(gram, seeds) -> dict[Vec, int]:
 
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
-    """Type A_1 to A_5 from its Cartan matrix: the roots are the
+    """Type A_1 to A_7 from its Cartan matrix: the roots are the
     reflection closure of the simple roots, the positive ones those with
     nonnegative coordinates, and W is the signed reflection closure of
     rho, taken on 2 rho so that it runs on integers."""
@@ -213,7 +219,10 @@ class WeylDenominatorReport:
 def weyl_denominator(rs: RootSystem) -> WeylDenominatorReport:
     """Expand both sides of the denominator identity and compare exactly;
     the squared identity expands prod (q^alpha - 2 + q^-alpha) on its own
-    and meets the square of the alternating sum."""
+    and meets the square of the alternating sum.
+
+    Meant for A5 and below: the squared check needs the full |W|^2-point
+    square of the alternating sum (518 400 pairs at A5, 1.6e9 at A7)."""
     half = Fraction(1, 2)
     prod = _root_product(rs, ((half, 1), (-half, -1)))
     alt = dict(rs.weyl)
@@ -240,7 +249,10 @@ def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> dict[Vec, HSeries]:
         c = rs.inner(rs.rho, alpha)
         factor = HSeries({1: c}, work) * sinh_ratio(c, work)
         den = den * factor * factor
-    den_inv = den.inverse()   # cap = work - 4P = cap, valuation -2P
+    # every product with a valuation-1 factor but the first raises the
+    # cap by one, so den has cap work + 2P - 1 and den_inv, of valuation
+    # -2P, cap cap + 2P - 1 (A1 at cap 4: 5; A3 at cap 2: 13)
+    den_inv = den.inverse()
     return {beta: den_inv.scale(count)
             for beta, count in _square_sum(dict(rs.weyl)).items()}
 
@@ -259,6 +271,42 @@ def norm_classes(rs: RootSystem, E: dict[Vec, HSeries]) -> NormClasses:
                                        for k, c in g.coeffs.items()),
                           min(g.cap for g in gs))
             for n, gs in members.items()}
+
+
+def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
+    """The norm classes of ``quantum_dim_sq_shifted(rs, cap)`` from |W|
+    points instead of |W|^2, their sums read through h^cap.
+
+    |beta|^2 is W-invariant and every beta = w(rho) + w'(rho) is
+    w(rho + u(rho)) with u = w^-1 w', so the signed count of the class of
+    n is |W| times the sum of sign(u) over the u with |rho + u(rho)|^2 =
+    n.  Every g_beta is its count times the one series den_inv below, so
+    a class's sums are its count times den_inv.  A class whose count
+    cancels is left out: its sums are zero."""
+    P = rs.num_pos
+    work = cap + 2 * P
+    # prod_{a>0} (q^(c/2) - q^(-c/2))^2 with c = (rho, a) is h^2P times
+    # the square of prod c * sinh_ratio(c): invert that unit through
+    # h^(cap + 2P), then shift by h^-2P
+    unit = HSeries.one(work)
+    for alpha in rs.pos_roots:
+        c = rs.inner(rs.rho, alpha)
+        unit = unit * sinh_ratio(c, work).scale(c)
+    den_inv = (unit * unit).inverse().shift(-2 * P)
+    # d^2 |rho + u(rho)|^2 = 2 d^2 |rho|^2 + 2 d^2 (u(rho), rho), on the
+    # integer points d rho and d u(rho)
+    d = _common_denominator(rs.rho)
+    rho = [_scaled(x, d) for x in rs.rho]
+    g_rho = [sum(map(mul, row, rho)) for row in rs.gram]
+    rho_sq = sum(map(mul, rho, g_rho))
+    counts: dict[int, int] = {}
+    for u_rho, sign in rs.weyl:
+        n = 2 * (rho_sq + sum(map(mul, [_scaled(x, d) for x in u_rho],
+                                  g_rho)))
+        counts[n] = counts.get(n, 0) + sign
+    return {Fraction(n, d * d): ({k: rs.order * count * c
+                                  for k, c in den_inv.coeffs.items()}, cap)
+            for n, count in counts.items() if count}
 
 
 def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
@@ -305,21 +353,21 @@ def _gaussian_sum_route(classes: NormClasses, f, cap: int) -> HSeries:
     return HSeries(sum_products(terms), cap)
 
 
-def tau_pg(rs: RootSystem, E: dict[Vec, HSeries], f: int,
+def tau_pg(rs: RootSystem, classes: NormClasses, f: int,
            cap: int) -> HSeries:
-    """Perturbative invariant of surgery with framing f, from the shifted
-    expansion data E of the zero-framed knot.
+    """Perturbative invariant of surgery with framing f, from the norm
+    classes of the shifted expansion data of the zero-framed knot
+    (``norm_classes`` of a lattice sum, or ``unknot_classes``).
 
     Evaluates the surgery formula literally through the extracted
     c-coefficients and, as an internal consistency requirement, through
     the closed Gaussian-on-exponentials form; the two must agree and the
-    result must be pole-free.  Both read the one norm-class map of E.
+    result must be pole-free.  Both read the one class map.
     """
     if f == 0:
         raise RootSystemError("framing 0 is not a rational homology sphere")
     s = 1 if f > 0 else -1
     P = rs.num_pos
-    classes = norm_classes(rs, E)
     S_sum = _gaussian_sum_route(classes, f, cap)
     S_exp = gaussian_on_exponentials(rs, classes, f, cap)
     if S_sum != S_exp:

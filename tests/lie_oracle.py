@@ -9,14 +9,18 @@ the tests compare ``liews.build_sl`` against it.
 ``pure_power_wick_check`` is the closed form of the Gaussian contraction
 of a 2j-th tensor power; it serves the Wick tests.  ``wick`` is the Wick
 operator with its hafnian summed one ``Fraction`` step at a time and its
-terms added as series, the oracle of ``liews.wick``.
+terms added as series, the oracle of ``liews.wick``.  ``exp_tensor``
+builds every coefficient v^k / k! again for each key, the oracle of
+``liews.exp_tensor``.
 ``relabel_vertices`` presents one diagram under other vertex labels, for
 the schedule-independence checks of ``liews.contract_diagram``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import factorial
 
 from lmo_kernel.diagrams import JacobiDiagram
 from lmo_kernel.liews import LieDataError
@@ -131,6 +135,21 @@ def wick(T, g, f, cap: int) -> HSeries:
         if weight:
             out = out + series.scale(weight).shift(k)
     return out
+
+
+def exp_tensor(g, vec, cap: int) -> dict:
+    """exp of a g-element as a symmetric tensor to 2*cap slots, each key's
+    coefficient prod(v_i^{k_i}/k_i!) computed from scratch."""
+    support = [a for a, c in enumerate(vec) if c != 0]
+    terms = {(): HSeries.one(cap)}
+    for msize in range(1, 2 * cap + 1):
+        for combo in itertools.combinations_with_replacement(support, msize):
+            coeff = Fraction(1)
+            for a in set(combo):
+                k = combo.count(a)
+                coeff *= Fraction(vec[a]) ** k / factorial(k)
+            terms[combo] = HSeries({0: coeff}, cap)
+    return terms
 
 
 def relabel_vertices(d: JacobiDiagram, perm) -> JacobiDiagram:

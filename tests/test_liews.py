@@ -468,6 +468,20 @@ class TestWick:
         with pytest.raises(LieDataError):
             wick(_plain_tensor(strut(), sl2, 2), sl2, 0, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([sl2, sl3]), st.data())
+    def test_exp_tensor_matches_the_per_key_oracle(self, g, data):
+        # sparse vectors with repeated and rational entries, zeros
+        # included, so that keys repeat an index up to 2 * cap times
+        entry = st.one_of(st.just(0), st.integers(-3, 3),
+                          st.fractions(-3, 3, max_denominator=4))
+        vec = data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim))
+        cap = data.draw(st.integers(0, 3 if g is sl2 else 2))
+        got = exp_tensor(g, vec, cap)
+        assert got == lie_oracle.exp_tensor(g, vec, cap)
+        assert all(type(c) is Q for s in got.values()
+                   for c in s.coeffs.values())
+
 
 @st.composite
 def _weight_tensors(draw, g=None, f=None):

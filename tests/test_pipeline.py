@@ -198,6 +198,38 @@ class TestCompare:
         assert rep.certified_order == 2
 
 
+class TestUnknotIsBuiltOnce:
+    def test_reference_surgery_once_per_sign(self, monkeypatch, capsys):
+        # framing 2: the input, its sign's reference surgery and the lemma
+        # route; framing 3 shares the sign, so its reference is cached
+        pipeline._reference_surgery.cache_clear()
+        calls = []
+        true_fg = balg.fg_integral
+
+        def counted(*args):
+            calls.append(args)
+            return true_fg(*args)
+        monkeypatch.setattr(balg, "fg_integral", counted)
+        counts = []
+        for f in (2, 3):
+            before = len(calls)
+            assert cli.main(["compare", "--lie", "A2", "--framing", str(f),
+                             "--order", "3"]) == 0
+            counts.append(len(calls) - before)
+            assert json.loads(capsys.readouterr().out)["equal"] is True
+        assert counts == [3, 2]
+
+    def test_taupg_reads_the_fold_on_the_builtin_unknot(self, monkeypatch):
+        # only an expansion-data file goes through norm_classes
+        def unused(*args):
+            raise AssertionError("the built-in unknot needs no lattice sum")
+        monkeypatch.setattr(rootsys, "norm_classes", unused)
+        monkeypatch.setattr(rootsys, "quantum_dim_sq_shifted", unused)
+        pipeline._unknot_classes.cache_clear()
+        assert taupg_route(SurgeryInput("unknot", -1), "A3", 2) == \
+            HSeries.one(2)
+
+
 class TestVerifySuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):

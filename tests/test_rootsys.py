@@ -1,6 +1,7 @@
 """Root systems, Weyl identities, expansion data, and the perturbative
 surgery formula."""
 
+import functools
 import json
 import math
 import random
@@ -27,6 +28,7 @@ from lmo_kernel.rootsys import (
     norm_classes,
     quantum_dim_sq_shifted,
     tau_pg,
+    unknot_classes,
     weyl_denominator,
 )
 
@@ -34,6 +36,7 @@ A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 A3 = build_root_system("A3")
 A4 = build_root_system("A4")
+A5 = build_root_system("A5")
 
 
 _half_integer = st.integers(-9, 9).map(lambda n: Q(n, 2))
@@ -45,6 +48,11 @@ def _exponential_route(rs, E, f, cap):
 
 def _sum_route(rs, E, f, cap):
     return _gaussian_sum_route(norm_classes(rs, E), f, cap)
+
+
+def _tau(rs, E, f, cap):
+    """``tau_pg`` on a lattice sum, as the ``--qdata`` path reads it."""
+    return tau_pg(rs, norm_classes(rs, E), f, cap)
 
 
 def _fold(entries) -> dict:
@@ -132,7 +140,7 @@ class TestBuild:
         with pytest.raises(RootSystemError):
             build_root_system("B2")
         with pytest.raises(RootSystemError):
-            build_root_system("A6")
+            build_root_system("A8")
 
     @pytest.mark.parametrize("label", TYPE_A_LABELS)
     def test_type_a_counts_and_integer_lattice(self, label):
@@ -314,17 +322,17 @@ class TestTau:
     def test_sphere_normalization(self):
         for rs in (A1, A2, A3):
             E = quantum_dim_sq_shifted(rs, 6)
-            assert tau_pg(rs, E, 1, 3) == HSeries.one(3)
-            assert tau_pg(rs, E, -1, 3) == HSeries.one(3)
+            assert _tau(rs, E, 1, 3) == HSeries.one(3)
+            assert _tau(rs, E, -1, 3) == HSeries.one(3)
 
     def test_lens_space_two_one(self):
         E = quantum_dim_sq_shifted(A1, 10)
-        got = tau_pg(A1, E, 2, 4)
+        got = _tau(A1, E, 2, 4)
         assert got == HSeries({0: Q(1, 2), 2: Q(-1, 64), 4: Q(5, 12288)}, 4)
 
     def test_lens_space_three_one_a2(self):
         E = quantum_dim_sq_shifted(A2, 12)
-        got = tau_pg(A2, E, 3, 3)
+        got = _tau(A2, E, 3, 3)
         assert got == HSeries({0: Q(1, 27), 1: Q(-2, 81), 3: Q(8, 2187)}, 3)
 
     def test_sum_route_equals_exponential_route(self):
@@ -354,7 +362,7 @@ class TestTau:
         for rs, fs in ((A1, (2, -2, 3, 5)), (A2, (2, 3, -3))):
             E = quantum_dim_sq_shifted(rs, 8 + 2 * rs.num_pos)
             for f in fs:
-                out = tau_pg(rs, E, f, 3)
+                out = _tau(rs, E, f, 3)
                 v = out.valuation()
                 assert v is None or v >= 0
 
@@ -364,38 +372,12 @@ class TestTau:
             assert all(type(x) is int for beta in E for x in beta)
             fractional = {tuple(map(Q, beta)): g for beta, g in E.items()}
             for f in (2, -3):
-                assert tau_pg(rs, E, f, 3) == tau_pg(rs, fractional, f, 3)
+                assert _tau(rs, E, f, 3) == _tau(rs, fractional, f, 3)
 
     def test_zero_framing_rejected(self):
         E = quantum_dim_sq_shifted(A1, 4)
         with pytest.raises(RootSystemError):
-            tau_pg(A1, E, 0, 2)
-
-    def test_one_pass_over_the_lattice_sum(self):
-        class Passes(dict):
-            """A lattice sum that counts the passes made over it."""
-            count = 0
-
-            def _pass(self, view):
-                self.count += 1
-                return view
-
-            def items(self):
-                return self._pass(super().items())
-
-            def keys(self):
-                return self._pass(super().keys())
-
-            def values(self):
-                return self._pass(super().values())
-
-            def __iter__(self):
-                return self._pass(super().__iter__())
-
-        plain = quantum_dim_sq_shifted(A3, 3)
-        E = Passes(plain)
-        assert tau_pg(A3, E, 2, 3) == tau_pg(A3, plain, 2, 3)
-        assert E.count == 1
+            tau_pg(A1, norm_classes(A1, E), 0, 2)
 
 
 _small = st.integers(-6, 6)
@@ -468,7 +450,7 @@ class TestGroupedRoutesAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(_classed_sums())
     def test_tau_pg(self, case):
-        assert _outcome(tau_pg, *case) == \
+        assert _outcome(_tau, *case) == \
             _outcome(series_oracle.tau_pg, *case)
 
 
@@ -487,3 +469,79 @@ class TestGaussClosedForm:
                     total = total + q_power(-rs.norm_sq(beta) / (2 * Q(f)), 6) \
                         .scale(cnt)
                 assert total == gaussian_weyl_closed_form(rs, f, 6)
+
+
+class TestNormClasses:
+    def test_one_pass_over_the_lattice_sum(self):
+        class Passes(dict):
+            """A lattice sum that counts the passes made over it."""
+            count = 0
+
+            def _pass(self, view):
+                self.count += 1
+                return view
+
+            def items(self):
+                return self._pass(super().items())
+
+            def keys(self):
+                return self._pass(super().keys())
+
+            def values(self):
+                return self._pass(super().values())
+
+            def __iter__(self):
+                return self._pass(super().__iter__())
+
+        plain = quantum_dim_sq_shifted(A3, 3)
+        E = Passes(plain)
+        assert norm_classes(A3, E) == norm_classes(A3, plain)
+        assert E.count == 1
+
+    @pytest.mark.parametrize("rs", [A1, A2, A3, A4, A5],
+                             ids=lambda rs: rs.label)
+    def test_fold_equals_the_unfolded_classes(self, rs):
+        # the classes of the |W|^2-point sum, their sums read through the
+        # cap and classes whose count cancels left out; one unfolded A5
+        # build takes about 9 s, so A5 reads every cap from its cap-5 build
+        E5 = quantum_dim_sq_shifted(rs, 5) if rs is A5 else None
+        for cap in range(1, 6):
+            E = E5 if rs is A5 else quantum_dim_sq_shifted(rs, cap)
+            want = {}
+            for n, (sums, _) in norm_classes(rs, E).items():
+                low = {k: c for k, c in sums.items() if k <= cap}
+                if low:
+                    want[n] = (low, cap)
+            assert unknot_classes(rs, cap) == want
+
+    def test_quantum_dim_caps(self):
+        # every product with a valuation-1 factor but the first raises the
+        # cap: den_inv comes back at cap + 2P - 1
+        assert {E.cap for E in quantum_dim_sq_shifted(A1, 4).values()} == {5}
+        assert {E.cap for E in quantum_dim_sq_shifted(A3, 2).values()} == {13}
+
+
+@functools.lru_cache(maxsize=None)
+def _unfolded(label: str, cap: int):
+    return quantum_dim_sq_shifted(build_root_system(label), cap)
+
+
+class TestFoldedTau:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["A1", "A2", "A3"]),
+           st.integers(-5, 5).filter(bool), st.integers(1, 5))
+    def test_against_the_per_beta_oracle(self, label, f, cap):
+        rs = build_root_system(label)
+        assert tau_pg(rs, unknot_classes(rs, cap), f, cap) == \
+            series_oracle.tau_pg(rs, _unfolded(label, cap), f, cap)
+
+    @pytest.mark.parametrize("label", ["A4", "A5", "A6", "A7"])
+    def test_spheres_and_the_lens_space_two_one(self, label):
+        # tau^PG of S^3 is 1; on L(2, 1) it starts at |H_1|^-P = 2^-P
+        rs = build_root_system(label)
+        classes = unknot_classes(rs, 3)
+        assert tau_pg(rs, classes, 1, 3) == HSeries.one(3)
+        assert tau_pg(rs, classes, -1, 3) == HSeries.one(3)
+        lens = tau_pg(rs, classes, 2, 3)
+        assert lens.valuation() == 0
+        assert lens.coeff(0) == Q(1, 2 ** rs.num_pos)

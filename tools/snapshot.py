@@ -14,7 +14,10 @@ file, with and without ``--qdata``, and the expansion-data reader end to
 end: ``taupg`` and the ``--qdata`` ``compare`` on the A1 unknot data as
 written (``qdata.json``) and on the same data split into halves under
 repeated betas with one extra beta that cancels (``qdata_split.json``);
-the two files give the same outputs.
+the two files give the same outputs.  Last, ``taupg`` and ``compare`` at
+A3, framing -2, order 3 read the A3 unknot data as written
+(``qdata_a3.json``), which ties the built-in unknot's Weyl fold to the
+expansion-data path at rank 3.
 """
 
 import contextlib
@@ -43,6 +46,8 @@ def commands() -> list[list[str]]:
     knot = ["compare", "--knot", "omega8.json", "--lie", "A1", "--framing",
             "2", "--order", "4"]
     taupg = ["taupg", "--lie", "A1", "--framing", "2", "--order", "4"]
+    a3 = ["--lie", "A3", "--framing", "-2", "--order", "3", "--qdata",
+          "qdata_a3.json"]
     for lie in ("A2", "A3"):
         out.append(["compare", "--lie", lie, "--framing", "2", "--order", "5"])
     return out + [
@@ -56,6 +61,8 @@ def commands() -> list[list[str]]:
         taupg + ["--qdata", "qdata.json"],
         taupg + ["--qdata", "qdata_split.json"],
         knot + ["--qdata", "qdata_split.json"],
+        ["taupg"] + a3,
+        ["compare"] + a3,
     ]
 
 
@@ -79,6 +86,8 @@ def main(out_path: str) -> None:
         entries = rootsys.lattice_sum_to_json(pipeline.unknot_qdata("A1", 4))
         Path("qdata.json").write_text(json.dumps(entries))
         Path("qdata_split.json").write_text(json.dumps(split(entries)))
+        Path("qdata_a3.json").write_text(json.dumps(
+            rootsys.lattice_sum_to_json(pipeline.unknot_qdata("A3", 3))))
         for argv in commands():
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
