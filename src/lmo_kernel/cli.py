@@ -11,9 +11,9 @@ knot or expansion-data file that cannot be read or parsed (including a
 lattice vector without rank-many integer coordinates, or a series, zero
 or not, whose cap is below ``--order``), framing 0, a
 file knot without ``--qdata`` for the perturbative side, order 0, a
-``compute`` or ``compare`` order above ``pipeline.MAX_ORDER`` (the
-largest the vertex cap admits), a ``verify`` order below 1, a negative
-``compare --valid-degree``, or an
+``compute``, ``taupg`` or ``verify`` order below 1, a ``compute`` or
+``compare`` order above ``pipeline.MAX_ORDER`` (the largest the vertex
+cap admits), a negative ``compare --valid-degree``, or an
 input the kernel rejects (structural, series, pole, Lie-data or
 root-system error), prints one JSON line ``{"error": ...}`` to stderr
 and exits 2.
@@ -119,11 +119,12 @@ def _run(args: argparse.Namespace) -> int:
                args.out)
         return 0 if ok else 1
 
-    # Negative orders are not rejected yet: `compare --order -1` never
+    # compare still takes a negative order: `compare --order -1` never
     # returns (the Neumann loop of wheeling_inverse), and the hang fixture
-    # of perfbench/test_perfbench.py relies on that.
-    if args.order == 0:
-        raise InputError(f"{args.command} needs a nonzero --order, got 0")
+    # of perfbench/test_perfbench.py relies on that until it moves.
+    if args.order == 0 or (args.order < 0 and args.command != "compare"):
+        raise InputError(f"{args.command} needs --order >= 1, got "
+                         f"{args.order}")
     if args.command != "taupg" and args.order > MAX_ORDER:
         raise InputError(f"{args.command} needs --order <= {MAX_ORDER}, the "
                          f"largest the vertex cap admits, got {args.order}")

@@ -32,7 +32,11 @@ explored start, under the automorphisms found so far, is skipped.  The
 tied candidates at the minimal serial, measured against the first one,
 together with the automorphisms that merged start orbits, generate the
 component's automorphism group; ``leg_automorphisms`` reads them to give
-the leg permutations the gluing tables fold by.
+the leg permutations the gluing tables fold by.  The search runs once
+per component shape, its edges with the trivalent vertices numbered by
+rank and every leg as ``LEG`` (``_search_shape``): it reads vertices
+only in list order, so every numbering of a shape reads one result,
+which ``canonicalize`` and ``leg_automorphisms`` share.
 """
 
 from __future__ import annotations
@@ -466,6 +470,48 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
 
 _CANON_CACHE: dict[tuple, CanonicalDiagram] = {}
 
+#: ``_canon_component`` results by component shape: {the ports of the
+#: edges in order, port (rank, slot) of a trivalent vertex as the int
+#: 3 * rank + slot and every leg as LEG: (serial, sign, leg orders)}
+_SHAPE_CACHE: dict[tuple, tuple] = {}
+
+
+def _search_shape(trivalent: list[int], edges: list[Edge], t_bound: int
+                  ) -> tuple[tuple | None, int, tuple]:
+    """``_canon_component`` of a component, read from its shape: the
+    search reads vertices only in list order and legs only as legs, so
+    it runs once per shape, on the renumbered edges.  Components that
+    differ only by a monotone renumbering of their sorted trivalent
+    vertices and by their leg numbers share a shape.
+
+    Returns (serial, sign, leg orders).  Each pair (a, b) of labelings
+    in the search's ties becomes a pair of leg orders: the leg ports
+    3 * r + slot of vertex ``trivalent[r]``, listed by label and then
+    new slot under a and under b.  Both labelings give one serial, so
+    the automorphism from a to b sends the i-th port of the one to the
+    i-th of the other.  A closed or zero component keeps none."""
+    rank = {v: r for r, v in enumerate(trivalent)}
+    shape = tuple([3 * rank[v] + s if v < t_bound else LEG
+                   for e in edges for v, s in e])
+    hit = _SHAPE_CACHE.get(shape)
+    if hit is None:
+        ports = [(LEG, 0) if p == LEG else divmod(p, 3) for p in shape]
+        renumbered = list(zip(ports[::2], ports[1::2]))
+        ties: list = []
+        serial, sign = _canon_component(list(range(len(trivalent))),
+                                        renumbered, LEG, ties)
+        # a leg edge lists its trivalent port first
+        legs = [p for p, q in renumbered if q[0] == LEG]
+
+        def order(labeling) -> tuple[int, ...]:
+            label, perm = labeling
+            return tuple(3 * r + s for _, r, s in sorted(
+                (3 * label[r] + perm[r][s], r, s) for r, s in legs))
+
+        hit = _SHAPE_CACHE[shape] = (serial, sign, tuple(
+            (order(a), order(b)) for a, b in ties) if sign and legs else ())
+    return hit
+
 
 def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     """Canonical form of ``d`` with the accumulated orientation sign."""
@@ -476,7 +522,7 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     comps = []
     sign = 1
     for tv, _, es in _components(d):
-        serial, s = _canon_component(sorted(tv), es, d.t)
+        serial, s, _ = _search_shape(sorted(tv), es, d.t)
         if s == 0:
             out = CanonicalDiagram(None, 0)
             _CANON_CACHE[key] = out
@@ -502,20 +548,6 @@ def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
         if p[0] < d.t <= q[0]:
             leg_at[p] = q[0] - d.t
 
-    def leg_map(a, b) -> dict[int, int]:
-        """Legs of the component labeled by ``a`` onto those labeled by
-        ``b``: both labelings give the same serial."""
-        (label_a, perm_a), (label_b, perm_b) = a, b
-        vertex_b = {k: v for v, k in label_b.items()}
-        out = {}
-        for u, k in label_a.items():
-            v = vertex_b[k]
-            for s in range(3):
-                if (u, s) in leg_at:
-                    slot = perm_b[v].index(perm_a[u][s])
-                    out[leg_at[(u, s)]] = leg_at[(v, slot)]
-        return out
-
     maps: list[dict[int, int]] = []
     by_serial: dict[tuple, list] = {}
     struts = []
@@ -526,15 +558,18 @@ def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
             continue
         if n_legs == 0:
             continue  # closed: moves no leg
-        ties: list = []
-        serial, s = _canon_component(sorted(tv), es, d.t, ties)
+        tv = sorted(tv)
+        serial, s, orders = _search_shape(tv, es, d.t)
         if s == 0:
             raise StructuralError("the zero diagram has no leg group")
-        maps.extend(leg_map(a, b) for a, b in ties)
-        by_serial.setdefault(serial, []).append(ties[0][0])
+        # the leg numbers at the ports of both orders of every pair
+        legs = [[leg_at[(tv[p // 3], p % 3)] for p in order]
+                for pair in orders for order in pair]
+        maps.extend(dict(zip(a, b)) for a, b in zip(legs[::2], legs[1::2]))
+        by_serial.setdefault(serial, []).append(legs[0])
     for same in by_serial.values():
         for a, b in zip(same, same[1:]):
-            maps.append({**leg_map(a, b), **leg_map(b, a)})
+            maps.append({**dict(zip(a, b)), **dict(zip(b, a))})
     for a, b in struts:
         maps.append({a: b, b: a})
     for (a, b), (c, e) in zip(struts, struts[1:]):
@@ -604,13 +639,6 @@ class DiagramSeries:
 
     def coeff(self, form: CanonicalForm) -> Fraction:
         return self.terms.get(form, Fraction(0))
-
-    def coeff_of(self, d: JacobiDiagram) -> Fraction:
-        """Coefficient of a concrete diagram, orientation sign included."""
-        cd = canonicalize(d)
-        if cd.is_zero:
-            return Fraction(0)
-        return self.terms.get(cd.form, Fraction(0)) * cd.sign
 
     def is_zero(self) -> bool:
         return not self.terms

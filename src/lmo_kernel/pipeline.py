@@ -11,14 +11,16 @@ run at imax = 2N; wheel-like inputs (legs <= internal vertices in every
 term) keep that certificate through the Gaussian integral.
 
 Both sides need the unknot, and both build it once per label and
-order.  The Lie side reads the built-in unknot's norm classes from
-``rootsys.unknot_classes``, the Weyl fold, cached per (label, order);
-a ``--qdata`` file's lattice sum {beta: series} goes through
-``rootsys.norm_classes``.  The diagram side's definition route divides
-by the reference surgery on the unknot at framing sign(f), cached per
-(label, sign, order) and shared with the circle check; its keys stay
-within ``LIE_LABELS`` x {1, -1} x orders up to ``MAX_ORDER``, as a
-higher order exceeds the vertex cap before anything is cached.
+order.  The Lie side reads norm-class groups, classes that share one
+series: the built-in unknot's are one group from
+``rootsys.unknot_classes``, the Weyl fold, cached per (label, order); a
+``--qdata`` file's lattice sum {beta: series} goes through
+``rootsys.norm_classes``, one group per class.  The diagram side's
+definition route divides by the reference surgery on the unknot at
+framing sign(f), cached per (label, sign, order) and shared with the
+circle check; its keys stay within ``LIE_LABELS`` x {1, -1} x orders
+up to ``MAX_ORDER``, as a higher order exceeds the vertex cap before
+anything is cached.
 
 The gauss suite sums the exponential tensors of the points of the
 squared Weyl sum from ``rootsys._square_sum``, each weighed by its
@@ -213,9 +215,9 @@ def unknot_qdata(label: str, cap: int) -> dict[rootsys.Vec, HSeries]:
 
 @lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
 def _unknot_classes(label: str, cap: int) -> rootsys.NormClasses:
-    """The built-in unknot's norm classes; callers share the cached value
-    and only read it.  ``taupg`` takes any order, so the cache holds at
-    most the keys that ``compare`` can reach."""
+    """The built-in unknot's norm-class group; callers share the cached
+    value and only read it.  ``taupg`` takes any order, so the cache
+    holds at most the keys that ``compare`` can reach."""
     rs, _ = lie_pair(label)
     return rootsys.unknot_classes(rs, cap)
 

@@ -28,16 +28,21 @@ from and written to the expansion-data format by
 sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .) is built by
 ``_square_sum``.
 
-``tau_pg`` reads a norm-class map {|beta|^2: (class sums of [h^k]
-g_beta, smallest cap)}, and both Gaussian routes read that map, each
-integrating a class in its own way.  ``norm_classes`` makes it from an
-expansion-data file's lattice sum in one pass.  The built-in unknot's
-map comes from ``unknot_classes`` without any lattice sum: |beta|^2 is
-W-invariant, so the Weyl fold beta = w(rho + u(rho)) counts each class
-from the |W| points rho + u(rho), and every g_beta is its count times
-one series.  ``quantum_dim_sq_shifted`` still builds the unfolded
-|W|^2-point sum, to write it as expansion data.  The Weyl prefactor is
-computed only to the order the product with the Gaussian sum can show.
+``tau_pg`` reads a list of norm-class groups (sums, cap, {|beta|^2:
+count}): the norm classes of one group share one series, the sums of
+[h^k] read through h^cap, each class carrying it times its count.  Both
+Gaussian routes integrate a whole group with one series operation, by
+linearity, each in its own way: the sum route weighs the series by power
+sums of the counted norms, the exponential route by the counted sum of
+the classes' exponentials.  ``norm_classes`` makes one group per class,
+with count 1, from an expansion-data file's lattice sum in one pass.
+The built-in unknot is one group from ``unknot_classes``, without any
+lattice sum: |beta|^2 is W-invariant, so the Weyl fold beta = w(rho +
+u(rho)) counts each class from the |W| points rho + u(rho), and every
+g_beta is its count times one series.  ``quantum_dim_sq_shifted`` still
+builds the unfolded |W|^2-point sum, to write it as expansion data.  The
+Weyl prefactor is computed only to the order the product with the
+Gaussian sum can show.
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ from .qseries import (
 Vec = tuple[int, ...]
 #: A weight that may be half-integral, such as rho.
 Weight = tuple[Fraction, ...]
-#: {|beta|^2: (class sums of [h^k] g_beta, smallest cap)}: ``norm_classes``,
-#: ``unknot_classes``
-NormClasses = dict[Fraction, tuple[dict[int, Fraction], int]]
+#: Groups of norm classes that share one series: (sums of [h^k], cap,
+#: {|beta|^2: count}); ``norm_classes``, ``unknot_classes``
+NormClasses = list[tuple[dict[int, Fraction], int, dict[Fraction, int]]]
 
 #: The labels ``build_root_system`` accepts.
 TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
@@ -253,36 +258,38 @@ def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> dict[Vec, HSeries]:
     # cap by one, so den has cap work + 2P - 1 and den_inv, of valuation
     # -2P, cap cap + 2P - 1 (A1 at cap 4: 5; A3 at cap 2: 13)
     den_inv = den.inverse()
-    return {beta: den_inv.scale(count)
-            for beta, count in _square_sum(dict(rs.weyl)).items()}
+    # one scaled copy per distinct count (25 at A5, for 56 183 points)
+    sq = _square_sum(dict(rs.weyl))
+    scaled = {count: den_inv.scale(count) for count in set(sq.values())}
+    return {beta: scaled[count] for beta, count in sq.items()}
 
 
 def norm_classes(rs: RootSystem, E: dict[Vec, HSeries]) -> NormClasses:
-    """The norm classes of a lattice sum, from one pass over E:
-    {|beta|^2: (sums, cap)}, where sums[k] is the sum of [h^k] g_beta
-    over the class (every k, nonzero sums only) and cap the smallest cap
-    among its g_beta.  |beta|^2 is taken in the arithmetic of the keys,
-    ``int`` on integer keys, and made a ``Fraction`` once per class."""
+    """The norm classes of a lattice sum, from one pass over E, one group
+    each with count 1: (sums, cap, {|beta|^2: 1}), where sums[k] is the
+    sum of [h^k] g_beta over the class (every k, nonzero sums only) and
+    cap the smallest cap among its g_beta.  |beta|^2 is taken in the
+    arithmetic of the keys, ``int`` on integer keys, and made a
+    ``Fraction`` once per class."""
     members: dict = {}
     for beta, g in E.items():
         n = sum(map(mul, beta, [sum(map(mul, row, beta)) for row in rs.gram]))
         members.setdefault(n, []).append(g)
-    return {Fraction(n): (sum_products((k, c, 1) for g in gs
-                                       for k, c in g.coeffs.items()),
-                          min(g.cap for g in gs))
-            for n, gs in members.items()}
+    return [(sum_products((k, c, 1) for g in gs for k, c in g.coeffs.items()),
+             min(g.cap for g in gs), {Fraction(n): 1})
+            for n, gs in members.items()]
 
 
 def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
     """The norm classes of ``quantum_dim_sq_shifted(rs, cap)`` from |W|
-    points instead of |W|^2, their sums read through h^cap.
+    points instead of |W|^2, as one group that reads its series through
+    h^cap.
 
     |beta|^2 is W-invariant and every beta = w(rho) + w'(rho) is
     w(rho + u(rho)) with u = w^-1 w', so the signed count of the class of
     n is |W| times the sum of sign(u) over the u with |rho + u(rho)|^2 =
     n.  Every g_beta is its count times the one series den_inv below, so
-    a class's sums are its count times den_inv.  A class whose count
-    cancels is left out: its sums are zero."""
+    the classes share it.  A class whose count cancels is left out."""
     P = rs.num_pos
     work = cap + 2 * P
     # prod_{a>0} (q^(c/2) - q^(-c/2))^2 with c = (rho, a) is h^2P times
@@ -304,24 +311,27 @@ def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
         n = 2 * (rho_sq + sum(map(mul, [_scaled(x, d) for x in u_rho],
                                   g_rho)))
         counts[n] = counts.get(n, 0) + sign
-    return {Fraction(n, d * d): ({k: rs.order * count * c
-                                  for k, c in den_inv.coeffs.items()}, cap)
-            for n, count in counts.items() if count}
+    return [(den_inv.coeffs, cap, {Fraction(n, d * d): rs.order * count
+                                   for n, count in counts.items() if count})]
 
 
 def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
                              f, cap: int) -> HSeries:
     """Closed form of the Gaussian contraction on lattice exponentials:
-    q^(beta, .) integrates to exp(-h |beta|^2 / (2f)), so the g_beta of
-    one norm class (``norm_classes``) are summed first, at the smallest
-    cap among them, and integrated together."""
+    q^(beta, .) integrates to exp(-h |beta|^2 / (2f)).  The classes of a
+    group (``norm_classes``, ``unknot_classes``) share one series S,
+    known through the group's cap, so the group integrates to S times
+    G = sum of count * exp(-h |beta|^2 / (2f)) over its classes: one
+    product per group."""
     f = Fraction(f)
-    P = rs.num_pos
+    work = cap + 2 * rs.num_pos
     out = [HSeries.zero(cap)]
-    for bsq, (sums, ccap) in classes.items():
-        gauss = q_power(-bsq / (2 * f), cap + 2 * P)
+    for sums, ccap, counts in classes:
+        G = HSeries(sum_products(
+            (k, c, count) for bsq, count in counts.items()
+            for k, c in q_power(-bsq / (2 * f), work).coeffs.items()), work)
         S = HSeries({k: b for k, b in sums.items() if k <= ccap}, ccap)
-        out.append((S * gauss).truncate(cap))
+        out.append((S * G).truncate(cap))
     return series_sum(out)
 
 
@@ -336,33 +346,41 @@ def double_factorial(n: int) -> int:
 def _gaussian_sum_route(classes: NormClasses, f, cap: int) -> HSeries:
     """Independent route through the extracted c-coefficients:
     sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j), with the
-    [h^k] g_beta of one norm class (``norm_classes``) summed before the
-    j loop.
+    [h^k] g_beta of one group (``norm_classes``, ``unknot_classes``)
+    summed before the j loop.
 
-    The class sum b_k of [h^k] g_beta gives c_{beta,2j,k+2j} summed over
-    the class as b_k / (2j)!, so [h^k] of the class meets the per-class
-    weight (2j-1)!! (-|beta|^2/f)^j / (2j)! at h^(k+j)."""
+    The group's sum b_k of [h^k] g_beta gives c_{beta,2j,k+2j} summed over
+    a class as count * b_k / (2j)!, so [h^k] of the group meets the
+    weight (2j-1)!!/(2j)! * sum of count * (-|beta|^2/f)^j at h^(k+j).
+    With N = D |beta|^2 for the common denominator D of the group's
+    norms, that weight is (2j-1)!!/(2j)! * p_j / (D f)^j, where the power
+    sum p_j = sum of count * (-N)^j is an integer."""
     f = Fraction(f)
     terms = []
-    for bsq, (bs, _) in classes.items():
-        x = -bsq / f
-        weights = [double_factorial(2 * j - 1) * x ** j / math.factorial(2 * j)
-                   for j in range(cap - min(bs, default=cap) + 1)]
+    for bs, _, counts in classes:
+        D = _common_denominator(counts)
+        negs = [-_scaled(bsq, D) for bsq in counts]
+        powers = list(counts.values())  # count * (-N)^j, from j = 0
+        weights = []
+        for j in range(cap - min(bs, default=cap) + 1):
+            weights.append(Fraction(double_factorial(2 * j - 1) * sum(powers),
+                                    math.factorial(2 * j)) / (D * f) ** j)
+            powers = list(map(mul, powers, negs))
         terms += ((k + j, b, w) for k, b in bs.items() if k <= cap
-                  for j, w in enumerate(weights[:cap - k + 1]))
+                  for j, w in enumerate(weights[:cap - k + 1]) if w)
     return HSeries(sum_products(terms), cap)
 
 
 def tau_pg(rs: RootSystem, classes: NormClasses, f: int,
            cap: int) -> HSeries:
-    """Perturbative invariant of surgery with framing f, from the norm
-    classes of the shifted expansion data of the zero-framed knot
+    """Perturbative invariant of surgery with framing f, from the norm-class
+    groups of the shifted expansion data of the zero-framed knot
     (``norm_classes`` of a lattice sum, or ``unknot_classes``).
 
     Evaluates the surgery formula literally through the extracted
     c-coefficients and, as an internal consistency requirement, through
     the closed Gaussian-on-exponentials form; the two must agree and the
-    result must be pole-free.  Both read the one class map.
+    result must be pole-free.  Both read the one list of groups.
     """
     if f == 0:
         raise RootSystemError("framing 0 is not a rational homology sphere")

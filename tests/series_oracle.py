@@ -14,11 +14,13 @@ whatever part of it the product reads.  ``diagram_sum`` and
 ``diagram_union`` add the terms of ``DiagramSeries`` sums and
 disjoint-union products one ``Fraction`` at a time under the truncation
 bound.  The fast code in ``lmo_kernel`` must
-agree with them exactly.
+agree with them exactly.  ``coeff_of`` reads the coefficient of a
+concrete diagram from a ``DiagramSeries``.
 """
 
 from fractions import Fraction
 
+from lmo_kernel.diagrams import canonicalize
 from lmo_kernel.qseries import HSeries, PoleError, SeriesError
 from lmo_kernel.rootsys import (
     RootSystem, RootSystemError, Vec, double_factorial)
@@ -200,3 +202,12 @@ def diagram_union(a, b) -> dict:
     return _bounded_terms(a.imax, [(f1.union(f2), c1 * c2)
                                    for f1, c1 in a.terms.items()
                                    for f2, c2 in b.terms.items()])
+
+
+def coeff_of(s, d) -> Fraction:
+    """Coefficient of a concrete diagram d in the series s, orientation
+    sign included."""
+    cd = canonicalize(d)
+    if cd.is_zero:
+        return Fraction(0)
+    return s.coeff(cd.form) * cd.sign

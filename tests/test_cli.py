@@ -207,6 +207,21 @@ def test_order_zero_is_one_error_line(capsys):
         assert "--order" in json.loads(line)["error"]
 
 
+@pytest.mark.parametrize("command, lie, order", [
+    ("taupg", "A1", "-1"), ("taupg", "A1", "-2"), ("taupg", "A3", "-1"),
+    ("taupg", "A3", "-2"), ("compute", "A1", "-1")])
+def test_negative_order_is_one_error_line(capsys, command, lie, order):
+    # taupg failed on a series cap at A1 and printed an empty series at
+    # A3; compute never returned (the Neumann loop of wheeling_inverse)
+    assert main([command, "--framing", "2", "--lie", lie,
+                 "--order", order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert "--order" in error and order in error
+
+
 def test_order_above_the_vertex_cap_is_one_error_line(capsys):
     # the wheels at order 7 have 28 vertices; the cap is 24
     assert pipeline.MAX_ORDER == 6

@@ -8,13 +8,15 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import canon_oracle
 import series_oracle
-from lmo_kernel import pipeline
+from series_oracle import coeff_of
+from lmo_kernel import diagrams, pipeline
 from lmo_kernel.balg import fg_integral, strut, theta, wheel
 from lmo_kernel.diagrams import (
     CanonicalForm,
@@ -23,11 +25,15 @@ from lmo_kernel.diagrams import (
     SLOT_PERMS,
     JacobiDiagram,
     StructuralError,
+    _canon_component,
+    _components,
     _equitable,
     _refine,
+    _search_shape,
     canonicalize,
     glue_legs,
     leg_automorphisms,
+    relabel_union,
     series_of,
 )
 from lmo_kernel.pipeline import SurgeryInput, reduced_input
@@ -313,6 +319,84 @@ class TestVertexTransitive:
                 assert na.sign * nb.sign == oa.sign * ob.sign, (a, b)
 
 
+@st.composite
+def glued_wheels(draw) -> JacobiDiagram:
+    """1-3 wheels, 6 trivalent vertices in all at most, some of their legs
+    glued in random pairs, under a random renumbering of the trivalent
+    vertices, slot rotations and reflections at each, and a random
+    renumbering of the legs: components of the shapes the gluing tables
+    meet, each in many numberings."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                 .filter(lambda ks: sum(ks) <= 3))
+    d = wheel(sizes[0])
+    for k in sizes[1:]:
+        d, _, _ = relabel_union(d, wheel(k))
+    legs = draw(st.permutations(list(d.legs())))
+    n = draw(st.integers(0, len(legs) // 2))
+    try:
+        d = glue_legs(d, zip(legs[:n], legs[n:2 * n]))
+    except StructuralError:
+        pass  # a glued pair closed a circle: keep the unglued wheels
+    perm_t = draw(st.permutations(range(d.t)))
+    slots = [draw(st.sampled_from(SLOT_PERMS))[0] for _ in range(d.t)]
+    leg_perm = draw(st.permutations(list(d.legs())))
+
+    def mp(p):
+        v, s = p
+        return (perm_t[v], slots[v][s]) if v < d.t else (leg_perm[v - d.t], 0)
+
+    return JacobiDiagram(d.t, d.m, tuple((mp(p), mp(q)) for p, q in d.edges))
+
+
+def _direct_search(tv, edges, t_bound):
+    """``_canon_component`` on a component as it is numbered, in the form
+    ``_search_shape`` returns: each tie (a, b) as the leg ports
+    3 * (rank in ``tv``) + slot listed by label and new slot under a and
+    under b, kept only for a nonzero component with legs."""
+    ties: list = []
+    serial, sign = _canon_component(tv, edges, t_bound, ties)
+    legs = [p for p, q in edges if q[0] >= t_bound > p[0]]
+    if sign == 0 or not legs:
+        return serial, sign, ()
+    rank = {v: r for r, v in enumerate(tv)}
+
+    def order(labeling):
+        label, perm = labeling
+        return tuple(3 * rank[v] + s for _, v, s in sorted(
+            (3 * label[v] + perm[v][s], v, s) for v, s in legs))
+
+    return serial, sign, tuple((order(a), order(b)) for a, b in ties)
+
+
+class TestShapeCache:
+    """A component's search runs once per shape; every numbering of that
+    shape reads the same result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(glued_wheels(), glued_wheels())
+    def test_cached_search_equals_a_direct_search(self, d, e):
+        # in e + d the components of d keep their shapes under shifted
+        # vertex and leg numbers, so they read the entries d filled
+        both, _, _ = relabel_union(e, d)
+        for g in (d, both):
+            for tv, _, es in _components(g):
+                tv = sorted(tv)
+                assert _search_shape(tv, es, g.t) == \
+                    _direct_search(tv, es, g.t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(glued_wheels(), glued_wheels())
+    def test_leg_group_equals_a_direct_search(self, d, e):
+        both, _, _ = relabel_union(e, d)
+        for g in (d, both):
+            if canonicalize(g).is_zero:
+                continue
+            cached = leg_automorphisms(g)
+            with mock.patch.object(diagrams, "_search_shape",
+                                   _direct_search):
+                assert leg_automorphisms(g) == cached
+
+
 class TestSeries:
     def test_unit_is_union_identity(self):
         s = series_of(wheel(1), 6)
@@ -328,7 +412,7 @@ class TestSeries:
         a = series_of(wheel(1), 8, coeff=2)
         b = series_of(wheel(2), 8, coeff=3)
         w24, _, _ = relabel_union(wheel(1), wheel(2))
-        assert a.union(b).coeff_of(w24) == 6
+        assert coeff_of(a.union(b), w24) == 6
 
     def test_union_commutative_associative(self):
         a = series_of(wheel(1), 10) + series_of(theta(), 10, coeff=Q(1, 3))
@@ -361,8 +445,8 @@ class TestExpUnion:
         e = arg.exp_union()
         w2w2, _, _ = relabel_union(wheel(1), wheel(1))
         assert e.coeff(EMPTY_FORM) == 1
-        assert e.coeff_of(wheel(1)) == Q(1, 48)
-        assert e.coeff_of(w2w2) == Q(1, 4608)
+        assert coeff_of(e, wheel(1)) == Q(1, 48)
+        assert coeff_of(e, w2w2) == Q(1, 4608)
 
     def test_leg_bound_is_twice_imax(self):
         # struts have no internal vertex, so only the leg bound 2 * imax
@@ -373,7 +457,7 @@ class TestExpUnion:
         assert sorted(f.m for f in e.terms) == [0, 2, 4, 6]
         d = JacobiDiagram(0, 0, ())
         for k in range(4):
-            assert e.coeff_of(d) == Q(1, factorial(k))
+            assert coeff_of(e, d) == Q(1, factorial(k))
             d, _, _ = relabel_union(d, strut())
 
     def test_strut_exponential_degree_two(self):
@@ -382,7 +466,7 @@ class TestExpUnion:
         arg = series_of(strut(), 4, coeff=f / 2)
         e = arg.exp_union()
         ss, _, _ = relabel_union(strut(), strut())
-        assert e.coeff_of(ss) == f ** 2 / 8
+        assert coeff_of(e, ss) == f ** 2 / 8
 
     def test_rejects_degree_zero_part(self):
         with pytest.raises(StructuralError):
@@ -527,13 +611,15 @@ print(code, *counts.values())
 
 
 def test_cold_compare_work_count():
-    """A fresh ``compare --lie A1 --framing 2 --order 4`` runs at most 240
-    component searches (it ran 429 when every gluing table canonicalized
-    its closed components again): closed components pass through the
-    gluing tables and leg-free first terms glue nothing.  Those searches
-    visit at most 4 196 search frames, 467 of them starts (10 265 and 582
-    when every automorphism was a leaf of its own and every start was
-    refined from scratch)."""
+    """A fresh ``compare --lie A1 --framing 2 --order 4`` runs at most 89
+    component searches, one per component shape (220 when
+    ``canonicalize`` and ``leg_automorphisms`` searched every component
+    they met, 429 when every gluing table canonicalized its closed
+    components again): closed components pass through the gluing tables
+    and leg-free first terms glue nothing.  Those searches visit at most
+    2 631 search frames, 185 of them starts (4 196 and 467 before the
+    shape cache; 10 265 and 582 when every automorphism was a leaf of its
+    own and every start was refined from scratch)."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-c", _COUNT_SEARCHES, str(src), "compare",
@@ -541,6 +627,6 @@ def test_cold_compare_work_count():
         capture_output=True, text=True, timeout=300, check=True)
     code, calls, nodes, starts = map(int, out.stdout.split())
     assert code == 0
-    assert calls <= 240
-    assert nodes <= 4196
-    assert starts <= 467
+    assert calls <= 89
+    assert nodes <= 2631
+    assert starts <= 185

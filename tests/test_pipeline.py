@@ -24,6 +24,7 @@ from lmo_kernel.pipeline import (
 )
 from lmo_kernel.qseries import HSeries
 from lmo_kernel import balg, cli, liews, pipeline, qseries, rootsys
+from series_oracle import coeff_of
 
 
 def test_public_names_resolve():
@@ -63,8 +64,8 @@ class TestReducedInput:
         # the framing shifts the theta coefficient of the base by -f/48
         for f in (3, -1):
             inp = SurgeryInput("unknot", f)
-            shift = reduced_input(inp, 6).coeff_of(theta()) - \
-                _wheeled_base(inp, 6).coeff_of(theta())
+            shift = coeff_of(reduced_input(inp, 6), theta()) - \
+                coeff_of(_wheeled_base(inp, 6), theta())
             assert shift == Q(-f, 48)
 
     def test_strutful_file_rejected(self, tmp_path):

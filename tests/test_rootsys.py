@@ -384,6 +384,22 @@ _small = st.integers(-6, 6)
 _nonzero = st.integers(-6, 6).filter(bool)
 
 
+def _series(draw, P, cap, short, deep):
+    """A series of valuation at least -P (-2P if ``deep``), known through
+    h^(cap - 1) in half the ``short`` cases and through h^cap to
+    h^(cap + 2) otherwise."""
+    if short and draw(st.booleans()):
+        top = cap - 1
+    else:
+        top = cap + draw(st.integers(0, 2))
+    v = draw(st.integers(-2 * P if deep else -P, top))
+    nums = draw(st.lists(_small, min_size=top - v, max_size=top - v))
+    den = draw(st.integers(1, 6))
+    coeffs = {k: Q(c, den) for k, c in enumerate(nums, start=v + 1)}
+    coeffs[v] = Q(draw(_nonzero), den)
+    return HSeries(coeffs, top)
+
+
 @st.composite
 def _classed_sums(draw):
     """(rs, E, f, cap): an expansion-data sum over a few norm classes, each
@@ -401,16 +417,7 @@ def _classed_sums(draw):
     deep = draw(st.booleans()) and draw(st.booleans())
 
     def series():
-        if short and draw(st.booleans()):
-            top = cap - 1
-        else:
-            top = cap + draw(st.integers(0, 2))
-        v = draw(st.integers(-2 * P if deep else -P, top))
-        nums = draw(st.lists(_small, min_size=top - v, max_size=top - v))
-        den = draw(st.integers(1, 6))
-        coeffs = {k: Q(c, den) for k, c in enumerate(nums, start=v + 1)}
-        coeffs[v] = Q(draw(_nonzero), den)
-        return HSeries(coeffs, top)
+        return _series(draw, P, cap, short, deep)
 
     entries = []
     for _ in range(draw(st.integers(1, 3))):
@@ -454,6 +461,98 @@ class TestGroupedRoutesAgainstOracle:
             _outcome(series_oracle.tau_pg, *case)
 
 
+@st.composite
+def _shared_series(draw):
+    """(rs, g, {beta: count}, f, cap): lattice vectors whose series are
+    their counts times one series g.  In a third of the cases they are
+    the built-in unknot's |W| points rho + u(rho), each counted |W| sign(u),
+    whose counts cancel in total and in their first power sums; else a
+    few random vectors, whose counts cancel in total in half the cases."""
+    rs = draw(st.sampled_from([A1, A2, A3]))
+    cap = draw(st.integers(0, 4))
+    f = draw(st.sampled_from([1, -1, 2, -2, 3, 5]))
+    g = _series(draw, rs.num_pos, cap, draw(st.booleans()),
+                draw(st.booleans()) and draw(st.booleans()))
+    counts: dict = {}
+    if draw(st.integers(0, 2)) == 0:
+        for u_rho, sign in rs.weyl:
+            beta = tuple(int(a + b) for a, b in zip(rs.rho, u_rho))
+            counts[beta] = counts.get(beta, 0) + rs.order * sign
+    else:
+        vec = st.lists(st.integers(-2, 2), min_size=rs.rank,
+                       max_size=rs.rank).map(tuple)
+        for beta in draw(st.lists(vec, min_size=1, max_size=4)):
+            counts[beta] = counts.get(beta, 0) + draw(_nonzero)
+        total = sum(counts.values())
+        if total and draw(st.booleans()):
+            beta = draw(vec)
+            counts[beta] = counts.get(beta, 0) - total
+    return rs, g, {b: c for b, c in counts.items() if c}, f, cap
+
+
+def _by_norm(rs, counts) -> dict:
+    """{|beta|^2: summed count} of {beta: count}, cancelled norms left out."""
+    out: dict = {}
+    for beta, count in counts.items():
+        n = rs.norm_sq(beta)
+        out[n] = out.get(n, 0) + count
+    return {n: c for n, c in out.items() if c}
+
+
+class TestGroupsOfOneSeries:
+    """A group of norm classes that share one series integrates as the
+    same classes one by one (``norm_classes``) and as the per-beta oracle,
+    by linearity.  Where g is known below the cap, the exponential route
+    cannot integrate a class on its own, while a group whose counted sum
+    of exponentials G vanishes through h^(v - 1) needs g only through
+    h^(cap - v): its outcome then holds for any continuation of g."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shared_series(), st.data())
+    def test_grouped_split_and_per_beta(self, case, data):
+        rs, g, counts, f, cap = case
+        grouped = [(g.coeffs, g.cap, _by_norm(rs, counts))]
+        E = {beta: g.scale(c) for beta, c in counts.items()}
+        split = norm_classes(rs, E)
+        tail = {k: Q(data.draw(_small), data.draw(st.integers(1, 6)))
+                for k in range(g.cap + 1, cap + 1)}
+        g_on = HSeries({**g.coeffs, **tail}, max(g.cap, cap))
+        E_on = {beta: g_on.scale(c) for beta, c in counts.items()}
+        got = _outcome(_gaussian_sum_route, grouped, f, cap)
+        assert got == _outcome(_gaussian_sum_route, split, f, cap) == \
+            _outcome(series_oracle.gaussian_sum_route, rs, E, f, cap)
+        for route, oracle in (
+                (gaussian_on_exponentials,
+                 series_oracle.gaussian_on_exponentials),
+                (tau_pg, series_oracle.tau_pg)):
+            got = _outcome(route, rs, grouped, f, cap)
+            one_by_one = _outcome(route, rs, split, f, cap)
+            assert one_by_one == _outcome(oracle, rs, E, f, cap)
+            if got is SeriesError and g.cap < cap:
+                assert one_by_one is SeriesError
+            else:
+                # E_on is E when g is known through the cap
+                assert got == _outcome(oracle, rs, E_on, f, cap)
+
+    def test_one_product_per_group(self, monkeypatch):
+        products = []
+        mul = HSeries.__mul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        unknot = unknot_classes(A3, 3)
+        split = norm_classes(A3, quantum_dim_sq_shifted(A3, 3))
+        monkeypatch.setattr(HSeries, "__mul__", counted)
+        gaussian_on_exponentials(A3, unknot, 2, 3)
+        assert len(products) == len(unknot) == 1
+        assert len(unknot[0][2]) == 11
+        products.clear()
+        gaussian_on_exponentials(A3, split, 2, 3)
+        assert len(products) == len(split) >= 11
+
+
 class TestGaussClosedForm:
     def test_matches_paired_weyl_sum(self):
         # direct evaluation of the Gaussian on the squared alternating sum
@@ -469,6 +568,17 @@ class TestGaussClosedForm:
                     total = total + q_power(-rs.norm_sq(beta) / (2 * Q(f)), 6) \
                         .scale(cnt)
                 assert total == gaussian_weyl_closed_form(rs, f, 6)
+
+
+def _per_norm(classes) -> dict:
+    """{|beta|^2: (class sums, cap)} of a list of groups: each class's
+    sums are its count times its group's."""
+    out = {}
+    for sums, cap, counts in classes:
+        for n, count in counts.items():
+            assert n not in out
+            out[n] = ({k: count * c for k, c in sums.items()}, cap)
+    return out
 
 
 class TestNormClasses:
@@ -503,16 +613,20 @@ class TestNormClasses:
     def test_fold_equals_the_unfolded_classes(self, rs):
         # the classes of the |W|^2-point sum, their sums read through the
         # cap and classes whose count cancels left out; one unfolded A5
-        # build takes about 9 s, so A5 reads every cap from its cap-5 build
-        E5 = quantum_dim_sq_shifted(rs, 5) if rs is A5 else None
+        # build and its classes take about 3 s, so A5 reads every cap from
+        # its cap-5 build
+        def unfolded(cap):
+            return _per_norm(norm_classes(rs, quantum_dim_sq_shifted(rs, cap)))
+
+        A5_classes = unfolded(5) if rs is A5 else None
         for cap in range(1, 6):
-            E = E5 if rs is A5 else quantum_dim_sq_shifted(rs, cap)
+            classes = A5_classes if rs is A5 else unfolded(cap)
             want = {}
-            for n, (sums, _) in norm_classes(rs, E).items():
+            for n, (sums, _) in classes.items():
                 low = {k: c for k, c in sums.items() if k <= cap}
                 if low:
                     want[n] = (low, cap)
-            assert unknot_classes(rs, cap) == want
+            assert _per_norm(unknot_classes(rs, cap)) == want
 
     def test_quantum_dim_caps(self):
         # every product with a valuation-1 factor but the first raises the
