@@ -13,7 +13,9 @@ or not, whose cap is below ``--order``), framing 0, a
 file knot without ``--qdata`` for the perturbative side, order 0, a
 ``compute``, ``taupg`` or ``verify`` order below 1, a ``compute`` or
 ``compare`` order above ``pipeline.MAX_ORDER`` (the largest the vertex
-cap admits), a negative ``compare --valid-degree``, or an
+cap admits), a ``verify`` order above it for the ``all``, ``omega`` or
+``circle`` suite (before any suite runs), a negative ``compare
+--valid-degree``, or an
 input the kernel rejects (structural, series, pole, Lie-data or
 root-system error), prints one JSON line ``{"error": ...}`` to stderr
 and exits 2.

@@ -159,18 +159,26 @@ class CanonicalForm:
     """Isomorphism-class key: the sorted multiset of component serials.
 
     ``t`` and ``m`` are totals over the components, stored once; equality
-    and hashing use ``components`` alone.
+    and hashing use ``components`` alone.  The hash is stored once too, as
+    the value a generated ``__hash__`` would return, ``hash((components,))``:
+    a form is hashed on every series lookup, and each hash would walk the
+    nested serial tuple again.
     """
 
     components: tuple
     t: int = field(init=False, compare=False, repr=False)
     m: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Every union builds a form, so the totals are stored straight
         # into the instance dict, the cheapest store a frozen class has.
         self.__dict__["t"] = sum([c[0] for c in self.components])
         self.__dict__["m"] = sum([c[1] for c in self.components])
+        self.__dict__["_hash"] = hash((self.components,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> Fraction:

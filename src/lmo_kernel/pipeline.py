@@ -15,12 +15,16 @@ order.  The Lie side reads norm-class groups, classes that share one
 series: the built-in unknot's are one group from
 ``rootsys.unknot_classes``, the Weyl fold, cached per (label, order); a
 ``--qdata`` file's lattice sum {beta: series} goes through
-``rootsys.norm_classes``, one group per class.  The diagram side's
-definition route divides by the reference surgery on the unknot at
-framing sign(f), cached per (label, sign, order) and shared with the
-circle check; its keys stay within ``LIE_LABELS`` x {1, -1} x orders
-up to ``MAX_ORDER``, as a higher order exceeds the vertex cap before
-anything is cached.
+``rootsys.norm_classes``, one group per class.  On the diagram side the
+built-in unknot's wheeled base, the wheeled Omega times itself under
+disjoint union, which no framing changes, is cached per order and read
+by both routes.  The definition route divides by the reference surgery
+on the unknot at framing sign(f), cached per (label, sign, order) and
+shared with the circle check.  Every cache is bounded by the keys the command line can reach,
+labels of ``LIE_LABELS``, signs and orders up to ``MAX_ORDER`` (a
+higher order exceeds the vertex cap before anything is cached, and
+``verify`` rejects it up front for the suites that build diagrams); no
+cache is keyed by the framing, and callers only read a cached value.
 
 The gauss suite sums the exponential tensors of the points of the
 squared Weyl sum from ``rootsys._square_sum``, each weighed by its
@@ -125,17 +129,28 @@ def is_wheel_like(s: DiagramSeries) -> bool:
     return all(form.m <= form.t for form in s.terms if form.components)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_ORDER)
 def _wheeled_omega(imax: int) -> DiagramSeries:
+    """The wheeled unknot; callers share the cached value and only read
+    it.  Every caller runs at imax = 2 * order for an order up to
+    ``MAX_ORDER``, so the cache holds at most ``MAX_ORDER`` keys."""
     return balg.wheeling_inverse(balg.omega(imax))
 
 
+@lru_cache(maxsize=MAX_ORDER)
+def _wheeled_unknot_base(imax: int) -> DiagramSeries:
+    """The built-in unknot's wheeled base, which no framing changes;
+    callers share the cached value and only read it, and its keys are
+    ``_wheeled_omega``'s."""
+    return _wheeled_omega(imax).union(_wheeled_omega(imax))
+
+
 def _wheeled_base(inp: SurgeryInput, imax: int) -> DiagramSeries:
-    """Wheeled knot part times the wheeled unknot correction."""
+    """Wheeled knot part times the wheeled unknot correction: for the
+    built-in unknot the shared cached series, which callers only read."""
     if inp.is_builtin:
-        base = _wheeled_omega(imax)
-    else:
-        base = balg.wheeling_inverse(load_knot_series(inp.knot, imax))
+        return _wheeled_unknot_base(imax)
+    base = balg.wheeling_inverse(load_knot_series(inp.knot, imax))
     return base.union(_wheeled_omega(imax))
 
 
@@ -159,15 +174,21 @@ def hat_scalar(s: DiagramSeries, g: liews.LieAlgebraData,
     return liews.hat_weight(s, g, cap).get((), HSeries.zero(cap))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
 def _omega_pair_scalar(label: str, order: int) -> HSeries:
+    """The graded weight of the wheels pairing <Omega, Omega>.  The keys
+    are a label of ``LIE_LABELS`` and an order up to ``MAX_ORDER``: the
+    lemma route's order and the omega and circle checks' max(order, 4),
+    both bounded up front."""
     _, g = lie_pair(label)
     om = balg.omega(2 * order)
     return hat_scalar(balg.pair(om, om), g, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
 def _theta_weight(label: str, order: int) -> HSeries:
+    """The graded weight of the theta graph, on the keys of
+    ``_omega_pair_scalar``."""
     _, g = lie_pair(label)
     return hat_scalar(series_of(balg.theta(), 2 * order), g, order)
 
@@ -504,12 +525,24 @@ _SUITES = {
 }
 
 
+#: The suites that build diagram series at max(order, 4); the others
+#: take any order.
+_DIAGRAM_SUITES = ("omega", "circle")
+
+
 def verify_suite(selection: str, order: int = 4) -> list[CheckResult]:
-    """Run the named identity suite ('all' runs every one of them)."""
+    """Run the named identity suite ('all' runs every one of them).  An
+    order above ``MAX_ORDER`` is rejected before any suite runs when a
+    suite of ``_DIAGRAM_SUITES`` is among them."""
     names = list(_SUITES) if selection == "all" else [selection]
-    results: list[CheckResult] = []
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    if order > MAX_ORDER and any(n in _DIAGRAM_SUITES for n in names):
+        raise InputError(f"verify --suite {selection} needs --order <= "
+                         f"{MAX_ORDER}, the largest the vertex cap admits, "
+                         f"got {order}")
+    results: list[CheckResult] = []
+    for name in names:
         results.extend(_SUITES[name](order))
     return results

@@ -41,8 +41,10 @@ lattice sum: |beta|^2 is W-invariant, so the Weyl fold beta = w(rho +
 u(rho)) counts each class from the |W| points rho + u(rho), and every
 g_beta is its count times one series.  ``quantum_dim_sq_shifted`` still
 builds the unfolded |W|^2-point sum, to write it as expansion data.  The
-Weyl prefactor is computed only to the order the product with the
-Gaussian sum can show.
+Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 - q^(s(rho,a)))
+is lead * h^P times one unit series, q^((3s-f)|rho|^2/2) times the
+sinh ratios of the (rho, a) (``_weyl_prefactor``), read only to the
+order the product with the Gaussian sum can show.
 """
 
 from __future__ import annotations
@@ -371,6 +373,25 @@ def _gaussian_sum_route(classes: NormClasses, f, cap: int) -> HSeries:
     return HSeries(sum_products(terms), cap)
 
 
+def _weyl_prefactor(rs: RootSystem, f: int, cap: int) -> HSeries:
+    """The Weyl prefactor (1/|W|) q^((s - f)|rho|^2/2) prod_{a>0} (1 -
+    q^(s (rho, a))) of the surgery formula, s = sign(f), through
+    h^(cap + P) for a cap of at least 1, as lead * h^P times one unit
+    series read through h^cap.
+
+    With c = (rho, a), 1 - q^(sc) = -s c h q^(sc/2) sinh_ratio(c), and the
+    c add up to 2|rho|^2, so the product is lead * h^P *
+    q^((3s - f)|rho|^2/2) * prod sinh_ratio(c) with lead = (-s)^P prod c
+    / |W|: P products of unit series, all at one cap."""
+    s = 1 if f > 0 else -1
+    P = rs.num_pos
+    cs = [rs.inner(rs.rho, alpha) for alpha in rs.pos_roots]
+    unit = q_power(Fraction(3 * s - f, 2) * rs.norm_sq(rs.rho), cap)
+    for c in cs:
+        unit = unit * sinh_ratio(c, cap)
+    return unit.scale(Fraction((-s) ** P, rs.order) * math.prod(cs)).shift(P)
+
+
 def tau_pg(rs: RootSystem, classes: NormClasses, f: int,
            cap: int) -> HSeries:
     """Perturbative invariant of surgery with framing f, from the norm-class
@@ -384,25 +405,19 @@ def tau_pg(rs: RootSystem, classes: NormClasses, f: int,
     """
     if f == 0:
         raise RootSystemError("framing 0 is not a rational homology sphere")
-    s = 1 if f > 0 else -1
     P = rs.num_pos
     S_sum = _gaussian_sum_route(classes, f, cap)
     S_exp = gaussian_on_exponentials(rs, classes, f, cap)
     if S_sum != S_exp:
         raise RootSystemError("Gaussian sum route disagrees with the "
                               "exponential route")
-    # out = pre * S is read through h^cap and pre has valuation P: pre is
-    # needed only through h^(cap - v(S)), and at least through h^P, so
-    # that its leading term, which sets the valuation of out, is kept
+    # out = pre * S is read through h^cap and pre is h^P times a unit, so
+    # the unit is read through h^(cap - P - v(S)): through h^cap at most,
+    # as any cap shows a pole of S deeper than h^-P, and through h^1 at
+    # least, as q_power needs
     vs = S_sum.valuation()
-    work = cap + 2 * P if vs is None else min(cap + 2 * P, max(cap - vs, P))
-    rho_sq = rs.norm_sq(rs.rho)
-    pre = HSeries({0: Fraction(1, rs.order)}, work)
-    pre = pre * q_power(Fraction(s - f, 2) * rho_sq, work)
-    for alpha in rs.pos_roots:
-        pre = pre * (HSeries.one(work) - q_power(s * rs.inner(rs.rho, alpha),
-                                                 work))
-    out = pre * S_sum
+    unit_cap = 1 if vs is None else max(1, min(cap, cap - P - vs))
+    out = _weyl_prefactor(rs, f, unit_cap) * S_sum
     v = out.valuation()
     if v is not None and v < 0:
         raise PoleError("perturbative invariant came out polar")

@@ -9,8 +9,9 @@ functions of the series (``self``); ``q_power`` is ``exp`` of c h.
 ``gaussian_on_exponentials`` and ``gaussian_sum_route`` are the two
 Gaussian routes of ``tau_pg`` that integrate every lattice vector beta
 on its own, with no grouping by |beta|^2, and ``tau_pg`` is the surgery
-formula on them with the prefactor expanded through h^(cap + 2P),
-whatever part of it the product reads.  ``diagram_sum`` and
+formula on them with the literal Weyl prefactor (``weyl_prefactor``, one
+product per root) expanded through h^(cap + 2P), whatever part of it the
+product reads.  ``diagram_sum`` and
 ``diagram_union`` add the terms of ``DiagramSeries`` sums and
 disjoint-union products one ``Fraction`` at a time under the truncation
 bound.  The fast code in ``lmo_kernel`` must
@@ -144,6 +145,20 @@ def gaussian_sum_route(rs: RootSystem, E: dict[Vec, HSeries],
     return HSeries(coeffs, cap)
 
 
+def weyl_prefactor(rs: RootSystem, f: int, work: int) -> HSeries:
+    """The literal Weyl prefactor (1/|W|) q^((s - f)|rho|^2/2) prod_{a>0}
+    (1 - q^(s (rho, a))), s = sign(f), one product per factor, each
+    factor expanded through h^work; the product comes out known through
+    h^(work + P - 1)."""
+    s = 1 if f > 0 else -1
+    pre = HSeries({0: Fraction(1, rs.order)}, work)
+    pre = pre * q_power(Fraction(s - f, 2) * rs.norm_sq(rs.rho), work)
+    for alpha in rs.pos_roots:
+        pre = pre * (HSeries.one(work) - q_power(s * rs.inner(rs.rho, alpha),
+                                                 work))
+    return pre
+
+
 def tau_pg(rs: RootSystem, E: dict[Vec, HSeries], f: int,
            cap: int) -> HSeries:
     """Perturbative invariant of surgery with framing f: both per-beta
@@ -151,20 +166,12 @@ def tau_pg(rs: RootSystem, E: dict[Vec, HSeries], f: int,
     h^(cap + 2P)."""
     if f == 0:
         raise RootSystemError("framing 0 is not a rational homology sphere")
-    s = 1 if f > 0 else -1
-    P = rs.num_pos
-    work = cap + 2 * P
     S_sum = gaussian_sum_route(rs, E, f, cap)
     S_exp = gaussian_on_exponentials(rs, E, f, cap)
     if S_sum != S_exp:
         raise RootSystemError("Gaussian sum route disagrees with the "
                               "exponential route")
-    pre = HSeries({0: Fraction(1, rs.order)}, work)
-    pre = pre * q_power(Fraction(s - f, 2) * rs.norm_sq(rs.rho), work)
-    for alpha in rs.pos_roots:
-        pre = pre * (HSeries.one(work) - q_power(s * rs.inner(rs.rho, alpha),
-                                                 work))
-    out = pre * S_sum
+    out = weyl_prefactor(rs, f, cap + 2 * rs.num_pos) * S_sum
     v = out.valuation()
     if v is not None and v < 0:
         raise PoleError("perturbative invariant came out polar")

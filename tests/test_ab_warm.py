@@ -1,0 +1,22 @@
+"""``tools/ab_warm.py`` runs one checkout against itself: both kernels
+load side by side, every fill cell matches the benchmark references, and
+the last line reports the two median pass times and their ratio."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ab_warm_on_one_checkout_against_itself():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_warm.py"), str(ROOT),
+         str(ROOT), "--passes", "2"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["passes"] == 2 and result["failed_fill_cells"] == 0
+    assert result["old_s"] > 0 and result["new_s"] > 0
+    assert result["ratio"] == result["new_s"] / result["old_s"]

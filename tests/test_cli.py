@@ -235,6 +235,28 @@ def test_order_above_the_vertex_cap_is_one_error_line(capsys):
         assert "--order" in error and "6" in error
 
 
+@pytest.mark.parametrize("suite", ("all", "omega", "circle"))
+def test_verify_order_above_the_vertex_cap_is_rejected_up_front(
+        capsys, monkeypatch, suite):
+    # the suites that build diagrams at the order fail before any runs
+    def ran(order):
+        raise AssertionError("a suite ran before the order was checked")
+
+    monkeypatch.setattr(pipeline, "_SUITES",
+                        dict.fromkeys(pipeline._SUITES, ran))
+    assert main(["verify", "--suite", suite, "--order", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert "--order" in error and "6" in error
+
+
+def test_lie_only_verify_suites_take_any_order(capsys):
+    assert main(["verify", "--suite", "gauss", "--order", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 @pytest.mark.parametrize("order", ("0", "-5"))
 def test_verify_order_below_one_is_one_error_line(capsys, order):
     assert main(["verify", "--suite", "bernoulli", "--order", order]) == 2

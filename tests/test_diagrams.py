@@ -435,6 +435,23 @@ class TestSeries:
         assert s.is_zero() and not s.terms
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(glued_wheels(), min_size=1, max_size=4), st.data())
+def test_forms_of_any_union_order_hash_once_and_dedupe(pieces, data):
+    """A form stores its hash: forms built by unions in different orders
+    compare equal, hash equal, to the value the generated hash gave
+    (``hash((components,))``), and key one dict entry."""
+    forms = [cd.form for cd in map(canonicalize, pieces) if not cd.is_zero]
+    first = functools.reduce(CanonicalForm.union, forms, EMPTY_FORM)
+    shuffled = data.draw(st.permutations(forms))
+    second = EMPTY_FORM
+    for form in reversed(shuffled):
+        second = form.union(second)
+    assert first == second
+    assert hash(first) == hash(second) == hash((first.components,))
+    assert len({first: 1, second: 2, CanonicalForm(first.components): 3}) == 1
+
+
 class TestExpUnion:
     def test_exp_of_zero(self):
         assert DiagramSeries(4).exp_union() == DiagramSeries.unit(4)

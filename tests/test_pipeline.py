@@ -220,6 +220,36 @@ class TestUnknotIsBuiltOnce:
             assert json.loads(capsys.readouterr().out)["equal"] is True
         assert counts == [3, 2]
 
+    def test_wheeled_base_once_per_order(self, monkeypatch, capsys):
+        # both routes of both framings read one square of the wheeled Omega
+        pipeline._reference_surgery.cache_clear()
+        pipeline._wheeled_unknot_base.cache_clear()
+        om = pipeline._wheeled_omega(6)
+        squares = []
+        union = DiagramSeries.union
+
+        def counted(a, b):
+            if a is om and b is om:
+                squares.append(a)
+            return union(a, b)
+        monkeypatch.setattr(DiagramSeries, "union", counted)
+        for f in (2, 3):
+            assert cli.main(["compare", "--lie", "A1", "--framing", str(f),
+                             "--order", "3"]) == 0
+            assert json.loads(capsys.readouterr().out)["equal"] is True
+        assert len(squares) == 1
+
+    def test_shared_wheeled_base_is_only_read(self, capsys):
+        # a compare and a verify read the cached square and leave it as built
+        base = _wheeled_base(SurgeryInput("unknot", 2), 8)
+        assert cli.main(["compare", "--lie", "A1", "--framing", "-2",
+                         "--order", "4"]) == 0
+        assert cli.main(["verify", "--suite", "circle", "--order", "4"]) == 0
+        capsys.readouterr()
+        assert _wheeled_base(SurgeryInput("unknot", -1), 8) is base
+        om = pipeline._wheeled_omega(8)
+        assert base == om.union(om)
+
     def test_taupg_reads_the_fold_on_the_builtin_unknot(self, monkeypatch):
         # only an expansion-data file goes through norm_classes
         def unused(*args):

@@ -20,6 +20,7 @@ from lmo_kernel.rootsys import (
     _gaussian_sum_route,
     _root_product,
     _square_sum,
+    _weyl_prefactor,
     build_root_system,
     gaussian_on_exponentials,
     gaussian_weyl_closed_form,
@@ -553,6 +554,19 @@ class TestGroupsOfOneSeries:
         assert len(products) == len(split) >= 11
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["A1", "A2", "A3", "A4", "A5"]),
+       st.integers(-7, 7).filter(bool), st.integers(1, 6))
+def test_weyl_prefactor_equals_the_literal_product(label, f, cap):
+    """lead * h^P times one unit series read through h^cap is the product
+    of 1/|W|, q^((s - f)|rho|^2/2) and the P factors 1 - q^(s (rho, a)),
+    through h^(cap + P)."""
+    rs = build_root_system(label)
+    P = rs.num_pos
+    assert _weyl_prefactor(rs, f, cap) == \
+        series_oracle.weyl_prefactor(rs, f, cap + P).truncate(cap + P)
+
+
 class TestGaussClosedForm:
     def test_matches_paired_weyl_sum(self):
         # direct evaluation of the Gaussian on the squared alternating sum
@@ -648,6 +662,15 @@ class TestFoldedTau:
         rs = build_root_system(label)
         assert tau_pg(rs, unknot_classes(rs, cap), f, cap) == \
             series_oracle.tau_pg(rs, _unfolded(label, cap), f, cap)
+
+    @pytest.mark.parametrize("label", ["A1", "A2"])
+    def test_cap_zero_reads_the_unit_through_h1(self, label):
+        # at cap 0 the unknot's S has valuation -P, so the prefactor's unit
+        # is read through h^0: the floor at h^1 keeps q_power defined
+        rs = build_root_system(label)
+        for f in (1, -1, 2, -2, 3, -7):
+            assert tau_pg(rs, unknot_classes(rs, 0), f, 0) == \
+                series_oracle.tau_pg(rs, _unfolded(label, 0), f, 0)
 
     @pytest.mark.parametrize("label", ["A4", "A5", "A6", "A7"])
     def test_spheres_and_the_lens_space_two_one(self, label):
