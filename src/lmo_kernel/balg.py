@@ -10,6 +10,11 @@ result of a term, or of a term pair, is memoized as a gluing table.
 Closed components take part in no gluing: a table glues the open
 components alone and joins the closed ones back unchanged, and a
 leg-free first term glues nothing.
+
+The framing enters the Gaussian integral only as the weight -1/f of a
+strut, so ``fg_parts`` glues an integrand once, framing-free, into one
+part per strut count k, and ``fg_integral`` at framing f is the sum of
+the parts times (-1/f)^k.
 """
 
 from __future__ import annotations
@@ -207,10 +212,28 @@ def _assert_strut_free(s: DiagramSeries, what: str) -> None:
             raise StructuralError(f"{what} contains a strut component")
 
 
+def fg_parts(y: DiagramSeries) -> dict[int, DiagramSeries]:
+    """The framing-free parts of the Gaussian integral of a strut-free
+    ``y``: part k is the sum of the gluing tables of the 2k-legged terms
+    of ``y``, every perfect matching of their legs glued by struts, with
+    no framing weight.  Odd-legged terms have no perfect matching and
+    give no part; a part whose tables cancel is kept, and is zero."""
+    _assert_strut_free(y, "Gaussian integrand")
+    by_k: dict[int, list[tuple[CanonicalForm, Fraction]]] = {}
+    for form, coeff in y.terms.items():
+        if form.m % 2 == 0:
+            by_k.setdefault(form.m // 2, []).append((form, coeff))
+    return {k: DiagramSeries(y.imax, ((glued, coeff, n)
+                                      for form, coeff in terms
+                                      for glued, n in _gluing_table(form)))
+            for k, terms in sorted(by_k.items())}
+
+
 def fg_integral(y: DiagramSeries, f_override: Fraction | int) -> DiagramSeries:
     """Formal Gaussian integral of exp((f/2) strut) ⊔ y, with the framing
     f given as data and ``y`` strut-free: pair ``y`` against
-    exp(-strut/(2f)).
+    exp(-strut/(2f)), which is the sum over k of (-1/f)^k times part k
+    of ``fg_parts(y)``.
 
     Gluing k struts into a 2k-legged term, summed over all (2k)!
     bijections, equals 2^k k! times the sum over perfect matchings of
@@ -219,19 +242,12 @@ def fg_integral(y: DiagramSeries, f_override: Fraction | int) -> DiagramSeries:
     bijection and full-matching sums are the test suite's oracles.
     """
     f = Fraction(f_override)
-    _assert_strut_free(y, "Gaussian integrand")
     if f == 0:
         raise StructuralError(
             "framing 0 is not a rational homology sphere surgery")
-
-    def terms():
-        for form, coeff in y.terms.items():
-            if form.m % 2 == 1:
-                continue  # no perfect matching by struts
-            weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
-            for glued, n in _gluing_table(form):
-                yield glued, weight, n
-    return DiagramSeries(y.imax, terms())
+    return DiagramSeries(y.imax, (
+        (form, (-1 / f) ** k, c) for k, part in fg_parts(y).items()
+        for form, c in part.terms.items()))
 
 
 def wheeling(s: DiagramSeries) -> DiagramSeries:

@@ -709,10 +709,17 @@ class DiagramSeries:
 
     @classmethod
     def from_json(cls, obj: list, imax: int) -> "DiagramSeries":
+        """Read a list of {"coeff", "diagram"} entries; a missing field
+        is named with its entry's index."""
         s = cls(imax)
-        for entry in obj:
-            s.add_diagram(JacobiDiagram.from_json(entry["diagram"]),
-                          Fraction(entry["coeff"]))
+        for i, entry in enumerate(obj):
+            try:
+                d = JacobiDiagram.from_json(entry["diagram"])
+                coeff = Fraction(entry["coeff"])
+            except KeyError as exc:
+                raise StructuralError(
+                    f"entry {i} has no field {exc.args[0]!r}") from exc
+            s.add_diagram(d, coeff)
         return s
 
 

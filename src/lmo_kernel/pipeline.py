@@ -18,13 +18,26 @@ series: the built-in unknot's are one group from
 ``rootsys.norm_classes``, one group per class.  On the diagram side the
 built-in unknot's wheeled base, the wheeled Omega times itself under
 disjoint union, which no framing changes, is cached per order and read
-by both routes.  The definition route divides by the reference surgery
-on the unknot at framing sign(f), cached per (label, sign, order) and
-shared with the circle check.  Every cache is bounded by the keys the command line can reach,
-labels of ``LIE_LABELS``, signs and orders up to ``MAX_ORDER`` (a
-higher order exceeds the vertex cap before anything is cached, and
-``verify`` rejects it up front for the suites that build diagrams); no
-cache is keyed by the framing, and callers only read a cached value.
+by both routes.
+
+The framing f enters the diagram side last.  The Gaussian integral
+glues struts weighted by -1/f, and the definition route's integrand
+carries exp(-(f/48) theta), so each route's Gaussian integral is a
+Laurent polynomial in f whose coefficients are framing-free graded
+weights: ``balg.fg_parts`` glues each integrand once, its part k is
+weighed once, and a route at framing f only sums the weighed parts
+times powers of f.  The definition route weighs the parts of each
+coefficient X_j of ``reduced_input``; the lemma route weighs those of
+the wheeled base alone and never a theta power.  For the built-in
+unknot each route's polynomial is cached per (label, order); a knot
+file's is built per call.  The definition route divides by the
+reference surgery on the unknot at framing sign(f), the unknot's
+definition polynomial at f = sign(f), which the circle check reads
+too.  Every cache is bounded by the keys the command line can reach,
+labels of ``LIE_LABELS`` and orders up to ``MAX_ORDER`` (a higher order
+exceeds the vertex cap before anything is cached, and ``verify``
+rejects it up front for the suites that build diagrams); no cache is
+keyed by the framing, and callers only read a cached value.
 
 The gauss suite sums the exponential tensors of the points of the
 squared Weyl sum from ``rootsys._square_sum``, each weighed by its
@@ -154,15 +167,18 @@ def _wheeled_base(inp: SurgeryInput, imax: int) -> DiagramSeries:
     return base.union(_wheeled_omega(imax))
 
 
-def reduced_input(inp: SurgeryInput, imax: int) -> DiagramSeries:
-    """Strut-free Gaussian integrand of the definition route: wheeled
-    knot part, wheeled unknot correction, and the theta part
-    exp(-(f/48) theta) of the framing exponential exp((f/2)(strut -
-    theta/24)).  The strut part is the quadratic form of the Gaussian
-    integral; the framing f is passed to ``balg.fg_integral`` as data."""
-    arg = DiagramSeries(imax)
-    arg.add_diagram(balg.theta(), -Fraction(inp.framing, 48))
-    return _wheeled_base(inp, imax).union(arg.exp_union())
+def reduced_input(inp: SurgeryInput, imax: int) -> dict[int, DiagramSeries]:
+    """The strut-free Gaussian integrand of the definition route, as its
+    coefficients X_j in c = -f/48: {j: wheeled base ⊔ theta^j / j!} for
+    2j <= ``imax``.  The integrand at framing f is the wheeled base times
+    the theta part exp(c theta) of the framing exponential exp((f/2)(strut
+    - theta/24)), which is the sum over j of c^j X_j; its strut part is the
+    quadratic form of the Gaussian integral.  No X_j depends on f."""
+    th = series_of(balg.theta(), imax)
+    out = {0: _wheeled_base(inp, imax)}
+    for j in range(1, imax // 2 + 1):
+        out[j] = out[j - 1].union(th).scale(Fraction(1, j))
+    return out
 
 
 def hat_scalar(s: DiagramSeries, g: liews.LieAlgebraData,
@@ -193,22 +209,75 @@ def _theta_weight(label: str, order: int) -> HSeries:
     return hat_scalar(series_of(balg.theta(), 2 * order), g, order)
 
 
-@lru_cache(maxsize=None)
+#: A Laurent polynomial in the framing f with series coefficients:
+#: {(e, n): the coefficient of f^e h^n}.
+FramingPoly = dict[tuple[int, int], Fraction]
+
+
+def _framing_poly(terms) -> FramingPoly:
+    """The polynomial sum of c f^e W over terms (e, c, W), W a series."""
+    return sum_products(((e, n), c, a) for e, c, w in terms
+                        for n, a in w.coeffs.items())
+
+
+def _at_framing(poly: FramingPoly, f: int, cap: int) -> HSeries:
+    """``poly`` evaluated at the framing ``f``, known up to h^cap."""
+    f = Fraction(f)
+    return HSeries(sum_products((n, f ** e, a)
+                                for (e, n), a in poly.items()), cap)
+
+
+def _definition_poly(inp: SurgeryInput, label: str,
+                     order: int) -> FramingPoly:
+    """The definition route's numerator as a polynomial in f: the sum of
+    (-f/48)^j (-1/f)^k W_jk, where W_jk is the graded weight of part k of
+    the Gaussian integral of the integrand's coefficient X_j."""
+    _, g = lie_pair(label)
+    return _framing_poly(
+        (j - k, Fraction(-1, 48) ** j * (-1) ** k, hat_scalar(part, g, order))
+        for j, x in reduced_input(inp, 2 * order).items()
+        for k, part in balg.fg_parts(x).items())
+
+
+def _lemma_poly(inp: SurgeryInput, label: str, order: int) -> FramingPoly:
+    """The lemma route's Gaussian integral as a polynomial in f: the sum
+    of (-1/f)^k W_k, where W_k is the graded weight of part k of the
+    Gaussian integral of the wheeled base."""
+    _, g = lie_pair(label)
+    return _framing_poly(
+        (-k, (-1) ** k, hat_scalar(part, g, order))
+        for k, part in balg.fg_parts(_wheeled_base(inp, 2 * order)).items())
+
+
+_UNKNOT = SurgeryInput("unknot", 1)  # the integrands read no framing
+
+
+@lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
+def _unknot_definition_poly(label: str, order: int) -> FramingPoly:
+    """The built-in unknot's ``_definition_poly``, on the keys of
+    ``_omega_pair_scalar``; callers only read it."""
+    return _definition_poly(_UNKNOT, label, order)
+
+
+@lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
+def _unknot_lemma_poly(label: str, order: int) -> FramingPoly:
+    """The built-in unknot's ``_lemma_poly``, on the keys of
+    ``_omega_pair_scalar``; callers only read it."""
+    return _lemma_poly(_UNKNOT, label, order)
+
+
 def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
     """Graded weight of the Gaussian integral of the unknot at framing
     ``sign`` (1 or -1): the denominator of the definition route."""
-    _, g = lie_pair(label)
-    return hat_scalar(balg.fg_integral(
-        reduced_input(SurgeryInput("unknot", sign), 2 * order), sign),
-        g, order)
+    return _at_framing(_unknot_definition_poly(label, order), sign, order)
 
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant as the ratio of two Gaussian integrals, the
     denominator being the matching-sign unknot surgery."""
-    _, g = lie_pair(label)
-    num = hat_scalar(balg.fg_integral(reduced_input(inp, 2 * order),
-                                      inp.framing), g, order)
+    poly = (_unknot_definition_poly(label, order) if inp.is_builtin
+            else _definition_poly(inp, label, order))
+    num = _at_framing(poly, inp.framing, order)
     out = num * _reference_surgery(label, inp.sign, order).inverse()
     return out.truncate(min(order, out.cap))
 
@@ -217,10 +286,9 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant in closed form: the wheels pairing, a theta
     exponential with exponent (3 sign(f) - f)/48, and the Gaussian
     integral, at framing f, of the wheeled zero-framed input."""
-    imax = 2 * order
-    _, g = lie_pair(label)
-    fgv = hat_scalar(balg.fg_integral(_wheeled_base(inp, imax), inp.framing),
-                     g, order)
+    poly = (_unknot_lemma_poly(label, order) if inp.is_builtin
+            else _lemma_poly(inp, label, order))
+    fgv = _at_framing(poly, inp.framing, order)
     theta_h = _theta_weight(label, order)
     factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()
     out = _omega_pair_scalar(label, order) * factor * fgv
@@ -247,16 +315,21 @@ def load_qdata(path: str, rank: int,
                order: int) -> dict[rootsys.Vec, HSeries]:
     """The expansion-data file's lattice sum; every ``beta`` must be a
     list of ``rank`` JSON integers, and every entry's series, zero ones
-    included, must be known through h^order."""
+    included, must be known through h^order.  A missing field is named
+    with its entry's index."""
     def parse(obj) -> dict[rootsys.Vec, HSeries]:
-        for entry in obj:
-            beta = entry["beta"]
+        for i, entry in enumerate(obj):
+            try:
+                beta, series = entry["beta"], HSeries.from_json(
+                    entry["series"])
+            except KeyError as exc:
+                raise ValueError(
+                    f"entry {i} has no field {exc.args[0]!r}") from exc
             if len(beta) != rank or any(type(x) is not int for x in beta):
                 raise ValueError(f"beta {beta} needs {rank} integer "
                                  "coordinates")
-            cap = HSeries.from_json(entry["series"]).cap
-            if cap < order:
-                raise ValueError(f"beta {beta} has series cap {cap}, "
+            if series.cap < order:
+                raise ValueError(f"beta {beta} has series cap {series.cap}, "
                                  f"below --order {order}")
         return rootsys.lattice_sum_from_json(obj)
 

@@ -13,6 +13,11 @@ orbit-summed gluing tables of ``balg`` against them.
 literally: ``strut_split`` reads f off the strut coefficient and divides
 the strut exponential back out, where ``balg.fg_integral`` takes f as
 data and Y alone.
+
+``reduced_integrand`` is the definition route's integrand at the
+input's framing f, built literally as one series: the wheeled base ⊔
+exp(-(f/48) theta), where ``pipeline.reduced_input`` returns its
+framing-free coefficients in -f/48.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from lmo_kernel.balg import _assert_strut_free, _pairings, _strut_count, strut
+from lmo_kernel.balg import (
+    _assert_strut_free, _pairings, _strut_count, strut, theta)
 from lmo_kernel.diagrams import (
     DiagramSeries,
     StructuralError,
@@ -28,6 +34,7 @@ from lmo_kernel.diagrams import (
     glue_legs,
     relabel_union,
 )
+from lmo_kernel.pipeline import SurgeryInput, _wheeled_base
 
 
 def fg_integral_bijections(y: DiagramSeries, f) -> DiagramSeries:
@@ -127,3 +134,12 @@ def fg_integral(s: DiagramSeries) -> DiagramSeries:
         for matching in _pairings(list(g.legs())):
             out.add_diagram(glue_legs(g, matching), weight)
     return out
+
+
+def reduced_integrand(inp: SurgeryInput, imax: int) -> DiagramSeries:
+    """The strut-free definition-route integrand at ``inp.framing``: the
+    wheeled base ⊔ exp(-(f/48) theta), the theta part of the framing
+    exponential exp((f/2)(strut - theta/24))."""
+    arg = DiagramSeries(imax)
+    arg.add_diagram(theta(), -Fraction(inp.framing, 48))
+    return _wheeled_base(inp, imax).union(arg.exp_union())

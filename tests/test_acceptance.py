@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as Q
 
 import lie_oracle
+from gauss_oracle import reduced_integrand
 from lmo_kernel import balg, liews, pipeline, rootsys
 from lmo_kernel.balg import fg_integral, omega, pair, partial, theta, wheel
 from lmo_kernel.diagrams import JacobiDiagram, canonicalize, series_of
@@ -22,7 +23,6 @@ from lmo_kernel.pipeline import (
     lie_pair,
     lmo_via_definition,
     lmo_via_lemma,
-    reduced_input,
 )
 from lmo_kernel.qseries import HSeries, modified_bernoulli, sinh_ratio
 
@@ -120,7 +120,7 @@ def test_criterion_07_reference_surgery_value():
     theta_h = pipeline._theta_weight(label, 4)
     for s in (1, -1):
         lhs = hat_scalar(fg_integral(
-            reduced_input(SurgeryInput("unknot", s), 8), s), g, 4)
+            reduced_integrand(SurgeryInput("unknot", s), 8), s), g, 4)
         rhs = oo_inv * theta_h.scale(Q(-s, 16)).exp()
         assert lhs == rhs, s
     _report(7, "reference unknot surgery = <Omega,Omega>^-1 exp(-+theta/16)"

@@ -14,6 +14,7 @@ from lmo_kernel.balg import (
     _gluing_table,
     _strut_count,
     fg_integral,
+    fg_parts,
     omega,
     pair,
     partial,
@@ -35,7 +36,7 @@ from lmo_kernel.diagrams import (
     relabel_union,
     series_of,
 )
-from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, reduced_input
+from lmo_kernel.pipeline import SurgeryInput, _wheeled_base
 from series_oracle import coeff_of
 from test_diagrams import port_matchings
 
@@ -391,6 +392,24 @@ class TestGluingTablesAgainstOracle:
             gauss_oracle.fg_integral(_framed(f, Q(0), y))
 
     @settings(max_examples=60, deadline=None)
+    @given(gluing_series(struts=False, max_legs=8),
+           st.fractions(-5, 5, max_denominator=6).filter(bool))
+    def test_fg_parts(self, s, f):
+        # the integral at f is the sum over k of (-1/f)^k times part k,
+        # the closed gluings of the 2k-legged terms, whatever f is
+        y = DiagramSeries.unit(s.imax) + s
+        parts = fg_parts(y)
+        assert set(parts) == {form.m // 2 for form in y.terms
+                              if form.m % 2 == 0}
+        assert all(form.m == 0 for part in parts.values()
+                   for form in part.terms)
+        total = DiagramSeries(y.imax)
+        for k, part in parts.items():
+            total = total + part.scale((-1 / f) ** k)
+        assert fg_integral(y, f) == total == \
+            gauss_oracle.fg_integral(_framed(f, Q(0), y))
+
+    @settings(max_examples=60, deadline=None)
     @given(gluing_series(struts=True, max_legs=5),
            gluing_series(struts=False, max_legs=5))
     def test_pair(self, d, y):
@@ -409,7 +428,7 @@ class TestGluingTablesAgainstOracle:
         # wheeled base ⊔ exp((f/2)(strut - theta/24))
         inp = SurgeryInput("unknot", f)
         framed = _framed(f, Q(-f, 48), _wheeled_base(inp, 6))
-        assert fg_integral(reduced_input(inp, 6), f) == \
+        assert fg_integral(gauss_oracle.reduced_integrand(inp, 6), f) == \
             gauss_oracle.fg_integral(framed)
 
     def test_wheels_pairing_and_wheeling(self):

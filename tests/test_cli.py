@@ -93,6 +93,12 @@ def _unknot_qdata_with_cap_zero_beta(series: HSeries) -> str:
         {"beta": [5], "series": series.to_json()}])
 
 
+_UNIT_KNOT = '[{"coeff": "1/1", "diagram": {"t": 0, "m": 0, "edges": []}}]'
+# a file whose entry lacks a field: the message names the field
+_MISSING_FIELD = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
+                  _UNIT_KNOT: "entry 0 has no field 'beta'"}
+
+
 @pytest.mark.parametrize("option, content", [
     ("--knot", None),                      # missing file
     ("--knot", "{not json"),
@@ -111,6 +117,8 @@ def _unknot_qdata_with_cap_zero_beta(series: HSeries) -> str:
         "min_exp": 0, "coeffs": {"-1": "1/1"}, "cap": 2}}])),  # below min_exp
     ("--qdata", _unknot_qdata_with_cap_zero_beta(HSeries.zero(0))),
     ("--qdata", _unknot_qdata_with_cap_zero_beta(HSeries.one(0))),
+    ("--knot", '[{"coeff": "1/1"}]'),
+    ("--qdata", _UNIT_KNOT),                 # a knot file as expansion data
 ])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     path = tmp_path / "input.json"
@@ -122,7 +130,9 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     line, = captured.err.splitlines()
-    assert str(path) in json.loads(line)["error"]
+    message = json.loads(line)["error"]
+    assert str(path) in message
+    assert _MISSING_FIELD.get(content, "") in message
 
 
 @pytest.mark.parametrize("series", [HSeries.zero(0), HSeries.one(0)])

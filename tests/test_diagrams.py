@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import canon_oracle
 import series_oracle
+from gauss_oracle import reduced_integrand
 from series_oracle import coeff_of
 from lmo_kernel import diagrams, pipeline
 from lmo_kernel.balg import fg_integral, strut, theta, wheel
@@ -36,7 +37,7 @@ from lmo_kernel.diagrams import (
     relabel_union,
     series_of,
 )
-from lmo_kernel.pipeline import SurgeryInput, reduced_input
+from lmo_kernel.pipeline import SurgeryInput
 from lmo_kernel.qseries import modified_bernoulli
 
 
@@ -132,7 +133,8 @@ class TestCanonicalization:
 
     def test_idempotent_on_representative(self):
         # closed multi-edge forms as the Gaussian integral produces them
-        closed = fg_integral(reduced_input(SurgeryInput("unknot", 1), 6), 1)
+        closed = fg_integral(
+            reduced_integrand(SurgeryInput("unknot", 1), 6), 1)
         forms = [canonicalize(d).form
                  for d in (wheel(1), wheel(2), wheel(3), theta(), strut())]
         for form in forms + list(closed.terms):

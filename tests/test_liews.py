@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lie_oracle
+from gauss_oracle import reduced_integrand
 from lmo_kernel import liews
 from lmo_kernel.balg import fg_integral, partial, strut, theta, wheel
 from lmo_kernel.diagrams import (
@@ -27,7 +28,7 @@ from lmo_kernel.liews import (
     hat_weight,
     wick,
 )
-from lmo_kernel.pipeline import SurgeryInput, hat_scalar, reduced_input
+from lmo_kernel.pipeline import SurgeryInput, hat_scalar
 from lmo_kernel.qseries import HSeries, q_power, series_sum
 
 sl2 = build_sl(2)
@@ -283,7 +284,7 @@ class TestStateSum:
         for f in (1, -1, 2, -2, 3):
             for order in (2, 3, 4):
                 inp = SurgeryInput("unknot", f)
-                forms |= set(fg_integral(reduced_input(inp, 2 * order),
+                forms |= set(fg_integral(reduced_integrand(inp, 2 * order),
                                          f).terms)
         assert max(form.t for form in forms) == 8
         for g in (sl2, sl3, sl4):

@@ -23,7 +23,9 @@ from lmo_kernel.pipeline import (
     verify_suite,
 )
 from lmo_kernel.qseries import HSeries
-from lmo_kernel import balg, cli, liews, pipeline, qseries, rootsys
+from lmo_kernel import (
+    balg, cli, diagrams, liews, pipeline, qseries, rootsys)
+from gauss_oracle import reduced_integrand
 from series_oracle import coeff_of
 
 
@@ -48,7 +50,7 @@ class TestReducedInput:
     def test_unknot_unframed_part(self):
         # the squared wheeled Omega times the theta part exp(-theta/48) of
         # the framing exponential; the strut part is never built
-        got = reduced_input(SurgeryInput("unknot", 1), 4)
+        got = reduced_integrand(SurgeryInput("unknot", 1), 4)
         w = wheeling_inverse(omega(4))
         th = DiagramSeries(4)
         th.add_diagram(theta(), Q(-1, 48))
@@ -64,9 +66,26 @@ class TestReducedInput:
         # the framing shifts the theta coefficient of the base by -f/48
         for f in (3, -1):
             inp = SurgeryInput("unknot", f)
-            shift = coeff_of(reduced_input(inp, 6), theta()) - \
+            shift = coeff_of(reduced_integrand(inp, 6), theta()) - \
                 coeff_of(_wheeled_base(inp, 6), theta())
             assert shift == Q(-f, 48)
+
+    @pytest.mark.parametrize("knot", ("unknot", "omega8.json"))
+    def test_coefficients_sum_to_the_integrand(self, tmp_path, knot):
+        # sum_j (-f/48)^j X_j is the literal integrand at every framing
+        if knot != "unknot":
+            knot = tmp_path / knot
+            knot.write_text(json.dumps(omega(8).to_json()))
+        for order in (1, 2, 3, 4):
+            imax = 2 * order
+            xs = reduced_input(SurgeryInput(str(knot), 1), imax)
+            assert set(xs) == set(range(order + 1))
+            for f in (1, -1, 2, -2, 3, 7):
+                total = DiagramSeries(imax)
+                for j, x in xs.items():
+                    total = total + x.scale(Q(-f, 48) ** j)
+                assert total == reduced_integrand(
+                    SurgeryInput(str(knot), f), imax)
 
     def test_strutful_file_rejected(self, tmp_path):
         s = series_of(strut(), 4)
@@ -91,7 +110,7 @@ class TestRoutes:
         _, g = lie_pair("A1")
         for f in (1, -1, 2, 3):
             got = hat_scalar(balg.fg_integral(
-                reduced_input(SurgeryInput("unknot", f), 2), f), g, 1)
+                reduced_integrand(SurgeryInput("unknot", f), 2), f), g, 1)
             assert got == HSeries({0: 1, 1: Q(-(2 + f * f), 4 * f)}, 1)
 
     def test_open_series_rejected_before_weighing(self, monkeypatch):
@@ -199,30 +218,44 @@ class TestCompare:
         assert rep.certified_order == 2
 
 
+def _clear_unknot_caches():
+    pipeline._unknot_definition_poly.cache_clear()
+    pipeline._unknot_lemma_poly.cache_clear()
+
+
 class TestUnknotIsBuiltOnce:
     def test_reference_surgery_once_per_sign(self, monkeypatch, capsys):
-        # framing 2: the input, its sign's reference surgery and the lemma
-        # route; framing 3 shares the sign, so its reference is cached
-        pipeline._reference_surgery.cache_clear()
-        calls = []
-        true_fg = balg.fg_integral
+        # framing 2 integrates the definition route's four coefficients
+        # X_0..X_3 and the lemma route's base once each, framing-free, and
+        # its reference surgery is the same polynomial at f = 1; framing 3
+        # only evaluates the cached polynomials, gluing, canonicalizing
+        # and weighing nothing
+        _clear_unknot_caches()
+        counted_names = ((balg, "fg_parts"), (balg, "fg_integral"),
+                         (diagrams, "canonicalize"), (liews, "hat_weight"))
+        calls = {name: 0 for _, name in counted_names}
 
-        def counted(*args):
-            calls.append(args)
-            return true_fg(*args)
-        monkeypatch.setattr(balg, "fg_integral", counted)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        for mod, name in counted_names:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        monkeypatch.setattr(balg, "canonicalize", diagrams.canonicalize)
         counts = []
         for f in (2, 3):
-            before = len(calls)
+            before = dict(calls)
             assert cli.main(["compare", "--lie", "A2", "--framing", str(f),
                              "--order", "3"]) == 0
-            counts.append(len(calls) - before)
+            counts.append({k: calls[k] - before[k] for k in calls})
             assert json.loads(capsys.readouterr().out)["equal"] is True
-        assert counts == [3, 2]
+        assert counts[0]["fg_parts"] <= 5 and counts[0]["fg_integral"] == 0
+        assert counts[1] == dict.fromkeys(calls, 0)
 
     def test_wheeled_base_once_per_order(self, monkeypatch, capsys):
         # both routes of both framings read one square of the wheeled Omega
-        pipeline._reference_surgery.cache_clear()
+        _clear_unknot_caches()
         pipeline._wheeled_unknot_base.cache_clear()
         om = pipeline._wheeled_omega(6)
         squares = []

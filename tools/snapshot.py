@@ -17,7 +17,10 @@ repeated betas with one extra beta that cancels (``qdata_split.json``);
 the two files give the same outputs.  Last, ``taupg`` and ``compare`` at
 A3, framing -2, order 3 read the A3 unknot data as written
 (``qdata_a3.json``), which ties the built-in unknot's Weyl fold to the
-expansion-data path at rank 3.
+expansion-data path at rank 3.  After them, the omega(8) knot file's
+``compare`` runs again at framings -1 and 3: an uncached file knot
+against the sign -1 reference surgery, and a second framing after the
+first.
 """
 
 import contextlib
@@ -43,8 +46,11 @@ def commands() -> list[list[str]]:
                 for command in ("compare", "taupg"):
                     out.append([command, "--lie", lie, "--framing", str(f),
                                 "--order", str(n)])
-    knot = ["compare", "--knot", "omega8.json", "--lie", "A1", "--framing",
-            "2", "--order", "4"]
+    def knot_at(f: int) -> list[str]:
+        return ["compare", "--knot", "omega8.json", "--lie", "A1",
+                "--framing", str(f), "--order", "4"]
+
+    knot = knot_at(2)
     taupg = ["taupg", "--lie", "A1", "--framing", "2", "--order", "4"]
     a3 = ["--lie", "A3", "--framing", "-2", "--order", "3", "--qdata",
           "qdata_a3.json"]
@@ -63,7 +69,7 @@ def commands() -> list[list[str]]:
         knot + ["--qdata", "qdata_split.json"],
         ["taupg"] + a3,
         ["compare"] + a3,
-    ]
+    ] + [knot_at(f) for f in (-1, 3)]
 
 
 def split(entries: list) -> list:
