@@ -15,7 +15,6 @@ from .balg import (
     strut,
     theta,
     wheel,
-    wheeling,
     wheeling_inverse,
 )
 from .liews import (
@@ -47,7 +46,7 @@ __all__ = [
     "HSeries", "modified_bernoulli", "q_power", "sinh_ratio",
     "CanonicalForm", "DiagramSeries", "JacobiDiagram", "canonicalize",
     "fg_integral", "omega", "pair", "partial", "strut", "theta", "wheel",
-    "wheeling", "wheeling_inverse",
+    "wheeling_inverse",
     "LieAlgebraData", "build_sl", "hat_weight", "wick",
     "RootSystem", "build_root_system", "norm_classes",
     "quantum_dim_sq_shifted", "tau_pg", "unknot_classes", "weyl_denominator",

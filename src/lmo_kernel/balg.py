@@ -250,15 +250,11 @@ def fg_integral(y: DiagramSeries, f_override: Fraction | int) -> DiagramSeries:
         for form, c in part.terms.items()))
 
 
-def wheeling(s: DiagramSeries) -> DiagramSeries:
-    """The wheeling map: partial gluing by the wheels exponential."""
-    return partial(omega(s.imax), s)
-
-
 def wheeling_inverse(s: DiagramSeries) -> DiagramSeries:
-    """Inverse of the wheeling map, solved through the internal-vertex
-    grading: the map is the identity plus grading-raising terms, so the
-    Neumann series terminates under the truncation policy."""
+    """Inverse of the wheeling map, partial gluing by the wheels
+    exponential Omega, solved through the internal-vertex grading: the
+    map is the identity plus grading-raising terms, so the Neumann series
+    terminates under the truncation policy."""
     om = omega(s.imax)
     acc = s.copy()
     cur = s

@@ -108,7 +108,7 @@ def _check_jacobi(gram_inv: Matrix, f_low: dict) -> None:
             raise LieDataError("Jacobi identity fails")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=3)
 def build_sl(n: int) -> LieAlgebraData:
     """sl_n with the defining-representation trace form, 2 <= n <= 4.
 

@@ -7,18 +7,26 @@ Lie-theoretic side, and the order-by-order comparison
 
 Certified order bookkeeping: an h-order N statement needs every diagram
 with at most 2N internal vertices, so the series truncation is always
-run at imax = 2N; wheel-like inputs (legs <= internal vertices in every
-term) keep that certificate through the Gaussian integral.
+run at imax = 2N.  Every input keeps that certificate through the
+Gaussian integral: each leg of a strut-free diagram ends at a trivalent
+vertex, and a vertex carrying two legs makes the diagram zero, since
+swapping the two legs is an automorphism that reverses that vertex's
+cyclic order.  So every nonzero term has at most as many legs as
+internal vertices, and only ``--valid-degree`` lowers the certified
+order.
 
 Both sides need the unknot, and both build it once per label and
 order.  The Lie side reads norm-class groups, classes that share one
 series: the built-in unknot's are one group from
 ``rootsys.unknot_classes``, the Weyl fold, cached per (label, order); a
 ``--qdata`` file's lattice sum {beta: series} goes through
-``rootsys.norm_classes``, one group per class.  On the diagram side the
-built-in unknot's wheeled base, the wheeled Omega times itself under
-disjoint union, which no framing changes, is cached per order and read
-by both routes.
+``rootsys.norm_classes``, one group per class.  The diagram side reads
+a knot only through its zero-framed wheeled invariant, Omega for the
+built-in unknot, so every knot takes one path there, under one key
+(``knot_key``): the wheeled knot and the wheeled base, the wheeled knot
+times the wheeled unknot, are cached per (key, imax), each route's
+framing polynomial per (key, label, order).  A knot file's key holds
+its text, so it is parsed once and wheeled once per content and order.
 
 The framing f enters the diagram side last.  The Gaussian integral
 glues struts weighted by -1/f, and the definition route's integrand
@@ -28,16 +36,15 @@ weights: ``balg.fg_parts`` glues each integrand once, its part k is
 weighed once, and a route at framing f only sums the weighed parts
 times powers of f.  The definition route weighs the parts of each
 coefficient X_j of ``reduced_input``; the lemma route weighs those of
-the wheeled base alone and never a theta power.  For the built-in
-unknot each route's polynomial is cached per (label, order); a knot
-file's is built per call.  The definition route divides by the
-reference surgery on the unknot at framing sign(f), the unknot's
-definition polynomial at f = sign(f), which the circle check reads
-too.  Every cache is bounded by the keys the command line can reach,
-labels of ``LIE_LABELS`` and orders up to ``MAX_ORDER`` (a higher order
-exceeds the vertex cap before anything is cached, and ``verify``
-rejects it up front for the suites that build diagrams); no cache is
-keyed by the framing, and callers only read a cached value.
+the wheeled base alone and never a theta power.  The definition route
+divides by the reference surgery on the unknot at framing sign(f), the
+unknot key's definition polynomial at f = sign(f), which the circle
+check reads too.  Every cache is bounded by the keys the command line
+can reach: labels of ``LIE_LABELS``, orders up to ``MAX_ORDER`` (a
+higher order exceeds the vertex cap before anything is cached, and
+``verify`` rejects it up front for the suites that build diagrams) and
+the two knots of ``_KNOTS``.  No cache is keyed by the framing, and
+callers only read a cached value.
 
 The gauss suite sums the exponential tensors of the points of the
 squared Weyl sum from ``rootsys._square_sum``, each weighed by its
@@ -48,6 +55,7 @@ framing.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,7 +73,7 @@ LIE_LABELS = ("A1", "A2", "A3")
 MAX_ORDER = MAX_VERTICES // 4
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(LIE_LABELS))
 def lie_pair(label: str) -> tuple[rootsys.RootSystem, liews.LieAlgebraData]:
     """Matched root-system and Lie-algebra data for one CLI label."""
     if label not in LIE_LABELS:
@@ -114,60 +122,64 @@ class InputFileError(InputError):
     """A knot or expansion-data file that is missing or malformed."""
 
 
-def _read_json_file(path: str, what: str, parse):
-    """``parse`` applied to the JSON content of ``path``; any way the file
-    can be unreadable or malformed surfaces as one InputFileError."""
+@contextmanager
+def _file_errors(path: str, what: str):
+    """Any way the file ``path`` can be unreadable or malformed surfaces
+    as one InputFileError that names it."""
     try:
-        return parse(json.loads(Path(path).read_text()))
+        yield
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ArithmeticError) as exc:
         raise InputFileError(f"{what} {path}: {exc}") from exc
 
 
-def load_knot_series(path: str, imax: int) -> DiagramSeries:
-    """The knot file's series: strut-free, with degree-0 coefficient 1
-    (the wheeled invariant of a knot is group-like)."""
-    def parse(obj) -> DiagramSeries:
-        s = DiagramSeries.from_json(obj, imax)
+#: The key of a knot's diagram-side caches: the built-in unknot's, or a
+#: knot file's path and text.
+KnotKey = tuple[str, str | None]
+
+_UNKNOT_KEY: KnotKey = ("unknot", None)
+
+#: The knots one command reaches, the built-in unknot and one knot
+#: file; a process that reads more files drops the least recently used.
+_KNOTS = 2
+
+
+def knot_key(inp: SurgeryInput) -> KnotKey:
+    """The key of the knot's diagram-side caches.  A knot file is read
+    on every call, so a rewritten file gets a new key."""
+    if inp.is_builtin:
+        return _UNKNOT_KEY
+    with _file_errors(inp.knot, "knot file"):
+        return inp.knot, Path(inp.knot).read_text()
+
+
+@lru_cache(maxsize=_KNOTS * MAX_ORDER)
+def _wheeled_knot(key: KnotKey, imax: int) -> DiagramSeries:
+    """The knot's zero-framed wheeled invariant under the wheeling
+    inverse.  The built-in unknot's invariant is Omega, and its wheeled
+    knot is the wheeled-unknot correction of every base; a knot file's
+    series must be strut-free, with degree-0 coefficient 1 (the wheeled
+    invariant of a knot is group-like)."""
+    path, text = key
+    if text is None:
+        return balg.wheeling_inverse(balg.omega(imax))
+    with _file_errors(path, "knot file"):
+        s = DiagramSeries.from_json(json.loads(text), imax)
         balg._assert_strut_free(s, "knot input file")
         if s.coeff(EMPTY_FORM) != 1:
             raise ValueError("the coefficient of the empty diagram is "
                              f"{s.coeff(EMPTY_FORM)}, not 1")
-        return s
-
-    return _read_json_file(path, "knot file", parse)
+    return balg.wheeling_inverse(s)
 
 
-def is_wheel_like(s: DiagramSeries) -> bool:
-    return all(form.m <= form.t for form in s.terms if form.components)
+@lru_cache(maxsize=_KNOTS * MAX_ORDER)
+def _wheeled_base(key: KnotKey, imax: int) -> DiagramSeries:
+    """Wheeled knot part times the wheeled unknot correction, which no
+    framing changes; callers share the cached value and only read it."""
+    return _wheeled_knot(key, imax).union(_wheeled_knot(_UNKNOT_KEY, imax))
 
 
-@lru_cache(maxsize=MAX_ORDER)
-def _wheeled_omega(imax: int) -> DiagramSeries:
-    """The wheeled unknot; callers share the cached value and only read
-    it.  Every caller runs at imax = 2 * order for an order up to
-    ``MAX_ORDER``, so the cache holds at most ``MAX_ORDER`` keys."""
-    return balg.wheeling_inverse(balg.omega(imax))
-
-
-@lru_cache(maxsize=MAX_ORDER)
-def _wheeled_unknot_base(imax: int) -> DiagramSeries:
-    """The built-in unknot's wheeled base, which no framing changes;
-    callers share the cached value and only read it, and its keys are
-    ``_wheeled_omega``'s."""
-    return _wheeled_omega(imax).union(_wheeled_omega(imax))
-
-
-def _wheeled_base(inp: SurgeryInput, imax: int) -> DiagramSeries:
-    """Wheeled knot part times the wheeled unknot correction: for the
-    built-in unknot the shared cached series, which callers only read."""
-    if inp.is_builtin:
-        return _wheeled_unknot_base(imax)
-    base = balg.wheeling_inverse(load_knot_series(inp.knot, imax))
-    return base.union(_wheeled_omega(imax))
-
-
-def reduced_input(inp: SurgeryInput, imax: int) -> dict[int, DiagramSeries]:
+def reduced_input(key: KnotKey, imax: int) -> dict[int, DiagramSeries]:
     """The strut-free Gaussian integrand of the definition route, as its
     coefficients X_j in c = -f/48: {j: wheeled base ⊔ theta^j / j!} for
     2j <= ``imax``.  The integrand at framing f is the wheeled base times
@@ -175,7 +187,7 @@ def reduced_input(inp: SurgeryInput, imax: int) -> dict[int, DiagramSeries]:
     - theta/24)), which is the sum over j of c^j X_j; its strut part is the
     quadratic form of the Gaussian integral.  No X_j depends on f."""
     th = series_of(balg.theta(), imax)
-    out = {0: _wheeled_base(inp, imax)}
+    out = {0: _wheeled_base(key, imax)}
     for j in range(1, imax // 2 + 1):
         out[j] = out[j - 1].union(th).scale(Fraction(1, j))
     return out
@@ -227,57 +239,41 @@ def _at_framing(poly: FramingPoly, f: int, cap: int) -> HSeries:
                                 for (e, n), a in poly.items()), cap)
 
 
-def _definition_poly(inp: SurgeryInput, label: str,
-                     order: int) -> FramingPoly:
+@lru_cache(maxsize=_KNOTS * len(LIE_LABELS) * MAX_ORDER)
+def _definition_poly(key: KnotKey, label: str, order: int) -> FramingPoly:
     """The definition route's numerator as a polynomial in f: the sum of
     (-f/48)^j (-1/f)^k W_jk, where W_jk is the graded weight of part k of
     the Gaussian integral of the integrand's coefficient X_j."""
     _, g = lie_pair(label)
     return _framing_poly(
         (j - k, Fraction(-1, 48) ** j * (-1) ** k, hat_scalar(part, g, order))
-        for j, x in reduced_input(inp, 2 * order).items()
+        for j, x in reduced_input(key, 2 * order).items()
         for k, part in balg.fg_parts(x).items())
 
 
-def _lemma_poly(inp: SurgeryInput, label: str, order: int) -> FramingPoly:
+@lru_cache(maxsize=_KNOTS * len(LIE_LABELS) * MAX_ORDER)
+def _lemma_poly(key: KnotKey, label: str, order: int) -> FramingPoly:
     """The lemma route's Gaussian integral as a polynomial in f: the sum
     of (-1/f)^k W_k, where W_k is the graded weight of part k of the
     Gaussian integral of the wheeled base."""
     _, g = lie_pair(label)
     return _framing_poly(
         (-k, (-1) ** k, hat_scalar(part, g, order))
-        for k, part in balg.fg_parts(_wheeled_base(inp, 2 * order)).items())
-
-
-_UNKNOT = SurgeryInput("unknot", 1)  # the integrands read no framing
-
-
-@lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
-def _unknot_definition_poly(label: str, order: int) -> FramingPoly:
-    """The built-in unknot's ``_definition_poly``, on the keys of
-    ``_omega_pair_scalar``; callers only read it."""
-    return _definition_poly(_UNKNOT, label, order)
-
-
-@lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
-def _unknot_lemma_poly(label: str, order: int) -> FramingPoly:
-    """The built-in unknot's ``_lemma_poly``, on the keys of
-    ``_omega_pair_scalar``; callers only read it."""
-    return _lemma_poly(_UNKNOT, label, order)
+        for k, part in balg.fg_parts(_wheeled_base(key, 2 * order)).items())
 
 
 def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
     """Graded weight of the Gaussian integral of the unknot at framing
     ``sign`` (1 or -1): the denominator of the definition route."""
-    return _at_framing(_unknot_definition_poly(label, order), sign, order)
+    return _at_framing(_definition_poly(_UNKNOT_KEY, label, order), sign,
+                       order)
 
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant as the ratio of two Gaussian integrals, the
     denominator being the matching-sign unknot surgery."""
-    poly = (_unknot_definition_poly(label, order) if inp.is_builtin
-            else _definition_poly(inp, label, order))
-    num = _at_framing(poly, inp.framing, order)
+    num = _at_framing(_definition_poly(knot_key(inp), label, order),
+                      inp.framing, order)
     out = num * _reference_surgery(label, inp.sign, order).inverse()
     return out.truncate(min(order, out.cap))
 
@@ -286,9 +282,8 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant in closed form: the wheels pairing, a theta
     exponential with exponent (3 sign(f) - f)/48, and the Gaussian
     integral, at framing f, of the wheeled zero-framed input."""
-    poly = (_unknot_lemma_poly(label, order) if inp.is_builtin
-            else _lemma_poly(inp, label, order))
-    fgv = _at_framing(poly, inp.framing, order)
+    fgv = _at_framing(_lemma_poly(knot_key(inp), label, order),
+                      inp.framing, order)
     theta_h = _theta_weight(label, order)
     factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()
     out = _omega_pair_scalar(label, order) * factor * fgv
@@ -333,7 +328,8 @@ def load_qdata(path: str, rank: int,
                                  f"below --order {order}")
         return rootsys.lattice_sum_from_json(obj)
 
-    return _read_json_file(path, "expansion-data file", parse)
+    with _file_errors(path, "expansion-data file"):
+        return parse(json.loads(Path(path).read_text()))
 
 
 def taupg_route(inp: SurgeryInput, label: str, order: int,
@@ -366,7 +362,6 @@ class ComparisonReport:
     difference: HSeries | None
     equal: bool | None
     lmo_only: bool
-    wheel_like_input: bool
 
     def to_json(self) -> dict:
         return {
@@ -400,12 +395,6 @@ def compare(inp: SurgeryInput, label: str, order: int,
     certified = order
     if inp.declared_valid_degree is not None:
         certified = min(certified, inp.declared_valid_degree)
-    wheel_like = True
-    if not inp.is_builtin:
-        s = load_knot_series(inp.knot, 2 * order)
-        wheel_like = is_wheel_like(s)
-        if not wheel_like:
-            certified = 0  # no internal-vertex certificate for such inputs
     d = lmo_via_definition(inp, label, order).truncate(certified)
     l = lmo_via_lemma(inp, label, order).truncate(certified)
     routes_equal = d == l
@@ -422,8 +411,7 @@ def compare(inp: SurgeryInput, label: str, order: int,
         lie=label, knot=inp.knot, framing=inp.framing, order=order,
         certified_order=certified, lmo_definition=d, lmo_lemma=l,
         routes_equal=routes_equal, h1_power=h1_power, taupg=taupg,
-        difference=difference, equal=equal, lmo_only=lmo_only,
-        wheel_like_input=wheel_like)
+        difference=difference, equal=equal, lmo_only=lmo_only)
 
 
 # ---------------------------------------------------------------------------

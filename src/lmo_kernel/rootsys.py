@@ -131,7 +131,7 @@ def _reflection_closure(gram, seeds) -> dict[Vec, int]:
     return signs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(TYPE_A_LABELS))
 def build_root_system(label: str) -> RootSystem:
     """Type A_1 to A_7 from its Cartan matrix: the roots are the
     reflection closure of the simple roots, the positive ones those with

@@ -14,6 +14,9 @@ literally: ``strut_split`` reads f off the strut coefficient and divides
 the strut exponential back out, where ``balg.fg_integral`` takes f as
 data and Y alone.
 
+``wheeling`` is the forward wheeling map, the literal ``partial`` by
+the wheels exponential, which ``balg.wheeling_inverse`` inverts.
+
 ``reduced_integrand`` is the definition route's integrand at the
 input's framing f, built literally as one series: the wheeled base ⊔
 exp(-(f/48) theta), where ``pipeline.reduced_input`` returns its
@@ -26,7 +29,7 @@ import itertools
 from fractions import Fraction
 
 from lmo_kernel.balg import (
-    _assert_strut_free, _pairings, _strut_count, strut, theta)
+    _assert_strut_free, _pairings, _strut_count, omega, strut, theta)
 from lmo_kernel.diagrams import (
     DiagramSeries,
     StructuralError,
@@ -34,7 +37,7 @@ from lmo_kernel.diagrams import (
     glue_legs,
     relabel_union,
 )
-from lmo_kernel.pipeline import SurgeryInput, _wheeled_base
+from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, knot_key
 
 
 def fg_integral_bijections(y: DiagramSeries, f) -> DiagramSeries:
@@ -105,6 +108,11 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
     return out
 
 
+def wheeling(s: DiagramSeries) -> DiagramSeries:
+    """The wheeling map: partial gluing by the wheels exponential."""
+    return partial(omega(s.imax), s)
+
+
 def strut_split(s: DiagramSeries) -> tuple[Fraction, DiagramSeries]:
     """Factor ``s`` as exp((f/2) strut) ⊔ Y with strut-free Y; returns
     (f, Y).  The strut content must be exactly exponential."""
@@ -142,4 +150,4 @@ def reduced_integrand(inp: SurgeryInput, imax: int) -> DiagramSeries:
     exponential exp((f/2)(strut - theta/24))."""
     arg = DiagramSeries(imax)
     arg.add_diagram(theta(), -Fraction(inp.framing, 48))
-    return _wheeled_base(inp, imax).union(arg.exp_union())
+    return _wheeled_base(knot_key(inp), imax).union(arg.exp_union())

@@ -94,6 +94,8 @@ def _unknot_qdata_with_cap_zero_beta(series: HSeries) -> str:
 
 
 _UNIT_KNOT = '[{"coeff": "1/1", "diagram": {"t": 0, "m": 0, "edges": []}}]'
+# the path names a directory, not a file
+_DIRECTORY = object()
 # a file whose entry lacks a field: the message names the field
 _MISSING_FIELD = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
                   _UNIT_KNOT: "entry 0 has no field 'beta'"}
@@ -119,10 +121,18 @@ _MISSING_FIELD = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
     ("--qdata", _unknot_qdata_with_cap_zero_beta(HSeries.one(0))),
     ("--knot", '[{"coeff": "1/1"}]'),
     ("--qdata", _UNIT_KNOT),                 # a knot file as expansion data
+    pytest.param("--knot", _DIRECTORY, id="--knot-directory"),
+    pytest.param("--knot", b"[\xff\xfe]", id="--knot-non-utf8"),
+    pytest.param("--knot", "", id="--knot-empty"),
+    pytest.param("--knot", "42", id="--knot-42"),
 ])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     path = tmp_path / "input.json"
-    if content is not None:
+    if content is _DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     args = ["compare", "--framing", "2", "--lie", "A1", "--order", "1",
             option, str(path)]

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 from unittest import mock
@@ -149,6 +150,23 @@ class TestCanonicalization:
         star = JacobiDiagram(1, 3, (((0, 0), (1, 0)), ((0, 1), (2, 0)),
                                     ((0, 2), (3, 0))))
         assert canonicalize(star).is_zero
+
+    @settings(max_examples=300, deadline=None)
+    @given(port_matchings())
+    def test_nonzero_strut_free_forms_have_no_more_legs_than_vertices(
+            self, d):
+        # each leg of a strut-free diagram ends at a trivalent vertex, and
+        # swapping two legs at one vertex is an automorphism that reverses
+        # its cyclic order, so m > t forces a zero diagram: the Gaussian
+        # integral keeps every input's internal-vertex certificate
+        ends = [(p[0], q[0]) for p, q in d.edges]
+        ends += [(b, a) for a, b in ends]
+        legs_at = Counter(v for v, leg in ends if v < d.t <= leg)
+        cd = canonicalize(d)
+        if max(legs_at.values(), default=0) >= 2:
+            assert cd.is_zero
+        if not cd.is_zero and all(min(a, b) < d.t for a, b in ends):
+            assert cd.form.m <= cd.form.t
 
     def test_theta_does_not_vanish(self):
         assert not canonicalize(theta()).is_zero
@@ -595,7 +613,7 @@ class TestSeriesSums:
         """The square of the wheeled Omega at imax 8 builds at most 89
         forms, each pair it skips one the bound drops (900 pairs).  The
         bound was set from the first measurement; do not raise it."""
-        omega8 = pipeline._wheeled_omega(8)
+        omega8 = pipeline._wheeled_knot(pipeline._UNKNOT_KEY, 8)
         built = []
         union = CanonicalForm.union
 

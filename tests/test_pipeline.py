@@ -13,6 +13,7 @@ from lmo_kernel.pipeline import (
     _wheeled_base,
     compare,
     hat_scalar,
+    knot_key,
     lie_pair,
     lmo_via_definition,
     lmo_via_lemma,
@@ -57,8 +58,8 @@ class TestReducedInput:
         assert got == w.union(w).union(th.exp_union())
 
     def test_reference_object_is_same_construction(self):
-        assert reduced_input(SurgeryInput("unknot", 1), 4) == \
-            reduced_input(SurgeryInput("unknot", 1), 4)
+        key = knot_key(SurgeryInput("unknot", 1))
+        assert reduced_input(key, 4) == reduced_input(key, 4)
 
     def test_framing_theta_correction(self):
         # exp((f/2)(strut - theta/24)) carries a -f/48 theta coefficient;
@@ -67,7 +68,7 @@ class TestReducedInput:
         for f in (3, -1):
             inp = SurgeryInput("unknot", f)
             shift = coeff_of(reduced_integrand(inp, 6), theta()) - \
-                coeff_of(_wheeled_base(inp, 6), theta())
+                coeff_of(_wheeled_base(knot_key(inp), 6), theta())
             assert shift == Q(-f, 48)
 
     @pytest.mark.parametrize("knot", ("unknot", "omega8.json"))
@@ -78,7 +79,7 @@ class TestReducedInput:
             knot.write_text(json.dumps(omega(8).to_json()))
         for order in (1, 2, 3, 4):
             imax = 2 * order
-            xs = reduced_input(SurgeryInput(str(knot), 1), imax)
+            xs = reduced_input(knot_key(SurgeryInput(str(knot), 1)), imax)
             assert set(xs) == set(range(order + 1))
             for f in (1, -1, 2, -2, 3, 7):
                 total = DiagramSeries(imax)
@@ -92,7 +93,7 @@ class TestReducedInput:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(s.to_json()))
         with pytest.raises(Exception):
-            reduced_input(SurgeryInput(str(p), 2), 4)
+            reduced_input(knot_key(SurgeryInput(str(p), 2)), 4)
 
 
 class TestRoutes:
@@ -218,9 +219,9 @@ class TestCompare:
         assert rep.certified_order == 2
 
 
-def _clear_unknot_caches():
-    pipeline._unknot_definition_poly.cache_clear()
-    pipeline._unknot_lemma_poly.cache_clear()
+def _clear_route_caches():
+    pipeline._definition_poly.cache_clear()
+    pipeline._lemma_poly.cache_clear()
 
 
 class TestUnknotIsBuiltOnce:
@@ -230,7 +231,7 @@ class TestUnknotIsBuiltOnce:
         # its reference surgery is the same polynomial at f = 1; framing 3
         # only evaluates the cached polynomials, gluing, canonicalizing
         # and weighing nothing
-        _clear_unknot_caches()
+        _clear_route_caches()
         counted_names = ((balg, "fg_parts"), (balg, "fg_integral"),
                          (diagrams, "canonicalize"), (liews, "hat_weight"))
         calls = {name: 0 for _, name in counted_names}
@@ -255,9 +256,9 @@ class TestUnknotIsBuiltOnce:
 
     def test_wheeled_base_once_per_order(self, monkeypatch, capsys):
         # both routes of both framings read one square of the wheeled Omega
-        _clear_unknot_caches()
-        pipeline._wheeled_unknot_base.cache_clear()
-        om = pipeline._wheeled_omega(6)
+        _clear_route_caches()
+        pipeline._wheeled_base.cache_clear()
+        om = pipeline._wheeled_knot(pipeline._UNKNOT_KEY, 6)
         squares = []
         union = DiagramSeries.union
 
@@ -274,13 +275,13 @@ class TestUnknotIsBuiltOnce:
 
     def test_shared_wheeled_base_is_only_read(self, capsys):
         # a compare and a verify read the cached square and leave it as built
-        base = _wheeled_base(SurgeryInput("unknot", 2), 8)
+        base = _wheeled_base(knot_key(SurgeryInput("unknot", 2)), 8)
         assert cli.main(["compare", "--lie", "A1", "--framing", "-2",
                          "--order", "4"]) == 0
         assert cli.main(["verify", "--suite", "circle", "--order", "4"]) == 0
         capsys.readouterr()
-        assert _wheeled_base(SurgeryInput("unknot", -1), 8) is base
-        om = pipeline._wheeled_omega(8)
+        assert _wheeled_base(knot_key(SurgeryInput("unknot", -1)), 8) is base
+        om = pipeline._wheeled_knot(pipeline._UNKNOT_KEY, 8)
         assert base == om.union(om)
 
     def test_taupg_reads_the_fold_on_the_builtin_unknot(self, monkeypatch):
@@ -292,6 +293,72 @@ class TestUnknotIsBuiltOnce:
         pipeline._unknot_classes.cache_clear()
         assert taupg_route(SurgeryInput("unknot", -1), "A3", 2) == \
             HSeries.one(2)
+
+
+def _compare_knot_file(capsys, path, framing: int, order: int) -> dict:
+    """The report of an A1 ``compare`` on the knot file ``path``."""
+    assert cli.main(["compare", "--knot", str(path), "--lie", "A1",
+                     "--framing", str(framing), "--order", str(order)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestKnotFileIsReadOnce:
+    def test_parsed_and_wheeled_once_per_content(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # framing 2 parses the file and wheels its series once for both
+        # routes; framing 3 finds both routes' polynomials under the same
+        # key, and parses and glues nothing
+        knot = tmp_path / "omega8.json"
+        knot.write_text(json.dumps(omega(8).to_json()))
+        parsed, wheeled, glued = [], [], []
+        true_from_json = DiagramSeries.from_json
+
+        def from_json(obj, imax):
+            parsed.append(true_from_json(obj, imax))
+            return parsed[-1]
+
+        def recorded(args, fn):
+            def wrapper(s):
+                args.append(s)
+                return fn(s)
+            return wrapper
+        monkeypatch.setattr(DiagramSeries, "from_json",
+                            staticmethod(from_json))
+        monkeypatch.setattr(balg, "wheeling_inverse",
+                            recorded(wheeled, balg.wheeling_inverse))
+        monkeypatch.setattr(balg, "fg_parts", recorded(glued, balg.fg_parts))
+        counts = []
+        for f in (2, 3):
+            before = len(parsed), len(glued)
+            assert _compare_knot_file(capsys, knot, f, 4)["routes_equal"]
+            counts.append((len(parsed) - before[0], len(glued) - before[1]))
+        assert counts[0][0] == 1 and counts[1] == (0, 0)
+        assert sum(s is parsed[0] for s in wheeled) == 1
+
+    def test_rewritten_file_gets_a_new_key(self, tmp_path, capsys):
+        # the same path with new content is a new knot: Omega, then Omega
+        # squared, then Omega again
+        knot = tmp_path / "knot.json"
+        reports = []
+        for s in (omega(4), omega(4).union(omega(4)), omega(4)):
+            knot.write_text(json.dumps(s.to_json()))
+            reports.append(_compare_knot_file(capsys, knot, 2, 2))
+        assert reports[0]["lmo_definition"] != reports[1]["lmo_definition"]
+        assert reports[0] == reports[2]
+        builtin = compare(SurgeryInput("unknot", 2), "A1", 2)
+        assert reports[0]["lmo_definition"] == builtin.lmo_definition.to_json()
+
+
+def test_every_cache_is_bounded():
+    # each builder with a finite key set holds at most those keys
+    caches = {name: fn.cache_parameters()["maxsize"]
+              for name, fn in vars(pipeline).items()
+              if hasattr(fn, "cache_parameters")}
+    assert caches and None not in caches.values(), caches
+    assert caches["lie_pair"] == len(pipeline.LIE_LABELS)
+    assert liews.build_sl.cache_parameters()["maxsize"] == 3
+    assert rootsys.build_root_system.cache_parameters()["maxsize"] == \
+        len(rootsys.TYPE_A_LABELS)
 
 
 class TestVerifySuite:
