@@ -73,12 +73,9 @@ def wheel(k: int) -> JacobiDiagram:
 
 def omega(imax: int) -> DiagramSeries:
     """exp of the modified-Bernoulli-weighted wheel sum, truncated."""
-    arg = DiagramSeries(imax)
-    m = 1
-    while 2 * m <= imax:
-        arg.add_diagram(wheel(m), modified_bernoulli(m))
-        m += 1
-    return arg.exp_union()
+    return DiagramSeries.of_diagrams(imax, (
+        (wheel(m), modified_bernoulli(m))
+        for m in range(1, imax // 2 + 1))).exp_union()
 
 
 def _pairings(items: list):
@@ -256,8 +253,7 @@ def wheeling_inverse(s: DiagramSeries) -> DiagramSeries:
     map is the identity plus grading-raising terms, so the Neumann series
     terminates under the truncation policy."""
     om = omega(s.imax)
-    acc = s.copy()
-    cur = s
+    acc = cur = s
     while True:
         nxt = cur + partial(om, cur).scale(-1)  # (id - wheeling)(cur)
         if nxt.is_zero():

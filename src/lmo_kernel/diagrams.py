@@ -44,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .qseries import ZERO, sum_products
+from .qseries import sum_products
 
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
@@ -597,9 +597,11 @@ class DiagramSeries:
 
     Built from terms (form, x, y), each adding x * y to the coefficient
     of its form; every sum goes through ``qseries.sum_products``.
-    Truncation policy, stated once in ``fits`` and applied by the
-    constructor and ``add_form``: terms with more than ``imax``
-    trivalent vertices or more than ``2 * imax`` legs are dropped.
+    ``of_diagrams`` builds one from (diagram, coefficient) pairs.  A
+    series is not edited once built.  Truncation policy, stated once in
+    ``fits`` and applied by the constructor alone: terms with more than
+    ``imax`` trivalent vertices or more than ``2 * imax`` legs are
+    dropped.
     ``union`` skips the pairs of terms the bound would drop before it
     builds their form.  ``+`` and ``scale`` make no new form, so they
     apply no bound: the unit keeps its empty form even at a negative
@@ -625,25 +627,19 @@ class DiagramSeries:
         s.terms[EMPTY_FORM] = Fraction(1)
         return s
 
-    def copy(self) -> "DiagramSeries":
-        s = DiagramSeries(self.imax)
-        s.terms = dict(self.terms)
-        return s
-
-    def add_form(self, form: CanonicalForm, coeff: Fraction | int) -> None:
-        if self.fits(form):
-            self.terms.update(sum_products(
-                ((form, self.terms.pop(form, ZERO), 1), (form, coeff, 1))))
-
-    def add_diagram(self, d: JacobiDiagram, coeff: Fraction | int) -> None:
-        cd = canonicalize(d)
-        if cd.is_zero:
-            return
-        self.add_form(cd.form, Fraction(coeff) * cd.sign)
-
-    def items(self) -> Iterator[tuple[CanonicalForm, Fraction]]:
-        return iter(sorted(self.terms.items(),
-                           key=lambda kv: kv[0].components))
+    @classmethod
+    def of_diagrams(cls, imax: int,
+                    pairs: Iterable[tuple[JacobiDiagram, Fraction | int]]
+                    ) -> "DiagramSeries":
+        """The series of the pairs (diagram, coefficient), each
+        canonicalized in turn; a diagram that is zero under AS adds
+        nothing."""
+        def terms():
+            for d, coeff in pairs:
+                cd = canonicalize(d)
+                if not cd.is_zero:
+                    yield cd.form, coeff, cd.sign
+        return cls(imax, terms())
 
     def coeff(self, form: CanonicalForm) -> Fraction:
         return self.terms.get(form, Fraction(0))
@@ -705,29 +701,28 @@ class DiagramSeries:
     def to_json(self) -> list:
         return [{"coeff": f"{c.numerator}/{c.denominator}",
                  "diagram": f.diagram().to_json()}
-                for f, c in self.items()]
+                for f, c in sorted(self.terms.items(),
+                                   key=lambda kv: kv[0].components)]
 
     @classmethod
     def from_json(cls, obj: list, imax: int) -> "DiagramSeries":
         """Read a list of {"coeff", "diagram"} entries; a missing field
         is named with its entry's index."""
-        s = cls(imax)
-        for i, entry in enumerate(obj):
-            try:
-                d = JacobiDiagram.from_json(entry["diagram"])
-                coeff = Fraction(entry["coeff"])
-            except KeyError as exc:
-                raise StructuralError(
-                    f"entry {i} has no field {exc.args[0]!r}") from exc
-            s.add_diagram(d, coeff)
-        return s
+        def pairs():
+            for i, entry in enumerate(obj):
+                try:
+                    d = JacobiDiagram.from_json(entry["diagram"])
+                    coeff = Fraction(entry["coeff"])
+                except KeyError as exc:
+                    raise StructuralError(
+                        f"entry {i} has no field {exc.args[0]!r}") from exc
+                yield d, coeff
+        return cls.of_diagrams(imax, pairs())
 
 
 def series_of(d: JacobiDiagram, imax: int, *,
               coeff: Fraction | int = 1) -> DiagramSeries:
-    s = DiagramSeries(imax)
-    s.add_diagram(d, coeff)
-    return s
+    return DiagramSeries.of_diagrams(imax, [(d, coeff)])
 
 
 def relabel_union(d1: JacobiDiagram, d2: JacobiDiagram

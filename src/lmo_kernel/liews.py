@@ -369,6 +369,16 @@ def _cached_weight(form: CanonicalForm, g: LieAlgebraData) -> dict:
 # HSeries}, nonzero series only; the empty key is the scalar part
 # ---------------------------------------------------------------------------
 
+def series_tensor(terms, cap: int) -> dict:
+    """The weight tensor {key: HSeries} of the terms ((key, exponent), x,
+    y), each adding x * y to the coefficient of h^exponent in the series
+    of its key, known through h^cap."""
+    by_key: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (key, e), c in sum_products(terms).items():
+        by_key.setdefault(key, {})[e] = c
+    return {key: HSeries(coeffs, cap) for key, coeffs in by_key.items()}
+
+
 def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> dict:
     """Graded weight: each term is weighted by h raised to its degree."""
     def products():
@@ -378,10 +388,7 @@ def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> dict:
                 raise LieDataError("half-integer degree cannot occur")
             for key, val in _cached_weight(form, g).items():
                 yield (key, int(deg)), coeff, val
-    by_key: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for (key, deg), c in sum_products(products()).items():
-        by_key.setdefault(key, {})[deg] = c
-    return {key: HSeries(coeffs, cap) for key, coeffs in by_key.items()}
+    return series_tensor(products(), cap)
 
 
 def wick(T: dict, g: LieAlgebraData, f, cap: int) -> HSeries:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -290,13 +290,6 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     return out.truncate(min(order, out.cap))
 
 
-def unknot_qdata(label: str, cap: int) -> dict[rootsys.Vec, HSeries]:
-    """Shifted squared quantum dimension of the unknot, as the lattice
-    sum that expansion-data files hold."""
-    rs, _ = lie_pair(label)
-    return rootsys.quantum_dim_sq_shifted(rs, cap)
-
-
 @lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
 def _unknot_classes(label: str, cap: int) -> rootsys.NormClasses:
     """The built-in unknot's norm-class group; callers share the cached
@@ -347,6 +340,18 @@ def taupg_route(inp: SurgeryInput, label: str, order: int,
     return rootsys.tau_pg(rs, classes, inp.framing, order)
 
 
+def _fields_json(report) -> dict:
+    """A report's fields in declaration order: a series as its
+    ``to_json()``, a ``Fraction`` as "p/q", anything else as is."""
+    def value(v):
+        if isinstance(v, HSeries):
+            return v.to_json()
+        if isinstance(v, Fraction):
+            return f"{v.numerator}/{v.denominator}"
+        return v
+    return {f.name: value(getattr(report, f.name)) for f in fields(report)}
+
+
 @dataclass
 class ComparisonReport:
     lie: str
@@ -364,22 +369,7 @@ class ComparisonReport:
     lmo_only: bool
 
     def to_json(self) -> dict:
-        return {
-            "lie": self.lie,
-            "knot": self.knot,
-            "framing": self.framing,
-            "order": self.order,
-            "certified_order": self.certified_order,
-            "lmo_definition": self.lmo_definition.to_json(),
-            "lmo_lemma": self.lmo_lemma.to_json(),
-            "routes_equal": self.routes_equal,
-            "h1_power": f"{self.h1_power.numerator}/{self.h1_power.denominator}",
-            "taupg": None if self.taupg is None else self.taupg.to_json(),
-            "difference": None if self.difference is None
-            else self.difference.to_json(),
-            "equal": self.equal,
-            "lmo_only": self.lmo_only,
-        }
+        return _fields_json(self)
 
 
 def compare(inp: SurgeryInput, label: str, order: int,
@@ -425,8 +415,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "detail": self.detail}
+        return _fields_json(self)
 
 
 def _check_bernoulli(order: int) -> list[CheckResult]:
@@ -480,11 +469,9 @@ def _check_omega(order: int) -> list[CheckResult]:
     n = max(order, 4)
     out = []
     for label in ("A1", "A2"):
-        rs, g = lie_pair(label)
+        rs, _ = lie_pair(label)
         lhs = _omega_pair_scalar(label, n)
-        rhs = HSeries.one(n)
-        for alpha in rs.pos_roots:
-            rhs = rhs * sinh_ratio(rs.inner(rs.rho, alpha), n)
+        rhs = rootsys.rho_sinh_product(rs, n)
         out.append(CheckResult(f"omega.pair_vs_sinh.{label}", lhs == rhs,
                                f"to h^{n}"))
     return out
@@ -547,16 +534,12 @@ def _check_gauss(order: int) -> list[CheckResult]:
     out = []
     for label in ("A1", "A2"):
         rs, g = lie_pair(label)
-        summed = sum_products(
+        tensor = liews.series_tensor((
             ((key, e), count, c)
             for beta, count in rootsys._square_sum(dict(rs.weyl)).items()
             for key, series in liews.exp_tensor(
                 g, g.cartan_vector(beta), cap).items()
-            for e, c in series.coeffs.items())
-        by_key: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for (key, e), c in summed.items():
-            by_key.setdefault(key, {})[e] = c
-        tensor = {key: HSeries(coeffs, cap) for key, coeffs in by_key.items()}
+            for e, c in series.coeffs.items()), cap)
         for f in (2, 3, -2):
             total = liews.wick(tensor, g, f, cap)
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)

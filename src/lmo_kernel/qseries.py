@@ -15,13 +15,14 @@ is the one place in the package that adds rationals into a sparse map,
 and the one place that drops a zero sum.  Built on it: here, the series
 sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``; in
 ``diagrams``, every ``DiagramSeries`` (its constructor, ``+``,
-``union``, ``add_form``), and through it the gluing sums of ``balg``;
+``union``), and through it the gluing sums of ``balg``;
 in ``rootsys``, the Weyl double sums and the root products (on
 integer lattice keys), the class sums of a lattice sum's norm-class
 map and the terms of the Gaussian sum route; in ``liews``, the pair
-contraction, the leg erasure of a contracted diagram, ``hat_weight``
-and ``wick``; in ``pipeline``, the gauss check's sum of the weighed
-exponential tensors of a squared Weyl sum.
+contraction, the leg erasure of a contracted diagram, ``wick`` and
+``series_tensor``, which builds the weight tensors of ``hat_weight`` and
+the gauss check's sum of the weighed exponential tensors of a squared
+Weyl sum; in ``pipeline``, the framing polynomials and their values.
 
 ``q_power`` builds q^c = exp(c h) in closed form, [h^k] = c^k / k!,
 each numerator and denominator from the one before, with no

@@ -282,6 +282,14 @@ def norm_classes(rs: RootSystem, E: dict[Vec, HSeries]) -> NormClasses:
             for n, gs in members.items()]
 
 
+def rho_sinh_product(rs: RootSystem, cap: int) -> HSeries:
+    """prod_{a>0} sinh_ratio((rho, a)) through h^cap, a unit series."""
+    unit = HSeries.one(cap)
+    for alpha in rs.pos_roots:
+        unit = unit * sinh_ratio(rs.inner(rs.rho, alpha), cap)
+    return unit
+
+
 def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
     """The norm classes of ``quantum_dim_sq_shifted(rs, cap)`` from |W|
     points instead of |W|^2, as one group that reads its series through
@@ -297,10 +305,8 @@ def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
     # prod_{a>0} (q^(c/2) - q^(-c/2))^2 with c = (rho, a) is h^2P times
     # the square of prod c * sinh_ratio(c): invert that unit through
     # h^(cap + 2P), then shift by h^-2P
-    unit = HSeries.one(work)
-    for alpha in rs.pos_roots:
-        c = rs.inner(rs.rho, alpha)
-        unit = unit * sinh_ratio(c, work).scale(c)
+    unit = rho_sinh_product(rs, work).scale(
+        math.prod(rs.inner(rs.rho, alpha) for alpha in rs.pos_roots))
     den_inv = (unit * unit).inverse().shift(-2 * P)
     # d^2 |rho + u(rho)|^2 = 2 d^2 |rho|^2 + 2 d^2 (u(rho), rho), on the
     # integer points d rho and d u(rho)
@@ -385,11 +391,11 @@ def _weyl_prefactor(rs: RootSystem, f: int, cap: int) -> HSeries:
     / |W|: P products of unit series, all at one cap."""
     s = 1 if f > 0 else -1
     P = rs.num_pos
-    cs = [rs.inner(rs.rho, alpha) for alpha in rs.pos_roots]
-    unit = q_power(Fraction(3 * s - f, 2) * rs.norm_sq(rs.rho), cap)
-    for c in cs:
-        unit = unit * sinh_ratio(c, cap)
-    return unit.scale(Fraction((-s) ** P, rs.order) * math.prod(cs)).shift(P)
+    lead = Fraction((-s) ** P, rs.order) * math.prod(
+        rs.inner(rs.rho, alpha) for alpha in rs.pos_roots)
+    unit = q_power(Fraction(3 * s - f, 2) * rs.norm_sq(rs.rho), cap) * \
+        rho_sinh_product(rs, cap)
+    return unit.scale(lead).shift(P)
 
 
 def tau_pg(rs: RootSystem, classes: NormClasses, f: int,

@@ -36,6 +36,7 @@ from lmo_kernel.diagrams import (
     canonicalize,
     glue_legs,
     relabel_union,
+    series_of,
 )
 from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, knot_key
 
@@ -44,23 +45,23 @@ def fg_integral_bijections(y: DiagramSeries, f) -> DiagramSeries:
     """Bijection-route Gaussian integral of a strut-free series."""
     f = Fraction(f)
     _assert_strut_free(y, "Gaussian integrand")
-    out = DiagramSeries(y.imax)
-    struts = DiagramSeries(y.imax)
-    struts.add_diagram(strut(), Fraction(-1, 2) / f)
-    exp_struts = struts.exp_union()
-    for form, coeff in exp_struts.terms.items():
-        k = _strut_count(form)
-        if k != len(form.components):
-            raise AssertionError("strut exponential is impure")
-        for yform, ycoeff in y.terms.items():
-            if yform.m != 2 * k:
-                continue
-            combined, legs1, legs2 = relabel_union(form.diagram(),
-                                                   yform.diagram())
-            for perm in itertools.permutations(legs2):
-                out.add_diagram(glue_legs(combined, list(zip(legs1, perm))),
-                                coeff * ycoeff)
-    return out
+    exp_struts = series_of(strut(), y.imax,
+                           coeff=Fraction(-1, 2) / f).exp_union()
+
+    def glued():
+        for form, coeff in exp_struts.terms.items():
+            k = _strut_count(form)
+            if k != len(form.components):
+                raise AssertionError("strut exponential is impure")
+            for yform, ycoeff in y.terms.items():
+                if yform.m != 2 * k:
+                    continue
+                combined, legs1, legs2 = relabel_union(form.diagram(),
+                                                       yform.diagram())
+                for perm in itertools.permutations(legs2):
+                    yield (glue_legs(combined, list(zip(legs1, perm))),
+                           coeff * ycoeff)
+    return DiagramSeries.of_diagrams(y.imax, glued())
 
 
 def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
@@ -71,20 +72,20 @@ def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
     """
     d._check_policy(y)
     _assert_strut_free(y, "pairing target")
-    out = DiagramSeries(d.imax)
-    for f1, c1 in d.terms.items():
-        for f2, c2 in y.terms.items():
-            if f1.m != f2.m:
-                continue
-            if f1.t + f2.t > d.imax:
-                continue
-            g1, g2 = f1.diagram(), f2.diagram()
-            combined, legs1, legs2 = relabel_union(g1, g2)
-            coeff = c1 * c2
-            for perm in itertools.permutations(legs2):
-                glued = glue_legs(combined, list(zip(legs1, perm)))
-                out.add_diagram(glued, coeff)
-    return out
+
+    def glued():
+        for f1, c1 in d.terms.items():
+            for f2, c2 in y.terms.items():
+                if f1.m != f2.m:
+                    continue
+                if f1.t + f2.t > d.imax:
+                    continue
+                g1, g2 = f1.diagram(), f2.diagram()
+                combined, legs1, legs2 = relabel_union(g1, g2)
+                coeff = c1 * c2
+                for perm in itertools.permutations(legs2):
+                    yield glue_legs(combined, list(zip(legs1, perm))), coeff
+    return DiagramSeries.of_diagrams(d.imax, glued())
 
 
 def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
@@ -92,20 +93,20 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
     of legs of each ``target`` term (injections)."""
     d._check_policy(target)
     _assert_strut_free(d, "gluing operator argument")
-    out = DiagramSeries(d.imax)
-    for f1, c1 in d.terms.items():
-        for f2, c2 in target.terms.items():
-            if f1.m > f2.m:
-                continue
-            if f1.t + f2.t > d.imax:
-                continue
-            g1, g2 = f1.diagram(), f2.diagram()
-            combined, legs1, legs2 = relabel_union(g1, g2)
-            coeff = c1 * c2
-            for sel in itertools.permutations(legs2, len(legs1)):
-                glued = glue_legs(combined, list(zip(legs1, sel)))
-                out.add_diagram(glued, coeff)
-    return out
+
+    def glued():
+        for f1, c1 in d.terms.items():
+            for f2, c2 in target.terms.items():
+                if f1.m > f2.m:
+                    continue
+                if f1.t + f2.t > d.imax:
+                    continue
+                g1, g2 = f1.diagram(), f2.diagram()
+                combined, legs1, legs2 = relabel_union(g1, g2)
+                coeff = c1 * c2
+                for sel in itertools.permutations(legs2, len(legs1)):
+                    yield glue_legs(combined, list(zip(legs1, sel))), coeff
+    return DiagramSeries.of_diagrams(d.imax, glued())
 
 
 def wheeling(s: DiagramSeries) -> DiagramSeries:
@@ -117,9 +118,7 @@ def strut_split(s: DiagramSeries) -> tuple[Fraction, DiagramSeries]:
     """Factor ``s`` as exp((f/2) strut) ⊔ Y with strut-free Y; returns
     (f, Y).  The strut content must be exactly exponential."""
     c = s.coeff(canonicalize(strut()).form)
-    inv = DiagramSeries(s.imax)
-    inv.add_diagram(strut(), -c)
-    y = s.union(inv.exp_union())
+    y = s.union(series_of(strut(), s.imax, coeff=-c).exp_union())
     if any(_strut_count(form) > 0 for form in y.terms):
         raise StructuralError("strut content of the input is not exponential")
     return 2 * c, y
@@ -133,21 +132,21 @@ def fg_integral(s: DiagramSeries) -> DiagramSeries:
     if f == 0:
         raise StructuralError(
             "framing 0 is not a rational homology sphere surgery")
-    out = DiagramSeries(y.imax)
-    for form, coeff in y.terms.items():
-        if form.m % 2 == 1:
-            continue  # no perfect matching by struts
-        weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
-        g = form.diagram()
-        for matching in _pairings(list(g.legs())):
-            out.add_diagram(glue_legs(g, matching), weight)
-    return out
+
+    def glued():
+        for form, coeff in y.terms.items():
+            if form.m % 2 == 1:
+                continue  # no perfect matching by struts
+            weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
+            g = form.diagram()
+            for matching in _pairings(list(g.legs())):
+                yield glue_legs(g, matching), weight
+    return DiagramSeries.of_diagrams(y.imax, glued())
 
 
 def reduced_integrand(inp: SurgeryInput, imax: int) -> DiagramSeries:
     """The strut-free definition-route integrand at ``inp.framing``: the
     wheeled base ⊔ exp(-(f/48) theta), the theta part of the framing
     exponential exp((f/2)(strut - theta/24))."""
-    arg = DiagramSeries(imax)
-    arg.add_diagram(theta(), -Fraction(inp.framing, 48))
+    arg = series_of(theta(), imax, coeff=-Fraction(inp.framing, 48))
     return _wheeled_base(knot_key(inp), imax).union(arg.exp_union())

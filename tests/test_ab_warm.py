@@ -1,6 +1,7 @@
 """``tools/ab_warm.py`` runs one checkout against itself: both kernels
 load side by side, every fill cell matches the benchmark references, and
-the last line reports the two median pass times and their ratio."""
+the last line reports the two median pass times, their ratio and each
+side's interquartile range."""
 
 import json
 import subprocess
@@ -20,3 +21,4 @@ def test_ab_warm_on_one_checkout_against_itself():
     assert result["passes"] == 2 and result["failed_fill_cells"] == 0
     assert result["old_s"] > 0 and result["new_s"] > 0
     assert result["ratio"] == result["new_s"] / result["old_s"]
+    assert result["old_iqr_s"] >= 0 and result["new_iqr_s"] >= 0

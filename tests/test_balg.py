@@ -116,9 +116,9 @@ class TestPartial:
         combined, legs1, legs2 = relabel_union(wheel(1), wheel(2))
         injections = list(itertools.permutations(legs2, len(legs1)))
         assert len(injections) == 12
-        manual = DiagramSeries(8)
-        for sel in injections:
-            manual.add_diagram(glue_legs(combined, list(zip(legs1, sel))), 1)
+        manual = DiagramSeries.of_diagrams(8, (
+            (glue_legs(combined, list(zip(legs1, sel))), 1)
+            for sel in injections))
         assert partial(series_of(wheel(1), 8), series_of(wheel(2), 8)) == manual
 
     def test_internal_vertex_conservation(self):
@@ -131,8 +131,7 @@ class TestStrutSplit:
     integrate a framed series exp((f/2) strut) ⊔ Y literally."""
 
     def test_defining_case(self):
-        fr = DiagramSeries(6)
-        fr.add_diagram(strut(), Q(3, 2))
+        fr = series_of(strut(), 6, coeff=Q(3, 2))
         y = DiagramSeries.unit(6) + series_of(wheel(1), 6, coeff=Q(1, 48))
         assert gauss_oracle.strut_split(fr.exp_union().union(y)) == (3, y)
 
@@ -140,9 +139,8 @@ class TestStrutSplit:
         assert gauss_oracle.strut_split(omega(4)) == (0, omega(4))
 
     def test_non_exponential_rejected(self):
-        s = series_of(strut(), 6)
-        s.add_diagram(theta(), 1)
-        s = s + DiagramSeries.unit(6)
+        s = DiagramSeries.of_diagrams(6, [(strut(), 1), (theta(), 1)]) + \
+            DiagramSeries.unit(6)
         # strut coefficient 1 but no strut^2/2 term
         with pytest.raises(StructuralError):
             gauss_oracle.strut_split(s)
@@ -166,8 +164,7 @@ class TestGaussianIntegral:
                    ((3, 0), (4, 1)), ((4, 0), (0, 1)), ((0, 2), (2, 2)),
                    ((1, 2), (3, 2)), ((4, 2), (5, 0))))
         assert canonicalize(pentagon).is_zero
-        odd = DiagramSeries(6)
-        odd.add_diagram(pentagon, 1)
+        odd = series_of(pentagon, 6)
         assert fg_integral(odd, f_override=3).is_zero()
 
     def test_wheel_two(self):
@@ -219,9 +216,8 @@ class TestWheeling:
 
 def _framed(f, theta_coeff, y: DiagramSeries) -> DiagramSeries:
     """exp((f/2) strut + theta_coeff theta) ⊔ y."""
-    arg = DiagramSeries(y.imax)
-    arg.add_diagram(strut(), Q(f, 2))
-    arg.add_diagram(theta(), theta_coeff)
+    arg = DiagramSeries.of_diagrams(
+        y.imax, [(strut(), Q(f, 2)), (theta(), theta_coeff)])
     return arg.exp_union().union(y)
 
 
@@ -250,7 +246,7 @@ def pieces(draw, struts: bool, max_t: int = 4) -> JacobiDiagram:
 def gluing_series(draw, struts: bool, max_legs: int) -> DiagramSeries:
     """1-3 terms at imax 12, each a disjoint union of pieces in which a
     piece is often repeated, so terms carry component swaps."""
-    s = DiagramSeries(12)
+    pairs = []
     for _ in range(draw(st.integers(1, 3))):
         d = draw(pieces(struts))
         for _ in range(draw(st.integers(0, 2))):
@@ -260,8 +256,9 @@ def gluing_series(draw, struts: bool, max_legs: int) -> DiagramSeries:
         form = canonicalize(d).form
         if d.m > max_legs or (not struts and form and _strut_count(form)):
             continue
-        s.add_diagram(d, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 4))))
-    return s
+        pairs.append((d, Q(draw(st.integers(-3, 3)),
+                           draw(st.integers(1, 4)))))
+    return DiagramSeries.of_diagrams(12, pairs)
 
 
 def leg_group_order(gens, m: int) -> int:

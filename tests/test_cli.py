@@ -89,7 +89,8 @@ def _qdata_with_beta(beta) -> str:
 def _unknot_qdata_with_cap_zero_beta(series: HSeries) -> str:
     """The A1 unknot data at cap 4 plus beta [5] with a cap-0 series."""
     return json.dumps(rootsys.lattice_sum_to_json(
-        pipeline.unknot_qdata("A1", 4)) + [
+        rootsys.quantum_dim_sq_shifted(
+            rootsys.build_root_system("A1"), 4)) + [
         {"beta": [5], "series": series.to_json()}])
 
 

@@ -551,11 +551,45 @@ class TestJson:
               st.fractions(min_value=-9, max_value=9, max_denominator=7)),
     max_size=4))
 def test_series_json_round_trip(imax, terms):
-    s = DiagramSeries(imax)
-    for d, c in terms:
-        s.add_diagram(d, c)
+    s = DiagramSeries.of_diagrams(imax, terms)
     back = DiagramSeries.from_json(json.loads(json.dumps(s.to_json())), imax)
     assert back == s
+
+
+@st.composite
+def diagram_pairs(draw):
+    """imax 0..3 and (diagram, coefficient) pairs: random matchings of up
+    to imax + 2 vertices and 2 * imax + 2 legs, so terms fall past
+    either bound, many of them zero under AS (a vertex with two legs);
+    odd wheels, which always are; and repeats of drawn pairs, often
+    negated, so sums cancel."""
+    imax = draw(st.integers(0, 3))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+    def diagram():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from([odd_wheel(1), odd_wheel(3)]))
+        t = draw(st.integers(0, imax + 2))
+        m = draw(st.sampled_from([m for m in range(2 * imax + 3)
+                                  if (t + m) % 2 == 0]))
+        return draw(port_matchings(t, m))
+
+    pairs = [(diagram(), draw(coeffs))
+             for _ in range(draw(st.integers(0, 6)))]
+    pairs += [(d, sign * c) for (d, c), sign in zip(
+        pairs, draw(st.lists(st.sampled_from([0, 1, -1]),
+                             min_size=len(pairs), max_size=len(pairs))))]
+    return imax, draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagram_pairs())
+def test_of_diagrams_matches_fraction_loop_oracle(case):
+    imax, pairs = case
+    signed = [(canonicalize(d), c) for d, c in pairs]
+    assert DiagramSeries.of_diagrams(imax, pairs).terms == \
+        series_oracle._bounded_terms(imax, [
+            (cd.form, c * cd.sign) for cd, c in signed if not cd.is_zero])
 
 
 @st.composite
@@ -584,11 +618,8 @@ def series_pairs(draw):
         a_terms, draw(st.lists(st.sampled_from([0, 1, -1]),
                                min_size=len(a_terms),
                                max_size=len(a_terms))))]
-    a, b = DiagramSeries(imax), DiagramSeries(imax)
-    for s, ts in ((a, a_terms), (b, b_terms)):
-        for d, c in draw(st.permutations(ts)):
-            s.add_diagram(d, c)
-    return a, b
+    return tuple(DiagramSeries.of_diagrams(imax, draw(st.permutations(ts)))
+                 for ts in (a_terms, b_terms))
 
 
 class TestSeriesSums:

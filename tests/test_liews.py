@@ -345,16 +345,17 @@ class TestHatWeight:
         # closed forms (m = 0) and open ones of up to 4 vertices and 4
         # legs, so degrees stay within the cap 4
         g = data.draw(st.sampled_from([sl2, sl3]), label="g")
-        s = DiagramSeries(4)
+        pairs = []
         for _ in range(data.draw(st.integers(1, 5), label="terms")):
             t = 2 * data.draw(st.integers(0, 2), label="t/2")
             m = 2 * data.draw(st.integers(0, 2), label="m/2")
             ports = _ports(t) + [(v, 0) for v in range(t, t + m)]
             ports = data.draw(st.permutations(ports), label="ports")
-            s.add_diagram(JacobiDiagram(t, m, tuple(zip(ports[::2],
+            pairs.append((JacobiDiagram(t, m, tuple(zip(ports[::2],
                                                         ports[1::2]))),
                           data.draw(st.fractions(-9, 9, max_denominator=7),
-                                    label="coeff"))
+                                    label="coeff")))
+        s = DiagramSeries.of_diagrams(4, pairs)
         expected: dict = {}
         for form, coeff in s.terms.items():
             weight = ({(): Q(closed_weight(form, g.sl_n))} if form.m == 0
@@ -559,16 +560,14 @@ class TestBridge:
             wheeling_inverse
         imax = 4
         for f in (1, 2, -2):
-            fr = DiagramSeries(imax)
-            fr.add_diagram(strut(), Q(f, 2))
+            fr = series_of(strut(), imax, coeff=Q(f, 2))
             for base in (omega(imax),
                          DiagramSeries.unit(imax)
                          + series_of(wheel(1), imax, coeff=Q(1, 7))):
                 wheeled = wheeling_inverse(fr.exp_union().union(base))
-                strut_free = DiagramSeries(imax)
-                for form, c in wheeled.terms.items():
-                    if _strut_count(form) == 0:
-                        strut_free.add_form(form, c)
+                strut_free = DiagramSeries(imax, (
+                    (form, c, 1) for form, c in wheeled.terms.items()
+                    if _strut_count(form) == 0))
                 a = hat_scalar(fg_integral(base, f), sl2, imax // 2)
                 b = hat_scalar(fg_integral(strut_free, f), sl2, imax // 2)
                 assert a == b

@@ -20,7 +20,6 @@ from lmo_kernel.pipeline import (
     load_qdata,
     reduced_input,
     taupg_route,
-    unknot_qdata,
     verify_suite,
 )
 from lmo_kernel.qseries import HSeries
@@ -53,8 +52,7 @@ class TestReducedInput:
         # the framing exponential; the strut part is never built
         got = reduced_integrand(SurgeryInput("unknot", 1), 4)
         w = wheeling_inverse(omega(4))
-        th = DiagramSeries(4)
-        th.add_diagram(theta(), Q(-1, 48))
+        th = series_of(theta(), 4, coeff=Q(-1, 48))
         assert got == w.union(w).union(th.exp_union())
 
     def test_reference_object_is_same_construction(self):
@@ -143,7 +141,8 @@ class TestTauRoute:
             taupg_route(SurgeryInput("somEfile.json", 2), "A1", 2)
 
     def test_qdata_file_round_trip(self, tmp_path):
-        E = unknot_qdata("A1", 3)
+        E = rootsys.quantum_dim_sq_shifted(
+            rootsys.build_root_system("A1"), 3)
         p = tmp_path / "q.json"
         p.write_text(json.dumps(rootsys.lattice_sum_to_json(E)))
         a = taupg_route(SurgeryInput("unknot", 2), "A1", 3,
@@ -194,7 +193,8 @@ class TestCompare:
         p.write_text(json.dumps(omega(4).to_json()))
         q = tmp_path / "q.json"
         q.write_text(json.dumps(rootsys.lattice_sum_to_json(
-            unknot_qdata("A1", 2))))
+            rootsys.quantum_dim_sq_shifted(
+                rootsys.build_root_system("A1"), 2))))
         rep = compare(SurgeryInput(str(p), 2, declared_valid_degree=2),
                       "A1", 2, load_qdata(str(q), 1, 2))
         assert rep.equal and not rep.lmo_only

@@ -10,9 +10,11 @@ its own ``cli.main``, and every cell of that pass is checked with
 perfbench's ``check_cell`` against perfbench/references.json.  Then the
 two kernels alternate timed passes over the same cells, in one shuffled
 cell order per round and with the first kernel of each round alternating,
-N passes each.  The script prints each kernel's median pass time and
-their ratio NEW / OLD, then one JSON line with the same figures.  It
-exits 1 if a fill cell failed.
+N passes each.  The script prints each kernel's median pass time, the
+interquartile range of its pass times and the ratio NEW / OLD of the
+medians, then one JSON line with the same figures.  A ratio counts only
+when the two medians differ by more than that spread.  It exits 1 if a
+fill cell failed.
 
 Two benchmark processes see different machine states, so their times
 can spread more widely than a change moves them; interleaved passes in
@@ -61,6 +63,14 @@ def timed_pass(cli, order: list[int]) -> float:
     return time.perf_counter() - t0
 
 
+def iqr(xs: list[float]) -> float:
+    """The distance between the quartiles; 0 for one pass."""
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q3 - q1
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="ab_warm.py")
     ap.add_argument("old")
@@ -86,11 +96,15 @@ def main(argv: list[str] | None = None) -> int:
         rng.shuffle(order)
         for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
             times[side].append(timed_pass(clis[side], order))
-    old, new = (statistics.median(times[side]) for side in ("old", "new"))
-    print(f"old: median pass {old:.4f} s over {args.passes} passes")
-    print(f"new: median pass {new:.4f} s over {args.passes} passes")
+    median = {side: statistics.median(ts) for side, ts in times.items()}
+    spread = {side: iqr(ts) for side, ts in times.items()}
+    for side in ("old", "new"):
+        print(f"{side}: median pass {median[side]:.4f} s, interquartile "
+              f"range {spread[side]:.4f} s over {args.passes} passes")
+    old, new = median["old"], median["new"]
     print(f"ratio new/old: {new / old:.3f}")
     print(json.dumps({"old_s": old, "new_s": new, "ratio": new / old,
+                      "old_iqr_s": spread["old"], "new_iqr_s": spread["new"],
                       "passes": args.passes, "failed_fill_cells": failed}))
     return 1 if failed else 0
 

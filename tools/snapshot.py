@@ -34,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lmo_kernel import balg, cli, pipeline, rootsys  # noqa: E402
+from lmo_kernel import balg, cli, rootsys  # noqa: E402
 from lmo_kernel.qseries import HSeries  # noqa: E402
 
 
@@ -72,6 +72,13 @@ def commands() -> list[list[str]]:
     ] + [knot_at(f) for f in (-1, 3)]
 
 
+def unknot_entries(label: str, cap: int) -> list:
+    """The unknot's expansion data (the shifted squared quantum
+    dimension) as a file holds it."""
+    return rootsys.lattice_sum_to_json(rootsys.quantum_dim_sq_shifted(
+        rootsys.build_root_system(label), cap))
+
+
 def split(entries: list) -> list:
     """The same lattice sum in a file the writer never produces: every
     entry split into two halves under its beta, the second halves after
@@ -89,11 +96,11 @@ def main(out_path: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         Path("omega8.json").write_text(json.dumps(balg.omega(8).to_json()))
-        entries = rootsys.lattice_sum_to_json(pipeline.unknot_qdata("A1", 4))
+        entries = unknot_entries("A1", 4)
         Path("qdata.json").write_text(json.dumps(entries))
         Path("qdata_split.json").write_text(json.dumps(split(entries)))
         Path("qdata_a3.json").write_text(json.dumps(
-            rootsys.lattice_sum_to_json(pipeline.unknot_qdata("A3", 3))))
+            unknot_entries("A3", 3)))
         for argv in commands():
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
