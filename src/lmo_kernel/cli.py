@@ -15,7 +15,7 @@ file knot without ``--qdata`` for the perturbative side, order 0, a
 ``compare`` order above ``pipeline.MAX_ORDER`` (the largest the vertex
 cap admits), a ``verify`` order above it for the ``all``, ``omega`` or
 ``circle`` suite (before any suite runs), a negative ``compare
---valid-degree``, or an
+--valid-degree``, an unwritable ``--out`` path, or an
 input the kernel rejects (structural, series, pole, Lie-data or
 root-system error), prints one JSON line ``{"error": ...}`` to stderr
 and exits 2.
@@ -55,7 +55,10 @@ _SUITE_CHOICES = ("all", *_SUITES)
 def _write(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"--out {out}: {exc}") from exc
     else:
         print(text)
 

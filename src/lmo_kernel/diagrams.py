@@ -32,11 +32,14 @@ explored start, under the automorphisms found so far, is skipped.  The
 tied candidates at the minimal serial, measured against the first one,
 together with the automorphisms that merged start orbits, generate the
 component's automorphism group; ``leg_automorphisms`` reads them to give
-the leg permutations the gluing tables fold by.  The search runs once
-per component shape, its edges with the trivalent vertices numbered by
-rank and every leg as ``LEG`` (``_search_shape``): it reads vertices
-only in list order, so every numbering of a shape reads one result,
-which ``canonicalize`` and ``leg_automorphisms`` share.
+the leg permutations the gluing tables fold by.  The search reads a
+component's shape and nothing else: the ports of its edges in order, a
+trivalent port as 3 * rank + slot with the vertices ranked in ascending
+order, and every leg as ``LEG``.  Components that differ only by a
+monotone renumbering of their trivalent vertices and by their leg
+numbers share a shape, so the search runs once per shape
+(``_search_shape``), and ``canonicalize`` and ``leg_automorphisms``
+share its result.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .qseries import sum_products
+from .qseries import json_int, json_rational, sum_products
 
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
@@ -131,23 +134,20 @@ class JacobiDiagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "JacobiDiagram":
-        t, m = int(obj["t"]), int(obj["m"])
+        t, m = json_int(obj["t"], "t"), json_int(obj["m"], "m")
         # A file may present the cyclic order as any permutation of the
         # slots; rename slots per vertex so the order becomes (0, 1, 2).
         remap: dict[int, dict[int, int]] = {}
         for v, cyc in obj.get("cyclic", {}).items():
-            if sorted(cyc) != [0, 1, 2]:
+            if sorted(cyc) != [0, 1, 2] or {type(s) for s in cyc} != {int}:
                 raise StructuralError(f"vertex {v}: bad cyclic order {cyc}")
-            remap[int(v)] = {int(old): i for i, old in enumerate(cyc)}
-        edges = []
-        for (pv, ps), (qv, qs) in (map(tuple, e) for e in obj["edges"]):
-            pv, ps, qv, qs = int(pv), int(ps), int(qv), int(qs)
-            if pv in remap:
-                ps = remap[pv][ps]
-            if qv in remap:
-                qs = remap[qv][qs]
-            edges.append(((pv, ps), (qv, qs)))
-        return cls(t, m, tuple(edges))
+            remap[int(v)] = {old: i for i, old in enumerate(cyc)}
+
+        def port(p) -> Port:
+            v, s = (json_int(x, "edge port entry") for x in p)
+            return v, (remap[v][s] if v in remap else s)
+
+        return cls(t, m, tuple((port(p), port(q)) for p, q in obj["edges"]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,51 +308,53 @@ def _equitable(key: dict[int, tuple], nbrs: dict[int, list[int]]
     return cells, colour
 
 
-def _canon_component(trivalent: list[int], edges: list[Edge],
-                     t_bound: int, ties: list | None = None
-                     ) -> tuple[tuple | None, int]:
-    """Minimal serialization of one connected component, with its sign.
+def _canon_component(shape: tuple[int, ...]
+                     ) -> tuple[tuple | None, int, tuple]:
+    """Minimal serialization of one connected component, read from its
+    shape (see ``_SHAPE_CACHE``), with its sign and leg orders.
 
     Candidate labelings start at a vertex of the smallest colour class,
     one per orbit of the automorphisms found, visit the rest in
     breadth-first order and return to the common ancestor of a tie; see
-    the module docstring.  Returns (serial, sign); sign 0 encodes the zero
-    diagram.  A ``ties`` list of a nonzero component receives pairs (a, b)
-    of labelings that reach one serial, each labeling a (vertex -> label,
-    vertex -> slot permutation) pair, so each pair is an automorphism:
-    first (t0, t) for every labeling t at the minimal serial that the
-    search reached, t0 the first of them, then every pair that merged
-    start orbits.  Together they generate the automorphism group.
+    the module docstring.  Returns (serial, sign, leg orders); sign 0
+    encodes the zero diagram, which has no leg orders.  A labeling is a
+    (vertex -> label, vertex -> slot permutation) pair; it lists the leg
+    edges, by their index in the shape, in the order of the new ports
+    3 * label + slot at their trivalent ends.  Two labelings of one
+    serial differ by an automorphism, which sends the i-th leg of the
+    one's list to the i-th of the other's.  The leg orders are the two
+    lists of the pairs (t0, t), for every labeling t at the minimal
+    serial that the search reached, t0 the first of them, then of every
+    pair that merged start orbits; together they generate the leg
+    permutations of the automorphism group.
     """
-    n_legs = sum(1 for e in edges for (v, _) in e if v >= t_bound)
-    if not trivalent:
+    n_legs = shape.count(LEG)
+    T = (len(shape) - n_legs) // 3
+    if not T:
         # Only struts have no trivalent vertex (circles are unrepresentable).
-        return _STRUT_SERIAL, 1
+        return _STRUT_SERIAL, 1, ()
 
-    # adjacency by slot: ('L',) for a leg, else (neighbor, neighbor slot)
-    adj: dict[int, list] = {v: [None, None, None] for v in trivalent}
-    for (pv, ps), (qv, qs) in edges:
-        if pv == qv:
+    # adjacency by slot: None for a leg, else (neighbour, neighbour slot);
+    # a leg edge lists its trivalent port first
+    edges = list(zip(shape[::2], shape[1::2]))
+    adj = [[None, None, None] for _ in range(T)]
+    for p, q in edges:
+        if p // 3 == q // 3:
             # A loop edge occupies two slots of one cyclic triple; swapping
             # them is an orientation-odd automorphism, so the diagram is 0.
-            return None, 0
-        if pv < t_bound and qv < t_bound:
-            adj[pv][ps] = (qv, qs)
-            adj[qv][qs] = (pv, ps)
-        elif pv < t_bound:
-            adj[pv][ps] = ("L",)
-        else:
-            adj[qv][qs] = ("L",)
+            return None, 0, ()
+        if q != LEG:
+            adj[p // 3][p % 3] = divmod(q, 3)
+            adj[q // 3][q % 3] = divmod(p, 3)
 
-    nbrs = {v: [nb[0] for nb in adj[v] if nb != ("L",)] for v in trivalent}
+    nbrs = {v: [nb[0] for nb in adj[v] if nb is not None] for v in range(T)}
     # start colour: legs, parallel edges and triangles at each vertex
-    key = {v: (adj[v].count(("L",)), len(nbrs[v]) - len(set(nbrs[v])),
+    key = {v: (adj[v].count(None), len(nbrs[v]) - len(set(nbrs[v])),
                sum(b in nbrs[a] for a, b in combinations(set(nbrs[v]), 2)))
-           for v in trivalent}
+           for v in range(T)}
     cells, colour = _equitable(key, nbrs)
     starts = cells[min(cells, key=lambda c: (len(cells[c]), c))]
 
-    T = len(trivalent)
     best: list = [None]        # best complete serial
     best_signs: set[int] = set()
     tied: list = []            # labelings at best, the first one first
@@ -402,7 +404,7 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
         # slot keys: leg < port of a labeled neighbour < colour of another
         keys = []
         for nb in adj[u]:
-            if nb == ("L",):
+            if nb is None:
                 keys.append((0, LEG))
             elif nb[0] in label:
                 keys.append((1, 3 * label[nb[0]] + perm[nb[0]][nb[1]]))
@@ -442,7 +444,7 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
                     x = order[h]
                     for s in _SLOTS_IN_ORDER[perm[x]]:
                         nb = adj[x][s]
-                        if nb != ("L",) and nb[0] not in label:
+                        if nb is not None and nb[0] not in label:
                             nxt = nb
                             break
                     else:
@@ -469,11 +471,17 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
             _refine(split, col, nbrs, [c])
         search(v, None, 0, col, [], {}, {}, [], 1)
         if len(best_signs) == 2:
-            return None, 0
-    if ties is not None:
-        ties.extend((tied[0], t) for t in tied)
-        ties.extend(kept)
-    return (T, n_legs, best[0]), next(iter(best_signs))
+            return None, 0, ()
+    legs = [(i, divmod(p, 3)) for i, (p, q) in enumerate(edges) if q == LEG]
+
+    def leg_order(labeling) -> tuple[int, ...]:
+        label, perm = labeling
+        return tuple(i for _, i in sorted(
+            (3 * label[v] + perm[v][s], i) for i, (v, s) in legs))
+
+    pairs = [(tied[0], t) for t in tied] + kept
+    return ((T, n_legs, best[0]), next(iter(best_signs)),
+            tuple((leg_order(a), leg_order(b)) for a, b in pairs))
 
 
 _CANON_CACHE: dict[tuple, CanonicalDiagram] = {}
@@ -486,38 +494,15 @@ _SHAPE_CACHE: dict[tuple, tuple] = {}
 
 def _search_shape(trivalent: list[int], edges: list[Edge], t_bound: int
                   ) -> tuple[tuple | None, int, tuple]:
-    """``_canon_component`` of a component, read from its shape: the
-    search reads vertices only in list order and legs only as legs, so
-    it runs once per shape, on the renumbered edges.  Components that
-    differ only by a monotone renumbering of their sorted trivalent
-    vertices and by their leg numbers share a shape.
-
-    Returns (serial, sign, leg orders).  Each pair (a, b) of labelings
-    in the search's ties becomes a pair of leg orders: the leg ports
-    3 * r + slot of vertex ``trivalent[r]``, listed by label and then
-    new slot under a and under b.  Both labelings give one serial, so
-    the automorphism from a to b sends the i-th port of the one to the
-    i-th of the other.  A closed or zero component keeps none."""
+    """``_canon_component`` of a component, its trivalent vertices in
+    ascending order, run once per shape: components that differ only by
+    a monotone renumbering of those vertices and by leg numbers share one."""
     rank = {v: r for r, v in enumerate(trivalent)}
     shape = tuple([3 * rank[v] + s if v < t_bound else LEG
                    for e in edges for v, s in e])
     hit = _SHAPE_CACHE.get(shape)
     if hit is None:
-        ports = [(LEG, 0) if p == LEG else divmod(p, 3) for p in shape]
-        renumbered = list(zip(ports[::2], ports[1::2]))
-        ties: list = []
-        serial, sign = _canon_component(list(range(len(trivalent))),
-                                        renumbered, LEG, ties)
-        # a leg edge lists its trivalent port first
-        legs = [p for p, q in renumbered if q[0] == LEG]
-
-        def order(labeling) -> tuple[int, ...]:
-            label, perm = labeling
-            return tuple(3 * r + s for _, r, s in sorted(
-                (3 * label[r] + perm[r][s], r, s) for r, s in legs))
-
-        hit = _SHAPE_CACHE[shape] = (serial, sign, tuple(
-            (order(a), order(b)) for a, b in ties) if sign and legs else ())
+        hit = _SHAPE_CACHE[shape] = _canon_component(shape)
     return hit
 
 
@@ -530,7 +515,7 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     comps = []
     sign = 1
     for tv, _, es in _components(d):
-        serial, s, _ = _search_shape(sorted(tv), es, d.t)
+        serial, s, _ = _search_shape(tv, es, d.t)
         if s == 0:
             out = CanonicalDiagram(None, 0)
             _CANON_CACHE[key] = out
@@ -551,11 +536,6 @@ def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
     minimal labelings; each strut flips, and neighbouring struts swap.  Every
     automorphism of a nonzero diagram preserves the orientation.
     """
-    leg_at: dict[Port, int] = {}
-    for p, q in d.edges:
-        if p[0] < d.t <= q[0]:
-            leg_at[p] = q[0] - d.t
-
     maps: list[dict[int, int]] = []
     by_serial: dict[tuple, list] = {}
     struts = []
@@ -566,12 +546,11 @@ def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
             continue
         if n_legs == 0:
             continue  # closed: moves no leg
-        tv = sorted(tv)
         serial, s, orders = _search_shape(tv, es, d.t)
         if s == 0:
             raise StructuralError("the zero diagram has no leg group")
-        # the leg numbers at the ports of both orders of every pair
-        legs = [[leg_at[(tv[p // 3], p % 3)] for p in order]
+        # the leg numbers on the edges of both orders of every pair
+        legs = [[es[i][1][0] - d.t for i in order]
                 for pair in orders for order in pair]
         maps.extend(dict(zip(a, b)) for a, b in zip(legs[::2], legs[1::2]))
         by_serial.setdefault(serial, []).append(legs[0])
@@ -712,7 +691,7 @@ class DiagramSeries:
             for i, entry in enumerate(obj):
                 try:
                     d = JacobiDiagram.from_json(entry["diagram"])
-                    coeff = Fraction(entry["coeff"])
+                    coeff = json_rational(entry["coeff"], "coefficient")
                 except KeyError as exc:
                     raise StructuralError(
                         f"entry {i} has no field {exc.args[0]!r}") from exc

@@ -62,6 +62,20 @@ def _as_rational(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def json_int(x, what: str) -> int:
+    """An integer field of a JSON file; a float or a bool is not one."""
+    if type(x) is not int:
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def json_rational(x, what: str) -> Fraction:
+    """A coefficient field of a JSON file: a "p/q" string or an integer."""
+    if type(x) is not int and not isinstance(x, str):
+        raise TypeError(f'{what} {x!r} is not a "p/q" string or an integer')
+    return Fraction(x)
+
+
 class HSeries:
     """A Laurent series in h, known exactly up to h^cap.
 
@@ -206,9 +220,11 @@ class HSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "HSeries":
         """Inverse of ``to_json``; a coefficient below the file's
-        ``min_exp`` is malformed input."""
-        coeffs = {int(k): Fraction(v) for k, v in obj["coeffs"].items()}
-        cap, min_exp = int(obj["cap"]), int(obj["min_exp"])
+        ``min_exp``, an inexact coefficient and a ``cap`` or ``min_exp``
+        that is not a JSON integer are malformed input."""
+        coeffs = {int(k): json_rational(v, f"coefficient of h^{k}")
+                  for k, v in obj["coeffs"].items()}
+        cap, min_exp = (json_int(obj[f], f) for f in ("cap", "min_exp"))
         out = cls(coeffs, cap)
         if any(k < min_exp for k in out.coeffs):
             raise SeriesError("coefficient below declared min_exp")

@@ -67,6 +67,18 @@ def test_out_file(tmp_path, capsys):
     assert obj["equal"] is True
 
 
+@pytest.mark.parametrize("target", ["", "missing/report.json"],
+                         ids=["directory", "missing-parent"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, target):
+    path = tmp_path / target
+    assert main(["compare", "--framing", "2", "--lie", "A1", "--order", "1",
+                 "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert str(path) in json.loads(line)["error"]
+
+
 def test_zero_framing_fails_cleanly(capsys):
     for command in ("compute", "taupg", "compare"):
         assert main([command, "--framing", "0", "--lie", "A1",
@@ -95,11 +107,41 @@ def _unknot_qdata_with_cap_zero_beta(series: HSeries) -> str:
 
 
 _UNIT_KNOT = '[{"coeff": "1/1", "diagram": {"t": 0, "m": 0, "edges": []}}]'
+
+
+def _unit_plus_theta(coeff="1/1", **diagram) -> str:
+    """A knot file, the unit plus a theta term, with the listed fields of
+    the theta's diagram replaced."""
+    theta = {"t": 2, "m": 0, "cyclic": {"0": [0, 1, 2]},
+             "edges": [[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]]}
+    return json.dumps(json.loads(_UNIT_KNOT) + [
+        {"coeff": coeff, "diagram": {**theta, **diagram}}])
+
+
+def _one_series(min_exp=0, coeff="1/1", cap=1) -> str:
+    return json.dumps([{"beta": [0], "series": {
+        "min_exp": min_exp, "coeffs": {"0": coeff}, "cap": cap}}])
+
+
+# files with a float or a bool in an integer or coefficient field, each
+# with the words of its message
+_INEXACT_KNOTS = {
+    _unit_plus_theta(t=2.0): "t 2.0 is not an integer",
+    _unit_plus_theta(m=False): "m False is not an integer",
+    _unit_plus_theta(edges=[[[0, 0], [1.7, 0]], [[0, 1], [1, 2]],
+                            [[0, 2], [1, 1]]]): "1.7 is not an integer",
+    _unit_plus_theta(cyclic={"0": [0, 1, 2.0]}): "bad cyclic order",
+    _unit_plus_theta(coeff=0.1): "0.1 is not a \"p/q\" string"}
+_INEXACT_QDATA = {
+    _one_series(cap=1.9): "cap 1.9 is not an integer",
+    _one_series(min_exp=True): "min_exp True is not an integer",
+    _one_series(coeff=0.1): "0.1 is not a \"p/q\" string"}
 # the path names a directory, not a file
 _DIRECTORY = object()
-# a file whose entry lacks a field: the message names the field
-_MISSING_FIELD = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
-                  _UNIT_KNOT: "entry 0 has no field 'beta'"}
+# a file whose message names the field at fault
+_MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
+            _UNIT_KNOT: "entry 0 has no field 'beta'",
+            **_INEXACT_KNOTS, **_INEXACT_QDATA}
 
 
 @pytest.mark.parametrize("option, content", [
@@ -122,6 +164,8 @@ _MISSING_FIELD = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
     ("--qdata", _unknot_qdata_with_cap_zero_beta(HSeries.one(0))),
     ("--knot", '[{"coeff": "1/1"}]'),
     ("--qdata", _UNIT_KNOT),                 # a knot file as expansion data
+    *(("--knot", content) for content in _INEXACT_KNOTS),
+    *(("--qdata", content) for content in _INEXACT_QDATA),
     pytest.param("--knot", _DIRECTORY, id="--knot-directory"),
     pytest.param("--knot", b"[\xff\xfe]", id="--knot-non-utf8"),
     pytest.param("--knot", "", id="--knot-empty"),
@@ -143,7 +187,7 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     line, = captured.err.splitlines()
     message = json.loads(line)["error"]
     assert str(path) in message
-    assert _MISSING_FIELD.get(content, "") in message
+    assert _MESSAGE.get(content, "") in message
 
 
 @pytest.mark.parametrize("series", [HSeries.zero(0), HSeries.one(0)])

@@ -9,7 +9,6 @@ import sys
 from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,11 +26,8 @@ from lmo_kernel.diagrams import (
     SLOT_PERMS,
     JacobiDiagram,
     StructuralError,
-    _canon_component,
-    _components,
     _equitable,
     _refine,
-    _search_shape,
     canonicalize,
     glue_legs,
     leg_automorphisms,
@@ -368,53 +364,27 @@ def glued_wheels(draw) -> JacobiDiagram:
     return JacobiDiagram(d.t, d.m, tuple((mp(p), mp(q)) for p, q in d.edges))
 
 
-def _direct_search(tv, edges, t_bound):
-    """``_canon_component`` on a component as it is numbered, in the form
-    ``_search_shape`` returns: each tie (a, b) as the leg ports
-    3 * (rank in ``tv``) + slot listed by label and new slot under a and
-    under b, kept only for a nonzero component with legs."""
-    ties: list = []
-    serial, sign = _canon_component(tv, edges, t_bound, ties)
-    legs = [p for p, q in edges if q[0] >= t_bound > p[0]]
-    if sign == 0 or not legs:
-        return serial, sign, ()
-    rank = {v: r for r, v in enumerate(tv)}
-
-    def order(labeling):
-        label, perm = labeling
-        return tuple(3 * rank[v] + s for _, v, s in sorted(
-            (3 * label[v] + perm[v][s], v, s) for v, s in legs))
-
-    return serial, sign, tuple((order(a), order(b)) for a, b in ties)
-
-
 class TestShapeCache:
-    """A component's search runs once per shape; every numbering of that
-    shape reads the same result."""
+    """A component's search runs once per shape: in ``relabel_union(e, d)``
+    the components of ``d`` keep their shapes under shifted vertex and leg
+    numbers, so they read the entries that ``d`` filled."""
 
     @settings(max_examples=150, deadline=None)
     @given(glued_wheels(), glued_wheels())
-    def test_cached_search_equals_a_direct_search(self, d, e):
-        # in e + d the components of d keep their shapes under shifted
-        # vertex and leg numbers, so they read the entries d filled
+    def test_union_reads_the_entries_of_its_parts(self, d, e):
+        cd, ce = canonicalize(d), canonicalize(e)
         both, _, _ = relabel_union(e, d)
-        for g in (d, both):
-            for tv, _, es in _components(g):
-                tv = sorted(tv)
-                assert _search_shape(tv, es, g.t) == \
-                    _direct_search(tv, es, g.t)
-
-    @settings(max_examples=150, deadline=None)
-    @given(glued_wheels(), glued_wheels())
-    def test_leg_group_equals_a_direct_search(self, d, e):
-        both, _, _ = relabel_union(e, d)
-        for g in (d, both):
-            if canonicalize(g).is_zero:
-                continue
-            cached = leg_automorphisms(g)
-            with mock.patch.object(diagrams, "_search_shape",
-                                   _direct_search):
-                assert leg_automorphisms(g) == cached
+        searched = len(diagrams._SHAPE_CACHE)
+        cb = canonicalize(both)
+        if cd.is_zero or ce.is_zero:
+            # the search of a part stops at its first zero component
+            assert cb.is_zero
+            return
+        assert cb.form == ce.form.union(cd.form)
+        assert cb.sign == ce.sign * cd.sign
+        assert canon_oracle.leg_group(leg_automorphisms(both), both.m) == \
+            canon_oracle.leg_group(canon_oracle.leg_maps(both), both.m)
+        assert len(diagrams._SHAPE_CACHE) == searched
 
 
 class TestSeries:

@@ -26,3 +26,38 @@ def test_src_is_stdlib_only():
                for line, top in _imported_modules(path)
                if top != "lmo_kernel" and top not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def _unused_imports(path: Path):
+    """(line, name) of every name that one source file imports and never
+    reads.  Exempt: ``from __future__``, an import statement whose first
+    line is marked ``# noqa: F401``, and in ``__init__`` the names of
+    ``__all__``."""
+    text = path.read_text()
+    tree = ast.parse(text, str(path))
+    lines = text.splitlines()
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if (getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign) and path.name == "__init__.py"
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_src_imports_are_used():
+    sources = sorted(Path(lmo_kernel.__file__).parent.glob("*.py"))
+    unused = [f"{path.name}:{line} {name}" for path in sources
+              for line, name in _unused_imports(path)]
+    assert unused == []
