@@ -151,13 +151,13 @@ def _gluing_table(f1: CanonicalForm, f2: CanonicalForm | None = None
             for i, j in matching:
                 p[i], p[j] = j, i
             gluings.append(tuple(p))
-        return _fold_orbits(g1, leg_automorphisms(g1), gluings)
+        return _fold_orbits(g1, leg_automorphisms(f1), gluings)
     g2 = f2.diagram()
     m1, m2 = g1.m, g2.m
-    combined, _, _ = relabel_union(g1, g2)
-    gens = [s + tuple(range(m1, m1 + m2)) for s in leg_automorphisms(g1)]
+    combined = relabel_union(g1, g2)
+    gens = [s + tuple(range(m1, m1 + m2)) for s in leg_automorphisms(f1)]
     gens += [tuple(range(m1)) + tuple(m1 + i for i in s)
-             for s in leg_automorphisms(g2)]
+             for s in leg_automorphisms(f2)]
     gluings = []
     for sel in itertools.permutations(range(m1, m1 + m2), m1):
         p = list(range(m1 + m2))

@@ -31,15 +31,16 @@ leaves the start when the two starts differ.  A start in the orbit of an
 explored start, under the automorphisms found so far, is skipped.  The
 tied candidates at the minimal serial, measured against the first one,
 together with the automorphisms that merged start orbits, generate the
-component's automorphism group; ``leg_automorphisms`` reads them to give
-the leg permutations the gluing tables fold by.  The search reads a
-component's shape and nothing else: the ports of its edges in order, a
-trivalent port as 3 * rank + slot with the vertices ranked in ascending
-order, and every leg as ``LEG``.  Components that differ only by a
-monotone renumbering of their trivalent vertices and by their leg
-numbers share a shape, so the search runs once per shape
-(``_search_shape``), and ``canonicalize`` and ``leg_automorphisms``
-share its result.
+component's automorphism group.  The search reads a component's shape
+and nothing else: the ports of its edges in order, a trivalent port as
+3 * rank + slot with the vertices ranked in ascending order, and every
+leg as ``LEG``.  Components that differ only by a monotone renumbering
+of their trivalent vertices and by their leg numbers share a shape, so
+the search runs once per shape (``_search_shape``).  The leg group
+belongs to the serial: the first search to reach a serial keeps its leg
+permutations, numbered as the serial's own diagram numbers its legs
+(``_LEG_GROUPS``), and ``leg_automorphisms`` reads a form's group from
+them with no search.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .qseries import json_int, json_rational, sum_products
+from .qseries import json_int, json_key, json_rational, sum_products
 
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
@@ -138,10 +139,14 @@ class JacobiDiagram:
         # A file may present the cyclic order as any permutation of the
         # slots; rename slots per vertex so the order becomes (0, 1, 2).
         remap: dict[int, dict[int, int]] = {}
-        for v, cyc in obj.get("cyclic", {}).items():
+        for key, cyc in obj.get("cyclic", {}).items():
+            v = json_key(key, "cyclic key")
+            if not 0 <= v < t:
+                raise StructuralError(
+                    f"cyclic key {key!r} is not a trivalent vertex (t = {t})")
             if sorted(cyc) != [0, 1, 2] or {type(s) for s in cyc} != {int}:
                 raise StructuralError(f"vertex {v}: bad cyclic order {cyc}")
-            remap[int(v)] = {old: i for i, old in enumerate(cyc)}
+            remap[v] = {old: i for i, old in enumerate(cyc)}
 
         def port(p) -> Port:
             v, s = (json_int(x, "edge port entry") for x in p)
@@ -188,7 +193,11 @@ class CanonicalForm:
         return CanonicalForm(tuple(sorted(self.components + other.components)))
 
     def diagram(self) -> JacobiDiagram:
-        """Rebuild a concrete representative with spec vertex numbering."""
+        """Rebuild a concrete representative with spec vertex numbering:
+        each component in turn takes the next trivalent vertices, in label
+        order, and the next legs, in ascending order of the port 3 * label
+        + slot at their trivalent ends.  ``leg_automorphisms`` relies on
+        this leg numbering."""
         edges: list[Edge] = []
         tv_off = 0
         t_total = self.t
@@ -311,28 +320,29 @@ def _equitable(key: dict[int, tuple], nbrs: dict[int, list[int]]
 def _canon_component(shape: tuple[int, ...]
                      ) -> tuple[tuple | None, int, tuple]:
     """Minimal serialization of one connected component, read from its
-    shape (see ``_SHAPE_CACHE``), with its sign and leg orders.
+    shape (see ``_SHAPE_CACHE``), with its sign and leg group.
 
     Candidate labelings start at a vertex of the smallest colour class,
     one per orbit of the automorphisms found, visit the rest in
     breadth-first order and return to the common ancestor of a tie; see
-    the module docstring.  Returns (serial, sign, leg orders); sign 0
-    encodes the zero diagram, which has no leg orders.  A labeling is a
-    (vertex -> label, vertex -> slot permutation) pair; it lists the leg
-    edges, by their index in the shape, in the order of the new ports
-    3 * label + slot at their trivalent ends.  Two labelings of one
-    serial differ by an automorphism, which sends the i-th leg of the
-    one's list to the i-th of the other's.  The leg orders are the two
-    lists of the pairs (t0, t), for every labeling t at the minimal
-    serial that the search reached, t0 the first of them, then of every
-    pair that merged start orbits; together they generate the leg
-    permutations of the automorphism group.
+    the module docstring.  Returns (serial, sign, gens); sign 0 encodes
+    the zero diagram, which has no leg group.  A labeling is a (vertex ->
+    label, vertex -> slot permutation) pair; it lists the leg edges, by
+    their index in the shape, in the order of the new ports 3 * label +
+    slot at their trivalent ends.  Two labelings of one serial differ by
+    an automorphism, which sends the i-th leg of the one's list to the
+    i-th of the other's.  The pairs (t0, t), for every labeling t at the
+    minimal serial that the search reached, t0 the first of them, and
+    every pair that merged start orbits generate the automorphism group.
+    ``gens`` lists the leg permutations they induce but the identity, a
+    leg numbered by its place in t0's list, as ``CanonicalForm.diagram``
+    numbers the serial's legs: g sends leg i to leg g[i].
     """
     n_legs = shape.count(LEG)
     T = (len(shape) - n_legs) // 3
     if not T:
         # Only struts have no trivalent vertex (circles are unrepresentable).
-        return _STRUT_SERIAL, 1, ()
+        return _STRUT_SERIAL, 1, ((1, 0),)
 
     # adjacency by slot: None for a leg, else (neighbour, neighbour slot);
     # a leg edge lists its trivalent port first
@@ -479,30 +489,41 @@ def _canon_component(shape: tuple[int, ...]
         return tuple(i for _, i in sorted(
             (3 * label[v] + perm[v][s], i) for i, (v, s) in legs))
 
-    pairs = [(tied[0], t) for t in tied] + kept
-    return ((T, n_legs, best[0]), next(iter(best_signs)),
-            tuple((leg_order(a), leg_order(b)) for a, b in pairs))
+    pos = {i: k for k, i in enumerate(leg_order(tied[0]))}
+    gens = {tuple(pos[b_i] for _, b_i in sorted(
+                zip(map(pos.get, leg_order(a)), leg_order(b))))
+            for a, b in [(tied[0], t) for t in tied[1:]] + kept}
+    gens.discard(tuple(range(n_legs)))
+    return (T, n_legs, best[0]), next(iter(best_signs)), tuple(sorted(gens))
 
 
 _CANON_CACHE: dict[tuple, CanonicalDiagram] = {}
 
 #: ``_canon_component`` results by component shape: {the ports of the
 #: edges in order, port (rank, slot) of a trivalent vertex as the int
-#: 3 * rank + slot and every leg as LEG: (serial, sign, leg orders)}
+#: 3 * rank + slot and every leg as LEG: (serial, sign)}
 _SHAPE_CACHE: dict[tuple, tuple] = {}
+
+#: Leg group generators by nonzero serial, from the first shape searched
+#: that reached it: every shape of one serial gives the same group.
+_LEG_GROUPS: dict[tuple, tuple] = {}
 
 
 def _search_shape(trivalent: list[int], edges: list[Edge], t_bound: int
-                  ) -> tuple[tuple | None, int, tuple]:
-    """``_canon_component`` of a component, its trivalent vertices in
-    ascending order, run once per shape: components that differ only by
-    a monotone renumbering of those vertices and by leg numbers share one."""
+                  ) -> tuple[tuple | None, int]:
+    """(serial, sign) of a component, its trivalent vertices in ascending
+    order, searched once per shape: components that differ only by a
+    monotone renumbering of those vertices and by leg numbers share one.
+    The first search to reach a nonzero serial fills its ``_LEG_GROUPS``."""
     rank = {v: r for r, v in enumerate(trivalent)}
     shape = tuple([3 * rank[v] + s if v < t_bound else LEG
                    for e in edges for v, s in e])
     hit = _SHAPE_CACHE.get(shape)
     if hit is None:
-        hit = _SHAPE_CACHE[shape] = _canon_component(shape)
+        serial, sign, gens = _canon_component(shape)
+        hit = _SHAPE_CACHE[shape] = serial, sign
+        if sign:
+            _LEG_GROUPS.setdefault(serial, gens)
     return hit
 
 
@@ -515,7 +536,7 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     comps = []
     sign = 1
     for tv, _, es in _components(d):
-        serial, s, _ = _search_shape(tv, es, d.t)
+        serial, s = _search_shape(tv, es, d.t)
         if s == 0:
             out = CanonicalDiagram(None, 0)
             _CANON_CACHE[key] = out
@@ -527,43 +548,24 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     return out
 
 
-def leg_automorphisms(d: JacobiDiagram) -> tuple[tuple[int, ...], ...]:
-    """Generators of the leg permutations that automorphisms of a nonzero
-    diagram induce: generator g sends leg ``d.t + i`` to ``d.t + g[i]``.
-
-    Each component contributes the automorphisms its canonical search
-    found; components with equal serials are swapped through their first
-    minimal labelings; each strut flips, and neighbouring struts swap.  Every
-    automorphism of a nonzero diagram preserves the orientation.
-    """
-    maps: list[dict[int, int]] = []
-    by_serial: dict[tuple, list] = {}
-    struts = []
-    for tv, n_legs, es in _components(d):
-        if not tv:
-            (a, _), (b, _) = es[0]
-            struts.append((a - d.t, b - d.t))
-            continue
-        if n_legs == 0:
-            continue  # closed: moves no leg
-        serial, s, orders = _search_shape(tv, es, d.t)
-        if s == 0:
-            raise StructuralError("the zero diagram has no leg group")
-        # the leg numbers on the edges of both orders of every pair
-        legs = [[es[i][1][0] - d.t for i in order]
-                for pair in orders for order in pair]
-        maps.extend(dict(zip(a, b)) for a, b in zip(legs[::2], legs[1::2]))
-        by_serial.setdefault(serial, []).append(legs[0])
-    for same in by_serial.values():
-        for a, b in zip(same, same[1:]):
-            maps.append({**dict(zip(a, b)), **dict(zip(b, a))})
-    for a, b in struts:
-        maps.append({a: b, b: a})
-    for (a, b), (c, e) in zip(struts, struts[1:]):
-        maps.append({a: c, c: a, b: e, e: b})
-    ident = range(d.m)
-    gens = {tuple(g.get(i, i) for i in ident) for g in maps}
-    gens.discard(tuple(ident))
+def leg_automorphisms(form: CanonicalForm) -> tuple[tuple[int, ...], ...]:
+    """Generators of the leg permutations that automorphisms of
+    ``form.diagram()`` induce, g sending leg ``t + i`` to ``t + g[i]``:
+    the leg group of each component's serial, shifted onto its legs, and
+    a leg-for-leg swap of every two equal neighbouring components.  Every
+    automorphism of a nonzero diagram preserves the orientation."""
+    ident = tuple(range(form.m))
+    gens = set()
+    off = 0
+    for k, comp in enumerate(form.components):
+        n = comp[1]
+        gens.update(ident[:off] + tuple(off + i for i in g) + ident[off + n:]
+                    for g in _LEG_GROUPS[comp])
+        if k and comp == form.components[k - 1]:
+            gens.add(ident[:off - n] + ident[off:off + n]
+                     + ident[off - n:off] + ident[off + n:])
+        off += n
+    gens.discard(ident)
     return tuple(sorted(gens))
 
 
@@ -704,28 +706,16 @@ def series_of(d: JacobiDiagram, imax: int, *,
     return DiagramSeries.of_diagrams(imax, [(d, coeff)])
 
 
-def relabel_union(d1: JacobiDiagram, d2: JacobiDiagram
-                  ) -> tuple[JacobiDiagram, list[int], list[int]]:
-    """Disjoint union of two labeled diagrams.
+def relabel_union(d1: JacobiDiagram, d2: JacobiDiagram) -> JacobiDiagram:
+    """Disjoint union of two labeled diagrams: the trivalent vertices of
+    ``d1``, then of ``d2``, then the legs of ``d1``, then of ``d2``, each
+    in their original order."""
+    def shifted(d: JacobiDiagram, tv_shift: int, leg_shift: int) -> list:
+        return [tuple((v + (tv_shift if v < d.t else leg_shift), s)
+                      for v, s in e) for e in d.edges]
 
-    Returns the union plus the new leg ids coming from each input, in
-    the input legs' original order.
-    """
-    t = d1.t + d2.t
-
-    def remap1(p: Port) -> Port:
-        v, s = p
-        return (v, s) if v < d1.t else (v - d1.t + t, s)
-
-    def remap2(p: Port) -> Port:
-        v, s = p
-        return (v + d1.t, s) if v < d2.t else (v - d2.t + t + d1.m, s)
-
-    edges = [(remap1(p), remap1(q)) for p, q in d1.edges]
-    edges += [(remap2(p), remap2(q)) for p, q in d2.edges]
-    legs1 = [v - d1.t + t for v in d1.legs()]
-    legs2 = [v - d2.t + t + d1.m for v in d2.legs()]
-    return JacobiDiagram(t, d1.m + d2.m, tuple(edges)), legs1, legs2
+    return JacobiDiagram(d1.t + d2.t, d1.m + d2.m, tuple(
+        shifted(d1, 0, d2.t) + shifted(d2, d1.t, d1.t + d1.m)))
 
 
 def glue_legs(d: JacobiDiagram, pairs: Iterable[tuple[int, int]]

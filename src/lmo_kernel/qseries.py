@@ -69,6 +69,14 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_key(k: str, what: str) -> int:
+    """An integer key of a JSON object, spelled as ``str`` spells it:
+    ``int`` alone also reads "1_0", " 2" and "02"."""
+    if not k.removeprefix("-").isdecimal() or str(int(k)) != k:
+        raise ValueError(f"{what} {k!r} is not an integer key")
+    return int(k)
+
+
 def json_rational(x, what: str) -> Fraction:
     """A coefficient field of a JSON file: a "p/q" string or an integer."""
     if type(x) is not int and not isinstance(x, str):
@@ -222,7 +230,8 @@ class HSeries:
         """Inverse of ``to_json``; a coefficient below the file's
         ``min_exp``, an inexact coefficient and a ``cap`` or ``min_exp``
         that is not a JSON integer are malformed input."""
-        coeffs = {int(k): json_rational(v, f"coefficient of h^{k}")
+        coeffs = {json_key(k, "exponent"):
+                  json_rational(v, f"coefficient of h^{k}")
                   for k, v in obj["coeffs"].items()}
         cap, min_exp = (json_int(obj[f], f) for f in ("cap", "min_exp"))
         out = cls(coeffs, cap)

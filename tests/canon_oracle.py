@@ -6,8 +6,10 @@ slow but plainly correct, so the property tests compare
 ``diagrams.canonicalize`` against it.  Its serials are not those of
 ``diagrams.canonicalize``: only zero-ness, the partition into classes and
 relative signs are comparable.  Its minimal labelings are every
-automorphism of a component, so the tests also measure the leg group of
-``diagrams.leg_automorphisms`` against them (``leg_maps``).  ``refine``,
+automorphism of a component, so the tests also measure against them
+(``leg_maps`` of ``form.diagram()``) the leg group that
+``diagrams.leg_automorphisms`` reads off a canonical form, and the one
+that the search of each shape of a serial finds.  ``refine``,
 whole-graph rounds of colour refinement, is the partition oracle for the
 splitter-queue refinement of ``diagrams._refine``.
 """

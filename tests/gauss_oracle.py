@@ -41,6 +41,12 @@ from lmo_kernel.diagrams import (
 from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, knot_key
 
 
+def _union_with_legs(d1, d2):
+    """``relabel_union(d1, d2)`` with the legs it took from each input."""
+    u = relabel_union(d1, d2)
+    return u, range(u.t, u.t + d1.m), range(u.t + d1.m, u.t + u.m)
+
+
 def fg_integral_bijections(y: DiagramSeries, f) -> DiagramSeries:
     """Bijection-route Gaussian integral of a strut-free series."""
     f = Fraction(f)
@@ -56,8 +62,8 @@ def fg_integral_bijections(y: DiagramSeries, f) -> DiagramSeries:
             for yform, ycoeff in y.terms.items():
                 if yform.m != 2 * k:
                     continue
-                combined, legs1, legs2 = relabel_union(form.diagram(),
-                                                       yform.diagram())
+                combined, legs1, legs2 = _union_with_legs(form.diagram(),
+                                                          yform.diagram())
                 for perm in itertools.permutations(legs2):
                     yield (glue_legs(combined, list(zip(legs1, perm))),
                            coeff * ycoeff)
@@ -81,7 +87,7 @@ def pair(d: DiagramSeries, y: DiagramSeries) -> DiagramSeries:
                 if f1.t + f2.t > d.imax:
                     continue
                 g1, g2 = f1.diagram(), f2.diagram()
-                combined, legs1, legs2 = relabel_union(g1, g2)
+                combined, legs1, legs2 = _union_with_legs(g1, g2)
                 coeff = c1 * c2
                 for perm in itertools.permutations(legs2):
                     yield glue_legs(combined, list(zip(legs1, perm))), coeff
@@ -102,7 +108,7 @@ def partial(d: DiagramSeries, target: DiagramSeries) -> DiagramSeries:
                 if f1.t + f2.t > d.imax:
                     continue
                 g1, g2 = f1.diagram(), f2.diagram()
-                combined, legs1, legs2 = relabel_union(g1, g2)
+                combined, legs1, legs2 = _union_with_legs(g1, g2)
                 coeff = c1 * c2
                 for sel in itertools.permutations(legs2, len(legs1)):
                     yield glue_legs(combined, list(zip(legs1, sel))), coeff

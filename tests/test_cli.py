@@ -118,9 +118,9 @@ def _unit_plus_theta(coeff="1/1", **diagram) -> str:
         {"coeff": coeff, "diagram": {**theta, **diagram}}])
 
 
-def _one_series(min_exp=0, coeff="1/1", cap=1) -> str:
+def _one_series(min_exp=0, coeff="1/1", cap=1, key="0") -> str:
     return json.dumps([{"beta": [0], "series": {
-        "min_exp": min_exp, "coeffs": {"0": coeff}, "cap": cap}}])
+        "min_exp": min_exp, "coeffs": {key: coeff}, "cap": cap}}])
 
 
 # files with a float or a bool in an integer or coefficient field, each
@@ -136,12 +136,32 @@ _INEXACT_QDATA = {
     _one_series(cap=1.9): "cap 1.9 is not an integer",
     _one_series(min_exp=True): "min_exp True is not an integer",
     _one_series(coeff=0.1): "0.1 is not a \"p/q\" string"}
+# files with a JSON object key that ``int`` reads but ``str`` would not
+# write, or a cyclic key that names no trivalent vertex, each with the
+# words of its message
+_WHEEL_EDGES = [[[0, 0], [2, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]],
+                [[1, 0], [3, 0]]]
+_BAD_SERIES_KEYS = {
+    _one_series(key="1_0"): "exponent '1_0' is not an integer key",
+    _one_series(key=" 2"): "exponent ' 2' is not an integer key"}
+_BAD_CYCLIC_KEYS = {
+    _unit_plus_theta(cyclic={"0_0": [0, 1, 2]}):
+        "cyclic key '0_0' is not an integer key",
+    _unit_plus_theta(cyclic={"0": [0, 1, 2], "00": [0, 2, 1]}):
+        "cyclic key '00' is not an integer key",
+    _unit_plus_theta(cyclic={"7": [0, 1, 2]}):
+        "cyclic key '7' is not a trivalent vertex",
+    _unit_plus_theta(cyclic={"-1": [0, 1, 2]}):
+        "cyclic key '-1' is not a trivalent vertex",
+    _unit_plus_theta(m=2, edges=_WHEEL_EDGES, cyclic={"2": [1, 0, 2]}):
+        "cyclic key '2' is not a trivalent vertex"}
 # the path names a directory, not a file
 _DIRECTORY = object()
 # a file whose message names the field at fault
 _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
             _UNIT_KNOT: "entry 0 has no field 'beta'",
-            **_INEXACT_KNOTS, **_INEXACT_QDATA}
+            **_INEXACT_KNOTS, **_INEXACT_QDATA, **_BAD_SERIES_KEYS,
+            **_BAD_CYCLIC_KEYS}
 
 
 @pytest.mark.parametrize("option, content", [
@@ -166,6 +186,8 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
     ("--qdata", _UNIT_KNOT),                 # a knot file as expansion data
     *(("--knot", content) for content in _INEXACT_KNOTS),
     *(("--qdata", content) for content in _INEXACT_QDATA),
+    *(("--qdata", content) for content in _BAD_SERIES_KEYS),
+    *(("--knot", content) for content in _BAD_CYCLIC_KEYS),
     pytest.param("--knot", _DIRECTORY, id="--knot-directory"),
     pytest.param("--knot", b"[\xff\xfe]", id="--knot-non-utf8"),
     pytest.param("--knot", "", id="--knot-empty"),

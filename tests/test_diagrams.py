@@ -23,6 +23,7 @@ from lmo_kernel.diagrams import (
     CanonicalForm,
     DiagramSeries,
     EMPTY_FORM,
+    LEG,
     SLOT_PERMS,
     JacobiDiagram,
     StructuralError,
@@ -57,6 +58,11 @@ def relabel(d: JacobiDiagram, perm_t, rots) -> JacobiDiagram:
         return p
 
     return JacobiDiagram(d.t, d.m, tuple((mp(p), mp(q)) for p, q in d.edges))
+
+
+def shape_of(d: JacobiDiagram) -> tuple[int, ...]:
+    """The shape that ``canonicalize`` searches for a connected ``d``."""
+    return tuple(3 * v + s if v < d.t else LEG for e in d.edges for v, s in e)
 
 
 @st.composite
@@ -288,8 +294,8 @@ CUTS = [(name, cut) for name, pairs in CUBIC.items() if name != "petersen"
 def _oracle(name: str, cut: tuple[int, ...]):
     d = cut_open(name, cut)
     o = canon_oracle.canonicalize(d)
-    return o, (None if o.is_zero else
-               canon_oracle.leg_group(canon_oracle.leg_maps(d), d.m))
+    return o, (None if o.is_zero else canon_oracle.leg_group(
+        canon_oracle.leg_maps(canonicalize(d).form.diagram()), d.m))
 
 
 class TestVertexTransitive:
@@ -307,6 +313,9 @@ class TestVertexTransitive:
         oracle, group = _oracle(name, cut)
         base = canonicalize(d)
         assert base.is_zero == oracle.is_zero
+        if not oracle.is_zero:
+            assert canon_oracle.leg_group(leg_automorphisms(base.form),
+                                          d.m) == group
         rng = random.Random(f"{name} {cut}")
         for _ in range(10):
             pt = rng.sample(range(d.t), d.t)
@@ -320,8 +329,9 @@ class TestVertexTransitive:
             for _, psign in perms:
                 sign *= psign
             assert cd.form == base.form and cd.sign == sign
-            # relabeling moves no leg, so the leg group is the oracle's
-            assert canon_oracle.leg_group(leg_automorphisms(e), e.m) == group
+            # the search of each relabeling's shape finds the whole group
+            gens = diagrams._canon_component(shape_of(e))[2]
+            assert canon_oracle.leg_group(gens, e.m) == group
 
     def test_classes_and_sign_ratios_match_oracle(self):
         for a, b in itertools.combinations(CUTS, 2):
@@ -346,7 +356,7 @@ def glued_wheels(draw) -> JacobiDiagram:
                  .filter(lambda ks: sum(ks) <= 3))
     d = wheel(sizes[0])
     for k in sizes[1:]:
-        d, _, _ = relabel_union(d, wheel(k))
+        d = relabel_union(d, wheel(k))
     legs = draw(st.permutations(list(d.legs())))
     n = draw(st.integers(0, len(legs) // 2))
     try:
@@ -373,7 +383,7 @@ class TestShapeCache:
     @given(glued_wheels(), glued_wheels())
     def test_union_reads_the_entries_of_its_parts(self, d, e):
         cd, ce = canonicalize(d), canonicalize(e)
-        both, _, _ = relabel_union(e, d)
+        both = relabel_union(e, d)
         searched = len(diagrams._SHAPE_CACHE)
         cb = canonicalize(both)
         if cd.is_zero or ce.is_zero:
@@ -382,9 +392,31 @@ class TestShapeCache:
             return
         assert cb.form == ce.form.union(cd.form)
         assert cb.sign == ce.sign * cd.sign
-        assert canon_oracle.leg_group(leg_automorphisms(both), both.m) == \
-            canon_oracle.leg_group(canon_oracle.leg_maps(both), both.m)
+        assert canon_oracle.leg_group(leg_automorphisms(cb.form),
+                                      both.m) == canon_oracle.leg_group(
+            canon_oracle.leg_maps(cb.form.diagram()), both.m)
         assert len(diagrams._SHAPE_CACHE) == searched
+
+    @settings(max_examples=100, deadline=None)
+    @given(glued_wheels(), st.data())
+    def test_every_shape_of_a_serial_finds_its_leg_group(self, d, data):
+        """``_LEG_GROUPS`` keeps the generators of the first shape that
+        reached a serial: under random relabelings and slot flips of a
+        component, every shape's search generates the same leg group,
+        that of the serial's own diagram."""
+        cd = canonicalize(d)
+        if cd.is_zero:
+            return
+        for comp in set(cd.form.components):
+            c = CanonicalForm((comp,)).diagram()
+            group = canon_oracle.leg_group(canon_oracle.leg_maps(c), c.m)
+            for _ in range(3):
+                e = relabel(c, data.draw(st.permutations(range(c.t))),
+                            [data.draw(st.sampled_from(SLOT_PERMS))[0]
+                             for _ in range(c.t)])
+                serial, _, gens = diagrams._canon_component(shape_of(e))
+                assert serial == comp
+                assert canon_oracle.leg_group(gens, c.m) == group
 
 
 class TestSeries:
@@ -401,7 +433,7 @@ class TestSeries:
         from lmo_kernel.diagrams import relabel_union
         a = series_of(wheel(1), 8, coeff=2)
         b = series_of(wheel(2), 8, coeff=3)
-        w24, _, _ = relabel_union(wheel(1), wheel(2))
+        w24 = relabel_union(wheel(1), wheel(2))
         assert coeff_of(a.union(b), w24) == 6
 
     def test_union_commutative_associative(self):
@@ -450,7 +482,7 @@ class TestExpUnion:
         from lmo_kernel.diagrams import relabel_union
         arg = series_of(wheel(1), 4, coeff=modified_bernoulli(1))
         e = arg.exp_union()
-        w2w2, _, _ = relabel_union(wheel(1), wheel(1))
+        w2w2 = relabel_union(wheel(1), wheel(1))
         assert e.coeff(EMPTY_FORM) == 1
         assert coeff_of(e, wheel(1)) == Q(1, 48)
         assert coeff_of(e, w2w2) == Q(1, 4608)
@@ -465,14 +497,14 @@ class TestExpUnion:
         d = JacobiDiagram(0, 0, ())
         for k in range(4):
             assert coeff_of(e, d) == Q(1, factorial(k))
-            d, _, _ = relabel_union(d, strut())
+            d = relabel_union(d, strut())
 
     def test_strut_exponential_degree_two(self):
         from lmo_kernel.diagrams import relabel_union
         f = Q(3)
         arg = series_of(strut(), 4, coeff=f / 2)
         e = arg.exp_union()
-        ss, _, _ = relabel_union(strut(), strut())
+        ss = relabel_union(strut(), strut())
         assert coeff_of(e, ss) == f ** 2 / 8
 
     def test_rejects_degree_zero_part(self):
@@ -648,23 +680,33 @@ print(code, *counts.values())
 """
 
 
+#: (order, component searches, search frames, starts) of a fresh
+#: ``compare --lie A1 --framing 2``, measured when the leg groups moved
+#: onto the serials; do not raise them.
+_COLD_COMPARE_WORK = ((4, 80, 2444, 169), (5, 416, 17106, 759))
+
+
 def test_cold_compare_work_count():
-    """A fresh ``compare --lie A1 --framing 2 --order 4`` runs at most 89
-    component searches, one per component shape (220 when
+    """A fresh ``compare --lie A1 --framing 2`` runs one component
+    search per component shape that ``canonicalize`` meets, within the
+    bounds of ``_COLD_COMPARE_WORK``: closed components pass through the
+    gluing tables and leg-free first terms glue nothing.  Earlier counts
+    at order 4, as searches / frames / starts: 89 / 2 631 / 185 when
+    ``leg_automorphisms`` searched the shapes of the forms' diagrams
+    again (457 / 18 297 / 829 at order 5); 220 searches when
     ``canonicalize`` and ``leg_automorphisms`` searched every component
     they met, 429 when every gluing table canonicalized its closed
-    components again): closed components pass through the gluing tables
-    and leg-free first terms glue nothing.  Those searches visit at most
-    2 631 search frames, 185 of them starts (4 196 and 467 before the
-    shape cache; 10 265 and 582 when every automorphism was a leaf of its
-    own and every start was refined from scratch)."""
+    components again; 4 196 frames and 467 starts before the shape
+    cache; 10 265 and 582 when every automorphism was a leaf of its own
+    and every start was refined from scratch."""
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", _COUNT_SEARCHES, str(src), "compare",
-         "--lie", "A1", "--framing", "2", "--order", "4"],
-        capture_output=True, text=True, timeout=300, check=True)
-    code, calls, nodes, starts = map(int, out.stdout.split())
-    assert code == 0
-    assert calls <= 89
-    assert nodes <= 2631
-    assert starts <= 185
+    for order, max_calls, max_nodes, max_starts in _COLD_COMPARE_WORK:
+        out = subprocess.run(
+            [sys.executable, "-c", _COUNT_SEARCHES, str(src), "compare",
+             "--lie", "A1", "--framing", "2", "--order", str(order)],
+            capture_output=True, text=True, timeout=300, check=True)
+        code, calls, nodes, starts = map(int, out.stdout.split())
+        assert code == 0
+        assert calls <= max_calls, order
+        assert nodes <= max_nodes, order
+        assert starts <= max_starts, order

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -12,6 +13,7 @@ from lmo_kernel.qseries import (
     HSeries,
     PoleError,
     SeriesError,
+    json_key,
     modified_bernoulli,
     q_power,
     sinh_ratio,
@@ -167,6 +169,15 @@ def test_json_round_trip():
     s = H({-2: Q(3, 7), 0: 1, 4: Q(-1, 5)}, 5)
     assert HSeries.from_json(s.to_json()) == s
     assert s.to_json()["coeffs"]["-2"] == "3/7"
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "02", "+1", "-0", "",
+                                 "x", "\u0663"])
+def test_json_key_is_spelled_as_str_spells_it(key):
+    """``int`` reads most of these keys, each as some other key's value."""
+    assert json_key("-12", "exponent") == -12
+    with pytest.raises(ValueError, match=re.escape(f"exponent {key!r} is not")):
+        json_key(key, "exponent")
 
 
 _rat = st.fractions(min_value=-10, max_value=10, max_denominator=12)

@@ -32,8 +32,8 @@ RECORDED = Path(__file__).with_name("serials.jsonl")
 
 
 def _gluings() -> list[JacobiDiagram]:
-    pieces = [wheel(4), relabel_union(wheel(2), wheel(2))[0],
-              relabel_union(wheel(3), wheel(1))[0]]
+    pieces = [wheel(4), relabel_union(wheel(2), wheel(2)),
+              relabel_union(wheel(3), wheel(1))]
     return [glue_legs(d, matching) for d in pieces
             for matching in _pairings(list(d.legs()))]
 
