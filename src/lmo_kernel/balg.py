@@ -3,10 +3,11 @@ leg gluing (pairing and partial gluing), the formal Gaussian integral,
 and the inverse of the wheeling map.
 
 Gluing sums run over concrete leg matchings (injections, bijections, or
-perfect matchings of legs).  Automorphisms of a term permute its
-matchings without changing the glued diagram or its sign, so each
-automorphism orbit is glued once and weighted by its size; the folded
-result of a term, or of a term pair, is memoized as a gluing table.
+perfect matchings of legs), all listed by ``_gluings``.  Automorphisms
+of a term permute its matchings without changing the glued diagram or
+its sign, so the first matching of each automorphism orbit is glued,
+weighted by the orbit size; the folded result of a term, or of a term
+pair, is memoized as a gluing table.
 Closed components take part in no gluing: a table glues the open
 components alone and joins the closed ones back unchanged, and a
 leg-free first term glues nothing.
@@ -19,7 +20,6 @@ the parts times (-1/f)^k.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -31,9 +31,9 @@ from .diagrams import (
     StructuralError,
     _STRUT_SERIAL,
     canonicalize,
+    diagram_of,
     glue_legs,
     leg_automorphisms,
-    relabel_union,
 )
 from .qseries import modified_bernoulli
 
@@ -78,15 +78,25 @@ def omega(imax: int) -> DiagramSeries:
         for m in range(1, imax // 2 + 1))).exp_union()
 
 
-def _pairings(items: list):
-    """All perfect matchings of a list (yields lists of pairs)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for i in range(len(rest)):
-        for tail in _pairings(rest[:i] + rest[i + 1:]):
-            yield [(first, rest[i])] + tail
+def _gluings(m: int, glued: range, partners: range):
+    """Partner tuples over ``range(m)`` (see ``_fold_orbits``): the first
+    still-free leg of ``glued`` is glued to each free leg of ``partners``
+    in ascending order, and each choice is extended in turn.  Glued to
+    themselves, all legs give the perfect matchings; two disjoint ranges
+    give the injections in ``itertools.permutations`` order."""
+    p = list(range(m))
+
+    def extend():
+        i = next((i for i in glued if p[i] == i), None)
+        if i is None:
+            yield tuple(p)
+            return
+        for j in partners:
+            if j != i and p[j] == j:
+                p[i], p[j] = j, i
+                yield from extend()
+                p[i], p[j] = i, j
+    return extend()
 
 
 def _fold_orbits(g: JacobiDiagram, gens, gluings
@@ -143,28 +153,11 @@ def _gluing_table(f1: CanonicalForm, f2: CanonicalForm | None = None
         return tuple((form.union(rest), n) for form, n in _gluing_table(
             *(CanonicalForm(tuple(c for c in f.components if c[1]))
               for f in forms)))
-    g1 = f1.diagram()
-    if f2 is None:
-        gluings = []
-        for matching in _pairings(list(range(g1.m))):
-            p = [0] * g1.m
-            for i, j in matching:
-                p[i], p[j] = j, i
-            gluings.append(tuple(p))
-        return _fold_orbits(g1, leg_automorphisms(f1), gluings)
-    g2 = f2.diagram()
-    m1, m2 = g1.m, g2.m
-    combined = relabel_union(g1, g2)
-    gens = [s + tuple(range(m1, m1 + m2)) for s in leg_automorphisms(f1)]
-    gens += [tuple(range(m1)) + tuple(m1 + i for i in s)
-             for s in leg_automorphisms(f2)]
-    gluings = []
-    for sel in itertools.permutations(range(m1, m1 + m2), m1):
-        p = list(range(m1 + m2))
-        for i, j in enumerate(sel):
-            p[i], p[j] = j, i
-        gluings.append(tuple(p))
-    return _fold_orbits(combined, gens, gluings)
+    g = diagram_of(*forms)
+    glued = range(f1.m)
+    partners = glued if f2 is None else range(f1.m, g.m)
+    return _fold_orbits(g, leg_automorphisms(*forms),
+                        _gluings(g.m, glued, partners))
 
 
 def _glue_terms(d: DiagramSeries, y: DiagramSeries, fits) -> DiagramSeries:

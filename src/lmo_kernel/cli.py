@@ -15,10 +15,10 @@ file knot without ``--qdata`` for the perturbative side, order 0, a
 ``compare`` order above ``pipeline.MAX_ORDER`` (the largest the vertex
 cap admits), a ``verify`` order above it for the ``all``, ``omega`` or
 ``circle`` suite (before any suite runs), a negative ``compare
---valid-degree``, an unwritable ``--out`` path, or an
-input the kernel rejects (structural, series, pole, Lie-data or
-root-system error), prints one JSON line ``{"error": ...}`` to stderr
-and exits 2.
+--valid-degree``, an unwritable ``--out`` path, a report coefficient
+too long to print, or an input the kernel rejects (structural, series,
+pole, Lie-data or root-system error), prints one JSON line
+``{"error": ...}`` to stderr and exits 2.
 """
 
 from __future__ import annotations

@@ -28,10 +28,10 @@ minimal serial gives an automorphism that fixes their common prefix and
 maps the first one's explored subtree onto the rest of the current one,
 so the search returns straight to their deepest common ancestor, or
 leaves the start when the two starts differ.  A start in the orbit of an
-explored start, under the automorphisms found so far, is skipped.  The
-tied candidates at the minimal serial, measured against the first one,
-together with the automorphisms that merged start orbits, generate the
-component's automorphism group.  The search reads a component's shape
+explored start, under the automorphisms found so far, is skipped.  Every
+automorphism found is a generator, the ones found at a serial that a
+later candidate beats too, and together they generate the component's
+automorphism group.  The search reads a component's shape
 and nothing else: the ports of its edges in order, a trivalent port as
 3 * rank + slot with the vertices ranked in ascending order, and every
 leg as ``LEG``.  Components that differ only by a monotone renumbering
@@ -50,7 +50,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .qseries import json_int, json_key, json_rational, sum_products
+from .qseries import (json_int, json_key, json_rational, rational_str,
+                      sum_products)
 
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
@@ -95,6 +96,9 @@ class JacobiDiagram:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        for name, n in (("t", self.t), ("m", self.m)):
+            if n < 0:
+                raise StructuralError(f"{name} must be >= 0, got {n}")
         if self.t + self.m > MAX_VERTICES:
             raise StructuralError(
                 f"diagram with {self.t + self.m} vertices exceeds desk scale")
@@ -193,31 +197,35 @@ class CanonicalForm:
         return CanonicalForm(tuple(sorted(self.components + other.components)))
 
     def diagram(self) -> JacobiDiagram:
-        """Rebuild a concrete representative with spec vertex numbering:
-        each component in turn takes the next trivalent vertices, in label
-        order, and the next legs, in ascending order of the port 3 * label
-        + slot at their trivalent ends.  ``leg_automorphisms`` relies on
-        this leg numbering."""
-        edges: list[Edge] = []
-        tv_off = 0
-        t_total = self.t
-        leg_next = t_total
-        for t_c, m_c, rows in self.components:
-            if t_c == 0:  # strut
-                edges.append(((leg_next, 0), (leg_next + 1, 0)))
-                leg_next += 2
-                continue
-            for k, row in enumerate(rows):
-                for other, own in row:
-                    own_port = (tv_off + own // 3, own % 3)
-                    if other == LEG:
-                        edges.append((own_port, (leg_next, 0)))
-                        leg_next += 1
-                    else:
-                        edges.append(((tv_off + other // 3, other % 3),
-                                      own_port))
-            tv_off += t_c
-        return JacobiDiagram(t_total, self.m, tuple(edges))
+        return diagram_of(self)
+
+
+def diagram_of(*forms: CanonicalForm) -> JacobiDiagram:
+    """A concrete representative of the union of ``forms``: each component
+    of each form in turn takes the next trivalent vertices, in label
+    order, and the next legs after all of them, in ascending order of the
+    port 3 * label + slot at their trivalent ends.  ``_LEG_GROUPS`` and
+    ``leg_automorphisms`` number legs by this rule."""
+    edges: list[Edge] = []
+    tv_off = 0
+    t_total = sum(f.t for f in forms)
+    leg_next = t_total
+    for t_c, _, rows in (c for f in forms for c in f.components):
+        if t_c == 0:  # strut
+            edges.append(((leg_next, 0), (leg_next + 1, 0)))
+            leg_next += 2
+            continue
+        for row in rows:
+            for other, own in row:
+                own_port = (tv_off + own // 3, own % 3)
+                if other == LEG:
+                    edges.append((own_port, (leg_next, 0)))
+                    leg_next += 1
+                else:
+                    edges.append(((tv_off + other // 3, other % 3),
+                                  own_port))
+        tv_off += t_c
+    return JacobiDiagram(t_total, leg_next - t_total, tuple(edges))
 
 
 EMPTY_FORM = CanonicalForm(())
@@ -331,12 +339,13 @@ def _canon_component(shape: tuple[int, ...]
     their index in the shape, in the order of the new ports 3 * label +
     slot at their trivalent ends.  Two labelings of one serial differ by
     an automorphism, which sends the i-th leg of the one's list to the
-    i-th of the other's.  The pairs (t0, t), for every labeling t at the
-    minimal serial that the search reached, t0 the first of them, and
-    every pair that merged start orbits generate the automorphism group.
-    ``gens`` lists the leg permutations they induce but the identity, a
-    leg numbered by its place in t0's list, as ``CanonicalForm.diagram``
-    numbers the serial's legs: g sends leg i to leg g[i].
+    i-th of the other's.  Each labeling that ties the first one at the
+    serial best at that moment gives one, kept as a map from leg edge to
+    leg edge even if a smaller serial overtakes, and together they
+    generate the group.  ``gens`` lists the leg permutations they induce
+    but the identity, a leg numbered by its place in the final first
+    labeling's list, as ``diagram_of`` numbers the serial's legs: g sends
+    leg i to leg g[i].
     """
     n_legs = shape.count(LEG)
     T = (len(shape) - n_legs) // 3
@@ -365,10 +374,16 @@ def _canon_component(shape: tuple[int, ...]
     cells, colour = _equitable(key, nbrs)
     starts = cells[min(cells, key=lambda c: (len(cells[c]), c))]
 
+    legs = [(i, divmod(p, 3)) for i, (p, q) in enumerate(edges) if q == LEG]
+
+    def leg_order(label: dict[int, int], perm: dict) -> tuple[int, ...]:
+        return tuple(i for _, i in sorted(
+            (3 * label[v] + perm[v][s], i) for i, (v, s) in legs))
+
     best: list = [None]        # best complete serial
     best_signs: set[int] = set()
-    tied: list = []            # labelings at best, the first one first
-    kept: list = []            # labeling pairs that merged start orbits
+    first: list = []           # the first labeling at best, its leg order
+    autos: list = []           # the automorphisms found, leg edge -> leg edge
     orbit = {v: v for v in starts}  # union-find of starts under those
 
     def find(v: int) -> int:
@@ -379,22 +394,19 @@ def _canon_component(shape: tuple[int, ...]
 
     def leaf(label: dict[int, int], perm: dict, order: list[int],
              sign: int) -> int:
-        """A complete labeling at the best serial: record it with its
-        sign, merge the start orbits that the automorphism from the first
-        such labeling onto it joins, and return the depth to resume at."""
+        """A complete labeling at the best serial: record its sign and the
+        automorphism from the first such labeling onto it, merge the start
+        orbits that it joins, and return the depth to resume at."""
         best_signs.add(sign)
-        tied.append((dict(label), dict(perm)))
-        if len(tied) == 1:
+        if not first:
+            first[:] = dict(label), dict(perm), leg_order(label, perm)
             return T
-        (label0, perm0), here = tied[0], tied[-1]
-        merged = False
+        label0, perm0, legs0 = first
+        autos.append(dict(zip(legs0, leg_order(label, perm))))
         for v in starts:
             a, b = find(v), find(order[label0[v]])
             if a != b:
                 orbit[a] = b
-                merged = True
-        if merged:
-            kept.append((tied[0], here))
         if len(best_signs) == 2:
             return -1  # an orientation-odd automorphism: the zero diagram
         if label0[order[0]] != 0:
@@ -436,7 +448,7 @@ def _canon_component(shape: tuple[int, ...]
                 if row < ref:
                     best[0] = None  # strictly better prefix found
                     best_signs.clear()
-                    tied.clear()
+                    first.clear()
             label[u] = k
             perm[u] = p
             order.append(u)
@@ -482,17 +494,8 @@ def _canon_component(shape: tuple[int, ...]
         search(v, None, 0, col, [], {}, {}, [], 1)
         if len(best_signs) == 2:
             return None, 0, ()
-    legs = [(i, divmod(p, 3)) for i, (p, q) in enumerate(edges) if q == LEG]
-
-    def leg_order(labeling) -> tuple[int, ...]:
-        label, perm = labeling
-        return tuple(i for _, i in sorted(
-            (3 * label[v] + perm[v][s], i) for i, (v, s) in legs))
-
-    pos = {i: k for k, i in enumerate(leg_order(tied[0]))}
-    gens = {tuple(pos[b_i] for _, b_i in sorted(
-                zip(map(pos.get, leg_order(a)), leg_order(b))))
-            for a, b in [(tied[0], t) for t in tied[1:]] + kept}
+    pos = {i: k for k, i in enumerate(first[2])}
+    gens = {tuple(pos[a[i]] for i in first[2]) for a in autos}
     gens.discard(tuple(range(n_legs)))
     return (T, n_legs, best[0]), next(iter(best_signs)), tuple(sorted(gens))
 
@@ -548,23 +551,25 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     return out
 
 
-def leg_automorphisms(form: CanonicalForm) -> tuple[tuple[int, ...], ...]:
+def leg_automorphisms(*forms: CanonicalForm) -> tuple[tuple[int, ...], ...]:
     """Generators of the leg permutations that automorphisms of
-    ``form.diagram()`` induce, g sending leg ``t + i`` to ``t + g[i]``:
-    the leg group of each component's serial, shifted onto its legs, and
-    a leg-for-leg swap of every two equal neighbouring components.  Every
+    ``diagram_of(*forms)`` mapping each form to itself induce, g sending
+    leg ``t + i`` to ``t + g[i]``: the leg group of each component's
+    serial, shifted onto its legs, and a leg-for-leg swap of every two
+    equal neighbouring components of one form, never of two forms.  Every
     automorphism of a nonzero diagram preserves the orientation."""
-    ident = tuple(range(form.m))
+    ident = tuple(range(sum(f.m for f in forms)))
     gens = set()
     off = 0
-    for k, comp in enumerate(form.components):
-        n = comp[1]
-        gens.update(ident[:off] + tuple(off + i for i in g) + ident[off + n:]
-                    for g in _LEG_GROUPS[comp])
-        if k and comp == form.components[k - 1]:
-            gens.add(ident[:off - n] + ident[off:off + n]
-                     + ident[off - n:off] + ident[off + n:])
-        off += n
+    for form in forms:
+        for k, comp in enumerate(form.components):
+            n = comp[1]
+            gens.update(ident[:off] + tuple(off + i for i in g)
+                        + ident[off + n:] for g in _LEG_GROUPS[comp])
+            if k and comp == form.components[k - 1]:
+                gens.add(ident[:off - n] + ident[off:off + n]
+                         + ident[off - n:off] + ident[off + n:])
+            off += n
     gens.discard(ident)
     return tuple(sorted(gens))
 
@@ -680,7 +685,7 @@ class DiagramSeries:
         return f"DiagramSeries({len(self.terms)} terms, imax={self.imax})"
 
     def to_json(self) -> list:
-        return [{"coeff": f"{c.numerator}/{c.denominator}",
+        return [{"coeff": rational_str(c),
                  "diagram": f.diagram().to_json()}
                 for f, c in sorted(self.terms.items(),
                                    key=lambda kv: kv[0].components)]
@@ -704,18 +709,6 @@ class DiagramSeries:
 def series_of(d: JacobiDiagram, imax: int, *,
               coeff: Fraction | int = 1) -> DiagramSeries:
     return DiagramSeries.of_diagrams(imax, [(d, coeff)])
-
-
-def relabel_union(d1: JacobiDiagram, d2: JacobiDiagram) -> JacobiDiagram:
-    """Disjoint union of two labeled diagrams: the trivalent vertices of
-    ``d1``, then of ``d2``, then the legs of ``d1``, then of ``d2``, each
-    in their original order."""
-    def shifted(d: JacobiDiagram, tv_shift: int, leg_shift: int) -> list:
-        return [tuple((v + (tv_shift if v < d.t else leg_shift), s)
-                      for v, s in e) for e in d.edges]
-
-    return JacobiDiagram(d1.t + d2.t, d1.m + d2.m, tuple(
-        shifted(d1, 0, d2.t) + shifted(d2, d1.t, d1.t + d1.m)))
 
 
 def glue_legs(d: JacobiDiagram, pairs: Iterable[tuple[int, int]]

@@ -64,7 +64,8 @@ from pathlib import Path
 from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
-from .qseries import HSeries, modified_bernoulli, sinh_ratio, sum_products
+from .qseries import (HSeries, modified_bernoulli, rational_str, sinh_ratio,
+                      sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
 
@@ -347,7 +348,7 @@ def _fields_json(report) -> dict:
         if isinstance(v, HSeries):
             return v.to_json()
         if isinstance(v, Fraction):
-            return f"{v.numerator}/{v.denominator}"
+            return rational_str(v)
         return v
     return {f.name: value(getattr(report, f.name)) for f in fields(report)}
 

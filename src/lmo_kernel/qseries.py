@@ -69,19 +69,38 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def _spells_int(s: str) -> bool:
+    """Whether ``s`` is an integer spelled as ``str`` spells it: ``int``
+    alone also reads "1_0", " 2" and "02"."""
+    return s.removeprefix("-").isdecimal() and str(int(s)) == s
+
+
 def json_key(k: str, what: str) -> int:
-    """An integer key of a JSON object, spelled as ``str`` spells it:
-    ``int`` alone also reads "1_0", " 2" and "02"."""
-    if not k.removeprefix("-").isdecimal() or str(int(k)) != k:
+    """An integer key of a JSON object, spelled as ``str`` spells it."""
+    if not _spells_int(k):
         raise ValueError(f"{what} {k!r} is not an integer key")
     return int(k)
 
 
 def json_rational(x, what: str) -> Fraction:
-    """A coefficient field of a JSON file: a "p/q" string or an integer."""
-    if type(x) is not int and not isinstance(x, str):
-        raise TypeError(f'{what} {x!r} is not a "p/q" string or an integer')
-    return Fraction(x)
+    """A coefficient field of a JSON file: an integer, or a "p/q" string,
+    p and q spelled as ``str`` spells integers and q > 0 (``Fraction``
+    also reads "0.1", and "1e10000000" only after seconds)."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        p, slash, q = x.partition("/")
+        if slash and _spells_int(p) and _spells_int(q) and int(q) > 0:
+            return Fraction(int(p), int(q))
+    raise ValueError(f'{what} {x!r} is not a "p/q" string or an integer')
+
+
+def rational_str(v: Fraction) -> str:
+    """``v`` as "p/q"; past ``sys.get_int_max_str_digits``, a SeriesError."""
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError as exc:
+        raise SeriesError("a coefficient is too long to print") from exc
 
 
 class HSeries:
@@ -220,7 +239,7 @@ class HSeries:
     def to_json(self) -> dict:
         return {
             "min_exp": min(min(self.coeffs, default=0), 0),
-            "coeffs": {str(k): f"{v.numerator}/{v.denominator}"
+            "coeffs": {str(k): rational_str(v)
                        for k, v in sorted(self.coeffs.items())},
             "cap": self.cap,
         }

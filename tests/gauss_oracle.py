@@ -7,7 +7,10 @@ all (2k)! leg bijections.  ``fg_integral``, ``pair`` and ``partial``
 glue every perfect matching, bijection or injection of each term (or
 term pair) and fold the results by canonicalization alone.  They are
 slow but follow the definitions word for word, so the tests compare the
-orbit-summed gluing tables of ``balg`` against them.
+orbit-summed gluing tables of ``balg`` against them.  They enumerate
+matchings with ``itertools`` and ``perfect_matchings``, and build a
+union of two diagrams with ``relabel_union``, never through ``balg``'s
+own enumerator or ``diagrams.diagram_of``.
 
 ``fg_integral`` integrates a framed series exp((f/2) strut) ⊔ Y
 literally: ``strut_split`` reads f off the strut coefficient and divides
@@ -29,16 +32,41 @@ import itertools
 from fractions import Fraction
 
 from lmo_kernel.balg import (
-    _assert_strut_free, _pairings, _strut_count, omega, strut, theta)
+    _assert_strut_free, _strut_count, omega, strut, theta)
 from lmo_kernel.diagrams import (
     DiagramSeries,
+    JacobiDiagram,
     StructuralError,
     canonicalize,
     glue_legs,
-    relabel_union,
     series_of,
 )
 from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, knot_key
+
+
+def perfect_matchings(items: list) -> list[list[tuple]]:
+    """Every perfect matching of ``items``, as lists of pairs: the first
+    item paired with each later one in turn, then the matchings of the
+    rest.  An odd list has none."""
+    if not items:
+        return [[]]
+    out = []
+    for i in range(1, len(items)):
+        rest = items[1:i] + items[i + 1:]
+        out += [[(items[0], items[i])] + m for m in perfect_matchings(rest)]
+    return out
+
+
+def relabel_union(d1: JacobiDiagram, d2: JacobiDiagram) -> JacobiDiagram:
+    """Disjoint union of two labeled diagrams: the trivalent vertices of
+    ``d1``, then of ``d2``, then the legs of ``d1``, then of ``d2``, each
+    in their original order."""
+    def shifted(d: JacobiDiagram, tv_shift: int, leg_shift: int) -> list:
+        return [tuple((v + (tv_shift if v < d.t else leg_shift), s)
+                      for v, s in e) for e in d.edges]
+
+    return JacobiDiagram(d1.t + d2.t, d1.m + d2.m, tuple(
+        shifted(d1, 0, d2.t) + shifted(d2, d1.t, d1.t + d1.m)))
 
 
 def _union_with_legs(d1, d2):
@@ -145,7 +173,7 @@ def fg_integral(s: DiagramSeries) -> DiagramSeries:
                 continue  # no perfect matching by struts
             weight = coeff * (Fraction(-1) / f) ** (form.m // 2)
             g = form.diagram()
-            for matching in _pairings(list(g.legs())):
+            for matching in perfect_matchings(list(g.legs())):
                 yield glue_legs(g, matching), weight
     return DiagramSeries.of_diagrams(y.imax, glued())
 

@@ -2,16 +2,20 @@
 integral, and the wheeling inverse."""
 
 import itertools
+import math
+import sys
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import canon_oracle
 import gauss_oracle
 from canon_oracle import leg_group
+from gauss_oracle import relabel_union
 from lmo_kernel.balg import (
     _gluing_table,
+    _gluings,
     _strut_count,
     fg_integral,
     fg_parts,
@@ -23,7 +27,9 @@ from lmo_kernel.balg import (
     wheel,
     wheeling_inverse,
 )
+from lmo_kernel import diagrams
 from lmo_kernel.diagrams import (
+    LEG,
     MAX_VERTICES,
     CanonicalForm,
     DiagramSeries,
@@ -31,9 +37,9 @@ from lmo_kernel.diagrams import (
     StructuralError,
     _canon_component,
     canonicalize,
+    diagram_of,
     glue_legs,
     leg_automorphisms,
-    relabel_union,
     series_of,
 )
 from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, knot_key
@@ -148,6 +154,37 @@ class TestStrutSplit:
             gauss_oracle.strut_split(s)
 
 
+def _as_partner_tuple(m: int, pairs) -> tuple[int, ...]:
+    p = list(range(m))
+    for i, j in pairs:
+        p[i], p[j] = j, i
+    return tuple(p)
+
+
+class TestGluings:
+    """``_gluings`` lists every matching once, in the order of the literal
+    enumerators: that order fixes which member of each orbit is glued."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10))
+    def test_perfect_matchings(self, m):
+        got = list(_gluings(m, range(m), range(m)))
+        assert got == [_as_partner_tuple(m, matching) for matching in
+                       gauss_oracle.perfect_matchings(list(range(m)))]
+        assert len(set(got)) == len(got) == (
+            0 if m % 2 else math.prod(range(1, m, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10).flatmap(
+        lambda m: st.tuples(st.integers(0, m // 2), st.just(m))))
+    def test_injections(self, sizes):
+        m1, m = sizes
+        got = list(_gluings(m, range(m1), range(m1, m)))
+        assert got == [_as_partner_tuple(m, enumerate(sel)) for sel in
+                       itertools.permutations(range(m1, m), m1)]
+        assert len(set(got)) == len(got) == math.perm(m - m1, m1)
+
+
 class TestGaussianIntegral:
     def test_unit(self):
         assert fg_integral(DiagramSeries.unit(6), f_override=2) == \
@@ -156,9 +193,9 @@ class TestGaussianIntegral:
     def test_odd_leg_terms_vanish(self):
         # no perfect matching exists on an odd leg set, so odd-legged
         # terms integrate to zero ...
-        from lmo_kernel.balg import _pairings
-        assert list(_pairings([1, 2, 3])) == []
-        assert list(_pairings([1, 2, 3, 4, 5])) == []
+        for m in (3, 5):
+            assert gauss_oracle.perfect_matchings(list(range(m))) == []
+            assert list(_gluings(m, range(m), range(m))) == []
         # ... and at desk scale the small odd-legged diagrams are already
         # killed by an orientation-odd symmetry before integration
         pentagon = JacobiDiagram(
@@ -320,6 +357,22 @@ class TestLegAutomorphisms:
         assert leg_group_order(leg_automorphisms(b), 4) == 2
         assert leg_group_order(leg_automorphisms(a.union(b)), 8) == 8
 
+    def test_forms_do_not_swap_with_each_other(self):
+        """The legs of ``diagram_of(w, w)`` belong to two forms: each
+        wheel keeps its own group, and no generator swaps the two."""
+        w = canonicalize(wheel(1)).form
+        assert leg_automorphisms(w, w) == ((0, 1, 3, 2), (1, 0, 2, 3))
+        assert leg_group_order(leg_automorphisms(w, w), 4) == 4
+        assert leg_group_order(leg_automorphisms(w.union(w)), 4) == 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(several_components(), several_components())
+    def test_diagram_of_numbers_as_relabel_union(self, d, e):
+        f1, f2 = canonicalize(d).form, canonicalize(e).form
+        assume(f1.t + f1.m + f2.t + f2.m <= MAX_VERTICES)
+        assert diagram_of(f1, f2) == relabel_union(f1.diagram(),
+                                                   f2.diagram())
+
     def test_closed_components_move_no_leg(self):
         form = canonicalize(relabel_union(theta(), wheel(1))).form
         assert leg_automorphisms(form) == ((1, 0),)
@@ -334,10 +387,9 @@ class TestLegAutomorphisms:
         assert leg_group(leg_automorphisms(form), d.m) == \
             leg_group(canon_oracle.leg_maps(form.diagram()), d.m)
 
-    def test_generators_from_an_overtaken_serial_are_kept(self):
-        """Here the search skips starts by automorphisms found at a serial
-        that a later start beats; the tied labelings at the final serial
-        alone span a leg group of order 2, not 4."""
+    def test_tied_labelings_span_a_group_of_order_four(self):
+        """This search never beats its first serial: its tied labelings
+        alone span the whole leg group."""
         d = JacobiDiagram(8, 4, (
             ((0, 0), (4, 0)), ((0, 1), (4, 1)), ((0, 2), (10, 0)),
             ((1, 0), (3, 0)), ((1, 1), (2, 0)), ((1, 2), (8, 0)),
@@ -351,6 +403,34 @@ class TestLegAutomorphisms:
         # finds the whole group
         assert leg_group(_canon_component(shape_of(d))[2], 4) == group
         assert leg_group(leg_automorphisms(form), 4) == group
+
+    def test_generators_from_an_overtaken_serial_are_kept(self):
+        """This shape's search ties at a serial that a later candidate
+        beats: the automorphism found at the overtaken serial stays a
+        generator, and the generators span the oracle's leg group."""
+        shape = (0, 16, 1, 7, 2, 10, 3, 12, 4, 15, 5, 6, 8, LEG, 9, LEG,
+                 11, 23, 13, 18, 14, 19, 17, 21, 20, 22)
+        overtaken = []
+
+        def watch(frame, event, arg):
+            # a leaf with no first labeling, after automorphisms were
+            # found, is the first at a serial that beat theirs
+            code = frame.f_code
+            if (event == "call" and code.co_name == "leaf"
+                    and code.co_filename == diagrams.__file__
+                    and not frame.f_locals["first"]):
+                overtaken.append(len(frame.f_locals["autos"]))
+
+        sys.setprofile(watch)
+        try:
+            serial, sign, gens = _canon_component(shape)
+        finally:
+            sys.setprofile(None)
+        assert overtaken[-1] > 0
+        assert (serial[0], serial[1], sign, gens) == (8, 2, -1, ((1, 0),))
+        form = CanonicalForm((serial,))
+        assert leg_group(gens, 2) == \
+            leg_group(canon_oracle.leg_maps(form.diagram()), 2)
 
     def test_zero_diagram_rejected(self):
         tripod = JacobiDiagram(1, 3, (((0, 0), (1, 0)), ((0, 1), (2, 0)),

@@ -136,6 +136,20 @@ _INEXACT_QDATA = {
     _one_series(cap=1.9): "cap 1.9 is not an integer",
     _one_series(min_exp=True): "min_exp True is not an integer",
     _one_series(coeff=0.1): "0.1 is not a \"p/q\" string"}
+# coefficient strings that ``Fraction`` reads but that are not "p/q" with
+# p and q spelled as ``str`` spells integers and q > 0; "1e1000000" used
+# to end in a traceback when the report was printed
+_BAD_COEFF_STRINGS = ("0.1", "1e5", "1e1000000", " 1/2", "1_0/3", "1/0",
+                      "1/-2")
+_BAD_COEFFS = {
+    **{_unit_plus_theta(coeff=c): f'coefficient {c!r} is not a "p/q"'
+       for c in _BAD_COEFF_STRINGS},
+    **{_one_series(coeff=c): f'coefficient of h^0 {c!r} is not a "p/q"'
+       for c in _BAD_COEFF_STRINGS}}
+# a diagram with t = -1 and m = 3 has 3t + m = 0 ports; it used to be
+# read as two struts
+_NEGATIVE_T = json.dumps(json.loads(_UNIT_KNOT) + [
+    {"coeff": "1/1", "diagram": {"t": -1, "m": 3, "edges": []}}])
 # files with a JSON object key that ``int`` reads but ``str`` would not
 # write, or a cyclic key that names no trivalent vertex, each with the
 # words of its message
@@ -161,7 +175,8 @@ _DIRECTORY = object()
 _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
             _UNIT_KNOT: "entry 0 has no field 'beta'",
             **_INEXACT_KNOTS, **_INEXACT_QDATA, **_BAD_SERIES_KEYS,
-            **_BAD_CYCLIC_KEYS}
+            **_BAD_CYCLIC_KEYS, **_BAD_COEFFS,
+            _NEGATIVE_T: "t must be >= 0, got -1"}
 
 
 @pytest.mark.parametrize("option, content", [
@@ -188,6 +203,9 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
     *(("--qdata", content) for content in _INEXACT_QDATA),
     *(("--qdata", content) for content in _BAD_SERIES_KEYS),
     *(("--knot", content) for content in _BAD_CYCLIC_KEYS),
+    *(("--knot" if "diagram" in content else "--qdata", content)
+      for content in _BAD_COEFFS),
+    ("--knot", _NEGATIVE_T),
     pytest.param("--knot", _DIRECTORY, id="--knot-directory"),
     pytest.param("--knot", b"[\xff\xfe]", id="--knot-non-utf8"),
     pytest.param("--knot", "", id="--knot-empty"),
@@ -253,6 +271,25 @@ def test_kernel_rejection_of_file_knot_is_one_error_line(tmp_path, capsys):
         assert main([command, "--framing", "2", "--lie", "A1", "--order",
                      "2", "--qdata", str(qdata)]) == 2
         _assert_one_error_line(capsys)
+
+
+def test_a_report_too_long_to_print_is_one_error_line(tmp_path, capsys):
+    """Each coefficient of the file has 4 299 digits, which the rule
+    admits, but the report's have more than the interpreter converts to
+    a string: one error line, no traceback, and the limit stays."""
+    obj = omega(8).to_json()
+    for entry in obj:
+        if entry["coeff"] != "1/1":
+            entry["coeff"] = "9" * 4299 + "/1"
+    knot = tmp_path / "knot.json"
+    knot.write_text(json.dumps(obj))
+    assert main(["compare", "--knot", str(knot), "--framing", "2",
+                 "--lie", "A1", "--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert "too long to print" in json.loads(line)["error"]
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_negative_valid_degree_is_one_error_line(tmp_path, capsys):

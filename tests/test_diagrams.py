@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import canon_oracle
 import series_oracle
-from gauss_oracle import reduced_integrand
+from gauss_oracle import reduced_integrand, relabel_union
 from series_oracle import coeff_of
 from lmo_kernel import diagrams, pipeline
 from lmo_kernel.balg import fg_integral, strut, theta, wheel
@@ -32,7 +32,6 @@ from lmo_kernel.diagrams import (
     canonicalize,
     glue_legs,
     leg_automorphisms,
-    relabel_union,
     series_of,
 )
 from lmo_kernel.pipeline import SurgeryInput
@@ -104,6 +103,14 @@ class TestValidation:
     def test_desk_scale_cap(self):
         with pytest.raises(StructuralError):
             wheel(7)
+
+    @pytest.mark.parametrize("t, m", [(-1, 3), (2, -2)])
+    def test_negative_counts_rejected(self, t, m):
+        """(-1, 3) has 3t + m = 0 ports, so no port check sees it; it
+        used to canonicalize as two struts, which have 4 legs."""
+        name = "t" if t < 0 else "m"
+        with pytest.raises(StructuralError, match=f"{name} must be >= 0"):
+            JacobiDiagram(t, m, ())
 
     def test_degrees(self):
         assert wheel(1).degree == 2 and wheel(1).t == 2 and wheel(1).m == 2
@@ -430,7 +437,6 @@ class TestSeries:
         assert form.degree == 4 and coeff == 1
 
     def test_bilinearity(self):
-        from lmo_kernel.diagrams import relabel_union
         a = series_of(wheel(1), 8, coeff=2)
         b = series_of(wheel(2), 8, coeff=3)
         w24 = relabel_union(wheel(1), wheel(2))
@@ -479,7 +485,6 @@ class TestExpUnion:
         assert DiagramSeries(4).exp_union() == DiagramSeries.unit(4)
 
     def test_wheel_exponential_truncated(self):
-        from lmo_kernel.diagrams import relabel_union
         arg = series_of(wheel(1), 4, coeff=modified_bernoulli(1))
         e = arg.exp_union()
         w2w2 = relabel_union(wheel(1), wheel(1))
@@ -491,7 +496,6 @@ class TestExpUnion:
         # struts have no internal vertex, so only the leg bound 2 * imax
         # cuts exp(strut): at imax 3 it keeps 0..3 struts, each 1/k!
         from math import factorial
-        from lmo_kernel.diagrams import relabel_union
         e = series_of(strut(), 3, coeff=1).exp_union()
         assert sorted(f.m for f in e.terms) == [0, 2, 4, 6]
         d = JacobiDiagram(0, 0, ())
@@ -500,7 +504,6 @@ class TestExpUnion:
             d = relabel_union(d, strut())
 
     def test_strut_exponential_degree_two(self):
-        from lmo_kernel.diagrams import relabel_union
         f = Q(3)
         arg = series_of(strut(), 4, coeff=f / 2)
         e = arg.exp_union()
@@ -710,3 +713,48 @@ def test_cold_compare_work_count():
         assert calls <= max_calls, order
         assert nodes <= max_nodes, order
         assert starts <= max_starts, order
+
+
+_COUNT_GLUINGS = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from lmo_kernel import balg, cli
+counts = {"tables": 0, "matchings": 0, "orbits": 0}
+gluings, glue_legs = balg._gluings, balg.glue_legs
+def counted_gluings(*args):
+    counts["tables"] += 1
+    for p in gluings(*args):
+        counts["matchings"] += 1
+        yield p
+def counted_glue_legs(*args):
+    counts["orbits"] += 1
+    return glue_legs(*args)
+balg._gluings, balg.glue_legs = counted_gluings, counted_glue_legs
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+print(code, *counts.values())
+"""
+
+
+#: (order, gluing tables enumerated, matchings, orbits glued) of a fresh
+#: ``compare --lie A1 --framing 2``, measured when every table came to
+#: enumerate its matchings through ``balg._gluings``; do not raise them.
+_COLD_COMPARE_GLUINGS = ((4, 34, 819, 114), (5, 104, 10227, 577))
+
+
+def test_cold_compare_gluing_count():
+    """A fresh ``compare --lie A1 --framing 2`` enumerates leg matchings
+    and glues one per automorphism orbit (one ``glue_legs`` call) within
+    the bounds of ``_COLD_COMPARE_GLUINGS``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for order, max_tables, max_matchings, max_orbits in \
+            _COLD_COMPARE_GLUINGS:
+        out = subprocess.run(
+            [sys.executable, "-c", _COUNT_GLUINGS, str(src), "compare",
+             "--lie", "A1", "--framing", "2", "--order", str(order)],
+            capture_output=True, text=True, timeout=300, check=True)
+        code, tables, matchings, orbits = map(int, out.stdout.split())
+        assert code == 0
+        assert tables <= max_tables, order
+        assert matchings <= max_matchings, order
+        assert orbits <= max_orbits, order

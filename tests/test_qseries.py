@@ -14,6 +14,7 @@ from lmo_kernel.qseries import (
     PoleError,
     SeriesError,
     json_key,
+    json_rational,
     modified_bernoulli,
     q_power,
     sinh_ratio,
@@ -178,6 +179,19 @@ def test_json_key_is_spelled_as_str_spells_it(key):
     assert json_key("-12", "exponent") == -12
     with pytest.raises(ValueError, match=re.escape(f"exponent {key!r} is not")):
         json_key(key, "exponent")
+
+
+@pytest.mark.parametrize("coeff", [
+    "0.1", "1e5", "1e1000000", " 1/2", "1_0/3", "1/0", "1/-2", "-0/1",
+    "1/02", "3", "1/2/3", "\u0663/1", "", 0.5, True, None, [1, 2]])
+def test_json_rational_is_an_int_or_p_over_q_spelled_as_str_spells_them(
+        coeff):
+    """``Fraction`` reads the strings "0.1" through "3" but "1/0" and
+    "1/-2", and "\u0663/1" as 3."""
+    assert json_rational("-6/4", "coefficient") == Q(-3, 2)
+    assert json_rational(7, "coefficient") == 7
+    with pytest.raises(ValueError, match='is not a "p/q" string'):
+        json_rational(coeff, "coefficient")
 
 
 _rat = st.fractions(min_value=-10, max_value=10, max_denominator=12)

@@ -24,9 +24,9 @@ import json
 import random
 from pathlib import Path
 
-from lmo_kernel.balg import _pairings, wheel
-from lmo_kernel.diagrams import JacobiDiagram, canonicalize, glue_legs, \
-    relabel_union
+from gauss_oracle import perfect_matchings, relabel_union
+from lmo_kernel.balg import wheel
+from lmo_kernel.diagrams import JacobiDiagram, canonicalize, glue_legs
 
 RECORDED = Path(__file__).with_name("serials.jsonl")
 
@@ -35,7 +35,7 @@ def _gluings() -> list[JacobiDiagram]:
     pieces = [wheel(4), relabel_union(wheel(2), wheel(2)),
               relabel_union(wheel(3), wheel(1))]
     return [glue_legs(d, matching) for d in pieces
-            for matching in _pairings(list(d.legs()))]
+            for matching in perfect_matchings(list(d.legs()))]
 
 
 def _random_port_matchings(n: int, seed: int) -> list[JacobiDiagram]:
