@@ -47,7 +47,7 @@ the two knots of ``_KNOTS``.  No cache is keyed by the framing, and
 callers only read a cached value.
 
 The gauss suite sums the exponential tensors of the points of the
-squared Weyl sum from ``rootsys._square_sum``, each weighed by its
+squared Weyl sum from ``rootsys._lattice_product``, each weighed by its
 signed count, into one tensor that the Wick operator contracts once per
 framing.
 """
@@ -306,7 +306,7 @@ def load_qdata(path: str, rank: int,
     list of ``rank`` JSON integers, and every entry's series, zero ones
     included, must be known through h^order.  A missing field is named
     with its entry's index."""
-    def parse(obj) -> dict[rootsys.Vec, HSeries]:
+    def entries(obj):
         for i, entry in enumerate(obj):
             try:
                 beta, series = entry["beta"], HSeries.from_json(
@@ -320,10 +320,10 @@ def load_qdata(path: str, rank: int,
             if series.cap < order:
                 raise ValueError(f"beta {beta} has series cap {series.cap}, "
                                  f"below --order {order}")
-        return rootsys.lattice_sum_from_json(obj)
+            yield tuple(beta), series
 
     with _file_errors(path, "expansion-data file"):
-        return parse(json.loads(Path(path).read_text()))
+        return rootsys.lattice_sum(entries(json.loads(Path(path).read_text())))
 
 
 def taupg_route(inp: SurgeryInput, label: str, order: int,
@@ -537,7 +537,8 @@ def _check_gauss(order: int) -> list[CheckResult]:
         rs, g = lie_pair(label)
         tensor = liews.series_tensor((
             ((key, e), count, c)
-            for beta, count in rootsys._square_sum(dict(rs.weyl)).items()
+            for beta, count in rootsys._lattice_product(
+                [rs.weyl, rs.weyl]).items()
             for key, series in liews.exp_tensor(
                 g, g.cartan_vector(beta), cap).items()
             for e, c in series.coeffs.items()), cap)

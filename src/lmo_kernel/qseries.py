@@ -32,6 +32,7 @@ each numerator and denominator from the one before, with no
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Hashable, Iterable, Mapping
@@ -62,23 +63,34 @@ def _as_rational(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _echo(x) -> str:
+    """``repr(x)`` for an error message, cut to 80 characters."""
+    r = repr(x)
+    return r if len(r) <= 80 else r[:77] + "..."
+
+
 def json_int(x, what: str) -> int:
     """An integer field of a JSON file; a float or a bool is not one."""
     if type(x) is not int:
-        raise TypeError(f"{what} {x!r} is not an integer")
+        raise TypeError(f"{what} {_echo(x)} is not an integer")
     return x
 
 
-def _spells_int(s: str) -> bool:
+def _spells_int(s: str, what: str) -> bool:
     """Whether ``s`` is an integer spelled as ``str`` spells it: ``int``
-    alone also reads "1_0", " 2" and "02"."""
-    return s.removeprefix("-").isdecimal() and str(int(s)) == s
+    alone also reads "1_0", " 2" and "02".  An integer with more digits
+    than the interpreter converts is an error that names ``what``."""
+    try:
+        return s.removeprefix("-").isdecimal() and str(int(s)) == s
+    except ValueError:
+        raise ValueError(f"{what} {_echo(s)} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def json_key(k: str, what: str) -> int:
     """An integer key of a JSON object, spelled as ``str`` spells it."""
-    if not _spells_int(k):
-        raise ValueError(f"{what} {k!r} is not an integer key")
+    if not _spells_int(k, what):
+        raise ValueError(f"{what} {_echo(k)} is not an integer key")
     return int(k)
 
 
@@ -90,9 +102,10 @@ def json_rational(x, what: str) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         p, slash, q = x.partition("/")
-        if slash and _spells_int(p) and _spells_int(q) and int(q) > 0:
+        if slash and all(_spells_int(n, what) for n in (p, q)) and int(q) > 0:
             return Fraction(int(p), int(q))
-    raise ValueError(f'{what} {x!r} is not a "p/q" string or an integer')
+    raise ValueError(f'{what} {_echo(x)} is not a "p/q" string or an '
+                     'integer')
 
 
 def rational_str(v: Fraction) -> str:

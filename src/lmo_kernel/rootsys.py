@@ -12,21 +12,21 @@ makes A1 to A7; the command line offers A1 to A3 (``pipeline``).
 
 Lattice coordinates are integers: the Gram matrix, the roots and every
 beta of a lattice sum are ``int`` tuples.  Only rho and its Weyl orbit
-are half-integral; they keep ``Fraction`` coordinates.  The sums over
-such points (``_square_sum``, ``_root_product``) scale them by their
-common denominator, 2 in practice, add integer keys and scale each key
-back at the end, to an ``int`` where it is integral.  Equal ``int`` and
-``Fraction`` tuples hash and compare equal, so a map reads the same
-whichever it holds.
+are half-integral; they keep ``Fraction`` coordinates.  Every Weyl
+double sum and root product is one ``_lattice_product``: it scales the
+points by their common denominator, 2 in practice, adds integer keys
+and scales each key back, to an ``int`` where it is integral.  Equal
+``int`` and ``Fraction`` tuples hash and compare equal, so a map reads
+the same whichever it holds.  Norms |beta|^2 are ``int`` keys: a file's
+betas are integer vectors, and rho + u(rho) is in the root lattice.
 
 Lattice exponentials q^(beta, lambda) stay symbolic until coefficient
 extraction, since the monomials (beta, lambda)^j are linearly dependent
 across beta while the exponential presentation is canonical.  A lattice
-sum is a plain map {beta: Laurent series}, nonzero series only, read
-from and written to the expansion-data format by
-``lattice_sum_from_json`` / ``lattice_sum_to_json``.  Every Weyl double
-sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .) is built by
-``_square_sum``.
+sum is a plain map {beta: Laurent series}, nonzero series only, summed
+from (beta, series) entries by ``lattice_sum`` (the expansion-data
+reader ``pipeline.load_qdata`` feeds it) and written to the
+expansion-data format by ``lattice_sum_to_json``.
 
 ``tau_pg`` reads a list of norm-class groups (sums, cap, {|beta|^2:
 count}): the norm classes of one group share one series, the sums of
@@ -39,12 +39,14 @@ with count 1, from an expansion-data file's lattice sum in one pass.
 The built-in unknot is one group from ``unknot_classes``, without any
 lattice sum: |beta|^2 is W-invariant, so the Weyl fold beta = w(rho +
 u(rho)) counts each class from the |W| points rho + u(rho), and every
-g_beta is its count times one series.  ``quantum_dim_sq_shifted`` still
-builds the unfolded |W|^2-point sum, to write it as expansion data.  The
-Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 - q^(s(rho,a)))
-is lead * h^P times one unit series, q^((3s-f)|rho|^2/2) times the
-sinh ratios of the (rho, a) (``_weyl_prefactor``), read only to the
-order the product with the Gaussian sum can show.
+g_beta is its count times one series, ``_den_inv``, the inverse of
+prod_{a>0} (q^((rho,a)/2) - q^(-(rho,a)/2))^2.
+``quantum_dim_sq_shifted`` still builds the unfolded |W|^2-point sum,
+each point's count times that series, to write it as expansion data.
+The Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 -
+q^(s(rho,a))) is lead * h^P times one unit series, q^((3s-f)|rho|^2/2)
+times the sinh ratios of the (rho, a) (``_weyl_prefactor``), read only
+to the order the product with the Gaussian sum can show.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ Vec = tuple[int, ...]
 Weight = tuple[Fraction, ...]
 #: Groups of norm classes that share one series: (sums of [h^k], cap,
 #: {|beta|^2: count}); ``norm_classes``, ``unknot_classes``
-NormClasses = list[tuple[dict[int, Fraction], int, dict[Fraction, int]]]
+NormClasses = list[tuple[dict[int, Fraction], int, dict[int, int]]]
 
 #: The labels ``build_root_system`` accepts.
 TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
@@ -164,13 +166,12 @@ def build_root_system(label: str) -> RootSystem:
 # lattice-exponential sums
 # ---------------------------------------------------------------------------
 
-def lattice_sum_from_json(obj: list) -> dict[Vec, HSeries]:
-    """Read expansion data as {beta: g_beta}: entries that share a beta
-    add in file order, and a sum that comes out zero is dropped."""
+def lattice_sum(entries) -> dict[Vec, HSeries]:
+    """The lattice sum {beta: g_beta} of (beta, series) entries: entries
+    that share a beta add in order, and a sum that comes out zero is
+    dropped."""
     out: dict[Vec, HSeries] = {}
-    for entry in obj:
-        beta = tuple(entry["beta"])
-        series = HSeries.from_json(entry["series"])
+    for beta, series in entries:
         if beta in out:
             series = out[beta] + series
         if series.is_zero():
@@ -191,34 +192,24 @@ def lattice_sum_to_json(E: dict[Vec, HSeries]) -> list:
     return out
 
 
-def _root_product(rs: RootSystem, factor) -> dict[tuple, Fraction]:
-    """Expand prod over alpha > 0 of sum c q^(t alpha) over the pairs
-    (t, c) of ``factor``."""
-    d = _common_denominator(t for t, _ in factor)
-    out = {(0,) * rs.rank: 1}
-    for alpha in rs.pos_roots:
-        steps = [(tuple([_scaled(t, d) * a for a in alpha]), c)
-                 for t, c in factor]
-        out = sum_products((tuple(map(add, mu, v)), c, s)
-                           for mu, c in out.items() for v, s in steps)
-    return {tuple([_unscaled(m, d) for m in mu]): c for mu, c in out.items()}
-
-
-def _square_sum(a: dict) -> dict[tuple, Fraction]:
-    """The square of a lattice sum with scalar coefficients."""
-    d = _common_denominator(x for m in a for x in m)
-    pts = [(tuple([_scaled(x, d) for x in m]), c) for m, c in a.items()]
-    out = sum_products((tuple(map(add, m1, m2)), c1, c2)
-                       for m1, c1 in pts for m2, c2 in pts)
-    return {tuple([_unscaled(x, d) for x in m]): c for m, c in out.items()}
+def _lattice_product(factors) -> dict[tuple, Fraction]:
+    """The product of lattice sums with scalar coefficients, each a list
+    of (point, c) pairs (pairs that share a point add), on the points
+    scaled by their common denominator."""
+    factors = [list(factor) for factor in factors]
+    d = _common_denominator(x for factor in factors
+                            for point, _ in factor for x in point)
+    scaled = [[(tuple([_scaled(x, d) for x in point]), c)
+               for point, c in factor] for factor in factors]
+    out = sum_products((point, c, 1) for point, c in scaled[0])
+    for factor in scaled[1:]:
+        out = sum_products((tuple(map(add, mu, point)), c, s)
+                           for mu, c in out.items() for point, s in factor)
+    return {tuple([_unscaled(x, d) for x in mu]): c for mu, c in out.items()}
 
 
 @dataclass(frozen=True)
 class WeylDenominatorReport:
-    product: tuple
-    alternating_sum: tuple
-    squared_product: tuple
-    squared_sum: tuple
     equal: bool
     equal_squared: bool
 
@@ -230,56 +221,17 @@ def weyl_denominator(rs: RootSystem) -> WeylDenominatorReport:
 
     Meant for A5 and below: the squared check needs the full |W|^2-point
     square of the alternating sum (518 400 pairs at A5, 1.6e9 at A7)."""
+    def root_product(factor):
+        # prod over alpha > 0 of sum c q^(t alpha) over the pairs (t, c)
+        return _lattice_product([(tuple([t * a for a in alpha]), c)
+                                 for t, c in factor]
+                                for alpha in rs.pos_roots)
+
     half = Fraction(1, 2)
-    prod = _root_product(rs, ((half, 1), (-half, -1)))
-    alt = dict(rs.weyl)
-    prod2 = _root_product(rs, ((1, 1), (0, -2), (-1, 1)))
-    alt2 = _square_sum(alt)
-    as_t = lambda d: tuple(sorted(d.items()))
     return WeylDenominatorReport(
-        product=as_t(prod), alternating_sum=as_t(alt),
-        squared_product=as_t(prod2), squared_sum=as_t(alt2),
-        equal=prod == alt, equal_squared=prod2 == alt2)
-
-
-def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> dict[Vec, HSeries]:
-    """Shifted squared quantum dimension of the unknot:
-    [sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .)] divided by the
-    lambda-free series prod_{a>0} (q^((rho,a)/2) - q^(-(rho,a)/2))^2.
-
-    The g_beta are Laurent series with poles of depth 2 * num_pos.
-    """
-    P = rs.num_pos
-    work = cap + 4 * P
-    den = HSeries.one(work)
-    for alpha in rs.pos_roots:
-        c = rs.inner(rs.rho, alpha)
-        factor = HSeries({1: c}, work) * sinh_ratio(c, work)
-        den = den * factor * factor
-    # every product with a valuation-1 factor but the first raises the
-    # cap by one, so den has cap work + 2P - 1 and den_inv, of valuation
-    # -2P, cap cap + 2P - 1 (A1 at cap 4: 5; A3 at cap 2: 13)
-    den_inv = den.inverse()
-    # one scaled copy per distinct count (25 at A5, for 56 183 points)
-    sq = _square_sum(dict(rs.weyl))
-    scaled = {count: den_inv.scale(count) for count in set(sq.values())}
-    return {beta: scaled[count] for beta, count in sq.items()}
-
-
-def norm_classes(rs: RootSystem, E: dict[Vec, HSeries]) -> NormClasses:
-    """The norm classes of a lattice sum, from one pass over E, one group
-    each with count 1: (sums, cap, {|beta|^2: 1}), where sums[k] is the
-    sum of [h^k] g_beta over the class (every k, nonzero sums only) and
-    cap the smallest cap among its g_beta.  |beta|^2 is taken in the
-    arithmetic of the keys, ``int`` on integer keys, and made a
-    ``Fraction`` once per class."""
-    members: dict = {}
-    for beta, g in E.items():
-        n = sum(map(mul, beta, [sum(map(mul, row, beta)) for row in rs.gram]))
-        members.setdefault(n, []).append(g)
-    return [(sum_products((k, c, 1) for g in gs for k, c in g.coeffs.items()),
-             min(g.cap for g in gs), {Fraction(n): 1})
-            for n, gs in members.items()]
+        equal=root_product(((half, 1), (-half, -1))) == dict(rs.weyl),
+        equal_squared=root_product(((1, 1), (0, -2), (-1, 1))) ==
+        _lattice_product([rs.weyl, rs.weyl]))
 
 
 def rho_sinh_product(rs: RootSystem, cap: int) -> HSeries:
@@ -290,6 +242,47 @@ def rho_sinh_product(rs: RootSystem, cap: int) -> HSeries:
     return unit
 
 
+def _den_inv(rs: RootSystem, cap: int) -> HSeries:
+    """1 / prod_{a>0} (q^(c/2) - q^(-c/2))^2 with c = (rho, a), through
+    h^cap, of valuation -2P.  The product is h^2P times the square of
+    the unit prod c * sinh_ratio(c): invert that square through
+    h^(cap + 2P), then shift by h^-2P."""
+    P = rs.num_pos
+    unit = rho_sinh_product(rs, cap + 2 * P).scale(
+        math.prod(rs.inner(rs.rho, alpha) for alpha in rs.pos_roots))
+    return (unit * unit).inverse().shift(-2 * P)
+
+
+def quantum_dim_sq_shifted(rs: RootSystem, cap: int) -> dict[Vec, HSeries]:
+    """Shifted squared quantum dimension of the unknot:
+    [sum over w, w' of sign(ww') q^(w(rho)+w'(rho), .)] divided by the
+    lambda-free series prod_{a>0} (q^((rho,a)/2) - q^(-(rho,a)/2))^2.
+
+    The g_beta are Laurent series with poles of depth 2 * num_pos, known
+    through h^(cap + 2P - 1).
+    """
+    den_inv = _den_inv(rs, cap + 2 * rs.num_pos - 1)
+    # one scaled copy per distinct count (25 at A5, for 56 183 points)
+    sq = _lattice_product([rs.weyl, rs.weyl])
+    scaled = {count: den_inv.scale(count) for count in set(sq.values())}
+    return {beta: scaled[count] for beta, count in sq.items()}
+
+
+def norm_classes(rs: RootSystem, E: dict[Vec, HSeries]) -> NormClasses:
+    """The norm classes of a lattice sum, from one pass over E, one group
+    each with count 1: (sums, cap, {|beta|^2: 1}), where sums[k] is the
+    sum of [h^k] g_beta over the class (every k, nonzero sums only) and
+    cap the smallest cap among its g_beta.  |beta|^2 is taken in the
+    arithmetic of the keys: an ``int`` on integer keys."""
+    members: dict = {}
+    for beta, g in E.items():
+        n = sum(map(mul, beta, [sum(map(mul, row, beta)) for row in rs.gram]))
+        members.setdefault(n, []).append(g)
+    return [(sum_products((k, c, 1) for g in gs for k, c in g.coeffs.items()),
+             min(g.cap for g in gs), {n: 1})
+            for n, gs in members.items()]
+
+
 def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
     """The norm classes of ``quantum_dim_sq_shifted(rs, cap)`` from |W|
     points instead of |W|^2, as one group that reads its series through
@@ -298,16 +291,9 @@ def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
     |beta|^2 is W-invariant and every beta = w(rho) + w'(rho) is
     w(rho + u(rho)) with u = w^-1 w', so the signed count of the class of
     n is |W| times the sum of sign(u) over the u with |rho + u(rho)|^2 =
-    n.  Every g_beta is its count times the one series den_inv below, so
+    n.  Every g_beta is its count times the one series ``_den_inv``, so
     the classes share it.  A class whose count cancels is left out."""
-    P = rs.num_pos
-    work = cap + 2 * P
-    # prod_{a>0} (q^(c/2) - q^(-c/2))^2 with c = (rho, a) is h^2P times
-    # the square of prod c * sinh_ratio(c): invert that unit through
-    # h^(cap + 2P), then shift by h^-2P
-    unit = rho_sinh_product(rs, work).scale(
-        math.prod(rs.inner(rs.rho, alpha) for alpha in rs.pos_roots))
-    den_inv = (unit * unit).inverse().shift(-2 * P)
+    den_inv = _den_inv(rs, cap)
     # d^2 |rho + u(rho)|^2 = 2 d^2 |rho|^2 + 2 d^2 (u(rho), rho), on the
     # integer points d rho and d u(rho)
     d = _common_denominator(rs.rho)
@@ -319,7 +305,9 @@ def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
         n = 2 * (rho_sq + sum(map(mul, [_scaled(x, d) for x in u_rho],
                                   g_rho)))
         counts[n] = counts.get(n, 0) + sign
-    return [(den_inv.coeffs, cap, {Fraction(n, d * d): rs.order * count
+    # rho + u(rho) = 2 rho - (rho - u(rho)) lies in the root lattice, where
+    # the Gram matrix is integral, so d^2 divides n
+    return [(den_inv.coeffs, cap, {n // (d * d): rs.order * count
                                    for n, count in counts.items() if count})]
 
 
@@ -359,21 +347,17 @@ def _gaussian_sum_route(classes: NormClasses, f, cap: int) -> HSeries:
 
     The group's sum b_k of [h^k] g_beta gives c_{beta,2j,k+2j} summed over
     a class as count * b_k / (2j)!, so [h^k] of the group meets the
-    weight (2j-1)!!/(2j)! * sum of count * (-|beta|^2/f)^j at h^(k+j).
-    With N = D |beta|^2 for the common denominator D of the group's
-    norms, that weight is (2j-1)!!/(2j)! * p_j / (D f)^j, where the power
-    sum p_j = sum of count * (-N)^j is an integer."""
+    weight (2j-1)!!/(2j)! * p_j / f^j at h^(k+j), where the power sum
+    p_j = sum of count * (-|beta|^2)^j is an integer on integer norms."""
     f = Fraction(f)
     terms = []
     for bs, _, counts in classes:
-        D = _common_denominator(counts)
-        negs = [-_scaled(bsq, D) for bsq in counts]
-        powers = list(counts.values())  # count * (-N)^j, from j = 0
+        powers = list(counts.values())  # count * (-|beta|^2)^j, from j = 0
         weights = []
         for j in range(cap - min(bs, default=cap) + 1):
             weights.append(Fraction(double_factorial(2 * j - 1) * sum(powers),
-                                    math.factorial(2 * j)) / (D * f) ** j)
-            powers = list(map(mul, powers, negs))
+                                    math.factorial(2 * j)) / f ** j)
+            powers = [p * -n for p, n in zip(powers, counts)]
         terms += ((k + j, b, w) for k, b in bs.items() if k <= cap
                   for j, w in enumerate(weights[:cap - k + 1]) if w)
     return HSeries(sum_products(terms), cap)

@@ -169,6 +169,25 @@ _BAD_CYCLIC_KEYS = {
         "cyclic key '-1' is not a trivalent vertex",
     _unit_plus_theta(m=2, edges=_WHEEL_EDGES, cyclic={"2": [1, 0, 2]}):
         "cyclic key '2' is not a trivalent vertex"}
+# a coefficient or key with more digits than the interpreter converts to
+# an int, each with its message: the field, the value cut to 76
+# characters, and the limit, which stays where it is
+_LIMIT = sys.get_int_max_str_digits()
+_LONG = "1" * (_LIMIT + 1)
+
+
+def _too_long(what: str) -> str:
+    return f"{what} '{'1' * 76}... has more than {_LIMIT} digits"
+
+
+_TOO_LONG = {
+    "knot-coefficient": (_unit_plus_theta(coeff=_LONG + "/1"),
+                         _too_long("coefficient")),
+    "knot-cyclic-key": (_unit_plus_theta(cyclic={_LONG: [0, 1, 2]}),
+                        _too_long("cyclic key")),
+    "qdata-coefficient": (_one_series(coeff="1/" + _LONG),
+                          _too_long("coefficient of h^0")),
+    "qdata-exponent": (_one_series(key=_LONG), _too_long("exponent"))}
 # the path names a directory, not a file
 _DIRECTORY = object()
 # a file whose message names the field at fault
@@ -176,7 +195,8 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
             _UNIT_KNOT: "entry 0 has no field 'beta'",
             **_INEXACT_KNOTS, **_INEXACT_QDATA, **_BAD_SERIES_KEYS,
             **_BAD_CYCLIC_KEYS, **_BAD_COEFFS,
-            _NEGATIVE_T: "t must be >= 0, got -1"}
+            _NEGATIVE_T: "t must be >= 0, got -1",
+            **dict(_TOO_LONG.values())}
 
 
 @pytest.mark.parametrize("option, content", [
@@ -206,6 +226,8 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
     *(("--knot" if "diagram" in content else "--qdata", content)
       for content in _BAD_COEFFS),
     ("--knot", _NEGATIVE_T),
+    *(pytest.param(f"--{name.partition('-')[0]}", content, id=name)
+      for name, (content, _) in _TOO_LONG.items()),
     pytest.param("--knot", _DIRECTORY, id="--knot-directory"),
     pytest.param("--knot", b"[\xff\xfe]", id="--knot-non-utf8"),
     pytest.param("--knot", "", id="--knot-empty"),
@@ -228,6 +250,32 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     message = json.loads(line)["error"]
     assert str(path) in message
     assert _MESSAGE.get(content, "") in message
+
+
+@pytest.mark.parametrize("option, content, field", [
+    ("--knot", _unit_plus_theta(coeff="x" * 200_000), "coefficient"),
+    ("--knot", _unit_plus_theta(coeff="1" * 200_000), "coefficient"),
+    ("--qdata", _one_series(coeff="1/" + "x" * 200_000),
+     "coefficient of h^0"),
+    ("--qdata", _one_series(key="x" * 200_000), "exponent"),
+    ("--qdata", _one_series(cap="1" * 200_000), "cap")],
+    ids=["knot-letters", "knot-digits", "qdata-coefficient",
+         "qdata-exponent", "qdata-cap"])
+def test_a_long_bad_value_is_one_short_error_line(tmp_path, capsys, option,
+                                                  content, field):
+    """A 200 000-character value gives one stderr line under 1 KB that
+    names the field: the message echoes the value cut to a fixed
+    length."""
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert main(["compare", "--framing", "2", "--lie", "A1", "--order", "1",
+                 option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert len(captured.err.encode()) < 1024
+    message = json.loads(line)["error"]
+    assert f"{path}: {field} '" in message
 
 
 @pytest.mark.parametrize("series", [HSeries.zero(0), HSeries.one(0)])
@@ -445,9 +493,13 @@ def test_an_argparse_error_leaves_the_next_command_unchanged():
 
 def test_order_six_main_equality(capsys):
     """The main equality at h^6: components reach 12 vertices, where the
-    canonical search returns from most automorphic leaves at once."""
-    code, obj = run(capsys, "compare", "--lie", "A1", "--framing", "2",
-                    "--order", "6")
-    assert code == 0
-    assert obj["equal"] is True and obj["routes_equal"] is True
-    assert obj["certified_order"] == 6
+    canonical search returns from most automorphic leaves at once.  A3
+    runs after A1 in the same process, so it reuses the diagram side and
+    adds the largest Weyl fold the command line reaches (``_den_inv``
+    through h^6 at 6 positive roots)."""
+    for lie in ("A1", "A3"):
+        code, obj = run(capsys, "compare", "--lie", lie, "--framing", "2",
+                        "--order", "6")
+        assert code == 0
+        assert obj["equal"] is True and obj["routes_equal"] is True
+        assert obj["certified_order"] == 6

@@ -150,6 +150,23 @@ class TestTauRoute:
         b = taupg_route(SurgeryInput("unknot", 2), "A1", 3)
         assert a == b
 
+    def test_qdata_parses_each_series_once(self, tmp_path, monkeypatch):
+        # the 3 entries of the A1 unknot data at cap 4
+        E = rootsys.quantum_dim_sq_shifted(
+            rootsys.build_root_system("A1"), 4)
+        p = tmp_path / "q.json"
+        p.write_text(json.dumps(rootsys.lattice_sum_to_json(E)))
+        calls = []
+        true_from_json = HSeries.from_json.__func__
+
+        def counted(cls, obj):
+            calls.append(obj)
+            return true_from_json(cls, obj)
+
+        monkeypatch.setattr(HSeries, "from_json", classmethod(counted))
+        assert load_qdata(str(p), 1, 4) == E
+        assert len(calls) == len(E) == 3
+
 
 class TestCompare:
     def test_main_equality_flagship(self):
@@ -388,17 +405,23 @@ class TestVerifySuite:
 
     def test_squared_denominator_check_sees_a_wrong_square(self,
                                                           monkeypatch):
-        # a square of the Weyl sum that skips the diagonal pairs w = w'
-        def mutant(a):
+        # a square of the Weyl sum that skips the diagonal pairs w = w';
+        # the root products (1, 3 and 6 factors) stay true
+        true_product = rootsys._lattice_product
+
+        def mutant(factors):
+            factors = [list(factor) for factor in factors]
+            if len(factors) != 2:
+                return true_product(factors)
             out = {}
-            for m1, c1 in a.items():
-                for m2, c2 in a.items():
+            for m1, c1 in factors[0]:
+                for m2, c2 in factors[1]:
                     if m1 != m2:
                         v = tuple(x + y for x, y in zip(m1, m2))
                         out[v] = out.get(v, 0) + c1 * c2
             return {v: c for v, c in out.items() if c}
 
-        monkeypatch.setattr(rootsys, "_square_sum", mutant)
+        monkeypatch.setattr(rootsys, "_lattice_product", mutant)
         failed = [r.name for r in verify_suite("weyl") if not r.passed]
         assert failed == [f"weyl.denominator_squared.{label}"
                           for label in ("A1", "A2", "A3")]

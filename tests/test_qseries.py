@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -13,6 +14,7 @@ from lmo_kernel.qseries import (
     HSeries,
     PoleError,
     SeriesError,
+    json_int,
     json_key,
     json_rational,
     modified_bernoulli,
@@ -192,6 +194,27 @@ def test_json_rational_is_an_int_or_p_over_q_spelled_as_str_spells_them(
     assert json_rational(7, "coefficient") == 7
     with pytest.raises(ValueError, match='is not a "p/q" string'):
         json_rational(coeff, "coefficient")
+
+
+def test_an_integer_past_the_digit_limit_is_named_and_the_limit_stays():
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for read, value in ((json_key, long), (json_key, "-" + long),
+                        (json_rational, long + "/1"),
+                        (json_rational, "1/" + long)):
+        with pytest.raises(ValueError, match=rf"^field '-?1+\.\.\. has "
+                           rf"more than {limit} digits$"):
+            read(value, "field")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("read", [json_int, json_key, json_rational])
+@pytest.mark.parametrize("length, echo", [
+    (78, "'" + "x" * 78 + "'"), (79, "'" + "x" * 76 + "...")])
+def test_a_bad_value_is_echoed_cut_to_80_characters(read, length, echo):
+    with pytest.raises((TypeError, ValueError)) as info:
+        read("x" * length, "field")
+    assert str(info.value).startswith(f"field {echo} is not")
 
 
 _rat = st.fractions(min_value=-10, max_value=10, max_denominator=12)

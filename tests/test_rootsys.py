@@ -18,13 +18,12 @@ from lmo_kernel.rootsys import (
     TYPE_A_LABELS,
     RootSystemError,
     _gaussian_sum_route,
-    _root_product,
-    _square_sum,
+    _lattice_product,
     _weyl_prefactor,
     build_root_system,
     gaussian_on_exponentials,
     gaussian_weyl_closed_form,
-    lattice_sum_from_json,
+    lattice_sum,
     lattice_sum_to_json,
     norm_classes,
     quantum_dim_sq_shifted,
@@ -54,6 +53,19 @@ def _sum_route(rs, E, f, cap):
 def _tau(rs, E, f, cap):
     """``tau_pg`` on a lattice sum, as the ``--qdata`` path reads it."""
     return tau_pg(rs, norm_classes(rs, E), f, cap)
+
+
+def _root_factors(rs, factor) -> list:
+    """The factors of prod over alpha > 0 of sum c q^(t alpha) over the
+    pairs (t, c) of ``factor``, as ``weyl_denominator`` expands it."""
+    return [[(tuple(t * a for a in alpha), c) for t, c in factor]
+            for alpha in rs.pos_roots]
+
+
+def _from_json(obj: list) -> dict:
+    """The lattice sum of expansion data, its entries in file order."""
+    return lattice_sum((tuple(e["beta"]), HSeries.from_json(e["series"]))
+                       for e in obj)
 
 
 def _fold(entries) -> dict:
@@ -173,18 +185,18 @@ class TestWeylDenominator:
             assert rep.equal and rep.equal_squared
 
     def test_a1_explicit(self):
-        rep = weyl_denominator(A1)
-        assert dict(rep.product) == {(Q(1, 2),): 1, (Q(-1, 2),): -1}
+        factors = _root_factors(A1, ((Q(1, 2), 1), (Q(-1, 2), -1)))
+        assert _lattice_product(factors) == {(Q(1, 2),): 1, (Q(-1, 2),): -1}
 
     def test_a1_square_explicit(self):
-        rep = weyl_denominator(A1)
-        assert dict(rep.squared_sum) == \
+        assert _lattice_product([A1.weyl, A1.weyl]) == \
             {(Q(1),): 1, (Q(0),): -2, (Q(-1),): 1}
 
     def test_a2_term_count(self):
-        rep = weyl_denominator(A2)
-        assert len(rep.alternating_sum) == 6
-        assert all(c in (1, -1) for _, c in rep.alternating_sum)
+        factors = _root_factors(A2, ((Q(1, 2), 1), (Q(-1, 2), -1)))
+        product = _lattice_product(factors)
+        assert len(product) == 6
+        assert all(c in (1, -1) for c in product.values())
 
 
 def _is_int_where_integral(key) -> bool:
@@ -207,7 +219,7 @@ class TestIntegerSumsAgainstFractionOracle:
     @settings(max_examples=150, deadline=None)
     @given(_lattice_sums())
     def test_square_sum(self, a):
-        got = _square_sum(a)
+        got = _lattice_product([a.items(), a.items()])
         assert got == weyl_oracle.square_sum(a)
         assert all(type(c) is Q for c in got.values())
         assert all(_is_int_where_integral(key) for key in got)
@@ -219,13 +231,13 @@ class TestIntegerSumsAgainstFractionOracle:
                          st.integers(-3, 3).filter(bool))
         factor = data.draw(st.lists(pair, min_size=1,
                                     max_size=3 if rs.rank < 4 else 2))
-        got = _root_product(rs, factor)
+        got = _lattice_product(_root_factors(rs, factor))
         assert got == weyl_oracle.root_product(rs, factor)
         assert all(_is_int_where_integral(key) for key in got)
 
     def test_weyl_square_lands_on_integer_keys(self):
         for rs in (A1, A2, A3, A4):
-            got = _square_sum(dict(rs.weyl))
+            got = _lattice_product([rs.weyl, rs.weyl])
             assert got == weyl_oracle.square_sum(dict(rs.weyl))
             assert all(type(x) is int for key in got for x in key)
 
@@ -260,7 +272,7 @@ class TestExpansionData:
 
     def test_json_round_trip(self):
         E = quantum_dim_sq_shifted(A2, 3)
-        back = lattice_sum_from_json(lattice_sum_to_json(E))
+        back = _from_json(lattice_sum_to_json(E))
         assert back == E
 
     @settings(max_examples=100, deadline=None)
@@ -277,7 +289,7 @@ class TestExpansionData:
                       for k in range(-2, cap + 1)}
             if any(coeffs.values()):
                 E[beta] = HSeries(coeffs, cap)
-        back = lattice_sum_from_json(json.loads(json.dumps(
+        back = _from_json(json.loads(json.dumps(
             lattice_sum_to_json(E))))
         assert back == E
 
@@ -309,7 +321,7 @@ class TestExpansionData:
         obj = json.loads(json.dumps([{"beta": b, "series": s.to_json()}
                                      for b, s in entries]))
         want = _fold([(tuple(Q(x) for x in b), s) for b, s in entries])
-        assert lattice_sum_from_json(obj) == want
+        assert _from_json(obj) == want
 
 
 class TestCoefficients:
@@ -641,6 +653,29 @@ class TestNormClasses:
                 if low:
                     want[n] = (low, cap)
             assert _per_norm(unknot_classes(rs, cap)) == want
+
+    @pytest.mark.parametrize("label", TYPE_A_LABELS)
+    def test_norms_are_even_ints(self, label):
+        # the Gram matrix is integral with an even diagonal, and every
+        # beta is a root-lattice vector
+        rs = build_root_system(label)
+        norms = [n for _, _, counts in unknot_classes(rs, 0) for n in counts]
+        if rs.rank <= 4:
+            E = quantum_dim_sq_shifted(rs, 1)
+            assert all(type(x) is int for beta in E for x in beta)
+            norms += [n for _, _, counts in norm_classes(rs, E)
+                      for n in counts]
+        assert norms and all(type(n) is int and n % 2 == 0 for n in norms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(TYPE_A_LABELS), st.data())
+    def test_norms_of_integer_betas_are_even_ints(self, label, data):
+        rs = build_root_system(label)
+        beta = st.lists(st.integers(-5, 5), min_size=rs.rank,
+                        max_size=rs.rank).map(tuple)
+        E = {b: HSeries.one(1) for b in data.draw(st.lists(beta, max_size=5))}
+        norms = [n for _, _, counts in norm_classes(rs, E) for n in counts]
+        assert all(type(n) is int and n % 2 == 0 for n in norms)
 
     def test_quantum_dim_caps(self):
         # every product with a valuation-1 factor but the first raises the

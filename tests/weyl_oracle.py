@@ -9,7 +9,13 @@ orbit, and the roots, against these matrices.
 entries, the oracle of ``RootSystem.inner``.  ``root_product`` and
 ``square_sum`` add ``Fraction``-tuple lattice points, as the kernel did
 before its lattice coordinates became integers; they are the oracles of
-``rootsys._root_product`` and ``rootsys._square_sum``.
+``rootsys._lattice_product`` on the two kinds of product the kernel
+forms: a product over the positive roots, as ``weyl_denominator``
+expands it, and the square of one lattice sum.  ``inner`` is a
+``Fraction`` on integer points too, where the kernel keys its norm
+classes by ``int`` norms; the two compare equal.  The series
+``rootsys._den_inv`` has no oracle here: the tests check it through
+the classical limit of the expansion data at lambda = rho, which is 1.
 """
 
 from __future__ import annotations
