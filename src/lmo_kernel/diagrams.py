@@ -45,13 +45,12 @@ them with no search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .qseries import (json_int, json_key, json_rational, rational_str,
-                      sum_products)
+from .qseries import (FrozenRecord, _echo, json_int, json_key, json_rational,
+                      rational_str, sum_products)
 
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
@@ -87,40 +86,35 @@ def _norm_edge(p: Port, q: Port) -> Edge:
     return (p, q) if p <= q else (q, p)
 
 
-@dataclass(frozen=True)
-class JacobiDiagram:
+class JacobiDiagram(FrozenRecord):
     """A concrete labeled diagram; see module docstring for conventions."""
 
-    t: int
-    m: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("t", "m", "edges")
 
-    def __post_init__(self):
-        for name, n in (("t", self.t), ("m", self.m)):
+    def __init__(self, t: int, m: int, edges: tuple[Edge, ...]):
+        for name, n in (("t", t), ("m", m)):
             if n < 0:
                 raise StructuralError(f"{name} must be >= 0, got {n}")
-        if self.t + self.m > MAX_VERTICES:
+        if t + m > MAX_VERTICES:
             raise StructuralError(
-                f"diagram with {self.t + self.m} vertices exceeds desk scale")
-        if (self.t + self.m) % 2 != 0:
+                f"diagram with {t + m} vertices exceeds desk scale")
+        if (t + m) % 2 != 0:
             raise StructuralError("t + m must be even")
         seen: set[Port] = set()
-        for e in self.edges:
+        for e in edges:
             for v, s in e:
-                if v < 0 or v >= self.t + self.m:
+                if v < 0 or v >= t + m:
                     raise StructuralError(f"port {(v, s)}: no such vertex")
-                if v < self.t and s not in (0, 1, 2):
+                if v < t and s not in (0, 1, 2):
                     raise StructuralError(f"port {(v, s)}: bad slot")
-                if v >= self.t and s != 0:
+                if v >= t and s != 0:
                     raise StructuralError(f"port {(v, s)}: legs have slot 0")
                 if (v, s) in seen:
                     raise StructuralError(f"port {(v, s)} used twice")
                 seen.add((v, s))
-        expected = 3 * self.t + self.m
-        if len(seen) != expected:
+        if len(seen) != 3 * t + m:
             raise StructuralError("some port is not covered by an edge")
-        object.__setattr__(self, "edges",
-                           tuple(sorted(_norm_edge(*e) for e in self.edges)))
+        self._set_fields(t, m, tuple(sorted(_norm_edge(*e) for e in edges)))
 
     @property
     def degree(self) -> Fraction:
@@ -149,7 +143,8 @@ class JacobiDiagram:
                 raise StructuralError(
                     f"cyclic key {key!r} is not a trivalent vertex (t = {t})")
             if sorted(cyc) != [0, 1, 2] or {type(s) for s in cyc} != {int}:
-                raise StructuralError(f"vertex {v}: bad cyclic order {cyc}")
+                raise StructuralError(
+                    f"vertex {v}: bad cyclic order {_echo(cyc)}")
             remap[v] = {old: i for i, old in enumerate(cyc)}
 
         def port(p) -> Port:
@@ -163,28 +158,30 @@ class JacobiDiagram:
 # canonicalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(FrozenRecord):
     """Isomorphism-class key: the sorted multiset of component serials.
 
     ``t`` and ``m`` are totals over the components, stored once; equality
-    and hashing use ``components`` alone.  The hash is stored once too, as
-    the value a generated ``__hash__`` would return, ``hash((components,))``:
-    a form is hashed on every series lookup, and each hash would walk the
-    nested serial tuple again.
+    and hashing use ``components`` alone.  The hash is stored once too:
+    ``hash((components,))``, what ``FrozenRecord`` would return were
+    ``components`` the only field.  A form is hashed on every series
+    lookup, and each hash would walk the nested serial tuple again.
     """
 
-    components: tuple
-    t: int = field(init=False, compare=False, repr=False)
-    m: int = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("components", "t", "m", "_hash")
 
-    def __post_init__(self):
-        # Every union builds a form, so the totals are stored straight
-        # into the instance dict, the cheapest store a frozen class has.
-        self.__dict__["t"] = sum([c[0] for c in self.components])
-        self.__dict__["m"] = sum([c[1] for c in self.components])
-        self.__dict__["_hash"] = hash((self.components,))
+    def __init__(self, components: tuple):
+        # Every union builds a form, so the fields are stored through the
+        # slots' own setters, the cheapest store a frozen record has.
+        _set_components(self, components)
+        _set_t(self, sum([c[0] for c in components]))
+        _set_m(self, sum([c[1] for c in components]))
+        _set_hash(self, hash((components,)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CanonicalForm:
+            return NotImplemented
+        return self.components == other.components
 
     def __hash__(self) -> int:
         return self._hash
@@ -198,6 +195,10 @@ class CanonicalForm:
 
     def diagram(self) -> JacobiDiagram:
         return diagram_of(self)
+
+
+_set_components, _set_t, _set_m, _set_hash = (
+    CanonicalForm.__dict__[name].__set__ for name in CanonicalForm.__slots__)
 
 
 def diagram_of(*forms: CanonicalForm) -> JacobiDiagram:
@@ -231,16 +232,17 @@ def diagram_of(*forms: CanonicalForm) -> JacobiDiagram:
 EMPTY_FORM = CanonicalForm(())
 
 
-@dataclass(frozen=True)
-class CanonicalDiagram:
+class CanonicalDiagram(FrozenRecord):
     """Canonical form plus the orientation sign extracted on the way.
 
     ``sign == 0`` marks a diagram equal to its own negative (an
     orientation-odd automorphism exists), i.e. the zero element.
     """
 
-    form: CanonicalForm | None
-    sign: int
+    __slots__ = ("form", "sign")
+
+    def __init__(self, form: CanonicalForm | None, sign: int):
+        self._set_fields(form, sign)
 
     @property
     def is_zero(self) -> bool:

@@ -29,7 +29,6 @@ weighting each matched pair by -h/f.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -39,7 +38,7 @@ from math import factorial, prod
 from .diagrams import (  # noqa: F401
     CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize)
 from .balg import theta
-from .qseries import ZERO, HSeries, sum_products
+from .qseries import ZERO, FrozenRecord, HSeries, sum_products
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -67,19 +66,21 @@ def _mat_inv(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in work)
 
 
-@dataclass(frozen=True)
-class LieAlgebraData:
+class LieAlgebraData(FrozenRecord):
     """Structure constants and bilinear-form data of a Lie algebra, all
     exact rationals, normalized so every root has squared length 2."""
 
-    label: str
-    dim: int
-    rank: int
-    gram: Matrix                      # b(x_a, x_b)
-    gram_inv: Matrix
-    f_low: dict                       # (a, b, c) -> b([x_a, x_b], x_c)
-    cartan_idx: tuple[int, ...]       # basis positions of H_1..H_rank
-    sl_n: int | None                  # n if the algebra is sl_n, else None
+    __slots__ = ("label", "dim", "rank", "gram", "gram_inv", "f_low",
+                 "cartan_idx", "sl_n")
+
+    def __init__(self, label: str, dim: int, rank: int,
+                 gram: Matrix,                 # b(x_a, x_b)
+                 gram_inv: Matrix,
+                 f_low: dict,                  # (a, b, c): b([x_a, x_b], x_c)
+                 cartan_idx: tuple[int, ...],  # basis positions of H_1..H_rank
+                 sl_n: int | None):            # n if sl_n, else None
+        self._set_fields(label, dim, rank, gram, gram_inv, f_low, cartan_idx,
+                         sl_n)
 
     def cartan_vector(self, root_coords) -> tuple[Fraction, ...]:
         """Coordinates in g of the element representing a weight given in

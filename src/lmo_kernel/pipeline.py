@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -64,8 +63,8 @@ from pathlib import Path
 from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
-from .qseries import (HSeries, modified_bernoulli, rational_str, sinh_ratio,
-                      sum_products)
+from .qseries import (FrozenRecord, HSeries, Record, _echo, modified_bernoulli,
+                      parse_json_int, rational_str, sinh_ratio, sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
 
@@ -89,22 +88,22 @@ class InputError(ValueError):
     option)."""
 
 
-@dataclass(frozen=True)
-class SurgeryInput:
+class SurgeryInput(FrozenRecord):
     """A framed knot: the builtin unknot or a diagram-series file with
-    the zero-framed wheeled invariant of the knot."""
+    the zero-framed wheeled invariant of the knot; ``knot`` is "unknot"
+    or the file's path."""
 
-    knot: str                      # "unknot" or a file path
-    framing: int
-    declared_valid_degree: int | None = None
+    __slots__ = ("knot", "framing", "declared_valid_degree")
 
-    def __post_init__(self):
-        if self.framing == 0:
+    def __init__(self, knot: str, framing: int,
+                 declared_valid_degree: int | None = None):
+        if framing == 0:
             raise InputError("framing 0 does not give a rational homology "
                              "sphere")
-        if (self.declared_valid_degree or 0) < 0:
+        if (declared_valid_degree or 0) < 0:
             raise InputError("the declared valid degree must be >= 0, got "
-                             f"{self.declared_valid_degree}")
+                             f"{declared_valid_degree}")
+        self._set_fields(knot, framing, declared_valid_degree)
 
     @property
     def is_builtin(self) -> bool:
@@ -165,7 +164,8 @@ def _wheeled_knot(key: KnotKey, imax: int) -> DiagramSeries:
     if text is None:
         return balg.wheeling_inverse(balg.omega(imax))
     with _file_errors(path, "knot file"):
-        s = DiagramSeries.from_json(json.loads(text), imax)
+        s = DiagramSeries.from_json(
+            json.loads(text, parse_int=parse_json_int), imax)
         balg._assert_strut_free(s, "knot input file")
         if s.coeff(EMPTY_FORM) != 1:
             raise ValueError("the coefficient of the empty diagram is "
@@ -315,15 +315,16 @@ def load_qdata(path: str, rank: int,
                 raise ValueError(
                     f"entry {i} has no field {exc.args[0]!r}") from exc
             if len(beta) != rank or any(type(x) is not int for x in beta):
-                raise ValueError(f"beta {beta} needs {rank} integer "
+                raise ValueError(f"beta {_echo(beta)} needs {rank} integer "
                                  "coordinates")
             if series.cap < order:
-                raise ValueError(f"beta {beta} has series cap {series.cap}, "
-                                 f"below --order {order}")
+                raise ValueError(f"beta {_echo(beta)} has series cap "
+                                 f"{series.cap}, below --order {order}")
             yield tuple(beta), series
 
     with _file_errors(path, "expansion-data file"):
-        return rootsys.lattice_sum(entries(json.loads(Path(path).read_text())))
+        return rootsys.lattice_sum(entries(json.loads(
+            Path(path).read_text(), parse_int=parse_json_int)))
 
 
 def taupg_route(inp: SurgeryInput, label: str, order: int,
@@ -341,33 +342,32 @@ def taupg_route(inp: SurgeryInput, label: str, order: int,
     return rootsys.tau_pg(rs, classes, inp.framing, order)
 
 
-def _fields_json(report) -> dict:
-    """A report's fields in declaration order: a series as its
-    ``to_json()``, a ``Fraction`` as "p/q", anything else as is."""
+def _fields_json(report: Record) -> dict:
+    """A report's fields in the order its class's ``__slots__`` declares
+    them: a series as its ``to_json()``, a ``Fraction`` as "p/q",
+    anything else as is."""
     def value(v):
         if isinstance(v, HSeries):
             return v.to_json()
         if isinstance(v, Fraction):
             return rational_str(v)
         return v
-    return {f.name: value(getattr(report, f.name)) for f in fields(report)}
+    return {name: value(getattr(report, name)) for name in report.__slots__}
 
 
-@dataclass
-class ComparisonReport:
-    lie: str
-    knot: str
-    framing: int
-    order: int
-    certified_order: int
-    lmo_definition: HSeries
-    lmo_lemma: HSeries
-    routes_equal: bool
-    h1_power: Fraction
-    taupg: HSeries | None
-    difference: HSeries | None
-    equal: bool | None
-    lmo_only: bool
+class ComparisonReport(Record):
+    __slots__ = ("lie", "knot", "framing", "order", "certified_order",
+                 "lmo_definition", "lmo_lemma", "routes_equal", "h1_power",
+                 "taupg", "difference", "equal", "lmo_only")
+
+    def __init__(self, lie: str, knot: str, framing: int, order: int,
+                 certified_order: int, lmo_definition: HSeries,
+                 lmo_lemma: HSeries, routes_equal: bool, h1_power: Fraction,
+                 taupg: HSeries | None, difference: HSeries | None,
+                 equal: bool | None, lmo_only: bool):
+        self._set_fields(lie, knot, framing, order, certified_order,
+                         lmo_definition, lmo_lemma, routes_equal, h1_power,
+                         taupg, difference, equal, lmo_only)
 
     def to_json(self) -> dict:
         return _fields_json(self)
@@ -409,11 +409,11 @@ def compare(inp: SurgeryInput, label: str, order: int,
 # identity verification suite
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set_fields(name, passed, detail)
 
     def to_json(self) -> dict:
         return _fields_json(self)

@@ -27,6 +27,10 @@ Weyl sum; in ``pipeline``, the framing polynomials and their values.
 ``q_power`` builds q^c = exp(c h) in closed form, [h^k] = c^k / k!,
 each numerator and denominator from the one before, with no
 ``sum_products`` call.
+
+The module also holds what every other module reads: the JSON field
+readers and the record bases ``Record`` and ``FrozenRecord``, plain
+slotted classes, so that an import generates no code.
 """
 
 from __future__ import annotations
@@ -76,6 +80,13 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def _too_many_digits(s: str, what: str) -> ValueError:
+    """The error for an integer with more digits than the interpreter
+    converts; it names ``what``."""
+    return ValueError(f"{what} {_echo(s)} has more than "
+                      f"{sys.get_int_max_str_digits()} digits")
+
+
 def _spells_int(s: str, what: str) -> bool:
     """Whether ``s`` is an integer spelled as ``str`` spells it: ``int``
     alone also reads "1_0", " 2" and "02".  An integer with more digits
@@ -83,8 +94,17 @@ def _spells_int(s: str, what: str) -> bool:
     try:
         return s.removeprefix("-").isdecimal() and str(int(s)) == s
     except ValueError:
-        raise ValueError(f"{what} {_echo(s)} has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
+        raise _too_many_digits(s, what) from None
+
+
+def parse_json_int(s: str) -> int:
+    """The ``parse_int`` of every input file's ``json.loads``: a literal
+    with more digits than the interpreter converts is an error of this
+    package's own, and the limit stays."""
+    try:
+        return int(s)
+    except ValueError:
+        raise _too_many_digits(s, "JSON integer") from None
 
 
 def json_key(k: str, what: str) -> int:
@@ -114,6 +134,42 @@ def rational_str(v: Fraction) -> str:
         return f"{v.numerator}/{v.denominator}"
     except ValueError as exc:
         raise SeriesError("a coefficient is too long to print") from exc
+
+
+class Record:
+    """A plain record: its fields are its ``__slots__``, in declaration
+    order, and two records of one class are equal when their fields are.
+    It is mutable, so it has no hash."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+
+class FrozenRecord(Record):
+    """A record that nothing changes once ``__init__`` has filled it
+    (``_set_fields`` bypasses ``__setattr__``); it hashes its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class HSeries:

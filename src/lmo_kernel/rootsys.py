@@ -52,13 +52,13 @@ to the order the product with the Gaussian sum can show.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
 from .qseries import (
-    HSeries, PoleError, q_power, series_sum, sinh_ratio, sum_products)
+    FrozenRecord, HSeries, PoleError, q_power, series_sum, sinh_ratio,
+    sum_products)
 
 #: A lattice vector in simple-root coordinates.
 Vec = tuple[int, ...]
@@ -91,14 +91,17 @@ def _common_denominator(xs) -> int:
     return math.lcm(*(x.denominator for x in xs))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    label: str
-    rank: int
-    gram: tuple[Vec, ...]          # (alpha_i, alpha_j)
-    pos_roots: tuple[Vec, ...]     # in simple-root coordinates
-    rho: Weight
-    weyl: tuple[tuple[Weight, int], ...]   # sorted (w(rho), sign w)
+class RootSystem(FrozenRecord):
+    """``weyl`` lists the pairs (w(rho), sign w) in sorted order."""
+
+    __slots__ = ("label", "rank", "gram", "pos_roots", "rho", "weyl")
+
+    def __init__(self, label: str, rank: int,
+                 gram: tuple[Vec, ...],       # (alpha_i, alpha_j)
+                 pos_roots: tuple[Vec, ...],  # in simple-root coordinates
+                 rho: Weight,
+                 weyl: tuple[tuple[Weight, int], ...]):
+        self._set_fields(label, rank, gram, pos_roots, rho, weyl)
 
     def inner(self, x, y) -> Fraction:
         # x . (G y): integer arithmetic on integer coordinates
@@ -208,10 +211,11 @@ def _lattice_product(factors) -> dict[tuple, Fraction]:
     return {tuple([_unscaled(x, d) for x in mu]): c for mu, c in out.items()}
 
 
-@dataclass(frozen=True)
-class WeylDenominatorReport:
-    equal: bool
-    equal_squared: bool
+class WeylDenominatorReport(FrozenRecord):
+    __slots__ = ("equal", "equal_squared")
+
+    def __init__(self, equal: bool, equal_squared: bool):
+        self._set_fields(equal, equal_squared)
 
 
 def weyl_denominator(rs: RootSystem) -> WeylDenominatorReport:

@@ -187,7 +187,12 @@ _TOO_LONG = {
                         _too_long("cyclic key")),
     "qdata-coefficient": (_one_series(coeff="1/" + _LONG),
                           _too_long("coefficient of h^0")),
-    "qdata-exponent": (_one_series(key=_LONG), _too_long("exponent"))}
+    "qdata-exponent": (_one_series(key=_LONG), _too_long("exponent")),
+    # a JSON integer literal that long fails inside ``json.loads``
+    "knot-json-integer": (_unit_plus_theta(t=-7).replace("-7", _LONG),
+                          _too_long("JSON integer")),
+    "qdata-json-integer": (_one_series(cap=-7).replace("-7", _LONG),
+                           _too_long("JSON integer"))}
 # the path names a directory, not a file
 _DIRECTORY = object()
 # a file whose message names the field at fault
@@ -252,20 +257,27 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     assert _MESSAGE.get(content, "") in message
 
 
-@pytest.mark.parametrize("option, content, field", [
-    ("--knot", _unit_plus_theta(coeff="x" * 200_000), "coefficient"),
-    ("--knot", _unit_plus_theta(coeff="1" * 200_000), "coefficient"),
+@pytest.mark.parametrize("option, content, words", [
+    ("--knot", _unit_plus_theta(coeff="x" * 200_000), "coefficient '"),
+    ("--knot", _unit_plus_theta(coeff="1" * 200_000), "coefficient '"),
     ("--qdata", _one_series(coeff="1/" + "x" * 200_000),
-     "coefficient of h^0"),
-    ("--qdata", _one_series(key="x" * 200_000), "exponent"),
-    ("--qdata", _one_series(cap="1" * 200_000), "cap")],
+     "coefficient of h^0 '"),
+    ("--qdata", _one_series(key="x" * 200_000), "exponent '"),
+    ("--qdata", _one_series(cap="1" * 200_000), "cap '"),
+    ("--qdata", _qdata_with_beta([0] * 200_000), "beta [0, 0, "),
+    ("--qdata", json.dumps([{"beta": [int("9" * _LIMIT)],
+                             "series": HSeries.one(0).to_json()}]),
+     "beta [999"),
+    ("--knot", _unit_plus_theta(cyclic={"0": [0, 1, 2] * 66_668}),
+     "vertex 0: bad cyclic order [0, 1, 2, ")],
     ids=["knot-letters", "knot-digits", "qdata-coefficient",
-         "qdata-exponent", "qdata-cap"])
+         "qdata-exponent", "qdata-cap", "qdata-beta", "qdata-beta-cap",
+         "knot-cyclic-order"])
 def test_a_long_bad_value_is_one_short_error_line(tmp_path, capsys, option,
-                                                  content, field):
-    """A 200 000-character value gives one stderr line under 1 KB that
-    names the field: the message echoes the value cut to a fixed
-    length."""
+                                                  content, words):
+    """A long value (200 000 characters or list entries, or a beta of
+    4 300 digits) gives one stderr line under 1 KB that names the field:
+    the message echoes the value cut to a fixed length."""
     path = tmp_path / "input.json"
     path.write_text(content)
     assert main(["compare", "--framing", "2", "--lie", "A1", "--order", "1",
@@ -275,7 +287,7 @@ def test_a_long_bad_value_is_one_short_error_line(tmp_path, capsys, option,
     line, = captured.err.splitlines()
     assert len(captured.err.encode()) < 1024
     message = json.loads(line)["error"]
-    assert f"{path}: {field} '" in message
+    assert f"{path}: {words}" in message
 
 
 @pytest.mark.parametrize("series", [HSeries.zero(0), HSeries.one(0)])

@@ -467,7 +467,7 @@ class TestSeries:
 @given(st.lists(glued_wheels(), min_size=1, max_size=4), st.data())
 def test_forms_of_any_union_order_hash_once_and_dedupe(pieces, data):
     """A form stores its hash: forms built by unions in different orders
-    compare equal, hash equal, to the value the generated hash gave
+    compare equal, hash equal, to the hash of their one compared field
     (``hash((components,))``), and key one dict entry."""
     forms = [cd.form for cd in map(canonicalize, pieces) if not cd.is_zero]
     first = functools.reduce(CanonicalForm.union, forms, EMPTY_FORM)

@@ -1,6 +1,8 @@
 """The package imports nothing outside the standard library and itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,3 +63,16 @@ def test_src_imports_are_used():
     unused = [f"{path.name}:{line} {name}" for path in sources
               for line, name in _unused_imports(path)]
     assert unused == []
+
+
+def test_cli_import_loads_no_code_generator():
+    """A fresh interpreter, without ``site``, imports the command line
+    without ``dataclasses`` or ``inspect``: the records are plain
+    classes, and a cold start builds no methods."""
+    src = Path(lmo_kernel.__file__).resolve().parent.parent
+    probe = ("import sys, lmo_kernel.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
