@@ -126,10 +126,10 @@ def _fold_orbits(g: JacobiDiagram, gens, gluings
                 if r not in seen:
                     seen.add(r)
                     stack.append(r)
-        cd = canonicalize(glue_legs(g, [(g.t + i, g.t + j)
-                                        for i, j in enumerate(p) if i < j]))
-        if not cd.is_zero:
-            acc[cd.form] = acc.get(cd.form, 0) + cd.sign * size
+        form, sign = canonicalize(glue_legs(
+            g, [(g.t + i, g.t + j) for i, j in enumerate(p) if i < j]))
+        if sign:
+            acc[form] = acc.get(form, 0) + sign * size
     return tuple((form, n) for form, n in acc.items() if n)
 
 

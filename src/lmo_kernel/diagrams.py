@@ -149,7 +149,7 @@ class JacobiDiagram(FrozenRecord):
 
         def port(p) -> Port:
             v, s = (json_int(x, "edge port entry") for x in p)
-            return v, (remap[v][s] if v in remap else s)
+            return v, (remap[v].get(s, s) if v in remap else s)
 
         return cls(t, m, tuple((port(p), port(q)) for p, q in obj["edges"]))
 
@@ -230,23 +230,6 @@ def diagram_of(*forms: CanonicalForm) -> JacobiDiagram:
 
 
 EMPTY_FORM = CanonicalForm(())
-
-
-class CanonicalDiagram(FrozenRecord):
-    """Canonical form plus the orientation sign extracted on the way.
-
-    ``sign == 0`` marks a diagram equal to its own negative (an
-    orientation-odd automorphism exists), i.e. the zero element.
-    """
-
-    __slots__ = ("form", "sign")
-
-    def __init__(self, form: CanonicalForm | None, sign: int):
-        self._set_fields(form, sign)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
 
 
 def _components(d: JacobiDiagram) -> list[tuple[list[int], int, list[Edge]]]:
@@ -502,7 +485,7 @@ def _canon_component(shape: tuple[int, ...]
     return (T, n_legs, best[0]), next(iter(best_signs)), tuple(sorted(gens))
 
 
-_CANON_CACHE: dict[tuple, CanonicalDiagram] = {}
+_CANON_CACHE: dict[tuple, tuple[CanonicalForm | None, int]] = {}
 
 #: ``_canon_component`` results by component shape: {the ports of the
 #: edges in order, port (rank, slot) of a trivalent vertex as the int
@@ -532,8 +515,11 @@ def _search_shape(trivalent: list[int], edges: list[Edge], t_bound: int
     return hit
 
 
-def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
-    """Canonical form of ``d`` with the accumulated orientation sign."""
+def canonicalize(d: JacobiDiagram) -> tuple[CanonicalForm | None, int]:
+    """(canonical form, sign): the form of ``d`` with the orientation
+    sign accumulated on the way, or (None, 0) for a diagram equal to its
+    own negative (an orientation-odd automorphism exists), the zero
+    element under AS."""
     key = (d.t, d.m, d.edges)
     hit = _CANON_CACHE.get(key)
     if hit is not None:
@@ -542,14 +528,12 @@ def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
     sign = 1
     for tv, _, es in _components(d):
         serial, s = _search_shape(tv, es, d.t)
-        if s == 0:
-            out = CanonicalDiagram(None, 0)
-            _CANON_CACHE[key] = out
-            return out
         sign *= s
+        if not s:
+            break
         comps.append(serial)
-    out = CanonicalDiagram(CanonicalForm(tuple(sorted(comps))), sign)
-    _CANON_CACHE[key] = out
+    out = _CANON_CACHE[key] = (
+        CanonicalForm(tuple(sorted(comps))) if sign else None, sign)
     return out
 
 
@@ -620,13 +604,13 @@ class DiagramSeries:
                     pairs: Iterable[tuple[JacobiDiagram, Fraction | int]]
                     ) -> "DiagramSeries":
         """The series of the pairs (diagram, coefficient), each
-        canonicalized in turn; a diagram that is zero under AS adds
-        nothing."""
+        canonicalized in turn to (form, sign); a diagram that is zero
+        under AS, sign 0, adds nothing."""
         def terms():
             for d, coeff in pairs:
-                cd = canonicalize(d)
-                if not cd.is_zero:
-                    yield cd.form, coeff, cd.sign
+                form, sign = canonicalize(d)
+                if sign:
+                    yield form, coeff, sign
         return cls(imax, terms())
 
     def coeff(self, form: CanonicalForm) -> Fraction:
@@ -695,16 +679,21 @@ class DiagramSeries:
     @classmethod
     def from_json(cls, obj: list, imax: int) -> "DiagramSeries":
         """Read a list of {"coeff", "diagram"} entries; a missing field
-        is named with its entry's index."""
+        is named with its entry's index, and with "diagram" when the
+        diagram lacks it."""
         def pairs():
             for i, entry in enumerate(obj):
                 try:
-                    d = JacobiDiagram.from_json(entry["diagram"])
-                    coeff = json_rational(entry["coeff"], "coefficient")
+                    diagram, coeff = entry["diagram"], entry["coeff"]
                 except KeyError as exc:
                     raise StructuralError(
                         f"entry {i} has no field {exc.args[0]!r}") from exc
-                yield d, coeff
+                try:
+                    d = JacobiDiagram.from_json(diagram)
+                except KeyError as exc:
+                    raise StructuralError(f"entry {i}: diagram has no field "
+                                          f"{exc.args[0]!r}") from exc
+                yield d, json_rational(coeff, "coefficient")
         return cls.of_diagrams(imax, pairs())
 
 

@@ -443,9 +443,10 @@ def gaussian_eval(s: DiagramSeries, g: LieAlgebraData, f, cap: int) -> HSeries:
                 g, f, cap)
 
 
-def exp_tensor(g: LieAlgebraData, vec, cap: int) -> dict:
-    """exp of a g-element as a symmetric tensor, to 2*cap slots: a term
-    of 2k slots weighs h^k under ``wick``, so larger ones lie beyond cap.
+def exp_tensor(vec, cap: int) -> dict:
+    """exp of the element with basis coordinates ``vec`` as a symmetric
+    tensor, to 2*cap slots: a term of 2k slots weighs h^k under
+    ``wick``, so larger ones lie beyond cap.
 
     On sorted multisets the coefficient of a key with multiplicities
     (k_1..k_r) is prod(v_i^{k_i}/k_i!); each factor v_i^k/k! is built

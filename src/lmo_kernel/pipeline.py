@@ -63,7 +63,7 @@ from pathlib import Path
 from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
-from .qseries import (FrozenRecord, HSeries, Record, _echo, modified_bernoulli,
+from .qseries import (FrozenRecord, HSeries, _echo, modified_bernoulli,
                       parse_json_int, rational_str, sinh_ratio, sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
@@ -124,12 +124,13 @@ class InputFileError(InputError):
 
 @contextmanager
 def _file_errors(path: str, what: str):
-    """Any way the file ``path`` can be unreadable or malformed surfaces
-    as one InputFileError that names it."""
+    """Any way the file ``path`` can be unreadable or malformed, JSON
+    nested past the parser's recursion limit included, surfaces as one
+    InputFileError that names it."""
     try:
         yield
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ArithmeticError) as exc:
+            ArithmeticError, RecursionError) as exc:
         raise InputFileError(f"{what} {path}: {exc}") from exc
 
 
@@ -305,15 +306,19 @@ def load_qdata(path: str, rank: int,
     """The expansion-data file's lattice sum; every ``beta`` must be a
     list of ``rank`` JSON integers, and every entry's series, zero ones
     included, must be known through h^order.  A missing field is named
-    with its entry's index."""
+    with its entry's index, and with "series" when the series lacks it."""
     def entries(obj):
         for i, entry in enumerate(obj):
             try:
-                beta, series = entry["beta"], HSeries.from_json(
-                    entry["series"])
+                beta, series = entry["beta"], entry["series"]
             except KeyError as exc:
                 raise ValueError(
                     f"entry {i} has no field {exc.args[0]!r}") from exc
+            try:
+                series = HSeries.from_json(series)
+            except KeyError as exc:
+                raise ValueError(f"entry {i}: series has no field "
+                                 f"{exc.args[0]!r}") from exc
             if len(beta) != rank or any(type(x) is not int for x in beta):
                 raise ValueError(f"beta {_echo(beta)} needs {rank} integer "
                                  "coordinates")
@@ -342,7 +347,7 @@ def taupg_route(inp: SurgeryInput, label: str, order: int,
     return rootsys.tau_pg(rs, classes, inp.framing, order)
 
 
-def _fields_json(report: Record) -> dict:
+def _fields_json(report: FrozenRecord) -> dict:
     """A report's fields in the order its class's ``__slots__`` declares
     them: a series as its ``to_json()``, a ``Fraction`` as "p/q",
     anything else as is."""
@@ -355,7 +360,7 @@ def _fields_json(report: Record) -> dict:
     return {name: value(getattr(report, name)) for name in report.__slots__}
 
 
-class ComparisonReport(Record):
+class ComparisonReport(FrozenRecord):
     __slots__ = ("lie", "knot", "framing", "order", "certified_order",
                  "lmo_definition", "lmo_lemma", "routes_equal", "h1_power",
                  "taupg", "difference", "equal", "lmo_only")
@@ -409,7 +414,7 @@ def compare(inp: SurgeryInput, label: str, order: int,
 # identity verification suite
 # ---------------------------------------------------------------------------
 
-class CheckResult(Record):
+class CheckResult(FrozenRecord):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
@@ -438,10 +443,11 @@ def _check_bernoulli(order: int) -> list[CheckResult]:
 def _check_weyl(order: int) -> list[CheckResult]:
     out = []
     for label in LIE_LABELS:
-        rep = rootsys.weyl_denominator(rootsys.build_root_system(label))
-        out.append(CheckResult(f"weyl.denominator.{label}", rep.equal))
+        equal, equal_squared = rootsys.weyl_denominator(
+            rootsys.build_root_system(label))
+        out.append(CheckResult(f"weyl.denominator.{label}", equal))
         out.append(CheckResult(f"weyl.denominator_squared.{label}",
-                               rep.equal_squared))
+                               equal_squared))
     return out
 
 
@@ -540,7 +546,7 @@ def _check_gauss(order: int) -> list[CheckResult]:
             for beta, count in rootsys._lattice_product(
                 [rs.weyl, rs.weyl]).items()
             for key, series in liews.exp_tensor(
-                g, g.cartan_vector(beta), cap).items()
+                g.cartan_vector(beta), cap).items()
             for e, c in series.coeffs.items()), cap)
         for f in (2, 3, -2):
             total = liews.wick(tensor, g, f, cap)

@@ -29,8 +29,8 @@ each numerator and denominator from the one before, with no
 ``sum_products`` call.
 
 The module also holds what every other module reads: the JSON field
-readers and the record bases ``Record`` and ``FrozenRecord``, plain
-slotted classes, so that an import generates no code.
+readers and the record base ``FrozenRecord``, a plain slotted class,
+so that an import generates no code.
 """
 
 from __future__ import annotations
@@ -136,10 +136,11 @@ def rational_str(v: Fraction) -> str:
         raise SeriesError("a coefficient is too long to print") from exc
 
 
-class Record:
+class FrozenRecord:
     """A plain record: its fields are its ``__slots__``, in declaration
     order, and two records of one class are equal when their fields are.
-    It is mutable, so it has no hash."""
+    Nothing changes it once ``__init__`` has filled it (``_set_fields``
+    bypasses ``__setattr__``); it hashes its fields."""
 
     __slots__ = ()
 
@@ -154,13 +155,6 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() == other._fields()
-
-
-class FrozenRecord(Record):
-    """A record that nothing changes once ``__init__`` has filled it
-    (``_set_fields`` bypasses ``__setattr__``); it hashes its fields."""
-
-    __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self._fields())

@@ -22,7 +22,6 @@ from lmo_kernel.diagrams import (
     LEG,
     SLOT_PERMS,
     _STRUT_SERIAL,
-    CanonicalDiagram,
     CanonicalForm,
     Edge,
     JacobiDiagram,
@@ -143,17 +142,18 @@ def _canon_component(trivalent: list[int], edges: list[Edge],
     return (T, n_legs, serial), next(iter(best_signs))
 
 
-def canonicalize(d: JacobiDiagram) -> CanonicalDiagram:
-    """Uncached exhaustive counterpart of ``diagrams.canonicalize``."""
+def canonicalize(d: JacobiDiagram) -> tuple[CanonicalForm | None, int]:
+    """Uncached exhaustive counterpart of ``diagrams.canonicalize``:
+    (form, sign), or (None, 0) for a diagram that AS makes zero."""
     comps = []
     sign = 1
     for tv, _, es in _components(d):
         serial, s = _canon_component(sorted(tv), es, d.t)
         if s == 0:
-            return CanonicalDiagram(None, 0)
+            return None, 0
         sign *= s
         comps.append(serial)
-    return CanonicalDiagram(CanonicalForm(tuple(sorted(comps))), sign)
+    return CanonicalForm(tuple(sorted(comps))), sign
 
 
 def leg_group(gens, m: int) -> set[tuple[int, ...]]:

@@ -19,6 +19,8 @@ data and Y alone.
 
 ``wheeling`` is the forward wheeling map, the literal ``partial`` by
 the wheels exponential, which ``balg.wheeling_inverse`` inverts.
+``omega_inverse`` is the union inverse of the wheels exponential, so
+that ``partial`` by it inverts the wheeling map in one gluing.
 
 ``reduced_integrand`` is the definition route's integrand at the
 input's framing f, built literally as one series: the wheeled base ⊔
@@ -32,7 +34,7 @@ import itertools
 from fractions import Fraction
 
 from lmo_kernel.balg import (
-    _assert_strut_free, _strut_count, omega, strut, theta)
+    _assert_strut_free, _strut_count, omega, strut, theta, wheel)
 from lmo_kernel.diagrams import (
     DiagramSeries,
     JacobiDiagram,
@@ -42,6 +44,7 @@ from lmo_kernel.diagrams import (
     series_of,
 )
 from lmo_kernel.pipeline import SurgeryInput, _wheeled_base, knot_key
+from lmo_kernel.qseries import modified_bernoulli
 
 
 def perfect_matchings(items: list) -> list[list[tuple]]:
@@ -148,10 +151,18 @@ def wheeling(s: DiagramSeries) -> DiagramSeries:
     return partial(omega(s.imax), s)
 
 
+def omega_inverse(imax: int) -> DiagramSeries:
+    """The union inverse of ``omega``: exp of the wheel sum with negated
+    coefficients."""
+    return DiagramSeries.of_diagrams(imax, (
+        (wheel(m), -modified_bernoulli(m))
+        for m in range(1, imax // 2 + 1))).exp_union()
+
+
 def strut_split(s: DiagramSeries) -> tuple[Fraction, DiagramSeries]:
     """Factor ``s`` as exp((f/2) strut) ⊔ Y with strut-free Y; returns
     (f, Y).  The strut content must be exactly exponential."""
-    c = s.coeff(canonicalize(strut()).form)
+    c = s.coeff(canonicalize(strut())[0])
     y = s.union(series_of(strut(), s.imax, coeff=-c).exp_union())
     if any(_strut_count(form) > 0 for form in y.terms):
         raise StructuralError("strut content of the input is not exponential")

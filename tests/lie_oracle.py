@@ -137,9 +137,10 @@ def wick(T, g, f, cap: int) -> HSeries:
     return out
 
 
-def exp_tensor(g, vec, cap: int) -> dict:
-    """exp of a g-element as a symmetric tensor to 2*cap slots, each key's
-    coefficient prod(v_i^{k_i}/k_i!) computed from scratch."""
+def exp_tensor(vec, cap: int) -> dict:
+    """exp of the element with basis coordinates ``vec`` as a symmetric
+    tensor to 2*cap slots, each key's coefficient prod(v_i^{k_i}/k_i!)
+    computed from scratch."""
     support = [a for a, c in enumerate(vec) if c != 0]
     terms = {(): HSeries.one(cap)}
     for msize in range(1, 2 * cap + 1):

@@ -214,7 +214,7 @@ def diagram_union(a, b) -> dict:
 def coeff_of(s, d) -> Fraction:
     """Coefficient of a concrete diagram d in the series s, orientation
     sign included."""
-    cd = canonicalize(d)
-    if cd.is_zero:
+    form, sign = canonicalize(d)
+    if not sign:
         return Fraction(0)
-    return s.coeff(cd.form) * cd.sign
+    return s.coeff(form) * sign

@@ -48,9 +48,8 @@ def test_criterion_01_bernoulli():
 def test_criterion_02_weyl_denominator():
     t0 = time.time()
     for label in ("A1", "A2", "A3"):
-        rep = rootsys.weyl_denominator(rootsys.build_root_system(label))
-        assert rep.equal, label
-        assert rep.equal_squared, label
+        assert rootsys.weyl_denominator(
+            rootsys.build_root_system(label)) == (True, True), label
     _report(2, "Weyl denominator identity and its square (A1-A3)", t0, 1)
 
 
@@ -152,7 +151,7 @@ def test_criterion_09_gauss_display():
             for x, sw in rs.weyl:
                 for x2, sw2 in rs.weyl:
                     beta = tuple(a + b for a, b in zip(x, x2))
-                    tensor = liews.exp_tensor(g, g.cartan_vector(beta), cap)
+                    tensor = liews.exp_tensor(g.cartan_vector(beta), cap)
                     total = total + \
                         liews.wick(tensor, g, f, cap).scale(sw * sw2)
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)
@@ -187,14 +186,14 @@ def test_criterion_10_structural_suites():
     base = canonicalize(wheel(2))
     once = canonicalize(flip(wheel(2), 1))
     twice = canonicalize(flip(flip(wheel(2), 1), 1))
-    assert once.form == base.form and once.sign == -base.sign
+    assert once == (base[0], -base[1])
     assert twice == base
 
     # odd wheel vanishes
     tri = JacobiDiagram(3, 3, (((0, 1), (1, 2)), ((1, 1), (2, 2)),
                                ((2, 1), (0, 2)), ((0, 0), (3, 0)),
                                ((1, 0), (4, 0)), ((2, 0), (5, 0))))
-    assert canonicalize(tri).is_zero
+    assert canonicalize(tri) == (None, 0)
 
     # embedded IHX configurations (weight-system compatibility)
     def frame(xslots, yslots):

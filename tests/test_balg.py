@@ -202,7 +202,7 @@ class TestGaussianIntegral:
             5, 1, (((0, 0), (1, 1)), ((1, 0), (2, 1)), ((2, 0), (3, 1)),
                    ((3, 0), (4, 1)), ((4, 0), (0, 1)), ((0, 2), (2, 2)),
                    ((1, 2), (3, 2)), ((4, 2), (5, 0))))
-        assert canonicalize(pentagon).is_zero
+        assert canonicalize(pentagon) == (None, 0)
         odd = series_of(pentagon, 6)
         assert fg_integral(odd, f_override=3).is_zero()
 
@@ -245,6 +245,23 @@ class TestWheeling:
     def test_low_cap_fixes_wheels(self):
         # at imax = 2 no gluing correction fits, so the inverse is the input
         assert wheeling_inverse(omega(2)) == omega(2)
+
+    @pytest.mark.parametrize("imax", [2, 4, 6, 8, 10])
+    def test_inverse_wheels_glue_the_inverse_in_one_step(self, imax):
+        """Omega^-1, the wheels exponential with negated coefficients, is
+        the union inverse of Omega, and partial gluing by it is the
+        wheeling inverse that the Neumann loop computes."""
+        om, inv = omega(imax), gauss_oracle.omega_inverse(imax)
+        assert om.union(inv) == DiagramSeries.unit(imax)
+        wheels = DiagramSeries.of_diagrams(imax, (
+            (wheel(k), Q(k, 3)) for k in range(1, imax // 2 + 1)))
+        glued = DiagramSeries.of_diagrams(imax, [
+            (glue_legs(wheel(2), [(4, 5)]), 1),
+            (glue_legs(wheel(3), [(6, 9)]), Q(-1, 2))])
+        for y in (om, wheels, glued, series_of(theta(), imax)):
+            inverted = wheeling_inverse(y)
+            assert inverted == partial(inv, y)
+            assert partial(om, inverted) == y
 
     def test_correction_appears_at_imax_four(self):
         inv = wheeling_inverse(omega(4))
@@ -292,7 +309,7 @@ def gluing_series(draw, struts: bool, max_legs: int) -> DiagramSeries:
             nxt = d if draw(st.booleans()) else draw(pieces(struts))
             if d.m + nxt.m <= max_legs and d.t + nxt.t <= 8:
                 d = relabel_union(d, nxt)
-        form = canonicalize(d).form
+        form = canonicalize(d)[0]
         if d.m > max_legs or (not struts and form and _strut_count(form)):
             continue
         pairs.append((d, Q(draw(st.integers(-3, 3)),
@@ -313,10 +330,10 @@ def several_components(draw) -> JacobiDiagram:
     where that is zero (most are), one of ``pieces``."""
     def piece():
         d = draw(port_matchings())
-        if d.t and d.m and not canonicalize(d).is_zero:
+        if d.t and d.m and canonicalize(d)[1]:
             return d
         return draw(pieces(struts=True, max_t=8).filter(
-            lambda d: not canonicalize(d).is_zero))
+            lambda d: canonicalize(d)[1]))
 
     d = piece()
     for _ in range(draw(st.integers(0, 2))):
@@ -336,22 +353,22 @@ def _glued_one_pair(d: JacobiDiagram, i: int, j: int):
 class TestLegAutomorphisms:
     @pytest.mark.parametrize("k", [2, 3])
     def test_wheel_group_is_dihedral(self, k):
-        form = canonicalize(wheel(k)).form
+        form = canonicalize(wheel(k))[0]
         assert leg_group_order(leg_automorphisms(form), 2 * k) == 4 * k
 
     def test_equal_components_swap(self):
-        form = canonicalize(relabel_union(wheel(1), wheel(1))).form
+        form = canonicalize(relabel_union(wheel(1), wheel(1)))[0]
         assert leg_group_order(leg_automorphisms(form), 4) == 8
 
     def test_struts_flip_and_swap(self):
-        form = canonicalize(relabel_union(strut(), strut())).form
+        form = canonicalize(relabel_union(strut(), strut()))[0]
         assert leg_automorphisms(form) == ((0, 1, 3, 2), (1, 0, 2, 3),
                                            (2, 3, 0, 1))
         assert leg_group_order(leg_automorphisms(form), 4) == 8
 
     def test_different_components_do_not_swap(self):
         # two hexagons with a chord: t = 6, m = 4 each, different serials
-        a, b = (canonicalize(glue_legs(wheel(3), [(6, j)])).form
+        a, b = (canonicalize(glue_legs(wheel(3), [(6, j)]))[0]
                 for j in (9, 7))
         assert leg_group_order(leg_automorphisms(a), 4) == 4
         assert leg_group_order(leg_automorphisms(b), 4) == 2
@@ -360,7 +377,7 @@ class TestLegAutomorphisms:
     def test_forms_do_not_swap_with_each_other(self):
         """The legs of ``diagram_of(w, w)`` belong to two forms: each
         wheel keeps its own group, and no generator swaps the two."""
-        w = canonicalize(wheel(1)).form
+        w = canonicalize(wheel(1))[0]
         assert leg_automorphisms(w, w) == ((0, 1, 3, 2), (1, 0, 2, 3))
         assert leg_group_order(leg_automorphisms(w, w), 4) == 4
         assert leg_group_order(leg_automorphisms(w.union(w)), 4) == 8
@@ -368,13 +385,13 @@ class TestLegAutomorphisms:
     @settings(max_examples=100, deadline=None)
     @given(several_components(), several_components())
     def test_diagram_of_numbers_as_relabel_union(self, d, e):
-        f1, f2 = canonicalize(d).form, canonicalize(e).form
+        f1, f2 = canonicalize(d)[0], canonicalize(e)[0]
         assume(f1.t + f1.m + f2.t + f2.m <= MAX_VERTICES)
         assert diagram_of(f1, f2) == relabel_union(f1.diagram(),
                                                    f2.diagram())
 
     def test_closed_components_move_no_leg(self):
-        form = canonicalize(relabel_union(theta(), wheel(1))).form
+        form = canonicalize(relabel_union(theta(), wheel(1)))[0]
         assert leg_automorphisms(form) == ((1, 0),)
 
     @settings(max_examples=100, deadline=None)
@@ -383,7 +400,7 @@ class TestLegAutomorphisms:
         """The pruned canonical search keeps enough automorphisms: the
         generators span every leg permutation that the exhaustive
         search's minimal labelings induce."""
-        form = canonicalize(d).form
+        form = canonicalize(d)[0]
         assert leg_group(leg_automorphisms(form), d.m) == \
             leg_group(canon_oracle.leg_maps(form.diagram()), d.m)
 
@@ -396,7 +413,7 @@ class TestLegAutomorphisms:
             ((2, 1), (5, 2)), ((2, 2), (7, 1)), ((3, 1), (4, 2)),
             ((3, 2), (7, 2)), ((5, 0), (6, 2)), ((5, 1), (6, 0)),
             ((6, 1), (9, 0)), ((7, 0), (11, 0))))
-        form = canonicalize(d).form
+        form = canonicalize(d)[0]
         group = leg_group(canon_oracle.leg_maps(form.diagram()), 4)
         assert len(group) == 4
         # whichever shape of the serial came first, this one's search
@@ -435,7 +452,7 @@ class TestLegAutomorphisms:
     def test_zero_diagram_rejected(self):
         tripod = JacobiDiagram(1, 3, (((0, 0), (1, 0)), ((0, 1), (2, 0)),
                                       ((0, 2), (3, 0))))
-        assert canonicalize(tripod).is_zero
+        assert canonicalize(tripod) == (None, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(pieces(struts=True, max_t=8), pieces(struts=True, max_t=8),
@@ -445,12 +462,11 @@ class TestLegAutomorphisms:
         generator, gives the same canonical diagram and sign."""
         if n == 1:
             e = d
-        cd, ce = canonicalize(d), canonicalize(e)
-        if cd.is_zero or ce.is_zero:
+        (form, sign), (other, other_sign) = canonicalize(d), canonicalize(e)
+        if not (sign and other_sign):
             return
-        form = cd.form
-        if n and form.t + form.m + ce.form.t + ce.form.m <= MAX_VERTICES:
-            form = form.union(ce.form)
+        if n and form.t + form.m + other.t + other.m <= MAX_VERTICES:
+            form = form.union(other)
         g = form.diagram()
         for s in leg_automorphisms(form):
             assert sorted(s) == list(range(g.m))
@@ -560,7 +576,7 @@ class TestClosedComponentsPassThrough:
 
     def test_table_is_the_open_table_with_the_closed_part(self):
         def split(d):
-            form = canonicalize(d).form
+            form = canonicalize(d)[0]
             return form, tuple(CanonicalForm(tuple(
                 c for c in form.components if bool(c[1]) == is_open))
                 for is_open in (True, False))

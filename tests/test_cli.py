@@ -193,6 +193,28 @@ _TOO_LONG = {
                           _too_long("JSON integer")),
     "qdata-json-integer": (_one_series(cap=-7).replace("-7", _LONG),
                            _too_long("JSON integer"))}
+
+
+def _without(content: str, part: str, field: str) -> str:
+    """``content`` with ``field`` deleted from the ``part`` of entry 0."""
+    obj = json.loads(content)
+    del obj[0][part][field]
+    return json.dumps(obj)
+
+
+# a field missing inside entry 0's diagram or series, with its message,
+# which names the part that lacks it (it used to blame the entry)
+_MISSING_INSIDE = {
+    _without(content, part, field): f"entry 0: {part} has no field {field!r}"
+    for content, part, field in (
+        (_UNIT_KNOT, "diagram", "t"), (_UNIT_KNOT, "diagram", "edges"),
+        (_one_series(), "series", "cap"), (_one_series(), "series", "min_exp"))}
+# a port at slot 5 of a vertex with a cyclic order used to be read as a
+# missing field 5
+_BAD_SLOT = _unit_plus_theta(edges=[[[0, 0], [1, 0]], [[0, 1], [1, 2]],
+                                    [[0, 5], [1, 1]]])
+# JSON nested past the parser's recursion limit used to end in a traceback
+_DEEP = "[" * 100_000 + "]" * 100_000
 # the path names a directory, not a file
 _DIRECTORY = object()
 # a file whose message names the field at fault
@@ -201,7 +223,8 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
             **_INEXACT_KNOTS, **_INEXACT_QDATA, **_BAD_SERIES_KEYS,
             **_BAD_CYCLIC_KEYS, **_BAD_COEFFS,
             _NEGATIVE_T: "t must be >= 0, got -1",
-            **dict(_TOO_LONG.values())}
+            **dict(_TOO_LONG.values()), **_MISSING_INSIDE,
+            _BAD_SLOT: "port (0, 5): bad slot"}
 
 
 @pytest.mark.parametrize("option, content", [
@@ -237,6 +260,11 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
     pytest.param("--knot", b"[\xff\xfe]", id="--knot-non-utf8"),
     pytest.param("--knot", "", id="--knot-empty"),
     pytest.param("--knot", "42", id="--knot-42"),
+    *(("--knot" if "diagram" in content else "--qdata", content)
+      for content in _MISSING_INSIDE),
+    ("--knot", _BAD_SLOT),
+    pytest.param("--knot", _DEEP, id="--knot-deep"),
+    pytest.param("--qdata", _DEEP, id="--qdata-deep"),
 ])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, option, content):
     path = tmp_path / "input.json"

@@ -128,14 +128,11 @@ class TestCanonicalization:
             pt = list(range(4))
             rng.shuffle(pt)
             rots = {v: rng.choice(rot_choices) for v in range(4)}
-            cd = canonicalize(relabel(wheel(2), pt, rots))
-            assert cd.form == base.form and cd.sign == base.sign
+            assert canonicalize(relabel(wheel(2), pt, rots)) == base
 
     def test_orientation_flip_negates(self):
-        base = canonicalize(wheel(1))
-        flipped = canonicalize(flip_vertex(wheel(1), 0))
-        assert flipped.form == base.form
-        assert flipped.sign == -base.sign
+        form, sign = canonicalize(wheel(1))
+        assert canonicalize(flip_vertex(wheel(1), 0)) == (form, -sign)
 
     def test_double_flip_is_identity(self):
         base = canonicalize(wheel(1))
@@ -145,20 +142,19 @@ class TestCanonicalization:
         # closed multi-edge forms as the Gaussian integral produces them
         closed = fg_integral(
             reduced_integrand(SurgeryInput("unknot", 1), 6), 1)
-        forms = [canonicalize(d).form
+        forms = [canonicalize(d)[0]
                  for d in (wheel(1), wheel(2), wheel(3), theta(), strut())]
         for form in forms + list(closed.terms):
-            again = canonicalize(form.diagram())
-            assert again.form == form and again.sign == 1
+            assert canonicalize(form.diagram()) == (form, 1)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_wheels_vanish(self, n):
-        assert canonicalize(odd_wheel(n)).is_zero
+        assert canonicalize(odd_wheel(n)) == (None, 0)
 
     def test_one_vertex_star_vanishes(self):
         star = JacobiDiagram(1, 3, (((0, 0), (1, 0)), ((0, 1), (2, 0)),
                                     ((0, 2), (3, 0))))
-        assert canonicalize(star).is_zero
+        assert canonicalize(star) == (None, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(port_matchings())
@@ -171,14 +167,14 @@ class TestCanonicalization:
         ends = [(p[0], q[0]) for p, q in d.edges]
         ends += [(b, a) for a, b in ends]
         legs_at = Counter(v for v, leg in ends if v < d.t <= leg)
-        cd = canonicalize(d)
+        form, sign = canonicalize(d)
         if max(legs_at.values(), default=0) >= 2:
-            assert cd.is_zero
-        if not cd.is_zero and all(min(a, b) < d.t for a, b in ends):
-            assert cd.form.m <= cd.form.t
+            assert (form, sign) == (None, 0)
+        if sign and all(min(a, b) < d.t for a, b in ends):
+            assert form.m <= form.t
 
     def test_theta_does_not_vanish(self):
-        assert not canonicalize(theta()).is_zero
+        assert canonicalize(theta())[1]
 
 
 class TestCanonicalAgainstOracle:
@@ -187,17 +183,16 @@ class TestCanonicalAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(port_matchings(), st.data())
     def test_zero_rule_relabeling_and_flip(self, d, data):
-        cd = canonicalize(d)
-        assert cd.is_zero == canon_oracle.canonicalize(d).is_zero
+        form, sign = canonicalize(d)
+        assert (sign == 0) == (canon_oracle.canonicalize(d)[1] == 0)
         pt = data.draw(st.permutations(range(d.t)))
         rots = [data.draw(st.sampled_from([p for p, sg in SLOT_PERMS
                                            if sg == 1]))
                 for _ in range(d.t)]
-        assert canonicalize(relabel(d, pt, rots)) == cd
-        if d.t and not cd.is_zero:
+        assert canonicalize(relabel(d, pt, rots)) == (form, sign)
+        if d.t and sign:
             v = data.draw(st.integers(0, d.t - 1))
-            flipped = canonicalize(flip_vertex(d, v))
-            assert flipped.form == cd.form and flipped.sign == -cd.sign
+            assert canonicalize(flip_vertex(d, v)) == (form, -sign)
 
     @settings(max_examples=150, deadline=None)
     @given(port_matchings(), st.data())
@@ -209,12 +204,13 @@ class TestCanonicalAgainstOracle:
             perms = [data.draw(st.sampled_from([p for p, _ in SLOT_PERMS]))
                      for _ in range(d1.t)]
             d2 = relabel(d1, pt, perms)
-        n1, n2 = canonicalize(d1), canonicalize(d2)
-        o1, o2 = canon_oracle.canonicalize(d1), canon_oracle.canonicalize(d2)
-        assert (n1.is_zero, n2.is_zero) == (o1.is_zero, o2.is_zero)
-        assert (n1.form == n2.form) == (o1.form == o2.form)
-        if n1.form == n2.form:
-            assert n1.sign * n2.sign == o1.sign * o2.sign
+        (n1, s1), (n2, s2) = canonicalize(d1), canonicalize(d2)
+        (o1, r1), (o2, r2) = (canon_oracle.canonicalize(d1),
+                              canon_oracle.canonicalize(d2))
+        assert (s1 == 0, s2 == 0) == (r1 == 0, r2 == 0)
+        assert (n1 == n2) == (o1 == o2)
+        if n1 == n2:
+            assert s1 * s2 == r1 * r2
 
 
 def _partition(colour: dict[int, int]) -> set[frozenset[int]]:
@@ -301,8 +297,8 @@ CUTS = [(name, cut) for name, pairs in CUBIC.items() if name != "petersen"
 def _oracle(name: str, cut: tuple[int, ...]):
     d = cut_open(name, cut)
     o = canon_oracle.canonicalize(d)
-    return o, (None if o.is_zero else canon_oracle.leg_group(
-        canon_oracle.leg_maps(canonicalize(d).form.diagram()), d.m))
+    return o, (None if o[1] == 0 else canon_oracle.leg_group(
+        canon_oracle.leg_maps(canonicalize(d)[0].diagram()), d.m))
 
 
 class TestVertexTransitive:
@@ -311,31 +307,31 @@ class TestVertexTransitive:
     them), against the exhaustive oracle."""
 
     def test_zero_graphs(self):
-        zero = {name for name in CUBIC if _oracle(name, ())[0].is_zero}
+        zero = {name for name in CUBIC if _oracle(name, ())[0][1] == 0}
         assert zero == {"K33", "petersen"}
 
     @pytest.mark.parametrize("name, cut", CUTS)
     def test_relabelings_and_flips_match_oracle(self, name, cut):
         d = cut_open(name, cut)
-        oracle, group = _oracle(name, cut)
-        base = canonicalize(d)
-        assert base.is_zero == oracle.is_zero
-        if not oracle.is_zero:
-            assert canon_oracle.leg_group(leg_automorphisms(base.form),
+        (_, oracle_sign), group = _oracle(name, cut)
+        base, base_sign = canonicalize(d)
+        assert (base_sign == 0) == (oracle_sign == 0)
+        if oracle_sign:
+            assert canon_oracle.leg_group(leg_automorphisms(base),
                                           d.m) == group
         rng = random.Random(f"{name} {cut}")
         for _ in range(10):
             pt = rng.sample(range(d.t), d.t)
             perms = [rng.choice(SLOT_PERMS) for _ in range(d.t)]
             e = relabel(d, pt, [p for p, _ in perms])
-            cd = canonicalize(e)
-            assert cd.is_zero == oracle.is_zero
-            if oracle.is_zero:
+            form, sign = canonicalize(e)
+            assert (sign == 0) == (oracle_sign == 0)
+            if not oracle_sign:
                 continue
-            sign = base.sign
+            expected = base_sign
             for _, psign in perms:
-                sign *= psign
-            assert cd.form == base.form and cd.sign == sign
+                expected *= psign
+            assert (form, sign) == (base, expected)
             # the search of each relabeling's shape finds the whole group
             gens = diagrams._canon_component(shape_of(e))[2]
             assert canon_oracle.leg_group(gens, e.m) == group
@@ -345,11 +341,11 @@ class TestVertexTransitive:
             da, db = cut_open(*a), cut_open(*b)
             if (da.t, da.m) != (db.t, db.m):
                 continue
-            (oa, _), (ob, _) = _oracle(*a), _oracle(*b)
-            na, nb = canonicalize(da), canonicalize(db)
-            assert (na.form == nb.form) == (oa.form == ob.form), (a, b)
-            if na.form == nb.form and not na.is_zero:
-                assert na.sign * nb.sign == oa.sign * ob.sign, (a, b)
+            ((oa, ra), _), ((ob, rb), _) = _oracle(*a), _oracle(*b)
+            (na, sa), (nb, sb) = canonicalize(da), canonicalize(db)
+            assert (na == nb) == (oa == ob), (a, b)
+            if na == nb and sa:
+                assert sa * sb == ra * rb, (a, b)
 
 
 @st.composite
@@ -389,19 +385,18 @@ class TestShapeCache:
     @settings(max_examples=150, deadline=None)
     @given(glued_wheels(), glued_wheels())
     def test_union_reads_the_entries_of_its_parts(self, d, e):
-        cd, ce = canonicalize(d), canonicalize(e)
+        (fd, sd), (fe, se) = canonicalize(d), canonicalize(e)
         both = relabel_union(e, d)
         searched = len(diagrams._SHAPE_CACHE)
-        cb = canonicalize(both)
-        if cd.is_zero or ce.is_zero:
+        form, sign = canonicalize(both)
+        if not (sd and se):
             # the search of a part stops at its first zero component
-            assert cb.is_zero
+            assert (form, sign) == (None, 0)
             return
-        assert cb.form == ce.form.union(cd.form)
-        assert cb.sign == ce.sign * cd.sign
-        assert canon_oracle.leg_group(leg_automorphisms(cb.form),
+        assert (form, sign) == (fe.union(fd), se * sd)
+        assert canon_oracle.leg_group(leg_automorphisms(form),
                                       both.m) == canon_oracle.leg_group(
-            canon_oracle.leg_maps(cb.form.diagram()), both.m)
+            canon_oracle.leg_maps(form.diagram()), both.m)
         assert len(diagrams._SHAPE_CACHE) == searched
 
     @settings(max_examples=100, deadline=None)
@@ -411,10 +406,10 @@ class TestShapeCache:
         reached a serial: under random relabelings and slot flips of a
         component, every shape's search generates the same leg group,
         that of the serial's own diagram."""
-        cd = canonicalize(d)
-        if cd.is_zero:
+        form, sign = canonicalize(d)
+        if not sign:
             return
-        for comp in set(cd.form.components):
+        for comp in set(form.components):
             c = CanonicalForm((comp,)).diagram()
             group = canon_oracle.leg_group(canon_oracle.leg_maps(c), c.m)
             for _ in range(3):
@@ -469,7 +464,7 @@ def test_forms_of_any_union_order_hash_once_and_dedupe(pieces, data):
     """A form stores its hash: forms built by unions in different orders
     compare equal, hash equal, to the hash of their one compared field
     (``hash((components,))``), and key one dict entry."""
-    forms = [cd.form for cd in map(canonicalize, pieces) if not cd.is_zero]
+    forms = [form for form, sign in map(canonicalize, pieces) if sign]
     first = functools.reduce(CanonicalForm.union, forms, EMPTY_FORM)
     shuffled = data.draw(st.permutations(forms))
     second = EMPTY_FORM
@@ -518,7 +513,7 @@ class TestExpUnion:
 class TestGlue:
     def test_wheel_closes_to_theta(self):
         glued = glue_legs(wheel(1), [(2, 3)])
-        assert canonicalize(glued).form == canonicalize(theta()).form
+        assert canonicalize(glued)[0] == canonicalize(theta())[0]
 
     def test_circle_detected(self):
         with pytest.raises(StructuralError):
@@ -539,9 +534,8 @@ class TestJson:
         obj = wheel(1).to_json()
         obj["cyclic"]["0"] = [0, 2, 1]
         loaded = JacobiDiagram.from_json(obj)
-        cd = canonicalize(loaded)
-        base = canonicalize(wheel(1))
-        assert cd.form == base.form and cd.sign == -base.sign
+        form, sign = canonicalize(wheel(1))
+        assert canonicalize(loaded) == (form, -sign)
 
     def test_rotated_cyclic_order_is_same_diagram(self):
         obj = wheel(1).to_json()
@@ -594,7 +588,7 @@ def test_of_diagrams_matches_fraction_loop_oracle(case):
     signed = [(canonicalize(d), c) for d, c in pairs]
     assert DiagramSeries.of_diagrams(imax, pairs).terms == \
         series_oracle._bounded_terms(imax, [
-            (cd.form, c * cd.sign) for cd, c in signed if not cd.is_zero])
+            (form, c * sign) for (form, sign), c in signed if sign])
 
 
 @st.composite

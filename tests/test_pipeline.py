@@ -2,6 +2,7 @@
 the comparison report, and file-knot handling."""
 
 import json
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -449,22 +450,23 @@ class TestVerifySuite:
         # roots): a fault in what survives must still fail a gauss check
         true_wick, true_exp = liews.wick, liews.exp_tensor
 
-        def two_p(g):
-            return g.dim - g.rank    # 2P slots: one per root
+        def two_p(dim):
+            n = math.isqrt(dim + 1)  # sl_n has dimension n^2 - 1
+            return n * (n - 1)       # 2P slots: one per root
 
         if mutant == "plus_h_over_f":
             monkeypatch.setattr(liews, "wick", lambda T, g, f, cap:
                                 true_wick(T, g, -f, cap))
         elif mutant == "no_2p_slot_terms":
             monkeypatch.setattr(liews, "wick", lambda T, g, f, cap: true_wick(
-                {k: s for k, s in T.items() if len(k) != two_p(g)},
+                {k: s for k, s in T.items() if len(k) != two_p(g.dim)},
                 g, f, cap))
         else:
-            def scaled(g, vec, cap):
+            def scaled(vec, cap):
                 # the first key of 2P slots, if any (the zero point has none)
-                T = true_exp(g, vec, cap)
+                T = true_exp(vec, cap)
                 for key in T:
-                    if len(key) == two_p(g):
+                    if len(key) == two_p(len(vec)):
                         T[key] = T[key].scale(2)
                         break
                 return T

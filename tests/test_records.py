@@ -1,30 +1,28 @@
-"""The kernel's records are plain slotted classes: each keeps its
-constructor, its validation and its messages, its equality and hash, and
-the frozen ones refuse to change."""
+"""The kernel's records are plain slotted classes on one frozen base:
+each keeps its constructor, its validation and its messages, its
+equality and hash, and refuses to change."""
 
 import pytest
 
 from lmo_kernel import liews, rootsys
 from lmo_kernel.diagrams import (
-    LEG, CanonicalDiagram, CanonicalForm, JacobiDiagram, StructuralError)
+    LEG, CanonicalForm, JacobiDiagram, StructuralError)
 from lmo_kernel.pipeline import (
     CheckResult, ComparisonReport, InputError, SurgeryInput, compare)
 
 _THETA = (((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1)))
 _STRUT = (0, 2, ((LEG, LEG),))
 
-# each frozen record class, with a builder that makes a new instance with
+# each record class, with a builder that makes a new instance with
 # the same fields on every call
 _FROZEN = {
     "JacobiDiagram": lambda: JacobiDiagram(2, 0, _THETA),
     "CanonicalForm": lambda: CanonicalForm((_STRUT,)),
-    "CanonicalDiagram": lambda: CanonicalDiagram(CanonicalForm((_STRUT,)),
-                                                 -1),
     "LieAlgebraData": lambda: liews.build_sl.__wrapped__(2),
     "RootSystem": lambda: rootsys.build_root_system.__wrapped__("A1"),
-    "WeylDenominatorReport": lambda: rootsys.WeylDenominatorReport(True,
-                                                                   False),
     "SurgeryInput": lambda: SurgeryInput("unknot", 2),
+    "ComparisonReport": lambda: compare(SurgeryInput("unknot", 2), "A1", 2),
+    "CheckResult": lambda: CheckResult("a", True, "d"),
 }
 
 
@@ -45,8 +43,9 @@ def test_frozen_records_with_equal_fields_are_equal(name):
     a, b = _FROZEN[name](), _FROZEN[name]()
     assert a is not b and a == b and not a != b
     assert a != tuple(getattr(a, f) for f in type(a).__slots__)
-    if name == "LieAlgebraData":
-        # ``f_low`` is a dict, so the data has no hash
+    if name in ("LieAlgebraData", "ComparisonReport"):
+        # ``f_low`` is a dict and a series has no hash, so neither record
+        # has one
         with pytest.raises(TypeError):
             hash(a)
     else:
@@ -94,13 +93,17 @@ def test_validation_keeps_its_messages():
         JacobiDiagram(-1, 3, ())
 
 
-def test_reports_are_mutable_equal_by_fields_and_unhashable():
+def test_reports_are_frozen_and_equal_by_fields():
     a, b = CheckResult("a", True, "d"), CheckResult("a", True, "d")
+    assert a == b and a != CheckResult("a", True, "e")
+    with pytest.raises(AttributeError, match="^cannot assign to field "
+                       "'passed'$"):
+        a.passed = False
     assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
-    a.passed = False
-    assert a != b
+    report = compare(SurgeryInput("unknot", 2), "A1", 2)
+    with pytest.raises(AttributeError):
+        report.equal = False
+    assert report.equal is True
 
 
 def test_report_json_keys_come_in_declaration_order():

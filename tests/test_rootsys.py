@@ -181,8 +181,7 @@ def test_theta_normalization_across_the_two_sides(label):
 class TestWeylDenominator:
     def test_all_types(self):
         for rs in (A1, A2, A3, A4):
-            rep = weyl_denominator(rs)
-            assert rep.equal and rep.equal_squared
+            assert weyl_denominator(rs) == (True, True)
 
     def test_a1_explicit(self):
         factors = _root_factors(A1, ((Q(1, 2), 1), (Q(-1, 2), -1)))

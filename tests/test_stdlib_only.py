@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import lmo_kernel
+from lmo_kernel import pipeline
 
 
 def _imported_modules(path: Path):
@@ -63,6 +64,38 @@ def test_src_imports_are_used():
     unused = [f"{path.name}:{line} {name}" for path in sources
               for line, name in _unused_imports(path)]
     assert unused == []
+
+
+def _unread_parameters(path: Path):
+    """(line, function, parameter) of every parameter that a function or
+    lambda of one source file never reads, nested functions counted as
+    reads.  Exempt: dunder methods, whose signatures Python fixes."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in read:
+                yield node.lineno, name, p.arg
+
+
+def test_src_parameters_are_read():
+    """Every parameter is read, except by the suite checks of
+    ``pipeline._SUITES``, which share one signature."""
+    suites = {check.__name__ for check in pipeline._SUITES.values()}
+    sources = sorted(Path(lmo_kernel.__file__).parent.glob("*.py"))
+    unread = [f"{path.name}:{line} {name}({param})" for path in sources
+              for line, name, param in _unread_parameters(path)
+              if name not in suites]
+    assert unread == []
 
 
 def test_cli_import_loads_no_code_generator():
