@@ -20,7 +20,8 @@ A3, framing -2, order 3 read the A3 unknot data as written
 expansion-data path at rank 3.  After them, the omega(8) knot file's
 ``compare`` runs again at framings -1 and 3: an uncached file knot
 against the sign -1 reference surgery, and a second framing after the
-first.
+first.  Last of all, ``compare`` and ``taupg`` at framings outside the
+sampled five: A1 at 11, order 4; A2 at 7, order 3; A3 at -5, order 2.
 """
 
 import contextlib
@@ -69,7 +70,11 @@ def commands() -> list[list[str]]:
         knot + ["--qdata", "qdata_split.json"],
         ["taupg"] + a3,
         ["compare"] + a3,
-    ] + [knot_at(f) for f in (-1, 3)]
+    ] + [knot_at(f) for f in (-1, 3)] + [
+        [command, "--lie", lie, "--framing", f, "--order", n]
+        for lie, f, n in (("A1", "11", "4"), ("A2", "7", "3"),
+                          ("A3", "-5", "2"))
+        for command in ("compare", "taupg")]
 
 
 def unknot_entries(label: str, cap: int) -> list:
