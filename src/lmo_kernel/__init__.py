@@ -29,6 +29,7 @@ from .rootsys import (
     norm_classes,
     quantum_dim_sq_shifted,
     tau_pg,
+    tau_poly,
     unknot_classes,
     weyl_denominator,
 )
@@ -49,7 +50,8 @@ __all__ = [
     "wheeling_inverse",
     "LieAlgebraData", "build_sl", "hat_weight", "wick",
     "RootSystem", "build_root_system", "norm_classes",
-    "quantum_dim_sq_shifted", "tau_pg", "unknot_classes", "weyl_denominator",
+    "quantum_dim_sq_shifted", "tau_pg", "tau_poly", "unknot_classes",
+    "weyl_denominator",
     "ComparisonReport", "SurgeryInput", "compare", "lmo_via_definition",
     "lmo_via_lemma", "taupg_route", "verify_suite",
 ]

@@ -49,8 +49,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .qseries import (FrozenRecord, _echo, json_int, json_key, json_rational,
-                      rational_str, sum_products)
+from .qseries import (FrozenRecord, _echo, json_int, json_key, json_object,
+                      json_rational, rational_str, sum_products)
 
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
@@ -132,12 +132,16 @@ class JacobiDiagram(FrozenRecord):
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "JacobiDiagram":
+    def from_json(cls, obj: dict, what: str = "diagram") -> "JacobiDiagram":
+        """A diagram or its ``cyclic`` field that is not a JSON object is
+        malformed input, named as ``what``."""
+        json_object(obj, what)
         t, m = json_int(obj["t"], "t"), json_int(obj["m"], "m")
         # A file may present the cyclic order as any permutation of the
         # slots; rename slots per vertex so the order becomes (0, 1, 2).
         remap: dict[int, dict[int, int]] = {}
-        for key, cyc in obj.get("cyclic", {}).items():
+        for key, cyc in json_object(obj.get("cyclic", {}),
+                                    f"{what} field 'cyclic'").items():
             v = json_key(key, "cyclic key")
             if not 0 <= v < t:
                 raise StructuralError(
@@ -678,18 +682,21 @@ class DiagramSeries:
 
     @classmethod
     def from_json(cls, obj: list, imax: int) -> "DiagramSeries":
-        """Read a list of {"coeff", "diagram"} entries; a missing field
-        is named with its entry's index, and with "diagram" when the
-        diagram lacks it."""
+        """Read a list of {"coeff", "diagram"} entries; a missing field,
+        and an entry, diagram or field that should be an object and is
+        not, is named with its entry's index, and with "diagram" when it
+        is the diagram's."""
         def pairs():
             for i, entry in enumerate(obj):
+                json_object(entry, f"entry {i}")
                 try:
                     diagram, coeff = entry["diagram"], entry["coeff"]
                 except KeyError as exc:
                     raise StructuralError(
                         f"entry {i} has no field {exc.args[0]!r}") from exc
                 try:
-                    d = JacobiDiagram.from_json(diagram)
+                    d = JacobiDiagram.from_json(diagram,
+                                                f"entry {i}: diagram")
                 except KeyError as exc:
                     raise StructuralError(f"entry {i}: diagram has no field "
                                           f"{exc.args[0]!r}") from exc

@@ -205,30 +205,34 @@ def contract_diagram(d: JacobiDiagram, g: LieAlgebraData
 
     Returns the symmetric tensor over the legs as a map from sorted
     basis-index tuples to rational coefficients (the empty tuple holds
-    the scalar value of a closed diagram).  Each step contracts the
-    pair sharing a port with the smallest product of entry counts (the
-    first in index order on ties); once no port is shared, the first two
-    tensors (disconnected parts) are multiplied.  Exact arithmetic makes
-    the result schedule-independent.
+    the scalar value of a closed diagram).  Each step contracts, among
+    the pairs that share a port, the one whose result keeps the fewest
+    ports, so that intermediates stay narrow; ties go to the smallest
+    product of entry counts, then to the first pair in index order.
+    Once no port is shared, the first two tensors (disconnected parts)
+    are multiplied.  Exact arithmetic makes the result
+    schedule-independent.
     """
     ginv = _form_tensor(g.gram_inv)
     tensors = [(((v, 0), (v, 1), (v, 2)), g.f_low) for v in range(d.t)]
     tensors += [((p, q), ginv) for p, q in d.edges]
     while len(tensors) > 1:
-        # a port is held by at most two tensors: one scan finds the pairs
+        # a port is held by at most two tensors: one scan counts the ports
+        # each linked pair shares
         holder: dict = {}
-        linked = set()
+        shared: dict = {}
         for j, (ports, _) in enumerate(tensors):
             for p in ports:
                 i = holder.setdefault(p, j)
                 if i != j:
-                    linked.add((i, j))
-        pairs = sorted(linked)
-        if not pairs:
+                    shared[i, j] = shared.get((i, j), 0) + 1
+        if not shared:
             i, j = 0, 1
         else:
-            i, j = min(pairs, key=lambda ij: len(tensors[ij[0]][1])
-                       * len(tensors[ij[1]][1]))
+            i, j = min(sorted(shared), key=lambda ij: (
+                len(tensors[ij[0]][0]) + len(tensors[ij[1]][0])
+                - 2 * shared[ij],
+                len(tensors[ij[0]][1]) * len(tensors[ij[1]][1])))
         tensors[i] = _contract_pair(tensors[i], tensors[j])
         tensors[j] = tensors[-1]
         tensors.pop()

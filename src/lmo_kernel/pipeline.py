@@ -18,9 +18,12 @@ order.
 Both sides need the unknot, and both build it once per label and
 order.  The Lie side reads norm-class groups, classes that share one
 series: the built-in unknot's are one group from
-``rootsys.unknot_classes``, the Weyl fold, cached per (label, order); a
-``--qdata`` file's lattice sum {beta: series} goes through
-``rootsys.norm_classes``, one group per class.  The diagram side reads
+``rootsys.unknot_classes``, the Weyl fold; a ``--qdata`` file's lattice
+sum {beta: series} goes through ``rootsys.norm_classes``, one group per
+class.  Either way ``rootsys.tau_poly`` builds tau^PG's framing
+polynomials and ``rootsys.tau_pg`` evaluates them at the framing; the
+built-in unknot's polynomials are cached per (label, order), a file's
+are built on every call.  The diagram side reads
 a knot only through its zero-framed wheeled invariant, Omega for the
 built-in unknot, so every knot takes one path there, under one key
 (``knot_key``): the wheeled knot and the wheeled base, the wheeled knot
@@ -34,7 +37,8 @@ carries exp(-(f/48) theta), so each route's Gaussian integral is a
 Laurent polynomial in f whose coefficients are framing-free graded
 weights: ``balg.fg_parts`` glues each integrand once, its part k is
 weighed once, and a route at framing f only sums the weighed parts
-times powers of f.  The definition route weighs the parts of each
+times powers of f (``qseries.at_framing``, the evaluator that the Lie
+side's polynomials share).  The definition route weighs the parts of each
 coefficient X_j of ``reduced_input``; the lemma route weighs those of
 the wheeled base alone and never a theta power.  The definition route
 divides by the reference surgery on the unknot at framing sign(f), the
@@ -63,8 +67,10 @@ from pathlib import Path
 from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
-from .qseries import (FrozenRecord, HSeries, _echo, modified_bernoulli,
-                      parse_json_int, rational_str, sinh_ratio, sum_products)
+from .qseries import (
+    FramingPoly, FrozenRecord, HSeries, _echo, at_framing, json_object,
+    modified_bernoulli, parse_json_int, rational_str, sinh_ratio,
+    sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
 
@@ -223,22 +229,10 @@ def _theta_weight(label: str, order: int) -> HSeries:
     return hat_scalar(series_of(balg.theta(), 2 * order), g, order)
 
 
-#: A Laurent polynomial in the framing f with series coefficients:
-#: {(e, n): the coefficient of f^e h^n}.
-FramingPoly = dict[tuple[int, int], Fraction]
-
-
 def _framing_poly(terms) -> FramingPoly:
     """The polynomial sum of c f^e W over terms (e, c, W), W a series."""
     return sum_products(((e, n), c, a) for e, c, w in terms
                         for n, a in w.coeffs.items())
-
-
-def _at_framing(poly: FramingPoly, f: int, cap: int) -> HSeries:
-    """``poly`` evaluated at the framing ``f``, known up to h^cap."""
-    f = Fraction(f)
-    return HSeries(sum_products((n, f ** e, a)
-                                for (e, n), a in poly.items()), cap)
 
 
 @lru_cache(maxsize=_KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -267,14 +261,14 @@ def _lemma_poly(key: KnotKey, label: str, order: int) -> FramingPoly:
 def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
     """Graded weight of the Gaussian integral of the unknot at framing
     ``sign`` (1 or -1): the denominator of the definition route."""
-    return _at_framing(_definition_poly(_UNKNOT_KEY, label, order), sign,
+    return at_framing(_definition_poly(_UNKNOT_KEY, label, order), sign,
                        order)
 
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant as the ratio of two Gaussian integrals, the
     denominator being the matching-sign unknot surgery."""
-    num = _at_framing(_definition_poly(knot_key(inp), label, order),
+    num = at_framing(_definition_poly(knot_key(inp), label, order),
                       inp.framing, order)
     out = num * _reference_surgery(label, inp.sign, order).inverse()
     return out.truncate(min(order, out.cap))
@@ -284,7 +278,7 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant in closed form: the wheels pairing, a theta
     exponential with exponent (3 sign(f) - f)/48, and the Gaussian
     integral, at framing f, of the wheeled zero-framed input."""
-    fgv = _at_framing(_lemma_poly(knot_key(inp), label, order),
+    fgv = at_framing(_lemma_poly(knot_key(inp), label, order),
                       inp.framing, order)
     theta_h = _theta_weight(label, order)
     factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()
@@ -293,29 +287,32 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
 
 
 @lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
-def _unknot_classes(label: str, cap: int) -> rootsys.NormClasses:
-    """The built-in unknot's norm-class group; callers share the cached
-    value and only read it.  ``taupg`` takes any order, so the cache
-    holds at most the keys that ``compare`` can reach."""
+def _unknot_tau(label: str, order: int) -> rootsys.TauPoly:
+    """The built-in unknot's tau^PG framing polynomials, from its
+    norm-class group; callers share the cached value and only read it.
+    ``taupg`` takes any order, so the cache holds at most the keys that
+    ``compare`` can reach."""
     rs, _ = lie_pair(label)
-    return rootsys.unknot_classes(rs, cap)
+    return rootsys.tau_poly(rs, rootsys.unknot_classes(rs, order), order)
 
 
 def load_qdata(path: str, rank: int,
                order: int) -> dict[rootsys.Vec, HSeries]:
     """The expansion-data file's lattice sum; every ``beta`` must be a
     list of ``rank`` JSON integers, and every entry's series, zero ones
-    included, must be known through h^order.  A missing field is named
-    with its entry's index, and with "series" when the series lacks it."""
+    included, must be known through h^order.  A missing field, and an
+    entry, series or field that should be an object and is not, is named
+    with its entry's index, and with "series" when it is the series'."""
     def entries(obj):
         for i, entry in enumerate(obj):
+            json_object(entry, f"entry {i}")
             try:
                 beta, series = entry["beta"], entry["series"]
             except KeyError as exc:
                 raise ValueError(
                     f"entry {i} has no field {exc.args[0]!r}") from exc
             try:
-                series = HSeries.from_json(series)
+                series = HSeries.from_json(series, f"entry {i}: series")
             except KeyError as exc:
                 raise ValueError(f"entry {i}: series has no field "
                                  f"{exc.args[0]!r}") from exc
@@ -335,16 +332,17 @@ def load_qdata(path: str, rank: int,
 def taupg_route(inp: SurgeryInput, label: str, order: int,
                 qdata: dict[rootsys.Vec, HSeries] | None = None) -> HSeries:
     """tau^PG from the knot's parsed expansion data; the built-in unknot
-    needs none."""
-    rs, _ = lie_pair(label)
+    needs none.  Both build the framing polynomials first, the built-in
+    unknot's once per label and order."""
     if qdata is not None:
-        classes = rootsys.norm_classes(rs, qdata)
+        rs, _ = lie_pair(label)
+        tau = rootsys.tau_poly(rs, rootsys.norm_classes(rs, qdata), order)
     elif inp.is_builtin:
-        classes = _unknot_classes(label, order)
+        tau = _unknot_tau(label, order)
     else:
         raise InputError("file knots need companion expansion data "
                          "(--qdata) for the perturbative side")
-    return rootsys.tau_pg(rs, classes, inp.framing, order)
+    return rootsys.tau_pg(tau, inp.framing)
 
 
 def _fields_json(report: FrozenRecord) -> dict:

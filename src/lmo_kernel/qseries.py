@@ -13,24 +13,34 @@ numerator and denominator per key and reduces each sum to one
 value (a coefficient, a sum handed back) is a reduced ``Fraction``.  It
 is the one place in the package that adds rationals into a sparse map,
 and the one place that drops a zero sum.  Built on it: here, the series
-sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``; in
+sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``, and the
+value of a framing polynomial (``at_framing``); in
 ``diagrams``, every ``DiagramSeries`` (its constructor, ``+``,
 ``union``), and through it the gluing sums of ``balg``;
 in ``rootsys``, the Weyl double sums and the root products (on
 integer lattice keys), the class sums of a lattice sum's norm-class
-map and the terms of the Gaussian sum route; in ``liews``, the pair
+map and the framing polynomials of both Gaussian routes and of the Weyl
+prefactor; in ``liews``, the pair
 contraction, the leg erasure of a contracted diagram, ``wick`` and
 ``series_tensor``, which builds the weight tensors of ``hat_weight`` and
 the gauss check's sum of the weighed exponential tensors of a squared
-Weyl sum; in ``pipeline``, the framing polynomials and their values.
+Weyl sum; in ``pipeline``, the diagram side's framing polynomials.
+
+A framing polynomial (``FramingPoly``) is a series in h whose
+coefficients are Laurent polynomials in the framing f, stored as {(e,
+n): the coefficient of f^e h^n}.  Both sides build theirs once per
+knot, label and order, the diagram side in ``pipeline`` and tau^PG in
+``rootsys``, and both evaluate them at a framing through the one
+``at_framing``.
 
 ``q_power`` builds q^c = exp(c h) in closed form, [h^k] = c^k / k!,
 each numerator and denominator from the one before, with no
 ``sum_products`` call.
 
 The module also holds what every other module reads: the JSON field
-readers and the record base ``FrozenRecord``, a plain slotted class,
-so that an import generates no code.
+readers (``json_object``, ``json_int``, ``json_key``, ``json_rational``,
+each naming the field it rejects) and the record base ``FrozenRecord``,
+a plain slotted class, so that an import generates no code.
 """
 
 from __future__ import annotations
@@ -71,6 +81,13 @@ def _echo(x) -> str:
     """``repr(x)`` for an error message, cut to 80 characters."""
     r = repr(x)
     return r if len(r) <= 80 else r[:77] + "..."
+
+
+def json_object(x, what: str) -> dict:
+    """An object of a JSON file; a list or a scalar is not one."""
+    if type(x) is not dict:
+        raise TypeError(f"{what} is {_echo(x)}, not an object")
+    return x
 
 
 def json_int(x, what: str) -> int:
@@ -225,13 +242,7 @@ class HSeries:
         return self + (-other)
 
     def __mul__(self, other: "HSeries") -> "HSeries":
-        # The product is determined at order k only while unknown tail
-        # coefficients of one factor cannot meet the support of the other.
-        va = self.valuation()
-        vb = other.valuation()
-        va = self.cap + 1 if va is None else va
-        vb = other.cap + 1 if vb is None else vb
-        cap = min(self.cap + vb, other.cap + va)
+        cap = product_cap(self, other)
         return HSeries(sum_products(
             (i + j, a, b) for i, a in self.coeffs.items()
             for j, b in other.coeffs.items() if i + j <= cap), cap)
@@ -308,13 +319,16 @@ class HSeries:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HSeries":
+    def from_json(cls, obj: dict, what: str = "series") -> "HSeries":
         """Inverse of ``to_json``; a coefficient below the file's
-        ``min_exp``, an inexact coefficient and a ``cap`` or ``min_exp``
-        that is not a JSON integer are malformed input."""
+        ``min_exp``, an inexact coefficient, a ``cap`` or ``min_exp``
+        that is not a JSON integer and a series or ``coeffs`` that is not
+        a JSON object are malformed input, the last two named as
+        ``what``."""
         coeffs = {json_key(k, "exponent"):
                   json_rational(v, f"coefficient of h^{k}")
-                  for k, v in obj["coeffs"].items()}
+                  for k, v in json_object(json_object(obj, what)["coeffs"],
+                                          f"{what} field 'coeffs'").items()}
         cap, min_exp = (json_int(obj[f], f) for f in ("cap", "min_exp"))
         out = cls(coeffs, cap)
         if any(k < min_exp for k in out.coeffs):
@@ -355,12 +369,37 @@ def sum_products(terms: Iterable[tuple[Hashable, Fraction | int,
     return acc
 
 
+def product_cap(a: HSeries, b: HSeries) -> int:
+    """The cap of the product a * b: the product is determined at order k
+    only while unknown tail coefficients of one factor cannot meet the
+    support of the other."""
+    va = a.valuation()
+    vb = b.valuation()
+    va = a.cap + 1 if va is None else va
+    vb = b.cap + 1 if vb is None else vb
+    return min(a.cap + vb, b.cap + va)
+
+
 def series_sum(series: list[HSeries]) -> HSeries:
     """The sum of one or more series, known up to the smallest cap."""
     cap = min(s.cap for s in series)
     return HSeries(sum_products((k, c, 1) for s in series
                                 for k, c in s.coeffs.items() if k <= cap),
                    cap)
+
+
+#: A Laurent polynomial in the framing f with rational coefficients:
+#: {(e, n): the coefficient of f^e h^n}.
+FramingPoly = dict[tuple[int, int], Fraction]
+
+
+def at_framing(poly: FramingPoly, f: int, cap: int) -> HSeries:
+    """``poly`` evaluated at the framing ``f``, read through h^cap: its
+    terms above h^cap are left out.  Each power of f is taken once."""
+    f = Fraction(f)
+    powers = {e: f ** e for e in {e for e, _ in poly}}
+    return HSeries(sum_products((n, powers[e], a) for (e, n), a in poly.items()
+                                if n <= cap), cap)
 
 
 def q_power(c, cap: int) -> HSeries:

@@ -28,25 +28,37 @@ from (beta, series) entries by ``lattice_sum`` (the expansion-data
 reader ``pipeline.load_qdata`` feeds it) and written to the
 expansion-data format by ``lattice_sum_to_json``.
 
-``tau_pg`` reads a list of norm-class groups (sums, cap, {|beta|^2:
-count}): the norm classes of one group share one series, the sums of
-[h^k] read through h^cap, each class carrying it times its count.  Both
-Gaussian routes integrate a whole group with one series operation, by
-linearity, each in its own way: the sum route weighs the series by power
-sums of the counted norms, the exponential route by the counted sum of
-the classes' exponentials.  ``norm_classes`` makes one group per class,
-with count 1, from an expansion-data file's lattice sum in one pass.
-The built-in unknot is one group from ``unknot_classes``, without any
-lattice sum: |beta|^2 is W-invariant, so the Weyl fold beta = w(rho +
-u(rho)) counts each class from the |W| points rho + u(rho), and every
-g_beta is its count times one series, ``_den_inv``, the inverse of
-prod_{a>0} (q^((rho,a)/2) - q^(-(rho,a)/2))^2.
-``quantum_dim_sq_shifted`` still builds the unfolded |W|^2-point sum,
-each point's count times that series, to write it as expansion data.
-The Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 -
-q^(s(rho,a))) is lead * h^P times one unit series, q^((3s-f)|rho|^2/2)
-times the sinh ratios of the (rho, a) (``_weyl_prefactor``), read only
-to the order the product with the Gaussian sum can show.
+The perturbative invariant is built once per knot and cap, for every
+framing at once.  ``tau_poly`` reads a list of norm-class groups (sums,
+cap, {|beta|^2: count}): the norm classes of one group share one
+series, the sums of [h^k] read through h^cap, each class carrying it
+times its count.  Both Gaussian routes integrate a whole group with one
+operation, by linearity, each in its own way: the sum route weighs the
+series by power sums of the counted norms, the exponential route
+multiplies it by the counted sum of the classes' exponentials.
+``norm_classes`` makes one group per class, with count 1, from an
+expansion-data file's lattice sum in one pass.  The built-in unknot is
+one group from ``unknot_classes``, without any lattice sum: |beta|^2 is
+W-invariant, so the Weyl fold beta = w(rho + u(rho)) counts each class
+from the |W| points rho + u(rho), and every g_beta is its count times
+one series, ``_den_inv``, the inverse of prod_{a>0} (q^((rho,a)/2) -
+q^(-(rho,a)/2))^2.  ``quantum_dim_sq_shifted`` still builds the
+unfolded |W|^2-point sum, each point's count times that series, to
+write it as expansion data.
+
+The framing f enters the surgery formula in three places only:
+(-|beta|^2/f)^j in the sum route, exp(-h |beta|^2/(2f)) in the
+exponential route, and q^(-f|rho|^2/2) in the Weyl prefactor.  So for
+a fixed sign of f each h^n coefficient is a Laurent polynomial in f, a
+``qseries.FramingPoly`` {(e, n): coefficient of f^e h^n}, and
+``tau_poly`` builds them framing-free (``TauPoly``): the Gaussian sum S
+by both routes, which must agree as polynomials, and, per sign s, the
+Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 - q^(s(rho,
+a))), which is lead * h^P times the unit q^(3s|rho|^2/2) prod
+sinh_ratio((rho, a)) times q^(-f|rho|^2/2) (``_weyl_prefactor``).
+``tau_pg`` is the one per-framing step: it evaluates S at f, reads the
+prefactor only to the order that the product with S at that f can show,
+multiplies once and checks for a pole.
 """
 
 from __future__ import annotations
@@ -57,8 +69,8 @@ from functools import lru_cache
 from operator import add, mul
 
 from .qseries import (
-    FrozenRecord, HSeries, PoleError, q_power, series_sum, sinh_ratio,
-    sum_products)
+    FramingPoly, FrozenRecord, HSeries, PoleError, SeriesError, at_framing,
+    product_cap, q_power, sinh_ratio, sum_products)
 
 #: A lattice vector in simple-root coordinates.
 Vec = tuple[int, ...]
@@ -308,24 +320,37 @@ def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
                                    for n, count in counts.items() if count})]
 
 
+def _framing_product(a: HSeries, b: HSeries, t: int, cap: int):
+    """The terms ((t k, i + k), a_i, b_k) of a(h) b(f^t h) through h^cap,
+    a and b framing-free: [h^k] of b(f^t h) is f^(t k) b_k.  The product
+    is known where a * b is, whatever f is (``product_cap``); a cap
+    beyond that raises."""
+    known = product_cap(a, b)
+    if known < cap:
+        raise SeriesError(f"a product known through h^{known} cannot be "
+                          f"read through h^{cap}")
+    return [((t * k, i + k), x, y) for i, x in a.coeffs.items()
+            for k, y in b.coeffs.items() if i + k <= cap]
+
+
 def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
-                             f, cap: int) -> HSeries:
-    """Closed form of the Gaussian contraction on lattice exponentials:
-    q^(beta, .) integrates to exp(-h |beta|^2 / (2f)).  The classes of a
-    group (``norm_classes``, ``unknot_classes``) share one series S,
-    known through the group's cap, so the group integrates to S times
-    G = sum of count * exp(-h |beta|^2 / (2f)) over its classes: one
-    product per group."""
-    f = Fraction(f)
+                             cap: int) -> FramingPoly:
+    """Closed form of the Gaussian contraction on lattice exponentials,
+    as a polynomial in f: q^(beta, .) integrates to exp(-h |beta|^2 /
+    (2f)).  The classes of a group (``norm_classes``, ``unknot_classes``)
+    share one series S, known through the group's cap, so the group
+    integrates to S(h) G(h/f), where G = sum of count * exp(-h |beta|^2 /
+    2) over its classes: one product per group."""
     work = cap + 2 * rs.num_pos
-    out = [HSeries.zero(cap)]
+    terms = []
     for sums, ccap, counts in classes:
         G = HSeries(sum_products(
             (k, c, count) for bsq, count in counts.items()
-            for k, c in q_power(-bsq / (2 * f), work).coeffs.items()), work)
+            for k, c in q_power(Fraction(-bsq, 2), work).coeffs.items()),
+            work)
         S = HSeries({k: b for k, b in sums.items() if k <= ccap}, ccap)
-        out.append((S * G).truncate(cap))
-    return series_sum(out)
+        terms += _framing_product(S, G, -1, cap)
+    return sum_products(terms)
 
 
 def double_factorial(n: int) -> int:
@@ -336,75 +361,100 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def _gaussian_sum_route(classes: NormClasses, f, cap: int) -> HSeries:
-    """Independent route through the extracted c-coefficients:
-    sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j h^(n-j), with the
-    [h^k] g_beta of one group (``norm_classes``, ``unknot_classes``)
-    summed before the j loop.
+def _gaussian_sum_route(classes: NormClasses, cap: int) -> FramingPoly:
+    """Independent route through the extracted c-coefficients, as a
+    polynomial in f: sum of c_{beta,2j,n} (2j-1)!! (-|beta|^2/f)^j
+    h^(n-j), with the [h^k] g_beta of one group (``norm_classes``,
+    ``unknot_classes``) summed before the j loop.
 
     The group's sum b_k of [h^k] g_beta gives c_{beta,2j,k+2j} summed over
     a class as count * b_k / (2j)!, so [h^k] of the group meets the
-    weight (2j-1)!!/(2j)! * p_j / f^j at h^(k+j), where the power sum
+    weight (2j-1)!!/(2j)! * p_j at f^-j h^(k+j), where the power sum
     p_j = sum of count * (-|beta|^2)^j is an integer on integer norms."""
-    f = Fraction(f)
     terms = []
     for bs, _, counts in classes:
         powers = list(counts.values())  # count * (-|beta|^2)^j, from j = 0
         weights = []
         for j in range(cap - min(bs, default=cap) + 1):
             weights.append(Fraction(double_factorial(2 * j - 1) * sum(powers),
-                                    math.factorial(2 * j)) / f ** j)
+                                    math.factorial(2 * j)))
             powers = [p * -n for p, n in zip(powers, counts)]
-        terms += ((k + j, b, w) for k, b in bs.items() if k <= cap
+        terms += (((-j, k + j), b, w) for k, b in bs.items() if k <= cap
                   for j, w in enumerate(weights[:cap - k + 1]) if w)
-    return HSeries(sum_products(terms), cap)
+    return sum_products(terms)
 
 
-def _weyl_prefactor(rs: RootSystem, f: int, cap: int) -> HSeries:
+def _weyl_prefactor(rs: RootSystem, cap: int) -> dict[int, FramingPoly]:
     """The Weyl prefactor (1/|W|) q^((s - f)|rho|^2/2) prod_{a>0} (1 -
-    q^(s (rho, a))) of the surgery formula, s = sign(f), through
-    h^(cap + P) for a cap of at least 1, as lead * h^P times one unit
-    series read through h^cap.
+    q^(s (rho, a))) of the surgery formula at the framings of each sign
+    s, as {s: a polynomial in f through h^(cap + P)}, for a cap of at
+    least 1.
 
     With c = (rho, a), 1 - q^(sc) = -s c h q^(sc/2) sinh_ratio(c), and the
-    c add up to 2|rho|^2, so the product is lead * h^P *
-    q^((3s - f)|rho|^2/2) * prod sinh_ratio(c) with lead = (-s)^P prod c
-    / |W|: P products of unit series, all at one cap."""
-    s = 1 if f > 0 else -1
+    c add up to 2|rho|^2, so the prefactor is lead * h^P times the unit
+    q^(3s|rho|^2/2) prod sinh_ratio(c), with lead = (-s)^P prod c / |W|,
+    times b(f h) with b = q^(-|rho|^2/2): the framing enters only there,
+    its h^k meeting f^k."""
     P = rs.num_pos
-    lead = Fraction((-s) ** P, rs.order) * math.prod(
-        rs.inner(rs.rho, alpha) for alpha in rs.pos_roots)
-    unit = q_power(Fraction(3 * s - f, 2) * rs.norm_sq(rs.rho), cap) * \
-        rho_sinh_product(rs, cap)
-    return unit.scale(lead).shift(P)
+    prod_c = math.prod(rs.inner(rs.rho, alpha) for alpha in rs.pos_roots)
+    rho_sq = rs.norm_sq(rs.rho)
+    sinh = rho_sinh_product(rs, cap)
+    b = q_power(-rho_sq / 2, cap)
+    out = {}
+    for s in (1, -1):
+        unit = q_power(Fraction(3 * s, 2) * rho_sq, cap) * sinh
+        lead = Fraction((-s) ** P, rs.order) * prod_c
+        out[s] = sum_products(_framing_product(unit.scale(lead).shift(P), b,
+                                               1, cap + P))
+    return out
 
 
-def tau_pg(rs: RootSystem, classes: NormClasses, f: int,
-           cap: int) -> HSeries:
-    """Perturbative invariant of surgery with framing f, from the norm-class
-    groups of the shifted expansion data of the zero-framed knot
-    (``norm_classes`` of a lattice sum, or ``unknot_classes``).
+class TauPoly(FrozenRecord):
+    """tau^PG of one knot's expansion data through h^``cap`` for every
+    framing (``tau_poly``): the Gaussian sum S, ``gaussian``, and the Weyl
+    prefactor of each sign s of the framing, ``prefactor[s]``, each a
+    Laurent polynomial in f; P is the number of positive roots."""
 
-    Evaluates the surgery formula literally through the extracted
-    c-coefficients and, as an internal consistency requirement, through
-    the closed Gaussian-on-exponentials form; the two must agree and the
-    result must be pole-free.  Both read the one list of groups.
-    """
-    if f == 0:
-        raise RootSystemError("framing 0 is not a rational homology sphere")
-    P = rs.num_pos
-    S_sum = _gaussian_sum_route(classes, f, cap)
-    S_exp = gaussian_on_exponentials(rs, classes, f, cap)
-    if S_sum != S_exp:
+    __slots__ = ("num_pos", "cap", "gaussian", "prefactor")
+
+    def __init__(self, num_pos: int, cap: int, gaussian: FramingPoly,
+                 prefactor: dict[int, FramingPoly]):
+        self._set_fields(num_pos, cap, gaussian, prefactor)
+
+
+def tau_poly(rs: RootSystem, classes: NormClasses, cap: int) -> TauPoly:
+    """The perturbative invariant's framing polynomials through h^cap,
+    from the norm-class groups of the shifted expansion data of the
+    zero-framed knot (``norm_classes`` of a lattice sum, or
+    ``unknot_classes``).
+
+    The Gaussian sum is built through the extracted c-coefficients and,
+    as an internal consistency requirement, through the closed
+    Gaussian-on-exponentials form; the two must agree as polynomials, so
+    at every framing.  Both read the one list of groups.  The prefactor
+    is read through h^(cap + P), at least h^(1 + P)."""
+    S = _gaussian_sum_route(classes, cap)
+    if S != gaussian_on_exponentials(rs, classes, cap):
         raise RootSystemError("Gaussian sum route disagrees with the "
                               "exponential route")
+    return TauPoly(rs.num_pos, cap, S, _weyl_prefactor(rs, max(1, cap)))
+
+
+def tau_pg(tau: TauPoly, f: int) -> HSeries:
+    """Perturbative invariant of surgery with framing f, from the knot's
+    framing polynomials (``tau_poly``): the Gaussian sum S at f times the
+    prefactor of sign(f) at f, which must come out pole-free."""
+    if f == 0:
+        raise RootSystemError("framing 0 is not a rational homology sphere")
+    P, cap = tau.num_pos, tau.cap
+    S = at_framing(tau.gaussian, f, cap)
     # out = pre * S is read through h^cap and pre is h^P times a unit, so
     # the unit is read through h^(cap - P - v(S)): through h^cap at most,
     # as any cap shows a pole of S deeper than h^-P, and through h^1 at
-    # least, as q_power needs
-    vs = S_sum.valuation()
+    # least, as the prefactor is built
+    vs = S.valuation()
     unit_cap = 1 if vs is None else max(1, min(cap, cap - P - vs))
-    out = _weyl_prefactor(rs, f, unit_cap) * S_sum
+    out = at_framing(tau.prefactor[1 if f > 0 else -1], f, unit_cap + P) * S
     v = out.valuation()
     if v is not None and v < 0:
         raise PoleError("perturbative invariant came out polar")

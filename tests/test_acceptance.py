@@ -224,7 +224,8 @@ def test_criterion_10_structural_suites():
         rs, _ = lie_pair(label)
         E = rootsys.quantum_dim_sq_shifted(rs, 8)
         for f in (1, -1, 2, -2, 3, 5):
-            out = rootsys.tau_pg(rs, rootsys.norm_classes(rs, E), f, 3)
+            out = rootsys.tau_pg(rootsys.tau_poly(
+                rs, rootsys.norm_classes(rs, E), 3), f)
             v = out.valuation()
             assert v is None or v >= 0
     _report(10, "structural suites: AS, odd wheels, IHX, schedules, poles",

@@ -213,6 +213,18 @@ _MISSING_INSIDE = {
 # missing field 5
 _BAD_SLOT = _unit_plus_theta(edges=[[[0, 0], [1, 0]], [[0, 1], [1, 2]],
                                     [[0, 5], [1, 1]]])
+# an entry, diagram, series or field of another JSON type than an object,
+# each with its message; they used to give Python's own wording
+_NOT_OBJECTS = {
+    "[1]": "entry 0 is 1, not an object",
+    '[{"coeff": "1/1", "diagram": [1, 2]}]':
+        "entry 0: diagram is [1, 2], not an object",
+    _unit_plus_theta(cyclic=[[0, 1, 2]]):
+        "entry 1: diagram field 'cyclic' is [[0, 1, 2]], not an object",
+    '[{"beta": [0], "series": "1/1"}]':
+        "entry 0: series is '1/1', not an object",
+    _one_series().replace('{"0": "1/1"}', '[1]'):
+        "entry 0: series field 'coeffs' is [1], not an object"}
 # JSON nested past the parser's recursion limit used to end in a traceback
 _DEEP = "[" * 100_000 + "]" * 100_000
 # the path names a directory, not a file
@@ -223,7 +235,7 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
             **_INEXACT_KNOTS, **_INEXACT_QDATA, **_BAD_SERIES_KEYS,
             **_BAD_CYCLIC_KEYS, **_BAD_COEFFS,
             _NEGATIVE_T: "t must be >= 0, got -1",
-            **dict(_TOO_LONG.values()), **_MISSING_INSIDE,
+            **dict(_TOO_LONG.values()), **_MISSING_INSIDE, **_NOT_OBJECTS,
             _BAD_SLOT: "port (0, 5): bad slot"}
 
 
@@ -263,6 +275,10 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
     *(("--knot" if "diagram" in content else "--qdata", content)
       for content in _MISSING_INSIDE),
     ("--knot", _BAD_SLOT),
+    *(("--knot", content) for content in _NOT_OBJECTS
+      if "series" not in content),
+    *(("--qdata", content) for content in _NOT_OBJECTS
+      if "diagram" not in content),
     pytest.param("--knot", _DEEP, id="--knot-deep"),
     pytest.param("--qdata", _DEEP, id="--qdata-deep"),
 ])

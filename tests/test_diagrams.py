@@ -543,6 +543,20 @@ class TestJson:
         assert canonicalize(JacobiDiagram.from_json(obj)) == \
             canonicalize(wheel(1))
 
+    def test_a_diagram_or_cyclic_order_that_is_no_object_is_named(self):
+        with pytest.raises(TypeError, match=r"^diagram is \[1\], not an "
+                           "object$"):
+            JacobiDiagram.from_json([1])
+        obj = {**wheel(1).to_json(), "cyclic": [[0, 1, 2]]}
+        with pytest.raises(TypeError, match="^diagram field 'cyclic' is"):
+            JacobiDiagram.from_json(obj)
+        with pytest.raises(TypeError, match="^entry 1: diagram is 7, not"):
+            DiagramSeries.from_json(
+                [{"coeff": "1/1", "diagram": wheel(1).to_json()},
+                 {"coeff": "1/1", "diagram": 7}], 8)
+        with pytest.raises(TypeError, match="^entry 0 is 'x', not an object"):
+            DiagramSeries.from_json(["x"], 8)
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 8), st.lists(

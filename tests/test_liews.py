@@ -190,6 +190,30 @@ class TestContraction:
                 copy = lie_oracle.relabel_vertices(d, perm)
                 assert contract_diagram(copy, g) == expected
 
+    def test_intermediates_stay_narrow(self, monkeypatch):
+        # a term of the bridge family's legged w2 glued into w4 (t = 6,
+        # m = 2): contracting every edge into its vertex first built a
+        # 1176-entry intermediate at sl3, while the schedule that keeps the
+        # fewest ports builds at most 172, a bound never to be raised
+        d = JacobiDiagram(6, 2, (
+            ((0, 0), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (3, 0)),
+            ((1, 1), (4, 0)), ((1, 2), (4, 1)), ((2, 1), (6, 0)),
+            ((2, 2), (5, 0)), ((3, 1), (7, 0)), ((3, 2), (5, 1)),
+            ((4, 2), (5, 2))))
+        expected = contract_diagram(
+            lie_oracle.relabel_vertices(d, (5, 4, 3, 2, 1, 0)), sl3)
+        sizes = []
+        pair = liews._contract_pair
+
+        def counted(t1, t2):
+            out = pair(t1, t2)
+            sizes.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(liews, "_contract_pair", counted)
+        assert contract_diagram(d, sl3) == expected
+        assert max(sizes) <= 172
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_diagram_matches_brute_force(self, data):

@@ -160,9 +160,9 @@ class TestTauRoute:
         calls = []
         true_from_json = HSeries.from_json.__func__
 
-        def counted(cls, obj):
+        def counted(cls, obj, *what):
             calls.append(obj)
-            return true_from_json(cls, obj)
+            return true_from_json(cls, obj, *what)
 
         monkeypatch.setattr(HSeries, "from_json", classmethod(counted))
         assert load_qdata(str(p), 1, 4) == E
@@ -308,9 +308,33 @@ class TestUnknotIsBuiltOnce:
             raise AssertionError("the built-in unknot needs no lattice sum")
         monkeypatch.setattr(rootsys, "norm_classes", unused)
         monkeypatch.setattr(rootsys, "quantum_dim_sq_shifted", unused)
-        pipeline._unknot_classes.cache_clear()
+        pipeline._unknot_tau.cache_clear()
         assert taupg_route(SurgeryInput("unknot", -1), "A3", 2) == \
             HSeries.one(2)
+
+    def test_taupg_builds_once_per_label_and_order(self, monkeypatch):
+        # every framing of the built-in unknot evaluates one polynomial
+        # build per label and order; an expansion-data file builds its own
+        # on every call, uncached
+        builds = []
+        build = rootsys.tau_poly
+
+        def counted(*args):
+            builds.append(args[2])
+            return build(*args)
+
+        monkeypatch.setattr(rootsys, "tau_poly", counted)
+        pipeline._unknot_tau.cache_clear()
+        for f in (1, -1, 2, -7, 11):
+            for order in (2, 3):
+                taupg_route(SurgeryInput("unknot", f), "A2", order)
+        assert builds == [2, 3]
+        rs, _ = pipeline.lie_pair("A1")
+        qdata = rootsys.quantum_dim_sq_shifted(rs, 3)
+        for f in (2, -3):
+            assert taupg_route(SurgeryInput("unknot", f), "A1", 3, qdata) == \
+                taupg_route(SurgeryInput("unknot", f), "A1", 3)
+        assert builds == [2, 3, 3, 3, 3]
 
 
 def _compare_knot_file(capsys, path, framing: int, order: int) -> dict:
@@ -374,6 +398,8 @@ def test_every_cache_is_bounded():
               if hasattr(fn, "cache_parameters")}
     assert caches and None not in caches.values(), caches
     assert caches["lie_pair"] == len(pipeline.LIE_LABELS)
+    assert caches["_unknot_tau"] == \
+        len(pipeline.LIE_LABELS) * pipeline.MAX_ORDER
     assert liews.build_sl.cache_parameters()["maxsize"] == 3
     assert rootsys.build_root_system.cache_parameters()["maxsize"] == \
         len(rootsys.TYPE_A_LABELS)

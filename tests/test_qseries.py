@@ -174,6 +174,16 @@ def test_json_round_trip():
     assert s.to_json()["coeffs"]["-2"] == "3/7"
 
 
+def test_a_series_or_coeffs_that_is_no_object_is_named():
+    with pytest.raises(TypeError, match=r"^series is \[\], not an object$"):
+        HSeries.from_json([])
+    obj = {**H({0: 1}, 1).to_json(), "coeffs": [1]}
+    with pytest.raises(TypeError, match=r"^series field 'coeffs' is \[1\]"):
+        HSeries.from_json(obj)
+    with pytest.raises(TypeError, match="^entry 3: series field 'coeffs'"):
+        HSeries.from_json(obj, "entry 3: series")
+
+
 @pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "02", "+1", "-0", "",
                                  "x", "\u0663"])
 def test_json_key_is_spelled_as_str_spells_it(key):

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import series_oracle
 import weyl_oracle
-from lmo_kernel import balg, liews
-from lmo_kernel.qseries import HSeries, PoleError, SeriesError, q_power
+from lmo_kernel import balg, liews, rootsys
+from lmo_kernel.qseries import (
+    HSeries, PoleError, SeriesError, at_framing, q_power)
 from lmo_kernel.rootsys import (
     TYPE_A_LABELS,
     RootSystemError,
@@ -28,6 +29,7 @@ from lmo_kernel.rootsys import (
     norm_classes,
     quantum_dim_sq_shifted,
     tau_pg,
+    tau_poly,
     unknot_classes,
     weyl_denominator,
 )
@@ -42,17 +44,32 @@ A5 = build_root_system("A5")
 _half_integer = st.integers(-9, 9).map(lambda n: Q(n, 2))
 
 
+def _exp_of(rs, classes, f, cap):
+    """The exponential route's polynomial at the framing f."""
+    return at_framing(gaussian_on_exponentials(rs, classes, cap), f, cap)
+
+
+def _sum_of(classes, f, cap):
+    """The sum route's polynomial at the framing f."""
+    return at_framing(_gaussian_sum_route(classes, cap), f, cap)
+
+
+def _tau_of(rs, classes, f, cap):
+    """``tau_pg`` at the framing f of the groups' polynomials."""
+    return tau_pg(tau_poly(rs, classes, cap), f)
+
+
 def _exponential_route(rs, E, f, cap):
-    return gaussian_on_exponentials(rs, norm_classes(rs, E), f, cap)
+    return _exp_of(rs, norm_classes(rs, E), f, cap)
 
 
 def _sum_route(rs, E, f, cap):
-    return _gaussian_sum_route(norm_classes(rs, E), f, cap)
+    return _sum_of(norm_classes(rs, E), f, cap)
 
 
 def _tau(rs, E, f, cap):
     """``tau_pg`` on a lattice sum, as the ``--qdata`` path reads it."""
-    return tau_pg(rs, norm_classes(rs, E), f, cap)
+    return _tau_of(rs, norm_classes(rs, E), f, cap)
 
 
 def _root_factors(rs, factor) -> list:
@@ -389,7 +406,7 @@ class TestTau:
     def test_zero_framing_rejected(self):
         E = quantum_dim_sq_shifted(A1, 4)
         with pytest.raises(RootSystemError):
-            tau_pg(A1, norm_classes(A1, E), 0, 2)
+            tau_pg(tau_poly(A1, norm_classes(A1, E), 2), 0)
 
 
 _small = st.integers(-6, 6)
@@ -530,13 +547,12 @@ class TestGroupsOfOneSeries:
                 for k in range(g.cap + 1, cap + 1)}
         g_on = HSeries({**g.coeffs, **tail}, max(g.cap, cap))
         E_on = {beta: g_on.scale(c) for beta, c in counts.items()}
-        got = _outcome(_gaussian_sum_route, grouped, f, cap)
-        assert got == _outcome(_gaussian_sum_route, split, f, cap) == \
+        got = _outcome(_sum_of, grouped, f, cap)
+        assert got == _outcome(_sum_of, split, f, cap) == \
             _outcome(series_oracle.gaussian_sum_route, rs, E, f, cap)
         for route, oracle in (
-                (gaussian_on_exponentials,
-                 series_oracle.gaussian_on_exponentials),
-                (tau_pg, series_oracle.tau_pg)):
+                (_exp_of, series_oracle.gaussian_on_exponentials),
+                (_tau_of, series_oracle.tau_pg)):
             got = _outcome(route, rs, grouped, f, cap)
             one_by_one = _outcome(route, rs, split, f, cap)
             assert one_by_one == _outcome(oracle, rs, E, f, cap)
@@ -547,21 +563,27 @@ class TestGroupsOfOneSeries:
                 assert got == _outcome(oracle, rs, E_on, f, cap)
 
     def test_one_product_per_group(self, monkeypatch):
+        # the route multiplies each group's series by its exponentials in
+        # one framing product, and no series product besides
         products = []
-        mul = HSeries.__mul__
+        product = rootsys._framing_product
 
-        def counted(a, b):
+        def counted(a, b, *args):
             products.append((a, b))
-            return mul(a, b)
+            return product(a, b, *args)
+
+        def uncounted(a, b):
+            raise AssertionError("a series product outside the route's")
 
         unknot = unknot_classes(A3, 3)
         split = norm_classes(A3, quantum_dim_sq_shifted(A3, 3))
-        monkeypatch.setattr(HSeries, "__mul__", counted)
-        gaussian_on_exponentials(A3, unknot, 2, 3)
+        monkeypatch.setattr(rootsys, "_framing_product", counted)
+        monkeypatch.setattr(HSeries, "__mul__", uncounted)
+        gaussian_on_exponentials(A3, unknot, 3)
         assert len(products) == len(unknot) == 1
         assert len(unknot[0][2]) == 11
         products.clear()
-        gaussian_on_exponentials(A3, split, 2, 3)
+        gaussian_on_exponentials(A3, split, 3)
         assert len(products) == len(split) >= 11
 
 
@@ -574,7 +596,8 @@ def test_weyl_prefactor_equals_the_literal_product(label, f, cap):
     through h^(cap + P)."""
     rs = build_root_system(label)
     P = rs.num_pos
-    assert _weyl_prefactor(rs, f, cap) == \
+    assert at_framing(_weyl_prefactor(rs, cap)[1 if f > 0 else -1], f,
+                      cap + P) == \
         series_oracle.weyl_prefactor(rs, f, cap + P).truncate(cap + P)
 
 
@@ -694,7 +717,7 @@ class TestFoldedTau:
            st.integers(-5, 5).filter(bool), st.integers(1, 5))
     def test_against_the_per_beta_oracle(self, label, f, cap):
         rs = build_root_system(label)
-        assert tau_pg(rs, unknot_classes(rs, cap), f, cap) == \
+        assert _tau_of(rs, unknot_classes(rs, cap), f, cap) == \
             series_oracle.tau_pg(rs, _unfolded(label, cap), f, cap)
 
     @pytest.mark.parametrize("label", ["A1", "A2"])
@@ -703,16 +726,129 @@ class TestFoldedTau:
         # is read through h^0: the floor at h^1 keeps q_power defined
         rs = build_root_system(label)
         for f in (1, -1, 2, -2, 3, -7):
-            assert tau_pg(rs, unknot_classes(rs, 0), f, 0) == \
+            assert _tau_of(rs, unknot_classes(rs, 0), f, 0) == \
                 series_oracle.tau_pg(rs, _unfolded(label, 0), f, 0)
 
     @pytest.mark.parametrize("label", ["A4", "A5", "A6", "A7"])
     def test_spheres_and_the_lens_space_two_one(self, label):
         # tau^PG of S^3 is 1; on L(2, 1) it starts at |H_1|^-P = 2^-P
         rs = build_root_system(label)
-        classes = unknot_classes(rs, 3)
-        assert tau_pg(rs, classes, 1, 3) == HSeries.one(3)
-        assert tau_pg(rs, classes, -1, 3) == HSeries.one(3)
-        lens = tau_pg(rs, classes, 2, 3)
+        tau = tau_poly(rs, unknot_classes(rs, 3), 3)
+        assert tau_pg(tau, 1) == HSeries.one(3)
+        assert tau_pg(tau, -1) == HSeries.one(3)
+        lens = tau_pg(tau, 2)
         assert lens.valuation() == 0
         assert lens.coeff(0) == Q(1, 2 ** rs.num_pos)
+
+
+def _times(a: dict, b: dict, cap: int) -> dict:
+    """The product of two framing polynomials through h^cap."""
+    out: dict = {}
+    for (e1, n1), x in a.items():
+        for (e2, n2), y in b.items():
+            if n1 + n2 <= cap:
+                key = (e1 + e2, n1 + n2)
+                out[key] = out.get(key, 0) + x * y
+    return {key: c for key, c in out.items() if c}
+
+
+@functools.lru_cache(maxsize=None)
+def _unknot_tau(label: str, cap: int):
+    rs = build_root_system(label)
+    return tau_poly(rs, unknot_classes(rs, cap), cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _unknot_representatives(label: str, cap: int) -> dict:
+    """The built-in unknot's classes as a lattice sum with one vector per
+    class: a vector rho + u(rho) of the class's norm carrying the class's
+    series.  The Gaussian integrates a vector through its norm alone, so
+    the per-beta oracle reads it as the unfolded sum."""
+    rs = build_root_system(label)
+    (sums, ccap, counts), = unknot_classes(rs, cap)
+    out = {}
+    for u_rho, _ in rs.weyl:
+        beta = tuple(int(a + b) for a, b in zip(rs.rho, u_rho))
+        n = rs.norm_sq(beta)
+        if n in counts and all(rs.norm_sq(b) != n for b in out):
+            out[beta] = HSeries(sums, ccap).scale(counts[n])
+    return out
+
+
+@st.composite
+def _framing_cases(draw):
+    """(rs, classes, E, f, cap): A1 to A5, |f| <= 60 (0 included), cap 0 to
+    6, and the norm-class groups with a lattice sum E that the per-beta
+    oracle reads: the built-in unknot's, or a few random vectors with
+    series known through the cap, whose poles may reach h^-2P."""
+    label = draw(st.sampled_from(["A1", "A2", "A3", "A4", "A5"]))
+    rs = build_root_system(label)
+    cap = draw(st.integers(0, 6))
+    f = draw(st.integers(-60, 60))
+    if draw(st.booleans()):
+        return (rs, unknot_classes(rs, cap),
+                _unknot_representatives(label, cap), f, cap)
+    vec = st.lists(st.integers(-2, 2), min_size=rs.rank,
+                   max_size=rs.rank).map(tuple)
+    deep = draw(st.booleans()) and draw(st.booleans())
+    E = lattice_sum((beta, _series(draw, rs.num_pos, cap, False, deep))
+                    for beta in draw(st.lists(vec, min_size=1, max_size=3)))
+    return rs, norm_classes(rs, E), E, f, cap
+
+
+class TestFramingPolynomial:
+    """tau^PG is built once per knot, label and order as framing
+    polynomials (``tau_poly``), and ``tau_pg`` evaluates them at a
+    framing."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_framing_cases())
+    def test_against_the_per_beta_oracle(self, case):
+        rs, classes, E, f, cap = case
+        assert _outcome(_tau_of, rs, classes, f, cap) == \
+            _outcome(series_oracle.tau_pg, rs, E, f, cap)
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+    def test_support_of_each_order_is_minus_n_to_n(self, label):
+        # [h^n] of f^P tau^PG, read off the product of the prefactor and
+        # Gaussian polynomials, has exactly the f-exponents -n .. n, for
+        # each sign; 2n + 1 framings of one sign therefore fix it
+        P = build_root_system(label).num_pos
+        for cap in range(1, 7):
+            tau = _unknot_tau(label, cap)
+            for s in (1, -1):
+                poly = _times(tau.prefactor[s], tau.gaussian, cap)
+                support: dict = {}
+                for e, n in poly:
+                    support.setdefault(n, set()).add(e + P)
+                assert support == {n: set(range(-n, n + 1))
+                                   for n in range(cap + 1)}
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+    def test_the_polynomial_predicts_a_framing_outside_the_fit(self, label):
+        # past the 2 cap + 1 framings of one sign that the support [-n, n]
+        # needs, the polynomial on that support is tau_pg's value
+        P = build_root_system(label).num_pos
+        for cap in range(1, 7):
+            tau = _unknot_tau(label, cap)
+            for f in (2 * cap + 2, -2 * cap - 3):
+                poly = _times(tau.prefactor[1 if f > 0 else -1],
+                              tau.gaussian, cap)
+                on_support = {(e, n): c for (e, n), c in poly.items()
+                              if -n <= e + P <= n}
+                assert at_framing(on_support, f, cap) == tau_pg(tau, f)
+
+    def test_routes_are_compared_as_polynomials(self, monkeypatch):
+        # a sum route off by one term at f^-1 h^2 is caught when the
+        # polynomials are built, before any framing
+        route = rootsys._gaussian_sum_route
+
+        def off(classes, cap):
+            out = dict(route(classes, cap))
+            out[(-1, 2)] = out.get((-1, 2), 0) + 1
+            return out
+
+        monkeypatch.setattr(rootsys, "_gaussian_sum_route", off)
+        with pytest.raises(RootSystemError, match="Gaussian sum route "
+                           "disagrees with the exponential route"):
+            tau_poly(A1, unknot_classes(A1, 3), 3)
