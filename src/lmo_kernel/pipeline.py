@@ -23,12 +23,12 @@ sum {beta: series} goes through ``rootsys.norm_classes``, one group per
 class.  Either way ``rootsys.tau_poly`` builds tau^PG's framing
 polynomials and ``rootsys.tau_pg`` evaluates them at the framing; the
 built-in unknot's polynomials are cached per (label, order), a file's
-are built on every call.  The diagram side reads
-a knot only through its zero-framed wheeled invariant, Omega for the
-built-in unknot, so every knot takes one path there, under one key
-(``knot_key``): the wheeled knot and the wheeled base, the wheeled knot
-times the wheeled unknot, are cached per (key, imax), each route's
-framing polynomial per (key, label, order).  A knot file's key holds
+are built on every call.  The diagram side reads a knot only through
+its zero-framed wheeled invariant, Omega for the built-in unknot, so
+every knot takes one path there, under one key (``knot_key``): the
+wheeled knot and the wheeled base, the wheeled knot times the wheeled
+unknot, are cached per (key, imax), each route's framing polynomial per
+(key, label, order).  A knot file's key holds
 its text, so it is parsed once and wheeled once per content and order.
 
 The framing f enters the diagram side last.  The Gaussian integral
@@ -38,9 +38,9 @@ Laurent polynomial in f whose coefficients are framing-free graded
 weights: ``balg.fg_parts`` glues each integrand once, its part k is
 weighed once, and a route at framing f only sums the weighed parts
 times powers of f (``qseries.at_framing``, the evaluator that the Lie
-side's polynomials share).  The definition route weighs the parts of each
-coefficient X_j of ``reduced_input``; the lemma route weighs those of
-the wheeled base alone and never a theta power.  The definition route
+side's polynomials share).  The definition route weighs the parts of
+each coefficient X_j of ``reduced_input``; the lemma route weighs those
+of the wheeled base alone and never a theta power.  The definition route
 divides by the reference surgery on the unknot at framing sign(f), the
 unknot key's definition polynomial at f = sign(f), which the circle
 check reads too.  Every cache is bounded by the keys the command line
@@ -262,14 +262,14 @@ def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
     """Graded weight of the Gaussian integral of the unknot at framing
     ``sign`` (1 or -1): the denominator of the definition route."""
     return at_framing(_definition_poly(_UNKNOT_KEY, label, order), sign,
-                       order)
+                      order)
 
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant as the ratio of two Gaussian integrals, the
     denominator being the matching-sign unknot surgery."""
     num = at_framing(_definition_poly(knot_key(inp), label, order),
-                      inp.framing, order)
+                     inp.framing, order)
     out = num * _reference_surgery(label, inp.sign, order).inverse()
     return out.truncate(min(order, out.cap))
 
@@ -279,7 +279,7 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     exponential with exponent (3 sign(f) - f)/48, and the Gaussian
     integral, at framing f, of the wheeled zero-framed input."""
     fgv = at_framing(_lemma_poly(knot_key(inp), label, order),
-                      inp.framing, order)
+                     inp.framing, order)
     theta_h = _theta_weight(label, order)
     factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()
     out = _omega_pair_scalar(label, order) * factor * fgv

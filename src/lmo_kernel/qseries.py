@@ -325,9 +325,10 @@ class HSeries:
         that is not a JSON integer and a series or ``coeffs`` that is not
         a JSON object are malformed input, the last two named as
         ``what``."""
+        json_object(obj, what)
         coeffs = {json_key(k, "exponent"):
                   json_rational(v, f"coefficient of h^{k}")
-                  for k, v in json_object(json_object(obj, what)["coeffs"],
+                  for k, v in json_object(obj["coeffs"],
                                           f"{what} field 'coeffs'").items()}
         cap, min_exp = (json_int(obj[f], f) for f in ("cap", "min_exp"))
         out = cls(coeffs, cap)

@@ -51,7 +51,7 @@ The framing f enters the surgery formula in three places only:
 exponential route, and q^(-f|rho|^2/2) in the Weyl prefactor.  So for
 a fixed sign of f each h^n coefficient is a Laurent polynomial in f, a
 ``qseries.FramingPoly`` {(e, n): coefficient of f^e h^n}, and
-``tau_poly`` builds them framing-free (``TauPoly``): the Gaussian sum S
+``tau_poly`` builds them framing-free (a ``TauPoly``): the Gaussian sum S
 by both routes, which must agree as polynomials, and, per sign s, the
 Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 - q^(s(rho,
 a))), which is lead * h^P times the unit q^(3s|rho|^2/2) prod
@@ -79,6 +79,10 @@ Weight = tuple[Fraction, ...]
 #: Groups of norm classes that share one series: (sums of [h^k], cap,
 #: {|beta|^2: count}); ``norm_classes``, ``unknot_classes``
 NormClasses = list[tuple[dict[int, Fraction], int, dict[int, int]]]
+#: tau^PG of one knot through h^cap for every framing (``tau_poly``):
+#: (P, cap, the Gaussian sum S, {sign s of f: the Weyl prefactor}), each
+#: series a Laurent polynomial in f; P is the number of positive roots
+TauPoly = tuple[int, int, FramingPoly, dict[int, FramingPoly]]
 
 #: The labels ``build_root_system`` accepts.
 TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
@@ -409,19 +413,6 @@ def _weyl_prefactor(rs: RootSystem, cap: int) -> dict[int, FramingPoly]:
     return out
 
 
-class TauPoly(FrozenRecord):
-    """tau^PG of one knot's expansion data through h^``cap`` for every
-    framing (``tau_poly``): the Gaussian sum S, ``gaussian``, and the Weyl
-    prefactor of each sign s of the framing, ``prefactor[s]``, each a
-    Laurent polynomial in f; P is the number of positive roots."""
-
-    __slots__ = ("num_pos", "cap", "gaussian", "prefactor")
-
-    def __init__(self, num_pos: int, cap: int, gaussian: FramingPoly,
-                 prefactor: dict[int, FramingPoly]):
-        self._set_fields(num_pos, cap, gaussian, prefactor)
-
-
 def tau_poly(rs: RootSystem, classes: NormClasses, cap: int) -> TauPoly:
     """The perturbative invariant's framing polynomials through h^cap,
     from the norm-class groups of the shifted expansion data of the
@@ -437,7 +428,7 @@ def tau_poly(rs: RootSystem, classes: NormClasses, cap: int) -> TauPoly:
     if S != gaussian_on_exponentials(rs, classes, cap):
         raise RootSystemError("Gaussian sum route disagrees with the "
                               "exponential route")
-    return TauPoly(rs.num_pos, cap, S, _weyl_prefactor(rs, max(1, cap)))
+    return rs.num_pos, cap, S, _weyl_prefactor(rs, max(1, cap))
 
 
 def tau_pg(tau: TauPoly, f: int) -> HSeries:
@@ -446,15 +437,15 @@ def tau_pg(tau: TauPoly, f: int) -> HSeries:
     prefactor of sign(f) at f, which must come out pole-free."""
     if f == 0:
         raise RootSystemError("framing 0 is not a rational homology sphere")
-    P, cap = tau.num_pos, tau.cap
-    S = at_framing(tau.gaussian, f, cap)
+    P, cap, gaussian, prefactor = tau
+    S = at_framing(gaussian, f, cap)
     # out = pre * S is read through h^cap and pre is h^P times a unit, so
     # the unit is read through h^(cap - P - v(S)): through h^cap at most,
     # as any cap shows a pole of S deeper than h^-P, and through h^1 at
     # least, as the prefactor is built
     vs = S.valuation()
     unit_cap = 1 if vs is None else max(1, min(cap, cap - P - vs))
-    out = at_framing(tau.prefactor[1 if f > 0 else -1], f, unit_cap + P) * S
+    out = at_framing(prefactor[1 if f > 0 else -1], f, unit_cap + P) * S
     v = out.valuation()
     if v is not None and v < 0:
         raise PoleError("perturbative invariant came out polar")

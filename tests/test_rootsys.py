@@ -813,11 +813,10 @@ class TestFramingPolynomial:
         # [h^n] of f^P tau^PG, read off the product of the prefactor and
         # Gaussian polynomials, has exactly the f-exponents -n .. n, for
         # each sign; 2n + 1 framings of one sign therefore fix it
-        P = build_root_system(label).num_pos
         for cap in range(1, 7):
-            tau = _unknot_tau(label, cap)
+            P, _, gaussian, prefactor = _unknot_tau(label, cap)
             for s in (1, -1):
-                poly = _times(tau.prefactor[s], tau.gaussian, cap)
+                poly = _times(prefactor[s], gaussian, cap)
                 support: dict = {}
                 for e, n in poly:
                     support.setdefault(n, set()).add(e + P)
@@ -828,12 +827,11 @@ class TestFramingPolynomial:
     def test_the_polynomial_predicts_a_framing_outside_the_fit(self, label):
         # past the 2 cap + 1 framings of one sign that the support [-n, n]
         # needs, the polynomial on that support is tau_pg's value
-        P = build_root_system(label).num_pos
         for cap in range(1, 7):
             tau = _unknot_tau(label, cap)
+            P, _, gaussian, prefactor = tau
             for f in (2 * cap + 2, -2 * cap - 3):
-                poly = _times(tau.prefactor[1 if f > 0 else -1],
-                              tau.gaussian, cap)
+                poly = _times(prefactor[1 if f > 0 else -1], gaussian, cap)
                 on_support = {(e, n): c for (e, n), c in poly.items()
                               if -n <= e + P <= n}
                 assert at_framing(on_support, f, cap) == tau_pg(tau, f)
