@@ -389,8 +389,8 @@ def series_sum(series: list[HSeries]) -> HSeries:
                    cap)
 
 
-#: A Laurent polynomial in the framing f with rational coefficients:
-#: {(e, n): the coefficient of f^e h^n}.
+#: A series in h whose coefficients are Laurent polynomials in the
+#: framing f: {(e, n): the coefficient of f^e h^n}.
 FramingPoly = dict[tuple[int, int], Fraction]
 
 
