@@ -18,7 +18,13 @@ the smallest colour class, refines again with only that vertex's new
 cell as splitter, and labels the rest in breadth-first order.  A newly
 reached vertex puts its entry port in slot 0 and orders its other slots
 by leg, then port of a labeled neighbour, then colour of an unlabeled
-one; only ties branch.  Every rule is invariant, so an automorphism maps
+one; only ties branch.  The search keeps to ints and lists: a slot's key
+is -1 for a leg, the new port 3 * label + slot of a labeled neighbour
+and 3T + colour for an unlabeled one (T trivalent vertices), a row entry
+(other, own) is other * 3T + own until the serial is written, a
+labeling is a list of labels and a list of slot permutations, and the
+slot permutations each entry slot admits are listed once
+(``_ENTRY_PERMS``).  Every rule is invariant, so an automorphism maps
 candidates to candidates.  Hence two candidates reaching the same serial
 differ by an automorphism, and the component is zero exactly when it has
 an orientation-odd one: the search stops as soon as two candidates of
@@ -49,8 +55,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .qseries import (FrozenRecord, _echo, json_int, json_key, json_object,
-                      json_rational, rational_str, sum_products)
+from .qseries import (FrozenRecord, _echo, json_int, json_key, json_list,
+                      json_object, json_rational, rational_str, sum_products)
 
 Port = tuple[int, int]
 Edge = tuple[Port, Port]
@@ -74,6 +80,14 @@ SLOT_PERMS: tuple[tuple[tuple[int, int, int], int], ...] = (
 #: Old slots of a vertex listed in the new slot order a permutation gives.
 _SLOTS_IN_ORDER = {p: tuple(p.index(j) for j in (0, 1, 2))
                    for p, _ in SLOT_PERMS}
+
+#: The slot permutations a vertex entered through slot ``entry`` may take
+#: (those moving it to slot 0; all six at a start, ``entry`` None), in
+#: the order of SLOT_PERMS, as (permutation, sign, old slots in new order).
+_ENTRY_PERMS = {entry: tuple((p, sign, _SLOTS_IN_ORDER[p])
+                             for p, sign in SLOT_PERMS
+                             if entry is None or p[entry] == 0)
+                for entry in (None, 0, 1, 2)}
 
 _STRUT_SERIAL = (0, 2, ((LEG, LEG),))
 
@@ -281,6 +295,8 @@ def _refine(cells: dict[int, list[int]], colour: dict[int, int],
             for y in nbrs[x]:
                 count[y] = count.get(y, 0) + 1
         for c in sorted({colour[y] for y in count}):
+            if len(cells[c]) == 1:
+                continue
             split: dict[int, list[int]] = {}
             for y in cells[c]:
                 split.setdefault(count.get(y, 0), []).append(y)
@@ -323,18 +339,18 @@ def _canon_component(shape: tuple[int, ...]
     one per orbit of the automorphisms found, visit the rest in
     breadth-first order and return to the common ancestor of a tie; see
     the module docstring.  Returns (serial, sign, gens); sign 0 encodes
-    the zero diagram, which has no leg group.  A labeling is a (vertex ->
-    label, vertex -> slot permutation) pair; it lists the leg edges, by
-    their index in the shape, in the order of the new ports 3 * label +
-    slot at their trivalent ends.  Two labelings of one serial differ by
-    an automorphism, which sends the i-th leg of the one's list to the
-    i-th of the other's.  Each labeling that ties the first one at the
-    serial best at that moment gives one, kept as a map from leg edge to
-    leg edge even if a smaller serial overtakes, and together they
-    generate the group.  ``gens`` lists the leg permutations they induce
-    but the identity, a leg numbered by its place in the final first
-    labeling's list, as ``diagram_of`` numbers the serial's legs: g sends
-    leg i to leg g[i].
+    the zero diagram, which has no leg group.  A labeling is a pair of
+    lists indexed by vertex, its labels (-1 while unlabeled) and its slot
+    permutations; it lists the leg edges, by their index in the shape, in
+    the order of the new ports 3 * label + slot at their trivalent ends.
+    Two labelings of one serial differ by an automorphism, which sends the
+    i-th leg of the one's list to the i-th of the other's.  Each labeling
+    that ties the first one at the serial best at that moment gives one,
+    kept as a map from leg edge to leg edge even if a smaller serial
+    overtakes, and together they generate the group.  ``gens`` lists the
+    leg permutations they induce but the identity, a leg numbered by its
+    place in the final first labeling's list, as ``diagram_of`` numbers
+    the serial's legs: g sends leg i to leg g[i].
     """
     n_legs = shape.count(LEG)
     T = (len(shape) - n_legs) // 3
@@ -355,20 +371,25 @@ def _canon_component(shape: tuple[int, ...]
             adj[p // 3][p % 3] = divmod(q, 3)
             adj[q // 3][q % 3] = divmod(p, 3)
 
-    nbrs = {v: [nb[0] for nb in adj[v] if nb is not None] for v in range(T)}
+    nbrs = [[nb[0] for nb in adj[v] if nb is not None] for v in range(T)]
     # start colour: legs, parallel edges and triangles at each vertex
     key = {v: (adj[v].count(None), len(nbrs[v]) - len(set(nbrs[v])),
                sum(b in nbrs[a] for a, b in combinations(set(nbrs[v]), 2)))
            for v in range(T)}
-    cells, colour = _equitable(key, nbrs)
+    cells, colour_of = _equitable(key, nbrs)
+    colour = [colour_of[v] for v in range(T)]
     starts = cells[min(cells, key=lambda c: (len(cells[c]), c))]
 
     legs = [(i, divmod(p, 3)) for i, (p, q) in enumerate(edges) if q == LEG]
 
-    def leg_order(label: dict[int, int], perm: dict) -> tuple[int, ...]:
+    def leg_order(label: list[int], perm: list) -> tuple[int, ...]:
         return tuple(i for _, i in sorted(
             (3 * label[v] + perm[v][s], i) for i, (v, s) in legs))
 
+    # ints throughout: a port is 3 * label + slot < 3T, an unlabeled
+    # neighbour's slot key 3T + its colour, above every port; a row entry
+    # (other, own) is other * 3T + own, a leg's other 3T (LEG in the serial)
+    t3 = 3 * T
     best: list = [None]        # best complete serial
     best_signs: set[int] = set()
     first: list = []           # the first labeling at best, its leg order
@@ -381,14 +402,14 @@ def _canon_component(shape: tuple[int, ...]
             v = orbit[v]
         return v
 
-    def leaf(label: dict[int, int], perm: dict, order: list[int],
+    def leaf(label: list[int], perm: list, order: list[int],
              sign: int) -> int:
         """A complete labeling at the best serial: record its sign and the
         automorphism from the first such labeling onto it, merge the start
         orbits that it joins, and return the depth to resume at."""
         best_signs.add(sign)
         if not first:
-            first[:] = dict(label), dict(perm), leg_order(label, perm)
+            first[:] = label[:], perm[:], leg_order(label, perm)
             return T
         label0, perm0, legs0 = first
         autos.append(dict(zip(legs0, leg_order(label, perm))))
@@ -404,32 +425,35 @@ def _canon_component(shape: tuple[int, ...]
         # labeling's explored subtree onto the rest of this one
         return next(k for k, u in enumerate(order) if perm[u] != perm0[u])
 
-    def search(u: int, entry: int | None, head: int, col: dict[int, int],
-               order: list[int], label: dict[int, int],
-               perm: dict[int, tuple[int, int, int]],
+    def search(u: int, entry: int | None, head: int, col: list[int],
+               order: list[int], label: list[int], perm: list,
                rows: list, sign: int) -> int:
         """Give ``u`` label k = len(order), entered through slot ``entry``
         (None for the start), under each admissible slot permutation.
         Returns the depth of the frame to resume at: one above k unwinds."""
         k = len(order)
-        # slot keys: leg < port of a labeled neighbour < colour of another
+        k3 = 3 * k
+        # slot keys: leg (-1) < port of a labeled neighbour < 3T + colour
+        # of another
         keys = []
         for nb in adj[u]:
             if nb is None:
-                keys.append((0, LEG))
-            elif nb[0] in label:
-                keys.append((1, 3 * label[nb[0]] + perm[nb[0]][nb[1]]))
+                keys.append(-1)
             else:
-                keys.append((2, col[nb[0]]))
-        for p, psign in SLOT_PERMS:
-            if entry is not None and p[entry] != 0:
+                x = nb[0]
+                keys.append(3 * label[x] + perm[x][nb[1]] if label[x] >= 0
+                            else t3 + col[x])
+        for p, psign, slots in _ENTRY_PERMS[entry]:
+            if keys[slots[1]] > keys[slots[2]] or (
+                    entry is None and keys[slots[0]] > keys[slots[1]]):
                 continue
-            by_slot = [keys[s] for s in _SLOTS_IN_ORDER[p]]
-            if by_slot[1] > by_slot[2] or (entry is None
-                                           and by_slot[0] > by_slot[1]):
-                continue
-            row = tuple(sorted((key[1], 3 * k + p[s])
-                               for s, key in enumerate(keys) if key[0] < 2))
+            row = []
+            for s in slots:
+                key = keys[s]
+                if key < t3:
+                    row.append((t3 if key < 0 else key) * t3 + k3 + p[s])
+            row.sort()
+            row = tuple(row)
             if best[0] is not None:
                 ref = best[0][k]
                 if row > ref:
@@ -455,7 +479,7 @@ def _canon_component(shape: tuple[int, ...]
                     x = order[h]
                     for s in _SLOTS_IN_ORDER[perm[x]]:
                         nb = adj[x][s]
-                        if nb is not None and nb[0] not in label:
+                        if nb is not None and label[nb[0]] < 0:
                             nxt = nb
                             break
                     else:
@@ -464,7 +488,7 @@ def _canon_component(shape: tuple[int, ...]
                               rows, sign * psign)
             rows.pop()
             order.pop()
-            del label[u], perm[u]
+            label[u] = -1
             if back < k:
                 return back
         return k
@@ -474,19 +498,22 @@ def _canon_component(shape: tuple[int, ...]
         if any(find(v) == find(u) for u in explored):
             continue  # an automorphism maps an explored start onto v
         explored.append(v)
-        col, split = dict(colour), dict(cells)
+        col, split = list(colour), dict(cells)
         c = col[v]
         if len(split[c]) > 1:  # equitable before, so only {v} splits
             split[c], split[c + 1] = [v], [w for w in split[c] if w != v]
-            col.update(dict.fromkeys(split[c + 1], c + 1))
+            for w in split[c + 1]:
+                col[w] = c + 1
             _refine(split, col, nbrs, [c])
-        search(v, None, 0, col, [], {}, {}, [], 1)
+        search(v, None, 0, col, [], [-1] * T, [None] * T, [], 1)
         if len(best_signs) == 2:
             return None, 0, ()
     pos = {i: k for k, i in enumerate(first[2])}
     gens = {tuple(pos[a[i]] for i in first[2]) for a in autos}
     gens.discard(tuple(range(n_legs)))
-    return (T, n_legs, best[0]), next(iter(best_signs)), tuple(sorted(gens))
+    serial = tuple(tuple((LEG if x >= t3 * t3 else x // t3, x % t3)
+                         for x in row) for row in best[0])
+    return (T, n_legs, serial), next(iter(best_signs)), tuple(sorted(gens))
 
 
 _CANON_CACHE: dict[tuple, tuple[CanonicalForm | None, int]] = {}
@@ -682,10 +709,13 @@ class DiagramSeries:
 
     @classmethod
     def from_json(cls, obj: list, imax: int) -> "DiagramSeries":
-        """Read a list of {"coeff", "diagram"} entries; a missing field,
-        and an entry, diagram or field that should be an object and is
-        not, is named with its entry's index, and with "diagram" when it
-        is the diagram's."""
+        """Read a list of {"coeff", "diagram"} entries; a top-level value
+        that is not a list is malformed.  A missing field, and an entry,
+        diagram or field that should be an object and is not, is named
+        with its entry's index, and with "diagram" when it is the
+        diagram's."""
+        json_list(obj, "the top-level value")
+
         def pairs():
             for i, entry in enumerate(obj):
                 json_object(entry, f"entry {i}")

@@ -12,11 +12,14 @@ per trivalent vertex (indices in the cyclic order), one copy of the
 inverse Gram matrix of the invariant form per edge, contracted over all
 internal ports.  No orthonormal basis is ever constructed; every pair
 contraction goes through the inverse Gram matrix, so all values stay
-rational.
+rational.  They are contracted as integers: each tensor is scaled by the
+least common multiple of its entries' denominators (``_integral``; n for
+the inverse Gram matrix of sl_n, 1 for its structure tensor), and the
+result is divided once by those scales, one per copy.
 
-One routine, ``_contract_pair``, does every contraction: the trace form
-and the structure tensor of sl_n (traces of products of basis
-matrices), the greedy schedule of a diagram, the product of its
+One routine, ``_contract_pair``, does every contraction, in integers:
+the trace form and the structure tensor of sl_n (traces of products of
+basis matrices), the greedy schedule of a diagram, the product of its
 disconnected parts (no shared port), and the Jacobi check of the
 structure data (f·ginv·f).
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 # ``canonicalize`` is not called here; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps this binding
@@ -100,10 +103,12 @@ def _check_jacobi(gram_inv: Matrix, f_low: dict) -> None:
     x_d).  The form is nondegenerate, so lowering with x_d is injective;
     the brackets are trace-free, so they stay in the span of the basis.
     A nonzero cyclic sum has a nonzero term, so the keys of ff are the
-    only places to look."""
-    fg = _contract_pair((("a", "b", "e"), f_low),
-                        (("e", "e'"), _form_tensor(gram_inv)))
-    _, ff = _contract_pair(fg, (("e'", "c", "d"), f_low))
+    only places to look.  Scaling either tensor scales every sum, so the
+    check contracts their integral multiples."""
+    f_int = _integral(f_low)[1]
+    fg = _contract_pair((("a", "b", "e"), f_int),
+                        (("e", "e'"), _integral(_form_tensor(gram_inv))[1]))
+    _, ff = _contract_pair(fg, (("e'", "c", "d"), f_int))
     for a, b, c, d in ff:
         if ff[a, b, c, d] + ff.get((b, c, a, d), 0) + ff.get((c, a, b, d), 0):
             raise LieDataError("Jacobi identity fails")
@@ -122,15 +127,15 @@ def build_sl(n: int) -> LieAlgebraData:
 
     basis: list[dict] = []
     for k in range(n - 1):
-        basis.append({(k, k): Fraction(1), (k + 1, k + 1): Fraction(-1)})
+        basis.append({(k, k): 1, (k + 1, k + 1): -1})
     offs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    basis.extend({(i, j): Fraction(1)} for i, j in offs)
+    basis.extend({(i, j): 1} for i, j in offs)
     dim = len(basis)
 
     # B(a, i, j) = (x_a)_ij; traces of products are contractions of B
     B = {(a, i, j): v for a, x in enumerate(basis) for (i, j), v in x.items()}
     _, tr2 = _contract_pair((("a", "i", "j"), B), (("b", "j", "i"), B))
-    gram = tuple(tuple(tr2.get((a, b), Fraction(0)) for b in range(dim))
+    gram = tuple(tuple(Fraction(tr2.get((a, b), 0)) for b in range(dim))
                  for a in range(dim))
     gram_inv = _mat_inv(gram)
 
@@ -141,7 +146,7 @@ def build_sl(n: int) -> LieAlgebraData:
     for a, b, c in sorted(tr3.keys() | {(b, a, c) for a, b, c in tr3}):
         v = tr3.get((a, b, c), 0) - tr3.get((b, a, c), 0)
         if v:
-            f_low[(a, b, c)] = v
+            f_low[(a, b, c)] = Fraction(v)
 
     # structure-tensor sanity: total antisymmetry (which, given the
     # antisymmetry of the bracket, encodes invariance of the form) ...
@@ -173,10 +178,19 @@ def _form_tensor(gram_inv) -> dict[tuple[int, int], Fraction]:
             for b, v in enumerate(row) if v}
 
 
+def _integral(tensor: dict) -> tuple[int, dict]:
+    """(den, den * tensor): den is the least common multiple of the
+    denominators of the entries, so every entry of the second is an
+    int."""
+    den = lcm(*[v.denominator for v in tensor.values()])
+    return den, {k: v.numerator * (den // v.denominator)
+                 for k, v in tensor.items()}
+
+
 def _contract_pair(t1: tuple, t2: tuple) -> tuple:
-    """Sum two tensors over the ports they share (the tensor product if
-    none).  A tensor is a pair (ports, data), ``data`` mapping index
-    tuples, one index per port, to nonzero rationals; kept ports are
+    """Sum two integer tensors over the ports they share (the tensor
+    product if none).  A tensor is a pair (ports, data), ``data`` mapping
+    index tuples, one index per port, to nonzero ints; kept ports are
     those of ``t1``, then those of ``t2``."""
     ports1, data1 = t1
     ports2, data2 = t2
@@ -187,16 +201,18 @@ def _contract_pair(t1: tuple, t2: tuple) -> tuple:
     pos2 = [ports2.index(p) for p in shared]
     grouped: dict[tuple, list] = {}
     for k2, v2 in data2.items():
-        grouped.setdefault(tuple(k2[i] for i in pos2), []).append(
-            (tuple(k2[i] for i in keep2), v2))
-
-    def products():
-        for k1, v1 in data1.items():
-            base = tuple(k1[i] for i in keep1)
-            for rest, v2 in grouped.get(tuple(k1[i] for i in pos1), ()):
-                yield base + rest, v1, v2
+        grouped.setdefault(tuple([k2[i] for i in pos2]), []).append(
+            (tuple([k2[i] for i in keep2]), v2))
+    acc: dict[tuple, int] = {}
+    for k1, v1 in data1.items():
+        rows = grouped.get(tuple([k1[i] for i in pos1]))
+        if rows:
+            base = tuple([k1[i] for i in keep1])
+            for rest, v2 in rows:
+                key = base + rest
+                acc[key] = acc.get(key, 0) + v1 * v2
     ports = tuple(ports1[i] for i in keep1) + tuple(ports2[i] for i in keep2)
-    return ports, sum_products(products())
+    return ports, {k: v for k, v in acc.items() if v}
 
 
 def contract_diagram(d: JacobiDiagram, g: LieAlgebraData
@@ -205,16 +221,19 @@ def contract_diagram(d: JacobiDiagram, g: LieAlgebraData
 
     Returns the symmetric tensor over the legs as a map from sorted
     basis-index tuples to rational coefficients (the empty tuple holds
-    the scalar value of a closed diagram).  Each step contracts, among
-    the pairs that share a port, the one whose result keeps the fewest
-    ports, so that intermediates stay narrow; ties go to the smallest
-    product of entry counts, then to the first pair in index order.
-    Once no port is shared, the first two tensors (disconnected parts)
-    are multiplied.  Exact arithmetic makes the result
-    schedule-independent.
+    the scalar value of a closed diagram).  The network contracts the
+    integral multiples of the structure tensor and of the inverse Gram
+    matrix (``_integral``); the result is divided once by their scales,
+    one per vertex and one per edge.  Each step contracts, among the
+    pairs that share a port, the one whose result keeps the fewest ports,
+    so that intermediates stay narrow; ties go to the smallest product of
+    entry counts, then to the first pair in index order.  Once no port is
+    shared, the first two tensors (disconnected parts) are multiplied.
+    Exact arithmetic makes the result schedule-independent.
     """
-    ginv = _form_tensor(g.gram_inv)
-    tensors = [(((v, 0), (v, 1), (v, 2)), g.f_low) for v in range(d.t)]
+    f_den, f_low = _integral(g.f_low)
+    den, ginv = _integral(_form_tensor(g.gram_inv))
+    tensors = [(((v, 0), (v, 1), (v, 2)), f_low) for v in range(d.t)]
     tensors += [((p, q), ginv) for p, q in d.edges]
     while len(tensors) > 1:
         # a port is held by at most two tensors: one scan counts the ports
@@ -237,9 +256,10 @@ def contract_diagram(d: JacobiDiagram, g: LieAlgebraData
         tensors[j] = tensors[-1]
         tensors.pop()
 
-    data = tensors[0][1] if tensors else {(): Fraction(1)}
-    # erase leg identity
-    return sum_products((tuple(sorted(key)), val, 1)
+    data = tensors[0][1] if tensors else {(): 1}
+    # erase leg identity, and undo the scales
+    scale = Fraction(1, f_den ** d.t * den ** len(d.edges))
+    return sum_products((tuple(sorted(key)), val, scale)
                         for key, val in data.items())
 
 

@@ -68,9 +68,9 @@ from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
 from .qseries import (
-    FramingPoly, FrozenRecord, HSeries, _echo, at_framing, json_object,
-    modified_bernoulli, parse_json_int, rational_str, sinh_ratio,
-    sum_products)
+    FramingPoly, FrozenRecord, HSeries, _echo, at_framing, json_list,
+    json_object, modified_bernoulli, parse_json_int, rational_str,
+    sinh_ratio, sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
 
@@ -298,13 +298,14 @@ def _unknot_tau(label: str, order: int) -> rootsys.TauPoly:
 
 def load_qdata(path: str, rank: int,
                order: int) -> dict[rootsys.Vec, HSeries]:
-    """The expansion-data file's lattice sum; every ``beta`` must be a
-    list of ``rank`` JSON integers, and every entry's series, zero ones
-    included, must be known through h^order.  A missing field, and an
-    entry, series or field that should be an object and is not, is named
-    with its entry's index, and with "series" when it is the series'."""
+    """The expansion-data file's lattice sum; its top-level value must be
+    a list, every ``beta`` a list of ``rank`` JSON integers, and every
+    entry's series, zero ones included, must be known through h^order.
+    A missing field, and an entry, series or field that should be an
+    object and is not, is named with its entry's index, and with
+    "series" when it is the series'."""
     def entries(obj):
-        for i, entry in enumerate(obj):
+        for i, entry in enumerate(json_list(obj, "the top-level value")):
             json_object(entry, f"entry {i}")
             try:
                 beta, series = entry["beta"], entry["series"]
@@ -316,7 +317,8 @@ def load_qdata(path: str, rank: int,
             except KeyError as exc:
                 raise ValueError(f"entry {i}: series has no field "
                                  f"{exc.args[0]!r}") from exc
-            if len(beta) != rank or any(type(x) is not int for x in beta):
+            if type(beta) is not list or len(beta) != rank \
+                    or any(type(x) is not int for x in beta):
                 raise ValueError(f"beta {_echo(beta)} needs {rank} integer "
                                  "coordinates")
             if series.cap < order:

@@ -90,6 +90,13 @@ def json_object(x, what: str) -> dict:
     return x
 
 
+def json_list(x, what: str) -> list:
+    """A list of a JSON file; an object or a scalar is not one."""
+    if type(x) is not list:
+        raise TypeError(f"{what} is {_echo(x)}, not a list")
+    return x
+
+
 def json_int(x, what: str) -> int:
     """An integer field of a JSON file; a float or a bool is not one."""
     if type(x) is not int:

@@ -225,6 +225,15 @@ _NOT_OBJECTS = {
         "entry 0: series is '1/1', not an object",
     _one_series().replace('{"0": "1/1"}', '[1]'):
         "entry 0: series field 'coeffs' is [1], not an object"}
+# a top-level value or a beta that is not a list, each with its message;
+# {} used to read as an empty file (tau^PG = 0 at exit 0, or a unit
+# coefficient of 0), one entry without its list as entries of its keys,
+# and a beta of 1 gave Python's own wording
+_NOT_LISTS = {
+    "{}": "the top-level value is {}, not a list",
+    _UNIT_KNOT[1:-1]: "the top-level value is {'coeff': '1/1', ",
+    _one_series()[1:-1]: "the top-level value is {'beta': [0], ",
+    _qdata_with_beta(1): "beta 1 needs 1 integer coordinates"}
 # JSON nested past the parser's recursion limit used to end in a traceback
 _DEEP = "[" * 100_000 + "]" * 100_000
 # the path names a directory, not a file
@@ -236,7 +245,7 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
             **_BAD_CYCLIC_KEYS, **_BAD_COEFFS,
             _NEGATIVE_T: "t must be >= 0, got -1",
             **dict(_TOO_LONG.values()), **_MISSING_INSIDE, **_NOT_OBJECTS,
-            _BAD_SLOT: "port (0, 5): bad slot"}
+            **_NOT_LISTS, _BAD_SLOT: "port (0, 5): bad slot"}
 
 
 @pytest.mark.parametrize("option, content", [
@@ -279,6 +288,9 @@ _MESSAGE = {'[{"coeff": "1/1"}]': "entry 0 has no field 'diagram'",
       if "series" not in content),
     *(("--qdata", content) for content in _NOT_OBJECTS
       if "diagram" not in content),
+    *(("--knot", content) for content in _NOT_LISTS if "beta" not in content),
+    *(("--qdata", content) for content in _NOT_LISTS
+      if "coeff'" not in _NOT_LISTS[content]),
     pytest.param("--knot", _DEEP, id="--knot-deep"),
     pytest.param("--qdata", _DEEP, id="--qdata-deep"),
 ])

@@ -133,6 +133,16 @@ class TestBuildAgainstOracle:
         key = next(iter(g.f_low))
         assert _rejected(g.gram_inv, _scale_orbit(g.f_low, key, Q(2)))
 
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    @pytest.mark.parametrize("r", (Q(0), Q(-1), Q(2), Q(1, 2)))
+    def test_one_corrupted_entry_rejected(self, n, r):
+        # one entry scaled and its orbit left as it was: a non-integral
+        # entry makes the check contract a scaled multiple of f_low
+        g = build_sl(n)
+        for key in list(g.f_low)[::7]:
+            f_low = {**g.f_low, key: g.f_low[key] * r}
+            assert _rejected(g.gram_inv, {k: v for k, v in f_low.items() if v})
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(sl3.f_low)),
            st.fractions(max_denominator=7).filter(lambda r: r != 1))
@@ -226,6 +236,15 @@ class TestContraction:
         # t <= 2 and t + m <= 4 keep the brute force to 48^t 8^m <= 147 456
         # assignments
         _check_random_diagram(data, sl3, tmax=2, size=4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_diagram_matches_brute_force_on_sl4(self, data):
+        # sl_4's inverse Gram matrix has denominators 2 and 4 and 138
+        # nonzero structure-tensor entries: closed t <= 2, or t <= 1 with
+        # t + m <= 2, keep the brute force to 138^t 15^m <= 19 044
+        # assignments
+        _check_random_diagram(data, sl4, tmax=2, size=2)
 
 
 def _check_random_diagram(data, g, tmax: int, size: int) -> None:
