@@ -35,6 +35,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
+from operator import itemgetter
 
 # ``canonicalize`` is not called here; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps this binding
@@ -187,6 +188,17 @@ def _integral(tensor: dict) -> tuple[int, dict]:
                  for k, v in tensor.items()}
 
 
+def _picker(positions: list[int]):
+    """The map from an index tuple to the tuple of its entries at
+    ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        i = positions[0]
+        return lambda key: (key[i],)
+    return itemgetter(slice(0))  # key[:0], the empty tuple
+
+
 def _contract_pair(t1: tuple, t2: tuple) -> tuple:
     """Sum two integer tensors over the ports they share (the tensor
     product if none).  A tensor is a pair (ports, data), ``data`` mapping
@@ -199,15 +211,16 @@ def _contract_pair(t1: tuple, t2: tuple) -> tuple:
     keep2 = [i for i, p in enumerate(ports2) if p not in shared]
     pos1 = [ports1.index(p) for p in shared]
     pos2 = [ports2.index(p) for p in shared]
+    at_pos2, at_keep2 = _picker(pos2), _picker(keep2)
+    at_pos1, at_keep1 = _picker(pos1), _picker(keep1)
     grouped: dict[tuple, list] = {}
     for k2, v2 in data2.items():
-        grouped.setdefault(tuple([k2[i] for i in pos2]), []).append(
-            (tuple([k2[i] for i in keep2]), v2))
+        grouped.setdefault(at_pos2(k2), []).append((at_keep2(k2), v2))
     acc: dict[tuple, int] = {}
     for k1, v1 in data1.items():
-        rows = grouped.get(tuple([k1[i] for i in pos1]))
+        rows = grouped.get(at_pos1(k1))
         if rows:
-            base = tuple([k1[i] for i in keep1])
+            base = at_keep1(k1)
             for rest, v2 in rows:
                 key = base + rest
                 acc[key] = acc.get(key, 0) + v1 * v2
@@ -248,10 +261,9 @@ def contract_diagram(d: JacobiDiagram, g: LieAlgebraData
         if not shared:
             i, j = 0, 1
         else:
-            i, j = min(sorted(shared), key=lambda ij: (
-                len(tensors[ij[0]][0]) + len(tensors[ij[1]][0])
-                - 2 * shared[ij],
-                len(tensors[ij[0]][1]) * len(tensors[ij[1]][1])))
+            _, _, i, j = min((len(tensors[i][0]) + len(tensors[j][0]) - 2 * n,
+                              len(tensors[i][1]) * len(tensors[j][1]), i, j)
+                             for (i, j), n in shared.items())
         tensors[i] = _contract_pair(tensors[i], tensors[j])
         tensors[j] = tensors[-1]
         tensors.pop()
