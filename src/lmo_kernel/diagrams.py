@@ -271,21 +271,24 @@ def _components(d: JacobiDiagram) -> list[tuple[list[int], int, list[Edge]]]:
     return [(tv, len(lg), es) for tv, lg, es in buckets.values()]
 
 
-def _refine(cells: dict[int, list[int]], colour: dict[int, int],
-            nbrs: dict[int, list[int]], queue: list[int]) -> None:
+def _refine(cells: dict[int, list[int]],
+            colour: dict[int, int] | list[int],
+            nbrs: dict[int, list[int]] | list[list[int]],
+            queue: list[int]) -> None:
     """Split an ordered partition of a multigraph's vertices, in place, to
     the coarsest equitable one finer than it: every vertex of a cell then
     has as many neighbours (edges counted with multiplicity) in each cell.
 
     ``cells`` maps the position of a cell in the ordered partition (the
     number of vertices before it) to its vertices; ``colour`` maps each
-    vertex to the position of its cell.  ``queue`` lists the positions of
-    the splitter cells.  A splitter splits every cell by the number of
-    neighbours its vertices have in it; the fragments take the cell's
-    place in order of that number, and all but the first largest one join
-    the queue (all, if the cell was queued).  Positions and counts are the
-    only things read, so colours depend on the graph and the initial
-    partition, never on the vertex numbering.
+    vertex to the position of its cell, and ``nbrs`` to its neighbours
+    (each a dict or a list indexed by vertex).  ``queue`` lists the
+    positions of the splitter cells.  A splitter splits every cell by the
+    number of neighbours its vertices have in it; the fragments take the
+    cell's place in order of that number, and all but the first largest
+    one join the queue (all, if the cell was queued).  Positions and
+    counts are the only things read, so colours depend on the graph and
+    the initial partition, never on the vertex numbering.
     """
     queued = set(queue)
     for w in queue:
@@ -315,7 +318,8 @@ def _refine(cells: dict[int, list[int]], colour: dict[int, int],
                 c += len(frag)
 
 
-def _equitable(key: dict[int, tuple], nbrs: dict[int, list[int]]
+def _equitable(key: dict[int, tuple],
+               nbrs: dict[int, list[int]] | list[list[int]]
                ) -> tuple[dict[int, list[int]], dict[int, int]]:
     """The coarsest equitable partition finer than the one into equal
     ``key`` values, as ``_refine`` gives it (cells, colour): the cells
