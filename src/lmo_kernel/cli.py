@@ -14,7 +14,8 @@ file knot without ``--qdata`` for the perturbative side, order 0, a
 ``compute``, ``taupg`` or ``verify`` order below 1, a ``compute`` or
 ``compare`` order above ``pipeline.MAX_ORDER`` (the largest the vertex
 cap admits), a ``verify`` order above it for the ``all``, ``omega`` or
-``circle`` suite (before any suite runs), a negative ``compare
+``circle`` suite or above ``pipeline.MAX_GAUSS_ORDER`` for the ``gauss``
+suite (before any suite runs), a negative ``compare
 --valid-degree``, an unwritable ``--out`` path, a report coefficient
 too long to print, or an input the kernel rejects (structural, series,
 pole, Lie-data or root-system error), prints one JSON line

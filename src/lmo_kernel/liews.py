@@ -26,7 +26,10 @@ structure data (f·ginv·f).
 A weight tensor with series coefficients (``hat_weight``,
 ``exp_tensor``) is a plain map {sorted basis-index key: HSeries}; the
 Gaussian (Wick) operator pairs its free slots with the lowered form,
-weighting each matched pair by -h/f.
+weighting each matched pair by -h/f.  The framing enters last: the
+contraction is a polynomial in 1/f (``wick_poly``, ``gaussian_poly``),
+summed once per tensor, and ``wick`` and ``gaussian_eval`` read it at
+one framing through ``qseries.at_framing``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from operator import itemgetter
 from .diagrams import (  # noqa: F401
     CanonicalForm, DiagramSeries, JacobiDiagram, canonicalize)
 from .balg import theta
-from .qseries import ZERO, FrozenRecord, HSeries, sum_products
+from .qseries import (
+    ZERO, FramingPoly, FrozenRecord, HSeries, at_framing, sum_products)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -428,14 +432,15 @@ def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> dict:
     return series_tensor(products(), cap)
 
 
-def wick(T: dict, g: LieAlgebraData, f, cap: int) -> HSeries:
-    """Gaussian contraction of a weight tensor known up to h^cap: sum
-    over perfect matchings of the slots of each term, each matched pair
-    weighing -h/f times the lowered-form pairing; odd-slot terms vanish,
-    the scalar part passes through."""
-    f = Fraction(f)
-    if f == 0:
-        raise LieDataError("Gaussian operator needs nonzero framing")
+def wick_poly(T: dict, g: LieAlgebraData, cap: int
+              ) -> tuple[FramingPoly, int]:
+    """Gaussian contraction of a weight tensor known up to h^cap, with
+    the framing left free: sum over perfect matchings of the slots of
+    each term, each matched pair weighing -h/f times the lowered-form
+    pairing; odd-slot terms vanish, the scalar part passes through.
+    Returns the polynomial {(-k, n): c}, the contraction at f being the
+    sum of c f^-k h^n, and the cap through which it is known.  Each
+    key's hafnian is summed once, whatever the framings it is read at."""
     memo: dict[tuple, Fraction] = {(): Fraction(1)}
 
     def haf(key: tuple) -> Fraction:
@@ -447,24 +452,38 @@ def wick(T: dict, g: LieAlgebraData, f, cap: int) -> HSeries:
                 for i, b in enumerate(rest) if row[b]).get(None, ZERO)
         return hit
 
-    # an even term of 2k slots adds series * haf * (-1/f)^k * h^k
+    # an even term of 2k slots adds series * haf * (-1)^k * f^-k * h^k
     parts = []
     for key, series in T.items():
         if len(key) % 2 == 0:
             k = len(key) // 2
-            weight = haf(key) * (-1 / f) ** k
+            weight = haf(key) * (-1) ** k
             if weight:
                 parts.append((series, k, weight))
     cap = min([cap] + [series.cap + k for series, k, _ in parts])
-    return HSeries(sum_products((e + k, c, weight)
-                                for series, k, weight in parts
-                                for e, c in series.coeffs.items()
-                                if e + k <= cap), cap)
+    return sum_products(((-k, e + k), c, weight)
+                        for series, k, weight in parts
+                        for e, c in series.coeffs.items()
+                        if e + k <= cap), cap
 
 
-def gaussian_eval(s: DiagramSeries, g: LieAlgebraData, f, cap: int) -> HSeries:
-    """Tensor-route Gaussian integral of a strut-free series: graded
-    weight, every m-slot term divided by h^m, then the Wick operator.
+def _check_framing(f) -> None:
+    if f == 0:
+        raise LieDataError("Gaussian operator needs nonzero framing")
+
+
+def wick(T: dict, g: LieAlgebraData, f, cap: int) -> HSeries:
+    """The Gaussian contraction ``wick_poly`` at the framing f != 0."""
+    _check_framing(f)
+    poly, cap = wick_poly(T, g, cap)
+    return at_framing(poly, f, cap)
+
+
+def gaussian_poly(s: DiagramSeries, g: LieAlgebraData, cap: int
+                  ) -> tuple[FramingPoly, int]:
+    """Tensor-route Gaussian integral of a strut-free series, with the
+    framing left free: graded weight, every m-slot term divided by h^m,
+    then ``wick_poly``.
 
     Under the graded weight a glued strut carries one power of h while
     consuming two legs; dividing out the legs of the open tensor restores
@@ -475,8 +494,15 @@ def gaussian_eval(s: DiagramSeries, g: LieAlgebraData, f, cap: int) -> HSeries:
     """
     mmax = max((form.m for form in s.terms), default=0)
     T = hat_weight(s, g, cap + mmax)
-    return wick({key: series.shift(-len(key)) for key, series in T.items()},
-                g, f, cap)
+    return wick_poly({key: series.shift(-len(key))
+                      for key, series in T.items()}, g, cap)
+
+
+def gaussian_eval(s: DiagramSeries, g: LieAlgebraData, f, cap: int) -> HSeries:
+    """The Gaussian integral ``gaussian_poly`` at the framing f != 0."""
+    _check_framing(f)
+    poly, cap = gaussian_poly(s, g, cap)
+    return at_framing(poly, f, cap)
 
 
 def exp_tensor(vec, cap: int) -> dict:

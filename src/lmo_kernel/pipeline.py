@@ -52,8 +52,9 @@ callers only read a cached value.
 
 The gauss suite sums the exponential tensors of the points of the
 squared Weyl sum from ``rootsys._lattice_product``, each weighed by its
-signed count, into one tensor that the Wick operator contracts once per
-framing.
+signed count, into one tensor that the Wick operator contracts once,
+framing-free; the bridge suite builds both of its Gaussian integrals
+framing-free too, and each check reads its polynomials at its framings.
 """
 
 from __future__ import annotations
@@ -247,15 +248,22 @@ def _definition_poly(key: KnotKey, label: str, order: int) -> FramingPoly:
         for k, part in balg.fg_parts(x).items())
 
 
+def _fg_poly(y: DiagramSeries, g: liews.LieAlgebraData,
+             cap: int) -> FramingPoly:
+    """The graded weight of the Gaussian integral of a strut-free ``y``
+    as a polynomial in f, read through h^cap: the sum of (-1/f)^k W_k,
+    where W_k is the graded weight of part k of ``balg.fg_parts(y)``,
+    each part weighed once."""
+    return _framing_poly((-k, (-1) ** k, hat_scalar(part, g, cap))
+                         for k, part in balg.fg_parts(y).items())
+
+
 @lru_cache(maxsize=_KNOTS * len(LIE_LABELS) * MAX_ORDER)
 def _lemma_poly(key: KnotKey, label: str, order: int) -> FramingPoly:
-    """The lemma route's Gaussian integral as a polynomial in f: the sum
-    of (-1/f)^k W_k, where W_k is the graded weight of part k of the
-    Gaussian integral of the wheeled base."""
+    """The lemma route's Gaussian integral of the wheeled base as a
+    polynomial in f."""
     _, g = lie_pair(label)
-    return _framing_poly(
-        (-k, (-1) ** k, hat_scalar(part, g, order))
-        for k, part in balg.fg_parts(_wheeled_base(key, 2 * order)).items())
+    return _fg_poly(_wheeled_base(key, 2 * order), g, order)
 
 
 def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
@@ -511,6 +519,9 @@ def _bridge_family(imax: int) -> dict[str, DiagramSeries]:
 
 
 def _check_bridge(order: int) -> list[CheckResult]:
+    """The diagram-level Gaussian integral against the tensor route's,
+    both built once per algebra and family member as polynomials in f
+    and read at each framing."""
     imax = 8
     cap = imax // 2
     out = []
@@ -518,11 +529,10 @@ def _check_bridge(order: int) -> list[CheckResult]:
     for label in ("A1", "A2"):
         _, g = lie_pair(label)
         for name, y in fam.items():
-            ok = True
-            for f in (1, -1, 2, -2, 3):
-                lhs = hat_scalar(balg.fg_integral(y, f), g, cap)
-                rhs = liews.gaussian_eval(y, g, f, cap)
-                ok = ok and lhs == rhs
+            lhs = _fg_poly(y, g, cap)
+            rhs, rhs_cap = liews.gaussian_poly(y, g, cap)
+            ok = all(at_framing(lhs, f, cap) == at_framing(rhs, f, rhs_cap)
+                     for f in (1, -1, 2, -2, 3))
             out.append(CheckResult(f"bridge.{label}.{name}", ok,
                                    "f in {1,-1,2,-2,3}"))
     return out
@@ -534,9 +544,9 @@ def _check_gauss(order: int) -> list[CheckResult]:
 
     The Wick operator is linear, so the exponential tensors of the
     points of the squared Weyl sum, each weighed by its signed count,
-    are summed into one tensor and contracted once per framing: the same
-    series as contracting every point and adding, from one hafnian memo
-    per framing instead of one per point."""
+    are summed into one tensor and contracted once, framing-free: the
+    same series as contracting every point and adding, from one hafnian
+    memo per algebra instead of one per point and framing."""
     cap = max(order, 6)
     out = []
     for label in ("A1", "A2"):
@@ -548,8 +558,9 @@ def _check_gauss(order: int) -> list[CheckResult]:
             for key, series in liews.exp_tensor(
                 g.cartan_vector(beta), cap).items()
             for e, c in series.coeffs.items()), cap)
+        poly, poly_cap = liews.wick_poly(tensor, g, cap)
         for f in (2, 3, -2):
-            total = liews.wick(tensor, g, f, cap)
+            total = at_framing(poly, f, poly_cap)
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)
             out.append(CheckResult(f"gauss.weyl_square.{label}.f={f}",
                                    total == closed))
@@ -577,23 +588,36 @@ _SUITES = {
 }
 
 
-#: The suites that build diagram series at max(order, 4); the others
-#: take any order.
-_DIAGRAM_SUITES = ("omega", "circle")
+#: Highest order of the gauss suite: its exponential tensors carry up to
+#: 2 * order slots; order 40 takes about a second on a 2-core box, and
+#: the time grows about as order^2.
+MAX_GAUSS_ORDER = 40
+
+#: The suites whose work grows with the order, each with its highest
+#: order and the reason for it: the omega and circle suites build
+#: diagram series at max(order, 4).  The others take any order.
+_ORDER_BOUNDS = {
+    "omega": (MAX_ORDER, "the largest the vertex cap admits"),
+    "circle": (MAX_ORDER, "the largest the vertex cap admits"),
+    "gauss": (MAX_GAUSS_ORDER, "the bound on the size of its "
+              "exponential tensors"),
+}
 
 
 def verify_suite(selection: str, order: int = 4) -> list[CheckResult]:
     """Run the named identity suite ('all' runs every one of them).  An
-    order above ``MAX_ORDER`` is rejected before any suite runs when a
-    suite of ``_DIAGRAM_SUITES`` is among them."""
+    order above the lowest bound of ``_ORDER_BOUNDS`` among them is
+    rejected before any suite runs."""
     names = list(_SUITES) if selection == "all" else [selection]
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    if order > MAX_ORDER and any(n in _DIAGRAM_SUITES for n in names):
-        raise InputError(f"verify --suite {selection} needs --order <= "
-                         f"{MAX_ORDER}, the largest the vertex cap admits, "
-                         f"got {order}")
+    bounds = [_ORDER_BOUNDS[n] for n in names if n in _ORDER_BOUNDS]
+    if bounds:
+        bound, why = min(bounds)
+        if order > bound:
+            raise InputError(f"verify --suite {selection} needs --order <= "
+                             f"{bound}, {why}, got {order}")
     results: list[CheckResult] = []
     for name in names:
         results.extend(_SUITES[name](order))

@@ -1,7 +1,8 @@
 """``tools/ab_warm.py`` runs one checkout against itself: both kernels
 load side by side, every fill cell matches the benchmark references, and
 the last line reports the two median pass times, their ratio and each
-side's interquartile range."""
+side's interquartile range, and the same figures for the ``verify`` cell
+and the ``compare`` cells apart."""
 
 import json
 import subprocess
@@ -22,3 +23,13 @@ def test_ab_warm_on_one_checkout_against_itself():
     assert result["old_s"] > 0 and result["new_s"] > 0
     assert result["ratio"] == result["new_s"] / result["old_s"]
     assert result["old_iqr_s"] >= 0 and result["new_iqr_s"] >= 0
+    for part in ("verify", "compare"):
+        old, new = result[f"{part}_old_s"], result[f"{part}_new_s"]
+        assert 0 < old < result["old_s"] and 0 < new < result["new_s"]
+        assert result[f"{part}_ratio"] == new / old
+        assert result[f"{part}_old_iqr_s"] >= 0
+        assert result[f"{part}_new_iqr_s"] >= 0
+    for side in ("old", "new"):
+        # the parts of each pass add up to no more than the pass
+        assert result[f"verify_{side}_s"] + result[f"compare_{side}_s"] \
+            <= 1.01 * result[f"{side}_s"]

@@ -492,8 +492,34 @@ def test_verify_order_above_the_vertex_cap_is_rejected_up_front(
     assert "--order" in error and "6" in error
 
 
-def test_lie_only_verify_suites_take_any_order(capsys):
-    assert main(["verify", "--suite", "gauss", "--order", "40"]) == 0
+def test_gauss_suite_takes_orders_up_to_its_bound(capsys):
+    bound = pipeline.MAX_GAUSS_ORDER
+    assert bound == 40
+    assert main(["verify", "--suite", "gauss", "--order", str(bound)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_gauss_suite_order_above_its_bound_is_rejected_up_front(
+        capsys, monkeypatch):
+    def ran(order):
+        raise AssertionError("a suite ran before the order was checked")
+
+    monkeypatch.setattr(pipeline, "_SUITES",
+                        dict.fromkeys(pipeline._SUITES, ran))
+    assert main(["verify", "--suite", "gauss", "--order", "41"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert "--order <= 40" in error and "41" in error
+
+
+@pytest.mark.parametrize("suite", ("bernoulli", "weyl", "theta", "bridge"))
+def test_verify_suites_that_ignore_the_order_take_any_order(
+        capsys, monkeypatch, suite):
+    monkeypatch.setattr(pipeline, "_SUITES",
+                        dict(pipeline._SUITES, **{suite: lambda order: []}))
+    assert main(["verify", "--suite", suite, "--order", "1000"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 

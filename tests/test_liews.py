@@ -24,12 +24,14 @@ from lmo_kernel.liews import (
     contract_diagram,
     exp_tensor,
     gaussian_eval,
+    gaussian_poly,
     gl_polynomial,
     hat_weight,
     wick,
+    wick_poly,
 )
 from lmo_kernel.pipeline import SurgeryInput, hat_scalar
-from lmo_kernel.qseries import HSeries, q_power, series_sum
+from lmo_kernel.qseries import HSeries, at_framing, q_power, series_sum
 
 sl2 = build_sl(2)
 sl3 = build_sl(3)
@@ -552,6 +554,29 @@ def _weight_tensors(draw, g=None, f=None):
 @given(_weight_tensors())
 def test_wick_matches_fraction_hafnian_oracle(case):
     assert wick(*case) == lie_oracle.wick(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_wick_poly_at_any_framing_matches_the_oracle(data):
+    # the framing-free contraction, read at a nonzero rational f, is the
+    # contraction at f
+    f = data.draw(st.fractions(-5, 5, max_denominator=7).filter(bool),
+                  label="f")
+    T, g, f, cap = data.draw(_weight_tensors(f=f))
+    poly, poly_cap = wick_poly(T, g, cap)
+    assert at_framing(poly, f, poly_cap) == lie_oracle.wick(T, g, f, cap)
+    assert all(e <= 0 and n <= poly_cap for e, n in poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_weight_tensors(f=0))
+def test_wick_rejects_framing_zero_whatever_the_tensor(case):
+    with pytest.raises(LieDataError):
+        wick(*case)
+    T, g, f, cap = case
+    with pytest.raises(LieDataError):
+        wick(T, g, Q(0), cap)
 
 
 _ratios = st.builds(Q, st.integers(-4, 4), st.integers(1, 5))

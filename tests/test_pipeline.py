@@ -1,11 +1,14 @@
 """End-to-end pipeline: reduced inputs, the two surgery-invariant routes,
 the comparison report, and file-knot handling."""
 
+import functools
 import json
 import math
+import operator
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmo_kernel.balg import omega, strut, theta, wheel, wheeling_inverse
 from lmo_kernel.diagrams import DiagramSeries, StructuralError, series_of
@@ -474,19 +477,23 @@ class TestVerifySuite:
                                                   mutant):
         # the summed tensor cancels every key below 2P slots (P positive
         # roots): a fault in what survives must still fail a gauss check
-        true_wick, true_exp = liews.wick, liews.exp_tensor
+        true_wick, true_exp = liews.wick_poly, liews.exp_tensor
 
         def two_p(dim):
             n = math.isqrt(dim + 1)  # sl_n has dimension n^2 - 1
             return n * (n - 1)       # 2P slots: one per root
 
         if mutant == "plus_h_over_f":
-            monkeypatch.setattr(liews, "wick", lambda T, g, f, cap:
-                                true_wick(T, g, -f, cap))
+            # the polynomial read at -f: each f^e term times (-1)^e
+            def flipped(T, g, cap):
+                poly, cap = true_wick(T, g, cap)
+                return {(e, n): -c if e % 2 else c
+                        for (e, n), c in poly.items()}, cap
+            monkeypatch.setattr(liews, "wick_poly", flipped)
         elif mutant == "no_2p_slot_terms":
-            monkeypatch.setattr(liews, "wick", lambda T, g, f, cap: true_wick(
+            monkeypatch.setattr(liews, "wick_poly", lambda T, g, cap: true_wick(
                 {k: s for k, s in T.items() if len(k) != two_p(g.dim)},
-                g, f, cap))
+                g, cap))
         else:
             def scaled(vec, cap):
                 # the first key of 2P slots, if any (the zero point has none)
@@ -501,14 +508,48 @@ class TestVerifySuite:
         assert all(r.name.startswith("gauss.") for r in results)
         assert not all(r.passed for r in results)
 
-    def test_gauss_check_contracts_once_per_framing(self, monkeypatch):
-        # 3 + 19 points of the squared Weyl sums of A1 and A2, one Wick
-        # contraction per algebra and framing
-        calls = {"wick": 0, "exp_tensor": 0}
+    def test_gauss_check_contracts_once_per_algebra(self, monkeypatch):
+        # 3 + 19 points of the squared Weyl sums of A1 and A2, one
+        # framing-free Wick contraction per algebra
+        calls = {"wick_poly": 0, "exp_tensor": 0}
         for name in calls:
             def counted(*args, _name=name, _true=getattr(liews, name)):
                 calls[_name] += 1
                 return _true(*args)
             monkeypatch.setattr(liews, name, counted)
         assert all(r.passed for r in pipeline._check_gauss(4))
-        assert calls == {"wick": 6, "exp_tensor": 22}
+        assert calls == {"wick_poly": 2, "exp_tensor": 22}
+
+    def test_bridge_check_builds_each_side_once(self, monkeypatch):
+        # one Gaussian and one graded weight per (algebra, member): each
+        # member's legs are all of one count, so its integral has one part
+        calls = {"gaussian_poly": 0, "hat_scalar": 0}
+        for mod, name in ((liews, "gaussian_poly"), (pipeline, "hat_scalar")):
+            def counted(*args, _name=name, _true=getattr(mod, name)):
+                calls[_name] += 1
+                return _true(*args)
+            monkeypatch.setattr(mod, name, counted)
+        assert all(r.passed for r in pipeline._check_bridge(4))
+        assert calls == {"gaussian_poly": 10, "hat_scalar": 10}
+
+    @pytest.mark.parametrize("label", ["A1", "A2"])
+    def test_bridge_sides_are_one_polynomial(self, label):
+        # equal as polynomials in f, not only at the check's five framings
+        _, g = lie_pair(label)
+        for name, y in pipeline._bridge_family(8).items():
+            rhs, cap = liews.gaussian_poly(y, g, 4)
+            assert cap == 4, name
+            assert pipeline._fg_poly(y, g, 4) == rhs, name
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(["A1", "A2"]),
+           st.lists(st.fractions(-3, 3, max_denominator=4), min_size=5,
+                    max_size=5))
+    def test_bridge_sides_agree_on_sums_of_the_family(self, label, coeffs):
+        # a sum mixes parts of several leg counts into one polynomial
+        _, g = lie_pair(label)
+        y = functools.reduce(operator.add, (
+            member.scale(c) for member, c in
+            zip(pipeline._bridge_family(8).values(), coeffs)))
+        rhs, cap = liews.gaussian_poly(y, g, 4)
+        assert pipeline._fg_poly(y, g, 4) == rhs and cap == 4

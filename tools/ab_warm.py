@@ -12,9 +12,13 @@ two kernels alternate timed passes over the same cells, in one shuffled
 cell order per round and with the first kernel of each round alternating,
 N passes each.  The script prints each kernel's median pass time, the
 interquartile range of its pass times and the ratio NEW / OLD of the
-medians, then one JSON line with the same figures.  A ratio counts only
-when the two medians differ by more than that spread.  It exits 1 if a
-fill cell failed.
+medians, then the same three figures for each pass's ``verify`` cell
+and for its ``compare`` cells apart, and last one JSON line with all of
+them (keys ``old_s``, ``verify_old_s``, ``compare_old_s`` and so on).
+A change to one kind of cell moves only its own figures; in the whole
+pass the other kind's spread blurs it.  A ratio counts only when the two
+medians differ by more than that spread.  It exits 1 if a fill cell
+failed.
 
 Two benchmark processes see different machine states, so their times
 can spread more widely than a change moves them; interleaved passes in
@@ -56,11 +60,22 @@ def load_cli(name: str, checkout: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def timed_pass(cli, order: list[int]) -> float:
+#: The parts of a pass timed apart: the whole pass, and its cells of each
+#: subcommand.
+PARTS = ("", "verify", "compare")
+
+
+def timed_pass(cli, order: list[int]) -> dict[str, float]:
+    """The seconds of one pass over the cells in ``order``, and of its
+    cells of each subcommand, under the names of ``PARTS``."""
+    out = dict.fromkeys(PARTS, 0.0)
     t0 = time.perf_counter()
     for i in order:
+        t = time.perf_counter()
         run_cli(cli, WARM_CELLS[i])
-    return time.perf_counter() - t0
+        out[WARM_CELLS[i][0]] += time.perf_counter() - t
+    out[""] = time.perf_counter() - t0
+    return out
 
 
 def iqr(xs: list[float]) -> float:
@@ -91,21 +106,30 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{side}: {' '.join(argv_)}: {why}")
     rng = random.Random(args.seed)
     order = list(range(len(WARM_CELLS)))
-    times: dict[str, list[float]] = {"old": [], "new": []}
+    times: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
     for n in range(args.passes):
         rng.shuffle(order)
         for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
             times[side].append(timed_pass(clis[side], order))
-    median = {side: statistics.median(ts) for side, ts in times.items()}
-    spread = {side: iqr(ts) for side, ts in times.items()}
-    for side in ("old", "new"):
-        print(f"{side}: median pass {median[side]:.4f} s, interquartile "
-              f"range {spread[side]:.4f} s over {args.passes} passes")
-    old, new = median["old"], median["new"]
-    print(f"ratio new/old: {new / old:.3f}")
-    print(json.dumps({"old_s": old, "new_s": new, "ratio": new / old,
-                      "old_iqr_s": spread["old"], "new_iqr_s": spread["new"],
-                      "passes": args.passes, "failed_fill_cells": failed}))
+    result = {}
+    for part in PARTS:
+        what, key = (f"{part} cells", f"{part}_") if part else ("pass", "")
+        median = {side: statistics.median(t[part] for t in ts)
+                  for side, ts in times.items()}
+        spread = {side: iqr([t[part] for t in ts])
+                  for side, ts in times.items()}
+        for side in ("old", "new"):
+            print(f"{side}: median {what} {median[side]:.4f} s, "
+                  f"interquartile range {spread[side]:.4f} s over "
+                  f"{args.passes} passes")
+        old, new = median["old"], median["new"]
+        print(f"{what} ratio new/old: {new / old:.3f}")
+        result.update({f"{key}old_s": old, f"{key}new_s": new,
+                       f"{key}ratio": new / old,
+                       f"{key}old_iqr_s": spread["old"],
+                       f"{key}new_iqr_s": spread["new"]})
+    print(json.dumps({**result, "passes": args.passes,
+                      "failed_fill_cells": failed}))
     return 1 if failed else 0
 
 
