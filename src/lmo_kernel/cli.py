@@ -15,7 +15,8 @@ file knot without ``--qdata`` for the perturbative side, order 0, a
 ``compare`` order above ``pipeline.MAX_ORDER`` (the largest the vertex
 cap admits), a ``verify`` order above it for the ``all``, ``omega`` or
 ``circle`` suite or above ``pipeline.MAX_GAUSS_ORDER`` for the ``gauss``
-suite (before any suite runs), a negative ``compare
+suite (before any suite runs), a ``taupg`` order above
+``pipeline.MAX_TAUPG_ORDER`` (before any work), a negative ``compare
 --valid-degree``, an unwritable ``--out`` path, a report coefficient
 too long to print, or an input the kernel rejects (structural, series,
 pole, Lie-data or root-system error), prints one JSON line
@@ -36,6 +37,7 @@ from .pipeline import (
     _SUITES,
     LIE_LABELS,
     MAX_ORDER,
+    MAX_TAUPG_ORDER,
     ComparisonReport,
     InputError,
     SurgeryInput,
@@ -131,9 +133,12 @@ def _run(args: argparse.Namespace) -> int:
     if args.order == 0 or (args.order < 0 and args.command != "compare"):
         raise InputError(f"{args.command} needs --order >= 1, got "
                          f"{args.order}")
-    if args.command != "taupg" and args.order > MAX_ORDER:
-        raise InputError(f"{args.command} needs --order <= {MAX_ORDER}, the "
-                         f"largest the vertex cap admits, got {args.order}")
+    bound, why = ((MAX_TAUPG_ORDER, "the bound on the length of its series")
+                  if args.command == "taupg" else
+                  (MAX_ORDER, "the largest the vertex cap admits"))
+    if args.order > bound:
+        raise InputError(f"{args.command} needs --order <= {bound}, {why}, "
+                         f"got {args.order}")
     # only compare takes --valid-degree
     inp = SurgeryInput(args.knot, args.framing,
                        getattr(args, "valid_degree", None))

@@ -23,6 +23,12 @@ basis matrices), the greedy schedule of a diagram, the product of its
 disconnected parts (no shared port), and the Jacobi check of the
 structure data (f·ginv·f).
 
+``brute_force_contract`` is the independent oracle of that contraction,
+behind ``verify``'s theta check: it shares no routine with it, and sums
+the same network in ``Fraction``s over the assignments of basis indices
+to ports whose product is nonzero, found one vertex or leg at a time
+from the nonzero inverse-Gram columns of the ports already placed.
+
 A weight tensor with series coefficients (``hat_weight``,
 ``exp_tensor``) is a plain map {sorted basis-index key: HSeries}; the
 Gaussian (Wick) operator pairs its free slots with the lowered form,
@@ -283,31 +289,63 @@ def brute_force_contract(d: JacobiDiagram, g: LieAlgebraData
                          ) -> dict[tuple[int, ...], Fraction]:
     """Independent oracle: sum a structure-tensor entry per trivalent
     vertex and an inverse-Gram factor per edge over every assignment of
-    basis indices to ports.  Vertex indices run over the support of the
-    structure tensor (terms off it vanish identically); an assignment
-    with a zero edge factor is skipped before any product is taken.
-    Still exponential, so only for small diagrams."""
-    f_support = sorted(g.f_low.items())
+    basis indices to ports, keyed by the sorted leg indices.
+
+    Only assignments with a nonzero product are enumerated.  Indices are
+    assigned one vertex, then one leg, at a time.  A port whose edge
+    partner already has an index takes only the columns where that
+    inverse-Gram row is nonzero; a vertex takes only the structure-tensor
+    entries, indexed by the values of those slots, that agree with them;
+    a choice with a zero factor on an edge between two of its own ports
+    is dropped.  Still exponential, so only for small diagrams."""
+    partner = {}
+    for p, q in d.edges:
+        partner[p], partner[q] = q, p
+    ginv = [{b: x for b, x in enumerate(row) if x} for row in g.gram_inv]
+    vertex_entries = sorted(g.f_low.items())
+    leg_entries = [((a,), 1) for a in range(g.dim)]
+
+    units = [(((v, 0), (v, 1), (v, 2)), vertex_entries) for v in range(d.t)]
+    units += [(((v, 0),), leg_entries) for v in d.legs()]
+
+    # per unit: its ports, its entries indexed by the values of the slots
+    # whose partners are placed before it, those partners, and the edges
+    # it closes
+    plan = []
+    placed: set = set()
+    for ports, entries in units:
+        slots = [s for s, p in enumerate(ports) if partner[p] in placed]
+        index: dict[tuple, list] = {}
+        for key, x in entries:
+            index.setdefault(tuple(key[s] for s in slots), []).append(
+                (key, x))
+        closes = [(p, partner[p]) for p in ports
+                  if partner[p] in placed
+                  or (partner[p] in ports and partner[p] < p)]
+        plan.append((ports, index, [partner[ports[s]] for s in slots],
+                     closes))
+        placed.update(ports)
+
     leg_ports = [(v, 0) for v in d.legs()]
-    out: dict[tuple[int, ...], Fraction] = {}
     idx: dict[tuple[int, int], int] = {}
-    for choice in itertools.product(f_support, repeat=d.t):
-        for v, ((a, b, c), _) in enumerate(choice):
-            idx[(v, 0)], idx[(v, 1)], idx[(v, 2)] = a, b, c
-        for legs in itertools.product(range(g.dim), repeat=d.m):
-            for port, a in zip(leg_ports, legs):
-                idx[port] = a
-            edge = [g.gram_inv[idx[p]][idx[q]] for p, q in d.edges]
-            if not all(edge):
-                continue
-            val = prod(x for _, x in choice) * prod(edge)
+    out: dict[tuple[int, ...], Fraction] = {}
+
+    def assign(u: int, weight: Fraction) -> None:
+        if u == len(plan):
             key = tuple(sorted(idx[p] for p in leg_ports))
-            acc = out.get(key, Fraction(0)) + val
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + weight
+            return
+        ports, index, linked, closes = plan[u]
+        for values in itertools.product(*[ginv[idx[q]] for q in linked]):
+            for key, x in index.get(values, ()):
+                for p, a in zip(ports, key):
+                    idx[p] = a
+                factors = [ginv[idx[p]].get(idx[q]) for p, q in closes]
+                if all(factors):
+                    assign(u + 1, prod(factors, start=weight * x))
+
+    assign(0, Fraction(1))
+    return {key: x for key, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------

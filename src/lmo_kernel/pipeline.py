@@ -79,6 +79,11 @@ LIE_LABELS = ("A1", "A2", "A3")
 #: wheels reach the 2k-gon, 4k vertices with its legs.
 MAX_ORDER = MAX_VERTICES // 4
 
+#: Highest h-order of ``taupg``, which builds no diagram: its series work
+#: grows about as order^3, and order 200 takes about a second at A3 in a
+#: fresh process.
+MAX_TAUPG_ORDER = 200
+
 
 @lru_cache(maxsize=len(LIE_LABELS))
 def lie_pair(label: str) -> tuple[rootsys.RootSystem, liews.LieAlgebraData]:

@@ -14,16 +14,19 @@ builds every coefficient v^k / k! again for each key, the oracle of
 ``liews.exp_tensor``.
 ``relabel_vertices`` presents one diagram under other vertex labels, for
 the schedule-independence checks of ``liews.contract_diagram``.
+``brute_force_contract`` is the flat loop over every assignment of basis
+indices to ports, the oracle of the sparse enumeration
+``liews.brute_force_contract``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from lmo_kernel.diagrams import JacobiDiagram
-from lmo_kernel.liews import LieDataError
+from lmo_kernel.liews import LieAlgebraData, LieDataError
 from lmo_kernel.qseries import HSeries
 from lmo_kernel.rootsys import double_factorial
 
@@ -160,3 +163,33 @@ def relabel_vertices(d: JacobiDiagram, perm) -> JacobiDiagram:
     def mp(p):
         return (perm[p[0]], p[1]) if p[0] < d.t else p
     return JacobiDiagram(d.t, d.m, tuple((mp(p), mp(q)) for p, q in d.edges))
+
+
+def brute_force_contract(d: JacobiDiagram, g: LieAlgebraData
+                         ) -> dict[tuple[int, ...], Fraction]:
+    """Sum a structure-tensor entry per trivalent vertex and an
+    inverse-Gram factor per edge over every assignment of basis indices
+    to ports.  Vertex indices run over the support of the structure
+    tensor (terms off it vanish identically); an assignment with a zero
+    edge factor is skipped before any product is taken."""
+    f_support = sorted(g.f_low.items())
+    leg_ports = [(v, 0) for v in d.legs()]
+    out: dict[tuple[int, ...], Fraction] = {}
+    idx: dict[tuple[int, int], int] = {}
+    for choice in itertools.product(f_support, repeat=d.t):
+        for v, ((a, b, c), _) in enumerate(choice):
+            idx[(v, 0)], idx[(v, 1)], idx[(v, 2)] = a, b, c
+        for legs in itertools.product(range(g.dim), repeat=d.m):
+            for port, a in zip(leg_ports, legs):
+                idx[port] = a
+            edge = [g.gram_inv[idx[p]][idx[q]] for p, q in d.edges]
+            if not all(edge):
+                continue
+            val = prod(x for _, x in choice) * prod(edge)
+            key = tuple(sorted(idx[p] for p in leg_ports))
+            acc = out.get(key, Fraction(0)) + val
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out

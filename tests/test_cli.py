@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lmo_kernel import pipeline, rootsys
+from lmo_kernel import cli, pipeline, rootsys
 from lmo_kernel.balg import omega, wheel
 from lmo_kernel.cli import main
 from lmo_kernel.diagrams import series_of
@@ -473,6 +473,31 @@ def test_order_above_the_vertex_cap_is_one_error_line(capsys):
         line, = captured.err.splitlines()
         error = json.loads(line)["error"]
         assert "--order" in error and "6" in error
+
+
+def test_taupg_takes_orders_up_to_its_bound(capsys):
+    bound = pipeline.MAX_TAUPG_ORDER
+    assert bound == 200
+    assert main(["taupg", "--framing", "2", "--lie", "A1",
+                 "--order", str(bound)]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == bound
+
+
+def test_taupg_order_above_its_bound_is_rejected_up_front(
+        capsys, monkeypatch):
+    # order 1000 ran for more than a minute before the bound
+    def ran(*args):
+        raise AssertionError("work began before the order was checked")
+
+    monkeypatch.setattr(cli, "lie_pair", ran)
+    monkeypatch.setattr(cli, "taupg_route", ran)
+    assert main(["taupg", "--framing", "2", "--lie", "A3",
+                 "--order", "201"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert "--order <= 200" in error and "201" in error
 
 
 @pytest.mark.parametrize("suite", ("all", "omega", "circle"))

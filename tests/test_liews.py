@@ -234,33 +234,57 @@ class TestContraction:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_random_diagram_matches_brute_force_on_sl3(self, data):
-        # sl_3 has 10 nonzero inverse-Gram entries of 64 (sl_2: 3 of 9);
-        # t <= 2 and t + m <= 4 keep the brute force to 48^t 8^m <= 147 456
-        # assignments
-        _check_random_diagram(data, sl3, tmax=2, size=4)
+        # the brute force visits only the assignments with a nonzero
+        # product: at sl_3, 84 for theta, and for t <= 4 and t + m <= 6 at
+        # most 207 360 (two dumbbells beside a strut)
+        _check_random_diagram(data, sl3, tmax=4, size=6)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_random_diagram_matches_brute_force_on_sl4(self, data):
         # sl_4's inverse Gram matrix has denominators 2 and 4 and 138
-        # nonzero structure-tensor entries: closed t <= 2, or t <= 1 with
-        # t + m <= 2, keep the brute force to 138^t 15^m <= 19 044
+        # nonzero structure-tensor entries: t <= 3 and t + m <= 4 keep
+        # the brute force to at most 81 000 nonzero assignments (a
+        # dumbbell beside a tadpole with a leg); one diagram with t = 4
+        # can take seconds
+        _check_random_diagram(data, sl4, tmax=3, size=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sparse_brute_force_matches_flat_loop(self, data):
+        # the flat loop takes 6^t 3^m <= 11 664 assignments
+        d = _random_diagram(data, tmax=4, size=6)
+        assert brute_force_contract(d, sl2) == \
+            lie_oracle.brute_force_contract(d, sl2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_sparse_brute_force_matches_flat_loop_on_sl3(self, data):
+        # each inverse-Gram row of sl_2 has one nonzero column, two rows
+        # of sl_3 have two; the flat loop takes 48^t 8^m <= 147 456
         # assignments
-        _check_random_diagram(data, sl4, tmax=2, size=2)
+        d = _random_diagram(data, tmax=2, size=4)
+        assert brute_force_contract(d, sl3) == \
+            lie_oracle.brute_force_contract(d, sl3)
 
 
-def _check_random_diagram(data, g, tmax: int, size: int) -> None:
-    """Contraction against the brute force, before and after a vertex
-    relabeling, on a random diagram with t <= tmax and t + m <= size:
-    any perfect matching of the ports, so disconnected diagrams, struts,
-    loops at one vertex and closed parts beside open ones."""
+def _random_diagram(data, tmax: int, size: int) -> JacobiDiagram:
+    """A random diagram with t <= tmax and t + m <= size: any perfect
+    matching of the ports, so disconnected diagrams, struts, loops at one
+    vertex and closed parts beside open ones."""
     t = data.draw(st.integers(0, tmax), label="t")
     m = data.draw(st.sampled_from(range(t % 2, size + 1 - t, 2)), label="m")
     ports = [(v, s) for v in range(t) for s in range(3)]
     ports += [(v, 0) for v in range(t, t + m)]
     ports = data.draw(st.permutations(ports), label="ports")
-    d = JacobiDiagram(t, m, tuple(zip(ports[::2], ports[1::2])))
-    perm = data.draw(st.permutations(range(t)), label="perm")
+    return JacobiDiagram(t, m, tuple(zip(ports[::2], ports[1::2])))
+
+
+def _check_random_diagram(data, g, tmax: int, size: int) -> None:
+    """Contraction against the brute force, before and after a vertex
+    relabeling, on a ``_random_diagram``."""
+    d = _random_diagram(data, tmax, size)
+    perm = data.draw(st.permutations(range(d.t)), label="perm")
     brute = brute_force_contract(d, g)
     assert contract_diagram(d, g) == brute
     assert contract_diagram(lie_oracle.relabel_vertices(d, perm), g) == brute

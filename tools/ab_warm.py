@@ -13,12 +13,14 @@ cell order per round and with the first kernel of each round alternating,
 N passes each.  The script prints each kernel's median pass time, the
 interquartile range of its pass times and the ratio NEW / OLD of the
 medians, then the same three figures for each pass's ``verify`` cell
-and for its ``compare`` cells apart, and last one JSON line with all of
-them (keys ``old_s``, ``verify_old_s``, ``compare_old_s`` and so on).
-A change to one kind of cell moves only its own figures; in the whole
-pass the other kind's spread blurs it.  A ratio counts only when the two
-medians differ by more than that spread.  It exits 1 if a fill cell
-failed.
+and for its ``compare`` cells apart, then for each suite of the
+``verify`` cell (each kernel's ``pipeline._SUITES`` entries are wrapped
+in a timer), and last one JSON line with all of them (keys ``old_s``,
+``verify_old_s``, ``compare_old_s``, ``theta_old_s``, ``theta_ratio``
+and so on).  A change to one kind of cell, or to one suite, moves only
+its own figures; in the whole pass the rest's spread blurs it.  A ratio
+counts only when the two medians differ by more than that spread.  It
+exits 1 if a fill cell failed.
 
 Two benchmark processes see different machine states, so their times
 can spread more widely than a change moves them; interleaved passes in
@@ -61,21 +63,44 @@ def load_cli(name: str, checkout: str):
 
 
 #: The parts of a pass timed apart: the whole pass, and its cells of each
-#: subcommand.
+#: subcommand; ``time_suites`` times the suites of the ``verify`` cell.
 PARTS = ("", "verify", "compare")
 
 
-def timed_pass(cli, order: list[int]) -> dict[str, float]:
-    """The seconds of one pass over the cells in ``order``, and of its
-    cells of each subcommand, under the names of ``PARTS``."""
+def time_suites(cli) -> dict[str, float]:
+    """Wrap each verify suite of the kernel of ``cli`` in a timer; the
+    returned clock maps each suite's name, in order, to the seconds its
+    runs add up to."""
+    suites = sys.modules[cli.__package__ + ".pipeline"]._SUITES
+    clock = dict.fromkeys(suites, 0.0)
+
+    def timed(name, check):
+        def run(order):
+            t = time.perf_counter()
+            results = check(order)
+            clock[name] += time.perf_counter() - t
+            return results
+        return run
+
+    for name, check in suites.items():
+        suites[name] = timed(name, check)
+    return clock
+
+
+def timed_pass(cli, order: list[int], clock: dict[str, float]
+               ) -> dict[str, float]:
+    """The seconds of one pass over the cells in ``order``, of its cells
+    of each subcommand, under the names of ``PARTS``, and of each suite
+    that ``clock`` times."""
     out = dict.fromkeys(PARTS, 0.0)
+    clock.update(dict.fromkeys(clock, 0.0))
     t0 = time.perf_counter()
     for i in order:
         t = time.perf_counter()
         run_cli(cli, WARM_CELLS[i])
         out[WARM_CELLS[i][0]] += time.perf_counter() - t
     out[""] = time.perf_counter() - t0
-    return out
+    return {**out, **clock}
 
 
 def iqr(xs: list[float]) -> float:
@@ -104,16 +129,21 @@ def main(argv: list[str] | None = None) -> int:
             if why is not None:
                 failed += 1
                 print(f"{side}: {' '.join(argv_)}: {why}")
+    clocks = {side: time_suites(cli) for side, cli in clis.items()}
+    # the suites both kernels run, in the old kernel's order
+    shared = [name for name in clocks["old"] if name in clocks["new"]]
     rng = random.Random(args.seed)
     order = list(range(len(WARM_CELLS)))
     times: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
     for n in range(args.passes):
         rng.shuffle(order)
         for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
-            times[side].append(timed_pass(clis[side], order))
+            times[side].append(timed_pass(clis[side], order, clocks[side]))
     result = {}
-    for part in PARTS:
-        what, key = (f"{part} cells", f"{part}_") if part else ("pass", "")
+    for part in (*PARTS, *shared):
+        what = ("pass" if not part else f"{part} suite" if part in shared
+                else f"{part} cells")
+        key = f"{part}_" if part else ""
         median = {side: statistics.median(t[part] for t in ts)
                   for side, ts in times.items()}
         spread = {side: iqr([t[part] for t in ts])
