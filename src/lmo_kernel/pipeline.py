@@ -27,28 +27,35 @@ are built on every call.  The diagram side reads a knot only through
 its zero-framed wheeled invariant, Omega for the built-in unknot, so
 every knot takes one path there, under one key (``knot_key``): the
 wheeled knot and the wheeled base, the wheeled knot times the wheeled
-unknot, are cached per (key, imax), each route's framing polynomial per
-(key, label, order).  A knot file's key holds
+unknot, are cached per (key, imax), each route's Gaussian integral as a
+framing polynomial per (key, label, order).  A knot file's key holds
 its text, so it is parsed once and wheeled once per content and order.
 
 The framing f enters the diagram side last.  The Gaussian integral
 glues struts weighted by -1/f, and the definition route's integrand
 carries exp(-(f/48) theta), so each route's Gaussian integral is a
 Laurent polynomial in f whose coefficients are framing-free graded
-weights: ``balg.fg_parts`` glues each integrand once, its part k is
-weighed once, and a route at framing f only sums the weighed parts
+weights: ``balg.fg_parts`` glues each integrand once and its part k is
+weighed once.  The definition route weighs the parts of each
+coefficient X_j of ``reduced_input``; the lemma route weighs those of
+the wheeled base alone and never a theta power.  Each route is then one
+polynomial per sign s of f, per (key, label, sign, order), with every
+framing-dependent series step folded in: the definition route's
+numerator times the inverse of the reference surgery on the unknot at
+framing s (the unknot key's definition polynomial at f = s, which the
+circle check reads too), and the lemma route's wheels pairing times the
+theta exponential exp(((3s - f)/48) theta), a polynomial in f, times its
+Gaussian integral.  The two routes share only the polynomial product
+``_poly_product``.  A route at framing f sums its polynomial's terms
 times powers of f (``qseries.at_framing``, the evaluator that the Lie
-side's polynomials share).  The definition route weighs the parts of
-each coefficient X_j of ``reduced_input``; the lemma route weighs those
-of the wheeled base alone and never a theta power.  The definition route
-divides by the reference surgery on the unknot at framing sign(f), the
-unknot key's definition polynomial at f = sign(f), which the circle
-check reads too.  Every cache is bounded by the keys the command line
-can reach: labels of ``LIE_LABELS``, orders up to ``MAX_ORDER`` (a
-higher order exceeds the vertex cap before anything is cached, and
-``verify`` rejects it up front for the suites that build diagrams) and
-the two knots of ``_KNOTS``.  No cache is keyed by the framing, and
-callers only read a cached value.
+side's polynomials share) and multiplies no series.
+
+Every cache is bounded by the keys the command line can reach: labels
+of ``LIE_LABELS``, orders up to ``MAX_ORDER`` (a higher order exceeds
+the vertex cap before anything is cached, and ``verify`` rejects it up
+front for the suites that build diagrams), the two knots of ``_KNOTS``
+and the two signs of f.  No cache is keyed by the framing, and callers
+only read a cached value.
 
 The gauss suite sums the exponential tensors of the points of the
 squared Weyl sum from ``rootsys._lattice_product``, each weighed by its
@@ -69,9 +76,9 @@ from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
 from .qseries import (
-    FramingPoly, FrozenRecord, HSeries, _echo, at_framing, json_list,
-    json_object, modified_bernoulli, parse_json_int, rational_str,
-    sinh_ratio, sum_products)
+    FramingPoly, FrozenRecord, HSeries, SeriesError, _echo, at_framing,
+    json_list, json_object, modified_bernoulli, parse_json_int,
+    rational_str, sinh_ratio, sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
 
@@ -278,25 +285,73 @@ def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
                       order)
 
 
+def _series_poly(s: HSeries, cap: int) -> FramingPoly:
+    """A framing-free series known through h^cap as a framing
+    polynomial."""
+    if s.cap < cap:
+        raise SeriesError(f"a series known through h^{s.cap} cannot be "
+                          f"read through h^{cap}")
+    return {(0, n): c for n, c in s.coeffs.items() if n <= cap}
+
+
+def _poly_product(a: FramingPoly, b: FramingPoly, cap: int) -> FramingPoly:
+    """The product of two framing polynomials known through h^cap, read
+    through h^cap.  It is known through h^(cap + v) whatever f is, v the
+    lower of the two lowest powers of h (``qseries.product_cap``); a
+    product known through less than h^cap raises."""
+    v = min((n for _, n in (*a, *b)), default=cap + 1)
+    if v < 0:
+        raise SeriesError(f"a product known through h^{cap + v} cannot be "
+                          f"read through h^{cap}")
+    return sum_products(((e + d, n + m), x, y) for (e, n), x in a.items()
+                        for (d, m), y in b.items() if n + m <= cap)
+
+
+@lru_cache(maxsize=2 * _KNOTS * len(LIE_LABELS) * MAX_ORDER)
+def _definition_route(key: KnotKey, label: str, sign: int,
+                      order: int) -> FramingPoly:
+    """The definition route at the framings of sign ``sign`` as a
+    polynomial in f: the numerator polynomial times the inverse of the
+    matching-sign reference surgery, read through h^order."""
+    ref = _reference_surgery(label, sign, order).inverse()
+    return _poly_product(_definition_poly(key, label, order),
+                         _series_poly(ref, order), order)
+
+
+@lru_cache(maxsize=2 * _KNOTS * len(LIE_LABELS) * MAX_ORDER)
+def _lemma_route(key: KnotKey, label: str, sign: int,
+                 order: int) -> FramingPoly:
+    """The lemma route at the framings of sign ``sign`` as a polynomial
+    in f: the wheels pairing, the theta exponential exp(((3 sign -
+    f)/48) theta_h) and the Gaussian integral of the wheeled base.
+    theta_h has no h^0 term, so through h^order the exponential is the
+    sum of its first order + 1 powers, of degree at most order in f."""
+    x = {(e, n): c * w
+         for n, w in _theta_weight(label, order).coeffs.items()
+         for e, c in ((0, Fraction(3 * sign, 48)), (1, Fraction(-1, 48)))}
+    powers = [{(0, 0): Fraction(1)}]
+    for j in range(1, order + 1):
+        powers.append({k: c / j for k, c in
+                       _poly_product(powers[-1], x, order).items()})
+    theta_exp = sum_products((k, c, 1) for p in powers for k, c in p.items())
+    pairing = _series_poly(_omega_pair_scalar(label, order), order)
+    return _poly_product(_poly_product(pairing, theta_exp, order),
+                         _lemma_poly(key, label, order), order)
+
+
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant as the ratio of two Gaussian integrals, the
     denominator being the matching-sign unknot surgery."""
-    num = at_framing(_definition_poly(knot_key(inp), label, order),
-                     inp.framing, order)
-    out = num * _reference_surgery(label, inp.sign, order).inverse()
-    return out.truncate(min(order, out.cap))
+    return at_framing(_definition_route(knot_key(inp), label, inp.sign,
+                                        order), inp.framing, order)
 
 
 def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant in closed form: the wheels pairing, a theta
     exponential with exponent (3 sign(f) - f)/48, and the Gaussian
     integral, at framing f, of the wheeled zero-framed input."""
-    fgv = at_framing(_lemma_poly(knot_key(inp), label, order),
-                     inp.framing, order)
-    theta_h = _theta_weight(label, order)
-    factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()
-    out = _omega_pair_scalar(label, order) * factor * fgv
-    return out.truncate(min(order, out.cap))
+    return at_framing(_lemma_route(knot_key(inp), label, inp.sign, order),
+                      inp.framing, order)
 
 
 @lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)

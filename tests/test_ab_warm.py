@@ -2,8 +2,8 @@
 load side by side, every fill cell matches the benchmark references, and
 the last line reports the two median pass times, their ratio and each
 side's interquartile range, and the same figures for the ``verify`` cell
-and the ``compare`` cells apart, and for each suite of the ``verify``
-cell."""
+and the ``compare`` cells apart, for each route of the ``compare``
+cells and for each suite of the ``verify`` cell."""
 
 import json
 import subprocess
@@ -13,6 +13,9 @@ from pathlib import Path
 from lmo_kernel.pipeline import _SUITES
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The route names of ``tools/ab_warm.py``.
+ROUTES = ("definition", "lemma", "taupg")
 
 
 def test_ab_warm_on_one_checkout_against_itself():
@@ -32,16 +35,19 @@ def test_ab_warm_on_one_checkout_against_itself():
         assert result[f"{part}_ratio"] == new / old
         assert result[f"{part}_old_iqr_s"] >= 0
         assert result[f"{part}_new_iqr_s"] >= 0
-    for suite in _SUITES:
-        old, new = result[f"{suite}_old_s"], result[f"{suite}_new_s"]
+    for part in (*ROUTES, *_SUITES):
+        old, new = result[f"{part}_old_s"], result[f"{part}_new_s"]
         assert old > 0 and new > 0
-        assert result[f"{suite}_ratio"] == new / old
-        assert result[f"{suite}_old_iqr_s"] >= 0
-        assert result[f"{suite}_new_iqr_s"] >= 0
+        assert result[f"{part}_ratio"] == new / old
+        assert result[f"{part}_old_iqr_s"] >= 0
+        assert result[f"{part}_new_iqr_s"] >= 0
     for side in ("old", "new"):
-        # the parts of each pass add up to no more than the pass, and the
-        # suites to no more than the verify cell
+        # the parts of each pass add up to no more than the pass, the
+        # routes to no more than the compare cells and the suites to no
+        # more than the verify cell
         assert result[f"verify_{side}_s"] + result[f"compare_{side}_s"] \
             <= 1.01 * result[f"{side}_s"]
+        assert sum(result[f"{route}_{side}_s"] for route in ROUTES) \
+            <= result[f"compare_{side}_s"]
         assert sum(result[f"{suite}_{side}_s"] for suite in _SUITES) \
             <= result[f"verify_{side}_s"]

@@ -29,6 +29,7 @@ from lmo_kernel.pipeline import (
 from lmo_kernel.qseries import HSeries
 from lmo_kernel import (
     balg, cli, diagrams, liews, pipeline, qseries, rootsys)
+import route_oracle
 from gauss_oracle import reduced_integrand
 from series_oracle import coeff_of
 
@@ -133,6 +134,86 @@ class TestRoutes:
                 inp = SurgeryInput("unknot", f)
                 assert lmo_via_definition(inp, lab, 2) == \
                     lmo_via_lemma(inp, lab, 2)
+
+
+#: The labels and orders of the route-polynomial tests: A1 and A2 at
+#: orders 1-4, A3 at orders 1-3.
+_ROUTE_CASES = [(label, order) for label in ("A1", "A2")
+                for order in range(1, 5)] + [("A3", order)
+                                             for order in range(1, 4)]
+
+
+@pytest.fixture(scope="module")
+def omega8_file(tmp_path_factory):
+    """The omega(8) knot file, the unknot's wheeled invariant shipped as
+    a file."""
+    path = tmp_path_factory.mktemp("knots") / "omega8.json"
+    path.write_text(json.dumps(omega(8).to_json()))
+    return str(path)
+
+
+def _route_polys(label: str, order: int, key=pipeline._UNKNOT_KEY):
+    """{(route, sign): the route's framing polynomial}."""
+    return {(route, s): build(key, label, s, order)
+            for route, build in (("definition", pipeline._definition_route),
+                                 ("lemma", pipeline._lemma_route))
+            for s in (1, -1)}
+
+
+class TestRoutePolynomials:
+    """Each route is one framing polynomial per sign, with every
+    framing-dependent series step folded in; a cell reads it at its
+    framing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(_ROUTE_CASES),
+           builtin=st.booleans(),
+           framings=st.lists(st.integers(-60, 60).filter(bool), max_size=4))
+    def test_against_the_per_framing_oracle(self, omega8_file, case,
+                                            builtin, framings):
+        # coefficients and cap, at framings that always include +-3, where
+        # the theta exponent (3 sign(f) - f)/48 vanishes
+        label, order = case
+        knot = "unknot" if builtin else omega8_file
+        for f in (3, -3, *framings):
+            inp = SurgeryInput(knot, f)
+            assert lmo_via_definition(inp, label, order) == \
+                route_oracle.lmo_via_definition(inp, label, order)
+            assert lmo_via_lemma(inp, label, order) == \
+                route_oracle.lmo_via_lemma(inp, label, order)
+
+    @pytest.mark.parametrize("label,order", _ROUTE_CASES)
+    def test_the_routes_are_one_polynomial_per_sign(self, label, order):
+        polys = _route_polys(label, order)
+        for s in (1, -1):
+            assert polys["definition", s] == polys["lemma", s]
+
+    @pytest.mark.parametrize("label,order", _ROUTE_CASES)
+    def test_mirror_identity(self, label, order):
+        # the unknot is its own mirror: the polynomial of sign -1 is the
+        # polynomial of sign +1 at (-f, -h), term by term
+        polys = _route_polys(label, order)
+        for route in ("definition", "lemma"):
+            plus, minus = polys[route, 1], polys[route, -1]
+            assert minus == {(e, n): (-1) ** (e + n) * c
+                             for (e, n), c in plus.items()}
+
+    @pytest.mark.parametrize("label,order", _ROUTE_CASES)
+    def test_support_and_constant_term(self, omega8_file, label, order):
+        # every term f^e h^n has |e| <= n, and h^0 is exactly 1
+        for key in (pipeline._UNKNOT_KEY,
+                    knot_key(SurgeryInput(omega8_file, 1))):
+            for poly in _route_polys(label, order, key).values():
+                assert all(abs(e) <= n <= order for e, n in poly)
+                assert {k: c for k, c in poly.items() if k[1] == 0} == \
+                    {(0, 0): 1}
+
+    def test_a_product_read_past_what_is_known_raises(self):
+        # a pole in h leaves the product known below h^cap
+        with pytest.raises(qseries.SeriesError, match="known through h\\^1"):
+            pipeline._poly_product({(0, -1): Q(1)}, {(0, 0): Q(1)}, 2)
+        with pytest.raises(qseries.SeriesError, match="known through h\\^1"):
+            pipeline._series_poly(HSeries.one(1), 2)
 
 
 class TestTauRoute:
@@ -241,8 +322,9 @@ class TestCompare:
 
 
 def _clear_route_caches():
-    pipeline._definition_poly.cache_clear()
-    pipeline._lemma_poly.cache_clear()
+    for build in (pipeline._definition_poly, pipeline._lemma_poly,
+                  pipeline._definition_route, pipeline._lemma_route):
+        build.cache_clear()
 
 
 class TestUnknotIsBuiltOnce:
@@ -274,6 +356,28 @@ class TestUnknotIsBuiltOnce:
             assert json.loads(capsys.readouterr().out)["equal"] is True
         assert counts[0]["fg_parts"] <= 5 and counts[0]["fg_integral"] == 0
         assert counts[1] == dict.fromkeys(calls, 0)
+
+    def test_a_framing_of_a_built_sign_multiplies_no_series(self,
+                                                           monkeypatch):
+        # framing 2 builds both routes' polynomials of sign +1; framing 5
+        # reads them, with no series product, inverse or exp
+        _clear_route_caches()
+        inp = SurgeryInput("unknot", 2)
+        built = (lmo_via_definition(inp, "A2", 3),
+                 lmo_via_lemma(inp, "A2", 3))
+        calls = []
+        for name in ("__mul__", "inverse", "exp"):
+            def counted(*args, _true=getattr(HSeries, name), _name=name):
+                calls.append(_name)
+                return _true(*args)
+            monkeypatch.setattr(HSeries, name, counted)
+        inp = SurgeryInput("unknot", 5)
+        assert lmo_via_definition(inp, "A2", 3) == \
+            lmo_via_lemma(inp, "A2", 3) != built[0]
+        assert calls == []
+        # framing -1 builds the polynomials of sign -1
+        lmo_via_definition(SurgeryInput("unknot", -1), "A2", 3)
+        assert "inverse" in calls
 
     def test_wheeled_base_once_per_order(self, monkeypatch, capsys):
         # both routes of both framings read one square of the wheeled Omega
@@ -403,6 +507,9 @@ def test_every_cache_is_bounded():
     assert caches["lie_pair"] == len(pipeline.LIE_LABELS)
     assert caches["_unknot_tau"] == \
         len(pipeline.LIE_LABELS) * pipeline.MAX_ORDER
+    for route in ("_definition_route", "_lemma_route"):
+        assert caches[route] == 2 * pipeline._KNOTS * \
+            len(pipeline.LIE_LABELS) * pipeline.MAX_ORDER
     assert liews.build_sl.cache_parameters()["maxsize"] == 3
     assert rootsys.build_root_system.cache_parameters()["maxsize"] == \
         len(rootsys.TYPE_A_LABELS)

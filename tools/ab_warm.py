@@ -13,13 +13,16 @@ cell order per round and with the first kernel of each round alternating,
 N passes each.  The script prints each kernel's median pass time, the
 interquartile range of its pass times and the ratio NEW / OLD of the
 medians, then the same three figures for each pass's ``verify`` cell
-and for its ``compare`` cells apart, then for each suite of the
-``verify`` cell (each kernel's ``pipeline._SUITES`` entries are wrapped
-in a timer), and last one JSON line with all of them (keys ``old_s``,
-``verify_old_s``, ``compare_old_s``, ``theta_old_s``, ``theta_ratio``
-and so on).  A change to one kind of cell, or to one suite, moves only
-its own figures; in the whole pass the rest's spread blurs it.  A ratio
-counts only when the two medians differ by more than that spread.  It
+and for its ``compare`` cells apart, then for each route of the
+``compare`` cells (each kernel's ``pipeline.lmo_via_definition``,
+``lmo_via_lemma`` and ``taupg_route`` are wrapped in a timer), then for
+each suite of the ``verify`` cell (each kernel's ``pipeline._SUITES``
+entries are wrapped too), and last one JSON line with all of them (keys
+``old_s``, ``verify_old_s``, ``compare_old_s``, ``definition_old_s``,
+``definition_ratio``, ``theta_old_s``, ``theta_ratio`` and so on).  A
+change to one kind of cell, one route or one suite moves only its own
+figures; in the whole pass the rest's spread blurs it.  A ratio counts
+only when the two medians differ by more than that spread.  It
 exits 1 if a fill cell failed.
 
 Two benchmark processes see different machine states, so their times
@@ -63,44 +66,62 @@ def load_cli(name: str, checkout: str):
 
 
 #: The parts of a pass timed apart: the whole pass, and its cells of each
-#: subcommand; ``time_suites`` times the suites of the ``verify`` cell.
+#: subcommand; ``time_calls`` times the routes of the ``compare`` cells
+#: (``ROUTES``) and the suites of the ``verify`` cell.
 PARTS = ("", "verify", "compare")
 
+#: The routes of a ``compare`` cell, each under the name of its function
+#: in ``pipeline``.
+ROUTES = {"definition": "lmo_via_definition", "lemma": "lmo_via_lemma",
+          "taupg": "taupg_route"}
 
-def time_suites(cli) -> dict[str, float]:
-    """Wrap each verify suite of the kernel of ``cli`` in a timer; the
-    returned clock maps each suite's name, in order, to the seconds its
-    runs add up to."""
-    suites = sys.modules[cli.__package__ + ".pipeline"]._SUITES
-    clock = dict.fromkeys(suites, 0.0)
 
-    def timed(name, check):
-        def run(order):
+def time_calls(table: dict, names: dict[str, str]) -> dict[str, float]:
+    """Wrap each function ``table[names[part]]`` in a timer; the returned
+    clock maps each part, in order, to the seconds its calls add up
+    to."""
+    clock = dict.fromkeys(names, 0.0)
+
+    def timed(part, fn):
+        def run(*args, **kwargs):
             t = time.perf_counter()
-            results = check(order)
-            clock[name] += time.perf_counter() - t
-            return results
+            out = fn(*args, **kwargs)
+            clock[part] += time.perf_counter() - t
+            return out
         return run
 
-    for name, check in suites.items():
-        suites[name] = timed(name, check)
+    for part, name in names.items():
+        table[name] = timed(part, table[name])
     return clock
 
 
-def timed_pass(cli, order: list[int], clock: dict[str, float]
+def time_kernel(cli) -> tuple[dict[str, float], dict[str, float]]:
+    """The clocks of the kernel of ``cli``: its ``compare`` routes, which
+    ``compare`` looks up in the module ``pipeline``, and its verify
+    suites."""
+    pipeline = sys.modules[cli.__package__ + ".pipeline"]
+    return (time_calls(vars(pipeline), ROUTES),
+            time_calls(pipeline._SUITES,
+                       {name: name for name in pipeline._SUITES}))
+
+
+def timed_pass(cli, order: list[int], clocks: tuple[dict[str, float], ...]
                ) -> dict[str, float]:
     """The seconds of one pass over the cells in ``order``, of its cells
-    of each subcommand, under the names of ``PARTS``, and of each suite
-    that ``clock`` times."""
+    of each subcommand, under the names of ``PARTS``, and of each part
+    that ``clocks`` times."""
     out = dict.fromkeys(PARTS, 0.0)
-    clock.update(dict.fromkeys(clock, 0.0))
+    for clock in clocks:
+        clock.update(dict.fromkeys(clock, 0.0))
     t0 = time.perf_counter()
     for i in order:
         t = time.perf_counter()
         run_cli(cli, WARM_CELLS[i])
         out[WARM_CELLS[i][0]] += time.perf_counter() - t
     out[""] = time.perf_counter() - t0
-    return {**out, **clock}
+    for clock in clocks:
+        out.update(clock)
+    return out
 
 
 def iqr(xs: list[float]) -> float:
@@ -129,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
             if why is not None:
                 failed += 1
                 print(f"{side}: {' '.join(argv_)}: {why}")
-    clocks = {side: time_suites(cli) for side, cli in clis.items()}
+    clocks = {side: time_kernel(cli) for side, cli in clis.items()}
     # the suites both kernels run, in the old kernel's order
-    shared = [name for name in clocks["old"] if name in clocks["new"]]
+    shared = [name for name in clocks["old"][1] if name in clocks["new"][1]]
     rng = random.Random(args.seed)
     order = list(range(len(WARM_CELLS)))
     times: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
@@ -140,9 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
             times[side].append(timed_pass(clis[side], order, clocks[side]))
     result = {}
-    for part in (*PARTS, *shared):
-        what = ("pass" if not part else f"{part} suite" if part in shared
-                else f"{part} cells")
+    for part in (*PARTS, *ROUTES, *shared):
+        what = ("pass" if not part else f"{part} route" if part in ROUTES
+                else f"{part} suite" if part in shared else f"{part} cells")
         key = f"{part}_" if part else ""
         median = {side: statistics.median(t[part] for t in ts)
                   for side, ts in times.items()}
