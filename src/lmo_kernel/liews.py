@@ -499,10 +499,10 @@ def wick_poly(T: dict, g: LieAlgebraData, cap: int
             if weight:
                 parts.append((series, k, weight))
     cap = min([cap] + [series.cap + k for series, k, _ in parts])
-    return sum_products(((-k, e + k), c, weight)
-                        for series, k, weight in parts
-                        for e, c in series.coeffs.items()
-                        if e + k <= cap), cap
+    return FramingPoly(sum_products(((-k, e + k), c, weight)
+                                    for series, k, weight in parts
+                                    for e, c in series.coeffs.items()
+                                    if e + k <= cap)), cap
 
 
 def _check_framing(f) -> None:

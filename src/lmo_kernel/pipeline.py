@@ -244,8 +244,8 @@ def _theta_weight(label: str, order: int) -> HSeries:
 
 def _framing_poly(terms) -> FramingPoly:
     """The polynomial sum of c f^e W over terms (e, c, W), W a series."""
-    return sum_products(((e, n), c, a) for e, c, w in terms
-                        for n, a in w.coeffs.items())
+    return FramingPoly(sum_products(((e, n), c, a) for e, c, w in terms
+                                    for n, a in w.coeffs.items()))
 
 
 @lru_cache(maxsize=_KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -314,8 +314,8 @@ def _definition_route(key: KnotKey, label: str, sign: int,
     polynomial in f: the numerator polynomial times the inverse of the
     matching-sign reference surgery, read through h^order."""
     ref = _reference_surgery(label, sign, order).inverse()
-    return _poly_product(_definition_poly(key, label, order),
-                         _series_poly(ref, order), order)
+    return FramingPoly(_poly_product(_definition_poly(key, label, order),
+                                     _series_poly(ref, order), order))
 
 
 @lru_cache(maxsize=2 * _KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -335,8 +335,8 @@ def _lemma_route(key: KnotKey, label: str, sign: int,
                        _poly_product(powers[-1], x, order).items()})
     theta_exp = sum_products((k, c, 1) for p in powers for k, c in p.items())
     pairing = _series_poly(_omega_pair_scalar(label, order), order)
-    return _poly_product(_poly_product(pairing, theta_exp, order),
-                         _lemma_poly(key, label, order), order)
+    return FramingPoly(_poly_product(_poly_product(pairing, theta_exp, order),
+                                     _lemma_poly(key, label, order), order))
 
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:

@@ -13,8 +13,7 @@ numerator and denominator per key and reduces each sum to one
 value (a coefficient, a sum handed back) is a reduced ``Fraction``.  It
 is the one place in the package that adds rationals into a sparse map,
 and the one place that drops a zero sum.  Built on it: here, the series
-sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``, and the
-value of a framing polynomial (``at_framing``); in
+sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``; in
 ``diagrams``, every ``DiagramSeries`` (its constructor, ``+``,
 ``union``), and through it the gluing sums of ``balg``;
 in ``rootsys``, the Weyl double sums and the root products (on
@@ -31,7 +30,11 @@ coefficients are Laurent polynomials in the framing f, stored as {(e,
 n): the coefficient of f^e h^n}.  Both sides build theirs once per
 knot, label and order, the diagram side in ``pipeline`` and tau^PG in
 ``rootsys``, and both evaluate them at a framing through the one
-``at_framing``.
+``at_framing``.  A polynomial also holds, built once with it, one
+integer row per power h^n: f^lo times a polynomial in f with integer
+coefficients a_K .. a_0 over one denominator.  So a read at f = p/q is
+one Horner pass in integers per power of h, homogeneous in (p, q), and
+one ``Fraction``.
 
 ``q_power`` builds q^c = exp(c h) in closed form, [h^k] = c^k / k!,
 each numerator and denominator from the one before, with no
@@ -396,18 +399,62 @@ def series_sum(series: list[HSeries]) -> HSeries:
                    cap)
 
 
-#: A series in h whose coefficients are Laurent polynomials in the
-#: framing f: {(e, n): the coefficient of f^e h^n}.
-FramingPoly = dict[tuple[int, int], Fraction]
+class FramingPoly(dict):
+    """A series in h whose coefficients are Laurent polynomials in the
+    framing f: {(e, n): the coefficient of f^e h^n}, a ``dict`` and
+    equal to a plain one with the same terms.
+
+    The constructor also builds ``rows``, once: one integer row (n, lo,
+    den, a) per power h^n with a nonzero term, in increasing n, where a =
+    (a_K, ..., a_0) and [h^n] = f^lo (a_K f^K + ... + a_0) / den, den
+    the least common multiple of the row's denominators.  A polynomial
+    is not edited once built, so its rows stay its terms'."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, terms=()):
+        super().__init__(terms)
+        by_power: dict[int, dict[int, Fraction]] = {}
+        for (e, n), c in self.items():
+            if c:
+                by_power.setdefault(n, {})[e] = _as_rational(c)
+        rows = []
+        for n, row in sorted(by_power.items()):
+            lo, hi = min(row), max(row)
+            den = math.lcm(*[c.denominator for c in row.values()])
+            a = [0] * (hi - lo + 1)
+            for e, c in row.items():
+                a[hi - e] = c.numerator * (den // c.denominator)
+            rows.append((n, lo, den, tuple(a)))
+        self.rows = rows
 
 
-def at_framing(poly: FramingPoly, f: int, cap: int) -> HSeries:
-    """``poly`` evaluated at the framing ``f``, read through h^cap: its
-    terms above h^cap are left out.  Each power of f is taken once."""
-    f = Fraction(f)
-    powers = {e: f ** e for e in {e for e, _ in poly}}
-    return HSeries(sum_products((n, powers[e], a) for (e, n), a in poly.items()
-                                if n <= cap), cap)
+def at_framing(poly: FramingPoly, f: int | Fraction, cap: int) -> HSeries:
+    """``poly`` evaluated at the framing ``f``, an integer or a
+    ``Fraction`` p/q, read through h^cap: its terms above h^cap are left
+    out.  Each row (n, lo, den, a) is one integer Horner pass,
+    homogeneous in (p, q): [h^n] = p^lo N / (den q^(K + lo)), N = the sum
+    of a_j p^j q^(K - j), and one ``Fraction``."""
+    p, q = f.numerator, f.denominator
+    coeffs = {}
+    for n, lo, den, a in poly.rows:
+        if n > cap:
+            break
+        num, qk = 0, 1
+        for c in a:
+            num = num * p + c * qk
+            qk *= q
+        hi = len(a) - 1 + lo  # the row's top power of f, K + lo
+        if lo >= 0:
+            num *= p ** lo
+        else:
+            den *= p ** -lo
+        if hi >= 0:
+            den *= q ** hi
+        else:
+            num *= q ** -hi
+        coeffs[n] = Fraction(num, den)
+    return HSeries(coeffs, cap)
 
 
 def q_power(c, cap: int) -> HSeries:

@@ -354,7 +354,7 @@ def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
             work)
         S = HSeries({k: b for k, b in sums.items() if k <= ccap}, ccap)
         terms += _framing_product(S, G, -1, cap)
-    return sum_products(terms)
+    return FramingPoly(sum_products(terms))
 
 
 def double_factorial(n: int) -> int:
@@ -385,7 +385,7 @@ def _gaussian_sum_route(classes: NormClasses, cap: int) -> FramingPoly:
             powers = [p * -n for p, n in zip(powers, counts)]
         terms += (((-j, k + j), b, w) for k, b in bs.items() if k <= cap
                   for j, w in enumerate(weights[:cap - k + 1]) if w)
-    return sum_products(terms)
+    return FramingPoly(sum_products(terms))
 
 
 def _weyl_prefactor(rs: RootSystem, cap: int) -> dict[int, FramingPoly]:
@@ -408,8 +408,8 @@ def _weyl_prefactor(rs: RootSystem, cap: int) -> dict[int, FramingPoly]:
     for s in (1, -1):
         unit = q_power(Fraction(3 * s, 2) * rho_sq, cap) * sinh
         lead = Fraction((-s) ** P, rs.order) * prod_c
-        out[s] = sum_products(_framing_product(unit.scale(lead).shift(P), b,
-                                               1, cap + P))
+        out[s] = FramingPoly(sum_products(_framing_product(
+            unit.scale(lead).shift(P), b, 1, cap + P)))
     return out
 
 

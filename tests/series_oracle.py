@@ -6,6 +6,9 @@ the oracles of ``qseries.sum_products`` and ``HSeries.__mul__``.
 ``exp`` and ``inverse`` are the power-loop and geometric-series versions
 of ``HSeries.exp`` / ``HSeries.inverse`` (O(n^3) in the cap), written as
 functions of the series (``self``); ``q_power`` is ``exp`` of c h.
+``at_framing`` reads a framing polynomial's terms one ``Fraction``
+product at a time, each power of f taken once: the oracle of the
+integer rows of ``qseries.at_framing``.
 ``gaussian_on_exponentials`` and ``gaussian_sum_route`` are the two
 Gaussian routes of ``tau_pg`` that integrate every lattice vector beta
 on its own, with no grouping by |beta|^2, and ``tau_pg`` is the surgery
@@ -35,6 +38,16 @@ def sum_products(terms) -> dict:
         products.setdefault(key, []).append(Fraction(x) * Fraction(y))
     sums = {key: sum(xs, Fraction(0)) for key, xs in products.items()}
     return {key: v for key, v in sums.items() if v}
+
+
+def at_framing(poly: dict, f, cap: int) -> HSeries:
+    """The terms {(e, n): c} of ``poly`` at the framing ``f``, read
+    through h^cap: each power of f is taken once, and every term below
+    the cap adds one ``Fraction`` product."""
+    f = Fraction(f)
+    powers = {e: f ** e for e in {e for e, _ in poly}}
+    return HSeries(sum_products((n, powers[e], a) for (e, n), a in poly.items()
+                                if n <= cap), cap)
 
 
 def mul(self: HSeries, other: HSeries) -> HSeries:

@@ -3,7 +3,8 @@ load side by side, every fill cell matches the benchmark references, and
 the last line reports the two median pass times, their ratio and each
 side's interquartile range, and the same figures for the ``verify`` cell
 and the ``compare`` cells apart, for each route of the ``compare``
-cells and for each suite of the ``verify`` cell."""
+cells, for each suite of the ``verify`` cell and for the framing
+reads, whose count per pass is the same on both sides."""
 
 import json
 import subprocess
@@ -35,7 +36,8 @@ def test_ab_warm_on_one_checkout_against_itself():
         assert result[f"{part}_ratio"] == new / old
         assert result[f"{part}_old_iqr_s"] >= 0
         assert result[f"{part}_new_iqr_s"] >= 0
-    for part in (*ROUTES, *_SUITES):
+    assert result["framing_calls"]["old"] == result["framing_calls"]["new"] > 0
+    for part in (*ROUTES, *_SUITES, "framing"):
         old, new = result[f"{part}_old_s"], result[f"{part}_new_s"]
         assert old > 0 and new > 0
         assert result[f"{part}_ratio"] == new / old
@@ -47,6 +49,7 @@ def test_ab_warm_on_one_checkout_against_itself():
         # more than the verify cell
         assert result[f"verify_{side}_s"] + result[f"compare_{side}_s"] \
             <= 1.01 * result[f"{side}_s"]
+        assert result[f"framing_{side}_s"] <= result[f"{side}_s"]
         assert sum(result[f"{route}_{side}_s"] for route in ROUTES) \
             <= result[f"compare_{side}_s"]
         assert sum(result[f"{suite}_{side}_s"] for suite in _SUITES) \

@@ -359,22 +359,25 @@ class TestUnknotIsBuiltOnce:
 
     def test_a_framing_of_a_built_sign_multiplies_no_series(self,
                                                            monkeypatch):
-        # framing 2 builds both routes' polynomials of sign +1; framing 5
-        # reads them, with no series product, inverse or exp
+        # framing 2 builds both routes' polynomials of sign +1 and the
+        # tau^PG polynomials; framing 5 reads them, with no series product,
+        # inverse or exp, and builds no polynomial's rows
         _clear_route_caches()
         inp = SurgeryInput("unknot", 2)
         built = (lmo_via_definition(inp, "A2", 3),
-                 lmo_via_lemma(inp, "A2", 3))
+                 lmo_via_lemma(inp, "A2", 3), taupg_route(inp, "A2", 3))
         calls = []
-        for name in ("__mul__", "inverse", "exp"):
-            def counted(*args, _true=getattr(HSeries, name), _name=name):
+        for cls, name in ((HSeries, "__mul__"), (HSeries, "inverse"),
+                          (HSeries, "exp"), (qseries.FramingPoly, "__init__")):
+            def counted(*args, _true=getattr(cls, name), _name=name):
                 calls.append(_name)
                 return _true(*args)
-            monkeypatch.setattr(HSeries, name, counted)
+            monkeypatch.setattr(cls, name, counted)
         inp = SurgeryInput("unknot", 5)
         assert lmo_via_definition(inp, "A2", 3) == \
             lmo_via_lemma(inp, "A2", 3) != built[0]
-        assert calls == []
+        assert taupg_route(inp, "A2", 3) != built[2]
+        assert calls == ["__mul__"]  # tau^PG's prefactor times its sum
         # framing -1 builds the polynomials of sign -1
         lmo_via_definition(SurgeryInput("unknot", -1), "A2", 3)
         assert "inverse" in calls
@@ -594,8 +597,9 @@ class TestVerifySuite:
             # the polynomial read at -f: each f^e term times (-1)^e
             def flipped(T, g, cap):
                 poly, cap = true_wick(T, g, cap)
-                return {(e, n): -c if e % 2 else c
-                        for (e, n), c in poly.items()}, cap
+                return qseries.FramingPoly(
+                    {(e, n): -c if e % 2 else c
+                     for (e, n), c in poly.items()}), cap
             monkeypatch.setattr(liews, "wick_poly", flipped)
         elif mutant == "no_2p_slot_terms":
             monkeypatch.setattr(liews, "wick_poly", lambda T, g, cap: true_wick(

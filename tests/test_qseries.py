@@ -11,9 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import series_oracle
 from lmo_kernel.qseries import (
+    FramingPoly,
     HSeries,
     PoleError,
     SeriesError,
+    at_framing,
     json_int,
     json_key,
     json_rational,
@@ -369,3 +371,51 @@ def _mixed_series(draw):
 @given(_mixed_series(), _mixed_series())
 def test_mul_matches_fraction_loop_oracle(a, b):
     assert a * b == series_oracle.mul(a, b)
+
+
+@st.composite
+def _framing_polys(draw):
+    """A framing polynomial with terms f^e h^n, e in -8..8 and n in
+    -4..10, each coefficient over its own denominator.  Some terms come
+    with their negation at the same key, which leaves the key out, or
+    at f^(e + 2), which cancels the pair at f = 1 and f = -1; a
+    hand-built zero term may stay in the map."""
+    terms = []
+    for e, n, c in draw(st.lists(st.tuples(st.integers(-8, 8),
+                                           st.integers(-4, 10), _q),
+                                 max_size=30)):
+        terms.append(((e, n), c, 1))
+        shift = draw(st.sampled_from([None, 0, 2]))
+        if shift is not None and e + shift <= 8:
+            terms.append(((e + shift, n), -c, 1))
+    terms = sum_products(terms)
+    if draw(st.booleans()):
+        terms[draw(st.integers(-8, 8)), draw(st.integers(-4, 10))] = Q(0)
+    return FramingPoly(terms)
+
+
+#: Nonzero framings: +-1, integers up to 10^20 in size and non-integral
+#: p/q.  Every caller rejects f = 0 before it reads.
+_framings = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-10 ** 20, 10 ** 20).filter(bool),
+    st.builds(Q, st.integers(-10 ** 20, 10 ** 20).filter(bool),
+              st.integers(2, 10 ** 6)).filter(lambda f: f.denominator > 1))
+
+
+class TestAtFraming:
+    @settings(max_examples=400, deadline=None)
+    @given(_framing_polys(), _framings, st.integers(-7, 13))
+    def test_matches_the_fraction_oracle(self, poly, f, cap):
+        # caps below, inside and above the support -4..10 of h
+        assert at_framing(poly, f, cap) == \
+            series_oracle.at_framing(poly, f, cap)
+
+    def test_a_polynomial_is_the_dict_of_its_terms(self):
+        terms = {(-1, 2): Q(1, 2), (3, 2): Q(-2, 3), (0, 0): Q(1)}
+        poly = FramingPoly(terms)
+        assert poly == terms and dict(poly) == terms
+        # [h^2] = f^-1 (-4 f^4 + 3) / 6: a_K .. a_0 over one denominator
+        assert poly.rows == [(0, 0, 1, (1,)), (2, -1, 6, (-4, 0, 0, 0, 3))]
+        assert at_framing(poly, Q(-1, 2), 2) == \
+            HSeries({0: 1, 2: Q(-11, 12)}, 2)

@@ -14,7 +14,7 @@ import series_oracle
 import weyl_oracle
 from lmo_kernel import balg, liews, rootsys
 from lmo_kernel.qseries import (
-    HSeries, PoleError, SeriesError, at_framing, q_power)
+    FramingPoly, HSeries, PoleError, SeriesError, at_framing, q_power)
 from lmo_kernel.rootsys import (
     TYPE_A_LABELS,
     RootSystemError,
@@ -832,8 +832,8 @@ class TestFramingPolynomial:
             P, _, gaussian, prefactor = tau
             for f in (2 * cap + 2, -2 * cap - 3):
                 poly = _times(prefactor[1 if f > 0 else -1], gaussian, cap)
-                on_support = {(e, n): c for (e, n), c in poly.items()
-                              if -n <= e + P <= n}
+                on_support = FramingPoly({(e, n): c for (e, n), c
+                                          in poly.items() if -n <= e + P <= n})
                 assert at_framing(on_support, f, cap) == tau_pg(tau, f)
 
     def test_routes_are_compared_as_polynomials(self, monkeypatch):

@@ -17,13 +17,19 @@ and for its ``compare`` cells apart, then for each route of the
 ``compare`` cells (each kernel's ``pipeline.lmo_via_definition``,
 ``lmo_via_lemma`` and ``taupg_route`` are wrapped in a timer), then for
 each suite of the ``verify`` cell (each kernel's ``pipeline._SUITES``
-entries are wrapped too), and last one JSON line with all of them (keys
-``old_s``, ``verify_old_s``, ``compare_old_s``, ``definition_old_s``,
-``definition_ratio``, ``theta_old_s``, ``theta_ratio`` and so on).  A
-change to one kind of cell, one route or one suite moves only its own
-figures; in the whole pass the rest's spread blurs it.  A ratio counts
-only when the two medians differ by more than that spread.  It
-exits 1 if a fill cell failed.
+entries are wrapped too), then for the framing-polynomial reads (each
+kernel's ``at_framing``, wrapped in every module that binds it, and
+counted), and last one JSON line with all of them (keys ``old_s``,
+``verify_old_s``, ``compare_old_s``, ``definition_old_s``,
+``definition_ratio``, ``theta_old_s``, ``theta_ratio``,
+``framing_old_s``, ``framing_ratio`` and so on, and ``framing_calls``,
+each kernel's reads in one pass).  Every wrapped function is put back
+after the timed passes.  A change to one kind of cell, one route, one
+suite or the reads moves only its own figures; in the whole pass the
+rest's spread blurs it.  A ratio counts only when the two medians differ
+by more than that spread.  It exits 1 if a fill cell failed, or if the
+passes of one kernel made different numbers of reads: with every cache
+full, a pass repeats the one before.
 
 Two benchmark processes see different machine states, so their times
 can spread more widely than a change moves them; interleaved passes in
@@ -67,7 +73,7 @@ def load_cli(name: str, checkout: str):
 
 #: The parts of a pass timed apart: the whole pass, and its cells of each
 #: subcommand; ``time_calls`` times the routes of the ``compare`` cells
-#: (``ROUTES``) and the suites of the ``verify`` cell.
+#: (``ROUTES``), the suites of the ``verify`` cell and the framing reads.
 PARTS = ("", "verify", "compare")
 
 #: The routes of a ``compare`` cell, each under the name of its function
@@ -75,34 +81,52 @@ PARTS = ("", "verify", "compare")
 ROUTES = {"definition": "lmo_via_definition", "lemma": "lmo_via_lemma",
           "taupg": "taupg_route"}
 
+#: The modules of a kernel that bind ``qseries.at_framing``, the one
+#: reader of both sides' framing polynomials.
+FRAMING_MODULES = ("qseries", "pipeline", "rootsys", "liews")
 
-def time_calls(table: dict, names: dict[str, str]) -> dict[str, float]:
-    """Wrap each function ``table[names[part]]`` in a timer; the returned
-    clock maps each part, in order, to the seconds its calls add up
-    to."""
+
+def time_calls(tables: list[dict], names: dict[str, str], undo: list
+               ) -> dict[str, float]:
+    """Wrap each function ``tables[0][names[part]]`` in a timer, in every
+    table that binds it; the returned clock maps each part, in order, to
+    the seconds its calls add up to, and ``{part}_calls`` to their
+    number.  ``undo`` gains each (table, name, function) to put back."""
     clock = dict.fromkeys(names, 0.0)
+    clock.update({f"{part}_calls": 0 for part in names})
 
     def timed(part, fn):
         def run(*args, **kwargs):
             t = time.perf_counter()
             out = fn(*args, **kwargs)
             clock[part] += time.perf_counter() - t
+            clock[f"{part}_calls"] += 1
             return out
         return run
 
     for part, name in names.items():
-        table[name] = timed(part, table[name])
+        fn = tables[0][name]
+        run = timed(part, fn)
+        for table in tables:
+            if table.get(name) is fn:
+                undo.append((table, name, fn))
+                table[name] = run
     return clock
 
 
-def time_kernel(cli) -> tuple[dict[str, float], dict[str, float]]:
+def time_kernel(cli, undo: list) -> tuple[dict[str, float], ...]:
     """The clocks of the kernel of ``cli``: its ``compare`` routes, which
-    ``compare`` looks up in the module ``pipeline``, and its verify
-    suites."""
-    pipeline = sys.modules[cli.__package__ + ".pipeline"]
-    return (time_calls(vars(pipeline), ROUTES),
-            time_calls(pipeline._SUITES,
-                       {name: name for name in pipeline._SUITES}))
+    ``compare`` looks up in the module ``pipeline``, its verify suites
+    and its framing reads."""
+    def module(name):
+        return sys.modules[f"{cli.__package__}.{name}"]
+
+    pipeline = module("pipeline")
+    return (time_calls([vars(pipeline)], ROUTES, undo),
+            time_calls([pipeline._SUITES],
+                       {name: name for name in pipeline._SUITES}, undo),
+            time_calls([vars(module(name)) for name in FRAMING_MODULES],
+                       {"framing": "at_framing"}, undo))
 
 
 def timed_pass(cli, order: list[int], clocks: tuple[dict[str, float], ...]
@@ -112,7 +136,7 @@ def timed_pass(cli, order: list[int], clocks: tuple[dict[str, float], ...]
     that ``clocks`` times."""
     out = dict.fromkeys(PARTS, 0.0)
     for clock in clocks:
-        clock.update(dict.fromkeys(clock, 0.0))
+        clock.update(dict.fromkeys(clock, 0))
     t0 = time.perf_counter()
     for i in order:
         t = time.perf_counter()
@@ -150,20 +174,38 @@ def main(argv: list[str] | None = None) -> int:
             if why is not None:
                 failed += 1
                 print(f"{side}: {' '.join(argv_)}: {why}")
-    clocks = {side: time_kernel(cli) for side, cli in clis.items()}
+    undo: list = []
+    clocks = {side: time_kernel(cli, undo) for side, cli in clis.items()}
     # the suites both kernels run, in the old kernel's order
-    shared = [name for name in clocks["old"][1] if name in clocks["new"][1]]
+    suites = [sys.modules[f"{cli.__package__}.pipeline"]._SUITES
+              for cli in clis.values()]
+    shared = [name for name in suites[0] if name in suites[1]]
     rng = random.Random(args.seed)
     order = list(range(len(WARM_CELLS)))
     times: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
-    for n in range(args.passes):
-        rng.shuffle(order)
-        for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
-            times[side].append(timed_pass(clis[side], order, clocks[side]))
+    try:
+        for n in range(args.passes):
+            rng.shuffle(order)
+            for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
+                times[side].append(timed_pass(clis[side], order,
+                                              clocks[side]))
+    finally:
+        for table, name, fn in undo:
+            table[name] = fn
+    calls, uneven = {}, False
+    for side, ts in times.items():
+        counts = sorted({t["framing_calls"] for t in ts})
+        if len(counts) > 1:
+            uneven = True
+            print(f"{side}: the passes read framing polynomials "
+                  f"{counts} times")
+        calls[side] = counts[0]
     result = {}
-    for part in (*PARTS, *ROUTES, *shared):
+    for part in (*PARTS, *ROUTES, *shared, "framing"):
         what = ("pass" if not part else f"{part} route" if part in ROUTES
-                else f"{part} suite" if part in shared else f"{part} cells")
+                else f"{part} suite" if part in shared
+                else "framing reads" if part == "framing"
+                else f"{part} cells")
         key = f"{part}_" if part else ""
         median = {side: statistics.median(t[part] for t in ts)
                   for side, ts in times.items()}
@@ -179,9 +221,10 @@ def main(argv: list[str] | None = None) -> int:
                        f"{key}ratio": new / old,
                        f"{key}old_iqr_s": spread["old"],
                        f"{key}new_iqr_s": spread["new"]})
-    print(json.dumps({**result, "passes": args.passes,
-                      "failed_fill_cells": failed}))
-    return 1 if failed else 0
+    print(f"framing reads per pass: old {calls['old']}, new {calls['new']}")
+    print(json.dumps({**result, "framing_calls": calls,
+                      "passes": args.passes, "failed_fill_cells": failed}))
+    return 1 if failed or uneven else 0
 
 
 if __name__ == "__main__":
