@@ -17,10 +17,11 @@ cap admits), a ``verify`` order above it for the ``all``, ``omega`` or
 ``circle`` suite or above ``pipeline.MAX_GAUSS_ORDER`` for the ``gauss``
 suite (before any suite runs), a ``taupg`` order above
 ``pipeline.MAX_TAUPG_ORDER`` (before any work), a negative ``compare
---valid-degree``, an unwritable ``--out`` path, a report coefficient
-too long to print, or an input the kernel rejects (structural, series,
-pole, Lie-data or root-system error), prints one JSON line
-``{"error": ...}`` to stderr and exits 2.
+--valid-degree``, an unwritable ``--out`` path, a standard output
+closed before the report is written (``compare ... | head -1``), a
+report coefficient too long to print, or an input the kernel rejects
+(structural, series, pole, Lie-data or root-system error), prints one
+JSON line ``{"error": ...}`` to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -63,7 +65,15 @@ def _write(obj: dict, out: str | None) -> None:
         except OSError as exc:
             raise InputError(f"--out {out}: {exc}") from exc
     else:
-        print(text)
+        try:
+            # flushed here, so that a closed pipe raises here
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            # the flush at exit writes the same buffer again, to nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"stdout: {exc}") from exc
 
 
 def _surgery_args(p: argparse.ArgumentParser, qdata: bool = False) -> None:

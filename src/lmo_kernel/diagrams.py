@@ -47,6 +47,14 @@ belongs to the serial: the first search to reach a serial keeps its leg
 permutations, numbered as the serial's own diagram numbers its legs
 (``_LEG_GROUPS``), and ``leg_automorphisms`` reads a form's group from
 them with no search.
+
+These caches are most of what a run keeps.  ``canonicalize`` memoizes
+each labeled diagram under one ``bytes`` key, ``t``, ``m`` and every
+port (v, s) of its sorted edges as the byte 3 * v + s (``_canon_key``):
+a tuple key would keep every glued diagram's nested edge tuples alive,
+and the cache hardly hits.  Every serial builds its rows from one shared
+tuple per row entry (other, own), kept in ``_PAIRS``, which holds at
+most (3 * MAX_VERTICES + 1) * 3 * MAX_VERTICES of them.
 """
 
 from __future__ import annotations
@@ -515,12 +523,24 @@ def _canon_component(shape: tuple[int, ...]
     pos = {i: k for k, i in enumerate(first[2])}
     gens = {tuple(pos[a[i]] for i in first[2]) for a in autos}
     gens.discard(tuple(range(n_legs)))
-    serial = tuple(tuple((LEG if x >= t3 * t3 else x // t3, x % t3)
+    serial = tuple(tuple(_pair(LEG if x >= t3 * t3 else x // t3, x % t3)
                          for x in row) for row in best[0])
     return (T, n_legs, serial), next(iter(best_signs)), tuple(sorted(gens))
 
 
-_CANON_CACHE: dict[tuple, tuple[CanonicalForm | None, int]] = {}
+#: The one tuple of each row entry (other, own) that serials hold: other
+#: is a port below 3 * MAX_VERTICES or LEG, own a port, so the map keeps
+#: at most (3 * MAX_VERTICES + 1) * 3 * MAX_VERTICES pairs.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _pair(other: int, own: int) -> tuple[int, int]:
+    pair = other, own
+    return _PAIRS.setdefault(pair, pair)
+
+
+#: (canonical form, sign) by ``_canon_key`` of a labeled diagram.
+_CANON_CACHE: dict[bytes, tuple[CanonicalForm | None, int]] = {}
 
 #: ``_canon_component`` results by component shape: {the ports of the
 #: edges in order, port (rank, slot) of a trivalent vertex as the int
@@ -550,12 +570,19 @@ def _search_shape(trivalent: list[int], edges: list[Edge], t_bound: int
     return hit
 
 
+def _canon_key(d: JacobiDiagram) -> bytes:
+    """``t``, ``m`` and every port (v, s) of the sorted edges as the byte
+    3 * v + s, below 3 * MAX_VERTICES: one labeled diagram per key, since
+    s < 3 and ``t`` and ``m`` fix how many ports follow."""
+    return bytes([d.t, d.m, *[3 * v + s for e in d.edges for v, s in e]])
+
+
 def canonicalize(d: JacobiDiagram) -> tuple[CanonicalForm | None, int]:
     """(canonical form, sign): the form of ``d`` with the orientation
     sign accumulated on the way, or (None, 0) for a diagram equal to its
     own negative (an orientation-odd automorphism exists), the zero
     element under AS."""
-    key = (d.t, d.m, d.edges)
+    key = _canon_key(d)
     hit = _CANON_CACHE.get(key)
     if hit is not None:
         return hit

@@ -79,6 +79,29 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys, target):
     assert str(path) in json.loads(line)["error"]
 
 
+def test_closed_stdout_is_one_error_line():
+    """A report written to a pipe whose reader is gone, as in
+    ``compare ... | head -1``: exit 2, one JSON error line and no
+    traceback, also from the flush at exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lmo_kernel.cli", "verify", "--suite",
+             "bernoulli", "--order", "1"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    line, = proc.stderr.splitlines()
+    assert "Broken pipe" in json.loads(line)["error"]
+
+
 def test_zero_framing_fails_cleanly(capsys):
     for command in ("compute", "taupg", "compare"):
         assert main([command, "--framing", "0", "--lie", "A1",

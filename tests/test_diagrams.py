@@ -421,6 +421,103 @@ class TestShapeCache:
                 assert canon_oracle.leg_group(gens, c.m) == group
 
 
+def decode_key(key: bytes) -> tuple[int, int, tuple]:
+    """(t, m, edges) read back from a ``_canon_key`` key."""
+    ports = [divmod(b, 3) for b in key[2:]]
+    return key[0], key[1], tuple(zip(ports[::2], ports[1::2]))
+
+
+@st.composite
+def diagrams_of_one_size(draw):
+    """A random port matching and another of the same t and m: the same
+    edges built again, a vertex flipped (another edge list on the same
+    vertices), a relabeling, or a fresh matching."""
+    d = draw(port_matchings())
+    kind = draw(st.sampled_from(["rebuilt", "flip", "relabel", "fresh"]))
+    if kind == "rebuilt" or (kind == "flip" and not d.t):
+        e = JacobiDiagram(d.t, d.m, tuple((q, p) for p, q in d.edges[::-1]))
+    elif kind == "flip":
+        e = flip_vertex(d, draw(st.integers(0, d.t - 1)))
+    elif kind == "relabel":
+        e = relabel(d, draw(st.permutations(range(d.t))),
+                    [draw(st.sampled_from(SLOT_PERMS))[0]
+                     for _ in range(d.t)])
+    else:
+        e = draw(port_matchings(d.t, d.m))
+    return d, e
+
+
+class TestCanonCacheKeys:
+    """``_CANON_CACHE`` keys a labeled diagram by the bytes of ``t``,
+    ``m`` and its ports, and the serials share one tuple per row entry."""
+
+    def test_every_port_fits_a_byte(self):
+        # ports 3 * v + s reach 3 * MAX_VERTICES - 1, t and m MAX_VERTICES
+        assert 3 * diagrams.MAX_VERTICES <= 256
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagrams_of_one_size(), port_matchings())
+    def test_keys_are_equal_exactly_when_the_diagrams_are(self, pair, f):
+        d, e = pair
+        kd = diagrams._canon_key(d)
+        assert decode_key(kd) == (d.t, d.m, d.edges)
+        for other in (e, f):
+            assert (diagrams._canon_key(other) == kd) == (
+                (other.t, other.m, other.edges) == (d.t, d.m, d.edges))
+
+    @settings(max_examples=200, deadline=None)
+    @given(diagrams_of_one_size())
+    def test_a_filled_cache_gives_what_a_cleared_one_gives(self, pair):
+        filled = [canonicalize(d) for d in pair]
+        saved = dict(diagrams._CANON_CACHE)
+        try:
+            for d, hit in zip(pair, filled):
+                diagrams._CANON_CACHE.clear()
+                assert canonicalize(d) == hit
+        finally:
+            diagrams._CANON_CACHE.update(saved)
+
+
+_CACHES_AFTER_COMPARE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from lmo_kernel import cli, diagrams
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+serials = [c for form, _ in diagrams._CANON_CACHE.values() if form
+           for c in form.components]
+serials += [s for s, _ in diagrams._SHAPE_CACHE.values() if s]
+serials += list(diagrams._LEG_GROUPS)
+pairs = [p for _, _, rows in serials for row in rows for p in row]
+print(json.dumps({
+    "code": code, "entries": len(diagrams._CANON_CACHE),
+    "bytes_keys": all(type(k) is bytes for k in diagrams._CANON_CACHE),
+    "key_lengths": all(len(k) == 2 + 3 * k[0] + k[1]
+                       for k in diagrams._CANON_CACHE),
+    "pairs": len(pairs),
+    "shared": all(diagrams._PAIRS[p] is p for p in pairs),
+    "map": len(diagrams._PAIRS)}))
+"""
+
+
+def test_caches_after_a_cold_order_four_compare():
+    """A fresh ``compare --lie A1 --framing 2 --order 4`` leaves 111
+    canonical entries, each keyed by ``bytes`` of length 2 + 3t + m;
+    every row entry of every serial it keeps is the one tuple of
+    ``_PAIRS``, which stays within its bound."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _CACHES_AFTER_COMPARE, str(src), "compare",
+         "--lie", "A1", "--framing", "2", "--order", "4"],
+        capture_output=True, text=True, timeout=300, check=True)
+    got = json.loads(out.stdout)
+    assert got["code"] == 0 and got["entries"] == 111
+    assert got["bytes_keys"] and got["key_lengths"]
+    assert got["pairs"] > got["map"] > 0 and got["shared"]
+    bound = 3 * diagrams.MAX_VERTICES
+    assert got["map"] <= (bound + 1) * bound
+
+
 class TestSeries:
     def test_unit_is_union_identity(self):
         s = series_of(wheel(1), 6)

@@ -31,11 +31,11 @@ import argparse
 import gc
 import importlib
 import json
-import statistics
 import sys
 import time
 
-from ab_warm import iqr, load_cli  # also puts perfbench/ on the path
+# ab_warm also puts perfbench/ on the path
+from ab_warm import alternate, load_cli, summary
 from run import REFERENCES, VERIFY_ARGV, check_cell, compare_argv  # noqa: E402
 from worker import run_cli  # noqa: E402
 
@@ -125,27 +125,16 @@ def main(argv: list[str] | None = None) -> int:
     for kernel, n in differed.items():
         if n:
             print(f"{kernel}: {n} results differ")
-    times = {kernel: {"old": [], "new": []} for kernel in KERNELS}
-    for n in range(args.rounds):
-        for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
-            for kernel in KERNELS:
-                times[kernel][side].append(timed(replays[side][kernel]))
+    times = alternate(args.rounds, lambda side, n: {
+        kernel: timed(replays[side][kernel]) for kernel in KERNELS})
     result: dict = {"rounds": args.rounds, "shapes": len(shapes),
                     "forms": len(forms), "failed_cells": failed,
                     "differing_results": sum(differed.values())}
     for kernel in KERNELS:
-        median = {side: statistics.median(ts)
-                  for side, ts in times[kernel].items()}
-        spread = {side: iqr(ts) for side, ts in times[kernel].items()}
-        for side in ("old", "new"):
-            print(f"{kernel} {side}: median replay {median[side]:.4f} s, "
-                  f"interquartile range {spread[side]:.4f} s over "
-                  f"{args.rounds} replays")
-        ratio = median["new"] / median["old"]
-        print(f"{kernel} ratio new/old: {ratio:.3f}")
-        result[kernel] = {"old_s": median["old"], "new_s": median["new"],
-                          "ratio": ratio, "old_iqr_s": spread["old"],
-                          "new_iqr_s": spread["new"]}
+        result[kernel] = summary(
+            f"{kernel} replay", {side: [t[kernel] for t in ts]
+                                 for side, ts in times.items()},
+            runs="replays")
     print(json.dumps(result))
     return 1 if failed or result["differing_results"] else 0
 

@@ -156,6 +156,37 @@ def iqr(xs: list[float]) -> float:
     return q3 - q1
 
 
+def alternate(rounds: int, run) -> dict[str, list]:
+    """``run(side, n)`` for both sides in each round n, OLD first in the
+    even rounds and NEW first in the odd ones: each side's results in
+    round order."""
+    out: dict[str, list] = {"old": [], "new": []}
+    for n in range(rounds):
+        for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
+            out[side].append(run(side, n))
+    return out
+
+
+def summary(what: str, samples: dict[str, list[float]], unit: str = "s",
+            runs: str = "passes") -> dict[str, float]:
+    """Print each side's median of ``samples`` and the interquartile range
+    of its samples, then the ratio NEW / OLD of the medians; the same
+    figures as ``old_{u}``, ``new_{u}``, ``ratio``, ``old_iqr_{u}`` and
+    ``new_iqr_{u}``, u the unit in lower case."""
+    median = {side: statistics.median(xs) for side, xs in samples.items()}
+    spread = {side: iqr(xs) for side, xs in samples.items()}
+    for side in ("old", "new"):
+        print(f"{what} {side}: median {median[side]:.4f} {unit}, "
+              f"interquartile range {spread[side]:.4f} {unit} over "
+              f"{len(samples[side])} {runs}")
+    ratio = median["new"] / median["old"]
+    print(f"{what} ratio new/old: {ratio:.3f}")
+    u = unit.lower()
+    return {f"old_{u}": median["old"], f"new_{u}": median["new"],
+            "ratio": ratio, f"old_iqr_{u}": spread["old"],
+            f"new_iqr_{u}": spread["new"]}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="ab_warm.py")
     ap.add_argument("old")
@@ -182,13 +213,13 @@ def main(argv: list[str] | None = None) -> int:
     shared = [name for name in suites[0] if name in suites[1]]
     rng = random.Random(args.seed)
     order = list(range(len(WARM_CELLS)))
-    times: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
+    orders = []
+    for _ in range(args.passes):
+        rng.shuffle(order)
+        orders.append(order[:])
     try:
-        for n in range(args.passes):
-            rng.shuffle(order)
-            for side in (("old", "new") if n % 2 == 0 else ("new", "old")):
-                times[side].append(timed_pass(clis[side], order,
-                                              clocks[side]))
+        times = alternate(args.passes, lambda side, n: timed_pass(
+            clis[side], orders[n], clocks[side]))
     finally:
         for table, name, fn in undo:
             table[name] = fn
@@ -207,20 +238,9 @@ def main(argv: list[str] | None = None) -> int:
                 else "framing reads" if part == "framing"
                 else f"{part} cells")
         key = f"{part}_" if part else ""
-        median = {side: statistics.median(t[part] for t in ts)
-                  for side, ts in times.items()}
-        spread = {side: iqr([t[part] for t in ts])
-                  for side, ts in times.items()}
-        for side in ("old", "new"):
-            print(f"{side}: median {what} {median[side]:.4f} s, "
-                  f"interquartile range {spread[side]:.4f} s over "
-                  f"{args.passes} passes")
-        old, new = median["old"], median["new"]
-        print(f"{what} ratio new/old: {new / old:.3f}")
-        result.update({f"{key}old_s": old, f"{key}new_s": new,
-                       f"{key}ratio": new / old,
-                       f"{key}old_iqr_s": spread["old"],
-                       f"{key}new_iqr_s": spread["new"]})
+        figures = summary(what, {side: [t[part] for t in ts]
+                                 for side, ts in times.items()})
+        result.update({key + name: x for name, x in figures.items()})
     print(f"framing reads per pass: old {calls['old']}, new {calls['new']}")
     print(json.dumps({**result, "framing_calls": calls,
                       "passes": args.passes, "failed_fill_cells": failed}))
