@@ -34,8 +34,9 @@ A weight tensor with series coefficients (``hat_weight``,
 Gaussian (Wick) operator pairs its free slots with the lowered form,
 weighting each matched pair by -h/f.  The framing enters last: the
 contraction is a polynomial in 1/f (``wick_poly``, ``gaussian_poly``),
-summed once per tensor, and ``wick`` and ``gaussian_eval`` read it at
-one framing through ``qseries.at_framing``.
+summed once per tensor into one ``qseries.FramingPoly`` with its cap,
+and ``wick`` and ``gaussian_eval`` read it at one framing through
+``qseries.at_framing``.
 """
 
 from __future__ import annotations
@@ -470,14 +471,13 @@ def hat_weight(s: DiagramSeries, g: LieAlgebraData, cap: int) -> dict:
     return series_tensor(products(), cap)
 
 
-def wick_poly(T: dict, g: LieAlgebraData, cap: int
-              ) -> tuple[FramingPoly, int]:
+def wick_poly(T: dict, g: LieAlgebraData, cap: int) -> FramingPoly:
     """Gaussian contraction of a weight tensor known up to h^cap, with
     the framing left free: sum over perfect matchings of the slots of
     each term, each matched pair weighing -h/f times the lowered-form
     pairing; odd-slot terms vanish, the scalar part passes through.
     Returns the polynomial {(-k, n): c}, the contraction at f being the
-    sum of c f^-k h^n, and the cap through which it is known.  Each
+    sum of c f^-k h^n, with the cap through which it is known.  Each
     key's hafnian is summed once, whatever the framings it is read at."""
     memo: dict[tuple, Fraction] = {(): Fraction(1)}
 
@@ -502,7 +502,7 @@ def wick_poly(T: dict, g: LieAlgebraData, cap: int
     return FramingPoly(sum_products(((-k, e + k), c, weight)
                                     for series, k, weight in parts
                                     for e, c in series.coeffs.items()
-                                    if e + k <= cap)), cap
+                                    if e + k <= cap), cap)
 
 
 def _check_framing(f) -> None:
@@ -513,12 +513,11 @@ def _check_framing(f) -> None:
 def wick(T: dict, g: LieAlgebraData, f, cap: int) -> HSeries:
     """The Gaussian contraction ``wick_poly`` at the framing f != 0."""
     _check_framing(f)
-    poly, cap = wick_poly(T, g, cap)
-    return at_framing(poly, f, cap)
+    return at_framing(wick_poly(T, g, cap), f)
 
 
 def gaussian_poly(s: DiagramSeries, g: LieAlgebraData, cap: int
-                  ) -> tuple[FramingPoly, int]:
+                  ) -> FramingPoly:
     """Tensor-route Gaussian integral of a strut-free series, with the
     framing left free: graded weight, every m-slot term divided by h^m,
     then ``wick_poly``.
@@ -539,8 +538,7 @@ def gaussian_poly(s: DiagramSeries, g: LieAlgebraData, cap: int
 def gaussian_eval(s: DiagramSeries, g: LieAlgebraData, f, cap: int) -> HSeries:
     """The Gaussian integral ``gaussian_poly`` at the framing f != 0."""
     _check_framing(f)
-    poly, cap = gaussian_poly(s, g, cap)
-    return at_framing(poly, f, cap)
+    return at_framing(gaussian_poly(s, g, cap), f)
 
 
 def exp_tensor(vec, cap: int) -> dict:

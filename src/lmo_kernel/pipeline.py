@@ -45,10 +45,13 @@ numerator times the inverse of the reference surgery on the unknot at
 framing s (the unknot key's definition polynomial at f = s, which the
 circle check reads too), and the lemma route's wheels pairing times the
 theta exponential exp(((3s - f)/48) theta), a polynomial in f, times its
-Gaussian integral.  The two routes share only the polynomial product
-``_poly_product``.  A route at framing f sums its polynomial's terms
-times powers of f (``qseries.at_framing``, the evaluator that the Lie
-side's polynomials share) and multiplies no series.
+Gaussian integral; theta weighs c h, so the exponential is exp(3s c h /
+48) times the sum over k of (-c f h / 48)^k / k!, in closed form.  The
+two routes share only the polynomial product ``_poly_product``, known
+as far as ``qseries.product_cap`` of its factors' caps.  A route at
+framing f sums its polynomial's terms times powers of f
+(``qseries.at_framing``, the evaluator that the Lie side's polynomials
+share) and multiplies no series.
 
 Every cache is bounded by the keys the command line can reach: labels
 of ``LIE_LABELS``, orders up to ``MAX_ORDER`` (a higher order exceeds
@@ -76,8 +79,8 @@ from . import balg, liews, rootsys
 from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
 from .qseries import (
-    FramingPoly, FrozenRecord, HSeries, SeriesError, _echo, at_framing,
-    json_list, json_object, modified_bernoulli, parse_json_int,
+    FramingPoly, FrozenRecord, HSeries, _echo, at_framing, json_list,
+    json_object, modified_bernoulli, parse_json_int, product_cap, q_power,
     rational_str, sinh_ratio, sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
@@ -242,10 +245,10 @@ def _theta_weight(label: str, order: int) -> HSeries:
     return hat_scalar(series_of(balg.theta(), 2 * order), g, order)
 
 
-def _framing_poly(terms) -> FramingPoly:
-    """The polynomial sum of c f^e W over terms (e, c, W), W a series."""
+def _framing_poly(terms, cap: int) -> FramingPoly:
+    """The sum of c f^e W over terms (e, c, W), W known through h^cap."""
     return FramingPoly(sum_products(((e, n), c, a) for e, c, w in terms
-                                    for n, a in w.coeffs.items()))
+                                    for n, a in w.coeffs.items()), cap)
 
 
 @lru_cache(maxsize=_KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -255,19 +258,19 @@ def _definition_poly(key: KnotKey, label: str, order: int) -> FramingPoly:
     the Gaussian integral of the integrand's coefficient X_j."""
     _, g = lie_pair(label)
     return _framing_poly(
-        (j - k, Fraction(-1, 48) ** j * (-1) ** k, hat_scalar(part, g, order))
-        for j, x in reduced_input(key, 2 * order).items()
-        for k, part in balg.fg_parts(x).items())
+        ((j - k, Fraction(-1, 48) ** j * (-1) ** k, hat_scalar(part, g, order))
+         for j, x in reduced_input(key, 2 * order).items()
+         for k, part in balg.fg_parts(x).items()), order)
 
 
 def _fg_poly(y: DiagramSeries, g: liews.LieAlgebraData,
              cap: int) -> FramingPoly:
     """The graded weight of the Gaussian integral of a strut-free ``y``
-    as a polynomial in f, read through h^cap: the sum of (-1/f)^k W_k,
+    as a polynomial in f known through h^cap: the sum of (-1/f)^k W_k,
     where W_k is the graded weight of part k of ``balg.fg_parts(y)``,
     each part weighed once."""
-    return _framing_poly((-k, (-1) ** k, hat_scalar(part, g, cap))
-                         for k, part in balg.fg_parts(y).items())
+    return _framing_poly(((-k, (-1) ** k, hat_scalar(part, g, cap))
+                          for k, part in balg.fg_parts(y).items()), cap)
 
 
 @lru_cache(maxsize=_KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -281,30 +284,21 @@ def _lemma_poly(key: KnotKey, label: str, order: int) -> FramingPoly:
 def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
     """Graded weight of the Gaussian integral of the unknot at framing
     ``sign`` (1 or -1): the denominator of the definition route."""
-    return at_framing(_definition_poly(_UNKNOT_KEY, label, order), sign,
-                      order)
+    return at_framing(_definition_poly(_UNKNOT_KEY, label, order), sign)
 
 
-def _series_poly(s: HSeries, cap: int) -> FramingPoly:
-    """A framing-free series known through h^cap as a framing
-    polynomial."""
-    if s.cap < cap:
-        raise SeriesError(f"a series known through h^{s.cap} cannot be "
-                          f"read through h^{cap}")
-    return {(0, n): c for n, c in s.coeffs.items() if n <= cap}
+def _series_poly(s: HSeries) -> FramingPoly:
+    """A framing-free series as a framing polynomial, known as far."""
+    return FramingPoly({(0, n): c for n, c in s.coeffs.items()}, s.cap)
 
 
-def _poly_product(a: FramingPoly, b: FramingPoly, cap: int) -> FramingPoly:
-    """The product of two framing polynomials known through h^cap, read
-    through h^cap.  It is known through h^(cap + v) whatever f is, v the
-    lower of the two lowest powers of h (``qseries.product_cap``); a
-    product known through less than h^cap raises."""
-    v = min((n for _, n in (*a, *b)), default=cap + 1)
-    if v < 0:
-        raise SeriesError(f"a product known through h^{cap + v} cannot be "
-                          f"read through h^{cap}")
-    return sum_products(((e + d, n + m), x, y) for (e, n), x in a.items()
-                        for (d, m), y in b.items() if n + m <= cap)
+def _poly_product(a: FramingPoly, b: FramingPoly) -> FramingPoly:
+    """The product of two framing polynomials, known through h^cap
+    whatever f is, cap = ``qseries.product_cap`` of the two."""
+    cap = product_cap(a, b)
+    return FramingPoly(sum_products(
+        ((e + d, n + m), x, y) for (e, n), x in a.items()
+        for (d, m), y in b.items() if n + m <= cap), cap)
 
 
 @lru_cache(maxsize=2 * _KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -312,10 +306,10 @@ def _definition_route(key: KnotKey, label: str, sign: int,
                       order: int) -> FramingPoly:
     """The definition route at the framings of sign ``sign`` as a
     polynomial in f: the numerator polynomial times the inverse of the
-    matching-sign reference surgery, read through h^order."""
+    matching-sign reference surgery."""
     ref = _reference_surgery(label, sign, order).inverse()
-    return FramingPoly(_poly_product(_definition_poly(key, label, order),
-                                     _series_poly(ref, order), order))
+    return _poly_product(_definition_poly(key, label, order),
+                         _series_poly(ref))
 
 
 @lru_cache(maxsize=2 * _KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -324,26 +318,24 @@ def _lemma_route(key: KnotKey, label: str, sign: int,
     """The lemma route at the framings of sign ``sign`` as a polynomial
     in f: the wheels pairing, the theta exponential exp(((3 sign -
     f)/48) theta_h) and the Gaussian integral of the wheeled base.
-    theta_h has no h^0 term, so through h^order the exponential is the
-    sum of its first order + 1 powers, of degree at most order in f."""
-    x = {(e, n): c * w
-         for n, w in _theta_weight(label, order).coeffs.items()
-         for e, c in ((0, Fraction(3 * sign, 48)), (1, Fraction(-1, 48)))}
-    powers = [{(0, 0): Fraction(1)}]
-    for j in range(1, order + 1):
-        powers.append({k: c / j for k, c in
-                       _poly_product(powers[-1], x, order).items()})
-    theta_exp = sum_products((k, c, 1) for p in powers for k, c in p.items())
-    pairing = _series_poly(_omega_pair_scalar(label, order), order)
-    return FramingPoly(_poly_product(_poly_product(pairing, theta_exp, order),
-                                     _lemma_poly(key, label, order), order))
+    theta_h is c h, so the exponential is q^(3 sign c / 48) times the
+    sum over k of (-c f h / 48)^k / k!, whose f^k h^k term is [h^k] of
+    q^(-c / 48)."""
+    c = _theta_weight(label, order).coeffs.get(1, 0)
+    unit = _omega_pair_scalar(label, order) * q_power(
+        Fraction(3 * sign, 48) * c, order)
+    framed = FramingPoly({(k, k): b for k, b in
+                          q_power(Fraction(-c, 48), order).coeffs.items()},
+                         order)
+    return _poly_product(_poly_product(_series_poly(unit), framed),
+                         _lemma_poly(key, label, order))
 
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     """Surgery invariant as the ratio of two Gaussian integrals, the
     denominator being the matching-sign unknot surgery."""
     return at_framing(_definition_route(knot_key(inp), label, inp.sign,
-                                        order), inp.framing, order)
+                                        order), inp.framing)
 
 
 def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
@@ -351,7 +343,7 @@ def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     exponential with exponent (3 sign(f) - f)/48, and the Gaussian
     integral, at framing f, of the wheeled zero-framed input."""
     return at_framing(_lemma_route(knot_key(inp), label, inp.sign, order),
-                      inp.framing, order)
+                      inp.framing)
 
 
 @lru_cache(maxsize=len(LIE_LABELS) * MAX_ORDER)
@@ -590,8 +582,8 @@ def _check_bridge(order: int) -> list[CheckResult]:
         _, g = lie_pair(label)
         for name, y in fam.items():
             lhs = _fg_poly(y, g, cap)
-            rhs, rhs_cap = liews.gaussian_poly(y, g, cap)
-            ok = all(at_framing(lhs, f, cap) == at_framing(rhs, f, rhs_cap)
+            rhs = liews.gaussian_poly(y, g, cap)
+            ok = all(at_framing(lhs, f) == at_framing(rhs, f)
                      for f in (1, -1, 2, -2, 3))
             out.append(CheckResult(f"bridge.{label}.{name}", ok,
                                    "f in {1,-1,2,-2,3}"))
@@ -618,9 +610,9 @@ def _check_gauss(order: int) -> list[CheckResult]:
             for key, series in liews.exp_tensor(
                 g.cartan_vector(beta), cap).items()
             for e, c in series.coeffs.items()), cap)
-        poly, poly_cap = liews.wick_poly(tensor, g, cap)
+        poly = liews.wick_poly(tensor, g, cap)
         for f in (2, 3, -2):
-            total = at_framing(poly, f, poly_cap)
+            total = at_framing(poly, f)
             closed = rootsys.gaussian_weyl_closed_form(rs, f, cap)
             out.append(CheckResult(f"gauss.weyl_square.{label}.f={f}",
                                    total == closed))

@@ -27,8 +27,9 @@ Weyl sum; in ``pipeline``, the diagram side's framing polynomials.
 
 A framing polynomial (``FramingPoly``) is a series in h whose
 coefficients are Laurent polynomials in the framing f, stored as {(e,
-n): the coefficient of f^e h^n}.  Both sides build theirs once per
-knot, label and order, the diagram side in ``pipeline`` and tau^PG in
+n): the coefficient of f^e h^n}, that carries its cap as an ``HSeries``
+does: unknown is never zero.  Both sides build theirs once per knot,
+label and order, the diagram side in ``pipeline`` and tau^PG in
 ``rootsys``, and both evaluate them at a framing through the one
 ``at_framing``.  A polynomial also holds, built once with it, one
 integer row per power h^n: f^lo times a polynomial in f with integer
@@ -380,10 +381,10 @@ def sum_products(terms: Iterable[tuple[Hashable, Fraction | int,
     return acc
 
 
-def product_cap(a: HSeries, b: HSeries) -> int:
-    """The cap of the product a * b: the product is determined at order k
-    only while unknown tail coefficients of one factor cannot meet the
-    support of the other."""
+def product_cap(a: HSeries | FramingPoly, b: HSeries | FramingPoly) -> int:
+    """The cap of the product a * b of two series or framing polynomials:
+    it is determined at order k only while unknown tail coefficients of
+    one factor cannot meet the support of the other."""
     va = a.valuation()
     vb = b.valuation()
     va = a.cap + 1 if va is None else va
@@ -401,8 +402,10 @@ def series_sum(series: list[HSeries]) -> HSeries:
 
 class FramingPoly(dict):
     """A series in h whose coefficients are Laurent polynomials in the
-    framing f: {(e, n): the coefficient of f^e h^n}, a ``dict`` and
-    equal to a plain one with the same terms.
+    framing f, known exactly up to h^cap: {(e, n): the coefficient of
+    f^e h^n}, a ``dict`` and equal to a plain one with the same terms.
+    As in ``HSeries``, powers of h above ``cap`` are unknown, never
+    zero, and a term there is rejected.
 
     The constructor also builds ``rows``, once: one integer row (n, lo,
     den, a) per power h^n with a nonzero term, in increasing n, where a =
@@ -410,12 +413,15 @@ class FramingPoly(dict):
     the least common multiple of the row's denominators.  A polynomial
     is not edited once built, so its rows stay its terms'."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "cap")
 
-    def __init__(self, terms=()):
+    def __init__(self, terms, cap: int):
         super().__init__(terms)
         by_power: dict[int, dict[int, Fraction]] = {}
         for (e, n), c in self.items():
+            if n > cap:
+                raise SeriesError(f"a term f^{e} h^{n} is beyond the cap "
+                                  f"{cap}")
             if c:
                 by_power.setdefault(n, {})[e] = _as_rational(c)
         rows = []
@@ -427,19 +433,22 @@ class FramingPoly(dict):
                 a[hi - e] = c.numerator * (den // c.denominator)
             rows.append((n, lo, den, tuple(a)))
         self.rows = rows
+        self.cap = cap
+
+    def valuation(self) -> int | None:
+        """Lowest power of h with a nonzero term, or None for zero."""
+        return self.rows[0][0] if self.rows else None
 
 
-def at_framing(poly: FramingPoly, f: int | Fraction, cap: int) -> HSeries:
+def at_framing(poly: FramingPoly, f: int | Fraction) -> HSeries:
     """``poly`` evaluated at the framing ``f``, an integer or a
-    ``Fraction`` p/q, read through h^cap: its terms above h^cap are left
-    out.  Each row (n, lo, den, a) is one integer Horner pass,
-    homogeneous in (p, q): [h^n] = p^lo N / (den q^(K + lo)), N = the sum
-    of a_j p^j q^(K - j), and one ``Fraction``."""
+    ``Fraction`` p/q, known through the polynomial's cap.  Each row (n,
+    lo, den, a) is one integer Horner pass, homogeneous in (p, q): [h^n]
+    = p^lo N / (den q^(K + lo)), N = the sum of a_j p^j q^(K - j), and
+    one ``Fraction``."""
     p, q = f.numerator, f.denominator
     coeffs = {}
     for n, lo, den, a in poly.rows:
-        if n > cap:
-            break
         num, qk = 0, 1
         for c in a:
             num = num * p + c * qk
@@ -454,7 +463,7 @@ def at_framing(poly: FramingPoly, f: int | Fraction, cap: int) -> HSeries:
         else:
             num *= q ** -hi
         coeffs[n] = Fraction(num, den)
-    return HSeries(coeffs, cap)
+    return HSeries(coeffs, poly.cap)
 
 
 def q_power(c, cap: int) -> HSeries:

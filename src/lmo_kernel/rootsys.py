@@ -50,15 +50,14 @@ The framing f enters the surgery formula in three places only:
 (-|beta|^2/f)^j in the sum route, exp(-h |beta|^2/(2f)) in the
 exponential route, and q^(-f|rho|^2/2) in the Weyl prefactor.  So for
 a fixed sign of f each h^n coefficient is a Laurent polynomial in f, a
-``qseries.FramingPoly`` {(e, n): coefficient of f^e h^n}, and
-``tau_poly`` builds them framing-free (a ``TauPoly``): the Gaussian sum S
-by both routes, which must agree as polynomials, and, per sign s, the
-Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 - q^(s(rho,
+``qseries.FramingPoly`` {(e, n): coefficient of f^e h^n} with its cap,
+and ``tau_poly`` builds them framing-free (a ``TauPoly``): the Gaussian
+sum S by both routes, which must agree as polynomials, and, per sign s,
+the Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 - q^(s(rho,
 a))), which is lead * h^P times the unit q^(3s|rho|^2/2) prod
 sinh_ratio((rho, a)) times q^(-f|rho|^2/2) (``_weyl_prefactor``).
-``tau_pg`` is the one per-framing step: it evaluates S at f, reads the
-prefactor only to the order that the product with S at that f can show,
-multiplies once and checks for a pole.
+``tau_pg`` is the one per-framing step: it reads both at f, multiplies
+once, checks for a pole and keeps h^0 .. h^cap.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ Weight = tuple[Fraction, ...]
 #: {|beta|^2: count}); ``norm_classes``, ``unknot_classes``
 NormClasses = list[tuple[dict[int, Fraction], int, dict[int, int]]]
 #: tau^PG of one knot through h^cap for every framing (``tau_poly``):
-#: (P, cap, the Gaussian sum S, {sign s of f: the Weyl prefactor}), each
-#: series a Laurent polynomial in f; P is the number of positive roots
-TauPoly = tuple[int, int, FramingPoly, dict[int, FramingPoly]]
+#: (the Gaussian sum S, {sign s of f: the Weyl prefactor}), each series a
+#: Laurent polynomial in f that carries its cap, S's the cap of tau^PG
+TauPoly = tuple[FramingPoly, dict[int, FramingPoly]]
 
 #: The labels ``build_root_system`` accepts.
 TYPE_A_LABELS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
@@ -354,7 +353,7 @@ def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
             work)
         S = HSeries({k: b for k, b in sums.items() if k <= ccap}, ccap)
         terms += _framing_product(S, G, -1, cap)
-    return FramingPoly(sum_products(terms))
+    return FramingPoly(sum_products(terms), cap)
 
 
 def double_factorial(n: int) -> int:
@@ -385,7 +384,7 @@ def _gaussian_sum_route(classes: NormClasses, cap: int) -> FramingPoly:
             powers = [p * -n for p, n in zip(powers, counts)]
         terms += (((-j, k + j), b, w) for k, b in bs.items() if k <= cap
                   for j, w in enumerate(weights[:cap - k + 1]) if w)
-    return FramingPoly(sum_products(terms))
+    return FramingPoly(sum_products(terms), cap)
 
 
 def _weyl_prefactor(rs: RootSystem, cap: int) -> dict[int, FramingPoly]:
@@ -409,7 +408,7 @@ def _weyl_prefactor(rs: RootSystem, cap: int) -> dict[int, FramingPoly]:
         unit = q_power(Fraction(3 * s, 2) * rho_sq, cap) * sinh
         lead = Fraction((-s) ** P, rs.order) * prod_c
         out[s] = FramingPoly(sum_products(_framing_product(
-            unit.scale(lead).shift(P), b, 1, cap + P)))
+            unit.scale(lead).shift(P), b, 1, cap + P)), cap + P)
     return out
 
 
@@ -423,12 +422,12 @@ def tau_poly(rs: RootSystem, classes: NormClasses, cap: int) -> TauPoly:
     as an internal consistency requirement, through the closed
     Gaussian-on-exponentials form; the two must agree as polynomials, so
     at every framing.  Both read the one list of groups.  The prefactor
-    is read through h^(cap + P), at least h^(1 + P)."""
+    is built through h^(cap + P), at least h^(1 + P)."""
     S = _gaussian_sum_route(classes, cap)
     if S != gaussian_on_exponentials(rs, classes, cap):
         raise RootSystemError("Gaussian sum route disagrees with the "
                               "exponential route")
-    return rs.num_pos, cap, S, _weyl_prefactor(rs, max(1, cap))
+    return S, _weyl_prefactor(rs, max(1, cap))
 
 
 def tau_pg(tau: TauPoly, f: int) -> HSeries:
@@ -437,19 +436,13 @@ def tau_pg(tau: TauPoly, f: int) -> HSeries:
     prefactor of sign(f) at f, which must come out pole-free."""
     if f == 0:
         raise RootSystemError("framing 0 is not a rational homology sphere")
-    P, cap, gaussian, prefactor = tau
-    S = at_framing(gaussian, f, cap)
-    # out = pre * S is read through h^cap and pre is h^P times a unit, so
-    # the unit is read through h^(cap - P - v(S)): through h^cap at most,
-    # as any cap shows a pole of S deeper than h^-P, and through h^1 at
-    # least, as the prefactor is built
-    vs = S.valuation()
-    unit_cap = 1 if vs is None else max(1, min(cap, cap - P - vs))
-    out = at_framing(prefactor[1 if f > 0 else -1], f, unit_cap + P) * S
+    gaussian, prefactor = tau
+    out = at_framing(prefactor[1 if f > 0 else -1], f) * \
+        at_framing(gaussian, f)
     v = out.valuation()
     if v is not None and v < 0:
         raise PoleError("perturbative invariant came out polar")
-    return out.truncate(min(cap, out.cap))
+    return out.truncate(gaussian.cap)
 
 
 def gaussian_weyl_closed_form(rs: RootSystem, f, cap: int) -> HSeries:

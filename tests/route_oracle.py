@@ -19,14 +19,14 @@ from lmo_kernel.qseries import HSeries, at_framing
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:
     num = at_framing(_definition_poly(knot_key(inp), label, order),
-                     inp.framing, order)
+                     inp.framing)
     out = num * _reference_surgery(label, inp.sign, order).inverse()
     return out.truncate(min(order, out.cap))
 
 
 def lmo_via_lemma(inp: SurgeryInput, label: str, order: int) -> HSeries:
     fgv = at_framing(_lemma_poly(knot_key(inp), label, order),
-                     inp.framing, order)
+                     inp.framing)
     theta_h = _theta_weight(label, order)
     factor = theta_h.scale(Fraction(3 * inp.sign - inp.framing, 48)).exp()
     out = _omega_pair_scalar(label, order) * factor * fgv

@@ -209,11 +209,75 @@ class TestRoutePolynomials:
                     {(0, 0): 1}
 
     def test_a_product_read_past_what_is_known_raises(self):
-        # a pole in h leaves the product known below h^cap
-        with pytest.raises(qseries.SeriesError, match="known through h\\^1"):
-            pipeline._poly_product({(0, -1): Q(1)}, {(0, 0): Q(1)}, 2)
-        with pytest.raises(qseries.SeriesError, match="known through h\\^1"):
-            pipeline._series_poly(HSeries.one(1), 2)
+        # a pole in h leaves the product of two factors known through h^2
+        # known through h^1 only, and h^2 of it is unknown, not zero
+        product = pipeline._poly_product(
+            qseries.FramingPoly({(0, -1): Q(1)}, 2),
+            qseries.FramingPoly({(0, 0): Q(1)}, 2))
+        assert product.cap == 1
+        with pytest.raises(qseries.SeriesError, match="beyond the cap 1"):
+            qseries.at_framing(product, 2).coeff(2)
+        series = qseries.at_framing(pipeline._series_poly(HSeries.one(1)), 2)
+        with pytest.raises(qseries.SeriesError, match="beyond the cap 1"):
+            series.coeff(2)
+
+    def test_a_route_is_read_through_its_order_only(self):
+        # the order-2 definition route at f = 2 is 1 - h^2/32 and knows
+        # nothing of h^3 and h^4: at order 4, h^4 is 5/6144, not zero
+        route = pipeline._definition_route(pipeline._UNKNOT_KEY, "A1", 1, 2)
+        assert route.cap == 2
+        assert qseries.at_framing(route, 2) == HSeries({0: 1, 2: Q(-1, 32)}, 2)
+        route = pipeline._definition_route(pipeline._UNKNOT_KEY, "A1", 1, 4)
+        assert qseries.at_framing(route, 2).coeff(4) == Q(5, 6144)
+
+
+_small_q = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _capped_polys(draw):
+    """A framing polynomial with a cap in -2..6 and terms f^e h^n, e in
+    -3..3 and n from -3 to the cap: polar ones in about half the cases,
+    and else none below h^0 or, in a third of the others, none below h^1."""
+    cap = draw(st.integers(-2, 6))
+    low = draw(st.sampled_from([-3, -3, -3, 0, 0, 1]))
+    keys = st.tuples(st.integers(-3, 3), st.integers(low, max(low, cap)))
+    terms = draw(st.dictionaries(keys, _small_q, max_size=8))
+    return qseries.FramingPoly(
+        {k: c for k, c in terms.items() if c and k[1] <= cap}, cap)
+
+
+_framings = st.one_of(st.integers(-9, 9).filter(bool),
+                      st.builds(Q, st.integers(-9, 9).filter(bool),
+                                st.integers(2, 5)))
+
+
+class TestCarriedCap:
+    """A framing polynomial carries the cap through which it is known,
+    as a series does, and a product of polynomials is known as far as
+    the product of their series at any framing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_capped_polys(), _capped_polys(), _framings)
+    def test_a_product_reads_as_the_product_of_the_reads(self, a, b, f):
+        got = qseries.at_framing(pipeline._poly_product(a, b), f)
+        a_f, b_f = qseries.at_framing(a, f), qseries.at_framing(b, f)
+        want = a_f * b_f
+        if (a_f.valuation(), b_f.valuation()) == (a.valuation(),
+                                                  b.valuation()):
+            assert got == want
+        else:
+            # a lowest row that vanishes at f: the polynomial's cap holds
+            # whatever f is, so it may stop below the series'
+            assert got.cap <= want.cap
+            assert got == want.truncate(got.cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-3, 6).flatmap(lambda cap: st.builds(
+        HSeries, st.dictionaries(st.integers(-3, cap), _small_q, max_size=6),
+        st.just(cap))), _framings)
+    def test_a_series_reads_as_itself(self, s, f):
+        assert qseries.at_framing(pipeline._series_poly(s), f) == s
 
 
 class TestTauRoute:
@@ -596,10 +660,10 @@ class TestVerifySuite:
         if mutant == "plus_h_over_f":
             # the polynomial read at -f: each f^e term times (-1)^e
             def flipped(T, g, cap):
-                poly, cap = true_wick(T, g, cap)
+                poly = true_wick(T, g, cap)
                 return qseries.FramingPoly(
                     {(e, n): -c if e % 2 else c
-                     for (e, n), c in poly.items()}), cap
+                     for (e, n), c in poly.items()}, poly.cap)
             monkeypatch.setattr(liews, "wick_poly", flipped)
         elif mutant == "no_2p_slot_terms":
             monkeypatch.setattr(liews, "wick_poly", lambda T, g, cap: true_wick(
@@ -648,9 +712,8 @@ class TestVerifySuite:
         # equal as polynomials in f, not only at the check's five framings
         _, g = lie_pair(label)
         for name, y in pipeline._bridge_family(8).items():
-            rhs, cap = liews.gaussian_poly(y, g, 4)
-            assert cap == 4, name
-            assert pipeline._fg_poly(y, g, 4) == rhs, name
+            lhs, rhs = pipeline._fg_poly(y, g, 4), liews.gaussian_poly(y, g, 4)
+            assert lhs == rhs and lhs.cap == rhs.cap == 4, name
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(["A1", "A2"]),
@@ -662,5 +725,5 @@ class TestVerifySuite:
         y = functools.reduce(operator.add, (
             member.scale(c) for member, c in
             zip(pipeline._bridge_family(8).values(), coeffs)))
-        rhs, cap = liews.gaussian_poly(y, g, 4)
-        assert pipeline._fg_poly(y, g, 4) == rhs and cap == 4
+        lhs, rhs = pipeline._fg_poly(y, g, 4), liews.gaussian_poly(y, g, 4)
+        assert lhs == rhs and lhs.cap == rhs.cap == 4

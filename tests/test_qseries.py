@@ -374,11 +374,11 @@ def test_mul_matches_fraction_loop_oracle(a, b):
 
 
 @st.composite
-def _framing_polys(draw):
-    """A framing polynomial with terms f^e h^n, e in -8..8 and n in
-    -4..10, each coefficient over its own denominator.  Some terms come
-    with their negation at the same key, which leaves the key out, or
-    at f^(e + 2), which cancels the pair at f = 1 and f = -1; a
+def _framing_terms(draw):
+    """The terms of a framing polynomial, f^e h^n with e in -8..8 and n
+    in -4..10, each coefficient over its own denominator.  Some terms
+    come with their negation at the same key, which leaves the key out,
+    or at f^(e + 2), which cancels the pair at f = 1 and f = -1; a
     hand-built zero term may stay in the map."""
     terms = []
     for e, n, c in draw(st.lists(st.tuples(st.integers(-8, 8),
@@ -391,7 +391,7 @@ def _framing_polys(draw):
     terms = sum_products(terms)
     if draw(st.booleans()):
         terms[draw(st.integers(-8, 8)), draw(st.integers(-4, 10))] = Q(0)
-    return FramingPoly(terms)
+    return terms
 
 
 #: Nonzero framings: +-1, integers up to 10^20 in size and non-integral
@@ -405,17 +405,36 @@ _framings = st.one_of(
 
 class TestAtFraming:
     @settings(max_examples=400, deadline=None)
-    @given(_framing_polys(), _framings, st.integers(-7, 13))
-    def test_matches_the_fraction_oracle(self, poly, f, cap):
-        # caps below, inside and above the support -4..10 of h
-        assert at_framing(poly, f, cap) == \
-            series_oracle.at_framing(poly, f, cap)
+    @given(_framing_terms(), _framings, st.integers(-7, 13))
+    def test_matches_the_fraction_oracle(self, terms, f, cap):
+        # caps below, inside and above the support -4..10 of h, each the
+        # cap of a polynomial that holds the terms through it
+        poly = FramingPoly({k: c for k, c in terms.items() if k[1] <= cap},
+                           cap)
+        assert at_framing(poly, f) == series_oracle.at_framing(terms, f, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_framing_terms(), st.integers(-7, 13))
+    def test_a_term_above_the_cap_is_rejected(self, terms, cap):
+        # unknown is never zero: a polynomial holds no term it cannot know
+        if any(n > cap for _, n in terms):
+            with pytest.raises(SeriesError, match=f"beyond the cap {cap}"):
+                FramingPoly(terms, cap)
+        else:
+            assert FramingPoly(terms, cap).cap == cap
+
+    @settings(max_examples=200, deadline=None)
+    @given(_framing_terms())
+    def test_valuation_is_the_lowest_power_of_a_nonzero_term(self, terms):
+        powers = [n for (_, n), c in terms.items() if c]
+        assert FramingPoly(terms, 10).valuation() == min(powers, default=None)
 
     def test_a_polynomial_is_the_dict_of_its_terms(self):
         terms = {(-1, 2): Q(1, 2), (3, 2): Q(-2, 3), (0, 0): Q(1)}
-        poly = FramingPoly(terms)
+        poly = FramingPoly(terms, 3)
         assert poly == terms and dict(poly) == terms
         # [h^2] = f^-1 (-4 f^4 + 3) / 6: a_K .. a_0 over one denominator
         assert poly.rows == [(0, 0, 1, (1,)), (2, -1, 6, (-4, 0, 0, 0, 3))]
-        assert at_framing(poly, Q(-1, 2), 2) == \
-            HSeries({0: 1, 2: Q(-11, 12)}, 2)
+        # read through the cap 3: h^3 is known, and zero
+        assert at_framing(poly, Q(-1, 2)) == \
+            HSeries({0: 1, 2: Q(-11, 12)}, 3)

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 import series_oracle
 import weyl_oracle
@@ -46,12 +46,12 @@ _half_integer = st.integers(-9, 9).map(lambda n: Q(n, 2))
 
 def _exp_of(rs, classes, f, cap):
     """The exponential route's polynomial at the framing f."""
-    return at_framing(gaussian_on_exponentials(rs, classes, cap), f, cap)
+    return at_framing(gaussian_on_exponentials(rs, classes, cap), f)
 
 
 def _sum_of(classes, f, cap):
     """The sum route's polynomial at the framing f."""
-    return at_framing(_gaussian_sum_route(classes, cap), f, cap)
+    return at_framing(_gaussian_sum_route(classes, cap), f)
 
 
 def _tau_of(rs, classes, f, cap):
@@ -596,8 +596,7 @@ def test_weyl_prefactor_equals_the_literal_product(label, f, cap):
     through h^(cap + P)."""
     rs = build_root_system(label)
     P = rs.num_pos
-    assert at_framing(_weyl_prefactor(rs, cap)[1 if f > 0 else -1], f,
-                      cap + P) == \
+    assert at_framing(_weyl_prefactor(rs, cap)[1 if f > 0 else -1], f) == \
         series_oracle.weyl_prefactor(rs, f, cap + P).truncate(cap + P)
 
 
@@ -722,8 +721,8 @@ class TestFoldedTau:
 
     @pytest.mark.parametrize("label", ["A1", "A2"])
     def test_cap_zero_reads_the_unit_through_h1(self, label):
-        # at cap 0 the unknot's S has valuation -P, so the prefactor's unit
-        # is read through h^0: the floor at h^1 keeps q_power defined
+        # at cap 0 the prefactor is built through h^(1 + P), not h^P: the
+        # floor at h^1 keeps q_power defined
         rs = build_root_system(label)
         for f in (1, -1, 2, -2, 3, -7):
             assert _tau_of(rs, unknot_classes(rs, 0), f, 0) == \
@@ -813,8 +812,9 @@ class TestFramingPolynomial:
         # [h^n] of f^P tau^PG, read off the product of the prefactor and
         # Gaussian polynomials, has exactly the f-exponents -n .. n, for
         # each sign; 2n + 1 framings of one sign therefore fix it
+        P = build_root_system(label).num_pos
         for cap in range(1, 7):
-            P, _, gaussian, prefactor = _unknot_tau(label, cap)
+            gaussian, prefactor = _unknot_tau(label, cap)
             for s in (1, -1):
                 poly = _times(prefactor[s], gaussian, cap)
                 support: dict = {}
@@ -827,14 +827,36 @@ class TestFramingPolynomial:
     def test_the_polynomial_predicts_a_framing_outside_the_fit(self, label):
         # past the 2 cap + 1 framings of one sign that the support [-n, n]
         # needs, the polynomial on that support is tau_pg's value
+        P = build_root_system(label).num_pos
         for cap in range(1, 7):
             tau = _unknot_tau(label, cap)
-            P, _, gaussian, prefactor = tau
+            gaussian, prefactor = tau
             for f in (2 * cap + 2, -2 * cap - 3):
                 poly = _times(prefactor[1 if f > 0 else -1], gaussian, cap)
                 on_support = FramingPoly({(e, n): c for (e, n), c
-                                          in poly.items() if -n <= e + P <= n})
-                assert at_framing(on_support, f, cap) == tau_pg(tau, f)
+                                          in poly.items() if -n <= e + P <= n},
+                                         cap)
+                assert at_framing(on_support, f) == tau_pg(tau, f)
+
+    def test_the_oracle_cases_reach_a_gaussian_sum_above_h_minus_p(self):
+        # tau_pg reads the prefactor through its cap whatever v(S) is, v
+        # the lowest power of h; the per-beta oracle test above must keep
+        # drawing S with v(S) > -P, where the prefactor's top terms meet
+        # no term of S
+        def above(case):
+            rs, classes, _, f, cap = case
+            v = _sum_of(classes, f, cap).valuation() if f else None
+            return v is not None and v > -rs.num_pos
+        find(_framing_cases(), above, settings=settings(database=None))
+
+    @pytest.mark.parametrize("f", [1, -1, 2, 3, -5])
+    def test_a_gaussian_sum_of_valuation_zero(self, f):
+        # beta = 0 carrying the series 1: S = 1, above h^-P = h^-1
+        E = {(0,): HSeries.one(4)}
+        for cap in range(4):
+            assert _tau(A1, E, f, cap) == series_oracle.tau_pg(A1, E, f, cap)
+        if f == 3:
+            assert _tau(A1, E, f, 2) == HSeries({1: Q(-1, 2)}, 2)
 
     def test_routes_are_compared_as_polynomials(self, monkeypatch):
         # a sum route off by one term at f^-1 h^2 is caught when the

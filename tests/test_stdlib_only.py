@@ -1,4 +1,6 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself,
+reads every name it imports and every parameter, and calls every
+module-level function but the few pinned here with a reason."""
 
 import ast
 import os
@@ -96,6 +98,70 @@ def test_src_parameters_are_read():
               for line, name, param in _unread_parameters(path)
               if name not in suites]
     assert unread == []
+
+
+def _uncalled_functions() -> set[str]:
+    """"module.function" of every module-level function that no module
+    of the package references, its own body left out (a recursive call
+    is no caller).  A reference is a name the module defines or imports
+    from a sibling (``from .m import f``), or an attribute of a sibling
+    module it imports (``from . import m``, then ``m.f``); the re-exports
+    of ``__init__`` are not read."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in
+             sorted(Path(lmo_kernel.__file__).parent.glob("*.py"))}
+    defined = {(m, node.name) for m, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    referenced = set()
+    for m, tree in trees.items():
+        if m == "__init__":
+            continue
+        names, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module:
+                        names[local] = node.module, alias.name
+                    else:
+                        modules[local] = alias.name
+
+        def visit(node, inside):
+            ref = None
+            if isinstance(node, ast.FunctionDef) and inside is None:
+                inside = m, node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                ref = ((m, node.id) if (m, node.id) in defined
+                       else names.get(node.id))
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules:
+                ref = modules[node.value.id], node.attr
+            if ref is not None and ref != inside:
+                referenced.add(ref)
+            for child in ast.iter_child_nodes(node):
+                visit(child, inside)
+        visit(tree, None)
+    return {f"{m}.{name}" for m, name in defined - referenced}
+
+
+#: The functions that nothing in the package calls, each with the reason
+#: it stays.  A new function without a caller, or the deletion of one of
+#: these, updates this map.
+UNCALLED = {
+    "balg.strut": "a public constructor",
+    "balg.fg_integral": "a tracer target of perfbench/tracer.py",
+    "liews.wick": "a tracer target of perfbench/tracer.py",
+    "liews.gaussian_eval": "a tracer target of perfbench/tracer.py",
+    "rootsys.quantum_dim_sq_shifted": "a tracer target of "
+                                      "perfbench/tracer.py",
+    "rootsys.lattice_sum_to_json": "the expansion-data writer of "
+                                   "tools/snapshot.py",
+}
+
+
+def test_every_uncalled_function_is_pinned():
+    assert _uncalled_functions() == set(UNCALLED)
 
 
 def test_cli_import_loads_no_code_generator():

@@ -3,10 +3,15 @@
     python3 tools/ab_frontier.py OLD NEW [--rounds N] [--order K]
 
 OLD and NEW are checkouts, each a directory holding ``src/lmo_kernel``.
-Each round runs ``compare --lie A1 --framing 2 --order K`` (default 6)
-once per checkout, each run a fresh ``python3 -m lmo_kernel.cli`` with
-that checkout's ``src`` on ``PYTHONPATH``; the first checkout of each
-round alternates.  Every report must equal every other.  The script
+Before the first round each checkout's ``src`` is copied into a
+temporary directory and byte-compiled there once.  Each round runs
+``compare --lie A1 --framing 2 --order K`` (default 6) once per
+checkout, each run a fresh ``python3 -m lmo_kernel.cli`` with that
+checkout's compiled copy on ``PYTHONPATH``; the first checkout of each
+round alternates.  So no child compiles a module whose bytecode is
+older than its source (under ``PYTHONDONTWRITEBYTECODE`` every child
+would compile each edited module again), and nothing is written into
+the checkouts.  Every report must equal every other.  The script
 prints each side's median wall time of a run, measured around the child
 process, and its median peak resident set (the child's ``ru_maxrss``),
 with their interquartile ranges and the ratios NEW / OLD of the medians,
@@ -18,6 +23,13 @@ if a run failed or two reports differ.
 Unlike the other two tools, it adds interpreter start-up and the whole
 cold run to each figure: it measures what a frontier run keeps and how
 long it takes, not one kernel's share.
+
+A child's ``ru_maxrss`` starts at the high-water mark of the process
+that spawned it (the child runs in the spawner's memory until its
+``exec``), and this script's own, about 16 MB, is above a kernel run at
+order 4.  So each child is spawned, timed and measured by a lean
+interpreter (``LAUNCH``, about 8 MB), and the byte-compiling runs in a
+process of its own.
 """
 
 from __future__ import annotations
@@ -25,31 +37,63 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from ab_warm import alternate, summary
 
 
-def cold_run(checkout: str, order: int) -> tuple[float, float, dict | None]:
+def compiled_copy(checkout: str, into: Path) -> Path:
+    """The checkout's ``src`` copied to ``into``, without its
+    ``__pycache__`` directories, and byte-compiled there."""
+    src = into / "src"
+    shutil.copytree(Path(checkout).resolve() / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if subprocess.run([sys.executable, "-m", "compileall", "-q",
+                       str(src)]).returncode:
+        raise SystemExit(f"{checkout}: a module does not compile")
+    return src
+
+
+def compare_argv(order: int) -> list[str]:
+    """The interpreter arguments of one run."""
+    return ["-m", "lmo_kernel.cli", "compare", "--lie", "A1", "--framing",
+            "2", "--order", str(order)]
+
+
+#: Run by ``python3 -S -c`` with a child's argv: fork and exec the child,
+#: and after its output print its exit code, wall seconds and
+#: ``ru_maxrss`` in KB.
+LAUNCH = """\
+import os, sys, time
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    try:
+        os.execv(sys.argv[1], sys.argv[1:])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+print(os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss)
+"""
+
+
+def cold_run(src: Path, order: int) -> tuple[float, float, dict | None]:
     """(wall seconds, peak MB, report or None) of one fresh-process
-    ``compare`` of the checkout's kernel."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(checkout).resolve() / "src"))
-    argv = [sys.executable, "-m", "lmo_kernel.cli", "compare", "--lie",
-            "A1", "--framing", "2", "--order", str(order)]
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    # wait4 gives this child's own rusage, not the largest child's so far
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    report = json.loads(out) if proc.returncode == 0 else None
-    return wall, usage.ru_maxrss / 1024, report
+    ``compare`` of the kernel under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-S", "-c", LAUNCH,
+                           sys.executable, *compare_argv(order)],
+                          stdout=subprocess.PIPE, env=env, check=True)
+    *out, last = proc.stdout.decode().splitlines()
+    code, wall, maxrss = last.split()
+    report = json.loads("\n".join(out)) if code == "0" else None
+    return float(wall), int(maxrss) / 1024, report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,8 +103,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--order", type=int, default=6)
     args = ap.parse_args(argv)
-    runs = alternate(args.rounds, lambda side, n: cold_run(
-        getattr(args, side), args.order))
+    with tempfile.TemporaryDirectory(prefix="ab_frontier_") as tmp:
+        srcs = {side: compiled_copy(getattr(args, side), Path(tmp) / side)
+                for side in ("old", "new")}
+        runs = alternate(args.rounds, lambda side, n: cold_run(
+            srcs[side], args.order))
     reports = [r for side in runs.values() for _, _, r in side]
     failed = reports.count(None)
     equal = not failed and all(r == reports[0] for r in reports)
