@@ -47,9 +47,9 @@ circle check reads too), and the lemma route's wheels pairing times the
 theta exponential exp(((3s - f)/48) theta), a polynomial in f, times its
 Gaussian integral; theta weighs c h, so the exponential is exp(3s c h /
 48) times the sum over k of (-c f h / 48)^k / k!, in closed form.  The
-two routes share only the polynomial product ``_poly_product``, known
-as far as ``qseries.product_cap`` of its factors' caps.  A route at
-framing f sums its polynomial's terms times powers of f
+routes multiply as the Lie side does, with ``qseries.FramingPoly``'s
+``*`` and ``of_series``, each product known as far as its factors allow.
+A route at framing f sums its polynomial's terms times powers of f
 (``qseries.at_framing``, the evaluator that the Lie side's polynomials
 share) and multiplies no series.
 
@@ -80,7 +80,7 @@ from .diagrams import (
     EMPTY_FORM, MAX_VERTICES, DiagramSeries, StructuralError, series_of)
 from .qseries import (
     FramingPoly, FrozenRecord, HSeries, _echo, at_framing, json_list,
-    json_object, modified_bernoulli, parse_json_int, product_cap, q_power,
+    json_object, modified_bernoulli, parse_json_int, q_power,
     rational_str, sinh_ratio, sum_products)
 
 LIE_LABELS = ("A1", "A2", "A3")
@@ -287,20 +287,6 @@ def _reference_surgery(label: str, sign: int, order: int) -> HSeries:
     return at_framing(_definition_poly(_UNKNOT_KEY, label, order), sign)
 
 
-def _series_poly(s: HSeries) -> FramingPoly:
-    """A framing-free series as a framing polynomial, known as far."""
-    return FramingPoly({(0, n): c for n, c in s.coeffs.items()}, s.cap)
-
-
-def _poly_product(a: FramingPoly, b: FramingPoly) -> FramingPoly:
-    """The product of two framing polynomials, known through h^cap
-    whatever f is, cap = ``qseries.product_cap`` of the two."""
-    cap = product_cap(a, b)
-    return FramingPoly(sum_products(
-        ((e + d, n + m), x, y) for (e, n), x in a.items()
-        for (d, m), y in b.items() if n + m <= cap), cap)
-
-
 @lru_cache(maxsize=2 * _KNOTS * len(LIE_LABELS) * MAX_ORDER)
 def _definition_route(key: KnotKey, label: str, sign: int,
                       order: int) -> FramingPoly:
@@ -308,8 +294,7 @@ def _definition_route(key: KnotKey, label: str, sign: int,
     polynomial in f: the numerator polynomial times the inverse of the
     matching-sign reference surgery."""
     ref = _reference_surgery(label, sign, order).inverse()
-    return _poly_product(_definition_poly(key, label, order),
-                         _series_poly(ref))
+    return _definition_poly(key, label, order) * FramingPoly.of_series(ref)
 
 
 @lru_cache(maxsize=2 * _KNOTS * len(LIE_LABELS) * MAX_ORDER)
@@ -319,16 +304,13 @@ def _lemma_route(key: KnotKey, label: str, sign: int,
     in f: the wheels pairing, the theta exponential exp(((3 sign -
     f)/48) theta_h) and the Gaussian integral of the wheeled base.
     theta_h is c h, so the exponential is q^(3 sign c / 48) times the
-    sum over k of (-c f h / 48)^k / k!, whose f^k h^k term is [h^k] of
-    q^(-c / 48)."""
+    sum over k of (-c f h / 48)^k / k!, which is q^(-c / 48) at f h."""
     c = _theta_weight(label, order).coeffs.get(1, 0)
     unit = _omega_pair_scalar(label, order) * q_power(
         Fraction(3 * sign, 48) * c, order)
-    framed = FramingPoly({(k, k): b for k, b in
-                          q_power(Fraction(-c, 48), order).coeffs.items()},
-                         order)
-    return _poly_product(_poly_product(_series_poly(unit), framed),
-                         _lemma_poly(key, label, order))
+    framed = FramingPoly.of_series(q_power(Fraction(-c, 48), order), 1)
+    return (FramingPoly.of_series(unit) * framed
+            * _lemma_poly(key, label, order))
 
 
 def lmo_via_definition(inp: SurgeryInput, label: str, order: int) -> HSeries:

@@ -13,29 +13,29 @@ numerator and denominator per key and reduces each sum to one
 value (a coefficient, a sum handed back) is a reduced ``Fraction``.  It
 is the one place in the package that adds rationals into a sparse map,
 and the one place that drops a zero sum.  Built on it: here, the series
-sum (``series_sum``, ``+``), product, ``exp`` and ``inverse``; in
-``diagrams``, every ``DiagramSeries`` (its constructor, ``+``,
-``union``), and through it the gluing sums of ``balg``;
-in ``rootsys``, the Weyl double sums and the root products (on
-integer lattice keys), the class sums of a lattice sum's norm-class
-map and the framing polynomials of both Gaussian routes and of the Weyl
-prefactor; in ``liews``, the pair
-contraction, the leg erasure of a contracted diagram, ``wick`` and
-``series_tensor``, which builds the weight tensors of ``hat_weight`` and
-the gauss check's sum of the weighed exponential tensors of a squared
-Weyl sum; in ``pipeline``, the diagram side's framing polynomials.
+sum (``series_sum``, ``+``), the products of series and of framing
+polynomials, ``exp`` and ``inverse``; in ``diagrams``, every
+``DiagramSeries`` (its constructor, ``+``, ``union``), and through it
+the gluing sums of ``balg``; in ``rootsys``, the Weyl double sums and
+the root products (on integer lattice keys), the class sums of a
+lattice sum's norm-class map and both Gaussian routes' polynomials; in
+``liews``, the pair contraction, the leg erasure of a contracted
+diagram, ``wick`` and ``series_tensor``, which builds the weight tensors
+of ``hat_weight`` and the gauss check's sum of the weighed exponential
+tensors of a squared Weyl sum; in ``pipeline``, the diagram side's
+Gaussian integrals as framing polynomials.
 
 A framing polynomial (``FramingPoly``) is a series in h whose
 coefficients are Laurent polynomials in the framing f, stored as {(e,
 n): the coefficient of f^e h^n}, that carries its cap as an ``HSeries``
 does: unknown is never zero.  Both sides build theirs once per knot,
 label and order, the diagram side in ``pipeline`` and tau^PG in
-``rootsys``, and both evaluate them at a framing through the one
-``at_framing``.  A polynomial also holds, built once with it, one
-integer row per power h^n: f^lo times a polynomial in f with integer
-coefficients a_K .. a_0 over one denominator.  So a read at f = p/q is
-one Horner pass in integers per power of h, homogeneous in (p, q), and
-one ``Fraction``.
+``rootsys``, with its product ``*`` and ``of_series`` (only here is
+``product_cap`` read), and evaluate them through the one ``at_framing``.
+Its integer rows, built on the first read, hold per power h^n f^lo
+times a polynomial in f with integer coefficients a_K .. a_0 over one
+denominator.  So a read at f = p/q is one Horner pass in integers per
+power of h, homogeneous in (p, q), and one ``Fraction``.
 
 ``q_power`` builds q^c = exp(c h) in closed form, [h^k] = c^k / k!,
 each numerator and denominator from the one before, with no
@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Hashable, Iterable, Mapping
 
 #: Deepest pole any series may carry.  Intermediate data in the
@@ -405,23 +405,46 @@ class FramingPoly(dict):
     framing f, known exactly up to h^cap: {(e, n): the coefficient of
     f^e h^n}, a ``dict`` and equal to a plain one with the same terms.
     As in ``HSeries``, powers of h above ``cap`` are unknown, never
-    zero, and a term there is rejected.
+    zero, and a term there is rejected; ``a * b`` is known through
+    ``product_cap(a, b)`` whatever f is.
 
-    The constructor also builds ``rows``, once: one integer row (n, lo,
-    den, a) per power h^n with a nonzero term, in increasing n, where a =
+    ``rows``, built on the first read, holds one integer row (n, lo, den,
+    a) per power h^n with a nonzero term, in increasing n, where a =
     (a_K, ..., a_0) and [h^n] = f^lo (a_K f^K + ... + a_0) / den, den
     the least common multiple of the row's denominators.  A polynomial
     is not edited once built, so its rows stay its terms'."""
 
-    __slots__ = ("rows", "cap")
-
     def __init__(self, terms, cap: int):
         super().__init__(terms)
-        by_power: dict[int, dict[int, Fraction]] = {}
-        for (e, n), c in self.items():
+        for e, n in self:
             if n > cap:
                 raise SeriesError(f"a term f^{e} h^{n} is beyond the cap "
                                   f"{cap}")
+        self.cap = cap
+
+    @classmethod
+    def of_series(cls, s: HSeries, t: int = 0) -> "FramingPoly":
+        """The framing-free series s(f^t h), known as far as s: [h^n] is
+        f^(t n) s_n."""
+        return cls({(t * n, n): c for n, c in s.coeffs.items()}, s.cap)
+
+    def __mul__(self, other: "FramingPoly") -> "FramingPoly":
+        cap = product_cap(self, other)
+        return FramingPoly(sum_products(
+            ((e + d, n + m), x, y) for (e, n), x in self.items()
+            for (d, m), y in other.items() if n + m <= cap), cap)
+
+    def truncate(self, cap: int) -> "FramingPoly":
+        """The terms through h^cap; raises as ``HSeries.truncate`` does."""
+        if cap > self.cap:
+            raise SeriesError("cannot raise a cap by truncation")
+        return FramingPoly({k: c for k, c in self.items() if k[1] <= cap},
+                           cap)
+
+    @cached_property
+    def rows(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
+        by_power: dict[int, dict[int, Fraction]] = {}
+        for (e, n), c in self.items():
             if c:
                 by_power.setdefault(n, {})[e] = _as_rational(c)
         rows = []
@@ -432,12 +455,11 @@ class FramingPoly(dict):
             for e, c in row.items():
                 a[hi - e] = c.numerator * (den // c.denominator)
             rows.append((n, lo, den, tuple(a)))
-        self.rows = rows
-        self.cap = cap
+        return rows
 
     def valuation(self) -> int | None:
         """Lowest power of h with a nonzero term, or None for zero."""
-        return self.rows[0][0] if self.rows else None
+        return min((n for (_, n), c in self.items() if c), default=None)
 
 
 def at_framing(poly: FramingPoly, f: int | Fraction) -> HSeries:

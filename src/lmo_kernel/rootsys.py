@@ -56,8 +56,10 @@ sum S by both routes, which must agree as polynomials, and, per sign s,
 the Weyl prefactor (1/|W|) q^((s-f)|rho|^2/2) prod_{a>0} (1 - q^(s(rho,
 a))), which is lead * h^P times the unit q^(3s|rho|^2/2) prod
 sinh_ratio((rho, a)) times q^(-f|rho|^2/2) (``_weyl_prefactor``).
-``tau_pg`` is the one per-framing step: it reads both at f, multiplies
-once, checks for a pole and keeps h^0 .. h^cap.
+The exponential route and the prefactor take a series s at h/f or f h
+as ``FramingPoly.of_series(s, -1)`` or ``(s, 1)`` and multiply with its
+``*``.  ``tau_pg`` is the one per-framing step: it reads both at f,
+multiplies once, checks for a pole and keeps h^0 .. h^cap.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ from functools import lru_cache
 from operator import add, mul
 
 from .qseries import (
-    FramingPoly, FrozenRecord, HSeries, PoleError, SeriesError, at_framing,
-    product_cap, q_power, sinh_ratio, sum_products)
+    FramingPoly, FrozenRecord, HSeries, PoleError, at_framing, q_power,
+    sinh_ratio, sum_products)
 
 #: A lattice vector in simple-root coordinates.
 Vec = tuple[int, ...]
@@ -323,19 +325,6 @@ def unknot_classes(rs: RootSystem, cap: int) -> NormClasses:
                                    for n, count in counts.items() if count})]
 
 
-def _framing_product(a: HSeries, b: HSeries, t: int, cap: int):
-    """The terms ((t k, i + k), a_i, b_k) of a(h) b(f^t h) through h^cap,
-    a and b framing-free: [h^k] of b(f^t h) is f^(t k) b_k.  The product
-    is known where a * b is, whatever f is (``product_cap``); a cap
-    beyond that raises."""
-    known = product_cap(a, b)
-    if known < cap:
-        raise SeriesError(f"a product known through h^{known} cannot be "
-                          f"read through h^{cap}")
-    return [((t * k, i + k), x, y) for i, x in a.coeffs.items()
-            for k, y in b.coeffs.items() if i + k <= cap]
-
-
 def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
                              cap: int) -> FramingPoly:
     """Closed form of the Gaussian contraction on lattice exponentials,
@@ -343,7 +332,8 @@ def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
     (2f)).  The classes of a group (``norm_classes``, ``unknot_classes``)
     share one series S, known through the group's cap, so the group
     integrates to S(h) G(h/f), where G = sum of count * exp(-h |beta|^2 /
-    2) over its classes: one product per group."""
+    2) over its classes: one product per group, known through h^cap or
+    refused by ``truncate``."""
     work = cap + 2 * rs.num_pos
     terms = []
     for sums, ccap, counts in classes:
@@ -352,8 +342,9 @@ def gaussian_on_exponentials(rs: RootSystem, classes: NormClasses,
             for k, c in q_power(Fraction(-bsq, 2), work).coeffs.items()),
             work)
         S = HSeries({k: b for k, b in sums.items() if k <= ccap}, ccap)
-        terms += _framing_product(S, G, -1, cap)
-    return FramingPoly(sum_products(terms), cap)
+        product = FramingPoly.of_series(S) * FramingPoly.of_series(G, -1)
+        terms += product.truncate(cap).items()
+    return FramingPoly(sum_products((k, c, 1) for k, c in terms), cap)
 
 
 def double_factorial(n: int) -> int:
@@ -397,18 +388,17 @@ def _weyl_prefactor(rs: RootSystem, cap: int) -> dict[int, FramingPoly]:
     c add up to 2|rho|^2, so the prefactor is lead * h^P times the unit
     q^(3s|rho|^2/2) prod sinh_ratio(c), with lead = (-s)^P prod c / |W|,
     times b(f h) with b = q^(-|rho|^2/2): the framing enters only there,
-    its h^k meeting f^k."""
+    in one product per sign."""
     P = rs.num_pos
     prod_c = math.prod(rs.inner(rs.rho, alpha) for alpha in rs.pos_roots)
     rho_sq = rs.norm_sq(rs.rho)
     sinh = rho_sinh_product(rs, cap)
-    b = q_power(-rho_sq / 2, cap)
+    framed = FramingPoly.of_series(q_power(-rho_sq / 2, cap), 1)
     out = {}
     for s in (1, -1):
         unit = q_power(Fraction(3 * s, 2) * rho_sq, cap) * sinh
         lead = Fraction((-s) ** P, rs.order) * prod_c
-        out[s] = FramingPoly(sum_products(_framing_product(
-            unit.scale(lead).shift(P), b, 1, cap + P)), cap + P)
+        out[s] = FramingPoly.of_series(unit.scale(lead).shift(P)) * framed
     return out
 
 

@@ -438,3 +438,85 @@ class TestAtFraming:
         # read through the cap 3: h^3 is known, and zero
         assert at_framing(poly, Q(-1, 2)) == \
             HSeries({0: 1, 2: Q(-11, 12)}, 3)
+
+
+_small_q = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _capped_polys(draw):
+    """A framing polynomial with a cap in -2..6 and terms f^e h^n, e in
+    -3..3 and n from -3 to the cap: polar ones in about half the cases,
+    and else none below h^0 or, in a third of the others, none below h^1."""
+    cap = draw(st.integers(-2, 6))
+    low = draw(st.sampled_from([-3, -3, -3, 0, 0, 1]))
+    keys = st.tuples(st.integers(-3, 3), st.integers(low, max(low, cap)))
+    terms = draw(st.dictionaries(keys, _small_q, max_size=8))
+    return FramingPoly({k: c for k, c in terms.items() if c and k[1] <= cap},
+                       cap)
+
+
+_small_framings = st.one_of(st.integers(-9, 9).filter(bool),
+                            st.builds(Q, st.integers(-9, 9).filter(bool),
+                                      st.integers(2, 5)))
+
+_capped_series = st.integers(-3, 6).flatmap(lambda cap: st.builds(
+    HSeries, st.dictionaries(st.integers(-3, cap), _small_q, max_size=6),
+    st.just(cap)))
+
+
+class TestCarriedCap:
+    """A framing polynomial carries the cap through which it is known,
+    as a series does, and a product of polynomials is known as far as
+    the product of their series at any framing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_capped_polys(), _capped_polys(), _small_framings)
+    def test_a_product_reads_as_the_product_of_the_reads(self, a, b, f):
+        got = at_framing(a * b, f)
+        a_f, b_f = at_framing(a, f), at_framing(b, f)
+        want = a_f * b_f
+        if (a_f.valuation(), b_f.valuation()) == (a.valuation(),
+                                                  b.valuation()):
+            assert got == want
+        else:
+            # a lowest row that vanishes at f: the polynomial's cap holds
+            # whatever f is, so it may stop below the series'
+            assert got.cap <= want.cap
+            assert got == want.truncate(got.cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_capped_series, st.sampled_from([-1, 0, 1]), _small_framings)
+    def test_a_series_reads_as_itself_at_f_to_the_t_h(self, s, t, f):
+        # s(f^t h): h^n scaled by f^(t n), through the cap of s
+        want = HSeries({n: c * Q(f) ** (t * n) for n, c in s.coeffs.items()},
+                       s.cap)
+        assert at_framing(FramingPoly.of_series(s, t), f) == want
+        if t == 0:
+            assert FramingPoly.of_series(s) == FramingPoly.of_series(s, 0)
+
+    def test_a_product_read_past_what_is_known_raises(self):
+        # a pole in h leaves the product of two factors known through h^2
+        # known through h^1 only, and h^2 of it is unknown, not zero
+        product = FramingPoly.of_series(H({-1: 1}, 2)) * \
+            FramingPoly.of_series(H({0: 1, 1: 1}, 2), 1)
+        assert product.cap == 1 and product == {(0, -1): 1, (1, 0): 1}
+        assert at_framing(product, 2) == H({-1: 1, 0: 2}, 1)
+        with pytest.raises(SeriesError, match="beyond the cap 1"):
+            at_framing(product, 2).coeff(2)
+        series = at_framing(FramingPoly.of_series(H.one(1), -1), 2)
+        with pytest.raises(SeriesError, match="beyond the cap 1"):
+            series.coeff(2)
+        with pytest.raises(SeriesError, match="cannot raise a cap"):
+            product.truncate(2)
+        assert product.truncate(-1) == {(0, -1): 1}
+
+    def test_rows_are_built_on_the_first_read_only(self):
+        a = FramingPoly.of_series(H({0: 1, 1: 2}, 3), 1)
+        b = FramingPoly({(-1, 1): Q(1, 2), (0, 0): 1}, 3)
+        product = a * b
+        assert product.valuation() == 0
+        assert not any("rows" in vars(p) for p in (a, b, product))
+        assert at_framing(product, 2) == H({0: 1, 1: Q(17, 4), 2: 1}, 3)
+        assert "rows" in vars(product) and product.rows is product.rows
+        assert not any("rows" in vars(p) for p in (a, b))

@@ -564,20 +564,20 @@ class TestGroupsOfOneSeries:
 
     def test_one_product_per_group(self, monkeypatch):
         # the route multiplies each group's series by its exponentials in
-        # one framing product, and no series product besides
+        # one polynomial product, and no series product besides
         products = []
-        product = rootsys._framing_product
+        product = FramingPoly.__mul__
 
-        def counted(a, b, *args):
+        def counted(a, b):
             products.append((a, b))
-            return product(a, b, *args)
+            return product(a, b)
 
         def uncounted(a, b):
             raise AssertionError("a series product outside the route's")
 
         unknot = unknot_classes(A3, 3)
         split = norm_classes(A3, quantum_dim_sq_shifted(A3, 3))
-        monkeypatch.setattr(rootsys, "_framing_product", counted)
+        monkeypatch.setattr(FramingPoly, "__mul__", counted)
         monkeypatch.setattr(HSeries, "__mul__", uncounted)
         gaussian_on_exponentials(A3, unknot, 3)
         assert len(products) == len(unknot) == 1
@@ -585,6 +585,31 @@ class TestGroupsOfOneSeries:
         products.clear()
         gaussian_on_exponentials(A3, split, 3)
         assert len(products) == len(split) >= 11
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+    def test_a_factor_only_multiplied_builds_no_rows(self, label,
+                                                     monkeypatch):
+        # tau_poly builds its factors and products and compares the two
+        # routes' polynomials as terms: no polynomial builds its rows
+        # until tau_pg reads the two it evaluates
+        rs = build_root_system(label)
+        made = []
+        init = FramingPoly.__init__
+
+        def recorded(poly, *args):
+            made.append(poly)
+            init(poly, *args)
+
+        monkeypatch.setattr(FramingPoly, "__init__", recorded)
+        tau = tau_poly(rs, unknot_classes(rs, 3), 3)
+        assert len(made) >= 7
+        assert not any("rows" in vars(poly) for poly in made)
+        tau_pg(tau, 2)
+        tau_pg(tau, 3)
+        gaussian, prefactor = tau
+        read = [poly for poly in made if "rows" in vars(poly)]
+        assert len(read) == 2
+        assert read[0] is gaussian and read[1] is prefactor[1]
 
 
 @settings(max_examples=150, deadline=None)

@@ -164,6 +164,27 @@ def test_every_uncalled_function_is_pinned():
     assert _uncalled_functions() == set(UNCALLED)
 
 
+def _references(tree: ast.AST, name: str) -> list[int]:
+    """The lines of one module that read ``name``: as a name, as an
+    attribute, or in an import."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   or isinstance(node, ast.ImportFrom)
+                   and any(a.name == name for a in node.names)})
+
+
+def test_only_qseries_knows_the_product_cap():
+    """The cap a product of series or framing polynomials is known
+    through is decided in ``qseries`` alone: every other module
+    multiplies and reads the product's cap."""
+    sources = sorted(Path(lmo_kernel.__file__).parent.glob("*.py"))
+    readers = {path.stem: _references(ast.parse(path.read_text()),
+                                      "product_cap") for path in sources}
+    assert readers.pop("qseries")
+    assert {m: lines for m, lines in readers.items() if lines} == {}
+
+
 def test_cli_import_loads_no_code_generator():
     """A fresh interpreter, without ``site``, imports the command line
     without ``dataclasses`` or ``inspect``: the records are plain

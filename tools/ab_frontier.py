@@ -5,20 +5,25 @@
 OLD and NEW are checkouts, each a directory holding ``src/lmo_kernel``.
 Before the first round each checkout's ``src`` is copied into a
 temporary directory and byte-compiled there once.  Each round runs
-``compare --lie A1 --framing 2 --order K`` (default 6) once per
-checkout, each run a fresh ``python3 -m lmo_kernel.cli`` with that
-checkout's compiled copy on ``PYTHONPATH``; the first checkout of each
-round alternates.  So no child compiles a module whose bytecode is
+``compare --knot unknot --framing 2 --lie A1 --order K`` (default 6)
+once per checkout, each run a fresh ``python3 -m lmo_kernel.cli`` with
+that checkout's compiled copy on ``PYTHONPATH``; the first checkout of
+each round alternates.  So no child compiles a module whose bytecode is
 older than its source (under ``PYTHONDONTWRITEBYTECODE`` every child
 would compile each edited module again), and nothing is written into
-the checkouts.  Every report must equal every other.  The script
-prints each side's median wall time of a run, measured around the child
-process, and its median peak resident set (the child's ``ru_maxrss``),
-with their interquartile ranges and the ratios NEW / OLD of the medians,
-as ``tools/ab_cold.py`` prints them, then one JSON line with the same
-figures and the report's ``routes_equal`` and ``equal``.  A ratio counts
-only when the two medians differ by more than that spread.  It exits 1
-if a run failed or two reports differ.
+the checkouts.  Every report must equal every other, and its exact
+series must equal the reference recorded for the order: the entry of
+perfbench/references.json for orders 2-4, of ``FRONTIER_REFERENCES``
+for orders 5 and 6 (both files are only read).  The script prints each
+side's median wall time of a run, measured around the child process,
+and its median peak resident set (the child's ``ru_maxrss``), with
+their interquartile ranges and the ratios NEW / OLD of the medians, as
+``tools/ab_cold.py`` prints them, then one JSON line with the same
+figures, the report's ``routes_equal`` and ``equal``, and ``reference``:
+true or false, or null where no reference is recorded for the order.
+A ratio counts only when the two medians differ by more than that
+spread.  It exits 1 if a run failed, two reports differ or a report
+differs from its reference.
 
 Unlike the other two tools, it adds interpreter start-up and the whole
 cold run to each figure: it measures what a frontier run keeps and how
@@ -45,6 +50,12 @@ import time
 from pathlib import Path
 
 from ab_warm import alternate, summary
+from run import REFERENCES, cell_id, compare_argv as cell_argv, math_fields
+
+#: The exact series of the orders above perfbench's, recorded as
+#: perfbench/references.json records its own.
+FRONTIER_REFERENCES = Path(__file__).resolve().with_name(
+    "frontier_references.json")
 
 
 def compiled_copy(checkout: str, into: Path) -> Path:
@@ -61,8 +72,25 @@ def compiled_copy(checkout: str, into: Path) -> Path:
 
 def compare_argv(order: int) -> list[str]:
     """The interpreter arguments of one run."""
-    return ["-m", "lmo_kernel.cli", "compare", "--lie", "A1", "--framing",
-            "2", "--order", str(order)]
+    return ["-m", "lmo_kernel.cli", *cell_argv("A1", 2, order)]
+
+
+def reference(order: int) -> dict | None:
+    """The exact series of the run at ``order``, or None where no
+    reference is recorded for it."""
+    refs = {**json.loads(REFERENCES.read_text()),
+            **json.loads(FRONTIER_REFERENCES.read_text())}
+    return refs.get(cell_id(cell_argv("A1", 2, order)))
+
+
+def matches_reference(reports: list[dict | None],
+                      order: int) -> bool | None:
+    """Whether every report's exact series are the reference's (a failed
+    run's report, None, is not), or None where no reference is recorded
+    for ``order``."""
+    ref = reference(order)
+    return None if ref is None else all(
+        r is not None and math_fields(r) == ref for r in reports)
 
 
 #: Run by ``python3 -S -c`` with a child's argv: fork and exec the child,
@@ -111,12 +139,16 @@ def main(argv: list[str] | None = None) -> int:
     reports = [r for side in runs.values() for _, _, r in side]
     failed = reports.count(None)
     equal = not failed and all(r == reports[0] for r in reports)
+    matches = matches_reference(reports, args.order)
     if failed:
         print(f"{failed} runs failed")
     elif not equal:
         print("the reports differ")
+    elif matches is False:
+        print("the reports differ from the reference")
     result: dict = {"order": args.order, "rounds": args.rounds,
-                    "failed_runs": failed, "reports_equal": equal}
+                    "failed_runs": failed, "reports_equal": equal,
+                    "reference": matches}
     for i, (name, unit) in enumerate((("wall", "s"), ("peak_rss", "MB"))):
         result[name] = summary(name, {side: [run[i] for run in rs]
                                       for side, rs in runs.items()},
@@ -125,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         result.update(routes_equal=reports[0]["routes_equal"],
                       equal=reports[0]["equal"])
     print(json.dumps(result))
-    return 0 if equal else 1
+    return 0 if equal and matches is not False else 1
 
 
 if __name__ == "__main__":
